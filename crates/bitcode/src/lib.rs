@@ -29,6 +29,9 @@
 //!   variants behind the nightly-only `simd` feature and one-time
 //!   runtime CPU-feature dispatch ([`Kernel::detect`]). See
 //!   `docs/KERNELS.md` for the tuning guide.
+//! * [`mix`] — the splitmix64-finalizer [`mix::BuildMix64`] hasher that
+//!   keys MIH's `u64` chunk tables (std's SipHash cost more than the rest
+//!   of a bucket probe).
 //! * [`pool`] — HA-Par's scoped work-stealing [`pool::fan_out`]: the one
 //!   fan-out primitive behind parallel H-Build, `HaServe` shard probes
 //!   and morsel-split frontier levels, with results reassembled in task
@@ -60,6 +63,7 @@ pub mod fnv;
 pub mod gray;
 pub mod kernels;
 mod masked;
+pub mod mix;
 pub mod pool;
 pub mod prefetch;
 pub mod segment;

@@ -17,6 +17,7 @@ use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
 use crate::memory::{vec_bytes, MemoryReport};
+use crate::seen::with_seen;
 use crate::{HammingIndex, MutableIndex, TupleId};
 
 /// One sorted signature table: `(segment value, row index)` ordered by
@@ -111,27 +112,27 @@ impl HammingIndex for HEngine {
 
     fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
         assert_eq!(query.len(), self.code_len, "query length mismatch");
-        let mut seen = vec![false; self.rows.len()];
         let mut out = Vec::new();
-        for i in 0..self.tables.len() {
-            let (_, width) = self.seg.bounds(i);
-            let key = self.seg.extract(query, i);
-            // Probe the exact value and every one-bit variant (the
-            // "signature" expansion).
-            for variant in Segmentation::one_bit_variants(key, width) {
-                for row in self.probe(i, variant) {
-                    let r = row as usize;
-                    if seen[r] {
-                        continue;
-                    }
-                    seen[r] = true;
-                    let (code, id) = &self.rows[r];
-                    if *id != TupleId::MAX && code.hamming_within(query, h).is_some() {
-                        out.push(*id);
+        with_seen(self.rows.len(), |seen| {
+            for i in 0..self.tables.len() {
+                let (_, width) = self.seg.bounds(i);
+                let key = self.seg.extract(query, i);
+                // Probe the exact value and every one-bit variant (the
+                // "signature" expansion).
+                for variant in Segmentation::one_bit_variants(key, width) {
+                    for row in self.probe(i, variant) {
+                        let r = row as usize;
+                        if seen.test_and_set(r) {
+                            continue;
+                        }
+                        let (code, id) = &self.rows[r];
+                        if *id != TupleId::MAX && code.hamming_within(query, h).is_some() {
+                            out.push(*id);
+                        }
                     }
                 }
             }
-        }
+        });
         out
     }
 

@@ -16,6 +16,7 @@ use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
 use crate::memory::{map_bytes, vec_bytes, MemoryReport};
+use crate::seen::with_seen;
 use crate::{HammingIndex, MutableIndex, TupleId};
 
 /// HmSearch index with `r` segment tables (guaranteed threshold `2r - 1`).
@@ -110,27 +111,27 @@ impl HammingIndex for HmSearch {
 
     fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
         assert_eq!(query.len(), self.code_len, "query length mismatch");
-        let mut seen = vec![false; self.rows.len()];
         let mut out = Vec::new();
-        for (i, table) in self.tables.iter().enumerate() {
-            // One exact lookup per table: the data side already enumerated
-            // the 1-bit neighbourhood.
-            let key = self.seg.extract(query, i);
-            let Some(bucket) = table.get(&key) else {
-                continue;
-            };
-            for &row in bucket {
-                let r = row as usize;
-                if seen[r] {
+        with_seen(self.rows.len(), |seen| {
+            for (i, table) in self.tables.iter().enumerate() {
+                // One exact lookup per table: the data side already
+                // enumerated the 1-bit neighbourhood.
+                let key = self.seg.extract(query, i);
+                let Some(bucket) = table.get(&key) else {
                     continue;
-                }
-                seen[r] = true;
-                let (code, id) = &self.rows[r];
-                if *id != TupleId::MAX && code.hamming_within(query, h).is_some() {
-                    out.push(*id);
+                };
+                for &row in bucket {
+                    let r = row as usize;
+                    if seen.test_and_set(r) {
+                        continue;
+                    }
+                    let (code, id) = &self.rows[r];
+                    if *id != TupleId::MAX && code.hamming_within(query, h).is_some() {
+                        out.push(*id);
+                    }
                 }
             }
-        }
+        });
         out
     }
 

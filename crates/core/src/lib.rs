@@ -42,6 +42,7 @@ mod mih;
 mod multihash;
 pub mod planner;
 mod radix;
+mod seen;
 pub mod select;
 mod static_ha;
 pub mod testkit;

@@ -10,9 +10,20 @@
 //! the Manku-style [`crate::MultiHashTable`], which is complete only up to
 //! the table count fixed at build time — MIH is complete for **every**
 //! `h`. Probing enumerates all chunk values within the per-chunk radius
-//! ([`for_each_neighbor`]); candidates are deduplicated with a row bitmap
-//! and verified against the full code with an early-exit word-slice
-//! distance ([`distance_within_words`]).
+//! ([`for_each_neighbor`]); candidates are deduplicated with the
+//! per-thread epoch-stamped seen-set (`seen.rs`: a mark equals the
+//! current stamp ⇔ the row was reached earlier in *this* query; stamp
+//! wrap-around clears) and verified against the full code with an
+//! early-exit word-slice distance ([`distance_within_words`]). A select
+//! therefore costs O(probes + candidates) and allocates only its answer —
+//! nothing proportional to `n` (`tests/mih_alloc.rs` pins that).
+//!
+//! Rejected: a stateless "first-owner" dedup (emit a row only from the
+//! first probed chunk whose radius covers it, no marks at all). It matched
+//! the seen-set on sparse data but re-verifies every duplicate from row
+//! memory instead of testing an L2-resident mark byte: forced MIH on the
+//! dense 512-bit benchmark workload (7 probed chunks × ~16k-row buckets)
+//! went 514 → 1881 µs per query.
 //!
 //! The enumeration cost `Σ_k Σ_i C(w_k, i)` is known exactly before any
 //! table is touched ([`MihIndex::probe_estimate`]); when it reaches the
@@ -26,11 +37,13 @@
 use std::collections::HashMap;
 
 use ha_bitcode::chunk::{distance_within_words, for_each_neighbor, neighborhood_size};
+use ha_bitcode::mix::BuildMix64;
 use ha_bitcode::prefetch::{prefetch_index, PREFETCH_DISTANCE};
 use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
 use crate::memory::{map_bytes, vec_bytes, MemoryReport};
+use crate::seen::with_seen;
 use crate::{HammingIndex, MutableIndex, TupleId};
 
 /// Multi-Index Hashing over fixed-length binary codes.
@@ -58,7 +71,7 @@ pub struct MihIndex {
     stride: usize,
     seg: Segmentation,
     /// One table per chunk: chunk value → rows whose code has that value.
-    tables: Vec<HashMap<u64, Vec<u32>>>,
+    tables: Vec<HashMap<u64, Vec<u32>, BuildMix64>>,
     /// Flat row storage, `stride` words per row.
     row_words: Vec<u64>,
     ids: Vec<TupleId>,
@@ -98,7 +111,7 @@ impl MihIndex {
         MihIndex {
             code_len,
             stride: code_len.div_ceil(64),
-            tables: vec![HashMap::new(); chunks],
+            tables: vec![HashMap::default(); chunks],
             seg,
             row_words: Vec::new(),
             ids: Vec::new(),
@@ -173,67 +186,103 @@ impl MihIndex {
         &self.row_words[row * self.stride..(row + 1) * self.stride]
     }
 
-    /// Linear scan over the flat row storage — the fallback path, also
-    /// exposed as the planner's "linear scan" backend so that routing to
-    /// `Linear` needs no second copy of the data.
-    pub fn scan_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
+    /// Every live row within `h` of `query`, each exactly once, mapped
+    /// through `make(id, distance)` and sorted — the canonical order of
+    /// every entry point. Rows come from the linear scan when `scan_only`
+    /// is set or the probe enumeration alone would cost a scan, from chunk
+    /// probing otherwise.
+    fn collect_sorted<T: Ord>(
+        &self,
+        query: &BinaryCode,
+        h: u32,
+        scan_only: bool,
+        make: impl Fn(TupleId, u32) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        let emit = |row: usize, d: u32| out.push(make(self.ids[row], d));
+        if scan_only || self.would_scan(h) {
+            self.scan_rows(query, h, emit);
+        } else {
+            self.probe_rows(query, h, emit);
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn scan_rows(&self, query: &BinaryCode, h: u32, mut emit: impl FnMut(usize, u32)) {
         assert_eq!(query.len(), self.code_len, "query length mismatch");
         let qw = query.words();
-        let mut out = Vec::new();
         for row in 0..self.ids.len() {
             if !self.live[row] {
                 continue;
             }
             if let Some(d) = distance_within_words(qw, self.row(row), h) {
-                out.push((self.ids[row], d));
+                emit(row, d);
             }
         }
-        out.sort_unstable_by_key(|&(id, d)| (id, d));
-        out
+    }
+
+    fn probe_rows(&self, query: &BinaryCode, h: u32, mut emit: impl FnMut(usize, u32)) {
+        assert_eq!(query.len(), self.code_len, "query length mismatch");
+        let qw = query.words();
+        // The Norouzi quantities, accumulated in locals and flushed once.
+        let (mut probes, mut candidates, mut dedup_hits) = (0u64, 0u64, 0u64);
+        with_seen(self.ids.len(), |seen| {
+            for (k, radius) in self.probe_radii(h) {
+                let Some(radius) = radius else { continue };
+                let value = self.seg.extract(query, k);
+                let (_, width) = self.seg.bounds(k);
+                let table = &self.tables[k];
+                for_each_neighbor(value, width as u32, radius, &mut |v| {
+                    probes += 1;
+                    let Some(bucket) = table.get(&v) else { return };
+                    candidates += bucket.len() as u64;
+                    for (j, &row) in bucket.iter().enumerate() {
+                        // Bucket rows land anywhere in the flat store;
+                        // hint the row a few candidates ahead so its code
+                        // words arrive while this one is being verified.
+                        if let Some(&ahead) = bucket.get(j + PREFETCH_DISTANCE) {
+                            prefetch_index(&self.row_words, ahead as usize * self.stride);
+                        }
+                        let row = row as usize;
+                        if seen.test_and_set(row) {
+                            dedup_hits += 1;
+                            continue;
+                        }
+                        if let Some(d) = distance_within_words(qw, self.row(row), h) {
+                            emit(row, d);
+                        }
+                    }
+                });
+            }
+        });
+        if ha_obs::is_enabled() {
+            ha_obs::add_many(&[
+                ("mih.probes", probes),
+                ("mih.candidates", candidates),
+                ("mih.dedup_hits", dedup_hits),
+                ("mih.verified", candidates - dedup_hits),
+            ]);
+        }
+    }
+
+    /// Linear scan over the flat row storage — the fallback path, also
+    /// exposed as the planner's "linear scan" backend so that routing to
+    /// `Linear` needs no second copy of the data.
+    pub fn scan_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
+        self.collect_sorted(query, h, true, |id, d| (id, d))
     }
 
     /// [`MihIndex::scan_with_distances`] without the distances.
     pub fn scan(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
-        self.scan_with_distances(query, h).into_iter().map(|(id, _)| id).collect()
+        self.collect_sorted(query, h, true, |id, _| id)
     }
 
     /// Search returning `(id, exact distance)` pairs, sorted by id — the
     /// canonical order every entry point of this index produces, so probe
     /// order never leaks into answers.
     pub fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
-        assert_eq!(query.len(), self.code_len, "query length mismatch");
-        if self.would_scan(h) {
-            return self.scan_with_distances(query, h);
-        }
-        let qw = query.words();
-        let mut seen = vec![false; self.ids.len()];
-        let mut out = Vec::new();
-        for (k, radius) in self.probe_radii(h) {
-            let Some(radius) = radius else { continue };
-            let value = self.seg.extract(query, k);
-            let (_, width) = self.seg.bounds(k);
-            let table = &self.tables[k];
-            for_each_neighbor(value, width as u32, radius, &mut |v| {
-                let Some(bucket) = table.get(&v) else { return };
-                for (j, &row) in bucket.iter().enumerate() {
-                    // Bucket rows land anywhere in the flat store;
-                    // hint the row a few candidates ahead so its code
-                    // words arrive while this one is being verified.
-                    if let Some(&ahead) = bucket.get(j + PREFETCH_DISTANCE) {
-                        prefetch_index(&self.row_words, ahead as usize * self.stride);
-                    }
-                    let row = row as usize;
-                    if std::mem::replace(&mut seen[row], true) {
-                        continue;
-                    }
-                    if let Some(d) = distance_within_words(qw, self.row(row), h) {
-                        out.push((self.ids[row], d));
-                    }
-                }
-            });
-        }
-        out.sort_unstable_by_key(|&(id, d)| (id, d));
-        out
+        self.collect_sorted(query, h, false, |id, d| (id, d))
     }
 
     /// One [`HammingIndex::search`] per query. MIH probes are per-query
@@ -273,11 +322,9 @@ impl HammingIndex for MihIndex {
         self.code_len
     }
 
+    /// Ids ascending, with multiplicity.
     fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
-        self.search_with_distances(query, h)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+        self.collect_sorted(query, h, false, |id, _| id)
     }
 
     fn memory_bytes(&self) -> usize {

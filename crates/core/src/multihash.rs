@@ -19,6 +19,7 @@ use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
 use crate::memory::{map_bytes, vec_bytes, MemoryReport};
+use crate::seen::with_seen;
 use crate::{HammingIndex, MutableIndex, TupleId};
 
 /// Multi-hash-table index with `T` tables (`T - 1` = guaranteed threshold).
@@ -117,28 +118,28 @@ impl HammingIndex for MultiHashTable {
 
     fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
         assert_eq!(query.len(), self.code_len, "query length mismatch");
-        // Visited bitmap de-duplicates candidates surfacing in several
-        // tables.
-        let mut seen = vec![false; self.rows.len()];
         let mut out = Vec::new();
-        for (i, table) in self.tables.iter().enumerate() {
-            let key = self.seg.extract(query, i);
-            let Some(bucket) = table.get(&key) else {
-                continue;
-            };
-            for (code, row) in bucket {
-                let r = *row as usize;
-                if seen[r] {
+        // The seen-set de-duplicates candidates surfacing in several
+        // tables.
+        with_seen(self.rows.len(), |seen| {
+            for (i, table) in self.tables.iter().enumerate() {
+                let key = self.seg.extract(query, i);
+                let Some(bucket) = table.get(&key) else {
                     continue;
-                }
-                seen[r] = true;
-                // Verify against the table-local replica (the linear
-                // within-bucket scan Manku's method pays).
-                if code.hamming_within(query, h).is_some() {
-                    out.push(self.rows[r].1);
+                };
+                for (code, row) in bucket {
+                    let r = *row as usize;
+                    if seen.test_and_set(r) {
+                        continue;
+                    }
+                    // Verify against the table-local replica (the linear
+                    // within-bucket scan Manku's method pays).
+                    if code.hamming_within(query, h).is_some() {
+                        out.push(self.rows[r].1);
+                    }
                 }
             }
-        }
+        });
         out
     }
 
@@ -245,7 +246,7 @@ mod tests {
     #[test]
     fn never_returns_duplicates() {
         // A query equal to a stored code appears in all T buckets; the
-        // visited bitmap must emit it once.
+        // seen-set must emit it once.
         let data = random_dataset(100, 24, 8);
         let idx = MultiHashTable::build(data.clone(), 4);
         let q = data[3].0.clone();

@@ -27,7 +27,6 @@
 //! pins down.
 
 use ha_bitcode::chunk::neighborhood_size;
-use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
 use crate::dynamic::{DhaConfig, DynamicHaIndex, FreezePolicy};
@@ -209,14 +208,16 @@ impl CostModel {
             return 0.0;
         }
         let m = MihIndex::auto_chunks(p.bits, p.n);
-        let seg = Segmentation::new(p.bits, m);
+        // `Segmentation::new(bits, m)`'s balanced widths, computed in
+        // place: routing runs per query and must not allocate.
+        let (base, extra) = (p.bits / m, p.bits % m);
         let r = h / m as u32;
         let a = h % m as u32;
         let mut probes = 0.0f64;
         let mut candidates = 0.0f64;
         for k in 0..m {
             let radius = if (k as u32) <= a { r } else if r == 0 { continue } else { r - 1 };
-            let (_, width) = seg.bounds(k);
+            let width = base + usize::from(k < extra);
             let chunk_probes = neighborhood_size(width as u32, radius) as f64;
             probes += chunk_probes;
             let effective_bits = (width as f64 * (1.0 - p.clusteredness)).min(60.0);
@@ -369,19 +370,26 @@ impl PlannedIndex {
     /// Backends currently able to answer (the flat path drops out while
     /// the snapshot is stale).
     pub fn available(&self) -> Vec<Backend> {
-        let mut avail = vec![Backend::ArenaBfs, Backend::Mih, Backend::Linear];
+        self.available_slice().to_vec()
+    }
+
+    fn available_slice(&self) -> &'static [Backend] {
+        const ALL: [Backend; 4] =
+            [Backend::HaFlat, Backend::ArenaBfs, Backend::Mih, Backend::Linear];
         if self.dha.flat_is_current() {
-            avail.insert(0, Backend::HaFlat);
+            &ALL
+        } else {
+            &ALL[1..]
         }
-        avail
     }
 
     /// The backend [`HammingIndex::search`] would use at threshold `h`.
     /// When a current snapshot exists, its recorded layout mix feeds the
-    /// flat estimate ([`CostModel::flat_cost_adaptive`]).
+    /// flat estimate ([`CostModel::flat_cost_adaptive`]). Runs on every
+    /// routed query, so it allocates nothing.
     pub fn backend_for(&self, h: u32) -> Backend {
         let aos = self.dha.flat().map_or(0.0, crate::FlatHaIndex::aos_fraction);
-        choose_with_aos(&self.model, &self.profile(), h, &self.available(), aos)
+        choose_with_aos(&self.model, &self.profile(), h, self.available_slice(), aos)
     }
 
     /// Routed search that also reports which backend answered.
@@ -551,12 +559,10 @@ impl<'a> DhaRouter<'a> {
 
     /// The backend queries at threshold `h` are routed to.
     pub fn backend_for(&self, h: u32) -> Backend {
-        let mut avail = vec![Backend::ArenaBfs];
-        if self.dha.flat_is_current() {
-            avail.insert(0, Backend::HaFlat);
-        }
+        const BOTH: [Backend; 2] = [Backend::HaFlat, Backend::ArenaBfs];
+        let avail = if self.dha.flat_is_current() { &BOTH[..] } else { &BOTH[1..] };
         let aos = self.dha.flat().map_or(0.0, crate::FlatHaIndex::aos_fraction);
-        choose_with_aos(&self.model, &self.profile, h, &avail, aos)
+        choose_with_aos(&self.model, &self.profile, h, avail, aos)
     }
 
     /// Routed select, ids ascending.

@@ -66,6 +66,42 @@ pub fn clustered_dataset(
         .collect()
 }
 
+/// A code at **exactly** Hamming distance `dist` from `code`: `dist`
+/// distinct bit positions (a partial Fisher–Yates draw) flipped. With
+/// [`random_within`] and [`random_outside`] this lets a suite probe a
+/// threshold at `h` and `h + 1` on purpose instead of hoping random
+/// queries land on the boundary.
+///
+/// # Panics
+/// If `dist` exceeds the code length.
+pub fn random_at_distance<R: Rng + ?Sized>(code: &BinaryCode, dist: u32, rng: &mut R) -> BinaryCode {
+    let bits = code.len();
+    let dist = dist as usize;
+    assert!(dist <= bits, "distance {dist} exceeds the {bits}-bit code");
+    let mut positions: Vec<usize> = (0..bits).collect();
+    let mut out = code.clone();
+    for i in 0..dist {
+        positions.swap(i, rng.gen_range(i..bits));
+        out.flip(positions[i]);
+    }
+    out
+}
+
+/// A code at a uniformly drawn distance in `0..=within` from `code`.
+pub fn random_within<R: Rng + ?Sized>(code: &BinaryCode, within: u32, rng: &mut R) -> BinaryCode {
+    let dist = rng.gen_range(0..=within);
+    random_at_distance(code, dist, rng)
+}
+
+/// A code at a uniformly drawn distance in `within + 1..=code.len()`.
+///
+/// # Panics
+/// If `within` is not below the code length (nothing lies outside).
+pub fn random_outside<R: Rng + ?Sized>(code: &BinaryCode, within: u32, rng: &mut R) -> BinaryCode {
+    let dist = rng.gen_range(within + 1..=code.len() as u32);
+    random_at_distance(code, dist, rng)
+}
+
 /// The ground-truth Hamming-select: ids of codes within distance `h` of
 /// `query`, sorted. Every index's `search` must equal this (within its
 /// completeness guarantee).
@@ -160,6 +196,22 @@ mod tests {
         }
         let mean = sum as f64 / cnt as f64;
         assert!(mean < 30.0, "mean pairwise distance {mean}");
+    }
+
+    #[test]
+    fn distance_generators_hit_their_targets() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for bits in [9usize, 64, 130, 512] {
+            let code = BinaryCode::random(bits, &mut rng);
+            for dist in [0u32, 1, 7, bits as u32] {
+                let dist = dist.min(bits as u32);
+                assert_eq!(random_at_distance(&code, dist, &mut rng).hamming(&code), dist);
+            }
+            for _ in 0..20 {
+                assert!(random_within(&code, 3, &mut rng).hamming(&code) <= 3);
+                assert!(random_outside(&code, 3, &mut rng).hamming(&code) > 3);
+            }
+        }
     }
 
     #[test]

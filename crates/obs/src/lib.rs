@@ -371,6 +371,14 @@ pub fn add(name: &str, delta: u64) {
     }
 }
 
+/// [`add`] for several counters at once: one collector lookup and one
+/// registry lock for the whole slice. No-op when disabled.
+pub fn add_many(deltas: &[(&str, u64)]) {
+    if let Some(collector) = current_collector() {
+        collector.registry.add_many(deltas);
+    }
+}
+
 /// Records `sample` into the registry histogram `name`. No-op when
 /// disabled.
 pub fn observe(name: &str, sample: Duration) {

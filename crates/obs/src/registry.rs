@@ -97,14 +97,22 @@ impl Registry {
 
     /// Adds `delta` to the counter `name` (created at zero on first use).
     pub fn add(&self, name: &str, delta: u64) {
+        self.add_many(&[(name, delta)]);
+    }
+
+    /// [`Registry::add`] for several counters under one lock acquisition —
+    /// for hot paths that flush a handful of per-query tallies at once.
+    pub fn add_many(&self, deltas: &[(&str, u64)]) {
         let mut counters = self
             .counters
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        match counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                counters.insert(name.to_string(), delta);
+        for &(name, delta) in deltas {
+            match counters.get_mut(name) {
+                Some(v) => *v += delta,
+                None => {
+                    counters.insert(name.to_string(), delta);
+                }
             }
         }
     }
@@ -205,8 +213,7 @@ mod tests {
     fn registry_accumulates_and_snapshots() {
         let r = Registry::new();
         r.add("a", 2);
-        r.add("a", 3);
-        r.add("b", 1);
+        r.add_many(&[("a", 3), ("b", 1)]);
         r.observe("lat", Duration::from_micros(5));
         r.observe("lat", Duration::from_micros(50));
         let snap = r.snapshot();

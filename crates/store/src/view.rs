@@ -306,7 +306,7 @@ impl<'a> FlatStoreView<'a> {
         self
     }
 
-    /// Same view splitting large frontier levels into [`MORSEL`]-entry
+    /// Same view splitting large frontier levels into 32-entry (`MORSEL`)
     /// morsels stolen by up to `workers` scoped threads. `<= 1` keeps
     /// the traversal entirely on the calling thread (no pool, no
     /// channel). Emission and next-frontier order are reassembled in

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the workspace (see README.md). Everything here must
-# stay green: release build, the full default test suite, the
-# targeted robustness/audit suites (fault-injection matrix, storage
-# chaos, serving-layer concurrency, observability equivalence, panic
-# audit of the typed-error crates), and the documentation gate
-# (warning-free rustdoc plus every doctest — including the fenced
-# examples in README.md and docs/, compiled via `include_str!` doctest
-# shims in src/lib.rs, so the prose cannot drift from the API).
+# stay green: release build, the root package's integration suites
+# (`cargo test -q` — the robustness, equivalence, allocation-pin and
+# panic-audit suites under tests/ are all part of it), every first-party
+# crate's own unit tests and doctests — including the fenced examples in
+# README.md and docs/, compiled via `include_str!` doctest shims in
+# src/lib.rs, so the prose cannot drift from the API — and warning-free
+# rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,19 +26,9 @@ CRATES=(
 
 run cargo build --release
 run cargo test -q
-run cargo test -q --test mapreduce_robustness
-run cargo test -q --test storage_robustness
-run cargo test -q --test serve_concurrency
-run cargo test -q --test serve_generations
-run cargo test -q --test merge_chaos
-run cargo test -q --test observability
-run cargo test -q --test panic_audit
-run cargo test -q --test flat_equivalence
-run cargo test -q --test mih_equivalence
-run cargo test -q --test exec_equivalence
-run cargo test -q --test planner_decisions
-run cargo test -q --test store_roundtrip
-run cargo test -q --test store_corruption
+# Crate-level unit tests and doctests: the plain `cargo test` above only
+# covers the root package.
+run cargo test -q "${CRATES[@]}"
 
 # Compile-only smoke over the criterion benches: keeps the bench
 # harnesses (including flat_search, mih_search, kernel_sweep and
@@ -60,6 +50,5 @@ fi
 
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps ${CRATES[*]}"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${CRATES[@]}" >/dev/null
-run cargo test -q --doc "${CRATES[@]}"
 
 echo "==> tier-1 green"

@@ -10,9 +10,12 @@
 //! freely: any backend, same bytes.
 
 use hamming_suite::bitcode::BinaryCode;
-use hamming_suite::index::testkit::assert_matches_oracle;
+use hamming_suite::index::testkit::{
+    assert_matches_oracle, oracle_select, random_at_distance, random_outside, random_within,
+};
 use hamming_suite::index::{
-    DhaConfig, DynamicHaIndex, HammingIndex, MihIndex, MutableIndex, TupleId,
+    DhaConfig, DynamicHaIndex, HEngine, HammingIndex, HmSearch, MihIndex, MultiHashTable,
+    MutableIndex, TupleId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -257,4 +260,134 @@ fn wide_codes_with_word_width_chunks_are_exact() {
     assert_backends_agree(&mih, &dha, &live, &queries, &[0, 3, 6, 40, 300], "512/8");
     assert!(mih.would_scan(300), "h=300 must take the scan fallback");
     assert!(!mih.would_scan(0));
+}
+
+/// The four multi-table indexes that de-duplicate candidates through the
+/// one shared per-thread seen-set, the three pigeonhole baselines sized
+/// to be complete up to `h = 3`.
+fn multi_table_indexes(
+    code_len: usize,
+    data: &[(BinaryCode, TupleId)],
+) -> Vec<Box<dyn HammingIndex>> {
+    vec![
+        Box::new(MihIndex::build(code_len, data.to_vec())),
+        Box::new(MultiHashTable::build(data.to_vec(), 4)),
+        Box::new(HEngine::build(data.to_vec(), 2)),
+        Box::new(HmSearch::build(data.to_vec(), 2)),
+    ]
+}
+
+/// Byte-equality with the oracle **including multiplicity** —
+/// `assert_matches_oracle` dedups, which would hide a row emitted twice.
+fn assert_exact(
+    idx: &dyn HammingIndex,
+    data: &[(BinaryCode, TupleId)],
+    q: &BinaryCode,
+    h: u32,
+    ctx: &str,
+) {
+    assert_eq!(
+        sorted(idx.search(q, h)),
+        oracle_select(data, q, h),
+        "{ctx}: {} select(q={q}, h={h})",
+        idx.name()
+    );
+}
+
+/// Duplicate `(code, id)` items are distinct rows and all come back; a
+/// row sitting in *every* probed bucket (query = its stored code) comes
+/// back once per stored copy, not once per table.
+#[test]
+fn duplicates_keep_multiplicity_and_multi_table_rows_appear_once() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut data = dataset(&mut rng, 400, 64, true);
+    let (code, id) = data[5].clone();
+    data.push((code.clone(), id));
+    data.push((code.clone(), id));
+    data.push((code.clone(), 9_000));
+    for idx in multi_table_indexes(64, &data) {
+        for h in 0..=3 {
+            assert_exact(idx.as_ref(), &data, &code, h, "duplicates");
+            let got = idx.search(&code, h);
+            assert_eq!(got.iter().filter(|&&i| i == id).count(), 3, "{} h={h}", idx.name());
+            assert_eq!(got.iter().filter(|&&i| i == 9_000).count(), 1, "{} h={h}", idx.name());
+        }
+    }
+    // MIH at h >= m probes every chunk table, and a stored code matches
+    // its own bucket in each of them: four sightings, one answer.
+    let mut mih = MihIndex::new(64, 4);
+    for (c, i) in &data {
+        mih.insert(c.clone(), *i);
+    }
+    for h in [4u32, 5, 7, 8] {
+        assert!(!mih.would_scan(h), "h={h} must exercise the probe path");
+        for (q, _) in data.iter().step_by(37) {
+            assert_exact(&mih, &data, q, h, "every chunk probed");
+        }
+    }
+}
+
+/// Queries generated at exactly distance `h` (must hit) and `h + 1` (must
+/// miss) from stored codes, plus uniformly inside/outside the ball.
+#[test]
+fn boundary_queries_at_h_and_h_plus_one_are_exact() {
+    let mut rng = StdRng::seed_from_u64(43);
+    for code_len in BITS {
+        let data = dataset(&mut rng, 300, code_len, true);
+        let indexes = multi_table_indexes(code_len, &data);
+        for (stored, id) in data.iter().step_by(29) {
+            for h in [0u32, 1, 3, 6, 9] {
+                let at = random_at_distance(stored, h, &mut rng);
+                let past = random_at_distance(stored, h + 1, &mut rng);
+                let inside = random_within(stored, h, &mut rng);
+                let outside = random_outside(stored, h, &mut rng);
+                for idx in &indexes {
+                    if idx.complete_up_to().is_some_and(|max| h > max) {
+                        continue;
+                    }
+                    let ctx = format!("bits={code_len} id={id}");
+                    for q in [&at, &past, &inside, &outside] {
+                        assert_exact(idx.as_ref(), &data, q, h, &ctx);
+                    }
+                    assert!(idx.search(&at, h).contains(id), "{ctx}: at distance h");
+                    assert!(idx.search(&inside, h).contains(id), "{ctx}: within h");
+                    assert!(!idx.search(&past, h).contains(id), "{ctx}: at distance h+1");
+                    assert!(!idx.search(&outside, h).contains(id), "{ctx}: outside h");
+                }
+            }
+        }
+    }
+}
+
+/// One thread, one seen-set: searches alternate between a large and a
+/// small index of every multi-table type for far more than 256
+/// consecutive queries, so the marks are reused across indexes of
+/// different sizes and the 8-bit stamp wraps several times.
+#[test]
+fn seen_set_reuse_across_indexes_and_stamp_wraps_stays_exact() {
+    let mut rng = StdRng::seed_from_u64(47);
+    let large = dataset(&mut rng, 2_000, 64, true);
+    let small = dataset(&mut rng, 40, 64, true);
+    let big = multi_table_indexes(64, &large);
+    let little = multi_table_indexes(64, &small);
+    for step in 0..1_200usize {
+        // Round-robin over the four types, large and small alternating.
+        let (indexes, data) = if step % 2 == 0 { (&big, &large) } else { (&little, &small) };
+        let idx = indexes[step / 2 % indexes.len()].as_ref();
+        let stored = &data[rng.gen_range(0..data.len())].0;
+        let q = random_within(stored, 4, &mut rng);
+        assert_exact(idx, data, &q, (step % 4) as u32, &format!("step {step}"));
+    }
+    // The wrap itself, deterministically: a row marked by one query and
+    // then left alone for exactly one stamp cycle (254 queries that touch
+    // only the small index's rows) must not read as already seen when the
+    // same stamp comes round again.
+    let target = &large[large.len() - 1].0; // a row the small index never marks
+    for (big, little) in big.iter().zip(&little) {
+        assert_exact(big.as_ref(), &large, target, 0, "before the cycle");
+        for i in 0..254 {
+            assert_exact(little.as_ref(), &small, &small[i % small.len()].0, 0, "filler");
+        }
+        assert_exact(big.as_ref(), &large, target, 0, "one full stamp cycle later");
+    }
 }

@@ -18,6 +18,8 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hamming_suite::bitcode::BinaryCode;
+use hamming_suite::index::testkit::random_dataset;
+use hamming_suite::index::{HammingIndex, MihIndex};
 use hamming_suite::mapreduce::{
     hash_partition, run_job_with_faults, try_run_job, DfsConfig, FaultInjector, FaultPlan,
     InMemoryDfs, JobConfig, StorageFaultPlan, TaskId,
@@ -303,6 +305,37 @@ fn json_lines_export_is_one_object_per_line() {
             "no {kind} line in the export"
         );
     }
+}
+
+/// The MIH probe funnel (the quantities Norouzi et al. explain MIH's
+/// sub-linear behaviour with): `mih.probes` is exactly the query-
+/// independent probe budget, and every candidate is either a dedup hit
+/// or verified.
+#[test]
+fn mih_counters_report_the_probe_funnel() {
+    let _guard = obs_lock();
+    let data = random_dataset(2_000, 64, 3);
+    let mih = MihIndex::build(64, data.clone());
+    let queries: Vec<&BinaryCode> = data.iter().step_by(100).map(|(c, _)| c).collect();
+    let h = 2 * mih.chunks() as u32; // every table probed: stored codes dedup
+    assert!(!mih.would_scan(h));
+
+    obs::reset();
+    let answers: usize = queries.iter().map(|q| mih.search(q, h).len()).sum();
+    let trace = obs::take_trace();
+    obs::disable();
+
+    let per_query = mih.probe_estimate(h);
+    assert_eq!(trace.counter("mih.probes"), per_query * queries.len() as u64);
+    let (candidates, dedup, verified) = (
+        trace.counter("mih.candidates"),
+        trace.counter("mih.dedup_hits"),
+        trace.counter("mih.verified"),
+    );
+    assert_eq!(candidates, dedup + verified);
+    // A stored code sits in its own bucket of every probed table.
+    assert!(dedup >= (mih.chunks() as u64 - 1) * queries.len() as u64);
+    assert!(verified >= answers as u64);
 }
 
 // Cheap sanity for the equivalence tests above: a job run with tracing

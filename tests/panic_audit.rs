@@ -82,6 +82,10 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     // distributed-join probe — same hot-path argument, same zero budget.
     ("crates/core/src/mih.rs", 0, 0, 0, 0),
     ("crates/core/src/planner.rs", 0, 0, 0, 0),
+    // …as are the seen-set every MIH probe de-duplicates through and the
+    // hasher keying its chunk tables.
+    ("crates/core/src/seen.rs", 0, 0, 0, 0),
+    ("crates/bitcode/src/mix.rs", 0, 0, 0, 0),
     // The delta overlay sits on the same serve-shard hot path.
     ("crates/core/src/delta.rs", 0, 0, 0, 0),
     // The mapped generation serves recovered shards — hot path again.
