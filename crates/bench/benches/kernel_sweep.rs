@@ -1,12 +1,12 @@
 //! HA-Kern kernel sweep: every `Kernel` × `GroupLayout` pair over packed
 //! sibling groups (docs/KERNELS.md). The 64-bit wide/clustered group is
 //! the acceptance workload — the lane-chunked kernel must clear ≥1.3×
-//! over the legacy `masked_distance_many` sweep there. Build with
-//! `--features simd` (nightly) to measure the portable-SIMD variants
-//! natively; without it the `simd` rows alias the lane-chunked kernels.
+//! over the scalar reference there. Every kernel is forced in turn, so
+//! on an AVX-512 host the `avx2` rows show what a CPU without it would
+//! run; a kernel the host lacks is skipped (it would alias `lanes`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ha_bitcode::{masked_distance_group, masked_distance_many, GroupLayout, Kernel};
+use ha_bitcode::{masked_distance_group, GroupLayout, Kernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,14 +52,7 @@ fn bench_kernels(c: &mut Criterion) {
         let mut acc = vec![0u32; group];
 
         let mut g = c.benchmark_group(format!("kernel_sweep_{bits}bit_{shape}"));
-        g.bench_function(BenchmarkId::new("many_legacy", "soa"), |b| {
-            b.iter(|| {
-                acc.iter_mut().for_each(|a| *a = 0);
-                masked_distance_many(&query, &soa, group, limit, &mut acc);
-                std::hint::black_box(&mut acc);
-            })
-        });
-        for kernel in Kernel::ALL {
+        for kernel in Kernel::ALL.into_iter().filter(|k| k.is_available()) {
             for layout in GroupLayout::ALL {
                 let planes = match layout {
                     GroupLayout::Soa => &soa,

@@ -294,7 +294,7 @@ fn kernel_dispatch_table(scale: &Scale) {
         });
         rows.push(vec![
             kernel.name().to_string(),
-            if kernel.is_native() { "yes" } else { "no (=lanes)" }.to_string(),
+            if kernel.is_available() { "yes" } else { "no (=lanes)" }.to_string(),
             fmt_duration(per),
             if kernel == detected { "<- detected" } else { "" }.to_string(),
         ]);
@@ -305,7 +305,7 @@ fn kernel_dispatch_table(scale: &Scale) {
              (bits={code_len}, n={n}, h={h}; Kernel::detect() = {})",
             detected.name()
         ),
-        &["kernel", "native", "per query", "dispatch"],
+        &["kernel", "available", "per query", "dispatch"],
         &rows,
     );
 }

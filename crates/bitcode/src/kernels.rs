@@ -1,44 +1,54 @@
 //! HA-Kern — the distance-kernel layer behind every frozen-snapshot
 //! search path.
 //!
-//! [`masked_distance_many`](crate::masked_distance_many) (the original
-//! scalar SoA sweep) treats one sibling group as `2 · words · group`
-//! contiguous words and pays one branchy scalar XOR/popcount step per
-//! sibling per word-plane. That shape is already memory-friendly, but it
-//! leaves throughput on the table in two opposite regimes:
+//! One sibling group is `2 · words · group` contiguous words, and the
+//! sweep over it is XOR + AND + popcount + add per word. Three things
+//! decide how fast that goes:
 //!
+//! * **Which popcount.** The workspace builds for baseline x86-64, which
+//!   has no `popcnt` instruction: every `count_ones()` in portable code
+//!   lowers to a ~12-instruction bit-twiddling expansion (`objdump -d` of
+//!   a release binary shows no `popcnt` outside this module). The
+//!   `#[target_feature]` kernels in the private `x86` module are the only
+//!   code that reaches the hardware popcount — AVX-512 `VPOPCNTQ`, 8 words
+//!   per instruction, or the scalar `popcnt` the AVX2 tier re-compiles
+//!   the lane bodies with — and they are picked at run time from what the
+//!   CPU reports ([`Kernel::detect`]), so one portable binary runs the
+//!   fastest kernel of whichever host it lands on.
 //! * **Wide groups, narrow codes** (clustered 64-bit data): the sweep is
-//!   popcount-throughput-bound and the per-sibling `a <= limit` branch
-//!   plus the load→xor→popcount→add dependency chain serialize it. The
+//!   popcount-throughput-bound and a per-sibling `a <= limit` branch plus
+//!   the load→xor→popcount→add dependency chain serialize it. The
 //!   *lane-chunked* kernels process siblings in fixed-size lanes with the
-//!   branch hoisted to lane granularity, so the compiler can keep several
-//!   popcounts in flight.
+//!   branch hoisted to lane granularity, so several popcounts stay in
+//!   flight; the AVX-512 kernel is the same shape with one lane per
+//!   vector.
 //! * **Narrow groups, wide codes** (sparse 512-bit data): most siblings
 //!   die on their first word or two, and the SoA plane order forces the
 //!   kernel to come back to every sibling once per word-plane anyway. A
 //!   *row-major* (AoS) group layout — each sibling's `bits` row then
 //!   `mask` row, contiguous — lets the kernel finish one sibling with a
 //!   single early-exiting streak, exactly like the arena's
-//!   `MaskedCode::distance_to`, but over contiguous memory.
+//!   `MaskedCode::distance_to`, but over contiguous memory. A 512-bit
+//!   AoS row is two cache lines, i.e. two whole vectors for AVX-512.
 //!
 //! Both layouts occupy the **same** `2 · words · group` words per group,
 //! so a snapshot can choose per group (the adaptive freeze policy in
 //! `ha-core`) without disturbing any base-offset arithmetic; the choice
 //! travels as one byte per group ([`GroupLayout`]).
 //!
-//! [`masked_distance_group`] is the single dispatch point: a [`Kernel`]
-//! (runtime choice) × [`GroupLayout`] (per-group data) pair selects the
-//! implementation. With the `simd` crate feature (nightly only — it
-//! enables `portable_simd`), [`Kernel::Simd`] runs `std::simd` variants;
-//! without it, `Simd` degrades to the lane-chunked kernels so callers can
-//! name `Kernel::Simd` unconditionally.
+//! [`masked_distance_group`] is the single, safe, length-checked dispatch
+//! point: a [`Kernel`] (runtime choice) × [`GroupLayout`] (per-group
+//! data) pair selects the implementation. Every [`Kernel`] is nameable on
+//! every host; one the CPU cannot run ([`Kernel::is_available`]) is
+//! served by [`Kernel::Lanes`], so the test and bench matrices iterate
+//! [`Kernel::ALL`] unconditionally.
 //!
 //! # Contract (all kernels)
 //!
-//! Identical to `masked_distance_many`: `acc[s]` carries sibling `s`'s
-//! accumulated parent-path distance on entry. On exit, `acc[s] <= limit`
-//! implies `acc[s]` is the exact accumulated distance including sibling
-//! `s`'s own pattern; `acc[s] > limit` means pruned, and the value may be
+//! `acc[s]` carries sibling `s`'s accumulated parent-path distance on
+//! entry. On exit, `acc[s] <= limit` implies `acc[s]` is the exact
+//! accumulated distance including sibling `s`'s own pattern (saturating
+//! at `u32::MAX`); `acc[s] > limit` means pruned, and the value may be
 //! partial — kernels are free to stop work on a sibling, a lane, or the
 //! whole group once everything in it is over budget. With
 //! `limit == u32::MAX` nothing can be pruned, so every kernel returns
@@ -47,9 +57,15 @@
 /// Physical order of one sibling group's pattern words.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GroupLayout {
-    /// Structure-of-arrays word-planes: all siblings' bits word 0, all
-    /// siblings' mask word 0, then word 1, … (the original HA-Flat
-    /// layout; best for wide groups of narrow codes).
+    /// Structure-of-arrays word-planes (the original HA-Flat layout; best
+    /// for wide groups of narrow codes): for each word index `w` of the
+    /// code, first the *bits* word `w` of every sibling, then the *mask*
+    /// word `w` of every sibling.
+    ///
+    /// ```text
+    /// [ bits w0 of s0..s(g-1) | mask w0 of s0..s(g-1) |
+    ///   bits w1 of s0..s(g-1) | mask w1 of s0..s(g-1) | … ]
+    /// ```
     Soa,
     /// Row-major: sibling 0's bits words then mask words, sibling 1's,
     /// … (best for small groups of wide codes, where per-sibling early
@@ -92,40 +108,37 @@ impl GroupLayout {
 /// Which kernel implementation services a group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// The reference kernels: branchy per-sibling scalar loops. SoA
-    /// scalar *is* [`crate::masked_distance_many`].
+    /// The one reference: branchy per-sibling scalar loops every other
+    /// kernel is tested against. SoA bails out of a sibling as soon as
+    /// its accumulator exceeds the limit and out of the group once no
+    /// sibling is within budget; AoS is one early-exiting streak per
+    /// sibling.
     Scalar,
-    /// Stable-Rust lane-chunked kernels: siblings processed in lanes of
-    /// [`LANES`] (SoA) / words in unrolled blocks of 4 (AoS), liveness
-    /// checked per lane, popcounts unrolled so they pipeline.
+    /// Portable lane-chunked kernels, the fallback on every CPU: siblings
+    /// processed in lanes of [`LANES`] (SoA) / words in unrolled blocks
+    /// of 4 (AoS), liveness checked per lane, popcounts unrolled so they
+    /// pipeline.
     Lanes,
-    /// `std::simd` portable-SIMD kernels, compiled only with the `simd`
-    /// crate feature (nightly). Without the feature this variant is
-    /// still nameable and dispatches to [`Kernel::Lanes`].
-    Simd,
+    /// The lane-chunked bodies compiled a second time with AVX2 and the
+    /// scalar `popcnt` instruction enabled (x86-64 CPUs since ~2013).
+    Avx2,
+    /// Hand-written AVX-512 `VPOPCNTQ` kernels: 8 siblings per vector
+    /// (SoA) / 8 words of one row per vector (AoS). Needs `avx512f`,
+    /// `avx512vl` and `avx512vpopcntdq` (Ice Lake / Zen 4 and later).
+    Avx512,
 }
 
 impl Kernel {
-    /// Every kernel, in ascending sophistication — the bench/test matrix.
-    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Lanes, Kernel::Simd];
+    /// Every kernel, slowest first — the bench/test matrix.
+    pub const ALL: [Kernel; 4] = [Kernel::Scalar, Kernel::Lanes, Kernel::Avx2, Kernel::Avx512];
 
-    /// The best kernel this build can run: `Simd` when the `simd`
-    /// feature is compiled in, `Lanes` otherwise.
-    pub fn auto() -> Kernel {
-        if cfg!(feature = "simd") {
-            Kernel::Simd
-        } else {
-            Kernel::Lanes
-        }
-    }
-
-    /// The best kernel for the CPU this process is *running on*, probed
-    /// once and cached: [`Kernel::auto`] when the hardware popcount the
-    /// lane-chunked kernels lean on is actually present, the branchy
-    /// scalar reference otherwise. Compile-time selection
-    /// ([`Kernel::auto`]) answers "what did we build?"; this answers
-    /// "what should this process run?" — the distinction matters for
-    /// portable binaries built without `-C target-cpu=native`.
+    /// The fastest kernel the CPU this process is *running on* can
+    /// execute, probed once (`is_x86_feature_detected!`) and cached:
+    /// [`Kernel::Avx512`], else [`Kernel::Avx2`], else the portable
+    /// [`Kernel::Lanes`]. The build itself assumes nothing beyond
+    /// baseline x86-64 — no `-C target-cpu`, no Cargo feature — so the
+    /// same binary runs everywhere and this probe is the only thing that
+    /// decides which instructions sweep a group.
     ///
     /// Every kernel computes identical distances, so the choice is pure
     /// performance: callers (freeze, serve) may cache or override it
@@ -135,39 +148,56 @@ impl Kernel {
         *DETECTED.get_or_init(|| {
             #[cfg(target_arch = "x86_64")]
             {
-                // Without POPCNT the unrolled `count_ones` chains in the
-                // lane kernels lower to the slow bit-twiddling expansion;
-                // the short-circuiting scalar loop wins there.
-                if !std::arch::is_x86_feature_detected!("popcnt") {
-                    return Kernel::Scalar;
+                use std::arch::is_x86_feature_detected as has;
+                if has!("avx2") && has!("popcnt") {
+                    // The AVX-512 kernels hand small shapes to the AVX2
+                    // ones, so that tier is part of what they need.
+                    if has!("avx512f") && has!("avx512vl") && has!("avx512vpopcntdq") {
+                        return Kernel::Avx512;
+                    }
+                    return Kernel::Avx2;
                 }
             }
-            Kernel::auto()
+            Kernel::Lanes
         })
     }
 
-    /// False only for `Simd` in builds without the `simd` feature, where
-    /// dispatch substitutes the lane-chunked kernels.
-    pub fn is_native(self) -> bool {
+    /// Whether this CPU can run the kernel natively: the portable two
+    /// always, a vector kernel up to the tier [`Kernel::detect`] found.
+    /// Naming an unavailable kernel is allowed: [`masked_distance_group`]
+    /// serves it with [`Kernel::Lanes`].
+    pub fn is_available(self) -> bool {
         match self {
-            Kernel::Simd => cfg!(feature = "simd"),
-            _ => true,
+            Kernel::Scalar | Kernel::Lanes => true,
+            Kernel::Avx2 => matches!(Kernel::detect(), Kernel::Avx2 | Kernel::Avx512),
+            Kernel::Avx512 => Kernel::detect() == Kernel::Avx512,
         }
     }
 
-    /// Stable lower-case name used in benches and tables.
+    /// The kernel that runs when `self` is named: itself where the CPU
+    /// has it (`available`), the portable lanes otherwise.
+    fn or_lanes(self, available: bool) -> Kernel {
+        if available {
+            self
+        } else {
+            Kernel::Lanes
+        }
+    }
+
+    /// Stable lower-case name used in benches, tables and the
+    /// `exec.kernel.<name>` counter.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Lanes => "lanes",
-            Kernel::Simd => "simd",
+            Kernel::Avx2 => "avx2",
+            Kernel::Avx512 => "avx512",
         }
     }
 }
 
-/// Sibling-lane width of the lane-chunked SoA kernel (and the
-/// portable-SIMD vector width): 8 × u64 = one 64-byte cache line of
-/// plane data per step.
+/// Sibling-lane width of the lane-chunked and AVX-512 SoA kernels:
+/// 8 × u64 = one 64-byte cache line (one `zmm`) of plane data per step.
 pub const LANES: usize = 8;
 
 /// Words per unrolled block of the lane-chunked AoS kernel.
@@ -178,6 +208,12 @@ fn pop(q: u64, bits: u64, mask: u64) -> u32 {
     ((q ^ bits) & mask).count_ones()
 }
 
+/// Whether any accumulator of a lane is still within budget.
+#[inline(always)]
+fn any_live(lane: &[u32; LANES], limit: u32) -> bool {
+    lane.iter().any(|&a| a <= limit)
+}
+
 /// Batch masked-distance over one sibling group — the single dispatch
 /// point of HA-Kern (see module docs for the contract).
 ///
@@ -185,9 +221,10 @@ fn pop(q: u64, bits: u64, mask: u64) -> u32 {
 /// `layout` order; `kernel` picks the implementation at runtime.
 ///
 /// # Panics
-/// If `planes.len() != 2 * query.len() * group`. `acc.len() == group` is
-/// debug-asserted at this boundary; in release builds a short `acc` can
-/// only truncate the sweep or panic on an interior bounds check.
+/// If `planes.len() != 2 * query.len() * group` or `acc.len() != group`.
+/// Both are checked in every build: the vector kernels read `planes` and
+/// write `acc` through raw pointers, and these two checks are what keeps
+/// every such access in bounds.
 pub fn masked_distance_group(
     kernel: Kernel,
     layout: GroupLayout,
@@ -202,25 +239,56 @@ pub fn masked_distance_group(
         2 * query.len() * group,
         "planes must hold bits+mask words for every sibling"
     );
-    debug_assert_eq!(acc.len(), group, "one accumulator per sibling");
+    assert_eq!(acc.len(), group, "one accumulator per sibling");
     if group == 0 || query.is_empty() {
         return;
     }
-    match (kernel, layout) {
-        (Kernel::Scalar, GroupLayout::Soa) => {
-            crate::words::masked_distance_many(query, planes, group, limit, acc)
-        }
+    match (kernel.or_lanes(kernel.is_available()), layout) {
+        (Kernel::Scalar, GroupLayout::Soa) => soa_scalar(query, planes, group, limit, acc),
         (Kernel::Scalar, GroupLayout::Aos) => aos_scalar(query, planes, limit, acc),
-        (Kernel::Lanes, GroupLayout::Soa) => soa_lanes(query, planes, group, limit, acc),
-        (Kernel::Lanes, GroupLayout::Aos) => aos_lanes(query, planes, limit, acc),
-        #[cfg(feature = "simd")]
-        (Kernel::Simd, GroupLayout::Soa) => simd_impl::soa(query, planes, group, limit, acc),
-        #[cfg(feature = "simd")]
-        (Kernel::Simd, GroupLayout::Aos) => simd_impl::aos(query, planes, limit, acc),
-        #[cfg(not(feature = "simd"))]
-        (Kernel::Simd, GroupLayout::Soa) => soa_lanes(query, planes, group, limit, acc),
-        #[cfg(not(feature = "simd"))]
-        (Kernel::Simd, GroupLayout::Aos) => aos_lanes(query, planes, limit, acc),
+        // The vector kernels. `or_lanes` returns one only when
+        // `is_available` found its CPU features, and the two asserts
+        // above are the lengths the AVX-512 pair requires.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: CPU features and both lengths checked above.
+        (Kernel::Avx512, GroupLayout::Soa) => unsafe {
+            x86::soa_avx512(query, planes, group, limit, acc)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: CPU features and both lengths checked above.
+        (Kernel::Avx512, GroupLayout::Aos) => unsafe { x86::aos_avx512(query, planes, limit, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: CPU features checked above.
+        (Kernel::Avx2, GroupLayout::Soa) => unsafe {
+            x86::soa_avx2(query, planes, group, limit, acc)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: CPU features checked above.
+        (Kernel::Avx2, GroupLayout::Aos) => unsafe { x86::aos_avx2(query, planes, limit, acc) },
+        // `Lanes` — and, off x86-64, the variants `or_lanes` never returns.
+        (_, GroupLayout::Soa) => soa_lanes(query, planes, group, limit, acc),
+        (_, GroupLayout::Aos) => aos_lanes(query, planes, limit, acc),
+    }
+}
+
+/// Scalar SoA sweep: one branchy step per sibling per word-plane; a
+/// sibling over budget is skipped from then on, and once a plane ends
+/// with nobody within budget the remaining planes are skipped.
+fn soa_scalar(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut [u32]) {
+    for (plane, &q) in planes.chunks_exact(2 * group).zip(query) {
+        let (bits, mask) = plane.split_at(group);
+        let mut live = false;
+        for s in 0..group {
+            let a = acc[s];
+            if a <= limit {
+                let d = a.saturating_add(pop(q, bits[s], mask[s]));
+                acc[s] = d;
+                live |= d <= limit;
+            }
+        }
+        if !live {
+            return;
+        }
     }
 }
 
@@ -230,6 +298,7 @@ pub fn masked_distance_group(
 /// a live lane runs branch-free with its popcounts unrolled. Group-level
 /// bail-out is unchanged: once a plane ends with nobody within budget,
 /// the remaining planes are skipped.
+#[inline(always)]
 fn soa_lanes(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut [u32]) {
     // Single word-plane (64-bit codes): there is no next plane to bail
     // out of, so liveness tracking buys nothing — run one branch-free
@@ -242,16 +311,14 @@ fn soa_lanes(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut 
         }
         return;
     }
-    let full = group - group % LANES;
     for (plane, &q) in planes.chunks_exact(2 * group).zip(query) {
         let (bits, mask) = plane.split_at(group);
+        let (bits, bits_tail) = bits.as_chunks::<LANES>();
+        let (mask, mask_tail) = mask.as_chunks::<LANES>();
+        let (lanes, tail) = acc.as_chunks_mut::<LANES>();
         let mut live = false;
-        for ((b, m), a) in bits[..full]
-            .chunks_exact(LANES)
-            .zip(mask[..full].chunks_exact(LANES))
-            .zip(acc[..full].chunks_exact_mut(LANES))
-        {
-            if a.iter().all(|&x| x > limit) {
+        for ((b, m), a) in bits.iter().zip(mask).zip(lanes) {
+            if !any_live(a, limit) {
                 continue;
             }
             for i in 0..LANES {
@@ -260,12 +327,10 @@ fn soa_lanes(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut 
                 live |= d <= limit;
             }
         }
-        for s in full..group {
-            let a = acc[s];
-            if a <= limit {
-                let d = a + pop(q, bits[s], mask[s]);
-                acc[s] = d;
-                live |= d <= limit;
+        for ((&b, &m), a) in bits_tail.iter().zip(mask_tail).zip(tail) {
+            if *a <= limit {
+                *a = a.saturating_add(pop(q, b, m));
+                live |= *a <= limit;
             }
         }
         if !live {
@@ -286,7 +351,7 @@ fn aos_scalar(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
         let (bits, mask) = row.split_at(w);
         let mut d = *a;
         for i in 0..w {
-            d += pop(query[i], bits[i], mask[i]);
+            d = d.saturating_add(pop(query[i], bits[i], mask[i]));
             if d > limit {
                 break;
             }
@@ -298,6 +363,7 @@ fn aos_scalar(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
 /// Lane-chunked AoS sweep: like [`aos_scalar`], but each sibling's row
 /// is consumed in unrolled blocks of [`AOS_UNROLL`] words with the
 /// budget check once per block, so the popcounts pipeline.
+#[inline(always)]
 fn aos_lanes(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
     let w = query.len();
     for (a, row) in acc.iter_mut().zip(planes.chunks_exact(2 * w)) {
@@ -326,100 +392,180 @@ fn aos_lanes(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
     }
 }
 
-#[cfg(feature = "simd")]
-mod simd_impl {
-    //! `std::simd` variants (nightly, behind the `simd` feature). Same
-    //! contract, same lane shapes as the stable kernels: SoA runs 8
-    //! siblings per vector, AoS runs 4 words per vector per sibling.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The kernels that reach the hardware popcount. Each is compiled
+    //! with CPU features the rest of the binary does not assume, so each
+    //! may only be called after [`Kernel::is_available`](super::Kernel)
+    //! found them — `masked_distance_group` is the only caller.
 
-    use std::simd::cmp::SimdPartialOrd;
-    use std::simd::num::SimdUint;
-    use std::simd::{u32x8, u64x4, u64x8};
+    use core::arch::x86_64::*;
 
-    use super::{pop, LANES};
+    use super::LANES;
 
-    pub(super) fn soa(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut [u32]) {
-        let full = group - group % LANES;
-        let lim = u32x8::splat(limit);
-        // Single word-plane: no next plane to bail out of — one
-        // branch-free vector pass (see the lane-chunked kernel).
-        if let [q] = query {
-            let (bits, mask) = planes.split_at(group);
-            let qv = u64x8::splat(*q);
-            for ((b, m), a) in bits[..full]
-                .chunks_exact(LANES)
-                .zip(mask[..full].chunks_exact(LANES))
-                .zip(acc[..full].chunks_exact_mut(LANES))
-            {
-                let bv = u64x8::from_slice(b);
-                let mv = u64x8::from_slice(m);
-                let counts: u32x8 = ((qv ^ bv) & mv).count_ones().cast();
-                u32x8::from_slice(a).saturating_add(counts).copy_to_slice(a);
-            }
-            for s in full..group {
-                acc[s] = acc[s].saturating_add(pop(*q, bits[s], mask[s]));
-            }
-            return;
+    /// [`soa_lanes`](super::soa_lanes) with `count_ones()` lowered to the
+    /// `popcnt` instruction (and AVX2 open to the auto-vectorizer).
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn soa_avx2(
+        query: &[u64],
+        planes: &[u64],
+        group: usize,
+        limit: u32,
+        acc: &mut [u32],
+    ) {
+        super::soa_lanes(query, planes, group, limit, acc)
+    }
+
+    /// [`aos_lanes`](super::aos_lanes), compiled like [`soa_avx2`].
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn aos_avx2(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
+        super::aos_lanes(query, planes, limit, acc)
+    }
+
+    /// AVX-512 SoA sweep: siblings go by in blocks of 8, and one block's
+    /// accumulators stay in a register (as `u64` lanes, so nothing can
+    /// overflow before the final saturating narrow) across all its
+    /// word-planes. A block leaves its plane loop as soon as none of its
+    /// lanes is within budget, which subsumes the scalar kernel's
+    /// group-level bail-out. The last block of a group that is not a
+    /// multiple of 8 runs the same code under a lane mask.
+    ///
+    /// # Safety
+    /// The CPU must have the enabled features, `planes.len()` must be
+    /// `2 * query.len() * group` and `acc.len()` must be `group`.
+    #[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq,avx2,popcnt")]
+    pub(super) unsafe fn soa_avx512(
+        query: &[u64],
+        planes: &[u64],
+        group: usize,
+        limit: u32,
+        acc: &mut [u32],
+    ) {
+        // One block of one plane — 64-bit-or-shorter codes in groups of up
+        // to 8, the join's whole workload — is too little work for a
+        // vector: the caller has just filled `acc` with narrow stores a
+        // 32-byte load cannot forward from, and waiting for them to drain
+        // costs more than 8 scalar `popcnt`s.
+        if query.len() == 1 && group <= LANES {
+            return soa_avx2(query, planes, group, limit, acc);
         }
-        for (plane, &q) in planes.chunks_exact(2 * group).zip(query) {
-            let (bits, mask) = plane.split_at(group);
-            let qv = u64x8::splat(q);
-            let mut live = false;
-            for ((b, m), a) in bits[..full]
-                .chunks_exact(LANES)
-                .zip(mask[..full].chunks_exact(LANES))
-                .zip(acc[..full].chunks_exact_mut(LANES))
-            {
-                let av = u32x8::from_slice(a);
-                if av.simd_gt(lim).all() {
-                    continue;
+        let lim = _mm512_set1_epi64(i64::from(limit));
+        // Sweeps the block of siblings `s ..` that lane mask `k` selects.
+        // (Called directly, never through an iterator adaptor: the closure
+        // carries this function's target features, and code compiled
+        // without them could not inline it.)
+        let mut block = |s: usize, k: __mmask8| {
+            let a = acc[s..].as_mut_ptr();
+            // SAFETY: `k` selects lanes inside `s .. group`, all inside
+            // `acc` (`acc.len() == group`); masked-off lanes are not
+            // accessed.
+            let mut d = _mm512_cvtepu32_epi64(unsafe { _mm256_maskz_loadu_epi32(k, a.cast()) });
+            for (w, &q) in query.iter().enumerate() {
+                if k & _mm512_cmple_epu64_mask(d, lim) == 0 {
+                    break;
                 }
-                let bv = u64x8::from_slice(b);
-                let mv = u64x8::from_slice(m);
-                let counts: u32x8 = ((qv ^ bv) & mv).count_ones().cast();
-                let dv = av.saturating_add(counts);
-                dv.copy_to_slice(a);
-                live |= dv.simd_le(lim).any();
+                // SAFETY: plane `w` is `planes[2 * w * group ..][.. 2 * group]`
+                // (bits then mask, `group` words each) and `w < query.len()`,
+                // so both loads stay inside `planes` for the lanes `k` selects.
+                let (b, m) = unsafe {
+                    let bits = planes.as_ptr().add(2 * w * group + s);
+                    (
+                        _mm512_maskz_loadu_epi64(k, bits.cast()),
+                        _mm512_maskz_loadu_epi64(k, bits.add(group).cast()),
+                    )
+                };
+                let x = _mm512_and_si512(_mm512_xor_si512(_mm512_set1_epi64(q as i64), b), m);
+                d = _mm512_add_epi64(d, _mm512_popcnt_epi64(x));
             }
-            for s in full..group {
-                let a = acc[s];
-                if a <= limit {
-                    let d = a + pop(q, bits[s], mask[s]);
-                    acc[s] = d;
-                    live |= d <= limit;
-                }
-            }
-            if !live {
-                return;
-            }
+            // SAFETY: same lanes of `acc` as the load above.
+            unsafe { _mm256_mask_storeu_epi32(a.cast(), k, _mm512_cvtusepi64_epi32(d)) };
+        };
+        // Full blocks get a constant all-ones mask, which the compiler
+        // folds into plain loads and stores.
+        let full = group - group % LANES;
+        for s in (0..full).step_by(LANES) {
+            block(s, 0xFF);
+        }
+        if full < group {
+            block(full, (1 << (group - full)) - 1);
         }
     }
 
-    pub(super) fn aos(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
-        let w = query.len();
-        let lim = u64::from(limit);
-        for (a, row) in acc.iter_mut().zip(planes.chunks_exact(2 * w)) {
-            if *a > limit {
-                continue;
-            }
-            let (bits, mask) = row.split_at(w);
-            let mut d = u64::from(*a);
-            let mut i = 0;
-            while i + 4 <= w {
-                let qv = u64x4::from_slice(&query[i..i + 4]);
-                let bv = u64x4::from_slice(&bits[i..i + 4]);
-                let mv = u64x4::from_slice(&mask[i..i + 4]);
-                d += ((qv ^ bv) & mv).count_ones().reduce_sum();
-                if d > lim {
-                    break;
+    /// AVX-512 AoS sweep for 512-bit codes — the shape the freeze policy
+    /// stores row-major. A row is exactly one `bits` vector and one `mask`
+    /// vector (the two cache lines even the scalar streak touches on its
+    /// first word), loaded whole with the query held in a register; the 8
+    /// count vectors of a block of 8 siblings are summed by one
+    /// transposing add tree (14 shuffles) instead of 8 horizontal
+    /// reductions, straight into the block's accumulators. At any other
+    /// width a row is not a whole number of vectors, and masked loads plus
+    /// a reduction per row measured slower than the scalar `popcnt`
+    /// streak, so those go to [`aos_avx2`].
+    ///
+    /// # Safety
+    /// The CPU must have the enabled features and `planes.len()` must be
+    /// `2 * query.len() * acc.len()`.
+    #[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq,avx2,popcnt")]
+    pub(super) unsafe fn aos_avx512(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
+        if query.len() != LANES {
+            return aos_avx2(query, planes, limit, acc);
+        }
+        // SAFETY: `query` holds exactly 8 words.
+        let q = unsafe { _mm512_loadu_si512(query.as_ptr().cast()) };
+        // SAFETY: for `s < acc.len()`, row `s` is `planes[16 * s ..][.. 16]`,
+        // inside `planes` because `planes.len() == 16 * acc.len()`.
+        let counts = |s: usize| unsafe {
+            let row = planes.as_ptr().add(2 * LANES * s);
+            let b = _mm512_loadu_si512(row.cast());
+            let m = _mm512_loadu_si512(row.add(LANES).cast());
+            _mm512_popcnt_epi64(_mm512_and_si512(_mm512_xor_si512(q, b), m))
+        };
+        // [x0+x1, y0+y1, x2+x3, y2+y3, …]: halves each vector, interleaved.
+        let pair =
+            |x, y| _mm512_add_epi64(_mm512_unpacklo_epi64(x, y), _mm512_unpackhi_epi64(x, y));
+        // Sums the 128-bit quarters of `x` and of `y` pairwise into the
+        // low and the high half of the result.
+        let fold = |x, y| {
+            _mm512_add_epi64(
+                _mm512_shuffle_i64x2::<0x88>(x, y),
+                _mm512_shuffle_i64x2::<0xDD>(x, y),
+            )
+        };
+        // (These closures carry this function's target features, so an
+        // iterator adaptor compiled without them could not inline them:
+        // they are only ever called directly.)
+        let (blocks, tail) = acc.as_chunks_mut::<LANES>();
+        let mut s = 0;
+        for a in blocks {
+            if super::any_live(a, limit) {
+                // Lane `i` of `sums` is the total of row `s + i`'s counts.
+                let sums = fold(
+                    fold(
+                        pair(counts(s), counts(s + 1)),
+                        pair(counts(s + 2), counts(s + 3)),
+                    ),
+                    fold(
+                        pair(counts(s + 4), counts(s + 5)),
+                        pair(counts(s + 6), counts(s + 7)),
+                    ),
+                );
+                // SAFETY: `a` is exactly 8 `u32`s. (Loaded only now, after
+                // the rows: the caller's narrow stores that filled `acc`
+                // cannot be forwarded to a 32-byte load, but have drained
+                // by the time the counts are in.)
+                unsafe {
+                    let d = _mm512_cvtepu32_epi64(_mm256_loadu_si256(a.as_ptr().cast()));
+                    let d = _mm512_cvtusepi64_epi32(_mm512_add_epi64(d, sums));
+                    _mm256_storeu_si256(a.as_mut_ptr().cast(), d);
                 }
-                i += 4;
             }
-            while i < w && d <= lim {
-                d += u64::from(pop(query[i], bits[i], mask[i]));
-                i += 1;
+            s += LANES;
+        }
+        for a in tail {
+            if *a <= limit {
+                *a = a.saturating_add(_mm512_reduce_add_epi64(counts(s)) as u32);
             }
-            *a = d.min(u64::from(u32::MAX)) as u32;
+            s += 1;
         }
     }
 }
@@ -526,6 +672,95 @@ mod tests {
         }
     }
 
+    /// Stands in for Miri, which the toolchain here lacks: every small
+    /// shape the vector kernels branch on — `words` on both sides of the
+    /// 8-word whole-row path, `group` through 0–3 full vectors plus every
+    /// tail — at every load/store alignment, with guard words around
+    /// `acc`, against the scalar reference.
+    #[test]
+    fn available_kernels_match_scalar_on_every_small_shape() {
+        const CANARY: u32 = 0xDEAD_BEEF;
+        let mut next = rng(0xA5A5_0F0F);
+        let kernels: Vec<Kernel> = Kernel::ALL
+            .into_iter()
+            .filter(|k| *k != Kernel::Scalar && k.is_available())
+            .collect();
+        for words in 1usize..=9 {
+            for group in 0usize..=26 {
+                let query: Vec<u64> = (0..words).map(|_| next()).collect();
+                // Siblings from exact matches to far misses, so every
+                // limit has survivors, boundary cases and early exits.
+                let sibs: Vec<(Vec<u64>, Vec<u64>)> = (0..group)
+                    .map(|s| {
+                        let mut bits = query.clone();
+                        let flips = [0, 1, 3, 4, 40][s % 5];
+                        for _ in 0..flips {
+                            let bit = next() as usize % (64 * words);
+                            bits[bit / 64] ^= 1 << (bit % 64);
+                        }
+                        let mask = (0..words).map(|_| next() | next()).collect();
+                        (bits, mask)
+                    })
+                    .collect();
+                for limit in [0u32, 3, u32::MAX] {
+                    // Seeds: fresh, exactly at the limit, dead on entry,
+                    // and one short of saturation.
+                    let seeds = [0, limit, limit.saturating_add(1), u32::MAX - 1];
+                    let seed: Vec<u32> = (0..group).map(|s| seeds[(s / 5 + s) % 4]).collect();
+                    for layout in GroupLayout::ALL {
+                        let packed = pack(&sibs, layout);
+                        let mut want = seed.clone();
+                        masked_distance_group(
+                            Kernel::Scalar,
+                            layout,
+                            &query,
+                            &packed,
+                            group,
+                            limit,
+                            &mut want,
+                        );
+                        for off in 0..8 {
+                            let mut qbuf = vec![0u64; off];
+                            qbuf.extend_from_slice(&query);
+                            let mut pbuf = vec![0u64; off];
+                            pbuf.extend_from_slice(&packed);
+                            for &kernel in &kernels {
+                                let mut abuf = vec![CANARY; off];
+                                abuf.extend_from_slice(&seed);
+                                abuf.extend_from_slice(&[CANARY; 8]);
+                                masked_distance_group(
+                                    kernel,
+                                    layout,
+                                    &qbuf[off..],
+                                    &pbuf[off..],
+                                    group,
+                                    limit,
+                                    &mut abuf[off..off + group],
+                                );
+                                let ctx = format!(
+                                    "kernel={} layout={} words={words} group={group} \
+                                     limit={limit} offset={off}",
+                                    kernel.name(),
+                                    layout.name()
+                                );
+                                assert!(abuf[..off].iter().all(|&c| c == CANARY), "{ctx}");
+                                assert!(abuf[off + group..].iter().all(|&c| c == CANARY), "{ctx}");
+                                for s in 0..group {
+                                    let got = abuf[off + s];
+                                    if want[s] <= limit {
+                                        assert_eq!(got, want[s], "{ctx} sibling={s}");
+                                    } else {
+                                        assert!(got > limit, "{ctx} sibling={s}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn unlimited_budget_is_bit_exact_everywhere() {
         // limit == u32::MAX disables pruning: every kernel × layout must
@@ -548,7 +783,13 @@ mod tests {
             for kernel in Kernel::ALL {
                 let mut acc = vec![0u32; group];
                 masked_distance_group(kernel, layout, &query, &planes, group, u32::MAX, &mut acc);
-                assert_eq!(acc, expect, "kernel={} layout={}", kernel.name(), layout.name());
+                assert_eq!(
+                    acc,
+                    expect,
+                    "kernel={} layout={}",
+                    kernel.name(),
+                    layout.name()
+                );
             }
         }
     }
@@ -558,15 +799,18 @@ mod tests {
         // An accumulator already over budget must never come back under
         // it, even at the saturation boundary.
         let query = [u64::MAX];
-        let planes_soa = [0u64, u64::MAX]; // bits=0, mask=all → popcount 64
-        let planes_aos = [0u64, u64::MAX];
+        let planes = [0u64, u64::MAX]; // bits=0, mask=all → popcount 64
         for kernel in Kernel::ALL {
-            let mut acc = [u32::MAX];
-            masked_distance_group(kernel, GroupLayout::Soa, &query, &planes_soa, 1, 5, &mut acc);
-            assert!(acc[0] > 5, "kernel={}", kernel.name());
-            let mut acc = [u32::MAX];
-            masked_distance_group(kernel, GroupLayout::Aos, &query, &planes_aos, 1, 5, &mut acc);
-            assert!(acc[0] > 5, "kernel={}", kernel.name());
+            for layout in GroupLayout::ALL {
+                let mut acc = [u32::MAX];
+                masked_distance_group(kernel, layout, &query, &planes, 1, 5, &mut acc);
+                assert!(
+                    acc[0] > 5,
+                    "kernel={} layout={}",
+                    kernel.name(),
+                    layout.name()
+                );
+            }
         }
     }
 
@@ -580,28 +824,96 @@ mod tests {
         }
     }
 
+    /// One group of 9 siblings × 8 words with `acc` one short.
+    fn short_acc(layout: GroupLayout) {
+        let mut acc = [0u32; 8];
+        masked_distance_group(Kernel::detect(), layout, &[0; 8], &[0; 144], 9, 5, &mut acc);
+    }
+
+    /// The same group with `planes` one word short.
+    fn short_planes(layout: GroupLayout) {
+        let mut acc = [0u32; 9];
+        masked_distance_group(Kernel::detect(), layout, &[0; 8], &[0; 143], 9, 5, &mut acc);
+    }
+
     #[test]
-    fn auto_kernel_is_native() {
-        assert!(Kernel::auto().is_native());
-        assert_eq!(Kernel::Simd.is_native(), cfg!(feature = "simd"));
+    #[should_panic(expected = "one accumulator per sibling")]
+    fn short_acc_panics_soa() {
+        short_acc(GroupLayout::Soa);
+    }
+
+    #[test]
+    #[should_panic(expected = "one accumulator per sibling")]
+    fn short_acc_panics_aos() {
+        short_acc(GroupLayout::Aos);
+    }
+
+    #[test]
+    #[should_panic(expected = "planes must hold")]
+    fn short_planes_panics_soa() {
+        short_planes(GroupLayout::Soa);
+    }
+
+    #[test]
+    #[should_panic(expected = "planes must hold")]
+    fn short_planes_panics_aos() {
+        short_planes(GroupLayout::Aos);
+    }
+
+    #[test]
+    fn layout_flags_round_trip() {
         assert_eq!(GroupLayout::from_flag(0), GroupLayout::Soa);
         assert_eq!(GroupLayout::from_flag(1), GroupLayout::Aos);
         assert_eq!(GroupLayout::Aos.flag(), 1);
     }
 
     #[test]
-    fn detected_kernel_is_native_and_stable() {
-        // Whatever the probe picks must be runnable in this build, and
-        // the OnceLock cache must make repeated probes free and equal.
+    fn detect_is_available_and_unavailable_kernels_fall_back() {
+        // The probe picks the fastest kernel this CPU has, never the
+        // reference, and the OnceLock cache makes repeated probes equal.
         let k = Kernel::detect();
-        assert!(k.is_native());
+        assert!(k.is_available());
+        assert_ne!(k, Kernel::Scalar);
         assert_eq!(Kernel::detect(), k);
-        // On any host modern enough to run the test suite the probe
-        // finds popcount and agrees with the compile-time choice; the
-        // scalar fallback is for genuinely pre-SSE4.2 silicon.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            assert_eq!(k, Kernel::auto());
+        assert!(Kernel::ALL
+            .into_iter()
+            .skip_while(|&a| a != k)
+            .skip(1)
+            .all(|a| !a.is_available()));
+
+        // A kernel the CPU lacks is served by the portable lanes. Hosts
+        // that have it cannot take that branch through the public entry
+        // point, so drive the substitution directly, then check that
+        // naming any kernel — available here or not — answers like the
+        // reference.
+        let query = [0x0123_4567_89AB_CDEFu64; 3];
+        let planes: Vec<u64> = (0..2 * 3 * 11)
+            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9))
+            .collect();
+        for kernel in Kernel::ALL {
+            assert_eq!(kernel.or_lanes(true), kernel);
+            assert_eq!(kernel.or_lanes(false), Kernel::Lanes);
+            for layout in GroupLayout::ALL {
+                let mut want = [1u32; 11];
+                masked_distance_group(
+                    Kernel::Scalar,
+                    layout,
+                    &query,
+                    &planes,
+                    11,
+                    u32::MAX,
+                    &mut want,
+                );
+                let mut got = [1u32; 11];
+                masked_distance_group(kernel, layout, &query, &planes, 11, u32::MAX, &mut got);
+                assert_eq!(
+                    got,
+                    want,
+                    "kernel={} layout={}",
+                    kernel.name(),
+                    layout.name()
+                );
+            }
         }
     }
 }

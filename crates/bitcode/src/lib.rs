@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 //! Binary-code substrate for Hamming-distance similarity search.
 //!
 //! This crate provides the data representations that every layer above it
@@ -25,10 +24,11 @@
 //!   early-exit word-slice distance used for candidate verification.
 //! * [`kernels`] — HA-Kern: the sibling-group distance kernels behind
 //!   every frozen-snapshot search path ([`Kernel`] × [`GroupLayout`]
-//!   dispatched through [`masked_distance_group`]), with `std::simd`
-//!   variants behind the nightly-only `simd` feature and one-time
-//!   runtime CPU-feature dispatch ([`Kernel::detect`]). See
-//!   `docs/KERNELS.md` for the tuning guide.
+//!   dispatched through [`masked_distance_group`]), with AVX-512
+//!   `VPOPCNTQ` / AVX2 kernels selected once per process from the CPU's
+//!   feature flags ([`Kernel::detect`]) — the only code in a default
+//!   build that reaches the hardware popcount. See `docs/KERNELS.md` for
+//!   the tuning guide.
 //! * [`mix`] — the splitmix64-finalizer [`mix::BuildMix64`] hasher that
 //!   keys MIH's `u64` chunk tables (std's SipHash cost more than the rest
 //!   of a bucket probe).
@@ -73,7 +73,6 @@ pub use code::BinaryCode;
 pub use error::BitCodeError;
 pub use kernels::{masked_distance_group, GroupLayout, Kernel};
 pub use masked::MaskedCode;
-pub use words::masked_distance_many;
 
 /// Maximum supported code length in bits.
 ///

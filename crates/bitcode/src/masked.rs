@@ -103,7 +103,7 @@ impl MaskedCode {
 
     /// Like [`MaskedCode::distance_to`], but bails out with `None` as soon
     /// as the running distance exceeds `limit` — the scalar analogue of the
-    /// word-plane batch kernel [`crate::masked_distance_many`].
+    /// batch kernels behind [`crate::masked_distance_group`].
     #[inline]
     pub fn distance_within(&self, query: &BinaryCode, limit: u32) -> Option<u32> {
         debug_assert_eq!(self.len(), query.len(), "pattern/query width mismatch");

@@ -39,60 +39,6 @@ pub(crate) fn tail_mask(bits: usize) -> u64 {
     }
 }
 
-/// Batch masked-distance kernel over a **word-plane** sibling group.
-///
-/// `planes` stores the patterns of `group` siblings in structure-of-arrays
-/// order: for each word index `w` of the code, first the *bits* word `w` of
-/// every sibling (`group` words), then the *mask* word `w` of every sibling
-/// (`group` words). The whole group therefore occupies
-/// `2 * query.len() * group` contiguous words:
-///
-/// ```text
-/// [ bits w0 of s0..s(g-1) | mask w0 of s0..s(g-1) |
-///   bits w1 of s0..s(g-1) | mask w1 of s0..s(g-1) | … ]
-/// ```
-///
-/// `acc[s]` carries the accumulated masked distance of sibling `s`'s
-/// *parent path* on entry. On exit, `acc[s] <= limit` implies `acc[s]` is
-/// the exact accumulated distance including sibling `s`'s own pattern;
-/// `acc[s] > limit` means the sibling is pruned (the value may be partial —
-/// the scan bails out of a sibling as soon as its accumulator exceeds
-/// `limit`, and out of the whole group as soon as no sibling is still
-/// within budget).
-///
-/// # Panics
-/// If `planes.len() != 2 * query.len() * group`. `acc.len() == group` is
-/// debug-asserted at this boundary; in release builds a short `acc` can
-/// only truncate the sweep or panic on an interior bounds check.
-pub fn masked_distance_many(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut [u32]) {
-    debug_assert_eq!(acc.len(), group, "one accumulator per sibling");
-    assert_eq!(
-        planes.len(),
-        2 * query.len() * group,
-        "planes must hold bits+mask words for every sibling"
-    );
-    if group == 0 {
-        return;
-    }
-    // One `chunks_exact` step per word-plane pair hoists the former
-    // `2 * w * group` base-offset recomputation out of the sibling loop.
-    for (plane, &q) in planes.chunks_exact(2 * group).zip(query) {
-        let (bits, mask) = plane.split_at(group);
-        let mut live = false;
-        for s in 0..group {
-            let a = acc[s];
-            if a <= limit {
-                let d = a + ((q ^ bits[s]) & mask[s]).count_ones();
-                acc[s] = d;
-                live |= d <= limit;
-            }
-        }
-        if !live {
-            return;
-        }
-    }
-}
-
 impl Words {
     /// Zeroed storage for a `bits`-bit code.
     pub(crate) fn zeroed(bits: usize) -> Self {
@@ -156,78 +102,5 @@ mod tests {
         assert!(matches!(Words::zeroed(129), Words::Heap(_)));
         assert_eq!(Words::zeroed(64).heap_bytes(), 0);
         assert_eq!(Words::zeroed(256).heap_bytes(), 32);
-    }
-
-    /// Packs per-sibling (bits, mask) word vectors into the plane layout
-    /// consumed by [`masked_distance_many`].
-    fn pack_planes(group: &[(Vec<u64>, Vec<u64>)]) -> Vec<u64> {
-        let words = group.first().map_or(0, |(b, _)| b.len());
-        let mut planes = Vec::new();
-        for w in 0..words {
-            for (bits, _) in group {
-                planes.push(bits[w]);
-            }
-            for (_, mask) in group {
-                planes.push(mask[w]);
-            }
-        }
-        planes
-    }
-
-    fn naive_masked(query: &[u64], bits: &[u64], mask: &[u64]) -> u32 {
-        query
-            .iter()
-            .zip(bits)
-            .zip(mask)
-            .map(|((q, b), m)| ((q ^ b) & m).count_ones())
-            .sum()
-    }
-
-    #[test]
-    fn masked_distance_many_matches_naive_when_within_limit() {
-        // Deterministic pseudo-random words via a splitmix-style mixer.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for words in [1usize, 2, 8] {
-            for group in [1usize, 2, 7] {
-                let query: Vec<u64> = (0..words).map(|_| next()).collect();
-                let sibs: Vec<(Vec<u64>, Vec<u64>)> = (0..group)
-                    .map(|_| {
-                        (
-                            (0..words).map(|_| next()).collect(),
-                            (0..words).map(|_| next()).collect(),
-                        )
-                    })
-                    .collect();
-                let planes = pack_planes(&sibs);
-                for limit in [0u32, 3, 64, u32::MAX] {
-                    for init in [0u32, 2] {
-                        let mut acc = vec![init; group];
-                        masked_distance_many(&query, &planes, group, limit, &mut acc);
-                        for (s, (bits, mask)) in sibs.iter().enumerate() {
-                            let exact = init + naive_masked(&query, bits, mask);
-                            if exact <= limit {
-                                assert_eq!(acc[s], exact, "words={words} group={group}");
-                            } else {
-                                assert!(acc[s] > limit, "pruned sibling must stay over budget");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_distance_many_empty_group_and_zero_words() {
-        // Degenerate shapes must not panic.
-        masked_distance_many(&[0u64; 2], &[], 0, 5, &mut []);
-        masked_distance_many(&[], &[], 3, 5, &mut [0, 1, 2]);
     }
 }

@@ -95,7 +95,10 @@ impl DeltaBase for PlannedIndex {
         self.dha().ids_for_code(code)
     }
     fn items_vec(&self) -> Vec<(BinaryCode, TupleId)> {
-        self.items().collect()
+        // The leaf walk has no size hint; the index knows its length.
+        let mut items = Vec::with_capacity(HammingIndex::len(self));
+        items.extend(self.items());
+        items
     }
 }
 

@@ -18,6 +18,7 @@ use ha_bitcode::gray::gray_rank;
 use ha_bitcode::{BinaryCode, MaskedCode};
 
 use super::{DhaConfig, DynamicHaIndex, Node, NodeId};
+use crate::memory::seed_bulk;
 use crate::TupleId;
 
 /// Groups tuples by distinct code and sorts the codes in Gray order
@@ -62,6 +63,7 @@ fn build_sorted(idx: &mut DynamicHaIndex, distinct: Vec<(BinaryCode, Vec<TupleId
     // Leaf level.
     let keep_ids = idx.config.keep_leaf_ids;
     let mut current: Vec<NodeId> = Vec::with_capacity(distinct.len());
+    seed_bulk(&mut idx.nodes, distinct.len());
     if keep_ids {
         idx.leaves.reserve(distinct.len());
     }

@@ -14,9 +14,9 @@
 //! * **SoA word-planes** — for each sibling group, pattern words are stored
 //!   column-major: all siblings' *bits* word 0, all siblings' *mask* word 0,
 //!   then word 1, … Pruning a whole group is then one sequential scan of
-//!   contiguous memory by [`ha_bitcode::masked_distance_many`], which bails
-//!   out of a sibling as soon as its accumulated distance exceeds `h` and
-//!   out of the group as soon as nobody is left within budget.
+//!   contiguous memory by [`ha_bitcode::masked_distance_group`], which
+//!   stops work on a sibling as soon as its accumulated distance exceeds
+//!   `h` and on the group as soon as nobody is left within budget.
 //! * **Leaf SoA** — leaf codes and their tuple-id lists in two flat arrays
 //!   (ids in CSR form), so reporting a hit never touches the arena.
 //!
@@ -127,7 +127,7 @@ impl FreezePolicy {
     /// Pins the snapshot's sweep kernel instead of deferring to the
     /// runtime probe. Every kernel computes identical distances, so
     /// this is a pure performance knob (scalar for tracing/debugging,
-    /// lanes/simd for throughput).
+    /// the detected vector kernel for throughput).
     pub fn with_kernel(mut self, kernel: Kernel) -> FreezePolicy {
         self.kernel = Some(kernel);
         self

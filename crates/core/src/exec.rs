@@ -100,12 +100,7 @@ impl SearchExecutor {
     /// the counter registry (`exec.kernel.<name>`), so traces show the
     /// per-process dispatch decision.
     pub fn new(cfg: &ExecConfig) -> SearchExecutor {
-        let counter = match cfg.resolved_kernel() {
-            Kernel::Scalar => "exec.kernel.scalar",
-            Kernel::Lanes => "exec.kernel.lanes",
-            Kernel::Simd => "exec.kernel.simd",
-        };
-        ha_obs::add(counter, 1);
+        ha_obs::add(&format!("exec.kernel.{}", cfg.resolved_kernel().name()), 1);
         SearchExecutor { workers: cfg.workers.max(1) }
     }
 

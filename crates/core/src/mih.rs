@@ -42,7 +42,7 @@ use ha_bitcode::prefetch::{prefetch_index, PREFETCH_DISTANCE};
 use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
-use crate::memory::{map_bytes, vec_bytes, MemoryReport};
+use crate::memory::{map_bytes, seed_bulk, vec_bytes, MemoryReport};
 use crate::seen::with_seen;
 use crate::{HammingIndex, MutableIndex, TupleId};
 
@@ -134,10 +134,19 @@ impl MihIndex {
     pub fn build(code_len: usize, items: impl IntoIterator<Item = (BinaryCode, TupleId)>) -> Self {
         let items: Vec<_> = items.into_iter().collect();
         let mut idx = Self::with_expected_len(code_len, items.len());
+        idx.expect_rows(items.len());
         for (code, id) in items {
             idx.insert(code, id);
         }
         idx
+    }
+
+    /// Announces a bulk load of `rows` inserts into the still-empty index:
+    /// the row arrays take their first allocation now ([`seed_bulk`]).
+    pub(crate) fn expect_rows(&mut self, rows: usize) {
+        seed_bulk(&mut self.row_words, rows * self.stride);
+        seed_bulk(&mut self.ids, rows);
+        seed_bulk(&mut self.live, rows);
     }
 
     /// Number of chunk tables.

@@ -342,6 +342,7 @@ impl PlannedIndex {
             .mih_chunks
             .unwrap_or_else(|| MihIndex::auto_chunks(code_len, items.len()));
         let mut mih = MihIndex::new(code_len, chunks);
+        mih.expect_rows(items.len());
         for (code, id) in &items {
             mih.insert(code.clone(), *id);
         }

@@ -292,7 +292,7 @@ impl<'a> FlatStoreView<'a> {
     /// runtime-detected [`Kernel::detect`]. Every kernel computes
     /// identical distances (pinned by the equivalence suite); this only
     /// selects the instruction pattern — scalar for tracing/debugging,
-    /// lanes or simd for throughput.
+    /// the detected vector kernel for throughput.
     pub fn with_kernel(mut self, kernel: Kernel) -> FlatStoreView<'a> {
         self.kernel = kernel;
         self

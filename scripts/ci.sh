@@ -35,19 +35,6 @@ run cargo test -q "${CRATES[@]}"
 # par_search) building without paying for a measured run in CI.
 run cargo bench --no-run -q -p ha-bench
 
-# Second pass with the portable-SIMD kernels compiled in (`--features
-# simd`). The feature is nightly-only (it enables `portable_simd`), so
-# the pass is gated on a nightly toolchain being installed; the stable
-# suite above already covers the Lanes fallback that `Kernel::Simd`
-# dispatches to without the feature.
-if rustup run nightly rustc --version >/dev/null 2>&1; then
-    run rustup run nightly cargo test -q --features simd \
-        -p ha-bitcode -p ha-store -p ha-core
-    run rustup run nightly cargo test -q --features simd --test flat_equivalence
-else
-    echo "==> nightly toolchain not installed; skipping the simd kernel pass"
-fi
-
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps ${CRATES[*]}"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${CRATES[@]}" >/dev/null
 

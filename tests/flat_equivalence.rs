@@ -258,9 +258,9 @@ proptest! {
     }
 }
 
-/// The HA-Kern matrix: every kernel (scalar, lane-chunked, simd — which
-/// falls back to lanes without the nightly `simd` feature, keeping the
-/// matrix uniform across both CI configs) × every freeze-policy layout
+/// The HA-Kern matrix: every kernel (scalar, lane-chunked, AVX2, AVX-512
+/// — a kernel the host CPU lacks falls back to lanes, keeping the matrix
+/// uniform across hosts) × every freeze-policy layout
 /// (all-SoA, all-AoS, adaptive) must answer select, kNN and batch
 /// byte-identically to the scalar/all-SoA baseline, and the baseline
 /// must match the linear-scan oracle. This is the contract that makes
@@ -337,7 +337,7 @@ fn kernel_matrix_case(seed: u64, bits: usize) {
             );
         }
         // kNN rides on search_with_distances through the index surface;
-        // one pass per policy (the index dispatches Kernel::auto()).
+        // one pass per policy (the index dispatches Kernel::detect()).
         for (i, q) in queries.iter().enumerate() {
             for (ki, k) in [1usize, 5].into_iter().enumerate() {
                 assert_eq!(
