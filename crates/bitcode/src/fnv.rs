@@ -1,13 +1,15 @@
 //! FNV-1a 64-bit — the workspace's single integrity-checksum primitive.
 //!
-//! Three layers stamp FNV-1a digests on bytes that cross a trust
-//! boundary: the DFS block checksums (`ha_mapreduce::checksum`), the
-//! HA-Index wire format's footer (`ha_core`'s HAIX blobs), the WAL frame
-//! checksums (`ha_mapreduce::wal`), and the HA-Store snapshot footer
-//! (`ha-store`). They must all be the *same* function — a store written
-//! by one layer is verified by another — so the implementation lives
-//! here, in the lowest crate of the workspace, and every consumer
-//! re-exports it instead of keeping a private copy.
+//! Three layers stamp FNV-1a digests on bytes that are persisted or
+//! cross a layer: the HA-Index wire format's footer (`ha_core`'s HAIX
+//! blobs), the WAL frame checksums (`ha_mapreduce::wal`), and the
+//! HA-Store snapshot footer (`ha-store`); serve-shard routing hashes
+//! codes with it too (`BinaryCode::packed_fnv64`). They must all be the
+//! *same* function — a store written by one layer is verified by another
+//! — so the implementation lives here, in the lowest crate of the
+//! workspace, and every consumer uses it instead of keeping a private
+//! copy. DFS block digests are not among them: they are never persisted,
+//! so `ha_mapreduce::checksum` keeps its own word-at-a-time hasher.
 //!
 //! Small, dependency-free, and good enough to detect the bit rot the
 //! storage-fault plans inject; this is an integrity check against

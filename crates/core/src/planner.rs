@@ -11,15 +11,14 @@
 //! [`DataProfile`] — code width, row count, and a sampled *clusteredness*
 //! estimate — plus the query threshold, and [`choose`] picks the minimum.
 //!
-//! Two integration surfaces sit on top:
-//!
-//! * [`PlannedIndex`] — owns both physical structures (a
-//!   [`DynamicHaIndex`] and a [`MihIndex`] over the same rows) and routes
-//!   every query; this is what HA-Serve shards hold.
-//! * [`DhaRouter`] — borrows a lone `DynamicHaIndex` (the broadcast side
-//!   of the distributed join, where building a second structure per task
-//!   would be waste) and routes between its arena / flat / implicit-scan
-//!   paths only.
+//! One integration surface sits on top: [`PlannedIndex`] owns both
+//! physical structures (a [`DynamicHaIndex`] and a [`MihIndex`] over the
+//! same rows) and routes every query. HA-Serve shards build one
+//! ([`PlannedIndex::build_with`]); the distributed join's reducers adopt
+//! the broadcast HA-Index as one ([`PlannedIndex::from_dha`]) — the MIH
+//! is a function of the shipped HA-Index's items, so each worker derives
+//! it (≈3 ms at 20k rows, against ≈280 ms of flat probes it replaces on
+//! the join's own data) and nothing extra travels.
 //!
 //! Every routed entry point returns **canonically sorted** answers (ids
 //! ascending; distance pairs by `(id, d)`), so the choice of backend is
@@ -186,10 +185,9 @@ impl CostModel {
     /// groups the adaptive policy converts to AoS, whose per-sibling
     /// early exit behaves like the arena — so the penalty scales down
     /// with the fraction converted: at `aos_fraction = 1.0` no stride
-    /// tax remains. Routers with access to a live snapshot
-    /// ([`PlannedIndex`], [`DhaRouter`]) cost the flat backend this
-    /// way; the context-free [`choose`] keeps the conservative
-    /// all-SoA estimate.
+    /// tax remains. [`PlannedIndex`], which has access to a live
+    /// snapshot, costs the flat backend this way; the context-free
+    /// [`choose`] keeps the conservative all-SoA estimate.
     pub fn flat_cost_adaptive(&self, p: &DataProfile, h: u32, aos_fraction: f64) -> f64 {
         let soa_share = 1.0 - aos_fraction.clamp(0.0, 1.0);
         let sparsity = 1.0 + self.flat_sparse_penalty * (1.0 - p.clusteredness) * soa_share;
@@ -341,11 +339,7 @@ impl PlannedIndex {
         let chunks = cfg
             .mih_chunks
             .unwrap_or_else(|| MihIndex::auto_chunks(code_len, items.len()));
-        let mut mih = MihIndex::new(code_len, chunks);
-        mih.expect_rows(items.len());
-        for (code, id) in &items {
-            mih.insert(code.clone(), *id);
-        }
+        let mih = mih_over(code_len, chunks, items.len(), items.iter().cloned());
         let mut dha = if items.is_empty() {
             DynamicHaIndex::empty(code_len, cfg.dha)
         } else {
@@ -354,6 +348,37 @@ impl PlannedIndex {
         dha.freeze_with(cfg.freeze);
         let clusteredness = estimate_clusteredness(dha.leaf_codes());
         PlannedIndex { code_len, dha, mih, model: cfg.model, clusteredness, freeze: cfg.freeze }
+    }
+
+    /// Adopts an already-built HA-Index — the distributed join's decoded
+    /// broadcast — without re-running H-Build. The MIH is derived from
+    /// [`DynamicHaIndex::items`] (leaf ids with multiplicity plus any
+    /// buffered inserts), clusteredness is sampled from the leaf codes as
+    /// in [`PlannedIndex::build_with`], and a snapshot `dha` already
+    /// carries is kept; none is compiled here — call
+    /// [`PlannedIndex::freeze`] when [`PlannedIndex::flat_can_win`] says
+    /// it is worth it. `dha` must keep its leaf ids
+    /// ([`DhaConfig::keep_leaf_ids`]): a leafless index holds no ids for
+    /// any backend to answer with.
+    ///
+    /// ```
+    /// use ha_core::planner::PlannedIndex;
+    /// use ha_core::{CostModel, DynamicHaIndex, HammingIndex};
+    /// use ha_bitcode::BinaryCode;
+    ///
+    /// let items: Vec<_> = (0..64u64).map(|i| (BinaryCode::from_u64(i, 16), i)).collect();
+    /// let blob = DynamicHaIndex::build(items.clone()).to_bytes();
+    /// let shipped = DynamicHaIndex::from_bytes(&blob, Default::default()).unwrap();
+    /// let adopted = PlannedIndex::from_dha(shipped, CostModel::default());
+    /// let q = BinaryCode::from_u64(5, 16);
+    /// assert_eq!(adopted.search(&q, 1), PlannedIndex::build(16, items).search(&q, 1));
+    /// ```
+    pub fn from_dha(dha: DynamicHaIndex, model: CostModel) -> Self {
+        let code_len = dha.code_len();
+        let n = dha.len();
+        let mih = mih_over(code_len, MihIndex::auto_chunks(code_len, n), n, dha.items());
+        let clusteredness = estimate_clusteredness(dha.leaf_codes());
+        PlannedIndex { code_len, dha, mih, model, clusteredness, freeze: FreezePolicy::default() }
     }
 
     /// The profile the planner currently costs queries against. The
@@ -391,6 +416,20 @@ impl PlannedIndex {
     pub fn backend_for(&self, h: u32) -> Backend {
         let aos = self.dha.flat().map_or(0.0, crate::FlatHaIndex::aos_fraction);
         choose_with_aos(&self.model, &self.profile(), h, self.available_slice(), aos)
+    }
+
+    /// Whether the flat backend could win at threshold `h`: true when a
+    /// current snapshot exists, otherwise the flat backend costed at its
+    /// best case (every sibling group row-major,
+    /// [`CostModel::flat_cost_adaptive`] at `1.0`) against the backend
+    /// [`PlannedIndex::backend_for`] picks without it. An index adopted
+    /// by [`PlannedIndex::from_dha`] freezes only when this holds.
+    pub fn flat_can_win(&self, h: u32) -> bool {
+        if self.dha.flat_is_current() {
+            return true;
+        }
+        let p = self.profile();
+        self.model.flat_cost_adaptive(&p, h, 1.0) < self.model.cost(self.backend_for(h), &p, h)
     }
 
     /// Routed search that also reports which backend answered.
@@ -534,58 +573,19 @@ impl MutableIndex for PlannedIndex {
     }
 }
 
-/// Routing front for a *borrowed* [`DynamicHaIndex`] — the distributed
-/// join broadcasts one index to every reducer, where building a second
-/// structure per task would swamp the savings. Only the backends the
-/// HA-Index itself embodies are available: the flat snapshot (when
-/// current) and the arena BFS.
-#[derive(Clone, Debug)]
-pub struct DhaRouter<'a> {
-    dha: &'a DynamicHaIndex,
-    model: CostModel,
-    profile: DataProfile,
-}
-
-impl<'a> DhaRouter<'a> {
-    /// Samples the profile once (clusteredness over the leaf codes) and
-    /// routes every subsequent query against it.
-    pub fn new(dha: &'a DynamicHaIndex, model: CostModel) -> Self {
-        let profile = DataProfile {
-            bits: dha.code_len(),
-            n: dha.len(),
-            clusteredness: estimate_clusteredness(dha.leaf_codes()),
-        };
-        DhaRouter { dha, model, profile }
+/// A `chunks`-table MIH bulk-loaded with `rows` `(code, id)` pairs.
+fn mih_over(
+    code_len: usize,
+    chunks: usize,
+    rows: usize,
+    items: impl Iterator<Item = (BinaryCode, TupleId)>,
+) -> MihIndex {
+    let mut mih = MihIndex::new(code_len, chunks);
+    mih.expect_rows(rows);
+    for (code, id) in items {
+        mih.insert(code, id);
     }
-
-    /// The backend queries at threshold `h` are routed to.
-    pub fn backend_for(&self, h: u32) -> Backend {
-        const BOTH: [Backend; 2] = [Backend::HaFlat, Backend::ArenaBfs];
-        let avail = if self.dha.flat_is_current() { &BOTH[..] } else { &BOTH[1..] };
-        let aos = self.dha.flat().map_or(0.0, crate::FlatHaIndex::aos_fraction);
-        choose_with_aos(&self.model, &self.profile, h, avail, aos)
-    }
-
-    /// Routed select, ids ascending.
-    pub fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
-        let mut hits = match (self.backend_for(h), self.dha.flat()) {
-            (Backend::HaFlat, Some(f)) => f.search(query, h),
-            _ => self.dha.search_arena(query, h),
-        };
-        hits.sort_unstable();
-        hits
-    }
-
-    /// Routed code-level select (Option B of the MapReduce join), sorted
-    /// by `(code, distance)`.
-    pub fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
-        let mut hits = match (self.backend_for(h), self.dha.flat()) {
-            (Backend::HaFlat, Some(f)) => f.search_codes(query, h),
-            _ => self.dha.search_codes_arena(query, h),
-        };
-        hits.sort_unstable_by(|a, b| a.cmp(b));
-        hits
-    }
+    mih
 }
 
 #[cfg(test)]
@@ -730,33 +730,65 @@ mod tests {
     }
 
     #[test]
-    fn dha_router_equals_underlying_index() {
-        let data = clustered_dataset(200, 64, 3, 2, 91);
-        let mut dha = crate::DynamicHaIndex::build(data.clone());
-        dha.freeze();
-        let router = DhaRouter::new(&dha, CostModel::default());
+    fn adopted_index_answers_as_built_on_every_backend() {
+        use crate::testkit::{oracle_select, random_at_distance, random_outside};
+        // Every fifth code again under a fresh id: leaf id lists carry
+        // several ids.
+        let mut data = clustered_dataset(300, 32, 4, 3, 91);
+        let dups: Vec<_> = data.iter().step_by(5).map(|(c, id)| (c.clone(), id + 10_000)).collect();
+        data.extend(dups);
+        let built = PlannedIndex::build(32, data.clone());
+        let blob = crate::DynamicHaIndex::build(data.clone()).to_bytes();
+        let shipped = crate::DynamicHaIndex::from_bytes(&blob, DhaConfig::default())
+            .unwrap_or_else(|e| panic!("decode: {e:?}"));
+        let mut adopted = PlannedIndex::from_dha(shipped, CostModel::default());
+        assert!(!adopted.available().contains(&Backend::HaFlat), "from_dha compiles nothing");
+        assert_eq!(adopted.len(), data.len());
+        assert_eq!(adopted.profile(), built.profile());
         let mut rng = StdRng::seed_from_u64(14);
-        for _ in 0..3 {
-            let q = BinaryCode::random(64, &mut rng);
-            for h in [0u32, 3, 7] {
-                assert_matches_oracle(router.search(&q, h), &data, &q, h, "router select");
-                let mut via_codes: Vec<u32> =
-                    router.search_codes(&q, h).iter().map(|&(_, d)| d).collect();
-                via_codes.sort_unstable();
-                let mut direct: Vec<u32> = dha
-                    .search_codes(&q, h)
-                    .iter()
-                    .map(|&(_, d)| d)
-                    .collect();
-                direct.sort_unstable();
-                assert_eq!(via_codes, direct, "router codes ≡ index codes");
+        for round in 0..2 {
+            for (code, _) in data.iter().step_by(23) {
+                for h in [0u32, 2, 3, 6] {
+                    let mut queries = vec![random_at_distance(code, h, &mut rng)];
+                    queries.push(random_outside(code, h, &mut rng));
+                    queries.push(random_at_distance(code, h + 1, &mut rng));
+                    for q in &queries {
+                        let want = oracle_select(&data, q, h);
+                        assert_eq!(adopted.search(q, h), want, "round={round} h={h}");
+                        assert_eq!(built.search(q, h), want, "built h={h}");
+                        for b in Backend::ALL {
+                            if let Some(forced) = adopted.search_with_backend(b, q, h) {
+                                assert_eq!(forced, want, "round={round} h={h} backend={b}");
+                            }
+                        }
+                    }
+                }
             }
+            // Second round: every backend, the flat one included.
+            adopted.freeze();
+            assert_eq!(adopted.available().len(), Backend::ALL.len());
         }
-        // Thawed index: only the arena is available, answers unchanged.
-        dha.thaw();
-        let router = DhaRouter::new(&dha, CostModel::default());
-        assert_eq!(router.backend_for(3), Backend::ArenaBfs);
-        let q = data[0].0.clone();
-        assert_matches_oracle(router.search(&q, 2), &data, &q, 2, "thawed router");
+    }
+
+    #[test]
+    fn flat_can_win_only_where_the_model_allows_it() {
+        let model = CostModel::default();
+        // Clustered narrow codes at a wide radius: flat's best case wins.
+        let dense = PlannedIndex::from_dha(
+            crate::DynamicHaIndex::build(clustered_dataset(3000, 64, 3, 2, 5)),
+            model.clone(),
+        );
+        // Sparse wide codes at a small radius: MIH wins outright.
+        let sparse = PlannedIndex::from_dha(
+            crate::DynamicHaIndex::build(random_dataset(3000, 256, 6)),
+            model,
+        );
+        assert!(dense.flat_can_win(12));
+        assert!(!sparse.flat_can_win(2));
+        assert_eq!(sparse.backend_for(2), Backend::Mih);
+        // A current snapshot is always eligible.
+        let mut frozen = sparse;
+        frozen.freeze();
+        assert!(frozen.flat_can_win(2));
     }
 }

@@ -79,9 +79,9 @@ pub fn try_build_global_index(
     } else {
         DynamicHaIndex::merge_all(locals)
     };
-    // The merged index is read-only from here on; freeze it so every
-    // downstream H-Search runs off the flat CSR/SoA snapshot.
-    index.freeze();
+    // The merged index is read-only from here on. No snapshot is
+    // compiled: each consumer freezes (or not) for the probes it runs.
+    index.flush();
     Ok(GlobalIndexBuild { index, metrics })
 }
 

@@ -4,20 +4,23 @@
 //! cache; a MapReduce job hashes and partitions S and probes the index.
 //!
 //! * **Option A** (R small): the broadcast index carries its leaf id
-//!   lists, so reducers emit result pairs directly.
+//!   lists, so reducers emit result pairs directly. Each worker adopts
+//!   the HA-Index it received as a [`PlannedIndex`] (`probe_side`): the
+//!   MIH is derived from the index's own items, the flat snapshot is
+//!   compiled only if it can win at the join's `h`, and every probe is
+//!   routed by the fitted cost model across flat / arena / MIH / linear.
+//!   Answers are ids ascending on every route, so the route never shows
+//!   in the pairs, and the derived MIH is never shipped: the broadcast
+//!   volume is the HA-Index's wire length alone (Figure 7's counts).
 //! * **Option B** (R large): the index is broadcast **leafless** — the
 //!   storage of leaf nodes would dominate — so H-Search returns the
-//!   qualifying R *codes*, and a follow-up MapReduce hash-join (the
-//!   paper's reference \[23\]) resolves codes back to R tuple ids.
-//!
-//! Either way the shipped copy is frozen before broadcast and every
-//! reducer probe routes through the adaptive query planner
-//! ([`DhaRouter`]), which picks the flat snapshot or the arena BFS per
-//! `(n, h, clusteredness)` from the fitted cost model.
+//!   qualifying R *codes* off the frozen snapshot, and a follow-up
+//!   MapReduce hash-join (the paper's reference \[23\]) resolves codes
+//!   back to R tuple ids.
 
 use ha_bitcode::BinaryCode;
 use ha_core::dynamic::DynamicHaIndex;
-use ha_core::planner::DhaRouter;
+use ha_core::planner::{Backend, PlannedIndex};
 use ha_core::{CostModel, TupleId};
 use ha_mapreduce::{
     run_job_with_faults, DistributedCache, FaultInjector, JobError, JobMetrics, ShuffleBytes,
@@ -58,6 +61,25 @@ pub fn index_broadcast_bytes(index: &DynamicHaIndex, with_leaves: bool) -> usize
     }
 }
 
+/// Option A's probe side: adopts the received HA-Index (which must keep
+/// its leaf ids) as a [`PlannedIndex`] and compiles the flat snapshot
+/// only when [`PlannedIndex::flat_can_win`] at `h`.
+pub(crate) fn probe_side(index: DynamicHaIndex, h: u32) -> PlannedIndex {
+    let mut probe = PlannedIndex::from_dha(index, CostModel::default());
+    if probe.flat_can_win(h) {
+        probe.freeze();
+    }
+    probe
+}
+
+/// The `distributed.join.route.<backend>` counter of each backend.
+const ROUTES: [(Backend, &str); 4] = [
+    (Backend::HaFlat, "distributed.join.route.ha-flat"),
+    (Backend::ArenaBfs, "distributed.join.route.arena-bfs"),
+    (Backend::Mih, "distributed.join.route.mih"),
+    (Backend::Linear, "distributed.join.route.linear"),
+];
+
 /// Runs Option A, panicking on job failure (wrapper over
 /// [`try_join_option_a`]).
 pub fn join_option_a(
@@ -73,7 +95,7 @@ pub fn join_option_a(
 }
 
 /// Runs Option A under a fault injector: probe the leafy index, emit
-/// pairs.
+/// pairs. The caller's index is untouched; the shipped copy is a clone.
 pub fn try_join_option_a(
     index: &DynamicHaIndex,
     s: Vec<VecTuple>,
@@ -83,23 +105,33 @@ pub fn try_join_option_a(
     partitions: usize,
     faults: &FaultInjector,
 ) -> Result<JoinPhase, JobError> {
-    // Freeze the shipped copy before broadcast (the clone is what
-    // travels; the caller's index is untouched): workers then hold both
-    // the flat snapshot and the arena, and the query planner routes each
-    // probe to whichever the fitted cost model says is cheaper here.
-    let mut shipped = index.clone();
-    shipped.freeze();
-    let cache = DistributedCache::broadcast_sized(
-        shipped,
-        partitions,
-        index_broadcast_bytes(index, true),
-    );
+    let probe = {
+        let _span = ha_obs::span("distributed.join.probe_setup");
+        probe_side(index.clone(), h)
+    };
+    let index_bytes = index_broadcast_bytes(index, true);
+    probe_option_a(probe, index_bytes, s, pre, h, workers, partitions, faults)
+}
+
+/// Option A's probe job over an adopted probe side; `index_bytes` is the
+/// shipped HA-Index's wire length, charged once per partition.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn probe_option_a(
+    probe: PlannedIndex,
+    index_bytes: usize,
+    s: Vec<VecTuple>,
+    pre: &Preprocessed,
+    h: u32,
+    workers: usize,
+    partitions: usize,
+    faults: &FaultInjector,
+) -> Result<JoinPhase, JobError> {
+    let cache = DistributedCache::broadcast_sized(probe, partitions, index_bytes);
     let hasher = pre.hasher.clone();
     let partitioner = &pre.partitioner;
     let config = crate::job_config("mrha-join-A", workers, partitions);
 
-    let shared = cache.get();
-    let router = DhaRouter::new(shared.as_ref(), CostModel::default());
+    let probe = cache.get();
     let result = run_job_with_faults(
         &config,
         s,
@@ -110,10 +142,22 @@ pub fn try_join_option_a(
         },
         |&part, n| (part as usize).min(n - 1),
         |_part, tuples: Vec<(BinaryCode, TupleId)>, out: &mut Vec<(TupleId, TupleId)>| {
+            let mut routed = [0u64; ROUTES.len()];
             for (code, sid) in tuples {
-                for rid in router.search(&code, h) {
-                    out.push((rid, sid));
+                let (backend, rids) = probe.search_routed(&code, h);
+                for (slot, &(b, _)) in routed.iter_mut().zip(&ROUTES) {
+                    *slot += u64::from(b == backend);
                 }
+                out.extend(rids.into_iter().map(|rid| (rid, sid)));
+            }
+            if ha_obs::is_enabled() {
+                let deltas: Vec<(&str, u64)> = ROUTES
+                    .iter()
+                    .zip(routed)
+                    .filter(|&(_, n)| n > 0)
+                    .map(|(&(_, name), n)| (name, n))
+                    .collect();
+                ha_obs::add_many(&deltas);
             }
         },
         faults,
@@ -156,8 +200,8 @@ pub fn try_join_option_b(
     partitions: usize,
     faults: &FaultInjector,
 ) -> Result<JoinPhase, JobError> {
-    // As in Option A: ship a frozen clone so reducers can route probes
-    // between the flat snapshot and the arena BFS.
+    // Ship a frozen clone (the caller's index is untouched): reducers
+    // probe its flat snapshot for codes.
     let mut shipped = index.clone();
     shipped.freeze();
     let cache = DistributedCache::broadcast_sized(
@@ -171,7 +215,6 @@ pub fn try_join_option_b(
 
     // Job 1: probe — emits (qualifying R code, s id).
     let shared = cache.get();
-    let router = DhaRouter::new(shared.as_ref(), CostModel::default());
     let probe = run_job_with_faults(
         &config,
         s,
@@ -183,7 +226,9 @@ pub fn try_join_option_b(
         |&part, n| (part as usize).min(n - 1),
         |_part, tuples: Vec<(BinaryCode, TupleId)>, out: &mut Vec<(BinaryCode, TupleId)>| {
             for (code, sid) in tuples {
-                for (r_code, _dist) in router.search_codes(&code, h) {
+                let mut hits = shared.search_codes(&code, h);
+                hits.sort_unstable();
+                for (r_code, _dist) in hits {
                     out.push((r_code, sid));
                 }
             }
@@ -296,7 +341,14 @@ mod tests {
         let want = oracle(&r, &s, &pre, 3);
         assert!(want.len() >= 150, "workload too sparse ({})", want.len());
         assert_eq!(phase.pairs, want);
-        assert!(phase.metrics.broadcast_bytes > 0);
+        // The broadcast is the HA-Index's wire length per partition plus
+        // the hasher and pivots per worker: the MIH each worker derives
+        // is never shipped, so it is never counted.
+        let side_data = (pre.hasher.approx_bytes() + pre.partitioner.shuffle_bytes()) * 4;
+        assert_eq!(
+            phase.metrics.broadcast_bytes,
+            built.index.to_bytes().len() * 4 + side_data
+        );
         for (rid, sid) in &phase.pairs {
             assert!(*rid < 10_000 && *sid >= 10_000, "orientation ({rid},{sid})");
         }
@@ -320,19 +372,57 @@ mod tests {
 
     #[test]
     fn options_agree_with_each_other() {
-        let r = dataset(100, 45, 0);
-        let s = dataset(120, 45, 5_000);
-        let pre = preprocess(&r, &s, 0.25, 32, 4, 7);
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let h = 3;
+        // Duplicate codes: every tenth R vector again under a fresh id,
+        // so leaf id lists carry several ids.
+        let mut r = dataset(100, 45, 0);
+        let dups: Vec<VecTuple> =
+            r.iter().step_by(10).map(|(v, id)| (v.clone(), id + 1_000)).collect();
+        r.extend(dups);
+        // S candidates: R vectors under noise of several scales.
+        let mut rng = StdRng::seed_from_u64(45);
+        let pool: Vec<VecTuple> = (0..1_200u64)
+            .map(|i| {
+                let (v, _) = &r[i as usize % r.len()];
+                let scale = [0.05, 0.1, 0.2, 0.3][i as usize % 4];
+                let v = v.iter().map(|x| x + rng.gen_range(-scale..scale)).collect();
+                (v, 5_000 + i)
+            })
+            .collect();
+        let pre = preprocess(&r, &pool, 0.25, 32, 4, 7);
+        // Keep the S vectors whose code sits at exactly h or h + 1 from
+        // the nearest R code: every probe straddles the threshold.
+        let rc: Vec<BinaryCode> = r.iter().map(|(v, _)| pre.hasher.hash(v)).collect();
+        let nearest = |v: &[f64]| {
+            let c = pre.hasher.hash(v);
+            rc.iter().map(|x| x.hamming(&c)).min().unwrap_or(u32::MAX)
+        };
+        let s: Vec<VecTuple> = pool
+            .into_iter()
+            .filter(|(v, _)| (h..=h + 1).contains(&nearest(v)))
+            .collect();
+        let at = |d: u32| s.iter().filter(|(v, _)| nearest(v) == d).count();
+        let (at_h, past_h) = (at(h), at(h + 1));
+        assert!(at_h >= 10 && past_h >= 10, "boundary S too thin: {at_h} / {past_h}");
+
         let leafy = build_global_index(r.clone(), &pre, &DhaConfig::default(), 4, 4);
         let leafless_cfg = DhaConfig {
             keep_leaf_ids: false,
             ..DhaConfig::default()
         };
         let leafless = build_global_index(r.clone(), &pre, &leafless_cfg, 4, 4);
-        let a = join_option_a(&leafy.index, s.clone(), &pre, 4, 4, 4);
-        let b = join_option_b(&leafless.index, &r, s, &pre, 4, 4, 4);
-        assert!(!a.pairs.is_empty(), "workload must produce pairs");
-        assert_eq!(a.pairs, b.pairs);
+        let a = join_option_a(&leafy.index, s.clone(), &pre, h, 4, 4);
+        let b = join_option_b(&leafless.index, &r, s.clone(), &pre, h, 4, 4);
+        let want = oracle(&r, &s, &pre, h);
+        assert!(!want.is_empty(), "workload must produce pairs");
+        assert!(
+            want.iter().any(|&(rid, _)| rid >= 1_000),
+            "some pair must come from a duplicated code"
+        );
+        assert_eq!(a.pairs, want);
+        assert_eq!(b.pairs, want);
     }
 
     #[test]

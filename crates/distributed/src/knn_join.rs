@@ -92,8 +92,10 @@ pub fn try_mrha_knn_join(
 
     // Phase 3: probe with R.
     let t = std::time::Instant::now();
+    let mut index = built.index;
+    index.freeze();
     let cache = DistributedCache::broadcast_sized(
-        built.index,
+        index,
         cfg.partitions,
         0, // sized below, after the move
     );

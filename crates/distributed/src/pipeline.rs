@@ -9,7 +9,7 @@ use ha_core::TupleId;
 use ha_mapreduce::{DfsError, FaultInjector, JobError, JobMetrics};
 
 use crate::global_index::try_build_global_index;
-use crate::join::{try_join_option_a, try_join_option_b, JoinOption};
+use crate::join::{probe_option_a, probe_side, try_join_option_a, try_join_option_b, JoinOption};
 use crate::preprocess::preprocess;
 use crate::VecTuple;
 
@@ -212,6 +212,10 @@ pub fn mrha_hamming_join_on_dfs(
 /// re-read from) the DFS between Phases 2 and 3 — exercising the real
 /// wire format — and the result pairs land in `out_path`.
 ///
+/// This path always runs Option A (`option_used` says so), so the index
+/// is built with its leaf ids whatever `cfg.dha.keep_leaf_ids` says — a
+/// leafless index would leave Option A's reducers no ids to emit.
+///
 /// Every DFS hop goes through the typed `try_*` read path: replica loss
 /// and corruption the store can mask are invisible here, and
 /// unrecoverable loss (or a global-index blob whose checksum footer fails
@@ -250,17 +254,19 @@ pub fn try_mrha_hamming_join_on_dfs(
     };
 
     // Phase 2, then persist the global index blob (Figure 5's DFS hop).
+    let dha = DhaConfig {
+        keep_leaf_ids: true,
+        ..cfg.dha.clone()
+    };
     let t = Instant::now();
     let index_path = format!("{out_path}.ha-index");
-    let built = {
+    let mut metrics = {
         let _span = ha_obs::span("pipeline.index_build");
-        let built = try_build_global_index(r, &pre, &cfg.dha, cfg.workers, cfg.partitions, faults)?;
-        let blob = built.index.to_bytes();
-        dfs.try_put_with_blocks(&index_path, vec![blob], 1, 1)?;
-        built
+        let built = try_build_global_index(r, &pre, &dha, cfg.workers, cfg.partitions, faults)?;
+        dfs.try_put_with_blocks(&index_path, vec![built.index.to_bytes()], 1, 1)?;
+        built.metrics
     };
     times.index_build = t.elapsed();
-    let mut metrics = built.metrics;
 
     // Phase 3 reads the blob back — the join runs on the *decoded* index,
     // so any serializer defect breaks the join, not just a unit test.
@@ -273,19 +279,22 @@ pub fn try_mrha_hamming_join_on_dfs(
             .ok_or(DfsError::FileNotFound {
                 path: index_path.clone(),
             })?;
-        // A decode failure here means the blob rotted *between* the block
-        // checksum verifying and H-Search consuming it — the wire format's
-        // own footer is the last line of defense.
-        let mut index = DynamicHaIndex::from_bytes(&blob, cfg.dha.clone()).map_err(|_| {
-            JobError::StorageFailed(DfsError::ChecksumMismatch {
-                path: index_path.clone(),
-                block: 0,
-            })
-        })?;
-        // The decoded index only serves probes from here; freeze once so the
-        // join's H-Search fan-out hits the flat CSR/SoA snapshot.
-        index.freeze();
-        try_join_option_a(&index, s, &pre, cfg.h, cfg.workers, cfg.partitions, faults)?
+        let probe = {
+            let _span = ha_obs::span("distributed.join.probe_setup");
+            // A decode failure here means the blob rotted *between* the
+            // block checksum verifying and H-Search consuming it — the
+            // wire format's own footer is the last line of defense.
+            let index = DynamicHaIndex::from_bytes(&blob, dha).map_err(|_| {
+                JobError::StorageFailed(DfsError::ChecksumMismatch {
+                    path: index_path.clone(),
+                    block: 0,
+                })
+            })?;
+            probe_side(index, cfg.h)
+        };
+        // The blob *is* the shipped HA-Index: its length is the
+        // `to_bytes()` length the in-memory path charges.
+        probe_option_a(probe, blob.len(), s, &pre, cfg.h, cfg.workers, cfg.partitions, faults)?
     };
     times.join = t.elapsed();
     metrics.absorb(&phase.metrics);
@@ -399,25 +408,38 @@ mod tests {
     #[test]
     fn dfs_pipeline_matches_in_memory_pipeline() {
         use ha_mapreduce::InMemoryDfs;
+        // Same generator seed ⇒ overlapping distributions ⇒ non-empty join.
         let r = dataset(100, 58, 0);
-        let s = dataset(120, 59, 10_000);
-        let cfg = MrHaConfig {
-            option: JoinOption::A,
-            ..small_cfg()
-        };
-        let dfs = InMemoryDfs::new();
-        dfs.put("in/r", r.clone());
-        dfs.put("in/s", s.clone());
-        let via_dfs = mrha_hamming_join_on_dfs(&dfs, "in/r", "in/s", "out/pairs", &cfg);
-        let in_memory = mrha_hamming_join(&r, &s, &cfg);
-        assert_eq!(via_dfs.pairs, in_memory.pairs);
-        // Artifacts landed in the DFS: the serialized index + the output.
-        assert!(dfs.exists("out/pairs.ha-index"));
-        assert_eq!(
-            dfs.record_count("out/pairs"),
-            via_dfs.pairs.len(),
-            "pairs persisted"
-        );
+        let s = dataset(120, 58, 10_000);
+        // A leafless `cfg.dha` must not empty the DFS join: that path is
+        // Option A and keeps leaf ids whatever the config says.
+        for keep_leaf_ids in [true, false] {
+            let cfg = MrHaConfig {
+                option: JoinOption::A,
+                dha: DhaConfig {
+                    keep_leaf_ids,
+                    ..DhaConfig::default()
+                },
+                ..small_cfg()
+            };
+            let dfs = InMemoryDfs::new();
+            dfs.put("in/r", r.clone());
+            dfs.put("in/s", s.clone());
+            let via_dfs = mrha_hamming_join_on_dfs(&dfs, "in/r", "in/s", "out/pairs", &cfg);
+            let in_memory = mrha_hamming_join(&r, &s, &cfg);
+            assert!(!in_memory.pairs.is_empty(), "workload must produce pairs");
+            assert_eq!(via_dfs.pairs, in_memory.pairs, "keep_leaf_ids={keep_leaf_ids}");
+            // The blob's length is the in-memory path's `to_bytes()` term.
+            assert_eq!(via_dfs.metrics.broadcast_bytes, in_memory.metrics.broadcast_bytes);
+            assert_eq!(via_dfs.metrics.shuffle_bytes, in_memory.metrics.shuffle_bytes);
+            // Artifacts landed in the DFS: the serialized index + the output.
+            assert!(dfs.exists("out/pairs.ha-index"));
+            assert_eq!(
+                dfs.record_count("out/pairs"),
+                via_dfs.pairs.len(),
+                "pairs persisted"
+            );
+        }
     }
 
     #[test]

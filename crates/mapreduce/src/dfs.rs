@@ -34,7 +34,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::checksum::{block_checksum, fnv64, Checksum};
+use ha_bitcode::fnv::fnv64;
+
+use crate::checksum::{block_checksum, Checksum};
 use crate::metrics::DfsMetrics;
 use crate::storage_fault::{StorageFault, StorageFaultEvent, StorageFaultPlan};
 

@@ -78,7 +78,7 @@ pub mod storage_fault;
 pub mod wal;
 
 pub use cache::DistributedCache;
-pub use checksum::{Checksum, Fnv64};
+pub use checksum::{BlockHasher, Checksum};
 pub use dfs::{DfsConfig, DfsError, InMemoryDfs};
 pub use fault::{Fault, FaultInjector, FaultPlan, Phase, TaskId};
 pub use job::{

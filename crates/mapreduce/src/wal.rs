@@ -26,7 +26,8 @@
 
 use std::sync::Arc;
 
-use crate::checksum::fnv64;
+use ha_bitcode::fnv::fnv64;
+
 use crate::dfs::{DfsError, InMemoryDfs};
 
 /// Framing overhead per segment: 8-byte seq + 4-byte len + 8-byte footer.

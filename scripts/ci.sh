@@ -5,8 +5,8 @@
 # panic-audit suites under tests/ are all part of it), every first-party
 # crate's own unit tests and doctests — including the fenced examples in
 # README.md and docs/, compiled via `include_str!` doctest shims in
-# src/lib.rs, so the prose cannot drift from the API — and warning-free
-# rustdoc.
+# src/lib.rs, so the prose cannot drift from the API — HAB's own tests,
+# and warning-free rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +29,10 @@ run cargo test -q
 # Crate-level unit tests and doctests: the plain `cargo test` above only
 # covers the root package.
 run cargo test -q "${CRATES[@]}"
+# HAB (benchmark/) is a package of its own, outside the workspace: its
+# tests (including a smoke run of all five workloads) are the only gate
+# on the calls it makes into the program before the benchmark runs.
+run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Compile-only smoke over the criterion benches: keeps the bench
 # harnesses (including flat_search, mih_search, kernel_sweep and

@@ -18,6 +18,8 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hamming_suite::bitcode::BinaryCode;
+use hamming_suite::datagen::{generate, DatasetProfile};
+use hamming_suite::distributed::pipeline::{mrha_hamming_join_on_dfs, MrHaConfig};
 use hamming_suite::index::testkit::random_dataset;
 use hamming_suite::index::{HammingIndex, MihIndex};
 use hamming_suite::mapreduce::{
@@ -336,6 +338,43 @@ fn mih_counters_report_the_probe_funnel() {
     // A stored code sits in its own bucket of every probed table.
     assert!(dedup >= (mih.chunks() as u64 - 1) * queries.len() as u64);
     assert!(verified >= answers as u64);
+}
+
+/// The join's probe route is visible from the running system: every S
+/// probe of the DFS pipeline's Option A is tallied under exactly one
+/// `distributed.join.route.<backend>` counter, and the probe side's
+/// set-up (decode + MIH derive + freeze-if-needed) is one span inside
+/// the join phase.
+#[test]
+fn join_route_counters_account_for_every_probe() {
+    let _guard = obs_lock();
+    let tuples = |seed: u64, base: u64| -> Vec<(Vec<f64>, u64)> {
+        generate(&DatasetProfile::tiny(10, 3), 150, seed)
+            .into_iter()
+            .zip(base..)
+            .collect()
+    };
+    let (r, s) = (tuples(61, 0), tuples(61, 10_000));
+    let dfs = InMemoryDfs::new();
+    dfs.put("in/r", r);
+    dfs.put("in/s", s.clone());
+    let cfg = MrHaConfig { partitions: 3, workers: 2, ..MrHaConfig::default() };
+
+    obs::reset();
+    let outcome = mrha_hamming_join_on_dfs(&dfs, "in/r", "in/s", "out/pairs", &cfg);
+    let trace = obs::take_trace();
+    obs::disable();
+
+    assert!(!outcome.pairs.is_empty());
+    let routed: u64 = ["ha-flat", "arena-bfs", "mih", "linear"]
+        .iter()
+        .map(|b| trace.counter(&format!("distributed.join.route.{b}")))
+        .sum();
+    assert_eq!(routed, s.len() as u64, "one route per S probe");
+    assert_eq!(trace.count_named("distributed.join.probe_setup"), 1);
+    let setup = trace.last_named("distributed.join.probe_setup").expect("probe set-up span");
+    let join = trace.last_named("pipeline.join").expect("join phase span");
+    assert_eq!(setup.parent, Some(join.id));
 }
 
 // Cheap sanity for the equivalence tests above: a job run with tracing
