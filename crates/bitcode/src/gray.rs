@@ -15,6 +15,7 @@
 //! Both are implemented word-wise so 512-bit codes decode in a handful of
 //! operations.
 
+use crate::words::tail_mask;
 use crate::BinaryCode;
 
 /// Gray-encodes `rank`: returns the code at position `rank` of the
@@ -42,32 +43,57 @@ pub fn gray_encode(rank: &BinaryCode) -> BinaryCode {
     BinaryCode::from_words(&out, len)
 }
 
+/// Prefix-XOR within one word, MSB-first: bit `p` of the result is the
+/// XOR of bit `p` and every more significant bit of `w`.
+fn prefix_xor(mut w: u64) -> u64 {
+    w ^= w >> 1;
+    w ^= w >> 2;
+    w ^= w >> 4;
+    w ^= w >> 8;
+    w ^= w >> 16;
+    w ^ (w >> 32)
+}
+
 /// Gray-decodes `code`: returns its **Gray rank**, the position of `code`
 /// in the reflected Gray sequence. Sorting codes by
 /// `gray_rank(c)` (plain lexicographic order on the result) is exactly the
-/// Gray ordering the paper's H-Build relies on.
+/// Gray ordering the paper's H-Build relies on. The rank is decoded in
+/// place in a copy of `code`, so a code of at most
+/// [`INLINE_BITS`](crate::INLINE_BITS) bits never touches the heap.
 pub fn gray_rank(code: &BinaryCode) -> BinaryCode {
     let len = code.len();
-    let words = code.words();
-    let mut out = Vec::with_capacity(words.len());
-    let mut carry_parity = 0u64; // parity of all bits in more significant words
-    for &w in words {
-        let mut b = w;
-        // Prefix-XOR within the word, MSB-first: after this, bit p of `b`
-        // equals the XOR of bits p..=63 positions above it in the word.
-        b ^= b >> 1;
-        b ^= b >> 2;
-        b ^= b >> 4;
-        b ^= b >> 8;
-        b ^= b >> 16;
-        b ^= b >> 32;
-        // Odd parity above this word flips every prefix sum in it.
-        let decoded = if carry_parity == 1 { !b } else { b };
-        out.push(decoded);
-        carry_parity ^= w.count_ones() as u64 & 1;
+    let mut rank = code.clone();
+    let words = rank.words_mut();
+    // All ones while the bits above the current word have odd parity,
+    // which flips every prefix sum inside it.
+    let mut above = 0u64;
+    for w in words.iter_mut() {
+        *w = prefix_xor(*w) ^ above;
+        // The lowest decoded bit is the parity of everything so far.
+        above = 0u64.wrapping_sub(*w & 1);
     }
-    // from_words masks off decoded garbage beyond `len`.
-    BinaryCode::from_words(&out, len)
+    // Decoding smears set bits into the unused tail of the last word.
+    if let Some(last) = words.last_mut() {
+        *last &= tail_mask(len);
+    }
+    rank
+}
+
+/// [`gray_rank`] of a code of at most 64 bits as the `u64` it fits in:
+/// equal to `gray_rank(code).words()[0]`, so `u64` order is Gray order
+/// ([`gray_cmp`]) — the sort key of H-Build for such codes.
+///
+/// ```
+/// use ha_bitcode::{gray, BinaryCode};
+/// let c: BinaryCode = "110".parse().unwrap();
+/// assert_eq!(gray::gray_rank_u64(&c), gray::gray_rank(&c).words()[0]);
+/// ```
+///
+/// # Panics
+/// If `code` is longer than 64 bits.
+pub fn gray_rank_u64(code: &BinaryCode) -> u64 {
+    assert!(code.len() <= 64, "gray_rank_u64 takes codes of at most 64 bits");
+    prefix_xor(code.words()[0]) & tail_mask(code.len())
 }
 
 /// Compares two codes by their Gray rank. Equivalent to
@@ -75,12 +101,6 @@ pub fn gray_rank(code: &BinaryCode) -> BinaryCode {
 /// call-sites read as what they are.
 pub fn gray_cmp(a: &BinaryCode, b: &BinaryCode) -> std::cmp::Ordering {
     gray_rank(a).cmp(&gray_rank(b))
-}
-
-/// Sorts codes (with attached payloads) into Gray order, the first step of
-/// H-Build. Uses a cached-key sort: ranks are computed once per element.
-pub fn sort_by_gray_order<T>(items: &mut [(BinaryCode, T)]) {
-    items.sort_by_cached_key(|(c, _)| gray_rank(c));
 }
 
 #[cfg(test)]
@@ -145,7 +165,7 @@ mod tests {
             .iter()
             .map(|(name, s)| (s.parse().unwrap(), *name))
             .collect();
-        sort_by_gray_order(&mut items);
+        items.sort_by_cached_key(|(c, _)| gray_rank(c));
         let order: Vec<&str> = items.iter().map(|(_, n)| *n).collect();
         let pos = |n: &str| order.iter().position(|x| *x == n).unwrap();
         // The paper's own listings disagree with each other on the exact
@@ -157,6 +177,25 @@ mod tests {
         assert_eq!(pos("t0").abs_diff(pos("t1")), 1, "t0,t1 adjacent: {order:?}");
     }
 
+    #[test]
+    fn gray_rank_u64_is_the_one_word_rank_exhaustively() {
+        // Every code of widths 1..=12: the u64 is the rank's only word,
+        // and sorting by `gray_cmp` leaves the u64s strictly rising, so
+        // the two orders are one total order.
+        for len in 1..=12usize {
+            let mut codes: Vec<BinaryCode> =
+                (0u64..1 << len).map(|v| BinaryCode::from_u64(v, len)).collect();
+            for c in &codes {
+                assert_eq!(gray_rank_u64(c), gray_rank(c).words()[0], "len={len} c={c}");
+            }
+            codes.sort_by(gray_cmp);
+            assert!(
+                codes.windows(2).all(|w| gray_rank_u64(&w[0]) < gray_rank_u64(&w[1])),
+                "len={len}"
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_roundtrip_any_width(seed in any::<u64>(), len in 1usize..520) {
@@ -164,6 +203,21 @@ mod tests {
             let c = BinaryCode::random(len, &mut rng);
             prop_assert_eq!(gray_encode(&gray_rank(&c)), c.clone());
             prop_assert_eq!(gray_rank(&gray_encode(&c)), c);
+        }
+
+        #[test]
+        fn prop_gray_rank_u64_orders_like_gray_cmp(seed in any::<u64>(), len in 13usize..=64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = BinaryCode::random(len, &mut rng);
+            // A random partner, and a one-bit neighbour whose rank shares
+            // a long prefix with `a`'s.
+            let mut near = a.clone();
+            near.flip(rng.gen_range(0..len));
+            prop_assert_eq!(gray_rank_u64(&a), gray_rank(&a).words()[0]);
+            for b in [BinaryCode::random(len, &mut rng), near] {
+                prop_assert_eq!(gray_rank_u64(&b), gray_rank(&b).words()[0]);
+                prop_assert_eq!(gray_rank_u64(&a).cmp(&gray_rank_u64(&b)), gray_cmp(&a, &b));
+            }
         }
 
         #[test]
@@ -187,7 +241,7 @@ mod tests {
             let n = 50;
             let mut items: Vec<(BinaryCode, usize)> =
                 (0..n).map(|i| (BinaryCode::random(40, &mut rng), i)).collect();
-            sort_by_gray_order(&mut items);
+            items.sort_by_cached_key(|(c, _)| gray_rank(c));
             for w in items.windows(2) {
                 prop_assert_ne!(
                     gray_cmp(&w[0].0, &w[1].0),

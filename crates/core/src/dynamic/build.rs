@@ -14,87 +14,158 @@
 
 use std::collections::HashMap;
 
-use ha_bitcode::gray::gray_rank;
+use ha_bitcode::gray::{gray_rank, gray_rank_u64};
 use ha_bitcode::{BinaryCode, MaskedCode};
 
 use super::{DhaConfig, DynamicHaIndex, Node, NodeId};
 use crate::memory::seed_bulk;
 use crate::TupleId;
 
-/// Groups tuples by distinct code and sorts the codes in Gray order
-/// (Algorithm 1 line 1). Returns `(code_len, total, sorted distinct)`.
-fn gray_grouped(
-    items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
-) -> (usize, usize, Vec<(BinaryCode, Vec<TupleId>)>) {
-    let mut groups: HashMap<BinaryCode, Vec<TupleId>> = HashMap::new();
-    let mut total = 0usize;
-    let mut code_len = 0usize;
-    for (code, id) in items {
-        if code_len == 0 {
-            code_len = code.len();
-        } else {
-            assert_eq!(code.len(), code_len, "mixed code lengths");
-        }
-        groups.entry(code).or_default().push(id);
-        total += 1;
-    }
-    let mut distinct: Vec<(BinaryCode, Vec<TupleId>)> = groups.into_iter().collect();
-    distinct.sort_by_cached_key(|(c, _)| gray_rank(c));
-    (code_len, total, distinct)
-}
+/// Items per fork-join task — small enough that trailing tasks keep every
+/// worker busy, large enough that the per-task channel send is noise.
+const PAR_TASK: usize = 2048;
 
+/// H-Build on `workers` threads (`build` / `build_with` pass 1); the
+/// arena is **byte-identical for every worker count**.
+///
+/// Step 1 sorts instead of hashing: [`gray_sorted`] orders one
+/// `(key, input position)` pair per tuple, a run of equal keys is one
+/// distinct code, and [`append_leaves`] appends each run's leaf straight
+/// into the arena. The levels then run as the paper states them.
+///
+/// The algorithm's only order-sensitive effects are arena allocation and
+/// per-level parent consolidation — both cheap, and both done by the same
+/// sequential code for every worker count. What `workers` buys is the
+/// expensive work that is a pure function of data existing before the
+/// pass needs it: the Gray ranks and sort of codes wider than 64 bits, and
+/// each level's window analysis (per window; windows partition the level,
+/// and planning only reads patterns written by the *previous* level).
+///
+/// (The coarser split — chunk the sorted input, H-Build each chunk, fold
+/// with the §5.2 merge — was tried and rejected: the merge consolidates
+/// top-down by pattern equality, which preserves *answers* but not the
+/// arena layout, because sequential windows and consolidation cross chunk
+/// boundaries. Byte-identity is the property the freeze/serialize stack
+/// leans on, so it wins.)
 pub(super) fn h_build(
     items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
     config: DhaConfig,
+    workers: usize,
 ) -> DynamicHaIndex {
-    let (code_len, total, distinct) = gray_grouped(items);
+    let items: Vec<(BinaryCode, TupleId)> = items.into_iter().collect();
+    let code_len = items.first().map_or(0, |(c, _)| c.len());
     let mut idx = DynamicHaIndex::empty(code_len, config);
-    idx.len = total;
-    if total == 0 {
+    idx.len = items.len();
+    if items.is_empty() {
         return idx;
     }
-    build_sorted(&mut idx, distinct);
+    let workers = workers.max(1);
+    let sorted = {
+        let _span = ha_obs::span("core.hbuild.rank_sort");
+        gray_sorted(&items, code_len, workers)
+    };
+    let leaves = {
+        let _span = ha_obs::span("core.hbuild.leaves");
+        append_leaves(&mut idx, items, sorted)
+    };
+    // Extraction levels (lines 3–24): windows planned on the pool,
+    // applied in window order.
+    let _span = ha_obs::span("core.hbuild.levels");
+    extract_levels(&mut idx, leaves, |idx, current| {
+        let windows: Vec<&[NodeId]> = current.chunks(idx.config.window.max(2)).collect();
+        fork_join(&windows, PAR_TASK / 8, workers, |slice| {
+            slice.iter().map(|members| plan_window(&idx.nodes, members)).collect()
+        })
+    });
     idx
 }
 
-/// The extraction half of H-Build: runs the sliding-window levels over an
-/// already Gray-sorted distinct-code list, into a fresh empty index.
-fn build_sorted(idx: &mut DynamicHaIndex, distinct: Vec<(BinaryCode, Vec<TupleId>)>) {
-    // Leaf level.
-    let keep_ids = idx.config.keep_leaf_ids;
-    let mut current: Vec<NodeId> = Vec::with_capacity(distinct.len());
-    seed_bulk(&mut idx.nodes, distinct.len());
-    if keep_ids {
-        idx.leaves.reserve(distinct.len());
+/// Algorithm 1 line 1 as a sort: one `(key, input position)` pair per
+/// tuple, in order. Keys rise in Gray order and are equal exactly for
+/// equal codes (the rank is a bijection); positions rise within a key, so
+/// each code's ids keep their input order.
+///
+/// A code of at most 64 bits is keyed by its Gray rank as a `u64`: the
+/// pairs are distinct, so `sort_unstable` yields exactly the
+/// `(rank, position)` order. A wider rank is a [`BinaryCode`]; those are
+/// computed and sorted by `(rank, position)` on `workers` threads
+/// ([`sorted_indices`]), and the key is the ordinal of the rank's run.
+/// (An LSD radix sort of the `u64` pairs measured no faster than
+/// `sort_unstable`: 74–129 ms against 58–100 ms at 10⁶ pairs.)
+fn gray_sorted(items: &[(BinaryCode, TupleId)], code_len: usize, workers: usize) -> Vec<(u64, u32)> {
+    let check = |code: &BinaryCode| assert_eq!(code.len(), code_len, "mixed code lengths");
+    if code_len <= 64 {
+        let mut keyed: Vec<(u64, u32)> = items
+            .iter()
+            .zip(0u32..)
+            .map(|((code, _), i)| {
+                check(code);
+                (gray_rank_u64(code), i)
+            })
+            .collect();
+        keyed.sort_unstable();
+        return keyed;
     }
-    for (code, ids) in &distinct {
-        let nid = alloc(idx, leaf_node(keep_ids, code, ids));
-        if keep_ids {
-            idx.leaves.insert(code.clone(), nid);
-        }
-        current.push(nid);
-    }
-
-    // Extraction levels (lines 3–24), windows analysed in window order.
-    extract_levels(idx, current, |idx, current| {
-        let window = idx.config.window.max(2);
-        current
-            .chunks(window)
-            .map(|members| plan_window(&idx.nodes, members))
+    let ranks: Vec<BinaryCode> = fork_join(items, PAR_TASK, workers, |slice| {
+        slice
+            .iter()
+            .map(|(code, _)| {
+                check(code);
+                gray_rank(code)
+            })
             .collect()
     });
+    let order = sorted_indices(&ranks, workers);
+    let mut run = 0u64;
+    let mut prev = &ranks[order[0] as usize];
+    order
+        .into_iter()
+        .map(|i| {
+            let rank = &ranks[i as usize];
+            if rank != prev {
+                run += 1;
+                prev = rank;
+            }
+            (run, i)
+        })
+        .collect()
 }
 
-/// One leaf of the forest (Algorithm 1 line 2): full pattern, the code
-/// itself, and the tuple ids (kept only when the config says so).
-fn leaf_node(keep_ids: bool, code: &BinaryCode, ids: &[TupleId]) -> Node {
-    let stored_ids = if keep_ids { ids.to_vec() } else { Vec::new() };
-    Node::leaf(
-        MaskedCode::full(code.clone()),
-        code.clone(),
-        stored_ids,
-        ids.len() as u32,
-    )
+/// The leaf level (Algorithm 1 line 2), appended to the still-empty arena
+/// in Gray order: per run of equal keys in `sorted`, one leaf holding the
+/// full pattern, the code, the run length as its frequency and — when the
+/// config keeps them — the run's ids, collected once at exact length. The
+/// leaf hash table is filled in its own pass once the arena is laid out:
+/// interleaving the two measured 2× slower at 10⁶ rows. Consumes the input
+/// so it is freed before the levels run; returns the leaf level.
+fn append_leaves(
+    idx: &mut DynamicHaIndex,
+    items: Vec<(BinaryCode, TupleId)>,
+    sorted: Vec<(u64, u32)>,
+) -> Vec<NodeId> {
+    let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
+    let distinct = runs().count();
+    let keep_ids = idx.config.keep_leaf_ids;
+    seed_bulk(&mut idx.nodes, distinct);
+    for run in runs() {
+        let code = &items[run[0].1 as usize].0;
+        let ids = if keep_ids {
+            run.iter().map(|&(_, i)| items[i as usize].1).collect()
+        } else {
+            Vec::new()
+        };
+        let leaf = Node::leaf(MaskedCode::full(code.clone()), code.clone(), ids, run.len() as u32);
+        idx.nodes.push(leaf);
+    }
+    if keep_ids {
+        idx.leaves.reserve(distinct);
+        for (nid, node) in idx.nodes.iter().enumerate() {
+            if let Some(leaf) = &node.leaf {
+                idx.leaves.insert(leaf.code.clone(), nid as NodeId);
+            }
+        }
+    }
+    (0..distinct as NodeId).collect()
 }
 
 /// What one window of an extraction level resolved to. Planning a window
@@ -139,8 +210,8 @@ fn plan_window(nodes: &[Node], members: &[NodeId]) -> WindowPlan {
 
 /// Runs the extraction levels over the leaf level `current`, obtaining each
 /// level's window plans from `plan_level` and applying them in window
-/// order. Both the sequential and the parallel H-Build funnel through this
-/// one apply pass, so their arenas come out identical.
+/// order. Every worker count funnels through this one apply pass, so the
+/// arenas come out identical.
 fn extract_levels(
     idx: &mut DynamicHaIndex,
     mut current: Vec<NodeId>,
@@ -206,108 +277,6 @@ fn apply_level(
         }
     }
     next
-}
-
-/// Items per fork-join task — small enough that trailing tasks keep every
-/// worker busy, large enough that the per-task channel send is noise.
-const PAR_TASK: usize = 2048;
-
-/// Parallel H-Build, byte-identical to the sequential [`h_build`].
-///
-/// The sequential algorithm's only order-sensitive effects are arena
-/// allocation and per-level parent consolidation — both cheap. Everything
-/// expensive is a pure function of data that exists before the pass needs
-/// it: Gray ranks (per code), leaf nodes (per distinct code), and each
-/// level's window analysis (per window; windows partition the level, and
-/// planning only reads patterns written by the *previous* level). Those
-/// three run on a scoped worker pool; the apply pass is the very code the
-/// sequential build runs, so the arenas come out identical for every
-/// worker count.
-///
-/// (The coarser split — chunk the sorted input, H-Build each chunk, fold
-/// with the §5.2 merge — was tried and rejected: the merge consolidates
-/// top-down by pattern equality, which preserves *answers* but not the
-/// arena layout, because sequential windows and consolidation cross chunk
-/// boundaries. Byte-identity is the property the freeze/serialize stack
-/// leans on, so it wins.)
-pub(super) fn h_build_parallel(
-    items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
-    config: DhaConfig,
-    workers: usize,
-) -> DynamicHaIndex {
-    let items: Vec<(BinaryCode, TupleId)> = items.into_iter().collect();
-    let code_len = items.first().map_or(0, |(c, _)| c.len());
-    let mut idx = DynamicHaIndex::empty(code_len, config);
-    idx.len = items.len();
-    if items.is_empty() {
-        return idx;
-    }
-    let workers = workers.max(1);
-
-    // Gray ranks, one per input tuple (Algorithm 1 line 1), in parallel.
-    let ranks: Vec<BinaryCode> = fork_join(&items, PAR_TASK, workers, |slice| {
-        slice
-            .iter()
-            .map(|(code, _)| {
-                assert_eq!(code.len(), code_len, "mixed code lengths");
-                gray_rank(code)
-            })
-            .collect()
-    });
-
-    // Sort tuple indices by (rank, input position). The rank is a
-    // bijection, so equal ranks mean equal codes and the position
-    // tiebreak keeps each code's ids in input order — exactly the order
-    // `gray_grouped` produces.
-    let order = sorted_indices(&ranks, workers);
-
-    // Group adjacent equal codes into the distinct-code runs.
-    let mut distinct: Vec<(BinaryCode, Vec<TupleId>)> = Vec::new();
-    for &i in &order {
-        let (code, id) = &items[i as usize];
-        match distinct.last_mut() {
-            Some((last, ids)) if last == code => ids.push(*id),
-            _ => distinct.push((code.clone(), vec![*id])),
-        }
-    }
-    drop(items);
-
-    // Leaf level, constructed in parallel and appended in order.
-    let keep_ids = idx.config.keep_leaf_ids;
-    let leaves: Vec<Node> = fork_join(&distinct, PAR_TASK, workers, |slice| {
-        slice
-            .iter()
-            .map(|(code, ids)| leaf_node(keep_ids, code, ids))
-            .collect()
-    });
-    let mut current: Vec<NodeId> = Vec::with_capacity(distinct.len());
-    if keep_ids {
-        idx.leaves.reserve(distinct.len());
-    }
-    for (i, (code, _)) in distinct.iter().enumerate() {
-        let nid = i as NodeId;
-        if keep_ids {
-            idx.leaves.insert(code.clone(), nid);
-        }
-        current.push(nid);
-    }
-    idx.nodes = leaves;
-
-    // Extraction levels: windows planned in parallel, applied in order.
-    extract_levels(&mut idx, current, |idx, current| {
-        let window = idx.config.window.max(2);
-        let bounds: Vec<(usize, usize)> = (0..current.len())
-            .step_by(window)
-            .map(|lo| (lo, (lo + window).min(current.len())))
-            .collect();
-        fork_join(&bounds, PAR_TASK / 8, workers, |slice| {
-            slice
-                .iter()
-                .map(|&(lo, hi)| plan_window(&idx.nodes, &current[lo..hi]))
-                .collect()
-        })
-    });
-    idx
 }
 
 /// Indices `0..keys.len()` sorted by `(keys[i], i)`: contiguous runs are
@@ -382,22 +351,22 @@ fn merge_sorted(
 /// each task on up to `workers` threads (work-stealing over
 /// [`ha_bitcode::pool::fan_out`]'s shared cursor) and returns the
 /// concatenated results **in task order** — task *assignment* varies
-/// with scheduling, the output never does.
+/// with scheduling, the output never does. One worker calls `f` once on
+/// all of `items`, so nothing is buffered per task.
 fn fork_join<T: Sync, R: Send>(
     items: &[T],
     chunk: usize,
     workers: usize,
     f: impl Fn(&[T]) -> Vec<R> + Sync,
 ) -> Vec<R> {
+    if workers <= 1 {
+        return f(items);
+    }
     let tasks: Vec<&[T]> = items.chunks(chunk.max(1)).collect();
     ha_bitcode::pool::fan_out(workers, tasks.len(), |i| f(tasks[i]))
         .into_iter()
         .flatten()
         .collect()
-}
-
-fn alloc(idx: &mut DynamicHaIndex, node: Node) -> NodeId {
-    alloc_raw(&mut idx.nodes, node)
 }
 
 pub(super) fn alloc_raw(nodes: &mut Vec<Node>, node: Node) -> NodeId {
@@ -569,6 +538,128 @@ mod tests {
         for h in [0u32, 3, 6] {
             let q = ha_bitcode::BinaryCode::random(64, &mut rng);
             assert_matches_oracle(par.search(&q, h), &data, &q, h, "parallel-build");
+        }
+    }
+
+    /// `(case, fnv64 of to_bytes, fnv64 of the frozen store_bytes,
+    /// memory_bytes)` of [`golden_cases`], recorded before H-Build grouped
+    /// codes by sorted runs: any change to leaf order, id order within a
+    /// leaf, level planning or arena capacity moves one of them.
+    const GOLDEN: [(&str, u64, u64, usize); 11] = [
+        ("16", 0xd539_dc03_d877_7354, 0x00a3_f1c6_130f_c516, 232_896),
+        ("32", 0x54da_c62e_ecaa_2133, 0x4be8_91db_3871_c779, 835_312),
+        ("64", 0xb57e_b706_94d1_27d6, 0xa4d3_767a_23e0_de4d, 836_164),
+        ("65", 0xf5d3_5970_eee3_194e, 0x66ad_6e1f_5d5f_0d7b, 820_924),
+        ("128", 0x0b4e_8328_bc47_be05, 0x32d2_211c_e393_31c0, 821_016),
+        ("512", 0xbbcb_354b_42fc_5ad9, 0xd7dc_a3dd_e30d_8813, 371_424),
+        ("64-random", 0xf0b9_0b98_250d_b603, 0x42cc_dbfc_c1d3_4383, 815_696),
+        ("32-leafless", 0x9aa3_7bd2_ef4b_96ab, 0xa76d_9a4d_1f0f_d024, 632_056),
+        ("128-leafless", 0x5433_9012_5b58_5f50, 0xbc22_16e3_23a6_2230, 318_176),
+        ("16-window2", 0x9e2c_8170_6296_18a2, 0x32ac_ce1a_b359_107f, 226_048),
+        ("64-window2", 0x7a59_0464_6a9f_f2f2, 0x2a94_a111_183c_3e1d, 755_224),
+    ];
+
+    type GoldenCase = (&'static str, Vec<(BinaryCode, TupleId)>, DhaConfig);
+
+    /// Widths on both sides of the 64-bit rank path and of the inline
+    /// code storage, with duplicate codes whose extra copies come first
+    /// in the input under larger ids (a leaf's ids follow input position,
+    /// not id order), in both leaf modes and with a window of 2.
+    fn golden_cases() -> Vec<GoldenCase> {
+        let dup = |data: Vec<(BinaryCode, TupleId)>| {
+            let mut out: Vec<_> =
+                data.iter().step_by(3).map(|(c, id)| (c.clone(), id + 1_000_000)).collect();
+            out.extend(data);
+            out
+        };
+        let leafless = DhaConfig { keep_leaf_ids: false, ..DhaConfig::default() };
+        let window2 = DhaConfig { window: 2, max_depth: 4, ..DhaConfig::default() };
+        vec![
+            ("16", dup(clustered_dataset(3000, 16, 6, 2, 1)), DhaConfig::default()),
+            ("32", dup(clustered_dataset(3000, 32, 8, 3, 2)), DhaConfig::default()),
+            ("64", dup(clustered_dataset(3000, 64, 10, 3, 3)), DhaConfig::default()),
+            ("65", dup(clustered_dataset(2000, 65, 6, 3, 4)), DhaConfig::default()),
+            ("128", dup(clustered_dataset(2000, 128, 6, 4, 5)), DhaConfig::default()),
+            ("512", dup(clustered_dataset(600, 512, 4, 8, 6)), DhaConfig::default()),
+            ("64-random", random_dataset(2000, 64, 7), DhaConfig::default()),
+            ("32-leafless", dup(clustered_dataset(3000, 32, 8, 2, 8)), leafless.clone()),
+            ("128-leafless", dup(clustered_dataset(1500, 128, 5, 3, 9)), leafless),
+            ("16-window2", dup(clustered_dataset(2000, 16, 4, 2, 10)), window2.clone()),
+            ("64-window2", dup(clustered_dataset(2000, 64, 5, 2, 11)), window2),
+        ]
+    }
+
+    #[test]
+    fn golden_digests_pin_the_arena() {
+        use ha_bitcode::fnv::fnv64;
+        for ((name, data, config), &(want_name, arena, store, memory)) in
+            golden_cases().into_iter().zip(&GOLDEN)
+        {
+            assert_eq!(name, want_name);
+            let mut idx = DynamicHaIndex::build_with(data, config);
+            let got_arena = fnv64(&idx.to_bytes());
+            let got_memory = idx.memory_bytes();
+            let got_store = fnv64(&idx.freeze().store_bytes());
+            assert_eq!(
+                (got_arena, got_store, got_memory),
+                (arena, store, memory),
+                "{name}: arena / store digest or memory_bytes moved"
+            );
+        }
+    }
+
+    #[test]
+    fn leafless_runs_carry_their_length_as_frequency() {
+        // Both rank paths (a `u64` key at 16 bits, a `BinaryCode` run
+        // ordinal at 65), heavily duplicated.
+        for bits in [16usize, 65] {
+            let data = clustered_dataset(2000, bits, 3, 1, 29);
+            let mut want: HashMap<&BinaryCode, u32> = HashMap::new();
+            for (code, _) in &data {
+                *want.entry(code).or_default() += 1;
+            }
+            let idx = DynamicHaIndex::build_with(
+                data.clone(),
+                DhaConfig { keep_leaf_ids: false, ..DhaConfig::default() },
+            );
+            assert_eq!(idx.leaf_count(), want.len(), "bits={bits}");
+            assert!(want.values().any(|&f| f > 1), "bits={bits}: no duplicate");
+            for node in &idx.nodes {
+                if let Some(leaf) = &node.leaf {
+                    assert!(leaf.ids.is_empty());
+                    assert_eq!(node.frequency, want[&leaf.code], "bits={bits}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Widths across the 64/65 rank-path switch, each code drawn from
+        /// a pool `dup` times smaller than the input, sizes past one
+        /// fork-join task and one sort run.
+        #[test]
+        fn prop_parallel_build_is_the_sequential_build(
+            seed in proptest::prelude::any::<u64>(),
+            bits in 1usize..=130,
+            n in 1usize..5000,
+            dup in 1usize..=16,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = clustered_dataset((n / dup).max(1), bits, 1 + n % 7, bits.min(3), seed);
+            let data: Vec<(BinaryCode, TupleId)> = (0..n as TupleId)
+                .map(|id| (pool[rng.gen_range(0..pool.len())].0.clone(), id))
+                .collect();
+            let seq = DynamicHaIndex::build(data.clone());
+            let bytes = seq.to_bytes();
+            for workers in [1usize, 2, 3, 8] {
+                let par = DynamicHaIndex::build_parallel(data.clone(), workers);
+                proptest::prop_assert!(par.to_bytes() == bytes, "workers={}", workers);
+                proptest::prop_assert_eq!(par.memory_bytes(), seq.memory_bytes());
+            }
         }
     }
 

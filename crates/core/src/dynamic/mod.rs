@@ -127,17 +127,17 @@ impl DynamicHaIndex {
         items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
         config: DhaConfig,
     ) -> Self {
-        build::h_build(items, config)
+        build::h_build(items, config, 1)
     }
 
-    /// Parallel H-Build with the default configuration: Gray ranking, leaf
-    /// construction and each extraction level's window analysis (shared
-    /// FLSSeq + residual patterns) run on a pool of `workers` scoped
-    /// threads; only the cheap order-sensitive apply pass (arena
-    /// allocation, per-level consolidation) stays sequential, and it is the
-    /// very same code the sequential H-Build runs. The output is therefore
-    /// **byte-identical to [`DynamicHaIndex::build`] for every worker
-    /// count** — `workers` buys wall-clock time, nothing else.
+    /// Parallel H-Build with the default configuration: the same build
+    /// body as [`DynamicHaIndex::build`], with each extraction level's
+    /// window analysis (shared FLSSeq + residual patterns) and the Gray
+    /// ranking and sort of codes wider than 64 bits run on a pool of
+    /// `workers` scoped threads; the order-sensitive passes (leaves, arena
+    /// allocation, per-level consolidation) stay sequential. The output is
+    /// therefore **byte-identical to [`DynamicHaIndex::build`] for every
+    /// worker count** — `workers` buys wall-clock time, nothing else.
     ///
     /// ```
     /// use ha_core::DynamicHaIndex;
@@ -153,7 +153,7 @@ impl DynamicHaIndex {
         items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
         workers: usize,
     ) -> Self {
-        build::h_build_parallel(items, DhaConfig::default(), workers)
+        build::h_build(items, DhaConfig::default(), workers)
     }
 
     /// Parallel H-Build with an explicit configuration
@@ -163,7 +163,7 @@ impl DynamicHaIndex {
         config: DhaConfig,
         workers: usize,
     ) -> Self {
-        build::h_build_parallel(items, config, workers)
+        build::h_build(items, config, workers)
     }
 
     /// Empty index for `code_len`-bit codes.
@@ -201,12 +201,17 @@ impl DynamicHaIndex {
     /// drops the ids) — callers re-sharding an index should check
     /// [`DhaConfig::keep_leaf_ids`] first.
     pub fn items(&self) -> impl Iterator<Item = (BinaryCode, TupleId)> + '_ {
+        self.item_refs().map(|(code, id)| (code.clone(), id))
+    }
+
+    /// [`DynamicHaIndex::items`] with the codes borrowed.
+    pub(crate) fn item_refs(&self) -> impl Iterator<Item = (&BinaryCode, TupleId)> + '_ {
         self.nodes
             .iter()
             .filter(|n| n.alive)
             .filter_map(|n| n.leaf.as_ref())
-            .flat_map(|leaf| leaf.ids.iter().map(move |&id| (leaf.code.clone(), id)))
-            .chain(self.buffer.iter().cloned())
+            .flat_map(|leaf| leaf.ids.iter().map(move |&id| (&leaf.code, id)))
+            .chain(self.buffer.iter().map(|(code, id)| (code, *id)))
     }
 
     /// Shared-frontier batched H-Search: answers every query of the batch

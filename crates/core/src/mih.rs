@@ -120,12 +120,6 @@ impl MihIndex {
         }
     }
 
-    /// An empty index whose chunk count is tuned for an expected number of
-    /// rows ([`MihIndex::auto_chunks`]).
-    pub fn with_expected_len(code_len: usize, expected_len: usize) -> Self {
-        Self::new(code_len, Self::auto_chunks(code_len, expected_len))
-    }
-
     /// Builds from an iterator of `(code, id)` pairs, sizing the chunk
     /// count from the actual item count.
     ///
@@ -133,20 +127,41 @@ impl MihIndex {
     /// If any code's length differs from `code_len`.
     pub fn build(code_len: usize, items: impl IntoIterator<Item = (BinaryCode, TupleId)>) -> Self {
         let items: Vec<_> = items.into_iter().collect();
-        let mut idx = Self::with_expected_len(code_len, items.len());
-        idx.expect_rows(items.len());
+        let chunks = Self::auto_chunks(code_len, items.len());
+        Self::bulk(code_len, chunks, items.len(), items.iter().map(|(code, id)| (code, *id)))
+    }
+
+    /// A `chunks`-table index bulk-loaded with `rows` borrowed
+    /// `(code, id)` pairs, in order — the one loader behind
+    /// [`MihIndex::build`] and the planner's builds. The row arrays take
+    /// their first allocation up front ([`seed_bulk`]); rows are appended
+    /// exactly as [`MutableIndex::insert`] appends them.
+    pub(crate) fn bulk<'a>(
+        code_len: usize,
+        chunks: usize,
+        rows: usize,
+        items: impl IntoIterator<Item = (&'a BinaryCode, TupleId)>,
+    ) -> Self {
+        let mut idx = Self::new(code_len, chunks);
+        seed_bulk(&mut idx.row_words, rows * idx.stride);
+        seed_bulk(&mut idx.ids, rows);
+        seed_bulk(&mut idx.live, rows);
         for (code, id) in items {
-            idx.insert(code, id);
+            idx.append(code, id);
         }
         idx
     }
 
-    /// Announces a bulk load of `rows` inserts into the still-empty index:
-    /// the row arrays take their first allocation now ([`seed_bulk`]).
-    pub(crate) fn expect_rows(&mut self, rows: usize) {
-        seed_bulk(&mut self.row_words, rows * self.stride);
-        seed_bulk(&mut self.ids, rows);
-        seed_bulk(&mut self.live, rows);
+    /// Appends one live row and links it into every chunk table.
+    fn append(&mut self, code: &BinaryCode, id: TupleId) {
+        assert_eq!(code.len(), self.code_len, "code length mismatch");
+        let row = self.ids.len() as u32;
+        self.row_words.extend_from_slice(code.words());
+        self.ids.push(id);
+        self.live.push(true);
+        for (k, table) in self.tables.iter_mut().enumerate() {
+            table.entry(self.seg.extract(code, k)).or_default().push(row);
+        }
     }
 
     /// Number of chunk tables.
@@ -343,15 +358,7 @@ impl HammingIndex for MihIndex {
 
 impl MutableIndex for MihIndex {
     fn insert(&mut self, code: BinaryCode, id: TupleId) {
-        assert_eq!(code.len(), self.code_len, "code length mismatch");
-        let row = self.ids.len() as u32;
-        self.row_words.extend_from_slice(code.words());
-        self.ids.push(id);
-        self.live.push(true);
-        for k in 0..self.seg.count() {
-            let value = self.seg.extract(&code, k);
-            self.tables[k].entry(value).or_default().push(row);
-        }
+        self.append(&code, id);
     }
 
     fn delete(&mut self, code: &BinaryCode, id: TupleId) -> bool {

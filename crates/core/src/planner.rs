@@ -334,19 +334,31 @@ impl PlannedIndex {
         Self::build_with(code_len, items, PlanConfig::default())
     }
 
-    /// Builds with explicit configuration.
+    /// Builds with explicit configuration. With tracing on, the build is
+    /// one `core.plan.build` span whose children are the phases:
+    /// `core.plan.mih`, H-Build's `core.hbuild.*`, `core.plan.freeze` and
+    /// `core.plan.profile`.
     pub fn build_with(code_len: usize, items: Vec<(BinaryCode, TupleId)>, cfg: PlanConfig) -> Self {
-        let chunks = cfg
-            .mih_chunks
-            .unwrap_or_else(|| MihIndex::auto_chunks(code_len, items.len()));
-        let mih = mih_over(code_len, chunks, items.len(), items.iter().cloned());
+        let _build = ha_obs::span("core.plan.build");
+        let mih = {
+            let _span = ha_obs::span("core.plan.mih");
+            let n = items.len();
+            let chunks = cfg.mih_chunks.unwrap_or_else(|| MihIndex::auto_chunks(code_len, n));
+            MihIndex::bulk(code_len, chunks, n, items.iter().map(|(code, id)| (code, *id)))
+        };
         let mut dha = if items.is_empty() {
             DynamicHaIndex::empty(code_len, cfg.dha)
         } else {
             DynamicHaIndex::build_with(items, cfg.dha)
         };
-        dha.freeze_with(cfg.freeze);
-        let clusteredness = estimate_clusteredness(dha.leaf_codes());
+        {
+            let _span = ha_obs::span("core.plan.freeze");
+            dha.freeze_with(cfg.freeze);
+        }
+        let clusteredness = {
+            let _span = ha_obs::span("core.plan.profile");
+            estimate_clusteredness(dha.leaf_codes())
+        };
         PlannedIndex { code_len, dha, mih, model: cfg.model, clusteredness, freeze: cfg.freeze }
     }
 
@@ -376,7 +388,7 @@ impl PlannedIndex {
     pub fn from_dha(dha: DynamicHaIndex, model: CostModel) -> Self {
         let code_len = dha.code_len();
         let n = dha.len();
-        let mih = mih_over(code_len, MihIndex::auto_chunks(code_len, n), n, dha.items());
+        let mih = MihIndex::bulk(code_len, MihIndex::auto_chunks(code_len, n), n, dha.item_refs());
         let clusteredness = estimate_clusteredness(dha.leaf_codes());
         PlannedIndex { code_len, dha, mih, model, clusteredness, freeze: FreezePolicy::default() }
     }
@@ -571,21 +583,6 @@ impl MutableIndex for PlannedIndex {
         debug_assert_eq!(a, b, "backends must agree on membership");
         a && b
     }
-}
-
-/// A `chunks`-table MIH bulk-loaded with `rows` `(code, id)` pairs.
-fn mih_over(
-    code_len: usize,
-    chunks: usize,
-    rows: usize,
-    items: impl Iterator<Item = (BinaryCode, TupleId)>,
-) -> MihIndex {
-    let mut mih = MihIndex::new(code_len, chunks);
-    mih.expect_rows(rows);
-    for (code, id) in items {
-        mih.insert(code, id);
-    }
-    mih
 }
 
 #[cfg(test)]

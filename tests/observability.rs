@@ -20,6 +20,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::datagen::{generate, DatasetProfile};
 use hamming_suite::distributed::pipeline::{mrha_hamming_join_on_dfs, MrHaConfig};
+use hamming_suite::index::planner::PlannedIndex;
 use hamming_suite::index::testkit::random_dataset;
 use hamming_suite::index::{HammingIndex, MihIndex};
 use hamming_suite::mapreduce::{
@@ -375,6 +376,48 @@ fn join_route_counters_account_for_every_probe() {
     let setup = trace.last_named("distributed.join.probe_setup").expect("probe set-up span");
     let join = trace.last_named("pipeline.join").expect("join phase span");
     assert_eq!(setup.parent, Some(join.id));
+}
+
+/// A build is phases, not one number: every `PlannedIndex::build_with`
+/// is one `core.plan.build` span holding each H-Build phase
+/// (`core.hbuild.*`) and each planner phase (`core.plan.*`) exactly once,
+/// and the phases, run one after another, sum to at most the build. Both
+/// rank paths of H-Build (64 and 128 bits) are covered.
+#[test]
+fn planned_build_spans_split_the_build_into_phases() {
+    const PHASES: [&str; 6] = [
+        "core.plan.mih",
+        "core.hbuild.rank_sort",
+        "core.hbuild.leaves",
+        "core.hbuild.levels",
+        "core.plan.freeze",
+        "core.plan.profile",
+    ];
+    let _guard = obs_lock();
+    let data: Vec<_> = [64usize, 128].map(|bits| (bits, random_dataset(3_000, bits, 5))).into();
+
+    obs::reset();
+    for (bits, items) in data {
+        PlannedIndex::build(bits, items);
+    }
+    let trace = obs::take_trace();
+    obs::disable();
+
+    let builds: Vec<_> = trace.spans.iter().filter(|s| s.name == "core.plan.build").collect();
+    assert_eq!(builds.len(), 2, "one span per build");
+    for build in builds {
+        assert_eq!(build.parent, None);
+        let children = trace.children(build.id);
+        for phase in PHASES {
+            let n = children.iter().filter(|s| s.name == phase).count();
+            assert_eq!(n, 1, "{phase} once under its build");
+        }
+        let phase_ns: u64 = children.iter().map(|s| s.end_ns - s.start_ns).sum();
+        assert!(phase_ns <= build.end_ns - build.start_ns, "phases outlast their build");
+    }
+    for phase in PHASES {
+        assert_eq!(trace.count_named(phase), 2, "{phase} outside a build");
+    }
 }
 
 // Cheap sanity for the equivalence tests above: a job run with tracing

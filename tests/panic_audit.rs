@@ -86,6 +86,13 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     // hasher keying its chunk tables.
     ("crates/core/src/seen.rs", 0, 0, 0, 0),
     ("crates/bitcode/src/mix.rs", 0, 0, 0, 0),
+    // H-Build runs inside every HA-Gen `merge_shard`, where a panic
+    // poisons the shard once its retries are spent. Two `expect`s, both
+    // invariants of the build itself: a window is never empty, and a
+    // sort thread's panic is re-raised on join rather than swallowed.
+    ("crates/core/src/dynamic/build.rs", 0, 2, 0, 0),
+    // …and the Gray rank it sorts by runs once per tuple of that build.
+    ("crates/bitcode/src/gray.rs", 0, 0, 0, 0),
     // The delta overlay sits on the same serve-shard hot path.
     ("crates/core/src/delta.rs", 0, 0, 0, 0),
     // The mapped generation serves recovered shards — hot path again.
