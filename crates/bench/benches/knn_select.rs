@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ha_bench::hashed_dataset;
 use ha_core::{DynamicHaIndex, TupleId};
 use ha_datagen::DatasetProfile;
-use ha_knn::{knn_select, E2Lsh, KnnParams, LsbTree};
+use ha_knn::{knn_select, E2Lsh, LsbTree};
 
 const N: usize = 10_000;
 const K: usize = 50;
@@ -54,13 +54,8 @@ fn bench_knn(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("dha-32"), |b| {
         b.iter(|| {
             qi += 1;
-            std::hint::black_box(knn_select(
-                &dha,
-                &resolve,
-                &query_codes[qi % query_codes.len()],
-                K,
-                KnnParams::default(),
-            ))
+            let q = &query_codes[qi % query_codes.len()];
+            std::hint::black_box(knn_select(&dha, &resolve, q, K))
         })
     });
     group.finish();

@@ -5,7 +5,7 @@
 
 use ha_core::{DynamicHaIndex, StaticHaIndex, TupleId};
 use ha_datagen::DatasetProfile;
-use ha_knn::{knn_select, E2Lsh, KnnParams, LsbTree};
+use ha_knn::{knn_select, E2Lsh, LsbTree};
 
 use crate::{fmt_duration, hashed_dataset, print_table, time, time_per_call, Scale};
 
@@ -81,13 +81,8 @@ pub fn run(scale: &Scale) {
             let (sha, sha_build) = time(|| StaticHaIndex::build(ds.codes.clone()));
             let mut qi = 0usize;
             let sha_q = time_per_call(query_codes.len(), || {
-                std::hint::black_box(knn_select(
-                    &sha,
-                    &resolve,
-                    &query_codes[qi % query_codes.len()],
-                    K,
-                    KnnParams::default(),
-                ));
+                let q = &query_codes[qi % query_codes.len()];
+                std::hint::black_box(knn_select(&sha, &resolve, q, K));
                 qi += 1;
             });
             rows.push(vec![
@@ -99,13 +94,8 @@ pub fn run(scale: &Scale) {
             let (dha, dha_build) = time(|| DynamicHaIndex::build(ds.codes.clone()));
             let mut qi = 0usize;
             let dha_q = time_per_call(query_codes.len(), || {
-                std::hint::black_box(knn_select(
-                    &dha,
-                    &resolve,
-                    &query_codes[qi % query_codes.len()],
-                    K,
-                    KnnParams::default(),
-                ));
+                let q = &query_codes[qi % query_codes.len()];
+                std::hint::black_box(knn_select(&dha, &resolve, q, K));
                 qi += 1;
             });
             rows.push(vec![

@@ -1,4 +1,5 @@
-//! Hamming-select and Hamming-join (Definitions 1 & 2) over any index.
+//! Hamming-select and Hamming-join (Definitions 1 & 2) over any index,
+//! and kNN-select by threshold expansion (§2).
 //!
 //! The centralized Hamming-join of §5's opening: build an index on the
 //! smaller input, probe it with every tuple of the other. The quadratic
@@ -69,6 +70,60 @@ pub fn hamming_join<I: HammingIndex + ?Sized>(
     }
     out.sort_unstable();
     out
+}
+
+/// kNN-select by threshold expansion (§2): the first `k` entries, in
+/// `(distance, id)` order, of the smallest probed radius holding at least
+/// `k`. `within(r)` must return every `(id, distance)` with
+/// `distance ≤ r`, in any order, with multiplicity. The result is shorter
+/// than `k` only when fewer than `k` entries lie within `max_radius`;
+/// `k = 0` returns empty without probing.
+///
+/// Exact, not approximate: once at least `k` hits lie within `r`, every
+/// code outside `r` is farther than all of them, so the `k` closest hits
+/// within `r` are the `k` closest overall.
+///
+/// Radii run 0, 1, 2, 3, 5, 8, 13, …, each the sum of the two before;
+/// the first radius ≥ `max_radius` is probed as `max_radius`. Small
+/// radii answer clustered data in one or two cheap rounds, and the
+/// growth bounds the rounds for far neighbours to `O(log max_radius)`.
+/// With tracing on, each call adds 1 to `core.knn.queries` and its
+/// probe count to `core.knn.rounds`.
+///
+/// ```
+/// use ha_bitcode::BinaryCode;
+/// use ha_core::select::knn_by_radius;
+/// use ha_core::DynamicHaIndex;
+///
+/// let index = DynamicHaIndex::build(
+///     (0..64u64).map(|i| (BinaryCode::from_u64(i, 8), i)));
+/// let q = BinaryCode::from_u64(0, 8);
+/// let top3 = knn_by_radius(3, 8, |r| index.search_with_distances(&q, r));
+/// assert_eq!(top3, vec![(0, 0), (1, 1), (2, 1)]);
+/// ```
+pub fn knn_by_radius(
+    k: usize,
+    max_radius: u32,
+    mut within: impl FnMut(u32) -> Vec<(TupleId, u32)>,
+) -> Vec<(TupleId, u32)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let (mut prev, mut r, mut rounds) = (0u32, 0u32, 0u64);
+    let mut hits = loop {
+        rounds += 1;
+        let hits = within(r);
+        if hits.len() >= k || r >= max_radius {
+            break hits;
+        }
+        (prev, r) = (r, prev.saturating_add(r).max(r + 1).min(max_radius));
+    };
+    if ha_obs::is_enabled() {
+        ha_obs::add_many(&[("core.knn.queries", 1), ("core.knn.rounds", rounds)]);
+    }
+    hits.sort_unstable_by_key(|&(id, d)| (d, id));
+    hits.truncate(k);
+    hits
 }
 
 /// The quadratic nested-loop join: `O(|r| · |s|)` distance computations.
@@ -261,6 +316,78 @@ mod tests {
                 assert!(true_min <= h);
             }
         }
+    }
+
+    /// Linear top-k in `(distance, id)` order: the kNN oracle.
+    fn oracle_knn(data: &[(BinaryCode, TupleId)], q: &BinaryCode, k: usize) -> Vec<(TupleId, u32)> {
+        let mut all: Vec<(TupleId, u32)> = data.iter().map(|(c, id)| (*id, c.hamming(q))).collect();
+        all.sort_unstable_by_key(|&(id, d)| (d, id));
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn knn_by_radius_matches_linear_top_k_over_every_index() {
+        use crate::planner::PlannedIndex;
+        use crate::testkit::random_at_distance;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut data = random_dataset(150, 64, 41);
+        let q = data[0].0.clone();
+        // Ties straddling the k-th distance: copies of `q` and a ring at
+        // distance 3, under ids interleaved with the existing ones.
+        for id in [900, 3, 901] {
+            data.push((q.clone(), id));
+        }
+        for id in 910..920 {
+            data.push((random_at_distance(&q, 3, &mut rng), id));
+        }
+        // Duplicate codes under new ids, duplicate ids under new codes,
+        // and one exact duplicate pair.
+        data.push((data[10].0.clone(), 950));
+        data.push((data[20].0.clone(), 951));
+        data.push((random_at_distance(&q, 5, &mut rng), 7));
+        data.push(data[30].clone());
+
+        let dha = DynamicHaIndex::build(data.clone());
+        let planned = PlannedIndex::build(64, data.clone());
+        let lin = LinearScanIndex::build(data.clone());
+        let n = data.len();
+        let queries = [q.clone(), data[40].0.clone(), data[0].0.not()];
+        for q in &queries {
+            for k in [0, 1, 2, 4, 9, n, n + 5] {
+                let want = oracle_knn(&data, q, k);
+                let via_dha = knn_by_radius(k, 64, |r| dha.search_with_distances(q, r));
+                let via_mih = knn_by_radius(k, 64, |r| planned.mih().search_with_distances(q, r));
+                let via_plan = knn_by_radius(k, 64, |r| planned.search_with_distances(q, r));
+                let via_lin = knn_by_radius(k, 64, |r| {
+                    let hit = |(c, id): &(BinaryCode, TupleId)| Some((*id, c.hamming_within(q, r)?));
+                    lin.iter().filter_map(hit).collect()
+                });
+                assert_eq!(via_dha, want, "DHA k={k}");
+                assert_eq!(via_mih, want, "MIH k={k}");
+                assert_eq!(via_plan, want, "planned k={k}");
+                assert_eq!(via_lin, want, "linear k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn knn_by_radius_probes_the_pinned_schedule() {
+        let radii = |k: usize, max_radius: u32, hit_at_zero: bool| {
+            let mut seen = Vec::new();
+            knn_by_radius(k, max_radius, |r| {
+                seen.push(r);
+                if hit_at_zero { vec![(1, 0)] } else { Vec::new() }
+            });
+            seen
+        };
+        assert_eq!(radii(5, 64, false), [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 64]);
+        assert_eq!(radii(5, 3, false), [0, 1, 2, 3]);
+        assert_eq!(radii(1, 64, true), [0], "radius 0 already holds k");
+        assert_eq!(radii(0, 64, true), [] as [u32; 0], "k = 0 probes nothing");
     }
 
     #[test]

@@ -50,7 +50,13 @@ pub fn try_mrha_batch_select(
     cfg: &MrHaConfig,
     faults: &FaultInjector,
 ) -> Result<BatchSelectOutcome, JobError> {
-    assert!(!queries.is_empty(), "empty query batch");
+    if queries.is_empty() {
+        return Ok(BatchSelectOutcome {
+            hits: Vec::new(),
+            metrics: JobMetrics::default(),
+            times: PhaseTimes::default(),
+        });
+    }
     // Phase 1 (sample only S; queries follow the same hash).
     let pre = preprocess(s, &[], cfg.sample_rate, cfg.code_len, cfg.partitions, cfg.seed);
     let mut times = PhaseTimes {
@@ -189,6 +195,14 @@ mod tests {
                 "query {qi} must match its own tuple"
             );
         }
+    }
+
+    #[test]
+    fn empty_batch_is_ok_with_no_hits() {
+        let outcome = try_mrha_batch_select(&dataset(50, 114), &[], &cfg(), &FaultInjector::none())
+            .expect("an empty batch is not an error");
+        assert!(outcome.hits.is_empty());
+        assert_eq!(outcome.metrics.shuffle_bytes, 0, "nothing ran");
     }
 
     #[test]

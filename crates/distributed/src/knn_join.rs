@@ -5,12 +5,12 @@
 //! Pipeline reuse: Phase 1 and 2 are identical to the Hamming-join's
 //! (sample → learn → pivots; partition → H-Build → merge). Phase 3
 //! broadcasts the leafy global index over S and each reducer answers its
-//! slice of R with threshold-expanding H-Search — unsuccessful small-`h`
-//! rounds die high up in the tree, which is why the expansion loop is
-//! affordable (§2).
+//! slice of R by [`knn_by_radius`] over H-Search (radii 0, 1, 2, 3, 5, 8,
+//! …) — unsuccessful small-`h` rounds die high up in the tree, which is
+//! why the expansion loop is affordable (§2).
 
-use ha_core::dynamic::DynamicHaIndex;
-use ha_core::TupleId;
+use ha_core::select::knn_by_radius;
+use ha_core::{HammingIndex, TupleId};
 use ha_mapreduce::{run_job_with_faults, DistributedCache, FaultInjector, JobError, JobMetrics};
 
 use crate::global_index::try_build_global_index;
@@ -28,26 +28,6 @@ pub struct KnnJoinOutcome {
     pub metrics: JobMetrics,
     /// Per-phase wall clock.
     pub times: PhaseTimes,
-}
-
-/// kNN against a (leafy) HA-Index by threshold expansion.
-fn knn_via_index(
-    index: &DynamicHaIndex,
-    query: &ha_bitcode::BinaryCode,
-    k: usize,
-) -> Vec<(TupleId, u32)> {
-    use ha_core::HammingIndex;
-    let cap = index.code_len() as u32;
-    let mut h = 3u32.min(cap);
-    loop {
-        let mut found = index.search_with_distances(query, h);
-        if found.len() >= k || h >= cap {
-            found.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-            found.truncate(k);
-            return found;
-        }
-        h = (h + 2).min(cap);
-    }
 }
 
 /// Runs the distributed kNN-join R ⋉ S (k nearest S tuples per R tuple),
@@ -71,7 +51,6 @@ pub fn try_mrha_knn_join(
     cfg: &MrHaConfig,
     faults: &FaultInjector,
 ) -> Result<KnnJoinOutcome, JobError> {
-    assert!(k >= 1, "k must be >= 1");
     // Phase 1.
     let pre = preprocess(r, s, cfg.sample_rate, cfg.code_len, cfg.partitions, cfg.seed);
     let mut times = PhaseTimes {
@@ -103,6 +82,7 @@ pub fn try_mrha_knn_join(
     let hasher = pre.hasher.clone();
     let partitioner = &pre.partitioner;
     let shared = cache.get();
+    let code_len = shared.code_len() as u32;
     let config = crate::job_config("mrha-knn-join", cfg.workers, cfg.partitions);
     let result = run_job_with_faults(
         &config,
@@ -115,7 +95,8 @@ pub fn try_mrha_knn_join(
         |&part, n| (part as usize).min(n - 1),
         |_part, tuples, out: &mut Vec<(TupleId, Vec<(TupleId, u32)>)>| {
             for (code, rid) in tuples {
-                out.push((rid, knn_via_index(&shared, &code, k)));
+                let near = knn_by_radius(k, code_len, |h| shared.search_with_distances(&code, h));
+                out.push((rid, near));
             }
         },
         faults,
@@ -199,6 +180,15 @@ mod tests {
         for (_, neigh) in &outcome.neighbours {
             assert_eq!(neigh.len(), 7);
         }
+    }
+
+    #[test]
+    fn k_zero_yields_one_empty_list_per_r_tuple() {
+        let r = dataset(10, 107, 0);
+        let s = dataset(30, 108, 500);
+        let outcome = try_mrha_knn_join(&r, &s, 0, &cfg(), &FaultInjector::none()).unwrap();
+        let want: Vec<(u64, Vec<(u64, u32)>)> = (0..10).map(|rid| (rid, Vec::new())).collect();
+        assert_eq!(outcome.neighbours, want);
     }
 
     #[test]

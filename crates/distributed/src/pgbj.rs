@@ -90,7 +90,6 @@ pub fn try_pgbj_self_knn_join(
     faults: &FaultInjector,
 ) -> Result<PgbjOutcome, JobError> {
     assert!(!data.is_empty(), "empty input");
-    assert!(cfg.k >= 1);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Pivot selection (sampled from the data, as in PGBJ's random
@@ -181,10 +180,9 @@ fn estimate_theta(data: &[VecTuple], cfg: &PgbjConfig, rng: &mut StdRng) -> f64 
             .filter(|(_, oid)| oid != id)
             .map(|(ov, _)| sq_euclidean(ov, v))
             .collect();
-        if dists.is_empty() {
-            continue;
-        }
-        let kth = cfg.k.min(dists.len()) - 1;
+        let Some(kth) = cfg.k.min(dists.len()).checked_sub(1) else {
+            continue; // no other tuple, or k = 0: no radius to bound
+        };
         dists.select_nth_unstable_by(kth, f64::total_cmp);
         max_radius = max_radius.max(dists[kth].sqrt());
     }
@@ -279,6 +277,15 @@ mod tests {
             outcome.metrics.shuffle_bytes >= 150 * 8 * 8,
             "raw vectors must cross the shuffle"
         );
+    }
+
+    #[test]
+    fn k_zero_yields_one_empty_list_per_tuple() {
+        let data = dataset(40, 75);
+        let cfg = PgbjConfig { num_pivots: 3, workers: 2, k: 0, ..PgbjConfig::default() };
+        let outcome = try_pgbj_self_knn_join(&data, &cfg, &FaultInjector::none()).unwrap();
+        let want: Vec<(TupleId, Vec<TupleId>)> = (0..40).map(|id| (id, Vec::new())).collect();
+        assert_eq!(outcome.neighbours, want);
     }
 
     #[test]

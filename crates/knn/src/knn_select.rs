@@ -8,52 +8,34 @@
 //! > set is less than k, then a larger distance threshold is estimated and
 //! > the near neighbor query is repeated."
 //!
-//! The scan is replaced by any [`HammingIndex`]; the HA-Index makes the
-//! repeated probes cheap because unsuccessful small-`h` rounds terminate
-//! high up in the tree.
+//! The scan is replaced by any [`HammingIndex`], and the expansion is
+//! [`knn_by_radius`]'s radius schedule (0, 1, 2, 3, 5, 8, …); the
+//! HA-Index makes the repeated probes cheap because unsuccessful
+//! small-`h` rounds terminate high up in the tree.
 
 use ha_bitcode::BinaryCode;
+use ha_core::select::knn_by_radius;
 use ha_core::{HammingIndex, TupleId};
-
-/// Parameters of the expansion loop.
-#[derive(Clone, Copy, Debug)]
-pub struct KnnParams {
-    /// First threshold probed.
-    pub initial_h: u32,
-    /// Additive threshold increment between rounds.
-    pub step: u32,
-}
-
-impl Default for KnnParams {
-    fn default() -> Self {
-        // The paper's default Hamming threshold is 3; stepping by 2 keeps
-        // the number of rounds logarithmic in practice.
-        KnnParams {
-            initial_h: 3,
-            step: 2,
-        }
-    }
-}
 
 /// Approximate kNN-select: the `k` indexed tuples with the smallest
 /// Hamming distance to `query` (distance-then-id order). `resolve` maps a
 /// tuple id back to its code for ranking.
 ///
 /// The result is exact *in Hamming space* (the expansion only stops once
-/// `k` answers are in hand or the threshold saturates); approximation
-/// relative to the original feature space comes solely from the hash.
+/// `k` answers are in hand or the threshold reaches
+/// [`HammingIndex::complete_up_to`], capped at the code length);
+/// approximation relative to the original feature space comes solely
+/// from the hash.
 ///
 /// ```
 /// use ha_bitcode::BinaryCode;
 /// use ha_core::DynamicHaIndex;
-/// use ha_knn::{knn_select, KnnParams};
+/// use ha_knn::knn_select;
 ///
 /// let index = DynamicHaIndex::build(
 ///     (0..64u64).map(|i| (BinaryCode::from_u64(i, 8), i)));
 /// let query = BinaryCode::from_u64(0, 8);
-/// let top3 = knn_select(
-///     &index, |id| BinaryCode::from_u64(id, 8), &query, 3,
-///     KnnParams::default());
+/// let top3 = knn_select(&index, |id| BinaryCode::from_u64(id, 8), &query, 3);
 ///
 /// // Distance-then-id order: the exact match first, then 1-bit flips.
 /// assert_eq!(top3, vec![(0, 0), (1, 1), (2, 1)]);
@@ -63,32 +45,12 @@ pub fn knn_select<I: HammingIndex + ?Sized>(
     resolve: impl Fn(TupleId) -> BinaryCode,
     query: &BinaryCode,
     k: usize,
-    params: KnnParams,
 ) -> Vec<(TupleId, u32)> {
-    assert!(k >= 1, "k must be >= 1");
-    let max_h = index.code_len() as u32;
-    let cap = index
-        .complete_up_to()
-        .unwrap_or(max_h)
-        .min(max_h);
-    let mut h = params.initial_h.min(cap);
-    loop {
-        let ids = index.search(query, h);
-        if ids.len() >= k || h >= cap {
-            let mut ranked: Vec<(TupleId, u32)> = ids
-                .into_iter()
-                .map(|id| {
-                    let code = resolve(id);
-                    (id, code.hamming(query))
-                })
-                .collect();
-            ranked.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-            ranked.truncate(k);
-            return ranked;
-        }
-        // "a larger distance threshold is estimated": enlarge and repeat.
-        h = (h + params.step.max(1)).min(cap);
-    }
+    let len = index.code_len() as u32;
+    let cap = index.complete_up_to().unwrap_or(len).min(len);
+    knn_by_radius(k, cap, |h| {
+        index.search(query, h).into_iter().map(|id| (id, resolve(id).hamming(query))).collect()
+    })
 }
 
 /// Approximate kNN-join: for every tuple of `r`, its `k` nearest
@@ -98,10 +60,9 @@ pub fn knn_join<I: HammingIndex + ?Sized>(
     resolve: impl Fn(TupleId) -> BinaryCode + Copy,
     r: &[(BinaryCode, TupleId)],
     k: usize,
-    params: KnnParams,
 ) -> Vec<(TupleId, Vec<(TupleId, u32)>)> {
     r.iter()
-        .map(|(code, rid)| (*rid, knn_select(index, resolve, code, k, params)))
+        .map(|(code, rid)| (*rid, knn_select(index, resolve, code, k)))
         .collect()
 }
 
@@ -140,7 +101,7 @@ mod tests {
         let idx = DynamicHaIndex::build(data.clone());
         let q = data[7].0.clone();
         for k in [1usize, 5, 20, 50] {
-            let got = knn_select(&idx, resolver(&data), &q, k, KnnParams::default());
+            let got = knn_select(&idx, resolver(&data), &q, k);
             assert_eq!(got, oracle_knn(&data, &q, k), "k={k}");
         }
     }
@@ -152,7 +113,7 @@ mod tests {
         let data = clustered_dataset(100, 32, 1, 1, 103);
         let idx = DynamicHaIndex::build(data.clone());
         let q = data[0].0.not();
-        let got = knn_select(&idx, resolver(&data), &q, 5, KnnParams::default());
+        let got = knn_select(&idx, resolver(&data), &q, 5);
         assert_eq!(got.len(), 5);
         assert_eq!(got, oracle_knn(&data, &q, 5));
     }
@@ -165,9 +126,9 @@ mod tests {
         let sha = StaticHaIndex::build(data.clone());
         let lin = LinearScanIndex::build(data.clone());
         let k = 10;
-        let a = knn_select(&dha, resolver(&data), &q, k, KnnParams::default());
-        let b = knn_select(&sha, resolver(&data), &q, k, KnnParams::default());
-        let c = knn_select(&lin, resolver(&data), &q, k, KnnParams::default());
+        let a = knn_select(&dha, resolver(&data), &q, k);
+        let b = knn_select(&sha, resolver(&data), &q, k);
+        let c = knn_select(&lin, resolver(&data), &q, k);
         assert_eq!(a, b);
         assert_eq!(b, c);
     }
@@ -177,7 +138,7 @@ mod tests {
         let s = random_dataset(150, 24, 107);
         let r = random_dataset(10, 24, 108);
         let idx = DynamicHaIndex::build(s.clone());
-        let joined = knn_join(&idx, resolver(&s), &r, 3, KnnParams::default());
+        let joined = knn_join(&idx, resolver(&s), &r, 3);
         assert_eq!(joined.len(), 10);
         let by_id: HashMap<TupleId, &Vec<(TupleId, u32)>> =
             joined.iter().map(|(id, v)| (*id, v)).collect();
@@ -195,27 +156,17 @@ mod tests {
         let data = clustered_dataset(50, 32, 1, 1, 111); // one tight cluster
         let idx = MultiHashTable::build(data.clone(), 4); // complete to 3
         let far = data[0].0.not(); // ~31 bits away from everything
-        let got = knn_select(&idx, resolver(&data), &far, 5, KnnParams::default());
+        let got = knn_select(&idx, resolver(&data), &far, 5);
         // Nothing lies within h = 3 of the inverted code, and the loop may
         // not go past the guarantee: empty result, no hang.
         assert!(got.is_empty());
     }
 
     #[test]
-    fn params_affect_round_count_not_results() {
-        let data = random_dataset(150, 32, 113);
-        let idx = DynamicHaIndex::build(data.clone());
-        let q = data[99].0.clone();
-        let a = knn_select(&idx, resolver(&data), &q, 12, KnnParams { initial_h: 0, step: 1 });
-        let b = knn_select(&idx, resolver(&data), &q, 12, KnnParams { initial_h: 8, step: 5 });
-        assert_eq!(a, b, "different expansion schedules, same answer");
-    }
-
-    #[test]
     fn k_exceeding_dataset_returns_whole_dataset() {
         let data = random_dataset(8, 16, 109);
         let idx = DynamicHaIndex::build(data.clone());
-        let got = knn_select(&idx, resolver(&data), &data[0].0, 20, KnnParams::default());
+        let got = knn_select(&idx, resolver(&data), &data[0].0, 20);
         assert_eq!(got.len(), 8);
     }
 }

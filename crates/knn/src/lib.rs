@@ -24,5 +24,5 @@ pub mod lsb_tree;
 
 pub use e2lsh::E2Lsh;
 pub use exact::{exact_knn, precision_recall, Neighbour};
-pub use knn_select::{knn_join, knn_select, KnnParams};
+pub use knn_select::{knn_join, knn_select};
 pub use lsb_tree::LsbTree;

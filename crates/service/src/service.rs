@@ -64,6 +64,7 @@ use std::time::{Duration, Instant};
 use ha_bitcode::BinaryCode;
 use ha_core::delta::{DeltaBase, DeltaIndex, DeltaOp};
 use ha_core::planner::{PlanConfig, PlannedIndex};
+use ha_core::select::knn_by_radius;
 use ha_core::{
     CostModel, DhaConfig, DynamicHaIndex, ExecConfig, HammingIndex, MappedIndex, SearchExecutor,
     TupleId,
@@ -987,8 +988,8 @@ impl HaServe {
     }
 
     /// kNN-select, blocking: the `k` nearest `(id, distance)` pairs
-    /// ordered by `(distance, id)`, found by doubling-radius H-Search
-    /// expansion.
+    /// ordered by `(distance, id)`, found by H-Search at growing radii
+    /// ([`ha_core::select::knn_by_radius`]).
     pub fn knn(&self, code: &BinaryCode, k: usize) -> Result<Vec<(TupleId, u32)>, ServiceError> {
         let ticket = self.submit_knn(code, k)?;
         if self.inner.cfg.workers == 0 {
@@ -1661,11 +1662,11 @@ impl Inner {
         }
     }
 
-    /// kNN by doubling-radius expansion: H-Search at growing radii until
-    /// at least `k` candidates qualify (or the radius covers the whole
-    /// code), then rank by `(distance, id)`. Exact distances come free
-    /// off the HA-Index path sums; the delta overlay contributes (and
-    /// tombstones) candidates exactly like the select path.
+    /// kNN by [`knn_by_radius`] over every shard: each round fans one
+    /// H-Search at that radius out to the shards and concatenates the
+    /// hits. Exact distances come free off the HA-Index path sums; the
+    /// delta overlay contributes (and tombstones) candidates exactly like
+    /// the select path.
     fn process_knn(
         &self,
         code: &BinaryCode,
@@ -1675,31 +1676,12 @@ impl Inner {
         let _knn_span = ha_obs::span_labeled("serve.knn", || format!("k={k}"));
         let guards: Vec<_> = self.shards.iter().map(|s| s.state.read()).collect();
         let total: usize = guards.iter().map(|g| g.delta.live_len(&g.gen.index)).sum();
-        let k_eff = k.min(total);
-        let mut result: Vec<(TupleId, u32)> = Vec::new();
-        if k_eff > 0 {
-            let max_r = self.code_len as u32;
-            let mut r = 0u32;
-            loop {
-                // Shard probes fan out per round; results come back in
-                // shard order, so concatenation (and the final sort by
-                // `(d, id)`) matches the sequential loop exactly.
-                let mut cands: Vec<(TupleId, u32)> = Vec::new();
-                let round = self.exec.fan_out(guards.len(), |s| {
-                    guards[s].delta.search_with_distances(&guards[s].gen.index, code, r)
-                });
-                for part in round {
-                    cands.extend(part);
-                }
-                if cands.len() >= k_eff || r >= max_r {
-                    cands.sort_unstable_by_key(|&(id, d)| (d, id));
-                    cands.truncate(k_eff);
-                    result = cands;
-                    break;
-                }
-                r = (r.max(1)).saturating_mul(2).min(max_r);
-            }
-        }
+        let result = knn_by_radius(k.min(total), self.code_len as u32, |r| {
+            let per_shard = self.exec.fan_out(guards.len(), |s| {
+                guards[s].delta.search_with_distances(&guards[s].gen.index, code, r)
+            });
+            per_shard.into_iter().flatten().collect()
+        });
         drop(guards);
         self.state.lock().knns += 1;
         ha_obs::add("serve.knns", 1);

@@ -15,7 +15,7 @@ use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::datagen::{generate, DatasetProfile};
 use hamming_suite::hashing::{SimilarityHasher, SpectralHasher};
 use hamming_suite::index::DynamicHaIndex;
-use hamming_suite::knn::{exact_knn, knn_select, precision_recall, E2Lsh, KnnParams};
+use hamming_suite::knn::{exact_knn, knn_select, precision_recall, E2Lsh};
 
 const N: usize = 20_000;
 const K: usize = 10;
@@ -69,13 +69,7 @@ fn main() {
     let dha_results: Vec<Vec<u64>> = queries
         .iter()
         .map(|(v, _)| {
-            let coarse = knn_select(
-                &dha,
-                resolve,
-                &hasher.hash(v),
-                CANDIDATES * K,
-                KnnParams::default(),
-            );
+            let coarse = knn_select(&dha, resolve, &hasher.hash(v), CANDIDATES * K);
             let mut reranked: Vec<(f64, u64)> = coarse
                 .into_iter()
                 .map(|(id, _)| {

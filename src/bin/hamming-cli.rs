@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::index::select::{hamming_join, hamming_select};
 use hamming_suite::index::{DynamicHaIndex, HammingIndex};
-use hamming_suite::knn::{knn_select, KnnParams};
+use hamming_suite::knn::knn_select;
 
 const USAGE: &str = "usage:
   hamming-cli select <file> <query-code> <h>   ids within Hamming distance h
@@ -67,7 +67,7 @@ fn run() -> Result<(), String> {
             let codes = data.clone();
             let index = DynamicHaIndex::build(data);
             let resolve = |id: u64| codes[id as usize].0.clone();
-            for (id, dist) in knn_select(&index, resolve, &query, k, KnnParams::default()) {
+            for (id, dist) in knn_select(&index, resolve, &query, k) {
                 println!("{id}\t{dist}");
             }
             Ok(())

@@ -7,7 +7,7 @@ use hamming_suite::datagen::{generate_with_labels, reservoir_sample, scale_up, D
 use hamming_suite::hashing::{SimHasher, SimilarityHasher, SpectralHasher};
 use hamming_suite::index::select::self_join;
 use hamming_suite::index::{DynamicHaIndex, HammingIndex};
-use hamming_suite::knn::{exact_knn, knn_select, precision_recall, KnnParams};
+use hamming_suite::knn::{exact_knn, knn_select, precision_recall};
 
 #[test]
 fn hash_preserves_cluster_structure_through_the_index() {
@@ -73,7 +73,7 @@ fn knn_through_hash_recovers_true_neighbours() {
             .filter(|i| i != id)
             .take(10)
             .collect();
-        let got: Vec<u64> = knn_select(&index, resolve, &hasher.hash(v), 40, KnnParams::default())
+        let got: Vec<u64> = knn_select(&index, resolve, &hasher.hash(v), 40)
             .into_iter()
             .map(|(i, _)| i)
             .collect();

@@ -8,6 +8,7 @@
 //! bypassed, refreeze must revalidate).
 
 use hamming_suite::bitcode::{BinaryCode, Kernel};
+use hamming_suite::index::select::knn_by_radius;
 use hamming_suite::index::testkit::assert_matches_oracle;
 use hamming_suite::index::{
     DhaConfig, DynamicHaIndex, FreezePolicy, HammingIndex, MutableIndex, TupleId,
@@ -27,23 +28,6 @@ fn views(idx: &DynamicHaIndex) -> (DynamicHaIndex, DynamicHaIndex) {
     thawed.thaw();
     assert!(!thawed.flat_is_current(), "thaw must drop the snapshot");
     (frozen, thawed)
-}
-
-/// kNN by doubling-radius over `search_with_distances` — the strategy the
-/// kNN layer uses, applied identically to both views so any divergence in
-/// result *order* (not just set) is caught by the byte-compare.
-fn knn(idx: &DynamicHaIndex, q: &BinaryCode, k: usize) -> Vec<(TupleId, u32)> {
-    let max_h = idx.code_len() as u32;
-    let mut h = 1u32;
-    loop {
-        let mut hits = idx.search_with_distances(q, h);
-        if hits.len() >= k || h >= max_h {
-            hits.sort_unstable_by_key(|&(id, d)| (d, id));
-            hits.truncate(k);
-            return hits;
-        }
-        h = (h * 2).min(max_h);
-    }
 }
 
 /// Replays `ops` mutation steps (biased 2:1 insert:delete) on `idx`,
@@ -118,8 +102,13 @@ fn assert_views_agree(
         "{ctx}: batch"
     );
     for (i, q) in queries.iter().enumerate() {
+        let bits = q.len() as u32;
         for k in [1usize, 3, 16] {
-            assert_eq!(knn(frozen, q, k), knn(thawed, q, k), "{ctx}: kNN q={i} k={k}");
+            assert_eq!(
+                knn_by_radius(k, bits, |h| frozen.search_with_distances(q, h)),
+                knn_by_radius(k, bits, |h| thawed.search_with_distances(q, h)),
+                "{ctx}: kNN q={i} k={k}"
+            );
         }
     }
 }
@@ -291,6 +280,9 @@ fn kernel_matrix_case(seed: u64, bits: usize) {
     // Baseline: scalar kernel over the all-SoA layout.
     idx.freeze_with(FreezePolicy::always_soa());
     let baseline = idx.flat().expect("frozen").clone();
+    let knn = |idx: &DynamicHaIndex, q: &BinaryCode, k: usize| {
+        knn_by_radius(k, bits as u32, |h| idx.search_with_distances(q, h))
+    };
     let knn_base: Vec<Vec<Vec<(TupleId, u32)>>> = queries
         .iter()
         .map(|q| [1usize, 5].iter().map(|&k| knn(&idx, q, k)).collect())

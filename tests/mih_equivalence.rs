@@ -10,6 +10,7 @@
 //! freely: any backend, same bytes.
 
 use hamming_suite::bitcode::BinaryCode;
+use hamming_suite::index::select::knn_by_radius;
 use hamming_suite::index::testkit::{
     assert_matches_oracle, oracle_select, random_at_distance, random_outside, random_within,
 };
@@ -52,28 +53,6 @@ fn dataset(
 fn sorted(mut ids: Vec<TupleId>) -> Vec<TupleId> {
     ids.sort_unstable();
     ids
-}
-
-/// kNN by doubling-radius over any `search_with_distances`-shaped closure
-/// — applied identically to MIH and HA-Flat so result *order* divergence
-/// is caught by the byte-compare.
-fn knn(
-    code_len: usize,
-    k: usize,
-    q: &BinaryCode,
-    search: impl Fn(&BinaryCode, u32) -> Vec<(TupleId, u32)>,
-) -> Vec<(TupleId, u32)> {
-    let max_h = code_len as u32;
-    let mut h = 1u32;
-    loop {
-        let mut hits = search(q, h);
-        if hits.len() >= k || h >= max_h {
-            hits.sort_unstable_by_key(|&(id, d)| (d, id));
-            hits.truncate(k);
-            return hits;
-        }
-        h = (h * 2).min(max_h);
-    }
 }
 
 /// Replays the same mutation steps (biased 2:1 insert:delete, half the
@@ -119,7 +98,7 @@ fn assert_backends_agree(
     radii: &[u32],
     ctx: &str,
 ) {
-    let code_len = mih.code_len();
+    let max_h = mih.code_len() as u32;
     for q in queries {
         for &h in radii {
             let m = mih.search(q, h);
@@ -136,8 +115,8 @@ fn assert_backends_agree(
     }
     for (i, q) in queries.iter().enumerate() {
         for k in [1usize, 3, 16] {
-            let via_mih = knn(code_len, k, q, |q, h| mih.search_with_distances(q, h));
-            let via_flat = knn(code_len, k, q, |q, h| frozen.search_with_distances(q, h));
+            let via_mih = knn_by_radius(k, max_h, |h| mih.search_with_distances(q, h));
+            let via_flat = knn_by_radius(k, max_h, |h| frozen.search_with_distances(q, h));
             assert_eq!(via_mih, via_flat, "{ctx}: kNN q={i} k={k}");
         }
     }

@@ -341,6 +341,29 @@ fn mih_counters_report_the_probe_funnel() {
     assert!(verified >= answers as u64);
 }
 
+/// kNN's expansion is visible: one served kNN is one `core.knn.queries`,
+/// and its probe rounds land in `core.knn.rounds`. Codes 0..512 hold 1
+/// code at distance 0 from code 0, 10 within 1 and 46 within 2, so
+/// k = 40 needs radii 0, 1 and 2.
+#[test]
+fn knn_counters_report_the_expansion_rounds() {
+    let _guard = obs_lock();
+    let codes: Vec<(BinaryCode, u64)> =
+        (0..512).map(|i| (BinaryCode::from_u64(i, 32), i)).collect();
+    let serve = HaServe::build(32, codes, ServeConfig::default()).expect("service builds");
+
+    obs::reset();
+    let near = serve.knn(&BinaryCode::from_u64(0, 32), 40).expect("knn");
+    drop(serve);
+    let trace = obs::take_trace();
+    obs::disable();
+
+    assert_eq!(near.len(), 40);
+    assert_eq!(trace.count_named("serve.knn"), 1);
+    assert_eq!(trace.counter("core.knn.queries"), 1);
+    assert!(trace.counter("core.knn.rounds") >= 3, "k = 40 needs radii 0, 1 and 2");
+}
+
 /// The join's probe route is visible from the running system: every S
 /// probe of the DFS pipeline's Option A is tallied under exactly one
 /// `distributed.join.route.<backend>` counter, and the probe side's

@@ -3,9 +3,9 @@
 //! The central claims (DESIGN.md, "Generational serving"):
 //!
 //! 1. **Linearizable reads across swaps** — for *any* interleaving of
-//!    inserts, deletes, selects, and generation merges, every select
-//!    returns exactly what a lockstep linear-scan oracle over the live
-//!    multiset returns at that point. A merge is invisible in answers:
+//!    inserts, deletes, selects, kNN queries and generation merges, every
+//!    read returns exactly what a lockstep linear-scan oracle over the
+//!    live multiset returns at that point. A merge is invisible in answers:
 //!    it only moves content from the delta into the next frozen
 //!    generation.
 //! 2. **No stale cache hit at a generation boundary** — the result cache
@@ -76,6 +76,15 @@ impl Oracle {
         ids.sort_unstable();
         ids
     }
+
+    /// The `k` nearest `(id, distance)` pairs in `(distance, id)` order.
+    fn knn(&self, q: &BinaryCode, k: usize) -> Vec<(TupleId, u32)> {
+        let mut all: Vec<(TupleId, u32)> =
+            self.live.iter().map(|(c, id)| (*id, c.hamming(q))).collect();
+        all.sort_unstable_by_key(|&(id, d)| (d, id));
+        all.truncate(k);
+        all
+    }
 }
 
 fn manual_cfg() -> ServeConfig {
@@ -88,10 +97,10 @@ fn manual_cfg() -> ServeConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Claim 1: any insert/delete/select/merge interleaving answers
+    /// Claim 1: any insert/delete/select/kNN/merge interleaving answers
     /// exactly like the lockstep oracle, at every step — including
     /// repeat queries that may be served by the epoch-validated cache
-    /// across generation swaps.
+    /// across generation swaps, and kNN over live deltas and tombstones.
     #[test]
     fn interleavings_match_lockstep_oracle(seed in any::<u64>(), steps in 40usize..=120) {
         let pool = code_pool(seed);
@@ -100,7 +109,7 @@ proptest! {
         let mut oracle = Oracle::default();
         let mut merges = 0usize;
         for _ in 0..steps {
-            match rng.gen_range(0..10u32) {
+            match rng.gen_range(0..11u32) {
                 0..=3 => {
                     let code = pool[rng.gen_range(0..pool.len())].clone();
                     let id = rng.gen_range(0..8u64);
@@ -116,6 +125,11 @@ proptest! {
                 }
                 6 => {
                     merges += serve.merge_all_now().unwrap();
+                }
+                7 => {
+                    let q = BinaryCode::random(CODE_LEN, &mut rng);
+                    let k = [1usize, 5, 40][rng.gen_range(0..3usize)];
+                    prop_assert_eq!(serve.knn(&q, k).unwrap(), oracle.knn(&q, k), "kNN k={}", k);
                 }
                 _ => {
                     let q = pool[rng.gen_range(0..pool.len())].clone();

@@ -8,6 +8,7 @@
 //! claim.
 
 use hamming_suite::bitcode::BinaryCode;
+use hamming_suite::index::select::knn_by_radius;
 use hamming_suite::index::{DynamicHaIndex, MappedIndex, TupleId};
 use hamming_suite::store::HaStore;
 use proptest::prelude::*;
@@ -27,21 +28,6 @@ fn dataset(seed: u64, code_len: usize, n: usize) -> Vec<(BinaryCode, TupleId)> {
         out.push((code, rng.gen_range(0..n.max(1)) as TupleId));
     }
     out
-}
-
-/// kNN by doubling radius over `search_with_distances` — applied
-/// identically to both sides so order divergence is caught too.
-fn knn(hits_at: impl Fn(u32) -> Vec<(TupleId, u32)>, max_h: u32, k: usize) -> Vec<(TupleId, u32)> {
-    let mut h = 1u32;
-    loop {
-        let mut hits = hits_at(h);
-        if hits.len() >= k || h >= max_h {
-            hits.sort_unstable_by_key(|&(id, d)| (d, id));
-            hits.truncate(k);
-            return hits;
-        }
-        h = (h * 2).min(max_h);
-    }
 }
 
 proptest! {
@@ -93,8 +79,8 @@ proptest! {
         }
         for q in &queries {
             for k in [1usize, 5, n + 1] {
-                let a = knn(|h| view.search_with_distances(q, h), max_h, k);
-                let b = knn(|h| flat.search_with_distances(q, h), max_h, k);
+                let a = knn_by_radius(k, max_h, |h| view.search_with_distances(q, h));
+                let b = knn_by_radius(k, max_h, |h| flat.search_with_distances(q, h));
                 prop_assert_eq!(a, b, "kNN k={}", k);
             }
         }
