@@ -54,17 +54,15 @@ pub fn preprocess(
     let sampling_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let sample_owned: Vec<Vec<f64>> = sample.into_iter().cloned().collect();
-    let hasher = SpectralHasher::fit_vectors(&sample_owned, code_len, code_len);
-    let sample_codes: Vec<BinaryCode> =
-        sample_owned.iter().map(|v| hasher.hash(v)).collect();
+    let hasher = SpectralHasher::fit_vectors(&sample, code_len, code_len);
+    let sample_codes: Vec<BinaryCode> = sample.iter().map(|v| hasher.hash(v)).collect();
     let partitioner = PivotPartitioner::from_sample(&sample_codes, partitions);
     let hash_learn_time = t1.elapsed();
 
     Preprocessed {
         hasher: Arc::new(hasher),
         partitioner,
-        sample_size: sample_owned.len(),
+        sample_size: sample.len(),
         hash_learn_time,
         sampling_time,
     }

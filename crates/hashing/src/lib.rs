@@ -30,6 +30,7 @@
 
 pub mod matrix;
 pub mod pca;
+mod project;
 pub mod randn;
 mod simhash;
 mod spectral;

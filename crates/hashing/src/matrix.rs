@@ -1,7 +1,8 @@
 //! A small dense row-major matrix — just enough linear algebra for PCA.
 //!
-//! Deliberately minimal: the only consumers are the Jacobi eigensolver in
-//! [`crate::pca`] and projection in [`crate::SpectralHasher`]. Pulling in a
+//! Deliberately minimal: the only consumer is PCA ([`crate::pca`]): the
+//! covariance and the Jacobi / subspace eigensolvers. Projection has its
+//! own kernel, bit-identical to [`dot`]. Pulling in a
 //! full linear-algebra crate for a d×d covariance (d ≤ 512 in every
 //! experiment) would be the heavier choice.
 
@@ -57,6 +58,11 @@ impl Matrix {
     /// Borrow row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The whole matrix, row-major.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
     }
 
     /// Copy column `c` out as a vector.

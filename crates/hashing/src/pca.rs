@@ -6,7 +6,8 @@
 //! robust, and fast enough: each sweep rotates away every off-diagonal
 //! element once, and a handful of sweeps reaches machine precision.
 
-use crate::matrix::{dot, Matrix};
+use crate::matrix::Matrix;
+use crate::project::{Projector, BLOCK};
 
 /// Convergence threshold on the largest absolute off-diagonal element.
 const JACOBI_EPS: f64 = 1e-10;
@@ -17,12 +18,14 @@ const MAX_SWEEPS: usize = 64;
 /// A fitted PCA model: mean vector plus the top-`k` principal directions.
 #[derive(Clone, Debug)]
 pub struct Pca {
-    mean: Vec<f64>,
     /// `k × d`: row `i` is the i-th principal direction (unit norm),
     /// ordered by descending eigenvalue.
     components: Matrix,
     /// Eigenvalues (variances) matching `components` rows.
     eigenvalues: Vec<f64>,
+    /// The mean and `components`, transposed for the projection kernel.
+    /// Derived at fit, so it adds nothing to what a fitted model ships.
+    projector: Projector,
 }
 
 impl Pca {
@@ -35,9 +38,12 @@ impl Pca {
         assert!(data.rows() > 0, "PCA needs at least one sample");
         let d = data.cols();
         assert!(k >= 1 && k <= d, "k must be in 1..=d");
-        let mean = data.col_means();
-        let cov = data.covariance();
+        let (mean, cov) = {
+            let _span = ha_obs::span("hashing.fit.covariance");
+            (data.col_means(), data.covariance())
+        };
 
+        let _span = ha_obs::span("hashing.fit.eigen");
         // Full Jacobi costs O(d³) per sweep; when only a thin slice of the
         // spectrum is needed (the common hashing case: k = code length ≪
         // feature dimension), subspace iteration gets the top-k in
@@ -60,10 +66,16 @@ impl Pca {
                 components[(row, c)] = vectors[(c, idx)];
             }
         }
+        Pca::new(mean, components, top_values)
+    }
+
+    /// Assembles a model from its parts, deriving the kernel's layout.
+    pub(crate) fn new(mean: Vec<f64>, components: Matrix, eigenvalues: Vec<f64>) -> Self {
+        let projector = Projector::new(components.as_slice(), components.cols(), mean);
         Pca {
-            mean,
             components,
-            eigenvalues: top_values,
+            eigenvalues,
+            projector,
         }
     }
 
@@ -87,25 +99,37 @@ impl Pca {
         self.components.row(i)
     }
 
+    /// The projection kernel over this model's centred directions.
+    pub(crate) fn projector(&self) -> &Projector {
+        &self.projector
+    }
+
     /// Projects a vector onto the retained components (centred).
+    ///
+    /// # Panics
+    /// If `v.len() != self.dim()`.
     pub fn project(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.dim(), "dimension mismatch");
-        let centred: Vec<f64> = v.iter().zip(&self.mean).map(|(x, m)| x - m).collect();
-        (0..self.k())
-            .map(|i| dot(self.component(i), &centred))
-            .collect()
+        let mut out = Vec::with_capacity(self.k());
+        self.project_onto(v, &mut out);
+        out
     }
 
     /// Projects every row of a data matrix; returns an `n × k` matrix.
     pub fn project_all(&self, data: &Matrix) -> Matrix {
-        let n = data.rows();
-        let mut out = Matrix::zeros(n, self.k());
-        for r in 0..n {
-            for (c, val) in self.project(data.row(r)).into_iter().enumerate() {
-                out[(r, c)] = val;
-            }
+        let mut out = Vec::with_capacity(data.rows() * self.k());
+        for r in 0..data.rows() {
+            self.project_onto(data.row(r), &mut out);
         }
-        out
+        Matrix::from_rows(data.rows(), self.k(), out)
+    }
+
+    /// Appends the `k` projections of `v` to `out`.
+    fn project_onto(&self, v: &[f64], out: &mut Vec<f64>) {
+        let k = self.k();
+        self.projector.fold(v, out, |out, j0, block| {
+            out.extend_from_slice(&block[..(k - j0).min(BLOCK)]);
+            out
+        });
     }
 }
 
@@ -243,6 +267,7 @@ fn orthonormalize(m: &mut Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::dot;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

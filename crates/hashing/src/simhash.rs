@@ -6,10 +6,11 @@
 //! This is the data-independent counterpart to Spectral Hashing and the
 //! hash family behind the paper's near-duplicate-detection motivation [4,5].
 
-use ha_bitcode::BinaryCode;
+use ha_bitcode::{BinaryCode, MAX_BITS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::project::{set_bit, Projector, Words};
 use crate::randn::standard_normal;
 use crate::SimilarityHasher;
 
@@ -18,30 +19,30 @@ use crate::SimilarityHasher;
 #[derive(Clone, Debug)]
 pub struct SimHasher {
     code_len: usize,
-    dim: usize,
-    /// `code_len` hyperplane normals, each of length `dim`, flattened.
-    planes: Vec<f64>,
+    /// The `code_len` hyperplane normals, transposed for the projection
+    /// kernel (no centring).
+    planes: Projector,
 }
 
 impl SimHasher {
     /// Creates a hasher with `code_len` random Gaussian hyperplanes over
     /// `dim`-dimensional vectors, deterministically derived from `seed`.
+    ///
+    /// # Panics
+    /// If `dim` is zero, or `code_len` is zero or exceeds
+    /// [`MAX_BITS`](ha_bitcode::MAX_BITS).
     pub fn new(code_len: usize, dim: usize, seed: u64) -> Self {
         assert!(code_len >= 1, "code length must be >= 1");
+        assert!(code_len <= MAX_BITS, "code length must be <= {MAX_BITS}");
         assert!(dim >= 1, "dimension must be >= 1");
         let mut rng = StdRng::seed_from_u64(seed);
-        let planes = (0..code_len * dim)
+        let planes: Vec<f64> = (0..code_len * dim)
             .map(|_| standard_normal(&mut rng))
             .collect();
         SimHasher {
             code_len,
-            dim,
-            planes,
+            planes: Projector::new(&planes, dim, Vec::new()),
         }
-    }
-
-    fn plane(&self, i: usize) -> &[f64] {
-        &self.planes[i * self.dim..(i + 1) * self.dim]
     }
 }
 
@@ -51,25 +52,24 @@ impl SimilarityHasher for SimHasher {
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.planes.dim()
     }
 
     fn hash(&self, v: &[f64]) -> BinaryCode {
-        assert_eq!(v.len(), self.dim, "dimension mismatch");
-        let mut code = BinaryCode::zero(self.code_len);
-        for i in 0..self.code_len {
-            let s: f64 = self.plane(i).iter().zip(v).map(|(p, x)| p * x).sum();
-            if s >= 0.0 {
-                code.set(i, true);
+        let words = self.planes.fold(v, [0; _], |mut words: Words, j0, block| {
+            for (i, &s) in block.iter().enumerate().take(self.code_len - j0) {
+                set_bit(&mut words, j0 + i, s >= 0.0);
             }
-        }
-        code
+            words
+        });
+        BinaryCode::from_words(&words, self.code_len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -123,4 +123,49 @@ mod tests {
         }
     }
 
+    /// The scalar body the kernel replaced: regenerate the planes from the
+    /// seed, one sequential `sum` per plane.
+    fn reference_hash(code_len: usize, dim: usize, seed: u64, v: &[f64]) -> BinaryCode {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let planes: Vec<f64> = (0..code_len * dim)
+            .map(|_| standard_normal(&mut rng))
+            .collect();
+        let mut code = BinaryCode::zero(code_len);
+        for (i, plane) in planes.chunks_exact(dim).enumerate() {
+            let s: f64 = plane.iter().zip(v).map(|(p, x)| p * x).sum();
+            if s >= 0.0 {
+                code.set(i, true);
+            }
+        }
+        code
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The kernel-driven hash ≡ the scalar reference for every code
+        /// length (partial blocks, several blocks) and dimension, on
+        /// ordinary, zero, huge and non-finite inputs.
+        #[test]
+        fn hash_is_bit_identical_to_the_reference(
+            code_len in 1usize..=130,
+            dim in 1usize..=600,
+            seed in any::<u64>(),
+        ) {
+            let h = SimHasher::new(code_len, dim, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 1);
+            let mut inputs: Vec<Vec<f64>> = vec![vec![0.0; dim], vec![-0.0; dim]];
+            for scale in [1e-300, 1.0, 1e300] {
+                inputs.push((0..dim).map(|_| scale * rng.gen_range(-1.0..1.0)).collect());
+            }
+            for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut v: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                v[rng.gen_range(0..dim)] = special;
+                inputs.push(v);
+            }
+            for v in &inputs {
+                prop_assert_eq!(h.hash(v), reference_hash(code_len, dim, seed, v));
+            }
+        }
+    }
 }

@@ -20,6 +20,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::datagen::{generate, DatasetProfile};
 use hamming_suite::distributed::pipeline::{mrha_hamming_join_on_dfs, MrHaConfig};
+use hamming_suite::hashing::{SimilarityHasher, SpectralHasher};
 use hamming_suite::index::planner::PlannedIndex;
 use hamming_suite::index::testkit::random_dataset;
 use hamming_suite::index::{HammingIndex, MihIndex};
@@ -441,6 +442,51 @@ fn planned_build_spans_split_the_build_into_phases() {
     for phase in PHASES {
         assert_eq!(trace.count_named(phase), 2, "{phase} outside a build");
     }
+}
+
+/// Learning a hash is visible: one traced `SpectralHasher::fit` is one
+/// `hashing.fit` root span holding `hashing.fit.covariance`,
+/// `hashing.fit.eigen` and `hashing.fit.ranges` once each, run one after
+/// another inside it. Encoding records nothing per vector.
+#[test]
+fn spectral_fit_spans_split_the_fit_into_phases() {
+    const PHASES: [&str; 3] = [
+        "hashing.fit.covariance",
+        "hashing.fit.eigen",
+        "hashing.fit.ranges",
+    ];
+    let _guard = obs_lock();
+    let data = generate(&DatasetProfile::tiny(24, 4), 400, 3);
+
+    obs::reset();
+    let hasher = SpectralHasher::fit_vectors(&data, 32, 32);
+    for v in &data {
+        hasher.hash(v);
+    }
+    let trace = obs::take_trace();
+    obs::disable();
+
+    let fit = trace.last_named("hashing.fit").expect("a hashing.fit span");
+    assert_eq!(fit.parent, None);
+    assert_eq!(trace.count_named("hashing.fit"), 1);
+    let children = trace.children(fit.id);
+    for phase in PHASES {
+        assert_eq!(
+            children.iter().filter(|s| s.name == phase).count(),
+            1,
+            "{phase} once under the fit"
+        );
+    }
+    let phase_ns: u64 = children.iter().map(|s| s.end_ns - s.start_ns).sum();
+    assert!(
+        phase_ns <= fit.end_ns - fit.start_ns,
+        "phases outlast their fit"
+    );
+    assert_eq!(
+        trace.spans.len(),
+        1 + PHASES.len(),
+        "no span per encoded vector"
+    );
 }
 
 // Cheap sanity for the equivalence tests above: a job run with tracing

@@ -123,6 +123,17 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     ("crates/store/src/store.rs", 0, 0, 0, 0),
     ("crates/store/src/view.rs", 0, 0, 0, 0),
     ("crates/store/src/write.rs", 0, 0, 0, 0),
+    // ha-hashing encodes every tuple inside every map task of the
+    // distributed join, and a mapper panic burns a task attempt: the
+    // encoder is held to the hot path's zero budget (its `assert!`s are
+    // construction-time shape contracts, as in HA-Kern).
+    ("crates/hashing/src/lib.rs", 0, 0, 0, 0),
+    ("crates/hashing/src/matrix.rs", 0, 0, 0, 0),
+    ("crates/hashing/src/pca.rs", 0, 0, 0, 0),
+    ("crates/hashing/src/project.rs", 0, 0, 0, 0),
+    ("crates/hashing/src/randn.rs", 0, 0, 0, 0),
+    ("crates/hashing/src/simhash.rs", 0, 0, 0, 0),
+    ("crates/hashing/src/spectral.rs", 0, 0, 0, 0),
     ("crates/obs/src/event.rs", 0, 0, 0, 0),
     ("crates/obs/src/json.rs", 0, 0, 0, 0),
     ("crates/obs/src/lib.rs", 0, 0, 0, 0),
@@ -167,6 +178,7 @@ fn lib_code_stays_within_its_panic_budget() {
         "crates/service/src",
         "crates/store/src",
         "crates/obs/src",
+        "crates/hashing/src",
     ] {
         let mut found = Vec::new();
         for entry in fs::read_dir(root.join(dir)).expect("source dir exists") {
@@ -202,4 +214,48 @@ fn lib_code_stays_within_its_panic_budget() {
              new sites to typed errors or update the audit"
         );
     }
+}
+
+/// `unsafe` in ha-hashing is one call: the projection kernel's jump into
+/// its AVX2 instantiation, behind a `// SAFETY:` comment that names the
+/// cached feature probe it relies on (`Kernel::detect`).
+#[test]
+fn hashing_unsafe_is_the_one_dispatch_call() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/hashing/src");
+    let mut sites = Vec::new();
+    for entry in fs::read_dir(&root).expect("source dir exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|x| x == "rs") {
+            let n = count(&lib_code(&path), "unsafe");
+            let name = path
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            sites.extend(std::iter::repeat_n(name, n));
+        }
+    }
+    assert_eq!(
+        sites,
+        ["project.rs"],
+        "unsafe outside the one dispatch call"
+    );
+
+    let src = fs::read_to_string(root.join("project.rs")).expect("read project.rs");
+    let lines: Vec<&str> = src.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| !l.trim_start().starts_with("//") && l.contains("unsafe"))
+        .expect("the dispatch call");
+    let comment: Vec<&str> = lines[..at]
+        .iter()
+        .rev()
+        .take_while(|l| l.trim_start().starts_with("//"))
+        .copied()
+        .collect();
+    let comment = comment.join(" ");
+    assert!(
+        comment.contains("SAFETY:") && comment.contains("Kernel::detect()"),
+        "the unsafe call needs a `// SAFETY:` comment naming the cached `Kernel::detect()` probe"
+    );
 }
