@@ -19,7 +19,7 @@
 use ha_bench::{exp, report};
 use ha_bench::Scale;
 
-const USAGE: &str = "usage: experiments [--json <path>] [--trace <path>] [table3|table4|table5|fig6|fig7|fig8|fig9|fig10|flat|kernels|par|planner|store|serve|trace|all]...
+const USAGE: &str = "usage: experiments [--json <path>] [--trace <path>] [table3|table4|table5|fig6|fig7|fig8|fig9|fig10|flat|kernels|planner|store|serve|trace|all]...
 
 Regenerates the paper's evaluation artifacts (EDBT 2015, Tang et al.):
   table3   H-Search execution trace on the running example
@@ -31,8 +31,8 @@ Regenerates the paper's evaluation artifacts (EDBT 2015, Tang et al.):
   fig9     MapReduce join: running time vs data size   (runs with fig7)
   fig10    effect of the preprocessing sample rate
   flat     frozen CSR/SoA snapshot vs arena BFS; parallel H-Build scaling
-  kernels  HA-Kern distance kernels × layouts; adaptive freeze policy end-to-end
-  par      HA-Par: shard fan-out, morsel frontiers, prefetch, kernel dispatch
+  kernels  HA-Kern distance kernels × layouts; adaptive freeze policy end-to-end;
+           per-kernel H-Search
   planner  all four exact backends timed per grid cell vs the cost model's pick
   store    HA-Store: cold-open-to-first-query, mmap vs decode+H-Build
   serve    HA-Serve: online select throughput, single vs micro-batched
@@ -106,7 +106,6 @@ fn main() {
             "fig10" => exp::fig10::run(&scale),
             "flat" => exp::flat::run(&scale),
             "kernels" => exp::kernels::run(&scale),
-            "par" => exp::par::run(&scale),
             "planner" => exp::planner::run(&scale),
             "store" => exp::store::run(&scale),
             "serve" => exp::serve::run(&scale),
@@ -124,7 +123,6 @@ fn main() {
                 exp::fig10::run(&scale);
                 exp::flat::run(&scale);
                 exp::kernels::run(&scale);
-                exp::par::run(&scale);
                 exp::planner::run(&scale);
                 exp::store::run(&scale);
                 exp::serve::run(&scale);

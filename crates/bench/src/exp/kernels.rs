@@ -2,7 +2,7 @@
 //! freeze policy (no counterpart figure in the paper; see docs/KERNELS.md
 //! and DESIGN.md, "When freezing pays").
 //!
-//! Two tables:
+//! Three tables:
 //!
 //! * a kernel-level microbenchmark sweeping every [`Kernel`] ×
 //!   [`GroupLayout`] pair over packed sibling groups, against the scalar
@@ -18,7 +18,10 @@
 //!   [`FreezePolicy::always_soa`] (the pre-policy ablation that lost at
 //!   512-bit sparse) vs [`FreezePolicy::adaptive`] (the default, which
 //!   must hold ≥1.0× everywhere). The `aos%` column shows how much of
-//!   the forest the policy actually transposed.
+//!   the forest the policy actually transposed;
+//! * every kernel timed on one frozen H-Search workload through
+//!   `FlatStoreView::with_kernel`, with the runtime probe's per-process
+//!   pick marked.
 
 use ha_bitcode::{masked_distance_group, GroupLayout, Kernel};
 use ha_core::testkit::clustered_dataset;
@@ -30,10 +33,12 @@ use crate::{fmt_duration, print_table, query_workload, time_per_call, Scale};
 
 const THRESHOLDS: [u32; 2] = [3, 6];
 
-/// Runs the kernel microbenchmark and the freeze-policy end-to-end sweep.
+/// Runs the kernel microbenchmark, the freeze-policy end-to-end sweep
+/// and the per-kernel H-Search table.
 pub fn run(scale: &Scale) {
     kernel_table(scale);
     policy_table(scale);
+    dispatch_table(scale);
 }
 
 /// One synthetic sibling-group workload: the same groups packed in both
@@ -243,6 +248,50 @@ fn policy_table(scale: &Scale) {
             "bits", "n", "h", "arena", "flat soa", "soa spd", "flat adaptive", "ada spd", "aos%",
             "identical",
         ],
+        &rows,
+    );
+}
+
+/// Every kernel on the same frozen workload, with the runtime probe's
+/// pick marked — the dispatch decision the process makes once at start.
+/// Each cell is best-of-3.
+fn dispatch_table(scale: &Scale) {
+    let code_len = 64;
+    let n = scale.n(30_000);
+    let data = clustered_dataset(n, code_len, 24, 4, 9330);
+    let queries = query_workload(&data, scale.queries.min(64), 9331);
+    let mut idx = DynamicHaIndex::build(data);
+    let flat = idx.freeze();
+    let h = 6u32;
+    let detected = Kernel::detect();
+
+    let mut rows = Vec::new();
+    for kernel in Kernel::ALL {
+        let view = flat.view().with_kernel(kernel);
+        let per = (0..3)
+            .map(|_| {
+                let mut qi = 0usize;
+                time_per_call(queries.len(), || {
+                    std::hint::black_box(view.search(&queries[qi % queries.len()], h));
+                    qi += 1;
+                })
+            })
+            .min()
+            .unwrap_or_default();
+        rows.push(vec![
+            kernel.name().to_string(),
+            if kernel.is_available() { "yes" } else { "no (=lanes)" }.to_string(),
+            fmt_duration(per),
+            if kernel == detected { "<- detected" } else { "" }.to_string(),
+        ]);
+    }
+    print_table(
+        &format!(
+            "Runtime kernel dispatch: per-kernel H-Search \
+             (bits={code_len}, n={n}, h={h}; Kernel::detect() = {})",
+            detected.name()
+        ),
+        &["kernel", "available", "per query", "dispatch"],
         &rows,
     );
 }

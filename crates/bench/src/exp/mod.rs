@@ -8,7 +8,6 @@ pub mod fig7_9;
 pub mod fig8;
 pub mod flat;
 pub mod kernels;
-pub mod par;
 pub mod planner;
 pub mod serve;
 pub mod store;

@@ -32,13 +32,10 @@
 //! * [`mix`] — the splitmix64-finalizer [`mix::BuildMix64`] hasher that
 //!   keys MIH's `u64` chunk tables (std's SipHash cost more than the rest
 //!   of a bucket probe).
-//! * [`pool`] — HA-Par's scoped work-stealing [`pool::fan_out`]: the one
-//!   fan-out primitive behind parallel H-Build, `HaServe` shard probes
-//!   and morsel-split frontier levels, with results reassembled in task
-//!   order so parallel merges stay byte-identical to sequential ones.
-//! * [`prefetch`] — portable software-prefetch hints
-//!   ([`prefetch::prefetch_read`]) the traversal hot paths issue a
-//!   configurable distance ahead of the current sibling group.
+//! * [`pool`] — the scoped work-stealing [`pool::fan_out`]: the one
+//!   fan-out primitive behind parallel H-Build and `HaServe` shard
+//!   probes, with results reassembled in task order so parallel merges
+//!   stay byte-identical to sequential ones.
 //!
 //! # Bit-order convention
 //!
@@ -65,7 +62,6 @@ pub mod kernels;
 mod masked;
 pub mod mix;
 pub mod pool;
-pub mod prefetch;
 pub mod segment;
 mod words;
 

@@ -1,8 +1,8 @@
 //! A tiny scoped work-stealing pool for fan-out over borrowed data.
 //!
-//! Every parallel surface in the workspace — the level-parallel H-Build,
-//! HA-Par's shard fan-out inside `HaServe`, and the morsel-split frontier
-//! levels in `FlatStoreView` — has the same shape: `n` independent tasks
+//! Both parallel surfaces in the workspace — the level-parallel H-Build
+//! and the shard fan-out inside `HaServe` — have the same shape: `n`
+//! independent tasks
 //! over data the caller only *borrows*, whose results must come back in
 //! task order so merges stay byte-identical to the sequential loop.
 //! [`fan_out`] is that shape, once: scoped threads (no `'static` bound,

@@ -46,6 +46,12 @@ use crate::TupleId;
 /// Sentinel for "no parent" / "not a leaf" in the flat arrays.
 const NONE: u32 = u32::MAX;
 
+/// Under [`FreezePolicy::adaptive`], sibling groups of multi-word codes
+/// strictly narrower than this are laid out AoS: the group width where
+/// the kernel sweep measured the SoA stride cost crossing the per-sibling
+/// early-exit gain.
+const AOS_MAX_GROUP: usize = 16;
+
 /// Per-subtree layout decision applied while compiling a snapshot.
 ///
 /// The compiler measures every sibling group's width as it renumbers
@@ -68,16 +74,6 @@ const NONE: u32 = u32::MAX;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FreezePolicy {
     mode: PolicyMode,
-    aos_max_group: usize,
-    /// Kernel the frozen snapshot's views dispatch to; `None` defers to
-    /// the one-time runtime probe ([`Kernel::detect`]).
-    kernel: Option<Kernel>,
-    /// Frontier prefetch look-ahead for the snapshot's views; `None`
-    /// takes the measured default, `Some(0)` disables the hints.
-    prefetch: Option<usize>,
-    /// Worker threads for morsel-split frontier levels; `None` (and
-    /// anything `<= 1`) keeps traversal on the calling thread.
-    workers: Option<usize>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,82 +84,21 @@ enum PolicyMode {
 }
 
 impl FreezePolicy {
-    /// Per-group choice: AoS for narrow groups of multi-word codes,
-    /// SoA everywhere else. The default group-width threshold (16) is
-    /// where the kernel sweep measured the stride cost crossing the
-    /// early-exit gain; tune with [`FreezePolicy::aos_max_group`].
+    /// Per-group choice: AoS for groups of multi-word codes narrower
+    /// than 16 siblings, SoA everywhere else.
     pub fn adaptive() -> FreezePolicy {
-        FreezePolicy {
-            mode: PolicyMode::Adaptive,
-            aos_max_group: 16,
-            kernel: None,
-            prefetch: None,
-            workers: None,
-        }
+        FreezePolicy { mode: PolicyMode::Adaptive }
     }
 
     /// Every group SoA — the legacy layout, kept as the documented
     /// ablation and for serializing v1-compatible files.
     pub fn always_soa() -> FreezePolicy {
-        FreezePolicy { aos_max_group: 0, mode: PolicyMode::AlwaysSoa, ..FreezePolicy::adaptive() }
+        FreezePolicy { mode: PolicyMode::AlwaysSoa }
     }
 
     /// Every group AoS — a measurement aid, not a serving choice.
     pub fn always_aos() -> FreezePolicy {
-        FreezePolicy {
-            aos_max_group: usize::MAX,
-            mode: PolicyMode::AlwaysAos,
-            ..FreezePolicy::adaptive()
-        }
-    }
-
-    /// Adjusts the adaptive threshold: groups strictly narrower than
-    /// `g` (of multi-word codes) become AoS.
-    pub fn aos_max_group(mut self, g: usize) -> FreezePolicy {
-        self.aos_max_group = g;
-        self
-    }
-
-    /// Pins the snapshot's sweep kernel instead of deferring to the
-    /// runtime probe. Every kernel computes identical distances, so
-    /// this is a pure performance knob (scalar for tracing/debugging,
-    /// the detected vector kernel for throughput).
-    pub fn with_kernel(mut self, kernel: Kernel) -> FreezePolicy {
-        self.kernel = Some(kernel);
-        self
-    }
-
-    /// Pins the frontier prefetch look-ahead (entries ahead of the
-    /// group being swept; `0` disables the hints).
-    pub fn prefetch_distance(mut self, distance: usize) -> FreezePolicy {
-        self.prefetch = Some(distance);
-        self
-    }
-
-    /// Lets the snapshot's views split frontier levels wider than two
-    /// morsels across up to `workers` scoped threads. Answers stay
-    /// byte-identical at any worker count (morsel results are
-    /// reassembled in frontier order).
-    pub fn parallel_workers(mut self, workers: usize) -> FreezePolicy {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// The kernel snapshots frozen under this policy dispatch to:
-    /// the pinned choice, or the runtime-detected best.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel.unwrap_or_else(Kernel::detect)
-    }
-
-    /// The frontier prefetch look-ahead snapshots frozen under this
-    /// policy use.
-    pub fn prefetch(&self) -> usize {
-        self.prefetch.unwrap_or(ha_bitcode::prefetch::PREFETCH_DISTANCE)
-    }
-
-    /// Worker threads for morsel-split frontier levels (1 = sequential).
-    pub fn workers(&self) -> usize {
-        self.workers.unwrap_or(1)
+        FreezePolicy { mode: PolicyMode::AlwaysAos }
     }
 
     /// The layout this policy assigns a `group`-wide sibling group of
@@ -173,7 +108,7 @@ impl FreezePolicy {
             PolicyMode::AlwaysSoa => GroupLayout::Soa,
             PolicyMode::AlwaysAos => GroupLayout::Aos,
             PolicyMode::Adaptive => {
-                if words > 1 && group < self.aos_max_group {
+                if words > 1 && group < AOS_MAX_GROUP {
                     GroupLayout::Aos
                 } else {
                     GroupLayout::Soa
@@ -234,13 +169,6 @@ pub struct FlatHaIndex {
     /// out row-major — the planner reads the ratio.
     groups: u32,
     aos_groups: u32,
-    /// Execution knobs resolved from the freeze policy at compile time
-    /// (kernel via the runtime probe unless pinned). Applied to every
-    /// view the snapshot hands out; never serialized — a reopened store
-    /// re-resolves for the host it runs on.
-    kernel: Kernel,
-    prefetch: usize,
-    workers: usize,
 }
 
 /// Appends one sibling group's patterns to `planes` in the layout the
@@ -369,9 +297,6 @@ pub(super) fn compile(idx: &DynamicHaIndex, policy: FreezePolicy) -> FlatHaIndex
         group_layout,
         groups,
         aos_groups,
-        kernel: policy.kernel(),
-        prefetch: policy.prefetch(),
-        workers: policy.workers(),
     }
 }
 
@@ -451,14 +376,9 @@ impl FlatHaIndex {
     }
 
     /// Zero-copy search view over the owned arrays — the same type an
-    /// `mmap`-ed HA-Store snapshot hands out — carrying the execution
-    /// knobs (kernel, prefetch distance, morsel workers) the freeze
-    /// policy resolved.
+    /// `mmap`-ed HA-Store snapshot hands out.
     pub fn view(&self) -> FlatStoreView<'_> {
         FlatStoreView::from_parts_unchecked(self.parts())
-            .with_kernel(self.kernel)
-            .with_prefetch(self.prefetch)
-            .with_parallel(self.workers)
     }
 
     /// Serializes the snapshot into the persistent HA-Store format

@@ -32,7 +32,6 @@
 
 pub mod delta;
 pub mod dynamic;
-pub mod exec;
 pub mod mapped;
 mod hengine;
 mod hmsearch;
@@ -48,7 +47,6 @@ mod static_ha;
 pub mod testkit;
 
 pub use delta::{DeltaBase, DeltaIndex, DeltaOp};
-pub use exec::{ExecConfig, SearchExecutor};
 pub use mapped::MappedIndex;
 pub use dynamic::{DhaConfig, DynamicHaIndex, FlatHaIndex, FreezePolicy};
 pub use hengine::HEngine;

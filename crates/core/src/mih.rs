@@ -38,7 +38,6 @@ use std::collections::HashMap;
 
 use ha_bitcode::chunk::{distance_within_words, for_each_neighbor, neighborhood_size};
 use ha_bitcode::mix::BuildMix64;
-use ha_bitcode::prefetch::{prefetch_index, PREFETCH_DISTANCE};
 use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
@@ -261,13 +260,7 @@ impl MihIndex {
                     probes += 1;
                     let Some(bucket) = table.get(&v) else { return };
                     candidates += bucket.len() as u64;
-                    for (j, &row) in bucket.iter().enumerate() {
-                        // Bucket rows land anywhere in the flat store;
-                        // hint the row a few candidates ahead so its code
-                        // words arrive while this one is being verified.
-                        if let Some(&ahead) = bucket.get(j + PREFETCH_DISTANCE) {
-                            prefetch_index(&self.row_words, ahead as usize * self.stride);
-                        }
+                    for &row in bucket {
                         let row = row as usize;
                         if seen.test_and_set(row) {
                             dedup_hits += 1;

@@ -28,7 +28,7 @@
 use ha_bitcode::chunk::neighborhood_size;
 use ha_bitcode::BinaryCode;
 
-use crate::dynamic::{DhaConfig, DynamicHaIndex, FreezePolicy};
+use crate::dynamic::{DhaConfig, DynamicHaIndex};
 use crate::mih::MihIndex;
 use crate::{HammingIndex, MutableIndex, TupleId};
 
@@ -283,15 +283,8 @@ pub fn choose_with_aos(
 pub struct PlanConfig {
     /// Configuration of the inner [`DynamicHaIndex`].
     pub dha: DhaConfig,
-    /// Explicit MIH chunk count; `None` sizes it from the build-time row
-    /// count ([`MihIndex::auto_chunks`]).
-    pub mih_chunks: Option<usize>,
     /// Cost model driving routing decisions.
     pub model: CostModel,
-    /// Policy every snapshot of this index is frozen under — layout
-    /// choice plus the HA-Par execution knobs (kernel, prefetch,
-    /// morsel workers).
-    pub freeze: FreezePolicy,
 }
 
 /// An exact Hamming index that owns every backend and routes per query.
@@ -324,7 +317,6 @@ pub struct PlannedIndex {
     mih: MihIndex,
     model: CostModel,
     clusteredness: f64,
-    freeze: FreezePolicy,
 }
 
 impl PlannedIndex {
@@ -334,16 +326,18 @@ impl PlannedIndex {
         Self::build_with(code_len, items, PlanConfig::default())
     }
 
-    /// Builds with explicit configuration. With tracing on, the build is
-    /// one `core.plan.build` span whose children are the phases:
-    /// `core.plan.mih`, H-Build's `core.hbuild.*`, `core.plan.freeze` and
-    /// `core.plan.profile`.
+    /// Builds with explicit configuration: the MIH with
+    /// [`MihIndex::auto_chunks`] tables, and the flat snapshot frozen
+    /// under [`FreezePolicy::adaptive`](crate::FreezePolicy::adaptive).
+    /// With tracing on, the build is one `core.plan.build` span whose
+    /// children are the phases: `core.plan.mih`, H-Build's
+    /// `core.hbuild.*`, `core.plan.freeze` and `core.plan.profile`.
     pub fn build_with(code_len: usize, items: Vec<(BinaryCode, TupleId)>, cfg: PlanConfig) -> Self {
         let _build = ha_obs::span("core.plan.build");
         let mih = {
             let _span = ha_obs::span("core.plan.mih");
             let n = items.len();
-            let chunks = cfg.mih_chunks.unwrap_or_else(|| MihIndex::auto_chunks(code_len, n));
+            let chunks = MihIndex::auto_chunks(code_len, n);
             MihIndex::bulk(code_len, chunks, n, items.iter().map(|(code, id)| (code, *id)))
         };
         let mut dha = if items.is_empty() {
@@ -353,13 +347,13 @@ impl PlannedIndex {
         };
         {
             let _span = ha_obs::span("core.plan.freeze");
-            dha.freeze_with(cfg.freeze);
+            dha.freeze();
         }
         let clusteredness = {
             let _span = ha_obs::span("core.plan.profile");
             estimate_clusteredness(dha.leaf_codes())
         };
-        PlannedIndex { code_len, dha, mih, model: cfg.model, clusteredness, freeze: cfg.freeze }
+        PlannedIndex { code_len, dha, mih, model: cfg.model, clusteredness }
     }
 
     /// Adopts an already-built HA-Index — the distributed join's decoded
@@ -390,7 +384,7 @@ impl PlannedIndex {
         let n = dha.len();
         let mih = MihIndex::bulk(code_len, MihIndex::auto_chunks(code_len, n), n, dha.item_refs());
         let clusteredness = estimate_clusteredness(dha.leaf_codes());
-        PlannedIndex { code_len, dha, mih, model, clusteredness, freeze: FreezePolicy::default() }
+        PlannedIndex { code_len, dha, mih, model, clusteredness }
     }
 
     /// The profile the planner currently costs queries against. The
@@ -510,13 +504,11 @@ impl PlannedIndex {
         }
     }
 
-    /// Refreshes the flat snapshot (under the configured policy) and the
-    /// clusteredness estimate. Idempotent while the epoch is unchanged,
-    /// like [`DynamicHaIndex::freeze`].
+    /// Refreshes the flat snapshot and the clusteredness estimate.
+    /// Idempotent while the epoch is unchanged, like
+    /// [`DynamicHaIndex::freeze`].
     pub fn freeze(&mut self) {
-        if !self.dha.flat_is_current() {
-            self.dha.freeze_with(self.freeze);
-        }
+        self.dha.freeze();
         self.clusteredness = estimate_clusteredness(self.dha.leaf_codes());
     }
 

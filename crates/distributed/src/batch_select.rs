@@ -101,9 +101,7 @@ pub fn try_mrha_batch_select(
             if dha.keep_leaf_ids {
                 let plan = PlanConfig {
                     dha: dha.clone(),
-                    mih_chunks: None,
                     model: ha_core::CostModel::default(),
-                    freeze: ha_core::FreezePolicy::default(),
                 };
                 let local = PlannedIndex::build_with(code_len, tuples, plan);
                 for (qi, q) in shared_queries.iter().enumerate() {

@@ -61,14 +61,11 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ha_bitcode::BinaryCode;
+use ha_bitcode::{BinaryCode, Kernel};
 use ha_core::delta::{DeltaBase, DeltaIndex, DeltaOp};
 use ha_core::planner::{PlanConfig, PlannedIndex};
 use ha_core::select::knn_by_radius;
-use ha_core::{
-    CostModel, DhaConfig, DynamicHaIndex, ExecConfig, HammingIndex, MappedIndex, SearchExecutor,
-    TupleId,
-};
+use ha_core::{CostModel, DhaConfig, DynamicHaIndex, HammingIndex, MappedIndex, TupleId};
 use ha_mapreduce::wal::{DfsWal, WalError};
 use ha_mapreduce::{DfsError, InMemoryDfs};
 use parking_lot::{Mutex, RwLock};
@@ -123,12 +120,11 @@ pub struct ServeConfig {
     /// panics/delays and scripted process crashes around the WAL append.
     /// Empty by default (no faults).
     pub merge_faults: MergeFaultPlan,
-    /// HA-Par execution knobs: how many workers a select/kNN/batch fans
-    /// its shard probes across, plus the kernel and prefetch settings
-    /// forwarded into every generation's freeze policy. The default
-    /// sizes the fan-out to the host; [`ExecConfig::sequential`] is the
-    /// byte-identical oracle configuration.
-    pub exec: ExecConfig,
+    /// Threads a cache-missed select batch or a kNN round fans its
+    /// per-shard probes across; `<= 1` probes the shards inline on the
+    /// calling thread. Answers are identical at any width. The default
+    /// is the host's `available_parallelism`.
+    pub fan_out: usize,
 }
 
 impl Default for ServeConfig {
@@ -146,7 +142,7 @@ impl Default for ServeConfig {
             max_merge_attempts: 3,
             merge_backoff: Duration::from_millis(1),
             merge_faults: MergeFaultPlan::new(),
-            exec: ExecConfig::default(),
+            fan_out: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -551,9 +547,6 @@ struct Inner {
     mutation_ordinal: AtomicU64,
     faults: MergeFaultInjector,
     durable: Option<Durable>,
-    /// HA-Par executor every select/kNN/batch fans its shard probes
-    /// through (inline when `cfg.exec.workers <= 1`).
-    exec: SearchExecutor,
     cfg: ServeConfig,
 }
 
@@ -749,6 +742,10 @@ impl HaServe {
         durable: Option<Durable>,
         cfg: ServeConfig,
     ) -> HaServe {
+        // The group kernel every generation's flat sweeps dispatch to, as
+        // resolved for this process — a trace shows what ran, not what
+        // was compiled in.
+        ha_obs::add(&format!("exec.kernel.{}", Kernel::detect().name()), 1);
         let inner = Arc::new(Inner {
             code_len,
             state: Mutex::new(MetricsState::new(shards.len())),
@@ -765,7 +762,6 @@ impl HaServe {
             mutation_ordinal: AtomicU64::new(0),
             faults: MergeFaultInjector::new(cfg.merge_faults.clone()),
             durable,
-            exec: SearchExecutor::new(&cfg.exec),
             cfg,
         });
         let workers: Vec<JoinHandle<()>> = (0..inner.cfg.workers)
@@ -1174,23 +1170,31 @@ fn partition(
 }
 
 fn plan_config(cfg: &ServeConfig) -> PlanConfig {
-    // Forward the HA-Par execution knobs into the freeze policy so
-    // every generation this service compiles sweeps on the configured
-    // (or runtime-detected) kernel with the configured prefetch
-    // distance. The layout choice itself stays adaptive.
-    let mut freeze = ha_core::FreezePolicy::adaptive();
-    if let Some(kernel) = cfg.exec.kernel {
-        freeze = freeze.with_kernel(kernel);
-    }
-    if let Some(distance) = cfg.exec.prefetch {
-        freeze = freeze.prefetch_distance(distance);
-    }
     PlanConfig {
         dha: cfg.dha.clone(),
-        mih_chunks: None,
         model: cfg.model.clone(),
-        freeze,
     }
+}
+
+/// Runs `f(0..tasks)` and returns the results **in task order** — the
+/// exact output of `(0..tasks).map(f).collect()`, so callers merge as a
+/// sequential loop would. Inline when `width <= 1` or there is at most
+/// one task; otherwise the tasks are stolen by up to `width` scoped
+/// threads ([`ha_bitcode::pool::fan_out`]), which may borrow caller
+/// state (read guards). A parallel fan-out opens an `exec.fan_out` span
+/// and bumps `exec.parallel_fanouts` / `exec.tasks`.
+fn fan_out<R, F>(width: usize, tasks: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    if width <= 1 || tasks <= 1 {
+        return (0..tasks).map(f).collect();
+    }
+    let _span = ha_obs::span_labeled("exec.fan_out", || format!("tasks={tasks} workers={width}"));
+    ha_obs::add("exec.parallel_fanouts", 1);
+    ha_obs::add("exec.tasks", tasks as u64);
+    ha_bitcode::pool::fan_out(width, tasks, f)
 }
 
 fn fresh_shard(index: PlannedIndex, gen_no: u64, through_seq: u64, wal: Option<DfsWal>) -> Shard {
@@ -1588,14 +1592,14 @@ impl Inner {
             let seq = self.batch_seq.fetch_add(1, Ordering::SeqCst);
             let start = (self.cfg.seed.wrapping_add(seq) % nshards as u64) as usize;
             merged = vec![Vec::new(); miss_codes.len()];
-            // HA-Par: per-shard probes are independent reads under the
-            // guards held above, so they fan out as stealable tasks.
-            // The executor returns results in rotation order — exactly
-            // the order the old sequential loop produced — and the
-            // merge below is shard-order-insensitive anyway (ids are
-            // sorted after the union), so answers are byte-identical
-            // at any worker count (see DESIGN.md).
-            let probes = self.exec.fan_out(nshards, |off| {
+            // Per-shard probes are independent reads under the guards
+            // held above, so they fan out as stealable tasks. Results
+            // come back in rotation order — exactly the order a
+            // sequential loop produces — and the merge below is
+            // shard-order-insensitive anyway (ids are sorted after the
+            // union), so answers are byte-identical at any width (see
+            // DESIGN.md).
+            let probes = fan_out(self.cfg.fan_out, nshards, |off| {
                 let s = (start + off) % nshards;
                 let t0 = Instant::now();
                 let per_query = {
@@ -1677,7 +1681,7 @@ impl Inner {
         let guards: Vec<_> = self.shards.iter().map(|s| s.state.read()).collect();
         let total: usize = guards.iter().map(|g| g.delta.live_len(&g.gen.index)).sum();
         let result = knn_by_radius(k.min(total), self.code_len as u32, |r| {
-            let per_shard = self.exec.fan_out(guards.len(), |s| {
+            let per_shard = fan_out(self.cfg.fan_out, guards.len(), |s| {
                 guards[s].delta.search_with_distances(&guards[s].gen.index, code, r)
             });
             per_shard.into_iter().flatten().collect()

@@ -37,19 +37,12 @@
 
 use std::cell::RefCell;
 
-use ha_bitcode::pool::fan_out;
-use ha_bitcode::prefetch::{prefetch_index, PREFETCH_DISTANCE};
 use ha_bitcode::{masked_distance_group, BinaryCode, GroupLayout, Kernel};
 
 use crate::error::StoreError;
 
 /// Sentinel for "not a leaf" in `leaf_slot` (mirrors `FlatHaIndex`).
 pub const NONE: u32 = u32::MAX;
-
-/// Contiguous frontier entries per stealable morsel when a level is
-/// split across workers; levels shorter than two morsels stay
-/// sequential (the split overhead would exceed the sweep).
-const MORSEL: usize = 32;
 
 /// Borrowed flat arrays of one frozen snapshot. Field meanings are
 /// identical to `ha-core`'s `FlatHaIndex` (see that module's docs); ids
@@ -106,8 +99,7 @@ thread_local! {
     /// points (`search`, `search_with_distances`, `search_codes`,
     /// `batch_search`) borrow it for the duration of one call instead
     /// of allocating fresh frontier `Vec`s every time, so steady-state
-    /// serving allocates nothing per query (EXPERIMENTS.md, "HA-Par",
-    /// has the before/after numbers).
+    /// serving allocates nothing per query.
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
@@ -128,11 +120,6 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 pub struct FlatStoreView<'a> {
     parts: FlatParts<'a>,
     kernel: Kernel,
-    /// Frontier look-ahead distance for software prefetch; 0 disables.
-    prefetch: usize,
-    /// Worker threads for morsel-split frontier levels; <= 1 keeps the
-    /// traversal on the calling thread.
-    workers: usize,
 }
 
 impl<'a> FlatStoreView<'a> {
@@ -280,12 +267,7 @@ impl<'a> FlatStoreView<'a> {
     /// already passed [`FlatStoreView::new`]). Still memory-safe for
     /// arbitrary inputs; see the module docs.
     pub fn from_parts_unchecked(parts: FlatParts<'a>) -> FlatStoreView<'a> {
-        FlatStoreView {
-            parts,
-            kernel: Kernel::detect(),
-            prefetch: PREFETCH_DISTANCE,
-            workers: 1,
-        }
+        FlatStoreView { parts, kernel: Kernel::detect() }
     }
 
     /// Same view, running its group sweeps on `kernel` instead of the
@@ -298,38 +280,9 @@ impl<'a> FlatStoreView<'a> {
         self
     }
 
-    /// Same view with a different frontier prefetch look-ahead
-    /// (entries, not bytes); `0` disables the hints. Prefetch is a pure
-    /// hint — results are identical at any distance.
-    pub fn with_prefetch(mut self, distance: usize) -> FlatStoreView<'a> {
-        self.prefetch = distance;
-        self
-    }
-
-    /// Same view splitting large frontier levels into 32-entry (`MORSEL`)
-    /// morsels stolen by up to `workers` scoped threads. `<= 1` keeps
-    /// the traversal entirely on the calling thread (no pool, no
-    /// channel). Emission and next-frontier order are reassembled in
-    /// morsel order, so answers stay byte-identical at any worker
-    /// count.
-    pub fn with_parallel(mut self, workers: usize) -> FlatStoreView<'a> {
-        self.workers = workers;
-        self
-    }
-
     /// The kernel this view dispatches group sweeps to.
     pub fn kernel(&self) -> Kernel {
         self.kernel
-    }
-
-    /// Frontier prefetch look-ahead in entries (0 = disabled).
-    pub fn prefetch(&self) -> usize {
-        self.prefetch
-    }
-
-    /// Worker threads used for morsel-split frontier levels.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The underlying borrowed arrays.
@@ -405,107 +358,6 @@ impl<'a> FlatStoreView<'a> {
         GroupLayout::from_flag(self.parts.group_layout.get(gi).copied().unwrap_or(0))
     }
 
-    /// Hints the first cache lines of frontier entry `i + prefetch`'s
-    /// child-group planes while entry `i` is being swept. The frontier
-    /// hops through `planes` in BFS-discovery order the hardware
-    /// prefetcher cannot follow; the hint overlaps that miss with the
-    /// current group's popcounts. Works for SoA and AoS alike — both
-    /// layouts put the group's planes in one contiguous run starting at
-    /// the same base.
-    #[inline]
-    fn prefetch_frontier(&self, frontier: &[(u32, u32)], i: usize) {
-        if self.prefetch == 0 {
-            return;
-        }
-        if let Some(&(p, _)) = frontier.get(i + self.prefetch) {
-            let lo = self.parts.child_start[p as usize] as usize;
-            let base = 2 * self.parts.words * (self.parts.root_count + lo);
-            prefetch_index(self.parts.planes, base);
-            prefetch_index(self.parts.planes, base + 8);
-        }
-    }
-
-    /// Sweeps frontier entry `(p, acc)`'s child group and routes each
-    /// surviving child: leaves to `emit`, internal nodes to `next`.
-    /// The one loop body both the sequential and the morsel level walks
-    /// execute — identical code is what keeps them byte-identical.
-    #[inline]
-    fn sweep_entry(
-        &self,
-        qw: &[u64],
-        h: u32,
-        p: u32,
-        acc: u32,
-        dist: &mut Vec<u32>,
-        next: &mut Vec<(u32, u32)>,
-        emit: &mut impl FnMut(u32, u32),
-    ) {
-        let (planes, g, lo) = self.child_group(p);
-        dist.clear();
-        dist.resize(g, acc);
-        masked_distance_group(
-            self.kernel,
-            self.layout_of(p as usize + 1),
-            qw,
-            planes,
-            g,
-            h,
-            dist,
-        );
-        for s in 0..g {
-            let d = dist[s];
-            if d <= h {
-                let v = self.parts.children[lo + s];
-                if self.parts.leaf_slot[v as usize] != NONE {
-                    emit(v, d);
-                } else {
-                    next.push((v, d));
-                }
-            }
-        }
-    }
-
-    /// One frontier level split into [`MORSEL`]-entry morsels stolen by
-    /// up to `self.workers` scoped threads. Each morsel processes its
-    /// contiguous run with [`FlatStoreView::sweep_entry`] into private
-    /// buffers; the results come back in morsel order (the pool
-    /// guarantees task order), so replaying emissions and concatenating
-    /// next-frontier runs reproduces the sequential order exactly.
-    fn run_level_morsels(
-        &self,
-        qw: &[u64],
-        h: u32,
-        frontier: &[(u32, u32)],
-        next: &mut Vec<(u32, u32)>,
-        emit: &mut impl FnMut(u32, u32),
-    ) {
-        let n_morsels = frontier.len().div_ceil(MORSEL);
-        let parts = fan_out(self.workers, n_morsels, |mi| {
-            let lo = mi * MORSEL;
-            let hi = (lo + MORSEL).min(frontier.len());
-            let mut emits: Vec<(u32, u32)> = Vec::new();
-            let mut nxt: Vec<(u32, u32)> = Vec::new();
-            let mut dist: Vec<u32> = Vec::new();
-            for i in lo..hi {
-                // Hinting past the morsel boundary is fine: the
-                // neighbour's first group is as likely to be swept soon
-                // (by whichever worker claims it) as our own next one.
-                self.prefetch_frontier(frontier, i);
-                let (p, acc) = frontier[i];
-                self.sweep_entry(qw, h, p, acc, &mut dist, &mut nxt, &mut |v, d| {
-                    emits.push((v, d));
-                });
-            }
-            (emits, nxt)
-        });
-        for (emits, nxt) in parts {
-            for (v, d) in emits {
-                emit(v, d);
-            }
-            next.extend_from_slice(&nxt);
-        }
-    }
-
     /// Core level-synchronous traversal — ported verbatim from
     /// `FlatHaIndex::run` so visit order (and thus result order) is
     /// byte-for-byte identical to a freshly frozen in-memory index.
@@ -552,18 +404,32 @@ impl<'a> FlatStoreView<'a> {
 
         // Descend level by level; each internal survivor scans its
         // child group with one kernel call seeded at the parent's
-        // accumulator. Levels wide enough to amortize the pool are
-        // morsel-split across workers; either way the emission and
-        // next-frontier order match the plain sequential walk exactly.
+        // accumulator.
         while !frontier.is_empty() {
             next.clear();
-            if self.workers > 1 && frontier.len() >= 2 * MORSEL {
-                self.run_level_morsels(qw, h, frontier, next, emit);
-            } else {
-                for i in 0..frontier.len() {
-                    self.prefetch_frontier(frontier, i);
-                    let (p, acc) = frontier[i];
-                    self.sweep_entry(qw, h, p, acc, dist, next, emit);
+            for &(p, acc) in frontier.iter() {
+                let (planes, g, lo) = self.child_group(p);
+                dist.clear();
+                dist.resize(g, acc);
+                masked_distance_group(
+                    self.kernel,
+                    self.layout_of(p as usize + 1),
+                    qw,
+                    planes,
+                    g,
+                    h,
+                    dist,
+                );
+                for s in 0..g {
+                    let d = dist[s];
+                    if d <= h {
+                        let v = self.parts.children[lo + s];
+                        if self.parts.leaf_slot[v as usize] != NONE {
+                            emit(v, d);
+                        } else {
+                            next.push((v, d));
+                        }
+                    }
                 }
             }
             std::mem::swap(frontier, next);
@@ -626,30 +492,6 @@ impl<'a> FlatStoreView<'a> {
                 self.search_into(query, h, scratch, slot);
             }
         });
-        out
-    }
-
-    /// Linear row-store scan over the leaf SoA — the flat verification
-    /// path MIH-style backends use, kept here so a mapped snapshot can
-    /// serve as their candidate store too. Emits every `(id, d)` with
-    /// `d <= h`, in leaf-slot order.
-    pub fn scan_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(u64, u32)> {
-        assert_eq!(query.len(), self.parts.code_len, "query length mismatch");
-        let qw = query.words();
-        let mut out = Vec::new();
-        for slot in 0..self.leaf_count() {
-            let row = self.row(slot);
-            let mut d = 0u32;
-            for (a, b) in qw.iter().zip(row) {
-                d += (a ^ b).count_ones();
-                if d > h {
-                    break;
-                }
-            }
-            if d <= h {
-                out.extend(self.ids_of(slot as u32).iter().map(|&id| (id, d)));
-            }
-        }
         out
     }
 
@@ -778,8 +620,6 @@ mod tests {
         assert_eq!(both, vec![10, 11, 20]);
         assert_eq!(view.ids_for_code(&bc(0b1111_0000)), &[20]);
         assert_eq!(view.ids_for_code(&bc(0b0000_0001)), &[] as &[u64]);
-        let scan = view.scan_with_distances(&bc(0b1010_0000), 2);
-        assert_eq!(scan, vec![(10, 0), (11, 0), (20, 2)]);
         assert_eq!(view.items().count(), 3);
     }
 
@@ -872,32 +712,5 @@ mod tests {
         let view = FlatStoreView::new(t.parts()).expect("valid");
         assert_eq!(view.kernel(), Kernel::detect());
         assert_eq!(view.with_kernel(Kernel::Scalar).kernel(), Kernel::Scalar);
-    }
-
-    #[test]
-    fn execution_knobs_never_change_answers() {
-        // Prefetch and worker settings are pure execution knobs; on the
-        // tiny snapshot every combination (including ones that force
-        // the hint at out-of-range look-aheads) must answer exactly
-        // like the defaults. The morsel path itself needs a frontier
-        // wider than 2×MORSEL — tests/exec_equivalence.rs covers that
-        // on full-size indexes.
-        let t = Tiny::build();
-        let view = FlatStoreView::new(t.parts()).expect("valid");
-        assert_eq!(view.prefetch(), ha_bitcode::prefetch::PREFETCH_DISTANCE);
-        assert_eq!(view.workers(), 1);
-        for q in [bc(0b1010_0000), bc(0b1111_0000)] {
-            for h in 0..=8 {
-                let want = view.search(&q, h);
-                let want_d = view.search_with_distances(&q, h);
-                for workers in [0, 1, 2, 8] {
-                    for pf in [0, 1, 4, 1000] {
-                        let v = view.with_parallel(workers).with_prefetch(pf);
-                        assert_eq!(v.search(&q, h), want, "w={workers} pf={pf} h={h}");
-                        assert_eq!(v.search_with_distances(&q, h), want_d);
-                    }
-                }
-            }
-        }
     }
 }

@@ -35,8 +35,8 @@ run cargo test -q "${CRATES[@]}"
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Compile-only smoke over the criterion benches: keeps the bench
-# harnesses (including flat_search, mih_search, kernel_sweep and
-# par_search) building without paying for a measured run in CI.
+# harnesses (including flat_search, mih_search and kernel_sweep)
+# building without paying for a measured run in CI.
 run cargo bench --no-run -q -p ha-bench
 
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps ${CRATES[*]}"

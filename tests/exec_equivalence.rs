@@ -1,33 +1,25 @@
-//! HA-Par oracle-equivalence matrix: every execution knob is a pure
-//! performance knob.
+//! Serve fan-out oracle-equivalence: the width a cache-missed select or
+//! a kNN round fans its shard probes across (`ServeConfig.fan_out`) is a
+//! pure performance setting — **it may not change a single byte of any
+//! answer**. This suite pins that claim:
 //!
-//! The executor fans shard probes out across a scoped work-stealing
-//! pool, splits large frozen-frontier levels into stealable morsels,
-//! issues software prefetch hints ahead of the group sweep, and picks a
-//! kernel by runtime CPU probe — and **none of it may change a single
-//! byte of any answer**. This suite pins that claim:
-//!
-//! 1. The serve-level matrix — (exec workers ∈ {0, 1, 2, 8}) ×
-//!    (prefetch ∈ {0, 8}) × (kernel ∈ {auto, pinned Scalar}) at 32-,
-//!    128- and 512-bit codes — answers select, batched select and kNN
-//!    byte-identically to the sequential executor
-//!    ([`ExecConfig::sequential`]), the oracle configuration.
+//! 1. The serve-level matrix — `fan_out ∈ {0, 1, 2, 8}` at 32-, 128- and
+//!    512-bit codes — answers select, batched select and kNN
+//!    byte-identically to inline probing (`fan_out: 1`), the oracle
+//!    configuration.
 //! 2. The same holds **under concurrent generation swaps**: a parallel
-//!    serve and the sequential serve driven in lockstep through
-//!    interleaved inserts, merges and queries never diverge from each
-//!    other or from a linear-scan oracle.
+//!    serve and the inline serve driven in lockstep through interleaved
+//!    inserts, merges and queries never diverge from each other or from
+//!    a linear-scan oracle.
 //! 3. The same holds **with a poisoned shard**: after a merge fault
 //!    plan exhausts `max_merge_attempts` on one shard (delta-only
 //!    serving for that shard), the parallel fan-out still equals the
-//!    sequential one.
-//! 4. At the view level, a frontier wide enough to trigger the morsel
-//!    path (≥ 2 × MORSEL sibling-group runs) answers byte-identically
-//!    across worker counts, prefetch distances and kernels.
+//!    inline one.
 
 use std::time::Duration;
 
-use hamming_suite::bitcode::{BinaryCode, Kernel};
-use hamming_suite::index::{DynamicHaIndex, ExecConfig, FreezePolicy, TupleId};
+use hamming_suite::bitcode::BinaryCode;
+use hamming_suite::index::TupleId;
 use hamming_suite::service::{HaServe, MergeFaultPlan, ServeConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -69,38 +61,15 @@ fn queries(rng: &mut StdRng, live: &[(BinaryCode, TupleId)], bits: usize) -> Vec
 }
 
 /// Manual-drive serve (no queue workers — `pump_all` on the caller
-/// thread) over `exec`; query-time parallelism is entirely `exec`'s.
-fn serve_with(
-    bits: usize,
-    items: &[(BinaryCode, TupleId)],
-    exec: ExecConfig,
-) -> HaServe {
+/// thread); query-time parallelism is entirely `fan_out`'s.
+fn serve_with(bits: usize, items: &[(BinaryCode, TupleId)], fan_out: usize) -> HaServe {
     let cfg = ServeConfig {
         workers: 0,
         shards: SHARDS,
-        exec,
+        fan_out,
         ..ServeConfig::default()
     };
     HaServe::build(bits, items.to_vec(), cfg).expect("build serve")
-}
-
-/// The full knob matrix, sequential oracle excluded.
-fn exec_matrix() -> Vec<ExecConfig> {
-    let mut configs = Vec::new();
-    for workers in [0usize, 1, 2, 8] {
-        for prefetch in [0usize, 8] {
-            for kernel in [None, Some(Kernel::Scalar)] {
-                let mut exec = ExecConfig::sequential()
-                    .with_workers(workers)
-                    .with_prefetch(prefetch);
-                if let Some(k) = kernel {
-                    exec = exec.with_kernel(k);
-                }
-                configs.push(exec);
-            }
-        }
-    }
-    configs
 }
 
 /// Select + batched select + kNN on both serves must be byte-equal.
@@ -144,8 +113,8 @@ fn assert_serves_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Claim 1: the whole knob matrix equals the sequential executor on
-    /// a frozen multi-shard serve, at every paper-relevant code width.
+    /// Claim 1: every fan-out width equals inline probing on a frozen
+    /// multi-shard serve, at every paper-relevant code width.
     #[test]
     fn exec_matrix_equals_sequential_executor(seed in any::<u64>()) {
         for bits in [32usize, 128, 512] {
@@ -153,32 +122,28 @@ proptest! {
             let live = dataset(&mut rng, 100, bits);
             let qs = queries(&mut rng, &live, bits);
             let radii = [0u32, 2, (bits / 8) as u32];
-            let baseline = serve_with(bits, &live, ExecConfig::sequential());
+            let baseline = serve_with(bits, &live, 1);
             // Merge so queries hit frozen generations, not just deltas.
             baseline.merge_all_now().expect("merge baseline");
-            for exec in exec_matrix() {
-                let candidate = serve_with(bits, &live, exec);
+            for fan_out in [0usize, 1, 2, 8] {
+                let candidate = serve_with(bits, &live, fan_out);
                 candidate.merge_all_now().expect("merge candidate");
                 assert_serves_agree(
                     &baseline, &candidate, &qs, &radii,
-                    &format!("bits={bits} exec={exec:?}"),
+                    &format!("bits={bits} fan_out={fan_out}"),
                 );
             }
         }
     }
 
     /// Claim 2: lockstep mutations + generation swaps never let the
-    /// parallel serve diverge from the sequential one or the oracle.
+    /// parallel serve diverge from the inline one or the oracle.
     #[test]
     fn parallel_serve_tracks_sequential_across_generation_swaps(seed in any::<u64>()) {
         let bits = 32;
         let mut rng = StdRng::seed_from_u64(seed);
-        let seq = serve_with(bits, &[], ExecConfig::sequential());
-        let par = serve_with(
-            bits,
-            &[],
-            ExecConfig::sequential().with_workers(8).with_prefetch(8),
-        );
+        let seq = serve_with(bits, &[], 1);
+        let par = serve_with(bits, &[], 8);
         let mut live: Vec<(BinaryCode, TupleId)> = Vec::new();
         let pool = dataset(&mut rng, 24, bits);
         for step in 0..60u32 {
@@ -221,19 +186,19 @@ proptest! {
 }
 
 /// Claim 3: a poisoned shard (merge retries exhausted → delta-only
-/// serving) answers identically under the parallel and sequential
-/// executors — fault containment and fan-out compose.
+/// serving) answers identically under parallel and inline probing —
+/// fault containment and fan-out compose.
 #[test]
 fn poisoned_shard_serves_identically_under_parallel_fanout() {
     let bits = 32;
     let mut rng = StdRng::seed_from_u64(7171);
     let live = dataset(&mut rng, 80, bits);
-    let serve_poisoned = |exec: ExecConfig| {
+    let serve_poisoned = |fan_out: usize| {
         // Shard 1's merges panic on every allowed attempt.
         let cfg = ServeConfig {
             workers: 0,
             shards: SHARDS,
-            exec,
+            fan_out,
             merge_faults: MergeFaultPlan::new().panic_on_merge(1, 0).panic_on_merge(1, 1),
             max_merge_attempts: 2,
             merge_backoff: Duration::from_micros(100),
@@ -246,8 +211,8 @@ fn poisoned_shard_serves_identically_under_parallel_fanout() {
         serve.merge_all_now().expect("merge sweep");
         serve
     };
-    let seq = serve_poisoned(ExecConfig::sequential());
-    let par = serve_poisoned(ExecConfig::sequential().with_workers(8).with_prefetch(8));
+    let seq = serve_poisoned(1);
+    let par = serve_poisoned(8);
     assert!(
         seq.metrics().per_shard.iter().any(|s| s.merge_poisoned),
         "the fault plan must actually poison a shard"
@@ -259,61 +224,4 @@ fn poisoned_shard_serves_identically_under_parallel_fanout() {
     );
     let qs = queries(&mut rng, &live, bits);
     assert_serves_agree(&seq, &par, &qs, &[0, 2, 5], "poisoned shard");
-}
-
-/// Claim 4: the morsel path itself. A clustered 512-bit build is wide
-/// enough that descent levels exceed the 2×MORSEL(=64) trigger, so
-/// parallel views actually steal morsels — and every knob combination
-/// must still be byte-identical to the default sequential view.
-#[test]
-fn wide_frontier_morsels_are_byte_identical() {
-    let bits = 512;
-    let mut rng = StdRng::seed_from_u64(99);
-    let live = dataset(&mut rng, 600, bits);
-    let mut idx = DynamicHaIndex::build(live.clone());
-    idx.freeze_with(FreezePolicy::adaptive());
-    let flat = idx.flat().expect("frozen").clone();
-    let qs = queries(&mut rng, &live, bits);
-    let radii = [0u32, 8, 60, 170];
-
-    for q in &qs {
-        for &h in &radii {
-            let want = flat.view().search(q, h);
-            let want_dist = flat.view().search_with_distances(q, h);
-            for workers in [0usize, 1, 2, 8] {
-                for prefetch in [0usize, 1, 8, 1000] {
-                    for kernel in Kernel::ALL {
-                        let view = flat
-                            .view()
-                            .with_parallel(workers)
-                            .with_prefetch(prefetch)
-                            .with_kernel(kernel);
-                        assert_eq!(
-                            view.search(q, h),
-                            want,
-                            "select h={h} workers={workers} pf={prefetch} kernel={}",
-                            kernel.name()
-                        );
-                        assert_eq!(
-                            view.search_with_distances(q, h),
-                            want_dist,
-                            "distances h={h} workers={workers} pf={prefetch} kernel={}",
-                            kernel.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-    // Shared-frontier batch across the same matrix.
-    let want_batch = flat.view().batch_search(&qs, radii[2]);
-    for workers in [0usize, 2, 8] {
-        for prefetch in [0usize, 8] {
-            assert_eq!(
-                flat.view().with_parallel(workers).with_prefetch(prefetch).batch_search(&qs, radii[2]),
-                want_batch,
-                "batch workers={workers} pf={prefetch}"
-            );
-        }
-    }
 }

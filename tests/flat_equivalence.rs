@@ -254,9 +254,8 @@ proptest! {
 /// byte-identically to the scalar/all-SoA baseline, and the baseline
 /// must match the linear-scan oracle. This is the contract that makes
 /// kernel choice a pure performance knob.
-fn kernel_matrix_case(seed: u64, bits: usize) {
+fn kernel_matrix_case(seed: u64, bits: usize, n: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = 60 + (seed as usize % 40);
     let live = dataset(&mut rng, n, bits);
     let mut idx = DynamicHaIndex::build(live.clone());
     let queries: Vec<BinaryCode> = (0..3)
@@ -349,9 +348,17 @@ proptest! {
     #[test]
     fn kernel_matrix_byte_equal_at_every_width(seed in any::<u64>()) {
         for bits in [32usize, 64, 128, 512] {
-            kernel_matrix_case(seed, bits);
+            kernel_matrix_case(seed, bits, 60 + (seed as usize % 40));
         }
     }
+}
+
+/// The kernel × layout matrix on a wide frontier: 600 clustered 512-bit
+/// codes, where descent levels run to dozens of sibling groups and
+/// h = 170 keeps most of them alive.
+#[test]
+fn kernel_matrix_byte_equal_on_a_wide_512_bit_frontier() {
+    kernel_matrix_case(99, 512, 600);
 }
 
 /// An adaptively laid-out snapshot must survive the full persistence

@@ -228,6 +228,37 @@ fn registry_mirrors_serve_metrics() {
     assert!(trace.metrics.histogram("serve.queue_wait_ns").count() >= m.batches_formed);
 }
 
+/// The executor names: a service records the group kernel this process
+/// dispatches to once at build, and a cache-missed select over 4 shards
+/// is one `exec.fan_out` span of 4 tasks — unless `fan_out` keeps the
+/// probes inline.
+#[test]
+fn serve_fan_out_reports_kernel_span_and_tasks() {
+    let _guard = obs_lock();
+    let codes: Vec<(BinaryCode, u64)> =
+        (0..256).map(|i| (BinaryCode::from_u64(i, 32), i)).collect();
+    let kernel = format!("exec.kernel.{}", hamming_suite::bitcode::Kernel::detect().name());
+    for fan_out in [2usize, 1] {
+        obs::reset();
+        let cfg = ServeConfig { workers: 0, shards: 4, fan_out, ..ServeConfig::default() };
+        let serve = HaServe::build(32, codes.clone(), cfg).expect("service builds");
+        serve.select(&BinaryCode::from_u64(5, 32), 2).expect("select");
+        drop(serve);
+        let trace = obs::take_trace();
+        obs::disable();
+
+        assert_eq!(trace.counter(&kernel), 1, "fan_out={fan_out}");
+        if fan_out > 1 {
+            assert_eq!(trace.count_named("exec.fan_out"), 1);
+            assert_eq!(trace.counter("exec.parallel_fanouts"), 1);
+            assert_eq!(trace.counter("exec.tasks"), 4);
+        } else {
+            assert_eq!(trace.count_named("exec.fan_out"), 0);
+            assert_eq!(trace.counter("exec.tasks"), 0);
+        }
+    }
+}
+
 #[test]
 fn job_phase_spans_account_for_job_wall_time() {
     let _guard = obs_lock();

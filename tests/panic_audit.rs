@@ -108,14 +108,9 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     // violations are `assert_eq!` contract checks at the dispatch
     // boundary, not panic-capable escape hatches in kernel bodies.
     ("crates/bitcode/src/kernels.rs", 0, 0, 0, 0),
-    // HA-Par: the work-stealing pool carries every parallel fan-out
-    // (shard probes, morsel levels, parallel build) and the prefetch
-    // shim is issued from the innermost traversal loop — both are held
-    // to the serving layer's zero budget, as is the executor that wraps
-    // them.
+    // The work-stealing pool carries every parallel fan-out (serve shard
+    // probes, parallel build): held to the serving layer's zero budget.
     ("crates/bitcode/src/pool.rs", 0, 0, 0, 0),
-    ("crates/bitcode/src/prefetch.rs", 0, 0, 0, 0),
-    ("crates/core/src/exec.rs", 0, 0, 0, 0),
     ("crates/store/src/buf.rs", 0, 0, 0, 0),
     ("crates/store/src/error.rs", 0, 0, 0, 0),
     ("crates/store/src/layout.rs", 0, 0, 0, 0),
@@ -258,4 +253,48 @@ fn hashing_unsafe_is_the_one_dispatch_call() {
         comment.contains("SAFETY:") && comment.contains("Kernel::detect()"),
         "the unsafe call needs a `// SAFETY:` comment naming the cached `Kernel::detect()` probe"
     );
+}
+
+/// `unsafe` in ha-bitcode lives in the group kernels only: every unsafe
+/// block sits under a `// SAFETY:` comment, and every `unsafe fn` states
+/// its contract in a `# Safety` doc section.
+#[test]
+fn bitcode_unsafe_is_in_kernels_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bitcode/src");
+    let mut files = Vec::new();
+    for entry in fs::read_dir(&root).expect("source dir exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|x| x == "rs") && count(&lib_code(&path), "unsafe") > 0 {
+            files.push(path.file_name().expect("file name").to_string_lossy().into_owned());
+        }
+    }
+    assert_eq!(files, ["kernels.rs"], "unsafe outside the kernels");
+
+    let src = fs::read_to_string(root.join("kernels.rs")).expect("read kernels.rs");
+    let lines: Vec<&str> = src
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .collect();
+    let mut sites = 0;
+    for (at, line) in lines.iter().enumerate() {
+        let code = line.find("//").map_or(*line, |i| &line[..i]);
+        if !code.contains("unsafe") {
+            continue;
+        }
+        sites += 1;
+        // The comment run right above the site; attributes may sit in it.
+        let above: Vec<&str> = lines[..at]
+            .iter()
+            .rev()
+            .map(|l| l.trim_start())
+            .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+            .collect();
+        let needed = if code.contains("unsafe fn") { "# Safety" } else { "SAFETY:" };
+        assert!(
+            above.iter().any(|l| l.contains(needed)),
+            "kernels.rs:{}: `unsafe` without a `{needed}` comment above it",
+            at + 1
+        );
+    }
+    assert!(sites > 0, "the kernels' unsafe sites went missing");
 }
