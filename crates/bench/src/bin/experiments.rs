@@ -1,25 +1,21 @@
 //! The experiment driver: regenerates every table and figure of the
-//! paper's evaluation section, plus the serving-layer experiment.
+//! paper's evaluation section.
 //!
 //! ```text
 //! cargo run --release -p ha-bench --bin experiments -- all
 //! cargo run --release -p ha-bench --bin experiments -- table4 fig6
-//! cargo run --release -p ha-bench --bin experiments -- --json out.json serve
 //! HA_SCALE=10 cargo run --release -p ha-bench --bin experiments -- fig9
 //! ```
 //!
 //! `HA_SCALE` multiplies every base dataset size (default 1.0 — laptop
 //! scale; the paper's full workloads are roughly `HA_SCALE=10`..`50`
-//! depending on the experiment). `--json <path>` additionally writes
-//! every printed table to `<path>` as one machine-readable JSON document.
-//! `--trace <path>` turns HA-Trace on for the whole run and writes the
+//! depending on the experiment). `--trace <path>` turns HA-Trace on for the whole run and writes the
 //! collected spans/events/metrics to `<path>` as JSON lines (see
 //! docs/OBSERVABILITY.md).
 
-use ha_bench::{exp, report};
-use ha_bench::Scale;
+use ha_bench::{exp, Scale};
 
-const USAGE: &str = "usage: experiments [--json <path>] [--trace <path>] [table3|table4|table5|fig6|fig7|fig8|fig9|fig10|flat|kernels|planner|store|serve|trace|all]...
+const USAGE: &str = "usage: experiments [--trace <path>] [table3|table4|table5|fig6|fig7|fig8|fig9|fig10|all]...
 
 Regenerates the paper's evaluation artifacts (EDBT 2015, Tang et al.):
   table3   H-Search execution trace on the running example
@@ -30,17 +26,9 @@ Regenerates the paper's evaluation artifacts (EDBT 2015, Tang et al.):
   fig8     DHA-Index window/depth parameter study
   fig9     MapReduce join: running time vs data size   (runs with fig7)
   fig10    effect of the preprocessing sample rate
-  flat     frozen CSR/SoA snapshot vs arena BFS; parallel H-Build scaling
-  kernels  HA-Kern distance kernels × layouts; adaptive freeze policy end-to-end;
-           per-kernel H-Search
-  planner  all four exact backends timed per grid cell vs the cost model's pick
-  store    HA-Store: cold-open-to-first-query, mmap vs decode+H-Build
-  serve    HA-Serve: online select throughput, single vs micro-batched
-  trace    HA-Trace: per-phase span profile of the DFS-backed MRHA join
   all      everything above
 
 Options:
-  --json <path>    also write every table to <path> as JSON
   --trace <path>   enable HA-Trace for the run; write spans/events/metrics
                    to <path> as JSON lines
 
@@ -53,15 +41,13 @@ fn main() {
         std::process::exit(if raw.is_empty() { 2 } else { 0 });
     }
 
-    // Split `--json <path>` / `--trace <path>` out of the experiment names.
-    let mut json_path: Option<String> = None;
+    // Split `--trace <path>` out of the experiment names.
     let mut trace_path: Option<String> = None;
     let mut args: Vec<String> = Vec::new();
     let mut it = raw.into_iter();
     while let Some(arg) = it.next() {
-        if arg == "--json" || arg == "--trace" {
+        if arg == "--trace" {
             match it.next() {
-                Some(path) if arg == "--json" => json_path = Some(path),
                 Some(path) => trace_path = Some(path),
                 None => {
                     eprintln!("{arg} needs a path\n\n{USAGE}");
@@ -75,9 +61,6 @@ fn main() {
     if args.is_empty() {
         eprintln!("no experiments named\n\n{USAGE}");
         std::process::exit(2);
-    }
-    if json_path.is_some() {
-        report::enable();
     }
     if trace_path.is_some() {
         ha_obs::enable();
@@ -104,12 +87,6 @@ fn main() {
             }
             "fig8" => exp::fig8::run(&scale),
             "fig10" => exp::fig10::run(&scale),
-            "flat" => exp::flat::run(&scale),
-            "kernels" => exp::kernels::run(&scale),
-            "planner" => exp::planner::run(&scale),
-            "store" => exp::store::run(&scale),
-            "serve" => exp::serve::run(&scale),
-            "trace" => exp::trace::run(&scale),
             "all" => {
                 exp::table3::run();
                 exp::table4::run(&scale);
@@ -121,26 +98,10 @@ fn main() {
                     ran_fig7_9 = true;
                 }
                 exp::fig10::run(&scale);
-                exp::flat::run(&scale);
-                exp::kernels::run(&scale);
-                exp::planner::run(&scale);
-                exp::store::run(&scale);
-                exp::serve::run(&scale);
-                exp::trace::run(&scale);
             }
             other => {
                 eprintln!("unknown experiment: {other}\n\n{USAGE}");
                 std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(path) = json_path {
-        match report::write_json(&path) {
-            Ok(count) => println!("\n# wrote {count} table(s) to {path}"),
-            Err(e) => {
-                eprintln!("writing {path} failed: {e}");
-                std::process::exit(1);
             }
         }
     }

@@ -11,20 +11,42 @@
 use std::collections::HashSet;
 
 use ha_datagen::{generate, DatasetProfile};
-use ha_distributed::pipeline::{mrha_self_join, MrHaConfig};
+use ha_distributed::pipeline::{mrha_self_join, MrHaConfig, PhaseTimes};
 use ha_knn::exact::exact_knn;
 
 use crate::{fmt_duration, print_table, Scale};
 
 const BASE_N: usize = 3_000;
-const SAMPLE_RATES: [f64; 6] = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30];
+/// The swept preprocessing sample rates.
+pub const SAMPLE_RATES: [f64; 6] = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30];
 const K_TRUTH: usize = 10;
 
-/// Runs the Figure 10 sweep (NUS-WIDE profile, spread over
+/// One sample rate's column of the sweep.
+pub struct Point {
+    /// Preprocessing sample rate.
+    pub rate: f64,
+    /// The pipeline's per-phase wall-clock (Figure 10a).
+    pub times: PhaseTimes,
+    /// Retrieved pairs touching a probe tuple that are true kNN pairs.
+    pub hits: usize,
+    /// Retrieved pairs touching a probe tuple.
+    pub retrieved: usize,
+}
+
+/// The sweep.
+pub struct Fig10 {
+    /// Tuple count.
+    pub n: usize,
+    /// Exact kNN pairs of the probe tuples (the recall denominator).
+    pub truth: usize,
+    /// One point per rate of [`SAMPLE_RATES`].
+    pub points: Vec<Point>,
+}
+
+/// Measures the sweep over `n` NUS-WIDE tuples, spread over
 /// proportionally more clusters — see fig7_9 — so retrieval sets match
-/// real-data selectivity).
-pub fn run(scale: &Scale) {
-    let n = scale.n(BASE_N);
+/// real-data selectivity.
+pub fn measure(n: usize) -> Fig10 {
     let profile = DatasetProfile {
         clusters: DatasetProfile::nuswide().clusters * 16,
         ..DatasetProfile::nuswide()
@@ -47,50 +69,59 @@ pub fn run(scale: &Scale) {
             truth.insert((a, b));
         }
     }
+    let probe_set: HashSet<u64> = probes.iter().map(|&p| p as u64).collect();
 
-    let mut time_rows = Vec::new();
-    let mut quality_rows = Vec::new();
-    for &rate in &SAMPLE_RATES {
-        let cfg = MrHaConfig {
-            partitions: 8,
-            sample_rate: rate,
-            h: 2,
-            ..MrHaConfig::default()
-        };
-        let outcome = mrha_self_join(&data, &cfg);
-        time_rows.push(vec![
-            format!("{rate:.2}"),
-            fmt_duration(outcome.times.sampling),
-            fmt_duration(outcome.times.hash_learning),
-            fmt_duration(outcome.times.index_build),
-            fmt_duration(outcome.times.join),
-            fmt_duration(outcome.times.total()),
-        ]);
+    let points = SAMPLE_RATES
+        .iter()
+        .map(|&rate| {
+            let cfg = MrHaConfig {
+                partitions: 8,
+                sample_rate: rate,
+                h: 2,
+                ..MrHaConfig::default()
+            };
+            let outcome = mrha_self_join(&data, &cfg);
+            // Figure 10b: restrict retrieved pairs to the probe tuples the
+            // truth covers.
+            let retrieved: Vec<&(u64, u64)> = outcome
+                .pairs
+                .iter()
+                .filter(|(a, b)| probe_set.contains(a) || probe_set.contains(b))
+                .collect();
+            let hits = retrieved.iter().filter(|p| truth.contains(p)).count();
+            Point { rate, times: outcome.times, hits, retrieved: retrieved.len() }
+        })
+        .collect();
+    Fig10 { n, truth: truth.len(), points }
+}
 
-        // Figure 10b: restrict retrieved pairs to the probe tuples the
-        // truth covers.
-        let probe_set: HashSet<u64> = probes.iter().map(|&p| p as u64).collect();
-        let retrieved: Vec<(u64, u64)> = outcome
-            .pairs
-            .iter()
-            .copied()
-            .filter(|(a, b)| probe_set.contains(a) || probe_set.contains(b))
-            .collect();
-        let hits = retrieved.iter().filter(|p| truth.contains(p)).count() as f64;
-        let precision = if retrieved.is_empty() {
-            0.0
-        } else {
-            hits / retrieved.len() as f64
-        };
-        let recall = hits / truth.len() as f64;
-        quality_rows.push(vec![
-            format!("{rate:.2}"),
-            format!("{precision:.3}"),
-            format!("{recall:.3}"),
-        ]);
-        let _ = scale;
-    }
-
+/// Prints Figures 10a and 10b.
+pub fn print(f: &Fig10) {
+    let time_rows: Vec<Vec<String>> = f
+        .points
+        .iter()
+        .map(|p| {
+            let t = &p.times;
+            vec![
+                format!("{:.2}", p.rate),
+                fmt_duration(t.sampling),
+                fmt_duration(t.hash_learning),
+                fmt_duration(t.index_build),
+                fmt_duration(t.join),
+                fmt_duration(t.total()),
+            ]
+        })
+        .collect();
+    let quality_rows: Vec<Vec<String>> = f
+        .points
+        .iter()
+        .map(|p| {
+            let precision = if p.retrieved == 0 { 0.0 } else { p.hits as f64 / p.retrieved as f64 };
+            let recall = p.hits as f64 / f.truth as f64;
+            vec![format!("{:.2}", p.rate), format!("{precision:.3}"), format!("{recall:.3}")]
+        })
+        .collect();
+    let n = f.n;
     print_table(
         &format!("Figure 10a: per-phase time vs sampling rate (n={n})"),
         &["sample", "sampling", "learn hash", "index build", "join", "total"],
@@ -101,4 +132,9 @@ pub fn run(scale: &Scale) {
         &["sample", "precision", "recall"],
         &quality_rows,
     );
+}
+
+/// Runs the Figure 10 sweep.
+pub fn run(scale: &Scale) {
+    print(&measure(scale.n(BASE_N)));
 }

@@ -5,16 +5,24 @@
 //! per BFS round: the queue contents and the qualified tuples — the
 //! columns of Table 3. The paper's final row reports exactly `{t0}`.
 
-use ha_core::dynamic::{DhaConfig, DynamicHaIndex};
+use ha_core::dynamic::{DhaConfig, DynamicHaIndex, TraceStep};
 use ha_core::testkit::paper_table_s;
+use ha_core::TupleId;
 
 use crate::print_table;
 
-/// Runs the Table 3 reproduction.
-pub fn run() {
-    let data = paper_table_s();
+/// The traced search: its result and one step per BFS round.
+pub struct Table3 {
+    /// Qualifying tuple ids (the paper: exactly `{t0}`).
+    pub result: Vec<TupleId>,
+    /// One row of Table 3 per BFS round.
+    pub steps: Vec<TraceStep>,
+}
+
+/// Builds the running example and traces the search.
+pub fn measure() -> Table3 {
     let idx = DynamicHaIndex::build_with(
-        data,
+        paper_table_s(),
         DhaConfig {
             window: 2,
             max_depth: 4,
@@ -22,9 +30,21 @@ pub fn run() {
         },
     );
     let query: ha_bitcode::BinaryCode = "010001011".parse().expect("valid code");
-    let (ids, steps) = idx.search_trace(&query, 3);
+    let (result, steps) = idx.search_trace(&query, 3);
+    Table3 { result, steps }
+}
 
-    let rows: Vec<Vec<String>> = steps
+/// Prints Table 3.
+pub fn print(t: &Table3) {
+    let tuples = |ids: &[TupleId]| {
+        if ids.is_empty() {
+            "∅".to_string()
+        } else {
+            ids.iter().map(|id| format!("t{id}")).collect::<Vec<_>>().join(", ")
+        }
+    };
+    let rows: Vec<Vec<String>> = t
+        .steps
         .iter()
         .map(|s| {
             let queue = if s.queue_after.is_empty() {
@@ -32,16 +52,7 @@ pub fn run() {
             } else {
                 s.queue_after.join(", ")
             };
-            let ret = if s.results_so_far.is_empty() {
-                "∅".to_string()
-            } else {
-                s.results_so_far
-                    .iter()
-                    .map(|id| format!("t{id}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            vec![queue, ret]
+            vec![queue, tuples(&s.results_so_far)]
         })
         .collect();
     print_table(
@@ -49,9 +60,10 @@ pub fn run() {
         &["Queue", "Qualified tuples ret"],
         &rows,
     );
-    println!(
-        "  final result: {{{}}} (paper: {{t0}})",
-        ids.iter().map(|id| format!("t{id}")).collect::<Vec<_>>().join(", ")
-    );
-    assert_eq!(ids, vec![0], "the trace must end with exactly t0");
+    println!("  final result: {{{}}} (paper: {{t0}})", tuples(&t.result));
+}
+
+/// Runs the Table 3 reproduction.
+pub fn run() {
+    print(&measure());
 }

@@ -1,16 +1,13 @@
 //! Shared harness of the experiment suite: dataset preparation through the
 //! real hash pipeline, timing helpers, and table rendering.
 //!
-//! Every experiment binary in [`exp`] regenerates one table or figure of
-//! the paper's §6 (see DESIGN.md's per-experiment index). Sizes default to
+//! Every module in [`exp`] regenerates one table or figure of the paper's
+//! §6 (see DESIGN.md's per-experiment index). Sizes default to
 //! laptop-scale and multiply with the `HA_SCALE` environment variable —
 //! `HA_SCALE=10 cargo run --release -p ha-bench --bin experiments -- all`
 //! approaches the paper's full workloads.
 
 pub mod exp;
-pub mod open_loop;
-pub mod report;
-pub mod serve_load;
 
 use std::time::{Duration, Instant};
 
@@ -154,11 +151,8 @@ pub fn fmt_bytes(b: usize) -> String {
 }
 
 /// Renders an aligned text table (the experiment outputs mirror the
-/// paper's tables). When JSON recording is enabled ([`report::enable`],
-/// the `--json` flag of the `experiments` binary) the table is also
-/// captured verbatim for the machine-readable dump.
+/// paper's tables).
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    report::record(title, headers, rows);
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

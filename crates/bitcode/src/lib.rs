@@ -33,8 +33,7 @@
 //!   keys MIH's `u64` chunk tables (std's SipHash cost more than the rest
 //!   of a bucket probe).
 //! * [`pool`] — the scoped work-stealing [`pool::fan_out`]: the one
-//!   fan-out primitive behind parallel H-Build and `HaServe` shard
-//!   probes, with results reassembled in task order so parallel merges
+//!   fan-out primitive behind `HaServe` shard probes, with results reassembled in task order so parallel merges
 //!   stay byte-identical to sequential ones.
 //!
 //! # Bit-order convention

@@ -1,10 +1,9 @@
 //! A tiny scoped work-stealing pool for fan-out over borrowed data.
 //!
-//! Both parallel surfaces in the workspace — the level-parallel H-Build
-//! and the shard fan-out inside `HaServe` — have the same shape: `n`
-//! independent tasks
-//! over data the caller only *borrows*, whose results must come back in
-//! task order so merges stay byte-identical to the sequential loop.
+//! The shard fan-out inside `HaServe` has this shape: `n` independent
+//! tasks over data the caller only *borrows*, whose results must come
+//! back in task order so merges stay byte-identical to the sequential
+//! loop.
 //! [`fan_out`] is that shape, once: scoped threads (no `'static` bound,
 //! so parking-lot read guards and views can be captured by reference)
 //! racing a shared atomic cursor (natural work stealing — a worker that

@@ -21,36 +21,15 @@ use super::{DhaConfig, DynamicHaIndex, Node, NodeId};
 use crate::memory::seed_bulk;
 use crate::TupleId;
 
-/// Items per fork-join task — small enough that trailing tasks keep every
-/// worker busy, large enough that the per-task channel send is noise.
-const PAR_TASK: usize = 2048;
-
-/// H-Build on `workers` threads (`build` / `build_with` pass 1); the
-/// arena is **byte-identical for every worker count**.
+/// H-Build (`build` / `build_with`).
 ///
 /// Step 1 sorts instead of hashing: [`gray_sorted`] orders one
 /// `(key, input position)` pair per tuple, a run of equal keys is one
 /// distinct code, and [`append_leaves`] appends each run's leaf straight
 /// into the arena. The levels then run as the paper states them.
-///
-/// The algorithm's only order-sensitive effects are arena allocation and
-/// per-level parent consolidation — both cheap, and both done by the same
-/// sequential code for every worker count. What `workers` buys is the
-/// expensive work that is a pure function of data existing before the
-/// pass needs it: the Gray ranks and sort of codes wider than 64 bits, and
-/// each level's window analysis (per window; windows partition the level,
-/// and planning only reads patterns written by the *previous* level).
-///
-/// (The coarser split — chunk the sorted input, H-Build each chunk, fold
-/// with the §5.2 merge — was tried and rejected: the merge consolidates
-/// top-down by pattern equality, which preserves *answers* but not the
-/// arena layout, because sequential windows and consolidation cross chunk
-/// boundaries. Byte-identity is the property the freeze/serialize stack
-/// leans on, so it wins.)
 pub(super) fn h_build(
     items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
     config: DhaConfig,
-    workers: usize,
 ) -> DynamicHaIndex {
     let items: Vec<(BinaryCode, TupleId)> = items.into_iter().collect();
     let code_len = items.first().map_or(0, |(c, _)| c.len());
@@ -59,24 +38,17 @@ pub(super) fn h_build(
     if items.is_empty() {
         return idx;
     }
-    let workers = workers.max(1);
     let sorted = {
         let _span = ha_obs::span("core.hbuild.rank_sort");
-        gray_sorted(&items, code_len, workers)
+        gray_sorted(&items, code_len)
     };
     let leaves = {
         let _span = ha_obs::span("core.hbuild.leaves");
         append_leaves(&mut idx, items, sorted)
     };
-    // Extraction levels (lines 3–24): windows planned on the pool,
-    // applied in window order.
+    // Extraction levels (lines 3–24).
     let _span = ha_obs::span("core.hbuild.levels");
-    extract_levels(&mut idx, leaves, |idx, current| {
-        let windows: Vec<&[NodeId]> = current.chunks(idx.config.window.max(2)).collect();
-        fork_join(&windows, PAR_TASK / 8, workers, |slice| {
-            slice.iter().map(|members| plan_window(&idx.nodes, members)).collect()
-        })
-    });
+    extract_levels(&mut idx, leaves);
     idx
 }
 
@@ -87,12 +59,12 @@ pub(super) fn h_build(
 ///
 /// A code of at most 64 bits is keyed by its Gray rank as a `u64`: the
 /// pairs are distinct, so `sort_unstable` yields exactly the
-/// `(rank, position)` order. A wider rank is a [`BinaryCode`]; those are
-/// computed and sorted by `(rank, position)` on `workers` threads
-/// ([`sorted_indices`]), and the key is the ordinal of the rank's run.
+/// `(rank, position)` order. A wider rank is a [`BinaryCode`]; input
+/// positions are sorted by `(rank, position)` and the key is the ordinal
+/// of the rank's run.
 /// (An LSD radix sort of the `u64` pairs measured no faster than
 /// `sort_unstable`: 74–129 ms against 58–100 ms at 10⁶ pairs.)
-fn gray_sorted(items: &[(BinaryCode, TupleId)], code_len: usize, workers: usize) -> Vec<(u64, u32)> {
+fn gray_sorted(items: &[(BinaryCode, TupleId)], code_len: usize) -> Vec<(u64, u32)> {
     let check = |code: &BinaryCode| assert_eq!(code.len(), code_len, "mixed code lengths");
     if code_len <= 64 {
         let mut keyed: Vec<(u64, u32)> = items
@@ -106,16 +78,15 @@ fn gray_sorted(items: &[(BinaryCode, TupleId)], code_len: usize, workers: usize)
         keyed.sort_unstable();
         return keyed;
     }
-    let ranks: Vec<BinaryCode> = fork_join(items, PAR_TASK, workers, |slice| {
-        slice
-            .iter()
-            .map(|(code, _)| {
-                check(code);
-                gray_rank(code)
-            })
-            .collect()
-    });
-    let order = sorted_indices(&ranks, workers);
+    let ranks: Vec<BinaryCode> = items
+        .iter()
+        .map(|(code, _)| {
+            check(code);
+            gray_rank(code)
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..items.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| ranks[a as usize].cmp(&ranks[b as usize]).then(a.cmp(&b)));
     let mut run = 0u64;
     let mut prev = &ranks[order[0] as usize];
     order
@@ -169,8 +140,8 @@ fn append_leaves(
 }
 
 /// What one window of an extraction level resolved to. Planning a window
-/// only *reads* the arena, so any number of windows can be planned
-/// concurrently; every order-sensitive effect lives in [`apply_level`].
+/// only *reads* the arena; every order-sensitive effect lives in
+/// [`apply_level`].
 enum WindowPlan {
     /// A lone trailing node just rides up to the next level.
     Ride,
@@ -208,21 +179,18 @@ fn plan_window(nodes: &[Node], members: &[NodeId]) -> WindowPlan {
     }
 }
 
-/// Runs the extraction levels over the leaf level `current`, obtaining each
-/// level's window plans from `plan_level` and applying them in window
-/// order. Every worker count funnels through this one apply pass, so the
-/// arenas come out identical.
-fn extract_levels(
-    idx: &mut DynamicHaIndex,
-    mut current: Vec<NodeId>,
-    plan_level: impl Fn(&DynamicHaIndex, &[NodeId]) -> Vec<WindowPlan>,
-) {
+/// Runs the extraction levels over the leaf level `current`: each level's
+/// windows are planned, then applied in window order.
+fn extract_levels(idx: &mut DynamicHaIndex, mut current: Vec<NodeId>) {
     let max_depth = idx.config.max_depth.max(1);
     for _depth in 0..max_depth {
         if current.len() <= 1 {
             break;
         }
-        let plans = plan_level(idx, &current);
+        let plans: Vec<WindowPlan> = current
+            .chunks(idx.config.window.max(2))
+            .map(|members| plan_window(&idx.nodes, members))
+            .collect();
         let next = apply_level(idx, &current, plans);
         if next.is_empty() {
             current = next;
@@ -277,96 +245,6 @@ fn apply_level(
         }
     }
     next
-}
-
-/// Indices `0..keys.len()` sorted by `(keys[i], i)`: contiguous runs are
-/// sorted on scoped threads, then folded with pairwise merge rounds (each
-/// round merges disjoint pairs concurrently). The comparator is a strict
-/// total order, so the merged result does not depend on the run grid or
-/// the merge schedule.
-fn sorted_indices(keys: &[BinaryCode], workers: usize) -> Vec<u32> {
-    let n = keys.len();
-    let by_key = |a: &u32, b: &u32| {
-        keys[*a as usize]
-            .cmp(&keys[*b as usize])
-            .then(a.cmp(b))
-    };
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let run_len = n.div_ceil(workers).max(PAR_TASK);
-    if workers <= 1 || n <= run_len {
-        order.sort_unstable_by(by_key);
-        return order;
-    }
-    std::thread::scope(|scope| {
-        for run in order.chunks_mut(run_len) {
-            scope.spawn(move || run.sort_unstable_by(by_key));
-        }
-    });
-    let mut runs: Vec<Vec<u32>> = order.chunks(run_len).map(<[u32]>::to_vec).collect();
-    while runs.len() > 1 {
-        let mut paired = runs.into_iter();
-        let mut round: Vec<(Vec<u32>, Option<Vec<u32>>)> = Vec::new();
-        while let Some(a) = paired.next() {
-            round.push((a, paired.next()));
-        }
-        runs = std::thread::scope(|scope| {
-            let handles: Vec<_> = round
-                .into_iter()
-                .map(|(a, b)| scope.spawn(move || merge_sorted(a, b, by_key)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("merge thread panicked"))
-                .collect()
-        });
-    }
-    runs.pop().unwrap_or_default()
-}
-
-/// Two-pointer merge of two sorted runs (the second may be absent when a
-/// round has an odd run out).
-fn merge_sorted(
-    a: Vec<u32>,
-    b: Option<Vec<u32>>,
-    by_key: impl Fn(&u32, &u32) -> std::cmp::Ordering,
-) -> Vec<u32> {
-    let Some(b) = b else { return a };
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if by_key(&a[i], &b[j]).is_lt() {
-            merged.push(a[i]);
-            i += 1;
-        } else {
-            merged.push(b[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&a[i..]);
-    merged.extend_from_slice(&b[j..]);
-    merged
-}
-
-/// Scoped fork-join over contiguous `chunk`-sized tasks: applies `f` to
-/// each task on up to `workers` threads (work-stealing over
-/// [`ha_bitcode::pool::fan_out`]'s shared cursor) and returns the
-/// concatenated results **in task order** — task *assignment* varies
-/// with scheduling, the output never does. One worker calls `f` once on
-/// all of `items`, so nothing is buffered per task.
-fn fork_join<T: Sync, R: Send>(
-    items: &[T],
-    chunk: usize,
-    workers: usize,
-    f: impl Fn(&[T]) -> Vec<R> + Sync,
-) -> Vec<R> {
-    if workers <= 1 {
-        return f(items);
-    }
-    let tasks: Vec<&[T]> = items.chunks(chunk.max(1)).collect();
-    ha_bitcode::pool::fan_out(workers, tasks.len(), |i| f(tasks[i]))
-        .into_iter()
-        .flatten()
-        .collect()
 }
 
 pub(super) fn alloc_raw(nodes: &mut Vec<Node>, node: Node) -> NodeId {
@@ -492,55 +370,6 @@ mod tests {
         assert_eq!(idx.leaf_count(), 1000); // collisions vanishingly unlikely
     }
 
-    #[test]
-    fn parallel_build_byte_identical_to_sequential() {
-        // Enough distinct codes for several PAR_TASK tasks per pass.
-        let data = clustered_dataset(6000, 32, 10, 3, 13);
-        let reference = DynamicHaIndex::build(data.clone());
-        reference.check_invariants();
-        let bytes = reference.to_bytes();
-        for workers in [1usize, 2, 4, 8] {
-            let par = DynamicHaIndex::build_parallel(data.clone(), workers);
-            par.check_invariants();
-            assert_eq!(par.epoch(), 0, "fresh build starts at epoch 0");
-            assert_eq!(
-                par.to_bytes(),
-                bytes,
-                "workers={workers} must reproduce the sequential build"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_build_byte_identical_in_leafless_mode() {
-        let data = clustered_dataset(3000, 32, 6, 3, 17);
-        let config = DhaConfig {
-            keep_leaf_ids: false,
-            window: 4,
-            ..DhaConfig::default()
-        };
-        let seq = DynamicHaIndex::build_with(data.clone(), config.clone());
-        let par = DynamicHaIndex::build_parallel_with(data, config, 4);
-        par.check_invariants();
-        assert_eq!(seq.to_bytes(), par.to_bytes());
-    }
-
-    #[test]
-    fn parallel_build_answers_like_sequential_build() {
-        use crate::testkit::assert_matches_oracle;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let data = clustered_dataset(3000, 64, 8, 3, 19);
-        let par = DynamicHaIndex::build_parallel(data.clone(), 4);
-        par.check_invariants();
-        assert_eq!(par.len(), data.len());
-        let mut rng = StdRng::seed_from_u64(20);
-        for h in [0u32, 3, 6] {
-            let q = ha_bitcode::BinaryCode::random(64, &mut rng);
-            assert_matches_oracle(par.search(&q, h), &data, &q, h, "parallel-build");
-        }
-    }
-
     /// `(case, fnv64 of to_bytes, fnv64 of the frozen store_bytes,
     /// memory_bytes)` of [`golden_cases`], recorded before H-Build grouped
     /// codes by sorted runs: any change to leaf order, id order within a
@@ -631,47 +460,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        /// Widths across the 64/65 rank-path switch, each code drawn from
-        /// a pool `dup` times smaller than the input, sizes past one
-        /// fork-join task and one sort run.
-        #[test]
-        fn prop_parallel_build_is_the_sequential_build(
-            seed in proptest::prelude::any::<u64>(),
-            bits in 1usize..=130,
-            n in 1usize..5000,
-            dup in 1usize..=16,
-        ) {
-            use rand::rngs::StdRng;
-            use rand::{Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let pool = clustered_dataset((n / dup).max(1), bits, 1 + n % 7, bits.min(3), seed);
-            let data: Vec<(BinaryCode, TupleId)> = (0..n as TupleId)
-                .map(|id| (pool[rng.gen_range(0..pool.len())].0.clone(), id))
-                .collect();
-            let seq = DynamicHaIndex::build(data.clone());
-            let bytes = seq.to_bytes();
-            for workers in [1usize, 2, 3, 8] {
-                let par = DynamicHaIndex::build_parallel(data.clone(), workers);
-                proptest::prop_assert!(par.to_bytes() == bytes, "workers={}", workers);
-                proptest::prop_assert_eq!(par.memory_bytes(), seq.memory_bytes());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_small_and_empty_inputs() {
-        let empty = DynamicHaIndex::build_parallel(std::iter::empty(), 8);
-        assert!(empty.is_empty());
-        // A sub-task input takes the single-threaded fork-join path and
-        // still equals the plain sequential H-Build.
-        let data = random_dataset(50, 16, 23);
-        let seq = DynamicHaIndex::build(data.clone());
-        let par = DynamicHaIndex::build_parallel(data, 8);
-        assert_eq!(seq.to_bytes(), par.to_bytes());
     }
 }

@@ -62,7 +62,7 @@ const AOS_MAX_GROUP: usize = 16;
 /// the lane kernels run branch-free; small groups of multi-word codes
 /// spend more on striding than they save, and a row-major sweep with
 /// per-sibling early exit wins — that crossover is exactly the 512-bit
-/// sparse regression BENCH_flat pinned at 0.69×. Both layouts occupy
+/// sparse regression once measured at 0.69×. Both layouts occupy
 /// the same `2 * words * group` words at the same base offset, so the
 /// choice is free at search time: one flag byte per group, recorded in
 /// the HA-Store v2 format.

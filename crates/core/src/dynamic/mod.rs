@@ -127,43 +127,7 @@ impl DynamicHaIndex {
         items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
         config: DhaConfig,
     ) -> Self {
-        build::h_build(items, config, 1)
-    }
-
-    /// Parallel H-Build with the default configuration: the same build
-    /// body as [`DynamicHaIndex::build`], with each extraction level's
-    /// window analysis (shared FLSSeq + residual patterns) and the Gray
-    /// ranking and sort of codes wider than 64 bits run on a pool of
-    /// `workers` scoped threads; the order-sensitive passes (leaves, arena
-    /// allocation, per-level consolidation) stay sequential. The output is
-    /// therefore **byte-identical to [`DynamicHaIndex::build`] for every
-    /// worker count** — `workers` buys wall-clock time, nothing else.
-    ///
-    /// ```
-    /// use ha_core::DynamicHaIndex;
-    /// use ha_bitcode::BinaryCode;
-    ///
-    /// let items: Vec<_> =
-    ///     (0..4096u64).map(|i| (BinaryCode::from_u64(i.wrapping_mul(2654435761) % 65536, 16), i)).collect();
-    /// let seq = DynamicHaIndex::build(items.clone());
-    /// let par = DynamicHaIndex::build_parallel(items, 4);
-    /// assert_eq!(seq.to_bytes(), par.to_bytes());
-    /// ```
-    pub fn build_parallel(
-        items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
-        workers: usize,
-    ) -> Self {
-        build::h_build(items, DhaConfig::default(), workers)
-    }
-
-    /// Parallel H-Build with an explicit configuration
-    /// (see [`DynamicHaIndex::build_parallel`]).
-    pub fn build_parallel_with(
-        items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
-        config: DhaConfig,
-        workers: usize,
-    ) -> Self {
-        build::h_build(items, config, workers)
+        build::h_build(items, config)
     }
 
     /// Empty index for `code_len`-bit codes.
@@ -578,7 +542,9 @@ impl DynamicHaIndex {
 
     /// Fallible structural validation: every root-to-leaf chain must have
     /// disjoint masks whose union is the full bit range, and the combined
-    /// pattern must reconstruct the leaf's code exactly. Used by the
+    /// pattern must reconstruct the leaf's code exactly. Frequencies must
+    /// be conserved: an internal node's is the sum of its children's, and
+    /// a leaf that keeps ids counts exactly those ids. Used by the
     /// wire-format decoder to reject corrupt blobs without panicking.
     pub fn try_check_invariants(&self) -> Result<(), &'static str> {
         use ha_bitcode::MaskedCode;
@@ -606,12 +572,20 @@ impl DynamicHaIndex {
                 if acc.bits() != &leaf.code {
                     return Err("path does not spell the leaf code");
                 }
+                if idx.config.keep_leaf_ids && n.frequency as usize != leaf.ids.len() {
+                    return Err("leaf frequency is not its id count");
+                }
             } else {
                 if n.children.is_empty() {
                     return Err("dead-end internal node");
                 }
+                let mut sum = 0u64;
                 for &c in &n.children {
                     walk(idx, c, &acc, depth + 1)?;
+                    sum += u64::from(idx.nodes[c as usize].frequency);
+                }
+                if sum != u64::from(n.frequency) {
+                    return Err("internal frequency is not its children's sum");
                 }
             }
             Ok(())

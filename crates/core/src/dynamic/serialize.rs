@@ -469,6 +469,27 @@ mod tests {
     }
 
     #[test]
+    fn rejects_inconsistent_frequencies() {
+        // A blob whose checksum is intact but whose frequencies are not
+        // conserved: one bumped internal node, then one bumped leaf.
+        let idx = DynamicHaIndex::build(clustered_dataset(500, 32, 5, 3, 212));
+        let internal = idx.nodes.iter().position(|n| n.leaf.is_none()).expect("some sharing");
+        let leaf = idx.nodes.iter().position(|n| n.leaf.is_some()).expect("a leaf");
+        for (node, want) in [
+            (internal, "internal frequency is not its children's sum"),
+            (leaf, "leaf frequency is not its id count"),
+        ] {
+            let mut bad = idx.clone();
+            bad.nodes[node].frequency += 1;
+            assert!(matches!(
+                DynamicHaIndex::from_bytes(&bad.to_bytes(), DhaConfig::default()),
+                Err(DecodeError::Corrupt(what)) if what == want
+            ));
+        }
+        assert!(DynamicHaIndex::from_bytes(&idx.to_bytes(), DhaConfig::default()).is_ok());
+    }
+
+    #[test]
     fn byte_flip_fuzz_never_panics_and_never_lies() {
         // Flip single bytes all over the blob: decoding must either error
         // out or yield a structurally valid index (check_invariants runs

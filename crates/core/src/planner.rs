@@ -1,13 +1,13 @@
 //! Adaptive query planner: route each Hamming-select to the cheapest
 //! exact backend.
 //!
-//! `BENCH_flat.json` already showed no single layout wins everywhere —
-//! HA-Flat is fastest on clustered narrow codes, while sparse wide codes
-//! favour chunked probing ([`crate::MihIndex`]) and tiny datasets are
-//! fastest to just scan. This module turns that observation into a
-//! routing decision: a [`CostModel`] (constants fitted by the `planner`
-//! experiment in `ha-bench` and captured in `BENCH_planner.json`)
-//! estimates nanoseconds per query for every available [`Backend`] from a
+//! No single layout wins everywhere — HA-Flat is fastest on clustered
+//! narrow codes, while sparse wide codes favour chunked probing
+//! ([`crate::MihIndex`]) and tiny datasets are fastest to just scan. This
+//! module turns that observation into a routing decision: a [`CostModel`]
+//! (its constants held to account by the benchmark's per-backend
+//! `core.search_us.*` timings and its `core.planner_regret`, its routing
+//! pinned by `tests/planner_decisions.rs`) estimates nanoseconds per query for every available [`Backend`] from a
 //! [`DataProfile`] — code width, row count, and a sampled *clusteredness*
 //! estimate — plus the query threshold, and [`choose`] picks the minimum.
 //!
@@ -123,10 +123,12 @@ where
 ///
 /// The shapes are analytical (rows scanned, BFS work per row and
 /// threshold, probe enumerations and expected candidates); the constants
-/// are **fitted**, not derived: the `planner` experiment times all four
-/// backends across the benchmark grid and the defaults below are tuned
-/// until [`choose`] picks the measured winner in every cell
-/// (`BENCH_planner.json`). Absolute nanoseconds are therefore
+/// are **fitted**, not derived: the defaults below were tuned until
+/// [`choose`] picked the measured winner in every cell of a grid timing
+/// all four backends; the benchmark's `core.search_us.*` and
+/// `core.planner_regret` measure them today, and
+/// `tests/planner_decisions.rs` pins the resulting routes. Absolute
+/// nanoseconds are therefore
 /// machine-specific; the *ratios* are what routing depends on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {

@@ -1,9 +1,8 @@
 //! Minimal RFC 8259 emission helpers.
 //!
 //! The workspace is built offline (no serde); every machine-readable
-//! output — the experiment harness's `--json` tables and this crate's
-//! JSON-lines traces — goes through these two functions, so the escaping
-//! rules live in exactly one place.
+//! output — this crate's JSON-lines traces — goes through this one
+//! function, so the escaping rules live in exactly one place.
 
 /// Escapes and quotes a string per RFC 8259: `"` and `\` are escaped,
 /// control characters become `\n`/`\r`/`\t` or `\u00XX`, everything else
@@ -28,12 +27,6 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Renders `["a", "b", …]` from a slice of strings.
-pub fn json_string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json_string(s)).collect();
-    format!("[{}]", cells.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,14 +49,5 @@ mod tests {
     #[test]
     fn unicode_passes_through() {
         assert_eq!(json_string("λ→µ"), "\"λ→µ\"");
-    }
-
-    #[test]
-    fn arrays_join_with_commas() {
-        assert_eq!(
-            json_string_array(&["a".into(), "b\"c".into()]),
-            "[\"a\", \"b\\\"c\"]"
-        );
-        assert_eq!(json_string_array(&[]), "[]");
     }
 }

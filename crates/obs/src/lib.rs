@@ -14,7 +14,8 @@
 //! * **Disabled by default, near-zero cost when off.** Tracing is a
 //!   process-global switch; with it off, every instrumentation point is
 //!   one relaxed atomic load — no clock reads, no allocation, no locks.
-//!   The `obs_overhead` criterion bench in `ha-bench` pins this.
+//!   The benchmark's `obs.on_slowdown` and `bench.trace_overhead` price
+//!   it end to end.
 //! * **Dependency-free.** This crate sits below everything else in the
 //!   workspace graph (even the vendored shims), so it is std-only.
 //! * **Cross-thread parentage.** The MapReduce runner executes tasks on

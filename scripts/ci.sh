@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the workspace (see README.md). Everything here must
 # stay green: release build, the root package's integration suites
-# (`cargo test -q` — the robustness, equivalence, allocation-pin and
-# panic-audit suites under tests/ are all part of it), every first-party
+# (`cargo test -q` — the robustness, equivalence, allocation-pin,
+# panic-audit and paper-shape suites under tests/ are all part of it), every first-party
 # crate's own unit tests and doctests — including the fenced examples in
 # README.md and docs/, compiled via `include_str!` doctest shims in
 # src/lib.rs, so the prose cannot drift from the API — HAB's own tests,
@@ -33,11 +33,6 @@ run cargo test -q "${CRATES[@]}"
 # tests (including a smoke run of all five workloads) are the only gate
 # on the calls it makes into the program before the benchmark runs.
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml
-
-# Compile-only smoke over the criterion benches: keeps the bench
-# harnesses (including flat_search, mih_search and kernel_sweep)
-# building without paying for a measured run in CI.
-run cargo bench --no-run -q -p ha-bench
 
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps ${CRATES[*]}"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${CRATES[@]}" >/dev/null

@@ -409,25 +409,3 @@ fn adaptive_layout_store_round_trips_via_mmap() {
     }
     std::fs::remove_file(&path).ok();
 }
-
-/// Spot check: the frozen snapshot of a parallel H-Build answers exactly
-/// like the sequential build's — freezing composes with parallel build.
-#[test]
-fn parallel_build_snapshot_matches_sequential() {
-    let mut rng = StdRng::seed_from_u64(4242);
-    let data = dataset(&mut rng, 3000, 32);
-    let mut seq = DynamicHaIndex::build(data.clone());
-    let mut par = DynamicHaIndex::build_parallel(data.clone(), 4);
-    seq.freeze();
-    par.freeze();
-    let (frozen_seq, thawed_seq) = views(&seq);
-    for trial in 0..4 {
-        let q = BinaryCode::random(32, &mut rng);
-        for h in [0u32, 3, 6] {
-            let a = frozen_seq.search(&q, h);
-            assert_eq!(a, par.search(&q, h), "trial {trial} h={h}: par vs seq");
-            assert_eq!(a, thawed_seq.search(&q, h), "trial {trial} h={h}: flat vs arena");
-            assert_matches_oracle(a, &data, &q, h, &format!("trial {trial}"));
-        }
-    }
-}
