@@ -59,6 +59,16 @@ pub fn for_each_neighbor(value: u64, width: u32, radius: u32, f: &mut impl FnMut
     rec(value, width, radius.min(width), 0, f);
 }
 
+/// [`crate::BinaryCode::extract`] over one row of a flat word store: the
+/// `width`-bit value (`1..=64`) at bit `start`, most significant first.
+#[inline]
+pub fn chunk_value(words: &[u64], start: usize, width: usize) -> u64 {
+    let (first, offset) = (start / 64, start % 64);
+    let hi = words[first] << offset;
+    let value = if offset + width <= 64 { hi } else { hi | (words[first + 1] >> (64 - offset)) };
+    value >> (64 - width)
+}
+
 /// Early-exit Hamming distance between two equal-length word slices:
 /// `Some(d)` when `d <= limit`, `None` as soon as the running popcount
 /// exceeds `limit`. This is the full-distance verification kernel MIH

@@ -298,16 +298,7 @@ impl BinaryCode {
     pub fn extract(&self, start: usize, width: usize) -> u64 {
         assert!((1..=64).contains(&width), "extract width must be 1..=64");
         assert!(start + width <= self.len(), "extract range out of bounds");
-        let ws = self.words.as_slice();
-        let first = start / 64;
-        let offset = start % 64;
-        let hi = ws[first] << offset;
-        let value = if offset + width <= 64 {
-            hi
-        } else {
-            hi | (ws[first + 1] >> (64 - offset))
-        };
-        value >> (64 - width)
+        crate::chunk::chunk_value(self.words.as_slice(), start, width)
     }
 
     /// Packs the code into `ceil(len/8)` bytes, MSB-first — the wire form

@@ -29,9 +29,8 @@
 //!   feature flags ([`Kernel::detect`]) — the only code in a default
 //!   build that reaches the hardware popcount. See `docs/KERNELS.md` for
 //!   the tuning guide.
-//! * [`mix`] — the splitmix64-finalizer [`mix::BuildMix64`] hasher that
-//!   keys MIH's `u64` chunk tables (std's SipHash cost more than the rest
-//!   of a bucket probe).
+//! * [`mix`] — the splitmix64 finalizer [`mix::mix64`] that slots chunk
+//!   values in MIH's hashed bucket directories.
 //! * [`pool`] — the scoped work-stealing [`pool::fan_out`]: the one
 //!   fan-out primitive behind `HaServe` shard probes, with results reassembled in task order so parallel merges
 //!   stay byte-identical to sequential ones.

@@ -26,7 +26,7 @@ pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
 
 /// Approximate heap size of a `HashMap<K, V>`: hashbrown stores one control
 /// byte plus one `(K, V)` slot per bucket; buckets ≈ capacity / load-factor.
-pub(crate) fn map_bytes<K, V, S>(m: &std::collections::HashMap<K, V, S>) -> usize {
+pub(crate) fn map_bytes<K, V>(m: &std::collections::HashMap<K, V>) -> usize {
     let slot = std::mem::size_of::<(K, V)>() + 1;
     // `capacity()` is the usable capacity; the backing table is ~8/7 larger.
     (m.capacity() * 8 / 7) * slot

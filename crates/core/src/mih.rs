@@ -2,31 +2,36 @@
 //! search backend beside the HA-Index.
 //!
 //! The code is split into `m` chunks ([`Segmentation`] — balanced widths,
-//! remainder bits front-loaded) and each chunk keys one hash table mapping
-//! chunk value → rows. A query with threshold `h = m·r + a` (`0 <= a < m`)
-//! probes the first `a + 1` tables at radius `r` and the rest at `r − 1`:
-//! the generalized pigeonhole principle (see [`ha_bitcode::chunk`])
-//! guarantees every answer lands in at least one probed bucket, so — unlike
-//! the Manku-style [`crate::MultiHashTable`], which is complete only up to
-//! the table count fixed at build time — MIH is complete for **every**
-//! `h`. Probing enumerates all chunk values within the per-chunk radius
-//! ([`for_each_neighbor`]); candidates are deduplicated with the
-//! per-thread epoch-stamped seen-set (`seen.rs`: a mark equals the
-//! current stamp ⇔ the row was reached earlier in *this* query; stamp
-//! wrap-around clears) and verified against the full code with an
-//! early-exit word-slice distance ([`distance_within_words`]). A select
-//! therefore costs O(probes + candidates) and allocates only its answer —
-//! nothing proportional to `n` (`tests/mih_alloc.rs` pins that).
+//! remainder bits front-loaded) and each chunk has one bucket directory
+//! from chunk value to rows. A query with threshold `h = m·r + a`
+//! (`0 <= a < m`) probes the first `a + 1` chunks at radius `r` and the
+//! rest at `r − 1`: the generalized pigeonhole principle (see
+//! [`ha_bitcode::chunk`]) guarantees every answer lands in at least one
+//! probed bucket, so — unlike the Manku-style [`crate::MultiHashTable`],
+//! which is complete only up to the table count fixed at build time — MIH
+//! is complete for **every** `h`. Probing enumerates all chunk values
+//! within the per-chunk radius ([`for_each_neighbor`]); candidates are
+//! deduplicated with the per-thread epoch-stamped seen-set (`seen.rs`: a
+//! mark equals the current stamp ⇔ the row was reached earlier in *this*
+//! query; stamp wrap-around clears) and verified against the full code
+//! with an early-exit word-slice distance ([`distance_within_words`]). A
+//! select therefore costs O(probes + candidates) and allocates only its
+//! answer — nothing proportional to `n` (`tests/mih_alloc.rs` pins that).
 //!
-//! Rejected: a stateless "first-owner" dedup (emit a row only from the
-//! first probed chunk whose radius covers it, no marks at all). It matched
-//! the seen-set on sparse data but re-verifies every duplicate from row
-//! memory instead of testing an L2-resident mark byte: forced MIH on the
-//! dense 512-bit benchmark workload (7 probed chunks × ~16k-row buckets)
-//! went 514 → 1881 µs per query.
+//! **Layout.** Built once, never mutated (serving layers mutations on an
+//! immutable generation with [`crate::DeltaIndex`]). Each chunk has a CSR
+//! directory, `2^b + 1` `starts` into one `rows` array of length `n` (slot
+//! `s` owns `rows[starts[s]..starts[s + 1]]`, ascending), filled by one
+//! counting sort: a build allocates per chunk, never per bucket. With `D`
+//! distinct values in a `w`-bit chunk, `b = min(w, ⌈log₂ D⌉ + 3)`. At
+//! `b = w` a slot is the value itself; below, it is the top `b` bits of
+//! [`mix64`], and values sharing a slot share its rows. That only adds
+//! candidates: each is verified against the full code, and a slot reached
+//! twice in one query finds its rows already marked in the seen-set, so
+//! answers stay exact at every `h`.
 //!
 //! The enumeration cost `Σ_k Σ_i C(w_k, i)` is known exactly before any
-//! table is touched ([`MihIndex::probe_estimate`]); when it reaches the
+//! directory is touched ([`MihIndex::probe_estimate`]); when it reaches the
 //! row count the index falls back to scanning its own flat row storage,
 //! so the worst case is a linear scan, never a combinatorial blowup. This
 //! is the regime structure the query planner's cost model rides on: few
@@ -34,24 +39,22 @@
 //! `⌊h/m⌋` stays small exactly when `h` is small relative to the code
 //! width — sparse, wide codes, where the HA-Flat traversal loses steam.
 
-use std::collections::HashMap;
-
-use ha_bitcode::chunk::{distance_within_words, for_each_neighbor, neighborhood_size};
-use ha_bitcode::mix::BuildMix64;
+use ha_bitcode::chunk::{chunk_value, distance_within_words, for_each_neighbor, neighborhood_size};
+use ha_bitcode::mix::mix64;
 use ha_bitcode::segment::Segmentation;
 use ha_bitcode::BinaryCode;
 
-use crate::memory::{map_bytes, seed_bulk, vec_bytes, MemoryReport};
+use crate::memory::{vec_bytes, MemoryReport};
 use crate::seen::with_seen;
-use crate::{HammingIndex, MutableIndex, TupleId};
+use crate::{HammingIndex, TupleId};
 
 /// Multi-Index Hashing over fixed-length binary codes.
 ///
 /// Rows live in a flat structure-of-arrays store (`stride` words per code,
-/// the exact [`BinaryCode::words`] layout); the `m` chunk tables hold row
-/// indexes, so codes are stored once no matter how many tables there are —
-/// the replication the paper criticises Manku's method for is avoided by
-/// construction.
+/// the exact [`BinaryCode::words`] layout); the `m` chunk directories hold
+/// row indexes, so codes are stored once no matter how many chunks there
+/// are — the replication the paper criticises Manku's method for is
+/// avoided by construction.
 ///
 /// ```
 /// use ha_core::{HammingIndex, MihIndex};
@@ -69,13 +72,94 @@ pub struct MihIndex {
     code_len: usize,
     stride: usize,
     seg: Segmentation,
-    /// One table per chunk: chunk value → rows whose code has that value.
-    tables: Vec<HashMap<u64, Vec<u32>, BuildMix64>>,
+    dirs: Vec<Directory>,
     /// Flat row storage, `stride` words per row.
     row_words: Vec<u64>,
     ids: Vec<TupleId>,
-    live: Vec<bool>,
-    tombstones: usize,
+}
+
+/// One chunk's CSR bucket directory (see the module docs).
+#[derive(Clone, Debug)]
+struct Directory {
+    /// Slot bits `b`.
+    bits: u32,
+    /// `b` is below the chunk width: slots come from [`mix64`].
+    hashed: bool,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Directory {
+    /// Counting-sorts rows by the slot of their `width`-bit chunk value
+    /// `values[row]`.
+    fn build(width: u32, values: &[u64]) -> Self {
+        let bits = directory_bits(width, distinct(width, values));
+        let hashed = bits < width;
+        let mut starts = vec![0u32; (1 << bits) + 1];
+        let mut rows = vec![0u32; values.len()];
+        let in_order =
+            values.iter().enumerate().map(|(row, &v)| (slot_of(hashed, bits, v), row as u32));
+        counting_sort(in_order, &mut starts, &mut rows);
+        Directory { bits, hashed, starts, rows }
+    }
+
+    /// The rows whose chunk value is `value`, plus, in a hashed directory,
+    /// those of values sharing its slot.
+    #[inline]
+    fn bucket(&self, value: u64) -> &[u32] {
+        let s = slot_of(self.hashed, self.bits, value);
+        &self.rows[self.starts[s] as usize..self.starts[s + 1] as usize]
+    }
+}
+
+/// Stable counting sort of `(key, row)` pairs into `out`, leaving the
+/// CSR offsets of each key in the zeroed `starts` (one longer than the
+/// key range): histogram, prefix sum, then a scatter in input order.
+fn counting_sort(
+    items: impl Iterator<Item = (usize, u32)> + Clone,
+    starts: &mut [u32],
+    out: &mut [u32],
+) {
+    for (key, _) in items.clone() {
+        starts[key + 1] += 1;
+    }
+    for k in 1..starts.len() {
+        starts[k] += starts[k - 1];
+    }
+    // `starts[key]` is the key's cursor; afterwards it holds the key's
+    // end, i.e. the next key's start, so shift by one.
+    for (key, item) in items {
+        out[starts[key] as usize] = item;
+        starts[key] += 1;
+    }
+    starts.copy_within(..starts.len() - 1, 1);
+    starts[0] = 0;
+}
+
+#[inline]
+fn slot_of(hashed: bool, bits: u32, value: u64) -> usize {
+    (if hashed { mix64(value) >> (64 - bits) } else { value }) as usize
+}
+
+/// Slot bits for a `width`-bit chunk holding `distinct` distinct values:
+/// `min(width, ⌈log₂ distinct⌉ + 3)`.
+fn directory_bits(width: u32, distinct: usize) -> u32 {
+    let ceil_log2 = usize::BITS - distinct.saturating_sub(1).leading_zeros();
+    width.min(ceil_log2 + 3)
+}
+
+/// Distinct `width`-bit values: a bitmap when the value space is at most
+/// 64 bits per value, a hash set otherwise.
+fn distinct(width: u32, values: &[u64]) -> usize {
+    if width < 64 && 1u64 << width <= 64 * values.len().max(64) as u64 {
+        let mut marks = vec![0u64; (1usize << width).div_ceil(64)];
+        for &v in values {
+            marks[(v >> 6) as usize] |= 1 << (v & 63);
+        }
+        marks.iter().map(|w| w.count_ones() as usize).sum()
+    } else {
+        values.iter().collect::<std::collections::HashSet<_>>().len()
+    }
 }
 
 impl MihIndex {
@@ -90,14 +174,40 @@ impl MihIndex {
         m.clamp(code_len.div_ceil(64), code_len)
     }
 
-    /// An empty index with an explicit chunk count.
+    /// Builds from an iterator of `(code, id)` pairs, sizing the chunk
+    /// count from the actual item count.
     ///
     /// # Panics
-    /// If `code_len` is 0, or `chunks` is outside
-    /// `[ceil(code_len / 64), code_len]` — a chunk wider than 64 bits
-    /// cannot key a `u64` table, and the constructor rejects such
-    /// configurations loudly instead of silently adjusting the count.
-    pub fn new(code_len: usize, chunks: usize) -> Self {
+    /// If any code's length differs from `code_len`.
+    pub fn build(code_len: usize, items: impl IntoIterator<Item = (BinaryCode, TupleId)>) -> Self {
+        let items: Vec<_> = items.into_iter().collect();
+        Self::with_chunks(code_len, Self::auto_chunks(code_len, items.len()), items)
+    }
+
+    /// Builds with an explicit chunk count.
+    ///
+    /// # Panics
+    /// If `code_len` is 0, if `chunks` is outside
+    /// `[ceil(code_len / 64), code_len]` (a chunk wider than 64 bits cannot
+    /// key a `u64` directory; the count is rejected, never adjusted), or
+    /// if any code's length differs from `code_len`.
+    pub fn with_chunks(
+        code_len: usize,
+        chunks: usize,
+        items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
+    ) -> Self {
+        let items: Vec<_> = items.into_iter().collect();
+        Self::bulk(code_len, chunks, items.len(), items.iter().map(|(code, id)| (code, *id)))
+    }
+
+    /// The one loader behind [`MihIndex::with_chunks`] and the planner's
+    /// builds: a `chunks`-directory index over `rows` borrowed pairs.
+    pub(crate) fn bulk<'a>(
+        code_len: usize,
+        chunks: usize,
+        rows: usize,
+        items: impl IntoIterator<Item = (&'a BinaryCode, TupleId)>,
+    ) -> Self {
         assert!(code_len >= 1, "code_len must be >= 1");
         assert!(
             chunks >= code_len.div_ceil(64),
@@ -106,64 +216,30 @@ impl MihIndex {
             code_len.div_ceil(64)
         );
         let seg = Segmentation::new(code_len, chunks);
-        debug_assert!(seg.max_width() <= 64);
-        MihIndex {
-            code_len,
-            stride: code_len.div_ceil(64),
-            tables: vec![HashMap::default(); chunks],
-            seg,
-            row_words: Vec::new(),
-            ids: Vec::new(),
-            live: Vec::new(),
-            tombstones: 0,
-        }
-    }
-
-    /// Builds from an iterator of `(code, id)` pairs, sizing the chunk
-    /// count from the actual item count.
-    ///
-    /// # Panics
-    /// If any code's length differs from `code_len`.
-    pub fn build(code_len: usize, items: impl IntoIterator<Item = (BinaryCode, TupleId)>) -> Self {
-        let items: Vec<_> = items.into_iter().collect();
-        let chunks = Self::auto_chunks(code_len, items.len());
-        Self::bulk(code_len, chunks, items.len(), items.iter().map(|(code, id)| (code, *id)))
-    }
-
-    /// A `chunks`-table index bulk-loaded with `rows` borrowed
-    /// `(code, id)` pairs, in order — the one loader behind
-    /// [`MihIndex::build`] and the planner's builds. The row arrays take
-    /// their first allocation up front ([`seed_bulk`]); rows are appended
-    /// exactly as [`MutableIndex::insert`] appends them.
-    pub(crate) fn bulk<'a>(
-        code_len: usize,
-        chunks: usize,
-        rows: usize,
-        items: impl IntoIterator<Item = (&'a BinaryCode, TupleId)>,
-    ) -> Self {
-        let mut idx = Self::new(code_len, chunks);
-        seed_bulk(&mut idx.row_words, rows * idx.stride);
-        seed_bulk(&mut idx.ids, rows);
-        seed_bulk(&mut idx.live, rows);
+        let stride = code_len.div_ceil(64);
+        let mut row_words = Vec::with_capacity(rows * stride);
+        let mut ids = Vec::with_capacity(rows);
         for (code, id) in items {
-            idx.append(code, id);
+            assert_eq!(code.len(), code_len, "code length mismatch");
+            row_words.extend_from_slice(code.words());
+            ids.push(id);
         }
-        idx
+        assert!(ids.len() < 1 << 29, "row indexes and directory slots must fit a u32");
+        let n = ids.len();
+        let mut values = vec![0u64; n];
+        let dirs = (0..chunks)
+            .map(|k| {
+                let (start, width) = seg.bounds(k);
+                for (v, row) in values.iter_mut().zip(row_words.chunks_exact(stride)) {
+                    *v = chunk_value(row, start, width);
+                }
+                Directory::build(width as u32, &values)
+            })
+            .collect();
+        MihIndex { code_len, stride, seg, dirs, row_words, ids }
     }
 
-    /// Appends one live row and links it into every chunk table.
-    fn append(&mut self, code: &BinaryCode, id: TupleId) {
-        assert_eq!(code.len(), self.code_len, "code length mismatch");
-        let row = self.ids.len() as u32;
-        self.row_words.extend_from_slice(code.words());
-        self.ids.push(id);
-        self.live.push(true);
-        for (k, table) in self.tables.iter_mut().enumerate() {
-            table.entry(self.seg.extract(code, k)).or_default().push(row);
-        }
-    }
-
-    /// Number of chunk tables.
+    /// Number of chunks.
     pub fn chunks(&self) -> usize {
         self.seg.count()
     }
@@ -209,10 +285,10 @@ impl MihIndex {
         &self.row_words[row * self.stride..(row + 1) * self.stride]
     }
 
-    /// Every live row within `h` of `query`, each exactly once, mapped
-    /// through `make(id, distance)` and sorted — the canonical order of
-    /// every entry point. Rows come from the linear scan when `scan_only`
-    /// is set or the probe enumeration alone would cost a scan, from chunk
+    /// Every row within `h` of `query`, each exactly once, mapped through
+    /// `make(id, distance)` and sorted — the canonical order of every
+    /// entry point. Rows come from the linear scan when `scan_only` is set
+    /// or the probe enumeration alone would cost a scan, from chunk
     /// probing otherwise.
     fn collect_sorted<T: Ord>(
         &self,
@@ -236,9 +312,6 @@ impl MihIndex {
         assert_eq!(query.len(), self.code_len, "query length mismatch");
         let qw = query.words();
         for row in 0..self.ids.len() {
-            if !self.live[row] {
-                continue;
-            }
             if let Some(d) = distance_within_words(qw, self.row(row), h) {
                 emit(row, d);
             }
@@ -255,10 +328,10 @@ impl MihIndex {
                 let Some(radius) = radius else { continue };
                 let value = self.seg.extract(query, k);
                 let (_, width) = self.seg.bounds(k);
-                let table = &self.tables[k];
+                let dir = &self.dirs[k];
                 for_each_neighbor(value, width as u32, radius, &mut |v| {
                     probes += 1;
-                    let Some(bucket) = table.get(&v) else { return };
+                    let bucket = dir.bucket(v);
                     candidates += bucket.len() as u64;
                     for &row in bucket {
                         let row = row as usize;
@@ -303,8 +376,8 @@ impl MihIndex {
     }
 
     /// One [`HammingIndex::search`] per query. MIH probes are per-query
-    /// hash lookups with no shared traversal to amortize, so this is a
-    /// plain loop — provided for signature parity with
+    /// directory lookups with no shared traversal to amortize, so this is
+    /// a plain loop — provided for signature parity with
     /// [`crate::DynamicHaIndex::batch_search`].
     pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
         queries.iter().map(|q| self.search(q, h)).collect()
@@ -312,16 +385,12 @@ impl MihIndex {
 
     /// Itemized memory usage (Table 4's space column).
     pub fn memory_report(&self) -> MemoryReport {
-        let mut structure = vec_bytes(&self.tables);
-        let mut payload = vec_bytes(&self.ids) + vec_bytes(&self.live);
-        for table in &self.tables {
-            structure += map_bytes(table);
-            payload += table.values().map(vec_bytes).sum::<usize>();
-        }
+        let starts: usize = self.dirs.iter().map(|d| vec_bytes(&d.starts)).sum();
+        let rows: usize = self.dirs.iter().map(|d| vec_bytes(&d.rows)).sum();
         MemoryReport {
-            structure_bytes: structure,
+            structure_bytes: vec_bytes(&self.dirs) + starts,
             code_bytes: vec_bytes(&self.row_words),
-            payload_bytes: payload,
+            payload_bytes: vec_bytes(&self.ids) + rows,
         }
     }
 }
@@ -332,7 +401,7 @@ impl HammingIndex for MihIndex {
     }
 
     fn len(&self) -> usize {
-        self.ids.len() - self.tombstones
+        self.ids.len()
     }
 
     fn code_len(&self) -> usize {
@@ -346,42 +415,6 @@ impl HammingIndex for MihIndex {
 
     fn memory_bytes(&self) -> usize {
         self.memory_report().total()
-    }
-}
-
-impl MutableIndex for MihIndex {
-    fn insert(&mut self, code: BinaryCode, id: TupleId) {
-        self.append(&code, id);
-    }
-
-    fn delete(&mut self, code: &BinaryCode, id: TupleId) -> bool {
-        assert_eq!(code.len(), self.code_len, "code length mismatch");
-        // Locate the row via the first chunk's bucket — every stored row
-        // appears in every table, so one bucket suffices.
-        let value = self.seg.extract(code, 0);
-        let Some(bucket) = self.tables[0].get(&value) else {
-            return false;
-        };
-        let Some(row) = bucket.iter().copied().map(|r| r as usize).find(|&r| {
-            self.live[r] && self.ids[r] == id && self.row(r) == code.words()
-        }) else {
-            return false;
-        };
-        // Unlink from every chunk table, dropping emptied buckets.
-        for k in 0..self.seg.count() {
-            let value = self.seg.extract(code, k);
-            if let Some(bucket) = self.tables[k].get_mut(&value) {
-                if let Some(pos) = bucket.iter().position(|&r| r as usize == row) {
-                    bucket.swap_remove(pos);
-                }
-                if bucket.is_empty() {
-                    self.tables[k].remove(&value);
-                }
-            }
-        }
-        self.live[row] = false;
-        self.tombstones += 1;
-        true
     }
 }
 
@@ -409,12 +442,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "64-bit")]
     fn too_few_chunks_for_wide_codes_panics() {
-        MihIndex::new(512, 5); // 103-bit chunks cannot key a u64
+        MihIndex::with_chunks(512, 5, Vec::new()); // 103-bit chunks cannot key a u64
     }
 
     #[test]
     fn probe_estimate_matches_pigeonhole_budget() {
-        let idx = MihIndex::new(64, 4); // 16-bit chunks
+        let idx = MihIndex::with_chunks(64, 4, Vec::new()); // 16-bit chunks
         // h=3, m=4: r=0, a=3 → all four chunks at radius 0 → 4 probes.
         assert_eq!(idx.probe_estimate(3), 4);
         // h=4: r=1, a=0 → chunk 0 at radius 1 (17), chunks 1..4 at 0 (1).
@@ -466,32 +499,33 @@ mod tests {
         assert_matches_oracle(idx.search(&q, h), &data, &q, h, "fallback");
     }
 
+    /// The slot-bit rule `b = min(w, ⌈log₂ D⌉ + 3)`, with `D` the distinct
+    /// values of a chunk (each stored twice here, so rows are not values):
+    /// over a bitmap-counted 16-bit chunk, where `D = 4096` is the last
+    /// hashed directory, and over one hash-set-counted 64-bit chunk.
     #[test]
-    fn delete_then_insert_round_trips() {
-        let data = random_dataset(80, 64, 9);
-        let mut idx = MihIndex::build(64, data.clone());
-        let (code, id) = data[17].clone();
-        assert!(idx.delete(&code, id));
-        assert!(!idx.delete(&code, id), "double delete must fail");
-        assert_eq!(idx.len(), 79);
-        assert!(!idx.search(&code, 0).contains(&id));
-        idx.insert(code.clone(), id);
-        assert_eq!(idx.len(), 80);
-        assert!(idx.search(&code, 0).contains(&id));
-        // Deleting an absent code whose chunk-0 bucket doesn't exist.
-        let absent = BinaryCode::random(64, &mut StdRng::seed_from_u64(1));
-        let _ = idx.delete(&absent, 999_999);
+    fn directory_bits_follow_the_distinct_count_rule() {
+        let rule = [(1u64, 3u32), (2, 4), (3, 5), (4, 5), (5, 6), (100, 10), (4096, 15), (4097, 16)];
+        for (d, bits) in rule {
+            assert_eq!(directory_bits(16, d as usize), bits, "w = 16, D = {d}");
+            let narrow = (0..2 * d).map(|i| (BinaryCode::from_u64((i % d) << 16, 32), i));
+            let mih = MihIndex::with_chunks(32, 2, narrow);
+            assert_eq!(mih.dirs[0].bits, bits, "16-bit chunk, D = {d}");
+            assert_eq!(mih.dirs[0].hashed, bits < 16, "16-bit chunk, D = {d}");
+            assert_eq!(mih.dirs[1].bits, 3, "a chunk holding one value");
+            let spread = |v: u64| v.wrapping_mul(0x9e37_79b9_7f4a_7c15); // a bijection
+            let wide = (0..2 * d).map(|i| (BinaryCode::from_u64(spread(i % d), 64), i));
+            let mih = MihIndex::with_chunks(64, 1, wide);
+            assert_eq!(mih.dirs[0].bits, bits, "64-bit chunk, D = {d}");
+            assert!(mih.dirs[0].hashed);
+        }
     }
 
     #[test]
     fn duplicate_codes_under_distinct_ids_coexist() {
         let code = BinaryCode::from_u64(42, 32);
-        let mut idx = MihIndex::new(32, 4);
-        idx.insert(code.clone(), 1);
-        idx.insert(code.clone(), 2);
+        let idx = MihIndex::with_chunks(32, 4, vec![(code.clone(), 1), (code.clone(), 2)]);
         assert_eq!(idx.search(&code, 0), vec![1, 2]);
-        assert!(idx.delete(&code, 1));
-        assert_eq!(idx.search(&code, 0), vec![2]);
     }
 
     #[test]
@@ -518,7 +552,7 @@ mod tests {
 
     #[test]
     fn empty_index_answers_empty() {
-        let idx = MihIndex::new(64, 4);
+        let idx = MihIndex::with_chunks(64, 4, Vec::new());
         assert!(idx.is_empty());
         let q = BinaryCode::from_u64(1, 64);
         assert!(idx.search(&q, 64).is_empty());

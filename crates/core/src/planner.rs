@@ -13,7 +13,8 @@
 //!
 //! One integration surface sits on top: [`PlannedIndex`] owns both
 //! physical structures (a [`DynamicHaIndex`] and a [`MihIndex`] over the
-//! same rows) and routes every query. HA-Serve shards build one
+//! same rows), built once and never mutated, and routes every query.
+//! HA-Serve shards build one per generation
 //! ([`PlannedIndex::build_with`]); the distributed join's reducers adopt
 //! the broadcast HA-Index as one ([`PlannedIndex::from_dha`]) — the MIH
 //! is a function of the shipped HA-Index's items, so each worker derives
@@ -30,7 +31,7 @@ use ha_bitcode::BinaryCode;
 
 use crate::dynamic::{DhaConfig, DynamicHaIndex};
 use crate::mih::MihIndex;
-use crate::{HammingIndex, MutableIndex, TupleId};
+use crate::{HammingIndex, TupleId};
 
 /// The exact search backends the planner can route to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -294,22 +295,23 @@ pub struct PlanConfig {
 /// Both structures index the same rows: the [`DynamicHaIndex`] serves the
 /// arena and flat paths, the [`MihIndex`] serves chunked probing and the
 /// linear scan (its flat row store doubles as the scan target, so the
-/// "four backends" cost two structures, not four). Mutations go to both;
-/// [`PlannedIndex::freeze`] refreshes the flat snapshot *and* the
-/// clusteredness estimate.
+/// "four backends" cost two structures, not four). Neither changes after
+/// the build (serving layers mutations over it with a
+/// [`crate::DeltaIndex`]) except through [`PlannedIndex::freeze`], which
+/// compiles a missing flat snapshot and refreshes the clusteredness
+/// estimate.
 ///
 /// ```
 /// use ha_core::planner::PlannedIndex;
-/// use ha_core::{HammingIndex, MutableIndex};
+/// use ha_core::HammingIndex;
 /// use ha_bitcode::BinaryCode;
 ///
-/// let mut index = PlannedIndex::build(
+/// let index = PlannedIndex::build(
 ///     16, (0..64u64).map(|i| (BinaryCode::from_u64(i, 16), i)).collect());
 /// let q = BinaryCode::from_u64(5, 16);
 /// let (backend, hits) = index.search_routed(&q, 1);
 /// assert_eq!(hits, vec![1, 4, 5, 7, 13, 21, 37]); // ids ascending, any backend
-/// index.insert(BinaryCode::from_u64(999, 16), 999);
-/// assert_eq!(index.len(), 65);
+/// assert_eq!(index.len(), 64);
 /// let _ = backend; // which backend won is a performance detail only
 /// ```
 #[derive(Clone, Debug)]
@@ -391,8 +393,7 @@ impl PlannedIndex {
 
     /// The profile the planner currently costs queries against. The
     /// clusteredness component is sampled at build and refreshed by
-    /// [`PlannedIndex::freeze`] — it goes stale (not wrong: only routing,
-    /// never answers, depends on it) across unfrozen mutations.
+    /// [`PlannedIndex::freeze`].
     pub fn profile(&self) -> DataProfile {
         DataProfile {
             bits: self.code_len,
@@ -402,7 +403,8 @@ impl PlannedIndex {
     }
 
     /// Backends currently able to answer (the flat path drops out while
-    /// the snapshot is stale).
+    /// no current snapshot exists — an index adopted by
+    /// [`PlannedIndex::from_dha`] before its [`PlannedIndex::freeze`]).
     pub fn available(&self) -> Vec<Backend> {
         self.available_slice().to_vec()
     }
@@ -507,17 +509,10 @@ impl PlannedIndex {
     }
 
     /// Refreshes the flat snapshot and the clusteredness estimate.
-    /// Idempotent while the epoch is unchanged, like
-    /// [`DynamicHaIndex::freeze`].
+    /// Idempotent, like [`DynamicHaIndex::freeze`].
     pub fn freeze(&mut self) {
         self.dha.freeze();
         self.clusteredness = estimate_clusteredness(self.dha.leaf_codes());
-    }
-
-    /// Epoch of the inner HA-Index (bumped by every mutation) — what the
-    /// serving layer keys its result cache on.
-    pub fn epoch(&self) -> u64 {
-        self.dha.epoch()
     }
 
     /// The inner HA-Index (read-only).
@@ -527,7 +522,8 @@ impl PlannedIndex {
 
     /// Serializes the frozen flat snapshot into the persistent HA-Store
     /// format, if one is current (`build`/`build_with` freeze, so this is
-    /// `Some` unless a mutation has landed since).
+    /// `Some` unless the index was adopted by [`PlannedIndex::from_dha`]
+    /// and not frozen since).
     pub fn store_bytes(&self) -> Option<Vec<u8>> {
         self.dha.flat().map(crate::FlatHaIndex::store_bytes)
     }
@@ -562,20 +558,6 @@ impl HammingIndex for PlannedIndex {
 
     fn memory_bytes(&self) -> usize {
         self.dha.memory_bytes() + self.mih.memory_bytes()
-    }
-}
-
-impl MutableIndex for PlannedIndex {
-    fn insert(&mut self, code: BinaryCode, id: TupleId) {
-        self.mih.insert(code.clone(), id);
-        self.dha.insert(code, id);
-    }
-
-    fn delete(&mut self, code: &BinaryCode, id: TupleId) -> bool {
-        let a = self.dha.delete(code, id);
-        let b = self.mih.delete(code, id);
-        debug_assert_eq!(a, b, "backends must agree on membership");
-        a && b
     }
 }
 
@@ -656,7 +638,7 @@ mod tests {
     #[test]
     fn planned_index_answers_match_oracle_on_every_backend() {
         let data = clustered_dataset(250, 64, 3, 3, 55);
-        let mut idx = PlannedIndex::build(64, data.clone());
+        let idx = PlannedIndex::build(64, data.clone());
         let mut rng = StdRng::seed_from_u64(8);
         for trial in 0..3 {
             let q = BinaryCode::random(64, &mut rng);
@@ -670,34 +652,6 @@ mod tests {
                 }
             }
         }
-        // Stale snapshot: HaFlat drops out, answers stay exact.
-        idx.insert(BinaryCode::from_u64(77, 64), 9_001);
-        assert!(!idx.available().contains(&Backend::HaFlat));
-        assert_eq!(idx.search_with_backend(Backend::HaFlat, &data[0].0, 2), None);
-        let mut data = data;
-        data.push((BinaryCode::from_u64(77, 64), 9_001));
-        let q = BinaryCode::from_u64(77, 64);
-        assert_matches_oracle(idx.search(&q, 1), &data, &q, 1, "stale window");
-        idx.freeze();
-        assert!(idx.available().contains(&Backend::HaFlat));
-        assert_matches_oracle(idx.search(&q, 1), &data, &q, 1, "after refreeze");
-    }
-
-    #[test]
-    fn planned_index_mutations_keep_backends_in_lockstep() {
-        let data = random_dataset(120, 32, 12);
-        let mut idx = PlannedIndex::build(32, data.clone());
-        let (code, id) = data[7].clone();
-        assert!(idx.delete(&code, id));
-        assert!(!idx.delete(&code, id));
-        assert_eq!(idx.len(), 119);
-        idx.insert(code.clone(), id);
-        idx.freeze();
-        let live = data;
-        for h in [0u32, 3] {
-            assert_matches_oracle(idx.search(&code, h), &live, &code, h, "lockstep");
-        }
-        assert_eq!(idx.dha().len(), idx.mih().len());
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Allocation regression pin for the MIH hot path — no timing involved.
+//! Allocation regression pins for MIH — no timing involved.
 //!
 //! An MIH select must cost O(probes + candidates): after one warm-up
 //! query has sized the thread's seen-set, a search allocates its answer
 //! and nothing proportional to the row count `n`, and routing
 //! (`PlannedIndex::backend_for`, run on every routed query) allocates
-//! nothing at all. A counting `#[global_allocator]` measures the bytes
+//! nothing at all. An MIH build allocates per chunk, never per bucket. A
+//! counting `#[global_allocator]` measures the bytes and the allocations
 //! requested on the calling thread; the per-thread tally keeps the
 //! parallel test harness out of the numbers.
 
@@ -22,14 +23,20 @@ struct Counting;
 
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn tally(bytes: usize) {
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
+    let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a thread-local byte tally (const-initialised, no destructor, so
-// touching it never allocates or re-enters the allocator).
+// is a thread-local byte and call tally (const-initialised, no destructor,
+// so touching it never allocates or re-enters the allocator).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
+        tally(layout.size());
         System.alloc(layout)
     }
 
@@ -38,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|a| a.set(a.get() + new_size));
+        tally(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,6 +58,13 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATED.with(Cell::get);
     let r = f();
     (ALLOCATED.with(Cell::get) - before, r)
+}
+
+/// Allocation and reallocation calls this thread made while `f` ran.
+fn allocations_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (ALLOCATIONS.with(Cell::get) - before, r)
 }
 
 const N: usize = 200_000;
@@ -106,6 +120,21 @@ fn mih_search_allocates_nothing_proportional_to_n() {
         let (bytes, _) = allocated_by(|| planned.backend_for(h));
         assert_eq!(bytes, 0, "backend_for({h}) must not allocate");
     }
+}
+
+/// A build is one counting sort per chunk: at n = 200 000 (four 16-bit
+/// chunks, ~63k distinct values each) it makes a few allocations per
+/// chunk, where one heap bucket per distinct value would make ~250k.
+#[test]
+fn mih_build_allocates_per_chunk_not_per_bucket() {
+    let data = random_dataset(N, 64, 23);
+    let (allocations, mih) = allocations_by(|| MihIndex::build(64, data));
+    assert_eq!(mih.len(), N);
+    assert!(
+        allocations <= 4 * mih.chunks() + 8,
+        "MihIndex::build made {allocations} allocations for {} chunks",
+        mih.chunks()
+    );
 }
 
 /// The three paper baselines share the same seen-set helper.

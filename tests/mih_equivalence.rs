@@ -1,14 +1,18 @@
 //! The MIH backend must be invisible: for ANY dataset (clustered or
 //! sparse, 32- to 512-bit codes), ANY threshold — including thresholds
-//! far past where pigeonhole schemes like Manku's go incomplete — and ANY
-//! interleaving of inserts and deletes, [`MihIndex`] answers every
-//! select, batch and kNN query with exactly the ids the linear-scan
-//! oracle produces, byte-identical (after canonical `(distance, id)` /
-//! id ordering) to the frozen HA-Flat snapshot maintained over the same
-//! history. This is the `flat_equivalence.rs` pattern pointed at the
-//! second exact backend, and it is what lets the query planner route
-//! freely: any backend, same bytes.
+//! far past where pigeonhole schemes like Manku's go incomplete — ANY
+//! chunk count and every bucket-directory regime (direct or hashed
+//! slots), [`MihIndex`] answers every select, batch and kNN query with
+//! exactly the ids the linear-scan oracle produces, byte-identical (after
+//! canonical `(distance, id)` / id ordering) to the frozen HA-Flat
+//! snapshot maintained over the same insert/delete history. This is the
+//! `flat_equivalence.rs` pattern pointed at the second exact backend, and
+//! it is what lets the query planner route freely: any backend, same
+//! bytes.
 
+use std::collections::HashSet;
+
+use hamming_suite::bitcode::segment::Segmentation;
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::index::select::knn_by_radius;
 use hamming_suite::index::testkit::{
@@ -55,11 +59,10 @@ fn sorted(mut ids: Vec<TupleId>) -> Vec<TupleId> {
     ids
 }
 
-/// Replays the same mutation steps (biased 2:1 insert:delete, half the
-/// inserts near-duplicates) on the MIH index AND the HA-Index, mirroring
-/// them into `live` so the oracle stays in sync.
+/// Replays mutation steps (biased 2:1 insert:delete, half the inserts
+/// near-duplicates) on the HA-Index, mirroring them into `live` so the
+/// oracle — and the MIH rebuilt from it — stays in sync.
 fn churn(
-    mih: &mut MihIndex,
     dha: &mut DynamicHaIndex,
     live: &mut Vec<(BinaryCode, TupleId)>,
     ops: usize,
@@ -71,7 +74,6 @@ fn churn(
         if rng.gen_bool(0.33) && !live.is_empty() {
             let pos = rng.gen_range(0..live.len());
             let (code, id) = live.swap_remove(pos);
-            assert!(mih.delete(&code, id), "MIH delete of a live tuple");
             assert!(dha.delete(&code, id), "DHA delete of a live tuple");
         } else {
             let code = if !live.is_empty() && rng.gen_bool(0.5) {
@@ -81,7 +83,6 @@ fn churn(
             } else {
                 BinaryCode::random(code_len, rng)
             };
-            mih.insert(code.clone(), *next_id);
             dha.insert(code.clone(), *next_id);
             live.push((code, *next_id));
             *next_id += 1;
@@ -126,9 +127,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary build → churn histories over every code width: after
-    /// every burst of mutations MIH answers exactly like the refrozen
-    /// HA-Flat snapshot and the linear-scan oracle, at arbitrary
-    /// thresholds (including past the code width).
+    /// every burst of mutations the MIH built over the live rows answers
+    /// exactly like the refrozen HA-Flat snapshot and the linear-scan
+    /// oracle, at arbitrary thresholds (including past the code width).
     #[test]
     fn mih_equals_flat_and_oracle_under_arbitrary_histories(
         seed in any::<u64>(),
@@ -142,24 +143,23 @@ proptest! {
         let code_len = BITS[bits_sel];
         let mut rng = StdRng::seed_from_u64(seed);
         let mut live = dataset(&mut rng, initial, code_len, clustered);
-        let mut mih = MihIndex::build(code_len, live.clone());
         let mut dha = DynamicHaIndex::build_with(
             live.clone(),
             DhaConfig { insert_buffer_cap: 8, ..DhaConfig::default() },
         );
         if live.is_empty() {
             // Build on empty input leaves the DHA with no code length;
-            // seed one tuple through the mutable path instead.
+            // build it over one tuple instead.
             let c = BinaryCode::random(code_len, &mut rng);
-            mih.insert(c.clone(), 50_000);
             dha = DynamicHaIndex::build(std::iter::once((c.clone(), 50_000)));
             live.push((c, 50_000));
         }
         let mut next_id: TupleId = 100_000;
         let radii = [0, 1, 3, 6, h_arbitrary.min(code_len as u32 + 8)];
         for burst in 0..bursts {
-            churn(&mut mih, &mut dha, &mut live, ops_per_burst, code_len, &mut rng, &mut next_id);
+            churn(&mut dha, &mut live, ops_per_burst, code_len, &mut rng, &mut next_id);
             dha.freeze();
+            let mih = MihIndex::build(code_len, live.clone());
             prop_assert!(dha.flat_is_current());
             prop_assert_eq!(mih.len(), dha.len(), "len after burst {}", burst);
             let queries: Vec<BinaryCode> = (0..3)
@@ -193,33 +193,51 @@ proptest! {
         let code_len = 64;
         let mut rng = StdRng::seed_from_u64(seed);
         let live = dataset(&mut rng, n, code_len, true);
-        let mut mih = MihIndex::new(code_len, chunks.min(code_len));
-        for (c, id) in &live {
-            mih.insert(c.clone(), *id);
-        }
+        let mih = MihIndex::with_chunks(code_len, chunks.min(code_len), live.clone());
         let q = BinaryCode::random(code_len, &mut rng);
         assert_matches_oracle(
             mih.search(&q, h), &live, &q, h,
             &format!("m={chunks} h={h}"),
         );
     }
-}
 
-/// Draining an index and refilling it keeps answers exact — tombstoned
-/// rows must never resurface through any chunk table.
-#[test]
-fn drain_and_refill_round_trips() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let live = dataset(&mut rng, 40, 32, false);
-    let mut mih = MihIndex::build(32, live.clone());
-    for (code, id) in &live {
-        assert!(mih.delete(code, *id));
+    /// Both bucket-directory regimes are exact on the probe path, with
+    /// duplicate codes and queries at exactly `h` and `h + 1` from stored
+    /// codes. A `w`-bit chunk with `D` distinct values is direct-addressed
+    /// exactly when `D > 2^(w−4)` (the rule `b = min(w, ⌈log₂ D⌉ + 3)`,
+    /// pinned in `mih.rs`): a few hundred rows in 16-bit chunks stay far
+    /// below that, so values hash into slots they may share; 400 uniform
+    /// rows in 8-bit chunks are far above it.
+    #[test]
+    fn every_directory_regime_is_exact(
+        seed in any::<u64>(),
+        hashed in any::<bool>(),
+        n in 100usize..300,
+        h in 0u32..8,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (code_len, chunks, n) = if hashed { (64, 4, n) } else { (32, 4, 400) };
+        let mut data = dataset(&mut rng, n, code_len, hashed);
+        let copies: Vec<_> =
+            data.iter().step_by(9).map(|(c, id)| (c.clone(), id + 50_000)).collect();
+        data.extend(copies);
+        data.push(data[0].clone());
+        let mih = MihIndex::with_chunks(code_len, chunks, data.clone());
+        let seg = Segmentation::new(code_len, chunks);
+        for k in 0..chunks {
+            let values: HashSet<u64> = data.iter().map(|(c, _)| seg.extract(c, k)).collect();
+            let width = seg.bounds(k).1;
+            prop_assert_eq!(values.len() > 1 << (width - 4), !hashed, "chunk {}", k);
+        }
+        prop_assert!(!mih.would_scan(h), "the probe path must run");
+        for (stored, id) in data.iter().step_by(data.len() / 24) {
+            let at = random_at_distance(stored, h, &mut rng);
+            let past = random_at_distance(stored, h + 1, &mut rng);
+            for q in [stored, &at, &past] {
+                assert_exact(&mih, &data, q, h, &format!("hashed={hashed} id={id}"));
+            }
+        }
     }
-    assert_eq!(mih.len(), 0);
-    let q = BinaryCode::random(32, &mut rng);
-    assert!(mih.search(&q, 32).is_empty(), "drained index must answer empty");
-    mih.insert(live[0].0.clone(), live[0].1);
-    assert_eq!(mih.search(&live[0].0, 0), vec![live[0].1]);
 }
 
 /// 512-bit wide-code spot check with an explicit small chunk count (the
@@ -229,10 +247,7 @@ fn drain_and_refill_round_trips() {
 fn wide_codes_with_word_width_chunks_are_exact() {
     let mut rng = StdRng::seed_from_u64(512);
     let live = dataset(&mut rng, 150, 512, false);
-    let mut mih = MihIndex::new(512, 8);
-    for (c, id) in &live {
-        mih.insert(c.clone(), *id);
-    }
+    let mih = MihIndex::with_chunks(512, 8, live.clone());
     let mut dha = DynamicHaIndex::build(live.clone());
     dha.freeze();
     let queries: Vec<BinaryCode> = live.iter().take(2).map(|(c, _)| c.clone()).collect();
@@ -294,10 +309,7 @@ fn duplicates_keep_multiplicity_and_multi_table_rows_appear_once() {
     }
     // MIH at h >= m probes every chunk table, and a stored code matches
     // its own bucket in each of them: four sightings, one answer.
-    let mut mih = MihIndex::new(64, 4);
-    for (c, i) in &data {
-        mih.insert(c.clone(), *i);
-    }
+    let mih = MihIndex::with_chunks(64, 4, data.clone());
     for h in [4u32, 5, 7, 8] {
         assert!(!mih.would_scan(h), "h={h} must exercise the probe path");
         for (q, _) in data.iter().step_by(37) {

@@ -15,8 +15,10 @@
 //! Tracing state is process-global, so every test serialises on one
 //! mutex and starts from `ha_obs::reset()`.
 
+use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use hamming_suite::bitcode::segment::Segmentation;
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::datagen::{generate, DatasetProfile};
 use hamming_suite::distributed::pipeline::{mrha_hamming_join_on_dfs, MrHaConfig};
@@ -344,8 +346,10 @@ fn json_lines_export_is_one_object_per_line() {
 
 /// The MIH probe funnel (the quantities Norouzi et al. explain MIH's
 /// sub-linear behaviour with): `mih.probes` is exactly the query-
-/// independent probe budget, and every candidate is either a dedup hit
-/// or verified.
+/// independent probe budget, every candidate is either a dedup hit or
+/// verified, and on an all-direct index `mih.candidates` is exactly the
+/// rows whose chunk value lies within the chunk's probe radius — the
+/// bucket sizes of the probed values, counted by brute force.
 #[test]
 fn mih_counters_report_the_probe_funnel() {
     let _guard = obs_lock();
@@ -368,6 +372,21 @@ fn mih_counters_report_the_probe_funnel() {
         trace.counter("mih.verified"),
     );
     assert_eq!(candidates, dedup + verified);
+    let seg = Segmentation::new(64, mih.chunks());
+    let m = mih.chunks() as u32;
+    let mut bucket_rows = 0u64;
+    for k in 0..mih.chunks() {
+        // Direct-addressed: more than 2^(w−4) distinct values (mih.rs).
+        let values: HashSet<u64> = data.iter().map(|(c, _)| seg.extract(c, k)).collect();
+        assert!(values.len() > 1 << (seg.bounds(k).1 - 4), "chunk {k} is direct");
+        let radius = if k as u32 <= h % m { h / m } else { h / m - 1 };
+        for q in &queries {
+            let value = seg.extract(q, k);
+            let near = |(c, _): &&(BinaryCode, u64)| (seg.extract(c, k) ^ value).count_ones();
+            bucket_rows += data.iter().filter(|item| near(item) <= radius).count() as u64;
+        }
+    }
+    assert_eq!(candidates, bucket_rows);
     // A stored code sits in its own bucket of every probed table.
     assert!(dedup >= (mih.chunks() as u64 - 1) * queries.len() as u64);
     assert!(verified >= answers as u64);

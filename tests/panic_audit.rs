@@ -82,8 +82,8 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     // distributed-join probe — same hot-path argument, same zero budget.
     ("crates/core/src/mih.rs", 0, 0, 0, 0),
     ("crates/core/src/planner.rs", 0, 0, 0, 0),
-    // …as are the seen-set every MIH probe de-duplicates through and the
-    // hasher keying its chunk tables.
+    // …as are the seen-set every MIH probe de-duplicates through and
+    // `mix64`, which slots chunk values in MIH's hashed bucket directories.
     ("crates/core/src/seen.rs", 0, 0, 0, 0),
     ("crates/bitcode/src/mix.rs", 0, 0, 0, 0),
     // H-Build runs inside every HA-Gen `merge_shard`, where a panic

@@ -18,7 +18,9 @@
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::index::planner::{choose, estimate_clusteredness, DataProfile};
 use hamming_suite::index::testkit::assert_matches_oracle;
-use hamming_suite::index::{Backend, CostModel, HammingIndex, MutableIndex, PlannedIndex, TupleId};
+use hamming_suite::index::{
+    Backend, CostModel, DynamicHaIndex, HammingIndex, MutableIndex, PlannedIndex, TupleId,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,8 +137,9 @@ proptest! {
 
     /// Every routed answer — and every *forced* backend's answer — equals
     /// the linear-scan oracle, across widths, dataset shapes, thresholds
-    /// and post-build mutations (which open a stale-snapshot window for
-    /// HA-Flat that the availability set must close).
+    /// and adopted HA-Indexes mutated before adoption (whose snapshot is
+    /// stale or missing until `freeze`: a window for HA-Flat that the
+    /// availability set must close).
     #[test]
     fn every_route_matches_the_oracle(
         seed in any::<u64>(),
@@ -149,21 +152,29 @@ proptest! {
         let bits = [32usize, 64, 128, 512][bits_sel];
         let mut rng = StdRng::seed_from_u64(seed);
         let mut live = dataset(&mut rng, n, bits, clustered);
-        let mut planned = PlannedIndex::build(bits, live.clone());
-        if mutate {
-            // Mutations leave the flat snapshot stale until freeze();
-            // routing must notice and still answer exactly.
-            let extra = BinaryCode::random(bits, &mut rng);
-            planned.insert(extra.clone(), 90_000);
-            live.push((extra, 90_000));
-            if !live.is_empty() && rng.gen_bool(0.5) {
-                let (code, id) = live.swap_remove(0);
-                prop_assert!(planned.delete(&code, id));
-            }
+        let planned = if mutate {
+            // Mutations leave a frozen HA-Index's snapshot stale, and
+            // `from_dha` compiles none until freeze(); routing must
+            // notice and still answer exactly.
+            let mut dha = DynamicHaIndex::build(live.clone());
             if rng.gen_bool(0.5) {
-                planned.freeze();
+                dha.freeze();
             }
-        }
+            let extra = BinaryCode::random(bits, &mut rng);
+            dha.insert(extra.clone(), 90_000);
+            live.push((extra, 90_000));
+            if rng.gen_bool(0.5) {
+                let (code, id) = live.swap_remove(0);
+                prop_assert!(dha.delete(&code, id));
+            }
+            let mut adopted = PlannedIndex::from_dha(dha, CostModel::default());
+            if rng.gen_bool(0.5) {
+                adopted.freeze();
+            }
+            adopted
+        } else {
+            PlannedIndex::build(bits, live.clone())
+        };
         let q = BinaryCode::random(bits, &mut rng);
 
         let (backend, routed) = planned.search_routed(&q, h);
