@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use ha_bitcode::BinaryCode;
 use ha_core::{
-    DhaConfig, DynamicHaIndex, HEngine, HammingIndex, HmSearch, LinearScanIndex, MultiHashTable,
-    MutableIndex, RadixTreeIndex, StaticHaIndex, TupleId,
+    DhaConfig, DynamicHaIndex, HammingIndex, LinearScanIndex, MutableIndex, RadixTreeIndex,
+    SegmentIndex, SegmentScheme, StaticHaIndex, TupleId,
 };
 use ha_datagen::DatasetProfile;
 
@@ -41,12 +41,13 @@ impl<T: HammingIndex + MutableIndex> IndexUnderTest for T {
 
 fn build_methods(codes: &[(BinaryCode, TupleId)]) -> Vec<(&'static str, Box<dyn IndexUnderTest>)> {
     let c = || codes.to_vec();
+    let segments = |scheme, t| Box::new(SegmentIndex::build(scheme, CODE_LEN, t, c()));
     vec![
         ("Nested-Loops", Box::new(LinearScanIndex::build(c()))),
-        ("MH-4", Box::new(MultiHashTable::build(c(), 4))),
-        ("MH-10", Box::new(MultiHashTable::build(c(), 10))),
-        ("HEngine", Box::new(HEngine::build(c(), 2))),
-        ("HmSearch", Box::new(HmSearch::build(c(), 2))),
+        ("MH-4", segments(SegmentScheme::Manku, 4)),
+        ("MH-10", segments(SegmentScheme::Manku, 10)),
+        ("HEngine", segments(SegmentScheme::HEngine, 2)),
+        ("HmSearch", segments(SegmentScheme::HmSearch, 2)),
         ("Radix-Tree", Box::new(RadixTreeIndex::build(c()))),
         ("SHA-Index", Box::new(StaticHaIndex::build(c()))),
         ("DHA-Index", Box::new(DynamicHaIndex::build(c()))),

@@ -18,9 +18,11 @@
 //!   *Hamming downward-closure property* (Proposition 1) that lets an index
 //!   discard whole groups of tuples with a single distance computation.
 //! * [`segment`] — fixed-width segmentation helpers used by the Static
-//!   HA-Index, the Manku multi-hash-table baseline, HEngine and MIH.
+//!   HA-Index, the segment-signature baselines (Manku's multi-hash tables,
+//!   HEngine, HmSearch) and MIH.
 //! * [`chunk`] — chunked-probe kernels for Multi-Index Hashing: exact
-//!   neighborhood sizes, deterministic neighborhood enumeration, and the
+//!   neighborhood sizes, deterministic neighborhood enumeration (also the
+//!   radius-1 signature ball of the segment-signature baselines), and the
 //!   early-exit word-slice distance used for candidate verification.
 //! * [`kernels`] — HA-Kern: the sibling-group distance kernels behind
 //!   every frozen-snapshot search path ([`Kernel`] × [`GroupLayout`]

@@ -1,20 +1,21 @@
 //! Fixed-width segmentation of binary codes.
 //!
-//! Four of the indexes in this suite carve codes into contiguous segments:
+//! Three index families in this suite carve codes into contiguous segments:
 //!
 //! * the **Static HA-Index** shares equal segments at the same offset as
 //!   graph vertices;
-//! * **Manku's multi-hash-table** method keys each table on one segment
-//!   (if `hamming(a,b) <= h` and there are `h+1` segments, at least one
-//!   segment matches exactly — the pigeonhole filter);
-//! * **HEngine** relaxes that to segments within distance 1, halving the
-//!   number of tables needed;
+//! * the **segment-signature baselines** (`ha_core::SegmentIndex`) key one
+//!   table per segment: Manku's multi-hash tables on exact segments (if
+//!   `hamming(a,b) <= h` and there are `h+1` segments, at least one
+//!   segment matches exactly — the pigeonhole filter), HEngine and
+//!   HmSearch on segments within distance 1, which halves the tables
+//!   needed;
 //! * **MIH** generalizes to segments within distance `⌊h/m⌋` (+1 on the
-//!   leading `h mod m` segments), probed by neighborhood enumeration
-//!   (see [`crate::chunk`]).
+//!   leading `h mod m` segments).
 //!
-//! A [`Segmentation`] precomputes the offsets/widths once so hot query paths
-//! only do `extract` calls.
+//! The last two enumerate a segment's Hamming ball with
+//! [`crate::chunk::for_each_neighbor`]. A [`Segmentation`] precomputes the
+//! offsets/widths once so hot query paths only do `extract` calls.
 
 use crate::BinaryCode;
 
@@ -26,8 +27,7 @@ use crate::BinaryCode;
 /// pair with `1 <= count <= code_len` is a valid split — segments wider
 /// than 64 bits are allowed (e.g. 512 bits / 5 segments → 103-bit leading
 /// segments); only the `u64`-returning [`Segmentation::extract`] is
-/// restricted to ≤ 64-bit segments, and [`Segmentation::extract_words`]
-/// covers the wide case.
+/// restricted to ≤ 64-bit segments.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Segmentation {
     code_len: usize,
@@ -86,59 +86,15 @@ impl Segmentation {
         self.bounds[i]
     }
 
-    /// Width of the widest segment. Callers keying segments by `u64`
-    /// (every hash-table index in this suite) must check this is ≤ 64 —
-    /// and should reject wider configurations loudly rather than silently
-    /// adjusting the segment count.
-    pub fn max_width(&self) -> usize {
-        self.bounds.iter().map(|&(_, w)| w).max().unwrap_or(0)
-    }
-
     /// Extracts segment `i` of `code` as an integer (MSB-first).
     ///
     /// # Panics
-    /// If segment `i` is wider than 64 bits — use
-    /// [`Segmentation::extract_words`] for wide segments.
+    /// If segment `i` is wider than 64 bits: callers keying segments by
+    /// `u64` choose a count that keeps every segment within a word.
     #[inline]
     pub fn extract(&self, code: &BinaryCode, i: usize) -> u64 {
         let (start, width) = self.bounds[i];
         code.extract(start, width)
-    }
-
-    /// Extracts segment `i` of `code` as MSB-first 64-bit words (the last
-    /// word holding the tail bits in its low positions), supporting
-    /// segments of any width. For segments ≤ 64 bits the single word
-    /// equals [`Segmentation::extract`].
-    pub fn extract_words(&self, code: &BinaryCode, i: usize) -> Vec<u64> {
-        let (start, width) = self.bounds[i];
-        let mut out = Vec::with_capacity(width.div_ceil(64));
-        let mut off = 0;
-        while off < width {
-            let w = (width - off).min(64);
-            out.push(code.extract(start + off, w));
-            off += w;
-        }
-        out
-    }
-
-    /// Extracts every segment of `code`.
-    pub fn extract_all(&self, code: &BinaryCode) -> Vec<u64> {
-        (0..self.count()).map(|i| self.extract(code, i)).collect()
-    }
-
-    /// Hamming distance between `query`'s segment `i` and a stored segment
-    /// value.
-    #[inline]
-    pub fn segment_distance(&self, query: &BinaryCode, i: usize, stored: u64) -> u32 {
-        (self.extract(query, i) ^ stored).count_ones()
-    }
-
-    /// All values within Hamming distance 1 of `value` inside a
-    /// `width`-bit segment — `value` itself followed by its `width`
-    /// one-bit variants. Used by HEngine's query expansion.
-    pub fn one_bit_variants(value: u64, width: usize) -> impl Iterator<Item = u64> {
-        debug_assert!((1..=64).contains(&width));
-        std::iter::once(value).chain((0..width).map(move |b| value ^ (1u64 << b)))
     }
 }
 
@@ -184,20 +140,6 @@ mod tests {
         assert_eq!(s.extract(&t2, 0), 0b011);
         assert_eq!(s.extract(&t2, 1), 0b001);
         assert_eq!(s.extract(&t2, 2), 0b100);
-        assert_eq!(s.extract_all(&t2), vec![0b011, 0b001, 0b100]);
-    }
-
-    #[test]
-    fn one_bit_variants_count_and_distance() {
-        let vs: Vec<u64> = Segmentation::one_bit_variants(0b1010, 4).collect();
-        assert_eq!(vs.len(), 5);
-        assert_eq!(vs[0], 0b1010);
-        for v in &vs[1..] {
-            assert_eq!((v ^ 0b1010u64).count_ones(), 1);
-        }
-        // All distinct.
-        let set: std::collections::HashSet<_> = vs.iter().collect();
-        assert_eq!(set.len(), 5);
     }
 
     #[test]
@@ -233,40 +175,7 @@ mod tests {
                     start += w;
                 }
                 assert_eq!(start, bits, "bits={bits} m={m}: widths must sum to bits");
-                assert_eq!(s.max_width(), base + usize::from(extra > 0));
             }
-        }
-    }
-
-    #[test]
-    fn wide_segments_extract_via_words() {
-        // 512 / 5 → widths 103,103,102,102,102; extract() would panic,
-        // extract_words() must reproduce the exact bits.
-        let s = Segmentation::new(512, 5);
-        assert_eq!(s.max_width(), 103);
-        let mut rng = StdRng::seed_from_u64(99);
-        let code = BinaryCode::random(512, &mut rng);
-        for i in 0..5 {
-            let (start, width) = s.bounds(i);
-            let words = s.extract_words(&code, i);
-            assert_eq!(words.len(), width.div_ceil(64));
-            // Recombine word-extracted bits and compare bit-by-bit.
-            let mut off = 0;
-            for w in &words {
-                let chunk = (width - off).min(64);
-                for b in 0..chunk {
-                    let want = code.get(start + off + b);
-                    let got = (w >> (chunk - 1 - b)) & 1 == 1;
-                    assert_eq!(got, want, "seg={i} bit={}", off + b);
-                }
-                off += chunk;
-            }
-        }
-        // Narrow segments: extract_words is a one-word extract.
-        let narrow = Segmentation::new(96, 3);
-        let c96 = BinaryCode::random(96, &mut rng);
-        for i in 0..3 {
-            assert_eq!(narrow.extract_words(&c96, i), vec![narrow.extract(&c96, i)]);
         }
     }
 
@@ -275,7 +184,7 @@ mod tests {
         fn prop_segments_partition_the_code(
             seed in any::<u64>(), len in 2usize..300, count in 1usize..16
         ) {
-            let count = count.min(len);
+            let count = count.max(len.div_ceil(64)).min(len);
             let s = Segmentation::new(len, count);
             // Coverage + disjointness.
             let mut covered = vec![false; len];
@@ -287,20 +196,12 @@ mod tests {
                 }
             }
             prop_assert!(covered.iter().all(|&c| c));
-            // Segment distances sum to the full distance — via
-            // extract_words, so wide segments (len/count > 64) are
-            // exercised too.
+            // Segment distances sum to the full distance.
             let mut rng = StdRng::seed_from_u64(seed);
             let a = BinaryCode::random(len, &mut rng);
             let b = BinaryCode::random(len, &mut rng);
             let total: u32 = (0..s.count())
-                .map(|i| {
-                    s.extract_words(&a, i)
-                        .iter()
-                        .zip(s.extract_words(&b, i))
-                        .map(|(x, y)| (x ^ y).count_ones())
-                        .sum::<u32>()
-                })
+                .map(|i| (s.extract(&a, i) ^ s.extract(&b, i)).count_ones())
                 .sum();
             prop_assert_eq!(total, a.hamming(&b));
         }

@@ -9,9 +9,7 @@
 //! | [`RadixTreeIndex`] | Radix-Tree / PATRICIA | 4.2 |
 //! | [`StaticHaIndex`] | Static HA-Index | 4.3 |
 //! | [`DynamicHaIndex`] | Dynamic HA-Index (H-Build/H-Search/…) | 4.4–4.6 |
-//! | [`MultiHashTable`] | Manku et al. (MH-4 / MH-10) | 2 |
-//! | [`HEngine`] | HEngine-style segment tables | 2 |
-//! | [`HmSearch`] | HmSearch signature index | 2 |
+//! | [`SegmentIndex`] | Manku et al. (MH-4 / MH-10), HEngine, HmSearch — one [`SegmentScheme`] each | 2 |
 //! | [`MihIndex`] | Multi-Index Hashing (Norouzi et al.) | 2 |
 //! | [`planner::PlannedIndex`] | adaptive backend routing | — |
 //!
@@ -33,15 +31,13 @@
 pub mod delta;
 pub mod dynamic;
 pub mod mapped;
-mod hengine;
-mod hmsearch;
 mod linear;
 mod memory;
 mod mih;
-mod multihash;
 pub mod planner;
 mod radix;
 mod seen;
+mod segment_index;
 pub mod select;
 mod static_ha;
 pub mod testkit;
@@ -49,14 +45,12 @@ pub mod testkit;
 pub use delta::{DeltaBase, DeltaIndex, DeltaOp};
 pub use mapped::MappedIndex;
 pub use dynamic::{DhaConfig, DynamicHaIndex, FlatHaIndex, FreezePolicy};
-pub use hengine::HEngine;
-pub use hmsearch::HmSearch;
 pub use linear::LinearScanIndex;
 pub use memory::MemoryReport;
 pub use mih::MihIndex;
-pub use multihash::MultiHashTable;
 pub use planner::{Backend, CostModel, PlannedIndex};
 pub use radix::RadixTreeIndex;
+pub use segment_index::{SegmentIndex, SegmentScheme};
 pub use static_ha::StaticHaIndex;
 
 use ha_bitcode::BinaryCode;

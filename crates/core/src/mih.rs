@@ -7,8 +7,9 @@
 //! (`0 <= a < m`) probes the first `a + 1` chunks at radius `r` and the
 //! rest at `r − 1`: the generalized pigeonhole principle (see
 //! [`ha_bitcode::chunk`]) guarantees every answer lands in at least one
-//! probed bucket, so — unlike the Manku-style [`crate::MultiHashTable`],
-//! which is complete only up to the table count fixed at build time — MIH
+//! probed bucket, so — unlike Manku's multi-hash tables
+//! ([`crate::SegmentScheme::Manku`]), which are complete only up to the
+//! table count fixed at build time — MIH
 //! is complete for **every** `h`. Probing enumerates all chunk values
 //! within the per-chunk radius ([`for_each_neighbor`]); candidates are
 //! deduplicated with the per-thread epoch-stamped seen-set (`seen.rs`: a

@@ -1,7 +1,7 @@
 //! The one candidate de-duplication helper of the multi-table indexes
-//! ([`crate::MihIndex`], [`crate::MultiHashTable`], [`crate::HEngine`],
-//! [`crate::HmSearch`]): a row stored in `T` tables can surface in up to
-//! `T` probed buckets, and must be verified and emitted once.
+//! ([`crate::MihIndex`] and every [`crate::SegmentIndex`] scheme): a row
+//! stored in `T` tables can surface in up to `T` probed buckets, and must
+//! be verified and emitted once.
 //!
 //! A zeroed `vec![false; n]` per query makes every select cost O(n) no
 //! matter how few buckets it touches. [`SeenSet`] keeps one mark byte per

@@ -203,7 +203,9 @@ pub fn self_join<I: HammingIndex + ?Sized>(
 mod tests {
     use super::*;
     use crate::testkit::{oracle_join, paper_table_r, paper_table_s, random_dataset};
-    use crate::{DynamicHaIndex, LinearScanIndex, RadixTreeIndex, StaticHaIndex};
+    use crate::{
+        DynamicHaIndex, LinearScanIndex, RadixTreeIndex, SegmentIndex, SegmentScheme, StaticHaIndex,
+    };
 
     #[test]
     fn paper_example_1_join() {
@@ -246,12 +248,14 @@ mod tests {
         assert_eq!(hamming_join(&RadixTreeIndex::build(s.clone()), &r, 3), want);
         assert_eq!(hamming_join(&StaticHaIndex::build(s.clone()), &r, 3), want);
         assert_eq!(hamming_join(&DynamicHaIndex::build(s.clone()), &r, 3), want);
-        assert_eq!(
-            hamming_join(&crate::MultiHashTable::build(s.clone(), 4), &r, 3),
-            want
-        );
-        assert_eq!(hamming_join(&crate::HEngine::build(s.clone(), 2), &r, 3), want);
-        assert_eq!(hamming_join(&crate::HmSearch::build(s, 2), &r, 3), want);
+        for (scheme, t) in [
+            (SegmentScheme::Manku, 4),
+            (SegmentScheme::HEngine, 2),
+            (SegmentScheme::HmSearch, 2),
+        ] {
+            let idx = SegmentIndex::build(scheme, 32, t, s.clone());
+            assert_eq!(hamming_join(&idx, &r, 3), want, "{scheme:?}");
+        }
     }
 
     #[test]

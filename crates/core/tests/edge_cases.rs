@@ -3,9 +3,12 @@
 use ha_bitcode::BinaryCode;
 use ha_core::testkit::random_dataset;
 use ha_core::{
-    DhaConfig, DynamicHaIndex, HEngine, HammingIndex, HmSearch, LinearScanIndex,
-    MultiHashTable, MutableIndex, RadixTreeIndex, StaticHaIndex, TupleId,
+    DhaConfig, DynamicHaIndex, HammingIndex, LinearScanIndex, MutableIndex, RadixTreeIndex,
+    SegmentIndex, SegmentScheme, StaticHaIndex, TupleId,
 };
+
+const SCHEMES: [SegmentScheme; 3] =
+    [SegmentScheme::Manku, SegmentScheme::HEngine, SegmentScheme::HmSearch];
 
 fn single(code: &str) -> Vec<(BinaryCode, TupleId)> {
     vec![(code.parse().unwrap(), 0)]
@@ -29,9 +32,9 @@ fn single_tuple_everywhere() {
         ("radix", Box::new(RadixTreeIndex::build(data.clone()))),
         ("sha", Box::new(StaticHaIndex::build(data.clone()))),
         ("dha", Box::new(DynamicHaIndex::build(data.clone()))),
-        ("mh", Box::new(MultiHashTable::build(data.clone(), 2))),
-        ("hengine", Box::new(HEngine::build(data.clone(), 1))),
-        ("hmsearch", Box::new(HmSearch::build(data.clone(), 1))),
+        ("mh", Box::new(SegmentIndex::build(SegmentScheme::Manku, 8, 2, data.clone()))),
+        ("hengine", Box::new(SegmentIndex::build(SegmentScheme::HEngine, 8, 1, data.clone()))),
+        ("hmsearch", Box::new(SegmentIndex::build(SegmentScheme::HmSearch, 8, 1, data.clone()))),
     ];
     for (name, idx) in checks {
         assert_eq!(idx.len(), 1, "{name}");
@@ -159,11 +162,49 @@ fn delete_last_then_insert_again() {
 
 #[test]
 fn mh_with_more_tables_than_needed() {
-    // num_tables close to code_len (1-bit segments).
+    // As many tables as bits (1-bit segments).
     let data = random_dataset(64, 16, 5);
-    let idx = MultiHashTable::build(data.clone(), 16);
+    let idx = SegmentIndex::build(SegmentScheme::Manku, 16, 16, data.clone());
     assert_eq!(idx.complete_up_to(), Some(15));
     for (c, id) in data.iter().take(5) {
         assert!(idx.search(c, 3).contains(id));
+    }
+}
+
+#[test]
+fn segment_indexes_build_empty() {
+    for scheme in SCHEMES {
+        let mut idx = SegmentIndex::build(scheme, 32, 2, Vec::new());
+        assert!(idx.is_empty(), "{scheme:?}");
+        assert_eq!(idx.code_len(), 32);
+        assert!(idx.search(&BinaryCode::zero(32), 3).is_empty(), "{scheme:?}");
+        assert!(!idx.delete(&BinaryCode::zero(32), 0), "{scheme:?}");
+        idx.insert(BinaryCode::zero(32), 7);
+        assert_eq!(idx.search(&BinaryCode::zero(32), 0), vec![7], "{scheme:?}");
+    }
+}
+
+/// `u64::MAX` is an ordinary tuple id: no index reserves it as a deleted
+/// marker.
+#[test]
+fn max_tuple_id_is_an_ordinary_id() {
+    let data = random_dataset(50, 32, 6);
+    let code = data[9].0.not();
+    let mut indexes: Vec<(String, Box<dyn MutableIndex>)> = vec![
+        ("linear".into(), Box::new(LinearScanIndex::build(data.clone()))),
+        ("dha".into(), Box::new(DynamicHaIndex::build(data.clone()))),
+    ];
+    for scheme in SCHEMES {
+        let idx = SegmentIndex::build(scheme, 32, 2, data.clone());
+        indexes.push((format!("{scheme:?}"), Box::new(idx)));
+    }
+    for (name, idx) in &mut indexes {
+        idx.insert(code.clone(), TupleId::MAX);
+        assert_eq!(idx.search(&code, 0), vec![TupleId::MAX], "{name}");
+        assert!(idx.search(&code, 3).contains(&TupleId::MAX), "{name}");
+        assert!(idx.delete(&code, TupleId::MAX), "{name}");
+        assert!(!idx.search(&code, 3).contains(&TupleId::MAX), "{name}");
+        assert!(!idx.delete(&code, TupleId::MAX), "{name}");
+        assert_eq!(idx.len(), 50, "{name}");
     }
 }

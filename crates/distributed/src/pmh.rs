@@ -1,4 +1,4 @@
-//! PMH — Parallel Hamming-join via MultiHashTable (§6.2's baseline;
+//! PMH — Parallel Hamming-join via Manku's multi-hash tables (§6.2's baseline;
 //! Manku et al.'s MapReduce extension described in §2):
 //!
 //! > "\[4\] extends the sequential approach to MapReduce by broadcasting
@@ -13,7 +13,7 @@
 //! (`n·d`) because hashing happens server-side against the broadcast copy.
 
 use ha_core::select::hamming_join;
-use ha_core::{MultiHashTable, TupleId};
+use ha_core::{SegmentIndex, SegmentScheme, TupleId};
 use ha_mapreduce::{run_job_with_faults, DistributedCache, FaultInjector, JobError, ShuffleBytes};
 
 use crate::pipeline::{JoinOutcome, MrHaConfig, PhaseTimes};
@@ -62,6 +62,7 @@ pub fn try_pmh_hamming_join(
     let shared_r = cache.get();
     let config = crate::job_config("pmh-join", cfg.workers, cfg.partitions);
     let h = cfg.h;
+    let code_len = cfg.code_len;
     let partitions = cfg.partitions as u64;
     let result = run_job_with_faults(
         &config,
@@ -74,13 +75,15 @@ pub fn try_pmh_hamming_join(
             emit(sid % partitions, (v, sid));
         },
         |&key, n| (key as usize) % n,
-        // Reduce: each server builds the MultiHashTable over the broadcast
-        // R (hashed locally), then joins its slice of S.
+        // Reduce: each server builds Manku's multi-hash tables over the
+        // broadcast R (hashed locally), then joins its slice of S.
         |_key, tuples: Vec<VecTuple>, out: &mut Vec<(TupleId, TupleId)>| {
             use ha_hashing::SimilarityHasher;
-            let index = MultiHashTable::build(
-                shared_r.iter().map(|(v, rid)| (hasher.hash(v), *rid)),
+            let index = SegmentIndex::build(
+                SegmentScheme::Manku,
+                code_len,
                 num_tables,
+                shared_r.iter().map(|(v, rid)| (hasher.hash(v), *rid)),
             );
             let probes: Vec<_> = tuples
                 .iter()

@@ -152,9 +152,9 @@ mod tests {
         // An MH index is only complete up to T-1; the expansion loop must
         // stop there instead of spinning to the code length and must
         // return the (possibly short) honest result.
-        use ha_core::MultiHashTable;
+        use ha_core::{SegmentIndex, SegmentScheme};
         let data = clustered_dataset(50, 32, 1, 1, 111); // one tight cluster
-        let idx = MultiHashTable::build(data.clone(), 4); // complete to 3
+        let idx = SegmentIndex::build(SegmentScheme::Manku, 32, 4, data.clone()); // complete to 3
         let far = data[0].0.not(); // ~31 bits away from everything
         let got = knn_select(&idx, resolver(&data), &far, 5);
         // Nothing lies within h = 3 of the inverted code, and the loop may

@@ -8,8 +8,8 @@ use hamming_suite::index::testkit::{
     assert_matches_oracle, clustered_dataset, random_dataset,
 };
 use hamming_suite::index::{
-    DhaConfig, DynamicHaIndex, HEngine, HammingIndex, HmSearch, LinearScanIndex,
-    MultiHashTable, MutableIndex, RadixTreeIndex, StaticHaIndex, TupleId,
+    DhaConfig, DynamicHaIndex, HammingIndex, LinearScanIndex, MutableIndex, RadixTreeIndex,
+    SegmentIndex, SegmentScheme, StaticHaIndex, TupleId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,25 +18,20 @@ fn all_indexes(
     data: &[(BinaryCode, TupleId)],
     max_h: u32,
 ) -> Vec<(String, Box<dyn HammingIndex>)> {
+    let code_len = data[0].0.len();
     let mh_tables = (max_h + 1) as usize;
     let he_tables = ((max_h as usize + 1).div_ceil(2)).max(1);
+    let segments = |scheme, t| {
+        Box::new(SegmentIndex::build(scheme, code_len, t, data.to_vec())) as Box<dyn HammingIndex>
+    };
     vec![
         ("linear".into(), Box::new(LinearScanIndex::build(data.to_vec())) as _),
         ("radix".into(), Box::new(RadixTreeIndex::build(data.to_vec())) as _),
         ("sha".into(), Box::new(StaticHaIndex::build(data.to_vec())) as _),
         ("dha".into(), Box::new(DynamicHaIndex::build(data.to_vec())) as _),
-        (
-            format!("mh-{mh_tables}"),
-            Box::new(MultiHashTable::build(data.to_vec(), mh_tables)) as _,
-        ),
-        (
-            format!("hengine-{he_tables}"),
-            Box::new(HEngine::build(data.to_vec(), he_tables)) as _,
-        ),
-        (
-            format!("hmsearch-{he_tables}"),
-            Box::new(HmSearch::build(data.to_vec(), he_tables)) as _,
-        ),
+        (format!("mh-{mh_tables}"), segments(SegmentScheme::Manku, mh_tables)),
+        (format!("hengine-{he_tables}"), segments(SegmentScheme::HEngine, he_tables)),
+        (format!("hmsearch-{he_tables}"), segments(SegmentScheme::HmSearch, he_tables)),
     ]
 }
 
@@ -117,8 +112,9 @@ fn mutable_indexes_stay_equivalent_under_churn() {
             ..DhaConfig::default()
         },
     );
-    let mut mh = MultiHashTable::build(initial.clone(), 6);
-    let mut hmm = HmSearch::build(initial.clone(), 3);
+    let mut mh = SegmentIndex::build(SegmentScheme::Manku, code_len, 6, initial.clone());
+    let mut he = SegmentIndex::build(SegmentScheme::HEngine, code_len, 3, initial.clone());
+    let mut hmm = SegmentIndex::build(SegmentScheme::HmSearch, code_len, 3, initial.clone());
     let mut live = initial;
     let mut rng = StdRng::seed_from_u64(10);
     let mut next_id: TupleId = 10_000;
@@ -133,6 +129,7 @@ fn mutable_indexes_stay_equivalent_under_churn() {
                 sha.delete(&code, id),
                 dha.delete(&code, id),
                 mh.delete(&code, id),
+                he.delete(&code, id),
                 hmm.delete(&code, id),
             ] {
                 assert!(deleted, "step {step}: delete must succeed");
@@ -145,6 +142,7 @@ fn mutable_indexes_stay_equivalent_under_churn() {
                 &mut sha,
                 &mut dha,
                 &mut mh,
+                &mut he,
                 &mut hmm,
             ] {
                 idx.insert(code.clone(), next_id);
@@ -161,6 +159,7 @@ fn mutable_indexes_stay_equivalent_under_churn() {
                 ("sha", &sha),
                 ("dha", &dha),
                 ("mh", &mh),
+                ("hengine", &he),
                 ("hmsearch", &hmm),
             ] {
                 assert_matches_oracle(

@@ -19,8 +19,8 @@ use hamming_suite::index::testkit::{
     assert_matches_oracle, oracle_select, random_at_distance, random_outside, random_within,
 };
 use hamming_suite::index::{
-    DhaConfig, DynamicHaIndex, HEngine, HammingIndex, HmSearch, MihIndex, MultiHashTable,
-    MutableIndex, TupleId,
+    DhaConfig, DynamicHaIndex, HammingIndex, MihIndex, MutableIndex, SegmentIndex, SegmentScheme,
+    TupleId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -265,9 +265,9 @@ fn multi_table_indexes(
 ) -> Vec<Box<dyn HammingIndex>> {
     vec![
         Box::new(MihIndex::build(code_len, data.to_vec())),
-        Box::new(MultiHashTable::build(data.to_vec(), 4)),
-        Box::new(HEngine::build(data.to_vec(), 2)),
-        Box::new(HmSearch::build(data.to_vec(), 2)),
+        Box::new(SegmentIndex::build(SegmentScheme::Manku, code_len, 4, data.to_vec())),
+        Box::new(SegmentIndex::build(SegmentScheme::HEngine, code_len, 2, data.to_vec())),
+        Box::new(SegmentIndex::build(SegmentScheme::HmSearch, code_len, 2, data.to_vec())),
     ]
 }
 

@@ -113,7 +113,8 @@ fn figure_2_segments() {
     use hamming_suite::bitcode::segment::Segmentation;
     let t2: BinaryCode = "011001100".parse().unwrap();
     let seg = Segmentation::new(9, 3);
-    assert_eq!(seg.extract_all(&t2), vec![0b011, 0b001, 0b100]);
+    let segments: Vec<u64> = (0..seg.count()).map(|i| seg.extract(&t2, i)).collect();
+    assert_eq!(segments, vec![0b011, 0b001, 0b100]);
 }
 
 /// Example 4 (§4.7): the 3-bit full-space HA-Index has O(log n) structure:
