@@ -12,8 +12,7 @@
 //!   merge trigger, so the scan is O(delta), not O(n));
 //! * **dels** — a multiset of tombstoned *base* pairs at exact
 //!   `(code, id)` granularity; a query near a tombstone re-reads the
-//!   affected leaf id lists through
-//!   [`DynamicHaIndex::ids_for_code`](crate::DynamicHaIndex::ids_for_code)
+//!   ids stored at the affected codes through [`DeltaBase::ids_for_code`]
 //!   and subtracts;
 //! * **ops** — the ordered, sequence-stamped log of everything applied,
 //!   which lets a publish [`rebase`](DeltaIndex::rebase) the un-absorbed
@@ -88,17 +87,17 @@ impl DeltaBase for PlannedIndex {
     fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         PlannedIndex::search_with_distances(self, query, h)
     }
+    // The three reads below come off the MIH's rows, so tombstones and
+    // merges never build a HA-Index the build deferred.
     fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
-        self.dha().search_codes(query, h)
+        self.mih().search_codes(query, h)
     }
     fn ids_for_code(&self, code: &BinaryCode) -> Vec<TupleId> {
-        self.dha().ids_for_code(code)
+        // Distance 0 is the exact code.
+        self.mih().search(code, 0)
     }
     fn items_vec(&self) -> Vec<(BinaryCode, TupleId)> {
-        // The leaf walk has no size hint; the index knows its length.
-        let mut items = Vec::with_capacity(HammingIndex::len(self));
-        items.extend(self.items());
-        items
+        self.items().collect()
     }
 }
 

@@ -23,7 +23,7 @@ use crate::TupleId;
 
 /// H-Build (`build` / `build_with`).
 ///
-/// Step 1 sorts instead of hashing: [`gray_sorted`] orders one
+/// Step 1 sorts instead of hashing: [`GrayOrder`] orders one
 /// `(key, input position)` pair per tuple, a run of equal keys is one
 /// distinct code, and [`append_leaves`] appends each run's leaf straight
 /// into the arena. The levels then run as the paper states them.
@@ -33,18 +33,32 @@ pub(super) fn h_build(
 ) -> DynamicHaIndex {
     let items: Vec<(BinaryCode, TupleId)> = items.into_iter().collect();
     let code_len = items.first().map_or(0, |(c, _)| c.len());
+    if items.is_empty() {
+        return DynamicHaIndex::empty(code_len, config);
+    }
+    let order = GrayOrder::sort(&items, code_len);
+    h_build_ordered(code_len, items, order, config)
+}
+
+/// H-Build's steps 2–4 over a sort already taken: the entry point for a
+/// caller that needed [`GrayOrder`] for its own reasons first (the
+/// planner samples its distinct codes), so the rank sort runs once.
+/// `order` must be `GrayOrder::sort(&items, code_len)`. An empty `items`
+/// builds an empty `code_len`-bit index.
+pub(super) fn h_build_ordered(
+    code_len: usize,
+    items: Vec<(BinaryCode, TupleId)>,
+    order: GrayOrder,
+    config: DhaConfig,
+) -> DynamicHaIndex {
     let mut idx = DynamicHaIndex::empty(code_len, config);
     idx.len = items.len();
     if items.is_empty() {
         return idx;
     }
-    let sorted = {
-        let _span = ha_obs::span("core.hbuild.rank_sort");
-        gray_sorted(&items, code_len)
-    };
     let leaves = {
         let _span = ha_obs::span("core.hbuild.leaves");
-        append_leaves(&mut idx, items, sorted)
+        append_leaves(&mut idx, items, order.0)
     };
     // Extraction levels (lines 3–24).
     let _span = ha_obs::span("core.hbuild.levels");
@@ -64,6 +78,28 @@ pub(super) fn h_build(
 /// of the rank's run.
 /// (An LSD radix sort of the `u64` pairs measured no faster than
 /// `sort_unstable`: 74–129 ms against 58–100 ms at 10⁶ pairs.)
+pub(crate) struct GrayOrder(Vec<(u64, u32)>);
+
+impl GrayOrder {
+    /// Sorts `items`, whose codes must all be `code_len` bits wide. With
+    /// tracing on, this is the `core.hbuild.rank_sort` span.
+    pub(crate) fn sort(items: &[(BinaryCode, TupleId)], code_len: usize) -> Self {
+        let _span = ha_obs::span("core.hbuild.rank_sort");
+        GrayOrder(gray_sorted(items, code_len))
+    }
+
+    /// The distinct codes of `items` (the slice this order was sorted
+    /// from) in Gray order: one per leaf, in the order H-Build lays the
+    /// leaves out, so exactly what [`DynamicHaIndex::leaf_codes`] of the
+    /// built index yields.
+    pub(crate) fn distinct_codes<'a>(
+        &'a self,
+        items: &'a [(BinaryCode, TupleId)],
+    ) -> impl Iterator<Item = &'a BinaryCode> + Clone + 'a {
+        self.0.chunk_by(|a, b| a.0 == b.0).map(move |run| &items[run[0].1 as usize].0)
+    }
+}
+
 fn gray_sorted(items: &[(BinaryCode, TupleId)], code_len: usize) -> Vec<(u64, u32)> {
     let check = |code: &BinaryCode| assert_eq!(code.len(), code_len, "mixed code lengths");
     if code_len <= 64 {
@@ -87,8 +123,9 @@ fn gray_sorted(items: &[(BinaryCode, TupleId)], code_len: usize) -> Vec<(u64, u3
         .collect();
     let mut order: Vec<u32> = (0..items.len() as u32).collect();
     order.sort_unstable_by(|&a, &b| ranks[a as usize].cmp(&ranks[b as usize]).then(a.cmp(&b)));
+    let Some(&first) = order.first() else { return Vec::new() };
     let mut run = 0u64;
-    let mut prev = &ranks[order[0] as usize];
+    let mut prev = &ranks[first as usize];
     order
         .into_iter()
         .map(|i| {

@@ -34,6 +34,8 @@ pub use flat::{FlatHaIndex, FreezePolicy};
 pub use search::{TraceEvent, TraceStep};
 pub use serialize::DecodeError;
 
+pub(crate) use build::GrayOrder;
+
 use std::collections::HashMap;
 
 use ha_bitcode::BinaryCode;
@@ -128,6 +130,20 @@ impl DynamicHaIndex {
         config: DhaConfig,
     ) -> Self {
         build::h_build(items, config)
+    }
+
+    /// H-Build over a rank sort the caller already took (the planner's
+    /// profile needs it first): `order` must be
+    /// `GrayOrder::sort(&items, code_len)`. Builds exactly what
+    /// [`DynamicHaIndex::build_with`] builds from `items`, and an empty
+    /// `code_len`-bit index from none.
+    pub(crate) fn build_ordered(
+        code_len: usize,
+        items: Vec<(BinaryCode, TupleId)>,
+        order: GrayOrder,
+        config: DhaConfig,
+    ) -> Self {
+        build::h_build_ordered(code_len, items, order, config)
     }
 
     /// Empty index for `code_len`-bit codes.
@@ -378,35 +394,13 @@ impl DynamicHaIndex {
     /// one per distinct code, **without** ids — works in leafless mode
     /// too, unlike [`DynamicHaIndex::items`]. The planner samples this to
     /// estimate dataset clusteredness.
-    pub fn leaf_codes(&self) -> impl Iterator<Item = &BinaryCode> + '_ {
+    pub fn leaf_codes(&self) -> impl Iterator<Item = &BinaryCode> + Clone + '_ {
         self.nodes
             .iter()
             .filter(|n| n.alive)
             .filter_map(|n| n.leaf.as_ref())
             .map(|leaf| &leaf.code)
             .chain(self.buffer.iter().map(|(code, _)| code))
-    }
-
-    /// Every tuple id stored at exactly `code`: the leaf's id list (with
-    /// multiplicity) plus any buffered, not-yet-flushed inserts of that
-    /// code. Empty when the code is absent or the index is leafless. The
-    /// generational serving layer uses this for tombstone-aware reads: a
-    /// delta overlay subtracts deleted `(code, id)` pairs from the frozen
-    /// base at exact pair granularity.
-    pub fn ids_for_code(&self, code: &BinaryCode) -> Vec<TupleId> {
-        let mut ids: Vec<TupleId> = self
-            .leaves
-            .get(code)
-            .and_then(|&leaf| self.nodes[leaf as usize].leaf.as_ref())
-            .map(|l| l.ids.clone())
-            .unwrap_or_default();
-        ids.extend(
-            self.buffer
-                .iter()
-                .filter(|(c, _)| c == code)
-                .map(|&(_, id)| id),
-        );
-        ids
     }
 
     /// Number of dead (`!alive`) slots lingering in the arena — what the

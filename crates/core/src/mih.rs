@@ -288,9 +288,7 @@ impl MihIndex {
 
     /// Every row within `h` of `query`, each exactly once, mapped through
     /// `make(id, distance)` and sorted — the canonical order of every
-    /// entry point. Rows come from the linear scan when `scan_only` is set
-    /// or the probe enumeration alone would cost a scan, from chunk
-    /// probing otherwise.
+    /// entry point.
     fn collect_sorted<T: Ord>(
         &self,
         query: &BinaryCode,
@@ -299,14 +297,26 @@ impl MihIndex {
         make: impl Fn(TupleId, u32) -> T,
     ) -> Vec<T> {
         let mut out = Vec::new();
-        let emit = |row: usize, d: u32| out.push(make(self.ids[row], d));
+        self.for_each_match(query, h, scan_only, |row, d| out.push(make(self.ids[row], d)));
+        out.sort_unstable();
+        out
+    }
+
+    /// Calls `emit(row, distance)` once per row within `h` of `query`.
+    /// Rows come from the linear scan when `scan_only` is set or the probe
+    /// enumeration alone would cost a scan, from chunk probing otherwise.
+    fn for_each_match(
+        &self,
+        query: &BinaryCode,
+        h: u32,
+        scan_only: bool,
+        emit: impl FnMut(usize, u32),
+    ) {
         if scan_only || self.would_scan(h) {
             self.scan_rows(query, h, emit);
         } else {
             self.probe_rows(query, h, emit);
         }
-        out.sort_unstable();
-        out
     }
 
     fn scan_rows(&self, query: &BinaryCode, h: u32, mut emit: impl FnMut(usize, u32)) {
@@ -374,6 +384,25 @@ impl MihIndex {
     /// order never leaks into answers.
     pub fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         self.collect_sorted(query, h, false, |id, d| (id, d))
+    }
+
+    /// The distinct codes within `h` of `query` with their exact
+    /// distances (order free): the rows [`HammingIndex::search`] finds,
+    /// with the rows of one code collapsed to one entry.
+    pub(crate) fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
+        let mut rows: Vec<(&[u64], u32)> = Vec::new();
+        self.for_each_match(query, h, false, |row, d| rows.push((self.row(row), d)));
+        rows.sort_unstable();
+        rows.dedup();
+        rows.into_iter()
+            .map(|(words, d)| (BinaryCode::from_words(words, self.code_len), d))
+            .collect()
+    }
+
+    /// Every stored `(code, id)` pair, in build input order.
+    pub(crate) fn items(&self) -> impl Iterator<Item = (BinaryCode, TupleId)> + '_ {
+        (0..self.ids.len())
+            .map(|row| (BinaryCode::from_words(self.row(row), self.code_len), self.ids[row]))
     }
 
     /// One [`HammingIndex::search`] per query. MIH probes are per-query

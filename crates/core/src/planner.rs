@@ -11,10 +11,14 @@
 //! [`DataProfile`] — code width, row count, and a sampled *clusteredness*
 //! estimate — plus the query threshold, and [`choose`] picks the minimum.
 //!
-//! One integration surface sits on top: [`PlannedIndex`] owns both
-//! physical structures (a [`DynamicHaIndex`] and a [`MihIndex`] over the
-//! same rows), built once and never mutated, and routes every query.
-//! HA-Serve shards build one per generation
+//! One integration surface sits on top: [`PlannedIndex`] routes every
+//! query over two structures indexing the same rows — a [`MihIndex`],
+//! always built, and a [`DynamicHaIndex`] with its frozen snapshot, which
+//! a build makes only when the cost model lets the flat layout win some
+//! threshold and otherwise defers to the first call that names it. The
+//! choice is costed *before* building, from the MIH's rows and H-Build's
+//! own rank sort, so routes are the same either way, and neither
+//! structure changes once built. HA-Serve shards build one per generation
 //! ([`PlannedIndex::build_with`]); the distributed join's reducers adopt
 //! the broadcast HA-Index as one ([`PlannedIndex::from_dha`]) — the MIH
 //! is a function of the shipped HA-Index's items, so each worker derives
@@ -26,10 +30,12 @@
 //! unobservable in results — the property `tests/planner_decisions.rs`
 //! pins down.
 
+use std::sync::OnceLock;
+
 use ha_bitcode::chunk::neighborhood_size;
 use ha_bitcode::BinaryCode;
 
-use crate::dynamic::{DhaConfig, DynamicHaIndex};
+use crate::dynamic::{DhaConfig, DynamicHaIndex, GrayOrder};
 use crate::mih::MihIndex;
 use crate::{HammingIndex, TupleId};
 
@@ -91,21 +97,24 @@ pub struct DataProfile {
 /// uniform data lands near `1 − 2·E[nn]/bits ≈ 0.2–0.4` depending on
 /// width, clustered data (many near-duplicates) approaches 1. Returns 0
 /// for fewer than two codes. O(sample²) distance computations, so at most
-/// ~32k `hamming` calls regardless of dataset size.
+/// ~32k `hamming` calls regardless of dataset size; the codes are walked
+/// twice (once to count them), and only the sample is collected.
 pub fn estimate_clusteredness<'a, I>(codes: I) -> f64
 where
     I: IntoIterator<Item = &'a BinaryCode>,
+    I::IntoIter: Clone,
 {
-    let all: Vec<&BinaryCode> = codes.into_iter().collect();
-    if all.len() < 2 {
+    let codes = codes.into_iter();
+    let len = codes.clone().count();
+    if len < 2 {
         return 0.0;
     }
-    let bits = all[0].len();
+    let stride = len.div_ceil(256);
+    let sample: Vec<&BinaryCode> = codes.step_by(stride).take(256).collect();
+    let bits = sample[0].len();
     if bits == 0 {
         return 0.0;
     }
-    let stride = all.len().div_ceil(256);
-    let sample: Vec<&BinaryCode> = all.iter().step_by(stride).copied().take(256).collect();
     let mut sum = 0.0;
     for (i, a) in sample.iter().enumerate() {
         let mut best = u32::MAX;
@@ -290,16 +299,25 @@ pub struct PlanConfig {
     pub model: CostModel,
 }
 
-/// An exact Hamming index that owns every backend and routes per query.
+/// An exact Hamming index that routes every query to the cheapest backend
+/// it can serve.
 ///
-/// Both structures index the same rows: the [`DynamicHaIndex`] serves the
-/// arena and flat paths, the [`MihIndex`] serves chunked probing and the
-/// linear scan (its flat row store doubles as the scan target, so the
-/// "four backends" cost two structures, not four). Neither changes after
-/// the build (serving layers mutations over it with a
-/// [`crate::DeltaIndex`]) except through [`PlannedIndex::freeze`], which
-/// compiles a missing flat snapshot and refreshes the clusteredness
-/// estimate.
+/// Two structures index the same rows. The [`MihIndex`] is always built:
+/// it serves chunked probing and the linear scan (its flat row store
+/// doubles as the scan target, so the "four backends" cost two
+/// structures, not four), and its rows answer every read that needs the
+/// stored pairs ([`PlannedIndex::items`] and the delta overlay's
+/// tombstone reads). The [`DynamicHaIndex`] serves the arena and flat
+/// paths. [`PlannedIndex::build_with`] builds and freezes it only when the
+/// flat layout can win some threshold; otherwise it is *deferred* and
+/// built and frozen, once, by the first call that names it
+/// ([`PlannedIndex::search_with_backend`] with [`Backend::HaFlat`] or
+/// [`Backend::ArenaBfs`], [`PlannedIndex::store_bytes`],
+/// [`PlannedIndex::dha`]). Routing never depends on whether that has
+/// happened. Neither structure changes after it is built (serving layers
+/// mutations over it with a [`crate::DeltaIndex`]) except through
+/// [`PlannedIndex::freeze`], which compiles a missing flat snapshot and
+/// refreshes the clusteredness estimate.
 ///
 /// ```
 /// use ha_core::planner::PlannedIndex;
@@ -317,25 +335,79 @@ pub struct PlanConfig {
 #[derive(Clone, Debug)]
 pub struct PlannedIndex {
     code_len: usize,
-    dha: DynamicHaIndex,
     mih: MihIndex,
     model: CostModel,
     clusteredness: f64,
+    route: FlatRoute,
+    /// The HA-Index: filled at construction unless the build deferred it
+    /// ([`FlatRoute::Deferred`]), then on first demand.
+    dha: OnceLock<DynamicHaIndex>,
+    /// The configuration a deferred HA-Index is built with.
+    dha_config: DhaConfig,
+}
+
+/// How the flat backend enters routing. Fixed at construction and changed
+/// only by [`PlannedIndex::freeze`] — never by building a deferred
+/// HA-Index, so a route cannot depend on which call came first.
+#[derive(Clone, Copy, Debug)]
+enum FlatRoute {
+    /// No current snapshot (an adopted index before its `freeze`): the
+    /// flat backend is unavailable.
+    Absent,
+    /// A current snapshot with this AoS group fraction, which feeds the
+    /// flat estimate ([`CostModel::flat_cost_adaptive`]).
+    Frozen(f64),
+    /// The build skipped the HA-Index because the flat layout loses at
+    /// every threshold even in its best case ([`flat_wins_somewhere`]).
+    /// The flat backend stays available and is costed at that best case,
+    /// so it is never picked.
+    Deferred,
+}
+
+/// Whether some threshold routes to the flat backend for a snapshot of
+/// some layout: [`choose_with_aos`] over every backend at AoS fractions 0
+/// and 1 (the flat estimate is affine in the fraction, so no layout in
+/// between does better than both). Exact ties count as wins, since the
+/// flat backend takes them. The scan stops once the flat estimate exceeds
+/// the linear scan's at both fractions: the flat estimate only grows with
+/// `h` and the scan's does not, so no larger threshold can pick it.
+fn flat_wins_somewhere(model: &CostModel, profile: &DataProfile) -> bool {
+    let linear = model.linear_cost(profile);
+    for h in 0..u32::MAX {
+        let mut below_linear = false;
+        for aos in [0.0, 1.0] {
+            if choose_with_aos(model, profile, h, &Backend::ALL, aos) == Backend::HaFlat {
+                return true;
+            }
+            below_linear |= model.flat_cost_adaptive(profile, h, aos) <= linear;
+        }
+        if !below_linear {
+            return false;
+        }
+    }
+    false
 }
 
 impl PlannedIndex {
-    /// Builds from `(code, id)` pairs with the default [`PlanConfig`],
-    /// freezing the flat snapshot immediately.
+    /// Builds from `(code, id)` pairs with the default [`PlanConfig`].
     pub fn build(code_len: usize, items: Vec<(BinaryCode, TupleId)>) -> Self {
         Self::build_with(code_len, items, PlanConfig::default())
     }
 
     /// Builds with explicit configuration: the MIH with
-    /// [`MihIndex::auto_chunks`] tables, and the flat snapshot frozen
-    /// under [`FreezePolicy::adaptive`](crate::FreezePolicy::adaptive).
+    /// [`MihIndex::auto_chunks`] tables, then the profile (H-Build's rank
+    /// sort, whose distinct codes the clusteredness is sampled from). Only
+    /// when the flat backend can win some threshold does H-Build reuse
+    /// that sort and the snapshot get frozen under
+    /// [`FreezePolicy::adaptive`](crate::FreezePolicy::adaptive);
+    /// otherwise the HA-Index is deferred (see [`PlannedIndex`]).
+    ///
     /// With tracing on, the build is one `core.plan.build` span whose
-    /// children are the phases: `core.plan.mih`, H-Build's
-    /// `core.hbuild.*`, `core.plan.freeze` and `core.plan.profile`.
+    /// children are the phases: `core.plan.mih`, `core.plan.profile`
+    /// (holding `core.hbuild.rank_sort`) and, when the HA-Index is built,
+    /// `core.hbuild.leaves`, `core.hbuild.levels` and `core.plan.freeze`.
+    /// A deferred HA-Index is built inside one `core.plan.materialize`
+    /// span holding `core.hbuild.*` and `core.plan.freeze`.
     pub fn build_with(code_len: usize, items: Vec<(BinaryCode, TupleId)>, cfg: PlanConfig) -> Self {
         let _build = ha_obs::span("core.plan.build");
         let mih = {
@@ -344,20 +416,32 @@ impl PlannedIndex {
             let chunks = MihIndex::auto_chunks(code_len, n);
             MihIndex::bulk(code_len, chunks, n, items.iter().map(|(code, id)| (code, *id)))
         };
-        let mut dha = if items.is_empty() {
-            DynamicHaIndex::empty(code_len, cfg.dha)
-        } else {
-            DynamicHaIndex::build_with(items, cfg.dha)
-        };
-        {
-            let _span = ha_obs::span("core.plan.freeze");
-            dha.freeze();
-        }
-        let clusteredness = {
+        let (order, clusteredness) = {
             let _span = ha_obs::span("core.plan.profile");
-            estimate_clusteredness(dha.leaf_codes())
+            let order = GrayOrder::sort(&items, code_len);
+            let clusteredness = estimate_clusteredness(order.distinct_codes(&items));
+            (order, clusteredness)
         };
-        PlannedIndex { code_len, dha, mih, model: cfg.model, clusteredness }
+        let profile = DataProfile { bits: code_len, n: items.len(), clusteredness };
+        let (route, dha) = if flat_wins_somewhere(&cfg.model, &profile) {
+            let mut dha = DynamicHaIndex::build_ordered(code_len, items, order, cfg.dha.clone());
+            let aos = {
+                let _span = ha_obs::span("core.plan.freeze");
+                dha.freeze().aos_fraction()
+            };
+            (FlatRoute::Frozen(aos), OnceLock::from(dha))
+        } else {
+            (FlatRoute::Deferred, OnceLock::new())
+        };
+        PlannedIndex {
+            code_len,
+            mih,
+            model: cfg.model,
+            clusteredness,
+            route,
+            dha,
+            dha_config: cfg.dha,
+        }
     }
 
     /// Adopts an already-built HA-Index — the distributed join's decoded
@@ -388,7 +472,17 @@ impl PlannedIndex {
         let n = dha.len();
         let mih = MihIndex::bulk(code_len, MihIndex::auto_chunks(code_len, n), n, dha.item_refs());
         let clusteredness = estimate_clusteredness(dha.leaf_codes());
-        PlannedIndex { code_len, dha, mih, model, clusteredness }
+        let route = dha.flat().map_or(FlatRoute::Absent, |f| FlatRoute::Frozen(f.aos_fraction()));
+        let dha_config = dha.config().clone();
+        PlannedIndex {
+            code_len,
+            mih,
+            model,
+            clusteredness,
+            route,
+            dha: OnceLock::from(dha),
+            dha_config,
+        }
     }
 
     /// The profile the planner currently costs queries against. The
@@ -402,9 +496,10 @@ impl PlannedIndex {
         }
     }
 
-    /// Backends currently able to answer (the flat path drops out while
-    /// no current snapshot exists — an index adopted by
-    /// [`PlannedIndex::from_dha`] before its [`PlannedIndex::freeze`]).
+    /// Backends able to answer: all four, except that the flat path drops
+    /// out while an index adopted by [`PlannedIndex::from_dha`] has no
+    /// current snapshot (until its [`PlannedIndex::freeze`]). A deferred
+    /// HA-Index counts as available: naming it builds it.
     pub fn available(&self) -> Vec<Backend> {
         self.available_slice().to_vec()
     }
@@ -412,19 +507,23 @@ impl PlannedIndex {
     fn available_slice(&self) -> &'static [Backend] {
         const ALL: [Backend; 4] =
             [Backend::HaFlat, Backend::ArenaBfs, Backend::Mih, Backend::Linear];
-        if self.dha.flat_is_current() {
-            &ALL
-        } else {
-            &ALL[1..]
+        match self.route {
+            FlatRoute::Absent => &ALL[1..],
+            FlatRoute::Frozen(_) | FlatRoute::Deferred => &ALL,
         }
     }
 
     /// The backend [`HammingIndex::search`] would use at threshold `h`.
     /// When a current snapshot exists, its recorded layout mix feeds the
-    /// flat estimate ([`CostModel::flat_cost_adaptive`]). Runs on every
-    /// routed query, so it allocates nothing.
+    /// flat estimate ([`CostModel::flat_cost_adaptive`]); a deferred
+    /// HA-Index is costed at its best case, which loses at every `h`.
+    /// Runs on every routed query, so it allocates nothing.
     pub fn backend_for(&self, h: u32) -> Backend {
-        let aos = self.dha.flat().map_or(0.0, crate::FlatHaIndex::aos_fraction);
+        let aos = match self.route {
+            FlatRoute::Absent => 0.0,
+            FlatRoute::Frozen(aos) => aos,
+            FlatRoute::Deferred => 1.0,
+        };
         choose_with_aos(&self.model, &self.profile(), h, self.available_slice(), aos)
     }
 
@@ -433,9 +532,10 @@ impl PlannedIndex {
     /// best case (every sibling group row-major,
     /// [`CostModel::flat_cost_adaptive`] at `1.0`) against the backend
     /// [`PlannedIndex::backend_for`] picks without it. An index adopted
-    /// by [`PlannedIndex::from_dha`] freezes only when this holds.
+    /// by [`PlannedIndex::from_dha`] freezes only when this holds; for a
+    /// build that deferred its HA-Index it holds at no `h`.
     pub fn flat_can_win(&self, h: u32) -> bool {
-        if self.dha.flat_is_current() {
+        if let FlatRoute::Frozen(_) = self.route {
             return true;
         }
         let p = self.profile();
@@ -453,6 +553,7 @@ impl PlannedIndex {
 
     /// Forces the query through one specific backend; `None` if that
     /// backend is unavailable (the flat path without a current snapshot).
+    /// Forcing the flat or arena path builds a deferred HA-Index first.
     /// Answers are canonically sorted, so all `Some` results are equal —
     /// the equivalence `tests/planner_decisions.rs` asserts.
     pub fn search_with_backend(
@@ -462,8 +563,8 @@ impl PlannedIndex {
         h: u32,
     ) -> Option<Vec<TupleId>> {
         let mut hits = match backend {
-            Backend::HaFlat => self.dha.flat()?.search(query, h),
-            Backend::ArenaBfs => self.dha.search_arena(query, h),
+            Backend::HaFlat => self.dha().flat()?.search(query, h),
+            Backend::ArenaBfs => self.dha().search_arena(query, h),
             Backend::Mih => return Some(self.mih.search(query, h)),
             Backend::Linear => return Some(self.mih.scan(query, h)),
         };
@@ -475,10 +576,11 @@ impl PlannedIndex {
     pub fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         let mut hits = match self.backend_for(h) {
             Backend::HaFlat | Backend::ArenaBfs => {
-                if let Some(f) = self.dha.flat() {
+                let dha = self.dha();
+                if let Some(f) = dha.flat() {
                     f.search_with_distances(query, h)
                 } else {
-                    self.dha.search_with_distances_arena(query, h)
+                    dha.search_with_distances_arena(query, h)
                 }
             }
             Backend::Mih => return self.mih.search_with_distances(query, h),
@@ -493,10 +595,11 @@ impl PlannedIndex {
     pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
         match self.backend_for(h) {
             Backend::HaFlat | Backend::ArenaBfs => {
-                let mut answers = if let Some(f) = self.dha.flat() {
+                let dha = self.dha();
+                let mut answers = if let Some(f) = dha.flat() {
                     f.batch_search(queries, h)
                 } else {
-                    self.dha.batch_search_arena(queries, h)
+                    dha.batch_search_arena(queries, h)
                 };
                 for a in &mut answers {
                     a.sort_unstable();
@@ -508,24 +611,46 @@ impl PlannedIndex {
         }
     }
 
-    /// Refreshes the flat snapshot and the clusteredness estimate.
-    /// Idempotent, like [`DynamicHaIndex::freeze`].
+    /// Compiles a current flat snapshot — building a deferred HA-Index
+    /// first — and refreshes the clusteredness estimate. Idempotent, like
+    /// [`DynamicHaIndex::freeze`].
     pub fn freeze(&mut self) {
-        self.dha.freeze();
-        self.clusteredness = estimate_clusteredness(self.dha.leaf_codes());
+        let mut dha = match self.dha.take() {
+            Some(dha) => dha,
+            None => self.build_deferred(),
+        };
+        self.route = FlatRoute::Frozen(dha.freeze().aos_fraction());
+        self.clusteredness = estimate_clusteredness(dha.leaf_codes());
+        self.dha = OnceLock::from(dha);
     }
 
-    /// The inner HA-Index (read-only).
+    /// The inner HA-Index (read-only), built and frozen first if the
+    /// build deferred it. Concurrent first calls build it once.
     pub fn dha(&self) -> &DynamicHaIndex {
-        &self.dha
+        self.dha.get_or_init(|| self.build_deferred())
+    }
+
+    /// H-Build and freeze over the MIH's rows, which hold the build input
+    /// in its order: the result is the HA-Index an eager build makes.
+    fn build_deferred(&self) -> DynamicHaIndex {
+        let _span = ha_obs::span("core.plan.materialize");
+        let items: Vec<(BinaryCode, TupleId)> = self.mih.items().collect();
+        let order = GrayOrder::sort(&items, self.code_len);
+        let config = self.dha_config.clone();
+        let mut dha = DynamicHaIndex::build_ordered(self.code_len, items, order, config);
+        {
+            let _span = ha_obs::span("core.plan.freeze");
+            dha.freeze();
+        }
+        dha
     }
 
     /// Serializes the frozen flat snapshot into the persistent HA-Store
-    /// format, if one is current (`build`/`build_with` freeze, so this is
-    /// `Some` unless the index was adopted by [`PlannedIndex::from_dha`]
-    /// and not frozen since).
+    /// format, if one is current: `Some` for every build (a deferred
+    /// HA-Index is built here), `None` for an index adopted by
+    /// [`PlannedIndex::from_dha`] and not frozen since.
     pub fn store_bytes(&self) -> Option<Vec<u8>> {
-        self.dha.flat().map(crate::FlatHaIndex::store_bytes)
+        self.dha().flat().map(crate::FlatHaIndex::store_bytes)
     }
 
     /// The inner MIH index (read-only).
@@ -533,9 +658,10 @@ impl PlannedIndex {
         &self.mih
     }
 
-    /// Every stored `(code, id)` pair, via the inner HA-Index.
+    /// Every stored `(code, id)` pair, from the MIH's rows in build input
+    /// order (it never builds a deferred HA-Index).
     pub fn items(&self) -> impl Iterator<Item = (BinaryCode, TupleId)> + '_ {
-        self.dha.items()
+        self.mih.items()
     }
 }
 
@@ -556,8 +682,9 @@ impl HammingIndex for PlannedIndex {
         self.search_routed(query, h).1
     }
 
+    /// The MIH plus the HA-Index once built: a deferred one holds nothing.
     fn memory_bytes(&self) -> usize {
-        self.dha.memory_bytes() + self.mih.memory_bytes()
+        self.mih.memory_bytes() + self.dha.get().map_or(0, HammingIndex::memory_bytes)
     }
 }
 
@@ -713,6 +840,47 @@ mod tests {
             adopted.freeze();
             assert_eq!(adopted.available().len(), Backend::ALL.len());
         }
+    }
+
+    #[test]
+    fn the_deferral_scan_covers_every_threshold_that_could_pick_flat() {
+        let model = CostModel::default();
+        let picks_flat = |p: &DataProfile, h: u32| {
+            [0.0, 1.0]
+                .into_iter()
+                .any(|aos| choose_with_aos(&model, p, h, &Backend::ALL, aos) == Backend::HaFlat)
+        };
+        for bits in [8usize, 16, 32, 64, 128, 512] {
+            // Past `2L + 64` flat's estimate exceeds the scan's at every
+            // width, so checking to there is exhaustive.
+            let bound = 2 * bits as u32 + 64;
+            for n in [0usize, 1, 64, 4096, 1_000_000] {
+                for rho in [0.1, 0.5, 1.0] {
+                    let p = DataProfile { bits, n, clusteredness: rho };
+                    let exhaustive = (0..=bound).any(|h| picks_flat(&p, h));
+                    assert_eq!(flat_wins_somewhere(&model, &p), exhaustive, "{p:?}");
+                    if n > 0 {
+                        let flat = model.flat_cost_adaptive(&p, bound + 1, 1.0);
+                        assert!(flat > model.linear_cost(&p), "{p:?}");
+                        // Arena never beats flat's best case: a deferred
+                        // build never routes to the arena either.
+                        for h in [0, 3, 17, bound] {
+                            let best = model.flat_cost_adaptive(&p, h, 1.0);
+                            assert!(model.arena_cost(&p, h) > best, "{p:?} h={h}");
+                        }
+                    }
+                }
+            }
+        }
+        // Flat's best case loses to the scan past h = L from 16 bits up,
+        // but at 8 bits it still beats the scan at h = L + 1: the scan runs
+        // to that crossover, not to L.
+        let loses_past_l = |bits: usize| {
+            let p = DataProfile { bits, n: 1000, clusteredness: 0.5 };
+            model.flat_cost_adaptive(&p, bits as u32 + 1, 1.0) > model.linear_cost(&p)
+        };
+        assert!([16, 32, 64, 65, 128, 512].into_iter().all(loses_past_l));
+        assert!(!loses_past_l(8));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`PlannedIndex`] *generation* plus a small mutable
 //! [`DeltaIndex`] overlay searched alongside it. Mutations land in the
 //! delta in O(delta) — never a re-freeze of the shard — and a background
-//! **freeze/merge worker** absorbs the delta in batches, H-Builds the
+//! **freeze/merge worker** absorbs the delta in batches, builds the
 //! next generation off-lock, and publishes it with one O(1) pointer swap
 //! under a brief write lock. Readers never observe a half-applied
 //! mutation and are never blocked by an index rebuild.
@@ -31,8 +31,10 @@
 //! Serving mechanisms on top of plain H-Search:
 //!
 //! * **Micro-batching** — queued selects with the same radius are grouped
-//!   and answered by one *shared-frontier* batched H-Search per shard:
-//!   the forest is traversed once per batch instead of once per query.
+//!   into one batch: each shard's locks are taken and its route chosen
+//!   once per batch, then every generation answers the batch query by
+//!   query over its flat view or its MIH (no traversal is shared between
+//!   queries).
 //! * **Admission control** — the request queue is bounded; a full queue
 //!   rejects with [`ServiceError::Overloaded`]. Requests may also carry a
 //!   **deadline**: work whose deadline expired while queued is shed at
@@ -167,10 +169,11 @@ fn manifest_path(base: &str, shard: usize) -> String {
 }
 
 /// The durable form of a generation: the HA-Store snapshot, which
-/// [`HaServe::recover`] serves in place with no decode. A planned index
-/// is frozen right after construction, so the snapshot is always
-/// available; the legacy arena encoding remains as a defensive fallback
-/// (and keeps pre-store blobs loadable).
+/// [`HaServe::recover`] serves in place with no decode. A built planned
+/// index always yields one: when its build deferred the HA-Index, asking
+/// for the snapshot builds and freezes it here, on the publishing thread.
+/// The legacy arena encoding remains as a defensive fallback (and keeps
+/// pre-store blobs loadable).
 fn gen_store_blob(index: &PlannedIndex) -> Vec<u8> {
     index.store_bytes().unwrap_or_else(|| index.dha().to_bytes())
 }
@@ -591,7 +594,7 @@ pub struct HaServe {
 
 impl HaServe {
     /// Builds an in-memory service over `items`, hash-partitioned into
-    /// `cfg.shards` HA-Index shards (H-Build per shard). Generation 0 of
+    /// `cfg.shards` shards (one [`PlannedIndex`] build each). Generation 0 of
     /// every shard is the build output; no WAL is kept — use
     /// [`HaServe::bootstrap_durable`] for crash tolerance.
     pub fn build(
@@ -1397,7 +1400,7 @@ impl Inner {
     }
 
     /// One full merge of shard `s`: capture the delta under a read lock,
-    /// H-Build the next generation off-lock under panic isolation (with
+    /// build the next generation off-lock under panic isolation (with
     /// bounded retries and backoff), persist it (durable mode), and
     /// publish with an O(1) snapshot swap. The epoch is *not* bumped —
     /// the swap is content-preserving, which is exactly why the result

@@ -4,7 +4,9 @@
 //! query has sized the thread's seen-set, a search allocates its answer
 //! and nothing proportional to the row count `n`, and routing
 //! (`PlannedIndex::backend_for`, run on every routed query) allocates
-//! nothing at all. An MIH build allocates per chunk, never per bucket. A
+//! nothing at all. An MIH build allocates per chunk, never per bucket,
+//! and a planned build whose flat layout cannot win allocates only that
+//! and the rank sort: the HA-Index waits until something asks for it. A
 //! counting `#[global_allocator]` measures the bytes and the allocations
 //! requested on the calling thread; the per-thread tally keeps the
 //! parallel test harness out of the numbers.
@@ -135,6 +137,26 @@ fn mih_build_allocates_per_chunk_not_per_bucket() {
         "MihIndex::build made {allocations} allocations for {} chunks",
         mih.chunks()
     );
+}
+
+/// On 200 000 random 64-bit codes no threshold routes to the flat layout,
+/// so a planned build allocates the MIH build's bytes plus H-Build's rank
+/// sort (one `(u64, u32)` pair per row) and a small constant for the
+/// profile's sample: no HA-Index, no snapshot. An eager H-Build and freeze
+/// on top allocate ~155 MB, 17× the MIH's 9 MB.
+#[test]
+fn a_build_the_flat_layout_cannot_win_allocates_no_ha_index() {
+    let data = random_dataset(N, 64, 29);
+    let copy = data.clone();
+    let (mih_bytes, mih) = allocated_by(|| MihIndex::build(64, copy));
+    let (bytes, planned) = allocated_by(|| PlannedIndex::build(64, data));
+    let rank_sort = N * std::mem::size_of::<(u64, u32)>();
+    assert!(
+        bytes <= mih_bytes + rank_sort + 64 * 1024,
+        "PlannedIndex::build allocated {bytes} bytes: MIH {mih_bytes} + rank sort {rank_sort}"
+    );
+    assert!(!planned.flat_can_win(0), "a deferred build");
+    assert_eq!(planned.memory_bytes(), mih.memory_bytes());
 }
 
 /// The three paper baselines share the same seen-set helper.

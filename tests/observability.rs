@@ -23,9 +23,9 @@ use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::datagen::{generate, DatasetProfile};
 use hamming_suite::distributed::pipeline::{mrha_hamming_join_on_dfs, MrHaConfig};
 use hamming_suite::hashing::{SimilarityHasher, SpectralHasher};
-use hamming_suite::index::planner::PlannedIndex;
-use hamming_suite::index::testkit::random_dataset;
-use hamming_suite::index::{HammingIndex, MihIndex};
+use hamming_suite::index::planner::{PlanConfig, PlannedIndex};
+use hamming_suite::index::testkit::{clustered_dataset, random_dataset};
+use hamming_suite::index::{CostModel, HammingIndex, MihIndex};
 use hamming_suite::mapreduce::{
     hash_partition, run_job_with_faults, try_run_job, DfsConfig, FaultInjector, FaultPlan,
     InMemoryDfs, JobConfig, StorageFaultPlan, TaskId,
@@ -453,45 +453,81 @@ fn join_route_counters_account_for_every_probe() {
 }
 
 /// A build is phases, not one number: every `PlannedIndex::build_with`
-/// is one `core.plan.build` span holding each H-Build phase
-/// (`core.hbuild.*`) and each planner phase (`core.plan.*`) exactly once,
-/// and the phases, run one after another, sum to at most the build. Both
-/// rank paths of H-Build (64 and 128 bits) are covered.
+/// is one `core.plan.build` span whose children are its phases, each
+/// exactly once, run one after another (they sum to at most the build).
+/// `core.plan.profile` holds H-Build's rank sort, which every build takes.
+/// Where the flat layout can win (clustered codes, default model), the
+/// rest of H-Build and the freeze follow in the build; where it cannot (a
+/// model pricing flat out, as the default one does on 10⁵-row random
+/// sets), the build ends after the profile, and the HA-Index is built on
+/// first demand as one `core.plan.materialize` span holding
+/// `core.hbuild.*` and `core.plan.freeze`. Both rank paths of H-Build (64
+/// and 128 bits) are covered.
 #[test]
 fn planned_build_spans_split_the_build_into_phases() {
-    const PHASES: [&str; 6] = [
+    const EAGER: [&str; 5] = [
         "core.plan.mih",
+        "core.plan.profile",
+        "core.hbuild.leaves",
+        "core.hbuild.levels",
+        "core.plan.freeze",
+    ];
+    const DEFERRED: [&str; 2] = ["core.plan.mih", "core.plan.profile"];
+    const MATERIALIZE: [&str; 4] = [
         "core.hbuild.rank_sort",
         "core.hbuild.leaves",
         "core.hbuild.levels",
         "core.plan.freeze",
-        "core.plan.profile",
     ];
     let _guard = obs_lock();
-    let data: Vec<_> = [64usize, 128].map(|bits| (bits, random_dataset(3_000, bits, 5))).into();
-
-    obs::reset();
-    for (bits, items) in data {
-        PlannedIndex::build(bits, items);
-    }
-    let trace = obs::take_trace();
-    obs::disable();
-
-    let builds: Vec<_> = trace.spans.iter().filter(|s| s.name == "core.plan.build").collect();
-    assert_eq!(builds.len(), 2, "one span per build");
-    for build in builds {
-        assert_eq!(build.parent, None);
-        let children = trace.children(build.id);
-        for phase in PHASES {
-            let n = children.iter().filter(|s| s.name == phase).count();
-            assert_eq!(n, 1, "{phase} once under its build");
+    let once_each = |trace: &obs::Trace, parent: &obs::SpanRecord, phases: &[&str]| {
+        let children = trace.children(parent.id);
+        assert_eq!(children.len(), phases.len(), "{}: {children:?}", parent.name);
+        for phase in phases {
+            let n = children.iter().filter(|s| s.name == *phase).count();
+            assert_eq!(n, 1, "{phase} once under {}", parent.name);
         }
         let phase_ns: u64 = children.iter().map(|s| s.end_ns - s.start_ns).sum();
-        assert!(phase_ns <= build.end_ns - build.start_ns, "phases outlast their build");
+        assert!(phase_ns <= parent.end_ns - parent.start_ns, "phases outlast {}", parent.name);
+    };
+    for bits in [64usize, 128] {
+        for (clustered, phases) in [(true, &EAGER[..]), (false, &DEFERRED[..])] {
+            let (items, cfg) = if clustered {
+                (clustered_dataset(3_000, bits, 3, 2, 5), PlanConfig::default())
+            } else {
+                let model = CostModel {
+                    flat_row_h_ns: 100.0,
+                    arena_row_h_ns: 200.0,
+                    ..CostModel::default()
+                };
+                (random_dataset(3_000, bits, 5), PlanConfig { model, ..PlanConfig::default() })
+            };
+            obs::reset();
+            let index = PlannedIndex::build_with(bits, items, cfg);
+            let trace = obs::take_trace();
+            let build = trace.last_named("core.plan.build").expect("a build span");
+            assert_eq!(build.parent, None);
+            assert_eq!(trace.count_named("core.plan.build"), 1, "one span per build");
+            once_each(&trace, build, phases);
+            let profile = trace.last_named("core.plan.profile").expect("a profile span");
+            once_each(&trace, profile, &["core.hbuild.rank_sort"]);
+            assert_eq!(trace.spans.len(), phases.len() + 2, "bits={bits} clustered={clustered}");
+
+            // Asking for the snapshot builds a deferred HA-Index, once.
+            assert!(index.store_bytes().is_some());
+            index.store_bytes();
+            let trace = obs::take_trace();
+            if clustered {
+                assert!(trace.spans.is_empty(), "an eager build has nothing left to build");
+            } else {
+                assert_eq!(trace.count_named("core.plan.materialize"), 1);
+                let materialize = trace.last_named("core.plan.materialize").expect("span");
+                assert_eq!(materialize.parent, None);
+                once_each(&trace, materialize, &MATERIALIZE);
+            }
+        }
     }
-    for phase in PHASES {
-        assert_eq!(trace.count_named(phase), 2, "{phase} outside a build");
-    }
+    obs::disable();
 }
 
 /// Learning a hash is visible: one traced `SpectralHasher::fit` is one

@@ -13,17 +13,23 @@
 //! 2. **Decisions are invisible.** Whatever backend the planner picks —
 //!    and whichever one is *forced* via `search_with_backend` — the
 //!    answer equals the linear-scan oracle, byte-for-byte. Routing is a
-//!    latency decision, never a correctness decision.
+//!    latency decision, never a correctness decision. The same holds for
+//!    the build's decision to defer the HA-Index: a deferred index
+//!    answers, routes, profiles and persists exactly like one built
+//!    eagerly.
+
+use std::sync::Barrier;
 
 use hamming_suite::bitcode::BinaryCode;
-use hamming_suite::index::planner::{choose, estimate_clusteredness, DataProfile};
-use hamming_suite::index::testkit::assert_matches_oracle;
+use hamming_suite::index::planner::{choose, estimate_clusteredness, DataProfile, PlanConfig};
+use hamming_suite::index::testkit::{assert_matches_oracle, oracle_select, random_within};
 use hamming_suite::index::{
     Backend, CostModel, DynamicHaIndex, HammingIndex, MutableIndex, PlannedIndex, TupleId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use hamming_suite::obs;
 
 const GRID_BITS: [usize; 4] = [32, 64, 128, 512];
 const GRID_N: [usize; 3] = [64, 4096, 100_000];
@@ -222,5 +228,108 @@ proptest! {
         prop_assert_eq!(p.bits, bits);
         prop_assert_eq!(p.n, 120);
         prop_assert!((p.clusteredness - rho_tight).abs() < 0.2);
+    }
+
+    /// A build that defers its HA-Index is indistinguishable from one that
+    /// does not. Under [`flat_priced_out`] every build at these sizes
+    /// defers (as the default model does on HAB's 10⁶-row sparse set), so
+    /// each case checks, against the eager `DynamicHaIndex::build` +
+    /// `freeze` of the same items: the profile's clusteredness (bit for
+    /// bit), the route at every threshold (also after the HA-Index is
+    /// built by a forced search), every forced backend's answers at `h`
+    /// and `h + 1` (the linear oracle's), and the HA-Store snapshot (byte
+    /// for byte).
+    #[test]
+    fn a_deferred_ha_index_is_invisible(
+        seed in any::<u64>(),
+        bits_sel in 0usize..3,
+        n in 1usize..300,
+        clustered in any::<bool>(),
+        h in 0u32..24,
+    ) {
+        let bits = [64usize, 128, 512][bits_sel];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let items = dataset(&mut rng, n, bits, clustered);
+        let model = flat_priced_out();
+        let cfg = PlanConfig { model: model.clone(), ..PlanConfig::default() };
+        let planned = PlannedIndex::build_with(bits, items.clone(), cfg);
+        prop_assert_eq!(planned.memory_bytes(), planned.mih().memory_bytes(), "only the MIH");
+        prop_assert!(!planned.flat_can_win(h));
+
+        let mut eager = DynamicHaIndex::build(items.clone());
+        let want_rho = estimate_clusteredness(eager.leaf_codes());
+        prop_assert_eq!(planned.profile().clusteredness.to_bits(), want_rho.to_bits());
+        eager.freeze();
+        let routes = |p: &PlannedIndex| -> Vec<Backend> {
+            (0..=bits as u32 + 1).map(|h| p.backend_for(h)).collect()
+        };
+        let before = routes(&planned);
+        prop_assert_eq!(&before, &routes(&PlannedIndex::from_dha(eager.clone(), model)));
+
+        let near = &items[rng.gen_range(0..n)].0;
+        let q = random_within(near, h + 1, &mut rng);
+        for at in [h, h + 1] {
+            let want = oracle_select(&items, &q, at);
+            for backend in Backend::ALL {
+                let got = planned.search_with_backend(backend, &q, at);
+                prop_assert_eq!(got.as_ref(), Some(&want), "{} at h={}", backend, at);
+            }
+        }
+        prop_assert!(planned.memory_bytes() > planned.mih().memory_bytes(), "forcing built it");
+        prop_assert_eq!(&before, &routes(&planned));
+        prop_assert_eq!(planned.store_bytes(), Some(eager.write_store()));
+    }
+}
+
+/// Prices the flat layout out at every threshold and width: its best case
+/// costs more per row than a scan of 512-bit codes, and the arena costs
+/// more again, so builds defer and routes go to MIH or the scan.
+fn flat_priced_out() -> CostModel {
+    CostModel { flat_row_h_ns: 100.0, arena_row_h_ns: 200.0, ..CostModel::default() }
+}
+
+/// Four threads force the flat path on one freshly built, deferred index
+/// at once: the HA-Index is built exactly once (one
+/// `core.plan.materialize` span under the test's root), and all four get
+/// the same answer.
+#[test]
+fn racing_first_demands_build_the_ha_index_once() {
+    const THREADS: usize = 4;
+    let mut rng = StdRng::seed_from_u64(31);
+    let items = dataset(&mut rng, 2_000, 128, true);
+    let cfg = PlanConfig { model: flat_priced_out(), ..PlanConfig::default() };
+    let planned = PlannedIndex::build_with(128, items.clone(), cfg);
+    let q = random_within(&items[7].0, 5, &mut rng);
+    let want = oracle_select(&items, &q, 5);
+
+    obs::reset();
+    let root = obs::span("test.race");
+    let ctx = obs::current_context();
+    let start = Barrier::new(THREADS);
+    let answers: Vec<Option<Vec<TupleId>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    let _thread = obs::span_under("test.thread", &ctx);
+                    start.wait();
+                    planned.search_with_backend(Backend::HaFlat, &q, 5)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+    });
+    drop(root);
+    let trace = obs::take_trace();
+    obs::disable();
+
+    let race = trace.last_named("test.race").expect("root span");
+    let builds = trace
+        .subtree(race.id)
+        .into_iter()
+        .filter(|s| s.name == "core.plan.materialize")
+        .count();
+    assert_eq!(builds, 1, "one materialisation for {THREADS} racing threads");
+    for got in answers {
+        assert_eq!(got.as_ref(), Some(&want));
     }
 }
