@@ -12,8 +12,8 @@
 //!   merge trigger, so the scan is O(delta), not O(n));
 //! * **dels** — a multiset of tombstoned *base* pairs at exact
 //!   `(code, id)` granularity; a query near a tombstone re-reads the
-//!   ids stored at the affected codes through [`DeltaBase::ids_for_code`]
-//!   and subtracts;
+//!   ids stored at the affected codes (an exact-code probe of the base's
+//!   MIH) and subtracts;
 //! * **ops** — the ordered, sequence-stamped log of everything applied,
 //!   which lets a publish [`rebase`](DeltaIndex::rebase) the un-absorbed
 //!   suffix onto the freshly built generation.
@@ -31,102 +31,8 @@ use std::collections::HashMap;
 
 use ha_bitcode::BinaryCode;
 
-use crate::mapped::MappedIndex;
 use crate::planner::PlannedIndex;
 use crate::{HammingIndex, TupleId};
-
-/// A frozen generation a [`DeltaIndex`] can overlay. Two shapes qualify:
-/// a fully planned in-memory generation ([`PlannedIndex`]) and a
-/// zero-copy mapped snapshot ([`MappedIndex`]) — the crash-recovery
-/// bridge that serves before any rebuild has run. The contract the
-/// overlay relies on:
-///
-/// * `search` / `batch_search` return ids sorted ascending;
-///   `search_with_distances` sorts by `(id, distance)` — the canonical
-///   planned orders, so swapping base shapes never reorders answers;
-/// * `ids_for_code` returns the *exact-code* id multiset (tombstone
-///   subtraction is per `(code, id)` pair);
-/// * `items_vec` materializes the live multiset (next merge's H-Build
-///   input).
-pub trait DeltaBase {
-    /// Number of indexed tuples (with multiplicity).
-    fn len(&self) -> usize;
-    /// True if nothing is indexed.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Width of the indexed codes in bits.
-    fn code_len(&self) -> usize;
-    /// Hamming-select, ids sorted ascending.
-    fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId>;
-    /// Batched Hamming-select, each answer sorted ascending.
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>>;
-    /// Hamming-select with exact distances, sorted by `(id, distance)`.
-    fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)>;
-    /// Distinct qualifying codes with exact distances (order free).
-    fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)>;
-    /// Ids stored at exactly `code`, with multiplicity.
-    fn ids_for_code(&self, code: &BinaryCode) -> Vec<TupleId>;
-    /// Every indexed `(code, id)` pair, materialized.
-    fn items_vec(&self) -> Vec<(BinaryCode, TupleId)>;
-}
-
-impl DeltaBase for PlannedIndex {
-    fn len(&self) -> usize {
-        HammingIndex::len(self)
-    }
-    fn code_len(&self) -> usize {
-        HammingIndex::code_len(self)
-    }
-    fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
-        HammingIndex::search(self, query, h)
-    }
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        PlannedIndex::batch_search(self, queries, h)
-    }
-    fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
-        PlannedIndex::search_with_distances(self, query, h)
-    }
-    // The three reads below come off the MIH's rows, so tombstones and
-    // merges never build a HA-Index the build deferred.
-    fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
-        self.mih().search_codes(query, h)
-    }
-    fn ids_for_code(&self, code: &BinaryCode) -> Vec<TupleId> {
-        // Distance 0 is the exact code.
-        self.mih().search(code, 0)
-    }
-    fn items_vec(&self) -> Vec<(BinaryCode, TupleId)> {
-        self.items().collect()
-    }
-}
-
-impl DeltaBase for MappedIndex {
-    fn len(&self) -> usize {
-        MappedIndex::len(self)
-    }
-    fn code_len(&self) -> usize {
-        MappedIndex::code_len(self)
-    }
-    fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
-        MappedIndex::search(self, query, h)
-    }
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        MappedIndex::batch_search(self, queries, h)
-    }
-    fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
-        MappedIndex::search_with_distances(self, query, h)
-    }
-    fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
-        MappedIndex::search_codes(self, query, h)
-    }
-    fn ids_for_code(&self, code: &BinaryCode) -> Vec<TupleId> {
-        MappedIndex::ids_for_code(self, code).to_vec()
-    }
-    fn items_vec(&self) -> Vec<(BinaryCode, TupleId)> {
-        MappedIndex::items_vec(self)
-    }
-}
 
 /// One streamed mutation, as recorded in the delta's op log (and, on the
 /// durable serving path, in the write-ahead log).
@@ -161,7 +67,7 @@ impl DeltaIndex {
     /// Returns whether the live multiset changed: inserts always mutate;
     /// a delete of a pair that is not live is a no-op reported as
     /// `false` (and left out of the op log).
-    pub fn apply<B: DeltaBase>(&mut self, base: &B, seq: u64, op: DeltaOp) -> bool {
+    pub fn apply(&mut self, base: &PlannedIndex, seq: u64, op: DeltaOp) -> bool {
         match op {
             DeltaOp::Insert(code, id) => {
                 self.adds.push((code.clone(), id));
@@ -181,7 +87,8 @@ impl DeltaIndex {
                 let key = (code, id);
                 let tombstoned = self.dels.get(&key).copied().unwrap_or(0);
                 let base_mult = base
-                    .ids_for_code(&key.0)
+                    .mih()
+                    .search(&key.0, 0)
                     .iter()
                     .filter(|&&x| x == id)
                     .count() as u32;
@@ -215,7 +122,7 @@ impl DeltaIndex {
     }
 
     /// Live pair count of `base ⊎ self`.
-    pub fn live_len<B: DeltaBase>(&self, base: &B) -> usize {
+    pub fn live_len(&self, base: &PlannedIndex) -> usize {
         let tombstoned: u32 = self.dels.values().sum();
         base.len() + self.adds.len() - tombstoned as usize
     }
@@ -228,9 +135,11 @@ impl DeltaIndex {
 
     /// Ids at exactly `code` in the base, with tombstoned copies
     /// subtracted per `(code, id)` pair.
-    fn base_ids_surviving<B: DeltaBase>(&self, base: &B, code: &BinaryCode, out: &mut Vec<TupleId>) {
+    fn base_ids_surviving(&self, base: &PlannedIndex, code: &BinaryCode, out: &mut Vec<TupleId>) {
         let mut counts: HashMap<TupleId, u32> = HashMap::new();
-        for id in base.ids_for_code(code) {
+        // The base's exact-code ids, read off the MIH's rows (distance 0),
+        // so tombstones never build an HA-Index the planner deferred.
+        for id in base.mih().search(code, 0) {
             *counts.entry(id).or_insert(0) += 1;
         }
         for (id, copies) in counts {
@@ -247,10 +156,10 @@ impl DeltaIndex {
 
     /// Composed Hamming-select over `base ⊎ self`: every live id within
     /// distance `h` of `query` (with multiplicity), sorted ascending.
-    pub fn search<B: DeltaBase>(&self, base: &B, query: &BinaryCode, h: u32) -> Vec<TupleId> {
+    pub fn search(&self, base: &PlannedIndex, query: &BinaryCode, h: u32) -> Vec<TupleId> {
         let mut out = if self.tombstone_near(query, h) {
             let mut v = Vec::new();
-            for (code, _) in base.search_codes(query, h) {
+            for (code, _) in base.mih().search_codes(query, h) {
                 self.base_ids_surviving(base, &code, &mut v);
             }
             v
@@ -270,9 +179,9 @@ impl DeltaIndex {
     /// Composed batched select: one shared-frontier base traversal for
     /// the whole batch, with the tombstone-aware path taken only for the
     /// queries that actually have a tombstone in range.
-    pub fn batch_search<B: DeltaBase>(
+    pub fn batch_search(
         &self,
-        base: &B,
+        base: &PlannedIndex,
         queries: &[BinaryCode],
         h: u32,
     ) -> Vec<Vec<TupleId>> {
@@ -280,7 +189,7 @@ impl DeltaIndex {
         for (q, ids) in queries.iter().zip(answers.iter_mut()) {
             if self.tombstone_near(q, h) {
                 ids.clear();
-                for (code, _) in base.search_codes(q, h) {
+                for (code, _) in base.mih().search_codes(q, h) {
                     self.base_ids_surviving(base, &code, ids);
                 }
             }
@@ -297,15 +206,15 @@ impl DeltaIndex {
 
     /// Composed select with exact distances, sorted by `(id, distance)`
     /// (the canonical [`PlannedIndex::search_with_distances`] order).
-    pub fn search_with_distances<B: DeltaBase>(
+    pub fn search_with_distances(
         &self,
-        base: &B,
+        base: &PlannedIndex,
         query: &BinaryCode,
         h: u32,
     ) -> Vec<(TupleId, u32)> {
         let mut out: Vec<(TupleId, u32)> = if self.tombstone_near(query, h) {
             let mut v = Vec::new();
-            for (code, d) in base.search_codes(query, h) {
+            for (code, d) in base.mih().search_codes(query, h) {
                 let mut ids = Vec::new();
                 self.base_ids_surviving(base, &code, &mut ids);
                 v.extend(ids.into_iter().map(|id| (id, d)));
@@ -325,10 +234,10 @@ impl DeltaIndex {
     /// Materializes `base ⊎ self` as a plain item list — the input of the
     /// next generation's H-Build. Content-preserving by construction:
     /// the returned multiset *is* the live multiset.
-    pub fn materialize<B: DeltaBase>(&self, base: &B) -> Vec<(BinaryCode, TupleId)> {
+    pub fn materialize(&self, base: &PlannedIndex) -> Vec<(BinaryCode, TupleId)> {
         let mut remaining = self.dels.clone();
         let mut items: Vec<(BinaryCode, TupleId)> = Vec::with_capacity(self.live_len(base));
-        for (code, id) in base.items_vec() {
+        for (code, id) in base.items() {
             if let Some(t) = remaining.get_mut(&(code.clone(), id)) {
                 if *t > 0 {
                     *t -= 1;
@@ -345,7 +254,7 @@ impl DeltaIndex {
     /// against `new_base` — the publish step of a merge. The absorbed
     /// prefix (`seq <= after_seq`) is exactly what `new_base` already
     /// contains, so `new_base ⊎ rebased` equals `old_base ⊎ self`.
-    pub fn rebase<B: DeltaBase>(&self, new_base: &B, after_seq: u64) -> DeltaIndex {
+    pub fn rebase(&self, new_base: &PlannedIndex, after_seq: u64) -> DeltaIndex {
         let mut next = DeltaIndex::new();
         for (seq, op) in &self.ops {
             if *seq > after_seq {

@@ -30,7 +30,6 @@
 
 pub mod delta;
 pub mod dynamic;
-pub mod mapped;
 mod linear;
 mod memory;
 mod mih;
@@ -42,8 +41,7 @@ pub mod select;
 mod static_ha;
 pub mod testkit;
 
-pub use delta::{DeltaBase, DeltaIndex, DeltaOp};
-pub use mapped::MappedIndex;
+pub use delta::{DeltaIndex, DeltaOp};
 pub use dynamic::{DhaConfig, DynamicHaIndex, FlatHaIndex, FreezePolicy};
 pub use linear::LinearScanIndex;
 pub use memory::MemoryReport;

@@ -6,7 +6,6 @@ use std::fmt;
 
 use ha_core::dynamic::DecodeError;
 use ha_mapreduce::DfsError;
-use ha_store::StoreError;
 
 /// Why a serving operation failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,10 +35,10 @@ pub enum ServiceError {
     /// The index blob was read but failed wire-format decoding (bad
     /// magic, truncation, checksum mismatch, or structural corruption).
     Decode(DecodeError),
-    /// The generation blob carried the HA-Store magic but the snapshot
-    /// was rejected by the store validator (truncation, checksum
-    /// mismatch, or structural corruption of a mapped section).
-    Store(StoreError),
+    /// A persisted generation (a shard's rows) was read back from the
+    /// DFS but failed to decode; recovery refuses it rather than serve
+    /// rows it cannot vouch for.
+    CorruptGeneration(RowsError),
     /// The request's deadline expired before a worker reached it; the
     /// work was shed at dequeue instead of executed. The answer would
     /// have arrived too late to be useful, so no search was run.
@@ -65,7 +64,7 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Storage(e) => write!(f, "index load failed: {e}"),
             ServiceError::Decode(e) => write!(f, "index blob rejected: {e}"),
-            ServiceError::Store(e) => write!(f, "store snapshot rejected: {e}"),
+            ServiceError::CorruptGeneration(e) => write!(f, "generation blob rejected: {e}"),
             ServiceError::DeadlineExceeded => {
                 write!(f, "deadline exceeded: request shed before execution")
             }
@@ -81,7 +80,7 @@ impl std::error::Error for ServiceError {
         match self {
             ServiceError::Storage(e) => Some(e),
             ServiceError::Decode(e) => Some(e),
-            ServiceError::Store(e) => Some(e),
+            ServiceError::CorruptGeneration(e) => Some(e),
             _ => None,
         }
     }
@@ -99,11 +98,48 @@ impl From<DecodeError> for ServiceError {
     }
 }
 
-impl From<StoreError> for ServiceError {
-    fn from(e: StoreError) -> Self {
-        ServiceError::Store(e)
+impl From<RowsError> for ServiceError {
+    fn from(e: RowsError) -> Self {
+        ServiceError::CorruptGeneration(e)
     }
 }
+
+/// Why a generation blob — the rows a durable shard persists at every
+/// publish — failed to decode.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RowsError {
+    /// The blob does not start with the rows magic.
+    BadMagic,
+    /// The blob's code length is not the one the service was built for.
+    CodeLength {
+        /// Code length recorded in the service's `META`.
+        expected: usize,
+        /// Code length the blob's header declares.
+        got: usize,
+    },
+    /// The blob ends before its header and the rows it declares do.
+    Truncated,
+    /// The blob runs past the rows its header declares.
+    TrailingBytes,
+    /// The checksum footer does not match the blob's body.
+    ChecksumMismatch,
+}
+
+impl fmt::Display for RowsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RowsError::BadMagic => write!(f, "not a generation rows blob (bad magic)"),
+            RowsError::CodeLength { expected, got } => {
+                write!(f, "rows of {got}-bit codes in a service of {expected}-bit codes")
+            }
+            RowsError::Truncated => write!(f, "truncated rows blob"),
+            RowsError::TrailingBytes => write!(f, "bytes past the declared rows"),
+            RowsError::ChecksumMismatch => write!(f, "rows blob failed checksum verification"),
+        }
+    }
+}
+
+impl std::error::Error for RowsError {}
 
 #[cfg(test)]
 mod tests {
@@ -119,9 +155,9 @@ mod tests {
         let e: ServiceError = DecodeError::BadMagic.into();
         assert!(matches!(e, ServiceError::Decode(DecodeError::BadMagic)));
         assert!(e.to_string().contains("magic"));
-        let e: ServiceError = StoreError::BadMagic.into();
-        assert!(matches!(e, ServiceError::Store(StoreError::BadMagic)));
-        assert!(e.to_string().contains("store snapshot"));
+        let e: ServiceError = RowsError::ChecksumMismatch.into();
+        assert!(matches!(e, ServiceError::CorruptGeneration(RowsError::ChecksumMismatch)));
+        assert!(e.to_string().contains("generation blob"));
         use std::error::Error;
         assert!(e.source().is_some());
     }

@@ -69,7 +69,7 @@ mod metrics;
 mod service;
 
 pub use cache::ResultCache;
-pub use error::ServiceError;
+pub use error::{RowsError, ServiceError};
 pub use fault::{CrashPoint, MergeFault, MergeFaultEvent, MergeFaultPlan};
 pub use metrics::{LatencyHistogram, ServeMetrics, ShardMetrics};
 pub use service::{HaServe, KnnTicket, SelectTicket, ServeConfig};

@@ -32,10 +32,6 @@ pub struct ShardMetrics {
     /// and the shard degraded to delta-only serving (reads stay exact;
     /// the delta just stops being absorbed).
     pub merge_poisoned: bool,
-    /// True while the shard's generation is served straight off a
-    /// mapped HA-Store snapshot (the zero-decode state `recover` leaves
-    /// a shard in; the next merge upgrades it to a planned index).
-    pub mapped_generation: bool,
 }
 
 /// A point-in-time snapshot of everything the service has done, returned

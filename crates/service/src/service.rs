@@ -20,13 +20,17 @@
 //! Crash tolerance (durable mode, [`HaServe::bootstrap_durable`] /
 //! [`HaServe::recover`]): every mutation is appended to a checksummed
 //! write-ahead log on the DFS **before** it is applied or acknowledged;
-//! each published generation persists a blob plus a `CURRENT` manifest
+//! each published generation persists its rows (code words and ids, in
+//! build input order, under a checksum footer) plus a `CURRENT` manifest
 //! recording the WAL sequence it absorbed, after which the WAL prefix is
-//! truncated. Recovery loads the last durable generation and replays the
-//! WAL suffix — reaching exactly the state every acknowledged mutation
-//! implies. The merge worker runs under `catch_unwind` with bounded
-//! retries and backoff; a poisoned merge degrades the shard to
-//! delta-only serving (still exact) instead of taking it down.
+//! truncated. Recovery rebuilds the last durable generation from its rows
+//! through the same [`PlannedIndex::build_with`] that bootstrap and
+//! merges call — so it gets the MIH, profile and routes the generation
+//! was published with — and replays the WAL suffix, reaching exactly the
+//! state every acknowledged mutation implies. The merge worker runs under
+//! `catch_unwind` with bounded retries and backoff; a poisoned merge
+//! degrades the shard to delta-only serving (still exact) instead of
+//! taking it down.
 //!
 //! Serving mechanisms on top of plain H-Search:
 //!
@@ -64,16 +68,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ha_bitcode::{BinaryCode, Kernel};
-use ha_core::delta::{DeltaBase, DeltaIndex, DeltaOp};
+use ha_core::delta::{DeltaIndex, DeltaOp};
 use ha_core::planner::{PlanConfig, PlannedIndex};
 use ha_core::select::knn_by_radius;
-use ha_core::{CostModel, DhaConfig, DynamicHaIndex, HammingIndex, MappedIndex, TupleId};
+use ha_core::{CostModel, DhaConfig, DynamicHaIndex, HammingIndex, TupleId};
 use ha_mapreduce::wal::{DfsWal, WalError};
-use ha_mapreduce::{DfsError, InMemoryDfs};
+use ha_mapreduce::{BlockHasher, DfsError, InMemoryDfs};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::ResultCache;
-use crate::error::ServiceError;
+use crate::error::{RowsError, ServiceError};
 use crate::fault::{CrashPoint, MergeFault, MergeFaultEvent, MergeFaultInjector, MergeFaultPlan};
 use crate::metrics::{LatencyHistogram, ServeMetrics, ShardMetrics};
 
@@ -162,21 +166,114 @@ fn owner(code: &BinaryCode, shards: usize) -> usize {
 
 /// DFS layout of a durable service rooted at `base`.
 fn gen_blob_path(base: &str, shard: usize, gen_no: u64) -> String {
-    format!("{base}/gen/shard{shard}/{gen_no:020}.haix")
+    format!("{base}/gen/shard{shard}/{gen_no:020}.rows")
 }
 fn manifest_path(base: &str, shard: usize) -> String {
     format!("{base}/gen/shard{shard}/CURRENT")
 }
 
-/// The durable form of a generation: the HA-Store snapshot, which
-/// [`HaServe::recover`] serves in place with no decode. A built planned
-/// index always yields one: when its build deferred the HA-Index, asking
-/// for the snapshot builds and freezes it here, on the publishing thread.
-/// The legacy arena encoding remains as a defensive fallback (and keeps
-/// pre-store blobs loadable).
-fn gen_store_blob(index: &PlannedIndex) -> Vec<u8> {
-    index.store_bytes().unwrap_or_else(|| index.dha().to_bytes())
+/// First word of a generation blob: `"HAROWS01"`, little-endian.
+const ROWS_MAGIC: u64 = u64::from_le_bytes(*b"HAROWS01");
+/// Bytes before the first row: magic, `code_len`, row count.
+const ROWS_HEADER: usize = 24;
+
+/// The durable form of a generation: its rows, read off the MIH in build
+/// input order. [`HaServe::recover`] hands them back to
+/// [`PlannedIndex::build_with`], which therefore rebuilds the MIH,
+/// profile and routes of the generation that was published — and, like
+/// every build, runs H-Build only when the flat layout can win.
+///
+/// ```text
+/// [ magic: u64 ][ code_len: u64 ][ n: u64 ]
+/// n × [ ⌈code_len / 64⌉ code words: u64 ][ id: u64 ]
+/// [ footer: BlockHasher digest of everything before it: u64 ]
+/// ```
+///
+/// Every field is little-endian.
+fn gen_rows_blob(index: &PlannedIndex) -> Vec<u8> {
+    encode_rows(index.code_len(), index.items())
 }
+
+/// Encodes `rows` in the [`gen_rows_blob`] layout.
+fn encode_rows(code_len: usize, rows: impl Iterator<Item = (BinaryCode, TupleId)>) -> Vec<u8> {
+    let row_bytes = 8 * (code_len.div_ceil(64) + 1);
+    let mut out = Vec::with_capacity(ROWS_HEADER + row_bytes * rows.size_hint().0 + 8);
+    out.extend_from_slice(&ROWS_MAGIC.to_le_bytes());
+    out.extend_from_slice(&(code_len as u64).to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let mut n = 0u64;
+    for (code, id) in rows {
+        for w in code.words() {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.extend_from_slice(&id.to_le_bytes());
+        n += 1;
+    }
+    out[16..ROWS_HEADER].copy_from_slice(&n.to_le_bytes());
+    let mut digest = BlockHasher::new();
+    digest.write(&out);
+    out.extend_from_slice(&digest.finish().to_le_bytes());
+    out
+}
+
+/// Inverse of [`encode_rows`] for a service of `code_len`-bit codes: the
+/// rows in the order they were written, or the typed reason the blob is
+/// refused.
+fn decode_rows(blob: &[u8], code_len: usize) -> Result<Vec<(BinaryCode, TupleId)>, RowsError> {
+    let Some((body, footer)) = blob.split_last_chunk::<8>() else {
+        return Err(RowsError::Truncated);
+    };
+    let Some((header, rows)) = body.split_at_checked(ROWS_HEADER) else {
+        return Err(RowsError::Truncated);
+    };
+    let mut fields = [0u64; 3];
+    for (field, bytes) in fields.iter_mut().zip(header.chunks_exact(8)) {
+        *field = le_u64(bytes);
+    }
+    let [magic, got, n] = fields;
+    if magic != ROWS_MAGIC {
+        return Err(RowsError::BadMagic);
+    }
+    let got = got as usize;
+    if got != code_len || BinaryCode::try_zero(got).is_err() {
+        return Err(RowsError::CodeLength { expected: code_len, got });
+    }
+    let words = code_len.div_ceil(64);
+    let row_bytes = 8 * (words + 1);
+    let want = usize::try_from(n).ok().and_then(|n| n.checked_mul(row_bytes));
+    match want.map(|want| rows.len().cmp(&want)) {
+        None | Some(std::cmp::Ordering::Less) => return Err(RowsError::Truncated),
+        Some(std::cmp::Ordering::Greater) => return Err(RowsError::TrailingBytes),
+        Some(std::cmp::Ordering::Equal) => {}
+    }
+    let mut digest = BlockHasher::new();
+    digest.write(body);
+    if digest.finish() != u64::from_le_bytes(*footer) {
+        return Err(RowsError::ChecksumMismatch);
+    }
+    let mut code_words = vec![0u64; words];
+    let mut out = Vec::with_capacity(rows.len() / row_bytes);
+    for row in rows.chunks_exact(row_bytes) {
+        let Some((code, id)) = row.split_last_chunk::<8>() else {
+            return Err(RowsError::Truncated);
+        };
+        for (w, bytes) in code_words.iter_mut().zip(code.chunks_exact(8)) {
+            *w = le_u64(bytes);
+        }
+        out.push((BinaryCode::from_words(&code_words, code_len), u64::from_le_bytes(*id)));
+    }
+    Ok(out)
+}
+
+/// The little-endian `u64` in `bytes` (at most 8 of them).
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    for (w, b) in word.iter_mut().zip(bytes) {
+        *w = *b;
+    }
+    u64::from_le_bytes(word)
+}
+
 fn meta_path(base: &str) -> String {
     format!("{base}/META")
 }
@@ -215,80 +312,6 @@ fn decode_op(bytes: &[u8], code_len: usize) -> Option<DeltaOp> {
     }
 }
 
-/// The two physical forms a shard generation can take. Both answer in
-/// the same canonical orders (see [`DeltaBase`]), so readers and the
-/// delta overlay never notice which one is underneath.
-///
-/// * `Planned` — the fully built form: arena + flat layout + measured
-///   query planner. Produced by bootstrap builds and background merges.
-/// * `Mapped` — a validated HA-Store snapshot served in place with no
-///   decode and no H-Build. Produced by [`HaServe::recover`] so a
-///   restarted service answers its first query at `mmap` cost; the next
-///   merge that absorbs a delta upgrades the shard back to `Planned`.
-enum GenIndex {
-    Planned(PlannedIndex),
-    Mapped(MappedIndex),
-}
-
-impl DeltaBase for GenIndex {
-    fn len(&self) -> usize {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::len(p),
-            GenIndex::Mapped(m) => DeltaBase::len(m),
-        }
-    }
-    fn code_len(&self) -> usize {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::code_len(p),
-            GenIndex::Mapped(m) => DeltaBase::code_len(m),
-        }
-    }
-    fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::search(p, query, h),
-            GenIndex::Mapped(m) => DeltaBase::search(m, query, h),
-        }
-    }
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::batch_search(p, queries, h),
-            GenIndex::Mapped(m) => DeltaBase::batch_search(m, queries, h),
-        }
-    }
-    fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::search_with_distances(p, query, h),
-            GenIndex::Mapped(m) => DeltaBase::search_with_distances(m, query, h),
-        }
-    }
-    fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::search_codes(p, query, h),
-            GenIndex::Mapped(m) => DeltaBase::search_codes(m, query, h),
-        }
-    }
-    fn ids_for_code(&self, code: &BinaryCode) -> Vec<TupleId> {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::ids_for_code(p, code),
-            GenIndex::Mapped(m) => DeltaBase::ids_for_code(m, code),
-        }
-    }
-    fn items_vec(&self) -> Vec<(BinaryCode, TupleId)> {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::items_vec(p),
-            GenIndex::Mapped(m) => DeltaBase::items_vec(m),
-        }
-    }
-}
-
-impl GenIndex {
-    /// True when this generation is served straight off a mapped (or
-    /// owned-buffer) HA-Store snapshot rather than a built index.
-    fn is_mapped(&self) -> bool {
-        matches!(self, GenIndex::Mapped(_))
-    }
-}
-
 /// One published, immutable generation of a shard. Readers hold it via
 /// `Arc` clone; the merge worker replaces the pointer atomically under
 /// the shard's write lock.
@@ -298,7 +321,7 @@ struct GenerationSnapshot {
     /// Highest WAL/delta sequence number this generation has absorbed.
     through_seq: u64,
     /// The frozen index answering for everything `<= through_seq`.
-    index: GenIndex,
+    index: PlannedIndex,
 }
 
 /// The swappable read state of one shard.
@@ -614,7 +637,7 @@ impl HaServe {
     }
 
     /// Builds a **durable** service: generation 0 of every shard is
-    /// persisted to `dfs` under `base` (blob + `CURRENT` manifest +
+    /// persisted to `dfs` under `base` (its rows + `CURRENT` manifest +
     /// top-level `META`), and an initially-empty WAL is opened per
     /// shard. Every subsequent mutation is WAL-appended before it is
     /// acknowledged; [`HaServe::recover`] restores the exact
@@ -632,7 +655,7 @@ impl HaServe {
         let mut shards = Vec::with_capacity(nshards);
         for (s, p) in parts.into_iter().enumerate() {
             let index = PlannedIndex::build_with(code_len, p, plan_config(&cfg));
-            dfs.try_put_with_blocks(&gen_blob_path(&base, s, 0), gen_store_blob(&index), usize::MAX, 1)?;
+            dfs.try_put_with_blocks(&gen_blob_path(&base, s, 0), gen_rows_blob(&index), usize::MAX, 1)?;
             dfs.try_put_with_blocks(&manifest_path(&base, s), vec![(0u64, 0u64)], usize::MAX, 16)?;
             let wal = DfsWal::open(Arc::clone(dfs), &wal_path(&base, s));
             shards.push(fresh_shard(index, 0, 0, Some(wal)));
@@ -645,13 +668,16 @@ impl HaServe {
         Ok(Self::start(code_len, shards, Some(durable), cfg))
     }
 
-    /// Recovers a durable service from `dfs`: per shard, loads the last
-    /// published generation (per its `CURRENT` manifest), replays the
-    /// WAL suffix beyond the manifest's absorbed watermark onto the
-    /// delta, and resumes serving. The recovered state is exactly the
-    /// state every WAL-durable mutation implies — which includes every
-    /// acknowledged one (WAL-before-ack), and possibly a durable-but-
-    /// unacknowledged tail.
+    /// Recovers a durable service from `dfs`: per shard, rebuilds the
+    /// last published generation (per its `CURRENT` manifest) from its
+    /// persisted rows with [`PlannedIndex::build_with`] — the MIH,
+    /// profile and routes it was published with — replays the WAL
+    /// suffix beyond the manifest's absorbed watermark onto the delta,
+    /// and resumes serving. A generation blob that fails to decode is
+    /// [`ServiceError::CorruptGeneration`]. The recovered state is
+    /// exactly the state every WAL-durable mutation implies — which
+    /// includes every acknowledged one (WAL-before-ack), and possibly a
+    /// durable-but-unacknowledged tail.
     pub fn recover(
         dfs: &Arc<InMemoryDfs>,
         base: &str,
@@ -679,18 +705,8 @@ impl HaServe {
                 }));
             };
             let blob: Vec<u8> = dfs.try_get(&gen_blob_path(&base, s, gen_no))?;
-            // HA-Store snapshots (the format every generation is
-            // persisted in since the store landed) are validated once and
-            // served in place — no per-node decode, no H-Build. Blobs in
-            // the legacy arena encoding fall back to the old
-            // decode-and-rebuild path.
-            let index = if blob.starts_with(&ha_store::MAGIC) {
-                GenIndex::Mapped(MappedIndex::open_bytes(blob)?)
-            } else {
-                let dha = DynamicHaIndex::from_bytes(&blob, cfg.dha.clone())?;
-                let items: Vec<(BinaryCode, TupleId)> = dha.items().collect();
-                GenIndex::Planned(PlannedIndex::build_with(code_len, items, plan_config(&cfg)))
-            };
+            let items = decode_rows(&blob, code_len)?;
+            let index = PlannedIndex::build_with(code_len, items, plan_config(&cfg));
             let mut wal = DfsWal::open(Arc::clone(dfs), &wal_path(&base, s));
             wal.skip_to(through_seq + 1);
             let mut delta = DeltaIndex::new();
@@ -1087,7 +1103,7 @@ impl HaServe {
 
     /// Snapshot of the serving counters.
     pub fn metrics(&self) -> ServeMetrics {
-        let shard_views: Vec<(usize, u64, usize, bool, bool)> = self
+        let shard_views: Vec<(usize, u64, usize, bool)> = self
             .inner
             .shards
             .iter()
@@ -1098,7 +1114,6 @@ impl HaServe {
                     st.gen.gen_no,
                     st.delta.ops_len(),
                     st.merge_poisoned,
-                    st.gen.index.is_mapped(),
                 )
             })
             .collect();
@@ -1109,10 +1124,7 @@ impl HaServe {
             .zip(st.shard_searches.iter())
             .zip(st.shard_latency.iter())
             .map(
-                |(
-                    ((items, generation, delta_ops, merge_poisoned, mapped_generation), &searches),
-                    latency,
-                )| {
+                |(((items, generation, delta_ops, merge_poisoned), &searches), latency)| {
                     ShardMetrics {
                         searches,
                         items,
@@ -1120,7 +1132,6 @@ impl HaServe {
                         generation,
                         delta_ops,
                         merge_poisoned,
-                        mapped_generation,
                     }
                 },
             )
@@ -1207,7 +1218,7 @@ fn fresh_shard(index: PlannedIndex, gen_no: u64, through_seq: u64, wal: Option<D
             gen: Arc::new(GenerationSnapshot {
                 gen_no,
                 through_seq,
-                index: GenIndex::Planned(index),
+                index,
             }),
             delta: DeltaIndex::new(),
             merge_poisoned: false,
@@ -1441,7 +1452,7 @@ impl Inner {
                     // replays over the old generation instead.
                     let blob_path = gen_blob_path(&d.base, s, next_gen_no);
                     d.dfs
-                        .try_put_with_blocks(&blob_path, gen_store_blob(&next), usize::MAX, 1)?;
+                        .try_put_with_blocks(&blob_path, gen_rows_blob(&next), usize::MAX, 1)?;
                     d.dfs.try_put_with_blocks(
                         &manifest_path(&d.base, s),
                         vec![(next_gen_no, through)],
@@ -1469,14 +1480,10 @@ impl Inner {
                         let _swap_span = ha_obs::span_labeled("serve.gen.swap", || {
                             format!("shard={s} gen={next_gen_no}")
                         });
-                        // A merge always publishes the fully planned
-                        // form — this is also the upgrade path that
-                        // turns a recovered `Mapped` generation back
-                        // into a `Planned` one.
                         let snapshot = GenerationSnapshot {
                             gen_no: next_gen_no,
                             through_seq: through,
-                            index: GenIndex::Planned(next),
+                            index: next,
                         };
                         let mut st = shard.state.write();
                         // Rebase: ops that arrived after the capture are
@@ -1700,7 +1707,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ha_core::{HammingIndex, LinearScanIndex};
+    use ha_core::{Backend, HammingIndex, LinearScanIndex};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1969,72 +1976,132 @@ mod tests {
         }
     }
 
+    /// What a generation's planner decides with (profile and MIH chunk
+    /// count, the route at each `h`), plus its rows.
+    type ShardPlan = (String, Vec<Backend>, Vec<(BinaryCode, TupleId)>);
+
+    /// The [`ShardPlan`] of every shard's published generation.
+    fn shard_plans(serve: &HaServe, hs: &[u32]) -> Vec<ShardPlan> {
+        serve
+            .inner
+            .shards
+            .iter()
+            .map(|s| {
+                let st = s.state.read();
+                let index = &st.gen.index;
+                (
+                    format!("{:?} chunks={}", index.profile(), index.mih().chunks()),
+                    hs.iter().map(|&h| index.backend_for(h)).collect(),
+                    index.items().collect(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn recover_serves_mapped_generations_and_merge_upgrades() {
+    fn recovered_shards_are_planned_and_answer_exactly() {
         let data = dataset(120, 16, 65);
         let dfs = Arc::new(InMemoryDfs::new());
         let cfg = ServeConfig {
             workers: 0,
             ..ServeConfig::default()
         };
-        drop(HaServe::bootstrap_durable(&dfs, "/srv", 16, data.clone(), cfg.clone()).unwrap());
+        let hs: Vec<u32> = (0..=16).collect();
+        let mut live = data.clone();
+        let mut rng = StdRng::seed_from_u64(66);
+        let published = {
+            let serve =
+                HaServe::bootstrap_durable(&dfs, "/srv", 16, data, cfg.clone()).unwrap();
+            for i in 0..10u64 {
+                let c = BinaryCode::random(16, &mut rng);
+                serve.insert(c.clone(), 8000 + i).unwrap();
+                live.push((c, 8000 + i));
+            }
+            let (c, id) = live.remove(4);
+            assert!(serve.delete(&c, id).unwrap());
+            assert!(serve.merge_all_now().unwrap() >= 1);
+            shard_plans(&serve, &hs)
+        };
+        // Recovery rebuilds every shard from its rows, in the order they
+        // were published: same MIH, profile and routes as before the drop.
         let serve = HaServe::recover(&dfs, "/srv", cfg).unwrap();
-        // Generation blobs are HA-Store snapshots, so recovery serves
-        // every shard straight off the mapped form: no decode, no
-        // H-Build — and answers are still exact.
-        assert!(
-            serve.metrics().per_shard.iter().all(|s| s.mapped_generation),
-            "recover must map store-format blobs, not rebuild them"
-        );
-        let mut rng = StdRng::seed_from_u64(67);
+        assert_eq!(shard_plans(&serve, &hs), published);
+        assert_eq!(serve.len(), live.len());
         for h in [0u32, 2, 5] {
             let q = BinaryCode::random(16, &mut rng);
-            assert_eq!(serve.select(&q, h).unwrap(), oracle(&data, &q, h), "h={h}");
+            assert_eq!(serve.select(&q, h).unwrap(), oracle(&live, &q, h), "h={h}");
         }
-        // kNN and mutations work over a mapped generation too.
-        assert_eq!(serve.knn(&data[3].0, 1).unwrap()[0].1, 0);
+        assert_eq!(serve.knn(&live[3].0, 1).unwrap()[0].1, 0);
         let fresh = BinaryCode::random(16, &mut rng);
         serve.insert(fresh.clone(), 9999).unwrap();
-        assert!(serve.select(&fresh, 0).unwrap().contains(&9999));
-        // The next merge materializes the mapped items and publishes a
-        // planned generation — the upgrade path back to full service.
+        live.push((fresh.clone(), 9999));
         let s = serve.shard_of(&fresh);
+        let gen_before = serve.generation(s);
         assert!(serve.merge_now(s).unwrap());
-        let m = serve.metrics();
-        assert!(!m.per_shard[s].mapped_generation, "merge upgrades to planned");
-        assert_eq!(m.per_shard[s].generation, 1);
-        assert!(serve.select(&fresh, 0).unwrap().contains(&9999));
-        assert_eq!(serve.len(), data.len() + 1);
-    }
-
-    #[test]
-    fn legacy_blob_recovers_via_decode_fallback() {
-        let data = dataset(60, 16, 66);
-        let dfs = Arc::new(InMemoryDfs::new());
-        let cfg = ServeConfig {
-            workers: 0,
-            ..ServeConfig::default()
-        };
-        drop(HaServe::bootstrap_durable(&dfs, "/srv", 16, data.clone(), cfg.clone()).unwrap());
-        // Rewrite every generation blob in the pre-store arena encoding,
-        // as a service from before the HA-Store format would have left.
-        let parts = partition(16, data.clone(), &cfg).unwrap();
-        for (s, p) in parts.into_iter().enumerate() {
-            let legacy = DynamicHaIndex::build(p).to_bytes();
-            dfs.try_put_with_blocks(&gen_blob_path("/srv", s, 0), legacy, usize::MAX, 1)
-                .unwrap();
+        assert_eq!(serve.generation(s), gen_before + 1);
+        assert_eq!(serve.len(), live.len());
+        for h in [0u32, 3] {
+            assert_eq!(serve.select(&fresh, h).unwrap(), oracle(&live, &fresh, h), "h={h}");
         }
-        let serve = HaServe::recover(&dfs, "/srv", cfg).unwrap();
-        assert!(
-            serve.metrics().per_shard.iter().all(|s| !s.mapped_generation),
-            "legacy blobs take the decode-and-rebuild path"
-        );
-        let q = data[5].0.clone();
-        assert_eq!(serve.select(&q, 2).unwrap(), oracle(&data, &q, 2));
     }
 
     #[test]
-    fn corrupt_store_blob_recovers_with_store_error() {
+    fn rows_blob_round_trips_byte_for_byte() {
+        for code_len in [16usize, 64, 65, 512] {
+            for n in [0usize, 1, 37] {
+                let mut data = dataset(n, code_len, 200 + n as u64);
+                if let Some(first) = data.first().cloned() {
+                    data.push((first.0, u64::MAX));
+                }
+                let blob = encode_rows(code_len, data.iter().cloned());
+                let rows = decode_rows(&blob, code_len).unwrap();
+                assert_eq!(rows, data, "bits={code_len} n={n}");
+                assert_eq!(encode_rows(code_len, rows.into_iter()), blob, "bits={code_len} n={n}");
+                // A built generation persists its rows in build input order.
+                let index = PlannedIndex::build(code_len, data.clone());
+                assert_eq!(gen_rows_blob(&index), blob, "bits={code_len} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_rows_blob_is_a_typed_error() {
+        for code_len in [16usize, 65] {
+            let blob = encode_rows(code_len, dataset(5, code_len, 210).into_iter());
+            for i in 0..blob.len() {
+                let mut bad = blob.clone();
+                bad[i] ^= 0x20;
+                assert!(decode_rows(&bad, code_len).is_err(), "bits={code_len} byte {i}");
+            }
+            for len in 0..blob.len() {
+                assert!(decode_rows(&blob[..len], code_len).is_err(), "truncated to {len}");
+            }
+            for extra in [1usize, 8, 24] {
+                let mut long = blob.clone();
+                long.extend(std::iter::repeat_n(0u8, extra));
+                assert!(decode_rows(&long, code_len).is_err(), "extended by {extra}");
+            }
+            assert_eq!(
+                decode_rows(&blob, code_len + 1),
+                Err(RowsError::CodeLength { expected: code_len + 1, got: code_len })
+            );
+        }
+        let blob = encode_rows(16, dataset(5, 16, 211).into_iter());
+        let mut bad = blob.clone();
+        bad[0] ^= 1;
+        assert_eq!(decode_rows(&bad, 16), Err(RowsError::BadMagic));
+        let mut bad = blob.clone();
+        bad[ROWS_HEADER + 3] ^= 1;
+        assert_eq!(decode_rows(&bad, 16), Err(RowsError::ChecksumMismatch));
+        assert_eq!(decode_rows(&blob[..blob.len() - 16], 16), Err(RowsError::Truncated));
+        let mut long = blob[..blob.len() - 8].to_vec();
+        long.extend_from_slice(&[0; 16]);
+        assert_eq!(decode_rows(&long, 16), Err(RowsError::TrailingBytes));
+        assert_eq!(decode_rows(&blob, 0), Err(RowsError::CodeLength { expected: 0, got: 16 }));
+    }
+
+    #[test]
+    fn corrupt_rows_blob_recovers_with_typed_error() {
         let data = dataset(50, 16, 68);
         let dfs = Arc::new(InMemoryDfs::new());
         let cfg = ServeConfig {
@@ -2042,15 +2109,15 @@ mod tests {
             ..ServeConfig::default()
         };
         drop(HaServe::bootstrap_durable(&dfs, "/srv", 16, data, cfg.clone()).unwrap());
-        // Flip one byte inside shard 0's snapshot: recovery must surface
-        // a typed store rejection, never serve corrupt answers.
+        // Flip one byte inside shard 0's rows: recovery must surface a
+        // typed rejection, never serve corrupt answers.
         let mut blob: Vec<u8> = dfs.try_get(&gen_blob_path("/srv", 0, 0)).unwrap();
         let mid = blob.len() / 2;
         blob[mid] ^= 0x10;
         dfs.try_put_with_blocks(&gen_blob_path("/srv", 0, 0), blob, usize::MAX, 1)
             .unwrap();
         let err = HaServe::recover(&dfs, "/srv", cfg).unwrap_err();
-        assert!(matches!(err, ServiceError::Store(_)), "got {err:?}");
+        assert_eq!(err, ServiceError::CorruptGeneration(RowsError::ChecksumMismatch));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!    immutable for the mapping's lifetime — the store is opened
 //!    read-only and nothing mutates through it. The one hazard `mmap`
 //!    cannot rule out is the *file* being truncated by another process
-//!    while mapped (SIGBUS on touch); the serving layer treats snapshot
-//!    files as immutable once published (write → rename, never rewrite
-//!    in place), which is the same contract every mmap-based store
+//!    while mapped (SIGBUS on touch); snapshot files are immutable once
+//!    published (`write_store_file` writes → renames, never rewrites in
+//!    place), which is the same contract every mmap-based store
 //!    (LMDB, LevelDB tables) relies on.
 //! 2. **`&[u64]` → `&[u8]` view** ([`OwnedBytes::as_bytes`]). Widening
 //!    alignment (8 → 1) over memory we own; `len <= words.len() * 8` is

@@ -79,9 +79,9 @@ fn parts_of<'a>(
 }
 
 impl HaStore {
-    /// Opens a snapshot held in memory (a DFS blob, a WAL-recovered
-    /// buffer). The bytes are moved into 8-byte-aligned owned storage;
-    /// all views borrow from there.
+    /// Opens a snapshot held in memory (e.g. a DFS blob). The bytes are
+    /// moved into 8-byte-aligned owned storage; all views borrow from
+    /// there.
     pub fn open_bytes(bytes: Vec<u8>) -> Result<HaStore, StoreError> {
         let buf = StoreBuf::Owned(buf::OwnedBytes::from_vec(bytes));
         let (meta, sections) = validate(buf.as_bytes())?;

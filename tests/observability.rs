@@ -530,6 +530,48 @@ fn planned_build_spans_split_the_build_into_phases() {
     obs::disable();
 }
 
+/// A durable service whose planner cannot route to the flat layout
+/// builds no HA-Index at any point of its life: bootstrap, a merge and
+/// recovery each run one `PlannedIndex::build_with` per shard they build,
+/// and the only H-Build step in the trace is the rank sort the profile
+/// takes. Generations persist their rows, so publishing one asks for no
+/// snapshot: no leaves, levels, freeze or deferred materialisation.
+#[test]
+fn durable_generations_build_no_ha_index_the_planner_cannot_route_to() {
+    let _guard = obs_lock();
+    let model = CostModel { flat_row_h_ns: 100.0, arena_row_h_ns: 200.0, ..CostModel::default() };
+    let cfg = ServeConfig { workers: 0, shards: 2, model, ..ServeConfig::default() };
+    let items = random_dataset(3_000, 64, 7);
+    let dfs = std::sync::Arc::new(InMemoryDfs::new());
+    obs::reset();
+    let serve = HaServe::bootstrap_durable(&dfs, "/srv", 64, items.clone(), cfg.clone())
+        .expect("bootstrap");
+    let fresh = BinaryCode::from_u64(0x5eed, 64);
+    serve.insert(fresh.clone(), 90_000).expect("insert");
+    assert!(serve.merge_now(serve.shard_of(&fresh)).expect("merge"), "one merge publishes");
+    drop(serve);
+    let recovered = HaServe::recover(&dfs, "/srv", cfg).expect("recover");
+    assert_eq!(recovered.len(), items.len() + 1);
+    assert_eq!(recovered.select(&fresh, 0).expect("select"), vec![90_000]);
+    let trace = obs::take_trace();
+    obs::disable();
+
+    // Two bootstrap shards, one merge, two recovered shards.
+    assert_eq!(trace.count_named("core.plan.build"), 5);
+    for span in &trace.spans {
+        assert!(
+            !matches!(span.name, "core.plan.freeze" | "core.plan.materialize"),
+            "{} ran in a durable life cycle that never routes flat",
+            span.name
+        );
+        if span.name.starts_with("core.hbuild.") {
+            assert_eq!(span.name, "core.hbuild.rank_sort", "H-Build ran");
+            let parent = trace.spans.iter().find(|p| Some(p.id) == span.parent);
+            assert_eq!(parent.map(|p| p.name), Some("core.plan.profile"));
+        }
+    }
+}
+
 /// Learning a hash is visible: one traced `SpectralHasher::fit` is one
 /// `hashing.fit` root span holding `hashing.fit.covariance`,
 /// `hashing.fit.eigen` and `hashing.fit.ranges` once each, run one after

@@ -97,8 +97,6 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     ("crates/bitcode/src/gray.rs", 0, 0, 0, 0),
     // The delta overlay sits on the same serve-shard hot path.
     ("crates/core/src/delta.rs", 0, 0, 0, 0),
-    // The mapped generation serves recovered shards — hot path again.
-    ("crates/core/src/mapped.rs", 0, 0, 0, 0),
     // HA-Store parses attacker-grade input (arbitrary bytes from disk or
     // the DFS): *every* file is zero-budget. Corruption must surface as
     // a typed `StoreError`, never a panic — the corruption suite fuzzes
