@@ -79,6 +79,25 @@ pub fn gray_rank(code: &BinaryCode) -> BinaryCode {
     rank
 }
 
+/// The first (most significant) word of [`gray_rank`] of the `len`-bit
+/// code whose words are `words`, for any width: decoded from the first
+/// word alone. Codes whose heads differ compare in Gray order as their
+/// heads do; equal heads leave the rest to [`gray_cmp_words`].
+///
+/// ```
+/// use ha_bitcode::{gray, BinaryCode};
+/// let c = BinaryCode::ones(130);
+/// assert_eq!(gray::gray_rank_head(c.words(), 130), gray::gray_rank(&c).words()[0]);
+/// ```
+pub fn gray_rank_head(words: &[u64], len: usize) -> u64 {
+    let head = prefix_xor(words[0]);
+    if len <= 64 {
+        head & tail_mask(len)
+    } else {
+        head
+    }
+}
+
 /// [`gray_rank`] of a code of at most 64 bits as the `u64` it fits in:
 /// equal to `gray_rank(code).words()[0]`, so `u64` order is Gray order
 /// ([`gray_cmp`]) — the sort key of H-Build for such codes.
@@ -93,14 +112,49 @@ pub fn gray_rank(code: &BinaryCode) -> BinaryCode {
 /// If `code` is longer than 64 bits.
 pub fn gray_rank_u64(code: &BinaryCode) -> u64 {
     assert!(code.len() <= 64, "gray_rank_u64 takes codes of at most 64 bits");
-    prefix_xor(code.words()[0]) & tail_mask(code.len())
+    gray_rank_head(code.words(), code.len())
 }
 
-/// Compares two codes by their Gray rank. Equivalent to
-/// `gray_rank(a).cmp(&gray_rank(b))` but kept as a named helper so sorting
-/// call-sites read as what they are.
+/// Compares two codes by their Gray rank: `gray_rank(a).cmp(&gray_rank(b))`
+/// (codes of different lengths order by length first, as [`BinaryCode`]
+/// does). Allocates nothing at any width: see [`gray_cmp_words`].
 pub fn gray_cmp(a: &BinaryCode, b: &BinaryCode) -> std::cmp::Ordering {
-    gray_rank(a).cmp(&gray_rank(b))
+    a.len().cmp(&b.len()).then_with(|| gray_cmp_words(a.words(), b.words()))
+}
+
+/// [`gray_cmp`] of two codes of one width given by their words (unused
+/// tail bits zero, as [`BinaryCode`] keeps them), without decoding either
+/// rank. The ranks agree up to the first bit `i` where the codes differ,
+/// and rank bit `i` is the parity of code bits `0..=i`; so the code whose
+/// bit `i` differs from the parity of the shared bits above it has the
+/// greater rank. One pass of word compares finds `i`, folding the shared
+/// words into that parity on the way.
+///
+/// ```
+/// use ha_bitcode::{gray, BinaryCode};
+/// let (a, b) = (BinaryCode::ones(130), BinaryCode::zero(130));
+/// assert_eq!(gray::gray_cmp_words(a.words(), b.words()), gray::gray_cmp(&a, &b));
+/// ```
+pub fn gray_cmp_words(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+    let mut shared = 0u64;
+    for (&wa, &wb) in a.iter().zip(b) {
+        let diff = wa ^ wb;
+        if diff != 0 {
+            // Bit 63 is the word's first code bit: the first difference is
+            // the highest set bit of `diff`.
+            let at = 63 - diff.leading_zeros();
+            let above = shared ^ wa.checked_shr(at + 1).unwrap_or(0);
+            let a_bit = (wa >> at) & 1 == 1;
+            let odd = above.count_ones() & 1 == 1;
+            return if a_bit != odd {
+                std::cmp::Ordering::Greater
+            } else {
+                std::cmp::Ordering::Less
+            };
+        }
+        shared ^= wa;
+    }
+    std::cmp::Ordering::Equal
 }
 
 #[cfg(test)]
@@ -203,6 +257,24 @@ mod tests {
             let c = BinaryCode::random(len, &mut rng);
             prop_assert_eq!(gray_encode(&gray_rank(&c)), c.clone());
             prop_assert_eq!(gray_rank(&gray_encode(&c)), c);
+        }
+
+        #[test]
+        fn prop_gray_cmp_and_head_follow_the_rank(seed in any::<u64>(), len in 1usize..520) {
+            // A random partner, and neighbours one flip away anywhere (a
+            // shared head when the flip is past the first word), so every
+            // word of the comparison decides some case.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = BinaryCode::random(len, &mut rng);
+            prop_assert_eq!(gray_rank_head(a.words(), len), gray_rank(&a).words()[0]);
+            let mut near = a.clone();
+            near.flip(rng.gen_range(0..len));
+            let mut far = a.clone();
+            far.flip(len - 1 - rng.gen_range(0..len.min(64)));
+            for b in [BinaryCode::random(len, &mut rng), near, far, a.clone()] {
+                prop_assert_eq!(gray_cmp(&a, &b), gray_rank(&a).cmp(&gray_rank(&b)));
+                prop_assert_eq!(gray_cmp(&b, &a), gray_rank(&b).cmp(&gray_rank(&a)));
+            }
         }
 
         #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use ha_bitcode::gray::{gray_rank, gray_rank_u64};
+use ha_bitcode::gray::{gray_cmp_words, gray_rank_head};
 use ha_bitcode::{BinaryCode, MaskedCode};
 
 use super::{DhaConfig, DynamicHaIndex, Node, NodeId};
@@ -43,8 +43,9 @@ pub(super) fn h_build(
 /// H-Build's steps 2–4 over a sort already taken: the entry point for a
 /// caller that needed [`GrayOrder`] for its own reasons first (the
 /// planner samples its distinct codes), so the rank sort runs once.
-/// `order` must be `GrayOrder::sort(&items, code_len)`. An empty `items`
-/// builds an empty `code_len`-bit index.
+/// `order` must be `GrayOrder::sort(&items, code_len)` (or the same sort
+/// of the codes as rows). An empty `items` builds an empty `code_len`-bit
+/// index.
 pub(super) fn h_build_ordered(
     code_len: usize,
     items: Vec<(BinaryCode, TupleId)>,
@@ -71,72 +72,84 @@ pub(super) fn h_build_ordered(
 /// equal codes (the rank is a bijection); positions rise within a key, so
 /// each code's ids keep their input order.
 ///
-/// A code of at most 64 bits is keyed by its Gray rank as a `u64`: the
-/// pairs are distinct, so `sort_unstable` yields exactly the
-/// `(rank, position)` order. A wider rank is a [`BinaryCode`]; input
-/// positions are sorted by `(rank, position)` and the key is the ordinal
-/// of the rank's run.
+/// The sort reads the codes as flat rows of words and first orders the
+/// pairs by `(rank head, position)`, the head being the rank's first word
+/// ([`gray_rank_head`]). A code of at most 64 bits is its head: the pairs
+/// are distinct, so `sort_unstable` yields exactly the `(rank, position)`
+/// order. For a wider code each run of equal heads is settled on the
+/// whole rank ([`gray_cmp_words`], read off the rows without decoding
+/// them), and the key becomes the ordinal of the rank's run.
 /// (An LSD radix sort of the `u64` pairs measured no faster than
 /// `sort_unstable`: 74–129 ms against 58–100 ms at 10⁶ pairs.)
 pub(crate) struct GrayOrder(Vec<(u64, u32)>);
 
 impl GrayOrder {
-    /// Sorts `items`, whose codes must all be `code_len` bits wide. With
-    /// tracing on, this is the `core.hbuild.rank_sort` span.
+    /// Sorts `items`, whose codes must all be `code_len` bits wide, from a
+    /// flat copy of their words. With tracing on, the sort after the copy
+    /// is the `core.hbuild.rank_sort` span.
     pub(crate) fn sort(items: &[(BinaryCode, TupleId)], code_len: usize) -> Self {
-        let _span = ha_obs::span("core.hbuild.rank_sort");
-        GrayOrder(gray_sorted(items, code_len))
+        let mut rows = Vec::with_capacity(items.len() * code_len.div_ceil(64));
+        for (code, _) in items {
+            assert_eq!(code.len(), code_len, "mixed code lengths");
+            rows.extend_from_slice(code.words());
+        }
+        Self::sort_rows(&rows, code_len, Vec::with_capacity(items.len()))
     }
 
-    /// The distinct codes of `items` (the slice this order was sorted
-    /// from) in Gray order: one per leaf, in the order H-Build lays the
-    /// leaves out, so exactly what [`DynamicHaIndex::leaf_codes`] of the
-    /// built index yields.
-    pub(crate) fn distinct_codes<'a>(
+    /// Sorts the `code_len`-bit codes stored as consecutive rows of `rows`
+    /// (`code_len.div_ceil(64)` words each) into `pairs`, an empty buffer
+    /// with room for one pair per row. Allocates nothing, so it can run on
+    /// a thread that must not.
+    pub(crate) fn sort_rows(rows: &[u64], code_len: usize, mut pairs: Vec<(u64, u32)>) -> Self {
+        let _span = ha_obs::span("core.hbuild.rank_sort");
+        let stride = code_len.div_ceil(64);
+        pairs.extend(
+            rows.chunks_exact(stride)
+                .zip(0u32..)
+                .map(|(row, i)| (gray_rank_head(row, code_len), i)),
+        );
+        pairs.sort_unstable();
+        if stride > 1 {
+            settle_on_full_ranks(&mut pairs, rows, stride);
+        }
+        GrayOrder(pairs)
+    }
+
+    /// The distinct codes of `rows` (the rows this order was sorted from,
+    /// `stride` words each) in Gray order: one per leaf, in the order
+    /// H-Build lays the leaves out, so the words of exactly what
+    /// [`DynamicHaIndex::leaf_codes`] of the built index yields.
+    pub(crate) fn distinct_rows<'a>(
         &'a self,
-        items: &'a [(BinaryCode, TupleId)],
-    ) -> impl Iterator<Item = &'a BinaryCode> + Clone + 'a {
-        self.0.chunk_by(|a, b| a.0 == b.0).map(move |run| &items[run[0].1 as usize].0)
+        rows: &'a [u64],
+        stride: usize,
+    ) -> impl Iterator<Item = &'a [u64]> + Clone + 'a {
+        self.0
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(move |run| &rows[run[0].1 as usize * stride..][..stride])
     }
 }
 
-fn gray_sorted(items: &[(BinaryCode, TupleId)], code_len: usize) -> Vec<(u64, u32)> {
-    let check = |code: &BinaryCode| assert_eq!(code.len(), code_len, "mixed code lengths");
-    if code_len <= 64 {
-        let mut keyed: Vec<(u64, u32)> = items
-            .iter()
-            .zip(0u32..)
-            .map(|((code, _), i)| {
-                check(code);
-                (gray_rank_u64(code), i)
-            })
-            .collect();
-        keyed.sort_unstable();
-        return keyed;
+/// Orders each run of equal rank heads in `pairs` by `(rank, position)`
+/// and rekeys every pair with the ordinal of its rank's run.
+fn settle_on_full_ranks(pairs: &mut [(u64, u32)], rows: &[u64], stride: usize) {
+    let row = |i: u32| &rows[i as usize * stride..][..stride];
+    for run in pairs.chunk_by_mut(|a, b| a.0 == b.0) {
+        if run.len() > 1 {
+            run.sort_unstable_by(|a, b| {
+                gray_cmp_words(row(a.1), row(b.1)).then(a.1.cmp(&b.1))
+            });
+        }
     }
-    let ranks: Vec<BinaryCode> = items
-        .iter()
-        .map(|(code, _)| {
-            check(code);
-            gray_rank(code)
-        })
-        .collect();
-    let mut order: Vec<u32> = (0..items.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| ranks[a as usize].cmp(&ranks[b as usize]).then(a.cmp(&b)));
-    let Some(&first) = order.first() else { return Vec::new() };
+    let Some(&(_, mut prev)) = pairs.first() else { return };
     let mut run = 0u64;
-    let mut prev = &ranks[first as usize];
-    order
-        .into_iter()
-        .map(|i| {
-            let rank = &ranks[i as usize];
-            if rank != prev {
-                run += 1;
-                prev = rank;
-            }
-            (run, i)
-        })
-        .collect()
+    for pair in pairs {
+        if row(pair.1) != row(prev) {
+            run += 1;
+            prev = pair.1;
+        }
+        pair.0 = run;
+    }
 }
 
 /// The leaf level (Algorithm 1 line 2), appended to the still-empty arena
@@ -476,8 +489,8 @@ mod tests {
 
     #[test]
     fn leafless_runs_carry_their_length_as_frequency() {
-        // Both rank paths (a `u64` key at 16 bits, a `BinaryCode` run
-        // ordinal at 65), heavily duplicated.
+        // Both rank paths (a `u64` key at 16 bits, a run ordinal settled
+        // on full ranks at 65), heavily duplicated.
         for bits in [16usize, 65] {
             let data = clustered_dataset(2000, bits, 3, 1, 29);
             let mut want: HashMap<&BinaryCode, u32> = HashMap::new();
@@ -495,6 +508,41 @@ mod tests {
                     assert!(leaf.ids.is_empty());
                     assert_eq!(node.frequency, want[&leaf.code], "bits={bits}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_rank_sort_settles_first_word_ties_on_the_full_rank() {
+        // A rank word depends only on the code words up to it, so flipping
+        // bits past the first word keeps the first rank word: every run of
+        // equal first words here holds several distinct codes and
+        // duplicates. The order must be `(gray_rank, position)`, and the
+        // key must rise by one exactly where the code changes.
+        use ha_bitcode::gray::gray_rank;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        for bits in [65usize, 128, 200] {
+            let base: Vec<BinaryCode> = (0..4).map(|_| BinaryCode::random(bits, &mut rng)).collect();
+            let items: Vec<(BinaryCode, TupleId)> = (0..600)
+                .map(|id| {
+                    let mut code = base[rng.gen_range(0..base.len())].clone();
+                    for _ in 0..rng.gen_range(0..3) {
+                        code.flip(rng.gen_range(64..bits));
+                    }
+                    (code, id)
+                })
+                .collect();
+            let mut want: Vec<u32> = (0..items.len() as u32).collect();
+            want.sort_by_key(|&i| (gray_rank(&items[i as usize].0), i));
+            let order = GrayOrder::sort(&items, bits);
+            let got: Vec<u32> = order.0.iter().map(|&(_, i)| i).collect();
+            assert_eq!(got, want, "bits={bits}");
+            assert_eq!(order.0[0].0, 0);
+            for pair in order.0.windows(2) {
+                let changed = items[pair[0].1 as usize].0 != items[pair[1].1 as usize].0;
+                assert_eq!(pair[1].0, pair[0].0 + u64::from(changed), "bits={bits}");
             }
         }
     }

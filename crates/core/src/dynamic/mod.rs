@@ -134,7 +134,8 @@ impl DynamicHaIndex {
 
     /// H-Build over a rank sort the caller already took (the planner's
     /// profile needs it first): `order` must be
-    /// `GrayOrder::sort(&items, code_len)`. Builds exactly what
+    /// `GrayOrder::sort(&items, code_len)`, or `GrayOrder::sort_rows` of
+    /// the same codes as flat rows. Builds exactly what
     /// [`DynamicHaIndex::build_with`] builds from `items`, and an empty
     /// `code_len`-bit index from none.
     pub(crate) fn build_ordered(

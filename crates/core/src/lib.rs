@@ -33,6 +33,7 @@ pub mod dynamic;
 mod linear;
 mod memory;
 mod mih;
+mod overlap;
 pub mod planner;
 mod radix;
 mod seen;

@@ -79,6 +79,85 @@ pub struct MihIndex {
     ids: Vec<TupleId>,
 }
 
+/// An MIH's rows before its directories: every code's words, stored
+/// once at `stride` words a row, and its id, in build input order. The
+/// planner sorts these rows in Gray order while [`MihRows::directories`]
+/// indexes them, then [`MihRows::index`] makes the two one index.
+pub(crate) struct MihRows {
+    code_len: usize,
+    stride: usize,
+    row_words: Vec<u64>,
+    ids: Vec<TupleId>,
+}
+
+/// The chunk directories [`MihRows::directories`] built.
+pub(crate) struct Directories {
+    seg: Segmentation,
+    dirs: Vec<Directory>,
+}
+
+impl MihRows {
+    /// Copies `rows` borrowed pairs.
+    ///
+    /// # Panics
+    /// If `code_len` is 0 or any code's length differs from it.
+    pub(crate) fn copy<'a>(
+        code_len: usize,
+        rows: usize,
+        items: impl IntoIterator<Item = (&'a BinaryCode, TupleId)>,
+    ) -> Self {
+        assert!(code_len >= 1, "code_len must be >= 1");
+        let stride = code_len.div_ceil(64);
+        let mut row_words = Vec::with_capacity(rows * stride);
+        let mut ids = Vec::with_capacity(rows);
+        for (code, id) in items {
+            assert_eq!(code.len(), code_len, "code length mismatch");
+            row_words.extend_from_slice(code.words());
+            ids.push(id);
+        }
+        assert!(ids.len() < 1 << 29, "row indexes and directory slots must fit a u32");
+        MihRows { code_len, stride, row_words, ids }
+    }
+
+    /// The rows' words, `code_len.div_ceil(64)` per row.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.row_words
+    }
+
+    /// One counting-sorted directory per chunk over these rows.
+    ///
+    /// # Panics
+    /// If `chunks` is outside `[ceil(code_len / 64), code_len]`.
+    pub(crate) fn directories(&self, chunks: usize) -> Directories {
+        let code_len = self.code_len;
+        assert!(
+            chunks >= code_len.div_ceil(64),
+            "{chunks} chunks over {code_len} bits would exceed the 64-bit \
+             chunk-key width; need at least {}",
+            code_len.div_ceil(64)
+        );
+        let seg = Segmentation::new(code_len, chunks);
+        let mut values = vec![0u64; self.ids.len()];
+        let dirs = (0..chunks)
+            .map(|k| {
+                let (start, width) = seg.bounds(k);
+                for (v, row) in values.iter_mut().zip(self.row_words.chunks_exact(self.stride)) {
+                    *v = chunk_value(row, start, width);
+                }
+                Directory::build(width as u32, &values)
+            })
+            .collect();
+        Directories { seg, dirs }
+    }
+
+    /// The index of these rows under `dirs`, which must be their
+    /// [`MihRows::directories`].
+    pub(crate) fn index(self, Directories { seg, dirs }: Directories) -> MihIndex {
+        let MihRows { code_len, stride, row_words, ids } = self;
+        MihIndex { code_len, stride, seg, dirs, row_words, ids }
+    }
+}
+
 /// One chunk's CSR bucket directory (see the module docs).
 #[derive(Clone, Debug)]
 struct Directory {
@@ -209,35 +288,9 @@ impl MihIndex {
         rows: usize,
         items: impl IntoIterator<Item = (&'a BinaryCode, TupleId)>,
     ) -> Self {
-        assert!(code_len >= 1, "code_len must be >= 1");
-        assert!(
-            chunks >= code_len.div_ceil(64),
-            "{chunks} chunks over {code_len} bits would exceed the 64-bit \
-             chunk-key width; need at least {}",
-            code_len.div_ceil(64)
-        );
-        let seg = Segmentation::new(code_len, chunks);
-        let stride = code_len.div_ceil(64);
-        let mut row_words = Vec::with_capacity(rows * stride);
-        let mut ids = Vec::with_capacity(rows);
-        for (code, id) in items {
-            assert_eq!(code.len(), code_len, "code length mismatch");
-            row_words.extend_from_slice(code.words());
-            ids.push(id);
-        }
-        assert!(ids.len() < 1 << 29, "row indexes and directory slots must fit a u32");
-        let n = ids.len();
-        let mut values = vec![0u64; n];
-        let dirs = (0..chunks)
-            .map(|k| {
-                let (start, width) = seg.bounds(k);
-                for (v, row) in values.iter_mut().zip(row_words.chunks_exact(stride)) {
-                    *v = chunk_value(row, start, width);
-                }
-                Directory::build(width as u32, &values)
-            })
-            .collect();
-        MihIndex { code_len, stride, seg, dirs, row_words, ids }
+        let rows = MihRows::copy(code_len, rows, items);
+        let dirs = rows.directories(chunks);
+        rows.index(dirs)
     }
 
     /// Number of chunks.
@@ -397,6 +450,12 @@ impl MihIndex {
         rows.into_iter()
             .map(|(words, d)| (BinaryCode::from_words(words, self.code_len), d))
             .collect()
+    }
+
+    /// The stored codes' words, one row of `code_len.div_ceil(64)` words
+    /// per [`MihIndex::items`] pair, in the same order.
+    pub(crate) fn row_words(&self) -> &[u64] {
+        &self.row_words
     }
 
     /// Every stored `(code, id)` pair, in build input order.

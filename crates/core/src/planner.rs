@@ -36,7 +36,8 @@ use ha_bitcode::chunk::neighborhood_size;
 use ha_bitcode::BinaryCode;
 
 use crate::dynamic::{DhaConfig, DynamicHaIndex, GrayOrder};
-use crate::mih::MihIndex;
+use crate::mih::{MihIndex, MihRows};
+use crate::overlap;
 use crate::{HammingIndex, TupleId};
 
 /// The exact search backends the planner can route to.
@@ -98,29 +99,39 @@ pub struct DataProfile {
 /// width, clustered data (many near-duplicates) approaches 1. Returns 0
 /// for fewer than two codes. O(sample²) distance computations, so at most
 /// ~32k `hamming` calls regardless of dataset size; the codes are walked
-/// twice (once to count them), and only the sample is collected.
+/// twice (once to count them), and the sample is held on the stack, so
+/// the estimate allocates nothing.
 pub fn estimate_clusteredness<'a, I>(codes: I) -> f64
 where
     I: IntoIterator<Item = &'a BinaryCode>,
     I::IntoIter: Clone,
 {
     let codes = codes.into_iter();
-    let len = codes.clone().count();
-    if len < 2 {
-        return 0.0;
+    let bits = codes.clone().next().map_or(0, BinaryCode::len);
+    clusteredness_of_rows(bits, codes.map(BinaryCode::words))
+}
+
+/// [`estimate_clusteredness`] of `bits`-bit codes given by their words.
+fn clusteredness_of_rows<'a>(bits: usize, rows: impl Iterator<Item = &'a [u64]> + Clone) -> f64 {
+    let len = rows.clone().count();
+    let Some(first) = rows.clone().next().filter(|_| len >= 2 && bits > 0) else { return 0.0 };
+    // On the stack: the planner samples on a thread that must not allocate.
+    let mut slots = [first; 256];
+    let mut taken = 0;
+    for (slot, row) in slots.iter_mut().zip(rows.step_by(len.div_ceil(256))) {
+        *slot = row;
+        taken += 1;
     }
-    let stride = len.div_ceil(256);
-    let sample: Vec<&BinaryCode> = codes.step_by(stride).take(256).collect();
-    let bits = sample[0].len();
-    if bits == 0 {
-        return 0.0;
-    }
+    let sample = &slots[..taken];
+    let hamming = |a: &[u64], b: &[u64]| -> u32 {
+        a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+    };
     let mut sum = 0.0;
     for (i, a) in sample.iter().enumerate() {
         let mut best = u32::MAX;
         for (j, b) in sample.iter().enumerate() {
             if i != j {
-                best = best.min(a.hamming(b));
+                best = best.min(hamming(a, b));
             }
         }
         sum += f64::from(best);
@@ -388,43 +399,68 @@ fn flat_wins_somewhere(model: &CostModel, profile: &DataProfile) -> bool {
     false
 }
 
+/// H-Build over the MIH's rows, which hold the build input in its order,
+/// reusing their Gray `order` ([`GrayOrder::sort_rows`] of those rows):
+/// exactly the HA-Index H-Build makes of the input itself.
+fn ha_index(mih: &MihIndex, order: GrayOrder, config: DhaConfig) -> DynamicHaIndex {
+    DynamicHaIndex::build_ordered(mih.code_len(), mih.items().collect(), order, config)
+}
+
 impl PlannedIndex {
     /// Builds from `(code, id)` pairs with the default [`PlanConfig`].
     pub fn build(code_len: usize, items: Vec<(BinaryCode, TupleId)>) -> Self {
         Self::build_with(code_len, items, PlanConfig::default())
     }
 
-    /// Builds with explicit configuration: the MIH with
-    /// [`MihIndex::auto_chunks`] tables, then the profile (H-Build's rank
-    /// sort, whose distinct codes the clusteredness is sampled from). Only
-    /// when the flat backend can win some threshold does H-Build reuse
-    /// that sort and the snapshot get frozen under
+    /// Builds with explicit configuration: the MIH's rows (each code's
+    /// words, stored once), then at the same time its
+    /// [`MihIndex::auto_chunks`] directories on the calling thread and, on
+    /// one scoped helper thread, the profile: H-Build's rank sort of those
+    /// rows, whose distinct codes the clusteredness is sampled from. The
+    /// helper allocates nothing: it sorts into a buffer sized here. A
+    /// panic on it is re-raised on the caller. Only when the flat backend
+    /// can win some threshold does H-Build reuse that sort
+    /// and the snapshot get frozen under
     /// [`FreezePolicy::adaptive`](crate::FreezePolicy::adaptive);
     /// otherwise the HA-Index is deferred (see [`PlannedIndex`]).
     ///
     /// With tracing on, the build is one `core.plan.build` span whose
-    /// children are the phases: `core.plan.mih`, `core.plan.profile`
-    /// (holding `core.hbuild.rank_sort`) and, when the HA-Index is built,
-    /// `core.hbuild.leaves`, `core.hbuild.levels` and `core.plan.freeze`.
+    /// children are the phases: `core.plan.mih` and `core.plan.profile`
+    /// (holding `core.hbuild.rank_sort`), which may overlap in time, then,
+    /// when the HA-Index is built, `core.hbuild.leaves`,
+    /// `core.hbuild.levels` and `core.plan.freeze`.
     /// A deferred HA-Index is built inside one `core.plan.materialize`
     /// span holding `core.hbuild.*` and `core.plan.freeze`.
     pub fn build_with(code_len: usize, items: Vec<(BinaryCode, TupleId)>, cfg: PlanConfig) -> Self {
         let _build = ha_obs::span("core.plan.build");
-        let mih = {
-            let _span = ha_obs::span("core.plan.mih");
-            let n = items.len();
-            let chunks = MihIndex::auto_chunks(code_len, n);
-            MihIndex::bulk(code_len, chunks, n, items.iter().map(|(code, id)| (code, *id)))
-        };
-        let (order, clusteredness) = {
-            let _span = ha_obs::span("core.plan.profile");
-            let order = GrayOrder::sort(&items, code_len);
-            let clusteredness = estimate_clusteredness(order.distinct_codes(&items));
-            (order, clusteredness)
-        };
-        let profile = DataProfile { bits: code_len, n: items.len(), clusteredness };
+        let n = items.len();
+        let ctx = ha_obs::current_context();
+        let mih_span = ha_obs::span("core.plan.mih");
+        let rows = MihRows::copy(code_len, n, items.iter().map(|(code, id)| (code, *id)));
+        // Every later step reads the MIH's rows; freeing the input first
+        // lets the sort's buffer take its place.
+        drop(items);
+        // The helper fills a buffer allocated here: glibc gives each thread
+        // its own malloc arena, and what the helper allocated could stay
+        // resident there after it is freed.
+        let pairs = Vec::with_capacity(n);
+        let (dirs, (order, clusteredness)) = overlap::join(
+            || {
+                let _span = mih_span;
+                rows.directories(MihIndex::auto_chunks(code_len, n))
+            },
+            || {
+                let _span = ha_obs::span_under("core.plan.profile", &ctx);
+                let order = GrayOrder::sort_rows(rows.words(), code_len, pairs);
+                let distinct = order.distinct_rows(rows.words(), code_len.div_ceil(64));
+                let clusteredness = clusteredness_of_rows(code_len, distinct);
+                (order, clusteredness)
+            },
+        );
+        let mih = rows.index(dirs);
+        let profile = DataProfile { bits: code_len, n, clusteredness };
         let (route, dha) = if flat_wins_somewhere(&cfg.model, &profile) {
-            let mut dha = DynamicHaIndex::build_ordered(code_len, items, order, cfg.dha.clone());
+            let mut dha = ha_index(&mih, order, cfg.dha.clone());
             let aos = {
                 let _span = ha_obs::span("core.plan.freeze");
                 dha.freeze().aos_fraction()
@@ -634,10 +670,9 @@ impl PlannedIndex {
     /// in its order: the result is the HA-Index an eager build makes.
     fn build_deferred(&self) -> DynamicHaIndex {
         let _span = ha_obs::span("core.plan.materialize");
-        let items: Vec<(BinaryCode, TupleId)> = self.mih.items().collect();
-        let order = GrayOrder::sort(&items, self.code_len);
-        let config = self.dha_config.clone();
-        let mut dha = DynamicHaIndex::build_ordered(self.code_len, items, order, config);
+        let pairs = Vec::with_capacity(self.mih.len());
+        let order = GrayOrder::sort_rows(self.mih.row_words(), self.code_len, pairs);
+        let mut dha = ha_index(&self.mih, order, self.dha_config.clone());
         {
             let _span = ha_obs::span("core.plan.freeze");
             dha.freeze();

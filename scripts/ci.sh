@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate for the workspace (see README.md). Everything here must
 # stay green: release build, the root package's integration suites
-# (`cargo test -q` — the robustness, equivalence, allocation-pin,
+# (`cargo test -q --no-fail-fast`, so one failing suite does not hide
+# the ones after it — the robustness, equivalence, allocation-pin,
 # panic-audit and paper-shape suites under tests/ are all part of it), every first-party
 # crate's own unit tests and doctests — including the fenced examples in
 # README.md and docs/, compiled via `include_str!` doctest shims in
@@ -25,14 +26,14 @@ CRATES=(
 )
 
 run cargo build --release
-run cargo test -q
+run cargo test -q --no-fail-fast
 # Crate-level unit tests and doctests: the plain `cargo test` above only
 # covers the root package.
-run cargo test -q "${CRATES[@]}"
+run cargo test -q --no-fail-fast "${CRATES[@]}"
 # HAB (benchmark/) is a package of its own, outside the workspace: its
 # tests (including a smoke run of all five workloads) are the only gate
 # on the calls it makes into the program before the benchmark runs.
-run cargo test -q --offline --manifest-path benchmark/Cargo.toml
+run cargo test -q --no-fail-fast --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps ${CRATES[*]}"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${CRATES[@]}" >/dev/null

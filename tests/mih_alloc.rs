@@ -9,10 +9,13 @@
 //! and the rank sort: the HA-Index waits until something asks for it. A
 //! counting `#[global_allocator]` measures the bytes and the allocations
 //! requested on the calling thread; the per-thread tally keeps the
-//! parallel test harness out of the numbers.
+//! parallel test harness out of the numbers. A planned build also runs on
+//! a helper thread it spawns, so its pin also counts the threads no test
+//! runs on: every test marks its own thread first ([`test_thread`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::index::planner::PlannedIndex;
@@ -26,16 +29,33 @@ struct Counting;
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static TEST_THREAD: Cell<bool> = const { Cell::new(false) };
 }
+
+/// Whether [`OTHER_THREADS`] is counting.
+static COUNT_OTHERS: AtomicBool = AtomicBool::new(false);
+/// Bytes requested on threads no test runs on while [`COUNT_OTHERS`] is on.
+static OTHER_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 fn tally(bytes: usize) {
     let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
     let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
+    if COUNT_OTHERS.load(Ordering::Relaxed) && !TEST_THREAD.try_with(Cell::get).unwrap_or(true) {
+        OTHER_THREADS.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
+/// Marks the calling thread as one a test runs on, so that its
+/// allocations stay out of [`allocated_by_every_thread`]'s count of the
+/// threads a build spawns. Every test calls it first.
+fn test_thread() {
+    TEST_THREAD.with(|t| t.set(true));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a thread-local byte and call tally (const-initialised, no destructor,
-// so touching it never allocates or re-enters the allocator).
+// is a thread-local byte and call tally and a global byte counter
+// (const-initialised, no destructor, so touching them never allocates or
+// re-enters the allocator).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
@@ -62,6 +82,17 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATED.with(Cell::get) - before, r)
 }
 
+/// Bytes requested while `f` ran on this thread, and on the threads no
+/// test runs on: the helper threads `f` spawned (and the test harness's
+/// main thread, which only reports finished tests).
+fn allocated_by_every_thread<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
+    OTHER_THREADS.store(0, Ordering::Relaxed);
+    COUNT_OTHERS.store(true, Ordering::Relaxed);
+    let (own, r) = allocated_by(f);
+    COUNT_OTHERS.store(false, Ordering::Relaxed);
+    (own, OTHER_THREADS.load(Ordering::Relaxed), r)
+}
+
 /// Allocation and reallocation calls this thread made while `f` ran.
 fn allocations_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.with(Cell::get);
@@ -82,6 +113,7 @@ fn queries(data: &[(BinaryCode, u64)]) -> Vec<BinaryCode> {
 
 #[test]
 fn mih_search_allocates_nothing_proportional_to_n() {
+    test_thread();
     let data = random_dataset(N, 64, 17);
     let queries = queries(&data);
     let mih = MihIndex::build(64, data.clone());
@@ -129,6 +161,7 @@ fn mih_search_allocates_nothing_proportional_to_n() {
 /// chunk, where one heap bucket per distinct value would make ~250k.
 #[test]
 fn mih_build_allocates_per_chunk_not_per_bucket() {
+    test_thread();
     let data = random_dataset(N, 64, 23);
     let (allocations, mih) = allocations_by(|| MihIndex::build(64, data));
     assert_eq!(mih.len(), N);
@@ -141,19 +174,29 @@ fn mih_build_allocates_per_chunk_not_per_bucket() {
 
 /// On 200 000 random 64-bit codes no threshold routes to the flat layout,
 /// so a planned build allocates the MIH build's bytes plus H-Build's rank
-/// sort (one `(u64, u32)` pair per row) and a small constant for the
-/// profile's sample: no HA-Index, no snapshot. An eager H-Build and freeze
-/// on top allocate ~155 MB, 17× the MIH's 9 MB.
+/// sort (one `(u64, u32)` pair per row) and a small constant: no
+/// HA-Index, no snapshot. An eager H-Build and freeze on top allocate
+/// ~155 MB, 17× the MIH's 9 MB. The count covers every thread the build
+/// uses, and the helper that sorts beside the MIH allocates nothing: the
+/// caller sizes its buffer, since glibc would keep what the helper
+/// allocated in the helper's own malloc arena.
 #[test]
 fn a_build_the_flat_layout_cannot_win_allocates_no_ha_index() {
+    test_thread();
     let data = random_dataset(N, 64, 29);
     let copy = data.clone();
     let (mih_bytes, mih) = allocated_by(|| MihIndex::build(64, copy));
-    let (bytes, planned) = allocated_by(|| PlannedIndex::build(64, data));
+    let (own, helpers, planned) = allocated_by_every_thread(|| PlannedIndex::build(64, data));
+    let bytes = own + helpers;
     let rank_sort = N * std::mem::size_of::<(u64, u32)>();
     assert!(
         bytes <= mih_bytes + rank_sort + 64 * 1024,
         "PlannedIndex::build allocated {bytes} bytes: MIH {mih_bytes} + rank sort {rank_sort}"
+    );
+    // The harness's main thread may report a finished test meanwhile.
+    assert!(
+        helpers <= 16 * 1024,
+        "the build's helper thread allocated {helpers} bytes: it must fill the buffer the caller sized"
     );
     assert!(!planned.flat_can_win(0), "a deferred build");
     assert_eq!(planned.memory_bytes(), mih.memory_bytes());
@@ -162,6 +205,7 @@ fn a_build_the_flat_layout_cannot_win_allocates_no_ha_index() {
 /// The three paper baselines share the same seen-set helper.
 #[test]
 fn baseline_searches_allocate_nothing_proportional_to_n() {
+    test_thread();
     // HmSearch links every row under 33 signatures per 32-bit segment, so
     // at the suite's n the debug-build inserts alone take tens of seconds:
     // this pin runs at a smaller n, with a proportionally smaller allowance.

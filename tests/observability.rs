@@ -454,44 +454,68 @@ fn join_route_counters_account_for_every_probe() {
 
 /// A build is phases, not one number: every `PlannedIndex::build_with`
 /// is one `core.plan.build` span whose children are its phases, each
-/// exactly once, run one after another (they sum to at most the build).
-/// `core.plan.profile` holds H-Build's rank sort, which every build takes.
-/// Where the flat layout can win (clustered codes, default model), the
-/// rest of H-Build and the freeze follow in the build; where it cannot (a
-/// model pricing flat out, as the default one does on 10⁵-row random
-/// sets), the build ends after the profile, and the HA-Index is built on
-/// first demand as one `core.plan.materialize` span holding
-/// `core.hbuild.*` and `core.plan.freeze`. Both rank paths of H-Build (64
-/// and 128 bits) are covered.
+/// exactly once and inside the build. `core.plan.mih` and
+/// `core.plan.profile` run on two threads and may overlap in time (or
+/// not: a one-core host may run them one after the other); both end
+/// before anything after them starts. `core.plan.profile` holds H-Build's
+/// rank sort, which every build takes. Where the flat layout can win
+/// (clustered codes, default model), the rest of H-Build and the freeze
+/// follow in the build, one after another; where it cannot (a model
+/// pricing flat out, as the default one does on 10⁵-row random sets), the
+/// build ends after the profile, and the HA-Index is built on first
+/// demand as one `core.plan.materialize` span holding `core.hbuild.*` and
+/// `core.plan.freeze` in order. Both rank paths of H-Build (64 and 128
+/// bits) are covered.
 #[test]
 fn planned_build_spans_split_the_build_into_phases() {
-    const EAGER: [&str; 5] = [
-        "core.plan.mih",
-        "core.plan.profile",
-        "core.hbuild.leaves",
-        "core.hbuild.levels",
-        "core.plan.freeze",
+    const EAGER: [&[&str]; 4] = [
+        &["core.plan.mih", "core.plan.profile"],
+        &["core.hbuild.leaves"],
+        &["core.hbuild.levels"],
+        &["core.plan.freeze"],
     ];
-    const DEFERRED: [&str; 2] = ["core.plan.mih", "core.plan.profile"];
-    const MATERIALIZE: [&str; 4] = [
-        "core.hbuild.rank_sort",
-        "core.hbuild.leaves",
-        "core.hbuild.levels",
-        "core.plan.freeze",
+    const DEFERRED: [&[&str]; 1] = [&["core.plan.mih", "core.plan.profile"]];
+    const MATERIALIZE: [&[&str]; 4] = [
+        &["core.hbuild.rank_sort"],
+        &["core.hbuild.leaves"],
+        &["core.hbuild.levels"],
+        &["core.plan.freeze"],
     ];
     let _guard = obs_lock();
-    let once_each = |trace: &obs::Trace, parent: &obs::SpanRecord, phases: &[&str]| {
+    // `parent`'s children are exactly the phases of `stages`, each once
+    // and inside `parent`; every phase of a stage ends before any phase
+    // of the next stage starts. Phases of one stage may overlap.
+    let staged = |trace: &obs::Trace, parent: &obs::SpanRecord, stages: &[&[&str]]| {
         let children = trace.children(parent.id);
-        assert_eq!(children.len(), phases.len(), "{}: {children:?}", parent.name);
-        for phase in phases {
-            let n = children.iter().filter(|s| s.name == *phase).count();
-            assert_eq!(n, 1, "{phase} once under {}", parent.name);
+        assert_eq!(children.len(), stages.concat().len(), "{}: {children:?}", parent.name);
+        let phase = |name: &str| {
+            let found: Vec<_> = children.iter().filter(|s| s.name == name).collect();
+            assert_eq!(found.len(), 1, "{name} once under {}", parent.name);
+            let span = found[0];
+            assert!(
+                parent.start_ns <= span.start_ns && span.end_ns <= parent.end_ns,
+                "{name} lies inside {}",
+                parent.name
+            );
+            span
+        };
+        for name in stages.concat() {
+            phase(name);
         }
-        let phase_ns: u64 = children.iter().map(|s| s.end_ns - s.start_ns).sum();
-        assert!(phase_ns <= parent.end_ns - parent.start_ns, "phases outlast {}", parent.name);
+        for pair in stages.windows(2) {
+            for before in pair[0] {
+                for after in pair[1] {
+                    assert!(
+                        phase(before).end_ns <= phase(after).start_ns,
+                        "{before} ends before {after} starts under {}",
+                        parent.name
+                    );
+                }
+            }
+        }
     };
     for bits in [64usize, 128] {
-        for (clustered, phases) in [(true, &EAGER[..]), (false, &DEFERRED[..])] {
+        for (clustered, stages) in [(true, &EAGER[..]), (false, &DEFERRED[..])] {
             let (items, cfg) = if clustered {
                 (clustered_dataset(3_000, bits, 3, 2, 5), PlanConfig::default())
             } else {
@@ -508,10 +532,11 @@ fn planned_build_spans_split_the_build_into_phases() {
             let build = trace.last_named("core.plan.build").expect("a build span");
             assert_eq!(build.parent, None);
             assert_eq!(trace.count_named("core.plan.build"), 1, "one span per build");
-            once_each(&trace, build, phases);
+            staged(&trace, build, stages);
             let profile = trace.last_named("core.plan.profile").expect("a profile span");
-            once_each(&trace, profile, &["core.hbuild.rank_sort"]);
-            assert_eq!(trace.spans.len(), phases.len() + 2, "bits={bits} clustered={clustered}");
+            staged(&trace, profile, &[&["core.hbuild.rank_sort"]]);
+            let phases = stages.concat().len();
+            assert_eq!(trace.spans.len(), phases + 2, "bits={bits} clustered={clustered}");
 
             // Asking for the snapshot builds a deferred HA-Index, once.
             assert!(index.store_bytes().is_some());
@@ -523,7 +548,7 @@ fn planned_build_spans_split_the_build_into_phases() {
                 assert_eq!(trace.count_named("core.plan.materialize"), 1);
                 let materialize = trace.last_named("core.plan.materialize").expect("span");
                 assert_eq!(materialize.parent, None);
-                once_each(&trace, materialize, &MATERIALIZE);
+                staged(&trace, materialize, &MATERIALIZE);
             }
         }
     }
