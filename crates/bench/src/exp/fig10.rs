@@ -11,8 +11,9 @@
 use std::collections::HashSet;
 
 use ha_datagen::{generate, DatasetProfile};
-use ha_distributed::pipeline::{mrha_self_join, MrHaConfig, PhaseTimes};
+use ha_distributed::pipeline::{try_mrha_self_join, MrHaConfig, PhaseTimes};
 use ha_knn::exact::exact_knn;
+use ha_mapreduce::FaultInjector;
 
 use crate::{fmt_duration, print_table, Scale};
 
@@ -80,7 +81,8 @@ pub fn measure(n: usize) -> Fig10 {
                 h: 2,
                 ..MrHaConfig::default()
             };
-            let outcome = mrha_self_join(&data, &cfg);
+            let outcome =
+                try_mrha_self_join(&data, &cfg, &FaultInjector::none()).expect("MRHA runs");
             // Figure 10b: restrict retrieved pairs to the probe tuples the
             // truth covers.
             let retrieved: Vec<&(u64, u64)> = outcome

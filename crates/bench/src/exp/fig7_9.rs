@@ -12,9 +12,9 @@
 use std::time::Duration;
 
 use ha_datagen::{generate, scale_up, DatasetProfile};
-use ha_distributed::pgbj::{pgbj_self_knn_join, PgbjConfig};
-use ha_distributed::pipeline::{mrha_self_join, try_mrha_hamming_join_on_dfs, MrHaConfig};
-use ha_distributed::pmh::pmh_hamming_join;
+use ha_distributed::pgbj::{try_pgbj_self_knn_join, PgbjConfig};
+use ha_distributed::pipeline::{try_mrha_hamming_join_on_dfs, try_mrha_self_join, MrHaConfig};
+use ha_distributed::pmh::try_pmh_hamming_join;
 use ha_distributed::JoinOption;
 use ha_mapreduce::{DfsConfig, DfsMetrics, FaultInjector, InMemoryDfs, StorageFaultPlan};
 
@@ -94,12 +94,14 @@ pub fn measure(profile: &DatasetProfile, base_n: usize, factors: &[usize], seed:
                 k: 10,
                 ..PgbjConfig::default()
             };
-            let m = pgbj_self_knn_join(&data, &knn).metrics;
+            let none = FaultInjector::none();
+            let m = try_pgbj_self_knn_join(&data, &knn, &none).expect("PGBJ runs").metrics;
             let pgbj = Cost { traffic_bytes: m.total_traffic_bytes(), time: m.elapsed };
-            let o = pmh_hamming_join(&data, &data, 10, &cfg);
+            let o = try_pmh_hamming_join(&data, &data, 10, &cfg, &none).expect("PMH runs");
             let pmh = Cost { traffic_bytes: o.metrics.total_traffic_bytes(), time: o.times.total() };
             let mrha = |option| {
-                let o = mrha_self_join(&data, &MrHaConfig { option, ..cfg.clone() });
+                let o = try_mrha_self_join(&data, &MrHaConfig { option, ..cfg.clone() }, &none)
+                    .expect("MRHA runs");
                 Cost { traffic_bytes: o.metrics.total_traffic_bytes(), time: o.times.total() }
             };
             let (mrha_a, mrha_b) = (mrha(JoinOption::A), mrha(JoinOption::B));
@@ -119,7 +121,7 @@ pub fn measure(profile: &DatasetProfile, base_n: usize, factors: &[usize], seed:
             let record_bytes = profile.dim * 8 + 8;
             dfs.put_with_blocks("r", data.clone(), 512, record_bytes);
             dfs.put_with_blocks("s", data.clone(), 512, record_bytes);
-            try_mrha_hamming_join_on_dfs(&dfs, "r", "s", "out", &cfg, &FaultInjector::none())
+            try_mrha_hamming_join_on_dfs(&dfs, "r", "s", "out", &cfg, &none)
                 .expect("primary-replica corruption is always recoverable");
             Point { s, n: data.len(), pgbj, pmh, mrha_a, mrha_b, recovery: dfs.metrics() }
         })

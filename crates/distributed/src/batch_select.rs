@@ -14,7 +14,7 @@ use ha_bitcode::BinaryCode;
 use ha_core::dynamic::DynamicHaIndex;
 use ha_core::planner::{PlanConfig, PlannedIndex};
 use ha_core::{HammingIndex, TupleId};
-use ha_mapreduce::{run_job_with_faults, DistributedCache, FaultInjector, JobError, JobMetrics};
+use ha_mapreduce::{try_run_job, DistributedCache, FaultInjector, JobError, JobMetrics};
 
 use crate::pipeline::{MrHaConfig, PhaseTimes};
 use crate::preprocess::preprocess;
@@ -31,19 +31,9 @@ pub struct BatchSelectOutcome {
     pub times: PhaseTimes,
 }
 
-/// Runs Hamming-select for a batch of query vectors against dataset `s`,
-/// panicking on job failure (wrapper over [`try_mrha_batch_select`]).
-pub fn mrha_batch_select(
-    s: &[VecTuple],
-    queries: &[Vec<f64>],
-    cfg: &MrHaConfig,
-) -> BatchSelectOutcome {
-    try_mrha_batch_select(s, queries, cfg, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// [`mrha_batch_select`] under a fault injector, surfacing unrecoverable
-/// task or storage failures as a typed [`JobError`].
+/// Runs Hamming-select for a batch of query vectors against dataset `s`
+/// under a fault injector, surfacing unrecoverable task or storage
+/// failures as a typed [`JobError`].
 pub fn try_mrha_batch_select(
     s: &[VecTuple],
     queries: &[Vec<f64>],
@@ -83,7 +73,7 @@ pub fn try_mrha_batch_select(
     let h = cfg.h;
     let code_len = cfg.code_len;
     let config = crate::job_config("mrha-batch-select", cfg.workers, cfg.partitions);
-    let result = run_job_with_faults(
+    let result = try_run_job(
         &config,
         s.to_vec(),
         |(v, sid): VecTuple, emit| {
@@ -169,7 +159,7 @@ mod tests {
         let s = dataset(300, 111);
         let queries: Vec<Vec<f64>> = s.iter().step_by(23).map(|(v, _)| v.clone()).collect();
         let c = cfg();
-        let outcome = mrha_batch_select(&s, &queries, &c);
+        let outcome = try_mrha_batch_select(&s, &queries, &c, &FaultInjector::none()).unwrap();
         assert_eq!(outcome.hits.len(), queries.len());
 
         let pre = preprocess(&s, &[], c.sample_rate, c.code_len, c.partitions, c.seed);
@@ -186,7 +176,7 @@ mod tests {
     fn every_query_finds_itself() {
         let s = dataset(200, 112);
         let queries: Vec<Vec<f64>> = s.iter().take(10).map(|(v, _)| v.clone()).collect();
-        let outcome = mrha_batch_select(&s, &queries, &cfg());
+        let outcome = try_mrha_batch_select(&s, &queries, &cfg(), &FaultInjector::none()).unwrap();
         for (qi, hits) in outcome.hits.iter().enumerate() {
             assert!(
                 hits.contains(&(qi as u64)),
@@ -207,7 +197,7 @@ mod tests {
     fn broadcast_is_queries_not_data() {
         let s = dataset(500, 113);
         let queries: Vec<Vec<f64>> = s.iter().take(5).map(|(v, _)| v.clone()).collect();
-        let outcome = mrha_batch_select(&s, &queries, &cfg());
+        let outcome = try_mrha_batch_select(&s, &queries, &cfg(), &FaultInjector::none()).unwrap();
         // Query broadcast is tiny: 5 codes × 6B × 4 partitions plus the
         // hasher; far below shipping the dataset.
         assert!(outcome.metrics.broadcast_bytes < 100_000);

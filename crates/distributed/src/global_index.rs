@@ -4,7 +4,7 @@
 //! locals into the global index.
 
 use ha_core::dynamic::{DhaConfig, DynamicHaIndex};
-use ha_mapreduce::{run_job_with_faults, FaultInjector, JobError, JobMetrics};
+use ha_mapreduce::{try_run_job, FaultInjector, JobError, JobMetrics};
 
 use crate::preprocess::Preprocessed;
 use crate::VecTuple;
@@ -16,20 +16,6 @@ pub struct GlobalIndexBuild {
     /// Metrics of the MapReduce job (shuffle = hashed codes + ids;
     /// broadcast = hash function + pivots to every mapper).
     pub metrics: JobMetrics,
-}
-
-/// Runs the Phase-2 job over dataset R, panicking on job failure —
-/// a thin wrapper over [`try_build_global_index`] for callers that treat
-/// failure as fatal (the experiment harness).
-pub fn build_global_index(
-    r: Vec<VecTuple>,
-    pre: &Preprocessed,
-    dha: &DhaConfig,
-    workers: usize,
-    partitions: usize,
-) -> GlobalIndexBuild {
-    try_build_global_index(r, pre, dha, workers, partitions, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
 }
 
 /// Runs the Phase-2 job over dataset R under a fault injector, surfacing
@@ -47,7 +33,7 @@ pub fn try_build_global_index(
     let dha = dha.clone();
     let config = crate::job_config("mrha-index-build", workers, partitions);
 
-    let result = run_job_with_faults(
+    let result = try_run_job(
         &config,
         r,
         // Map: hash the tuple, look up its pivot range, emit
@@ -109,11 +95,18 @@ mod tests {
             .collect()
     }
 
+    /// Phase 2 over 4 workers, without injected faults.
+    fn build(r: &[VecTuple], pre: &Preprocessed, partitions: usize) -> GlobalIndexBuild {
+        let none = FaultInjector::none();
+        try_build_global_index(r.to_vec(), pre, &DhaConfig::default(), 4, partitions, &none)
+            .expect("phase 2 runs")
+    }
+
     #[test]
     fn global_index_contains_all_tuples() {
         let r = dataset(400, 31);
         let pre = preprocess(&r, &[], 0.2, 32, 4, 1);
-        let built = build_global_index(r.clone(), &pre, &DhaConfig::default(), 4, 4);
+        let built = build(&r, &pre, 4);
         built.index.check_invariants();
         assert_eq!(built.index.len(), 400);
         // Every tuple is findable at distance 0.
@@ -127,7 +120,7 @@ mod tests {
     fn distributed_build_equals_centralized_search_results() {
         let r = dataset(300, 32);
         let pre = preprocess(&r, &[], 0.2, 32, 4, 2);
-        let built = build_global_index(r.clone(), &pre, &DhaConfig::default(), 4, 4);
+        let built = build(&r, &pre, 4);
         // Centralized reference: hash everything, bulk-load once.
         let central = DynamicHaIndex::build(
             r.iter().map(|(v, id)| (pre.hasher.hash(v), *id)),
@@ -148,7 +141,7 @@ mod tests {
     fn shuffle_carries_codes_not_vectors() {
         let r = dataset(500, 33);
         let pre = preprocess(&r, &[], 0.2, 32, 4, 3);
-        let built = build_global_index(r.clone(), &pre, &DhaConfig::default(), 4, 4);
+        let built = build(&r, &pre, 4);
         // 500 × (key 4B + code 6B + id 8B) — two orders below vector bytes
         // (500 × 10 × 8B = 40 KB).
         let expected = 500 * (4 + (2 + 4) + 8);
@@ -160,7 +153,7 @@ mod tests {
     fn partition_loads_are_balanced() {
         let r = dataset(800, 34);
         let pre = preprocess(&r, &[], 0.2, 32, 8, 4);
-        let built = build_global_index(r, &pre, &DhaConfig::default(), 4, 8);
+        let built = build(&r, &pre, 8);
         assert!(
             built.metrics.reduce_skew() < 2.5,
             "skew {}",

@@ -23,7 +23,7 @@ use ha_core::dynamic::DynamicHaIndex;
 use ha_core::planner::{Backend, PlannedIndex};
 use ha_core::{CostModel, TupleId};
 use ha_mapreduce::{
-    run_job_with_faults, DistributedCache, FaultInjector, JobError, JobMetrics, ShuffleBytes,
+    try_run_job, DistributedCache, FaultInjector, JobError, JobMetrics, ShuffleBytes,
 };
 
 use crate::preprocess::Preprocessed;
@@ -80,20 +80,6 @@ const ROUTES: [(Backend, &str); 4] = [
     (Backend::Linear, "distributed.join.route.linear"),
 ];
 
-/// Runs Option A, panicking on job failure (wrapper over
-/// [`try_join_option_a`]).
-pub fn join_option_a(
-    index: &DynamicHaIndex,
-    s: Vec<VecTuple>,
-    pre: &Preprocessed,
-    h: u32,
-    workers: usize,
-    partitions: usize,
-) -> JoinPhase {
-    try_join_option_a(index, s, pre, h, workers, partitions, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
 /// Runs Option A under a fault injector: probe the leafy index, emit
 /// pairs. The caller's index is untouched; the shipped copy is a clone.
 pub fn try_join_option_a(
@@ -132,7 +118,7 @@ pub(crate) fn probe_option_a(
     let config = crate::job_config("mrha-join-A", workers, partitions);
 
     let probe = cache.get();
-    let result = run_job_with_faults(
+    let result = try_run_job(
         &config,
         s,
         |(v, sid): VecTuple, emit| {
@@ -170,21 +156,6 @@ pub(crate) fn probe_option_a(
     Ok(JoinPhase { pairs, metrics })
 }
 
-/// Runs Option B, panicking on job failure (wrapper over
-/// [`try_join_option_b`]).
-pub fn join_option_b(
-    index: &DynamicHaIndex,
-    r: &[VecTuple],
-    s: Vec<VecTuple>,
-    pre: &Preprocessed,
-    h: u32,
-    workers: usize,
-    partitions: usize,
-) -> JoinPhase {
-    try_join_option_b(index, r, s, pre, h, workers, partitions, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
 /// Runs Option B under a fault injector: probe the leafless index for
 /// qualifying R *codes*, then resolve ids with a MapReduce hash-join
 /// against R. Both jobs consult the same injector (task ids are per-job,
@@ -215,7 +186,7 @@ pub fn try_join_option_b(
 
     // Job 1: probe — emits (qualifying R code, s id).
     let shared = cache.get();
-    let probe = run_job_with_faults(
+    let probe = try_run_job(
         &config,
         s,
         |(v, sid): VecTuple, emit| {
@@ -258,7 +229,7 @@ pub fn try_join_option_b(
         .map(|t| (Some(t), None))
         .chain(probe.outputs.iter().cloned().map(|m| (None, Some(m))))
         .collect();
-    let post = run_job_with_faults(
+    let post = try_run_job(
         &crate::job_config("mrha-join-B-post", workers, partitions),
         join_inputs,
         move |input, emit| match input {
@@ -300,7 +271,7 @@ pub fn try_join_option_b(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global_index::build_global_index;
+    use crate::global_index::try_build_global_index;
     use crate::preprocess::preprocess;
     use ha_core::dynamic::DhaConfig;
     use ha_core::select::nested_loop_join;
@@ -329,6 +300,17 @@ mod tests {
         nested_loop_join(&rc, &sc, h)
     }
 
+    /// Phase 2 over 4 workers and 4 partitions, without injected faults.
+    fn build(r: &[VecTuple], pre: &Preprocessed, keep_leaf_ids: bool) -> DynamicHaIndex {
+        let dha = DhaConfig {
+            keep_leaf_ids,
+            ..DhaConfig::default()
+        };
+        try_build_global_index(r.to_vec(), pre, &dha, 4, 4, &FaultInjector::none())
+            .expect("phase 2 runs")
+            .index
+    }
+
     #[test]
     fn option_a_matches_centralized_join() {
         // Same generator seed for R and S: the join is guaranteed
@@ -336,8 +318,9 @@ mod tests {
         let r = dataset(150, 41, 0);
         let s = dataset(200, 41, 10_000);
         let pre = preprocess(&r, &s, 0.2, 32, 4, 5);
-        let built = build_global_index(r.clone(), &pre, &DhaConfig::default(), 4, 4);
-        let phase = join_option_a(&built.index, s.clone(), &pre, 3, 4, 4);
+        let index = build(&r, &pre, true);
+        let phase = try_join_option_a(&index, s.clone(), &pre, 3, 4, 4, &FaultInjector::none())
+            .expect("option A runs");
         let want = oracle(&r, &s, &pre, 3);
         assert!(want.len() >= 150, "workload too sparse ({})", want.len());
         assert_eq!(phase.pairs, want);
@@ -347,7 +330,7 @@ mod tests {
         let side_data = (pre.hasher.approx_bytes() + pre.partitioner.shuffle_bytes()) * 4;
         assert_eq!(
             phase.metrics.broadcast_bytes,
-            built.index.to_bytes().len() * 4 + side_data
+            index.to_bytes().len() * 4 + side_data
         );
         for (rid, sid) in &phase.pairs {
             assert!(*rid < 10_000 && *sid >= 10_000, "orientation ({rid},{sid})");
@@ -359,12 +342,9 @@ mod tests {
         let r = dataset(150, 43, 0);
         let s = dataset(200, 43, 10_000);
         let pre = preprocess(&r, &s, 0.2, 32, 4, 6);
-        let leafless = DhaConfig {
-            keep_leaf_ids: false,
-            ..DhaConfig::default()
-        };
-        let built = build_global_index(r.clone(), &pre, &leafless, 4, 4);
-        let phase = join_option_b(&built.index, &r, s.clone(), &pre, 3, 4, 4);
+        let index = build(&r, &pre, false);
+        let phase = try_join_option_b(&index, &r, s.clone(), &pre, 3, 4, 4, &FaultInjector::none())
+            .expect("option B runs");
         let want = oracle(&r, &s, &pre, 3);
         assert!(want.len() >= 150, "workload too sparse ({})", want.len());
         assert_eq!(phase.pairs, want);
@@ -407,14 +387,11 @@ mod tests {
         let (at_h, past_h) = (at(h), at(h + 1));
         assert!(at_h >= 10 && past_h >= 10, "boundary S too thin: {at_h} / {past_h}");
 
-        let leafy = build_global_index(r.clone(), &pre, &DhaConfig::default(), 4, 4);
-        let leafless_cfg = DhaConfig {
-            keep_leaf_ids: false,
-            ..DhaConfig::default()
-        };
-        let leafless = build_global_index(r.clone(), &pre, &leafless_cfg, 4, 4);
-        let a = join_option_a(&leafy.index, s.clone(), &pre, h, 4, 4);
-        let b = join_option_b(&leafless.index, &r, s.clone(), &pre, h, 4, 4);
+        let none = FaultInjector::none();
+        let (leafy, leafless) = (build(&r, &pre, true), build(&r, &pre, false));
+        let a = try_join_option_a(&leafy, s.clone(), &pre, h, 4, 4, &none).expect("option A runs");
+        let b = try_join_option_b(&leafless, &r, s.clone(), &pre, h, 4, 4, &none)
+            .expect("option B runs");
         let want = oracle(&r, &s, &pre, h);
         assert!(!want.is_empty(), "workload must produce pairs");
         assert!(
@@ -429,14 +406,8 @@ mod tests {
     fn leafless_broadcast_is_smaller() {
         let r = dataset(400, 47, 0);
         let pre = preprocess(&r, &[], 0.2, 32, 4, 8);
-        let leafy = build_global_index(r.clone(), &pre, &DhaConfig::default(), 4, 4);
-        let leafless_cfg = DhaConfig {
-            keep_leaf_ids: false,
-            ..DhaConfig::default()
-        };
-        let leafless = build_global_index(r, &pre, &leafless_cfg, 4, 4);
-        let with = index_broadcast_bytes(&leafy.index, true);
-        let without = index_broadcast_bytes(&leafless.index, false);
+        let with = index_broadcast_bytes(&build(&r, &pre, true), true);
+        let without = index_broadcast_bytes(&build(&r, &pre, false), false);
         assert!(
             without < with,
             "leafless {without}B must undercut leafy {with}B"

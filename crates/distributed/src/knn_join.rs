@@ -11,7 +11,7 @@
 
 use ha_core::select::knn_by_radius;
 use ha_core::{HammingIndex, TupleId};
-use ha_mapreduce::{run_job_with_faults, DistributedCache, FaultInjector, JobError, JobMetrics};
+use ha_mapreduce::{try_run_job, DistributedCache, FaultInjector, JobError, JobMetrics};
 
 use crate::global_index::try_build_global_index;
 use crate::join::index_broadcast_bytes;
@@ -30,20 +30,9 @@ pub struct KnnJoinOutcome {
     pub times: PhaseTimes,
 }
 
-/// Runs the distributed kNN-join R ⋉ S (k nearest S tuples per R tuple),
-/// panicking on job failure (wrapper over [`try_mrha_knn_join`]).
-pub fn mrha_knn_join(
-    r: &[VecTuple],
-    s: &[VecTuple],
-    k: usize,
-    cfg: &MrHaConfig,
-) -> KnnJoinOutcome {
-    try_mrha_knn_join(r, s, k, cfg, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// [`mrha_knn_join`] under a fault injector, surfacing unrecoverable task
-/// or storage failures as a typed [`JobError`].
+/// Runs the distributed kNN-join R ⋉ S (k nearest S tuples per R tuple)
+/// under a fault injector, surfacing unrecoverable task or storage
+/// failures as a typed [`JobError`].
 pub fn try_mrha_knn_join(
     r: &[VecTuple],
     s: &[VecTuple],
@@ -84,7 +73,7 @@ pub fn try_mrha_knn_join(
     let shared = cache.get();
     let code_len = shared.code_len() as u32;
     let config = crate::job_config("mrha-knn-join", cfg.workers, cfg.partitions);
-    let result = run_job_with_faults(
+    let result = try_run_job(
         &config,
         r.to_vec(),
         |(v, rid): VecTuple, emit| {
@@ -165,7 +154,7 @@ mod tests {
         let r = dataset(60, 101, 0);
         let s = dataset(200, 102, 10_000);
         let c = cfg();
-        let outcome = mrha_knn_join(&r, &s, 5, &c);
+        let outcome = try_mrha_knn_join(&r, &s, 5, &c, &FaultInjector::none()).unwrap();
         assert_eq!(outcome.neighbours.len(), 60);
         let pre = preprocess(&r, &s, c.sample_rate, c.code_len, c.partitions, c.seed);
         let want = oracle(&r, &s, &pre, 5);
@@ -176,7 +165,7 @@ mod tests {
     fn k_larger_than_s_returns_all_of_s() {
         let r = dataset(10, 103, 0);
         let s = dataset(7, 104, 500);
-        let outcome = mrha_knn_join(&r, &s, 20, &cfg());
+        let outcome = try_mrha_knn_join(&r, &s, 20, &cfg(), &FaultInjector::none()).unwrap();
         for (_, neigh) in &outcome.neighbours {
             assert_eq!(neigh.len(), 7);
         }
@@ -195,7 +184,7 @@ mod tests {
     fn metrics_cover_all_phases() {
         let r = dataset(50, 105, 0);
         let s = dataset(80, 106, 500);
-        let outcome = mrha_knn_join(&r, &s, 3, &cfg());
+        let outcome = try_mrha_knn_join(&r, &s, 3, &cfg(), &FaultInjector::none()).unwrap();
         assert!(outcome.metrics.broadcast_bytes > 0);
         assert!(outcome.metrics.shuffle_bytes > 0);
         assert!(outcome.times.total() > std::time::Duration::ZERO);

@@ -22,6 +22,11 @@
 //! multi-hash-table join) and [`pgbj`] (Lu et al.'s pivot-partitioned
 //! exact kNN-join). [`pipeline`] exposes the end-to-end drivers with
 //! per-phase timing and the traffic accounting the figures plot.
+//!
+//! Every entry point is a `try_*` function that takes a
+//! [`ha_mapreduce::FaultInjector`] (pass `FaultInjector::none()` for no
+//! injected faults) and returns a typed [`ha_mapreduce::JobError`] when a
+//! task exhausts its attempts or storage loses data; none panics.
 
 pub mod batch_select;
 pub mod global_index;
@@ -33,16 +38,16 @@ pub mod pivot;
 pub mod pmh;
 pub mod preprocess;
 
-pub use batch_select::{mrha_batch_select, try_mrha_batch_select, BatchSelectOutcome};
+pub use batch_select::{try_mrha_batch_select, BatchSelectOutcome};
 pub use join::JoinOption;
-pub use knn_join::{mrha_knn_join, try_mrha_knn_join, KnnJoinOutcome};
-pub use pgbj::{pgbj_self_knn_join, try_pgbj_self_knn_join, PgbjConfig, PgbjOutcome};
+pub use knn_join::{try_mrha_knn_join, KnnJoinOutcome};
+pub use pgbj::{try_pgbj_self_knn_join, PgbjConfig, PgbjOutcome};
 pub use pipeline::{
-    mrha_hamming_join, mrha_hamming_join_on_dfs, mrha_self_join, try_mrha_hamming_join,
-    try_mrha_hamming_join_on_dfs, try_mrha_self_join, JoinOutcome, MrHaConfig, PhaseTimes,
+    try_mrha_hamming_join, try_mrha_hamming_join_on_dfs, try_mrha_self_join, JoinOutcome,
+    MrHaConfig, PhaseTimes,
 };
 pub use pivot::PivotPartitioner;
-pub use pmh::{pmh_hamming_join, try_pmh_hamming_join};
+pub use pmh::try_pmh_hamming_join;
 pub use preprocess::Preprocessed;
 
 use ha_core::TupleId;
@@ -56,14 +61,13 @@ pub type VecTuple = (Vec<f64>, TupleId);
 const FAULT_SEED: u64 = 0x4A_2015_EDB7;
 
 /// Standard [`JobConfig`] of every pipeline job: besides workers and
-/// reducers it opts into the runtime's fault-tolerance policy — one retry
-/// per task (Hadoop defaults to four; our in-process tasks only fail on
-/// panics, where a second identical attempt either recovers an injected
-/// fault or proves the failure deterministic) with a short seeded backoff.
+/// reducers it keeps [`JobConfig::named`]'s one retry per task (Hadoop
+/// defaults to four; our in-process tasks only fail on panics, where a
+/// second identical attempt either recovers an injected fault or proves
+/// the failure deterministic) and adds a short seeded backoff.
 pub(crate) fn job_config(name: &str, workers: usize, reducers: usize) -> JobConfig {
     JobConfig::named(name)
         .with_workers(workers)
         .with_reducers(reducers)
-        .with_max_attempts(2)
         .with_backoff(std::time::Duration::from_millis(2), FAULT_SEED)
 }

@@ -23,7 +23,7 @@
 use ha_core::TupleId;
 use ha_knn::exact::sq_euclidean;
 use ha_mapreduce::{
-    run_job_with_faults, DistributedCache, FaultInjector, JobError, JobMetrics, ShuffleBytes,
+    try_run_job, DistributedCache, FaultInjector, JobError, JobMetrics, ShuffleBytes,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,15 +75,8 @@ pub struct PgbjOutcome {
     pub replication_factor: f64,
 }
 
-/// Runs the PGBJ exact self-kNN-join, panicking on job failure (wrapper
-/// over [`try_pgbj_self_knn_join`]).
-pub fn pgbj_self_knn_join(data: &[VecTuple], cfg: &PgbjConfig) -> PgbjOutcome {
-    try_pgbj_self_knn_join(data, cfg, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// [`pgbj_self_knn_join`] under a fault injector, surfacing unrecoverable
-/// task or storage failures as a typed [`JobError`].
+/// Runs the PGBJ exact self-kNN-join under a fault injector, surfacing
+/// unrecoverable task or storage failures as a typed [`JobError`].
 pub fn try_pgbj_self_knn_join(
     data: &[VecTuple],
     cfg: &PgbjConfig,
@@ -112,7 +105,7 @@ pub fn try_pgbj_self_knn_join(
     let pivots_map = pivots_shared.clone();
     let pivots_red = pivots_shared.clone();
     let mut replicas = 0usize;
-    let result = run_job_with_faults(
+    let result = try_run_job(
         &config,
         data.to_vec(),
         // Map: emit the tuple to its home cell and every cell within the
@@ -220,7 +213,7 @@ mod tests {
             k: 5,
             ..PgbjConfig::default()
         };
-        let outcome = pgbj_self_knn_join(&data, &cfg);
+        let outcome = try_pgbj_self_knn_join(&data, &cfg, &FaultInjector::none()).unwrap();
         assert_eq!(outcome.neighbours.len(), 300, "one entry per tuple");
         // Compare against the oracle for a sample of tuples.
         for (id, neigh) in outcome.neighbours.iter().step_by(23) {
@@ -247,7 +240,7 @@ mod tests {
     #[test]
     fn replication_factor_above_one() {
         let data = dataset(200, 72);
-        let outcome = pgbj_self_knn_join(
+        let outcome = try_pgbj_self_knn_join(
             &data,
             &PgbjConfig {
                 num_pivots: 6,
@@ -255,7 +248,9 @@ mod tests {
                 k: 10,
                 ..PgbjConfig::default()
             },
-        );
+            &FaultInjector::none(),
+        )
+        .unwrap();
         assert!(outcome.replication_factor >= 1.0);
         assert!(outcome.theta > 0.0);
     }
@@ -264,7 +259,7 @@ mod tests {
     fn shuffle_cost_scales_with_dimension() {
         // The hallmark of PGBJ: shuffle ∝ n·d·8 × replication.
         let data = dataset(150, 73);
-        let outcome = pgbj_self_knn_join(
+        let outcome = try_pgbj_self_knn_join(
             &data,
             &PgbjConfig {
                 num_pivots: 4,
@@ -272,7 +267,9 @@ mod tests {
                 k: 3,
                 ..PgbjConfig::default()
             },
-        );
+            &FaultInjector::none(),
+        )
+        .unwrap();
         assert!(
             outcome.metrics.shuffle_bytes >= 150 * 8 * 8,
             "raw vectors must cross the shuffle"
@@ -291,7 +288,7 @@ mod tests {
     #[test]
     fn single_pivot_degenerates_to_central_scan() {
         let data = dataset(60, 74);
-        let outcome = pgbj_self_knn_join(
+        let outcome = try_pgbj_self_knn_join(
             &data,
             &PgbjConfig {
                 num_pivots: 1,
@@ -299,7 +296,9 @@ mod tests {
                 k: 3,
                 ..PgbjConfig::default()
             },
-        );
+            &FaultInjector::none(),
+        )
+        .unwrap();
         assert_eq!(outcome.neighbours.len(), 60);
         assert!((outcome.replication_factor - 1.0).abs() < 1e-9);
     }

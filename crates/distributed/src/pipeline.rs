@@ -87,12 +87,14 @@ pub struct JoinOutcome {
     pub option_used: JoinOption,
 }
 
-/// Runs the full 3-phase MRHA Hamming-join of R ⋈ S, panicking on job
-/// failure (wrapper over [`try_mrha_hamming_join`]).
+/// Runs the full 3-phase MRHA Hamming-join of R ⋈ S under a fault
+/// injector, surfacing unrecoverable failures as a typed [`JobError`].
+/// Every job of the pipeline consults the same injector.
 ///
 /// ```
 /// use ha_datagen::{generate, DatasetProfile};
-/// use ha_distributed::pipeline::{mrha_hamming_join, MrHaConfig};
+/// use ha_distributed::pipeline::{try_mrha_hamming_join, MrHaConfig};
+/// use ha_mapreduce::FaultInjector;
 ///
 /// let r: Vec<(Vec<f64>, u64)> = generate(&DatasetProfile::tiny(8, 3), 60, 1)
 ///     .into_iter().enumerate().map(|(i, v)| (v, i as u64)).collect();
@@ -100,19 +102,12 @@ pub struct JoinOutcome {
 ///     .into_iter().enumerate().map(|(i, v)| (v, 1000 + i as u64)).collect();
 ///
 /// let cfg = MrHaConfig { partitions: 2, workers: 2, ..MrHaConfig::default() };
-/// let outcome = mrha_hamming_join(&r, &s, &cfg);
+/// let outcome = try_mrha_hamming_join(&r, &s, &cfg, &FaultInjector::none())?;
 /// // Pairs are (r_id, s_id), sorted; shuffle traffic was measured.
 /// assert!(outcome.pairs.iter().all(|&(ri, si)| ri < 1000 && si >= 1000));
 /// assert!(outcome.metrics.shuffle_bytes > 0);
+/// # Ok::<(), ha_mapreduce::JobError>(())
 /// ```
-pub fn mrha_hamming_join(r: &[VecTuple], s: &[VecTuple], cfg: &MrHaConfig) -> JoinOutcome {
-    try_mrha_hamming_join(r, s, cfg, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// Runs the full 3-phase MRHA Hamming-join of R ⋈ S under a fault
-/// injector, surfacing unrecoverable failures as a typed [`JobError`].
-/// Every job of the pipeline consults the same injector.
 pub fn try_mrha_hamming_join(
     r: &[VecTuple],
     s: &[VecTuple],
@@ -192,19 +187,6 @@ pub fn try_mrha_hamming_join(
         times,
         option_used: option,
     })
-}
-
-/// The Figure 5 pipeline with the DFS in the loop, panicking on job or
-/// storage failure (wrapper over [`try_mrha_hamming_join_on_dfs`]).
-pub fn mrha_hamming_join_on_dfs(
-    dfs: &ha_mapreduce::InMemoryDfs,
-    r_path: &str,
-    s_path: &str,
-    out_path: &str,
-    cfg: &MrHaConfig,
-) -> JoinOutcome {
-    try_mrha_hamming_join_on_dfs(dfs, r_path, s_path, out_path, cfg, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
 }
 
 /// The Figure 5 pipeline with the DFS in the loop: inputs are read from
@@ -312,14 +294,8 @@ pub fn try_mrha_hamming_join_on_dfs(
     })
 }
 
-/// Self-join convenience: R ⋈ R with mirror pairs and self-matches
-/// removed (the §6.2 Self-Hamming-join workload).
-pub fn mrha_self_join(data: &[VecTuple], cfg: &MrHaConfig) -> JoinOutcome {
-    try_mrha_self_join(data, cfg, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// [`mrha_self_join`] under a fault injector.
+/// Self-join: R ⋈ R with mirror pairs and self-matches removed (the §6.2
+/// Self-Hamming-join workload), under a fault injector.
 pub fn try_mrha_self_join(
     data: &[VecTuple],
     cfg: &MrHaConfig,
@@ -362,7 +338,7 @@ mod tests {
             option: JoinOption::A,
             ..small_cfg()
         };
-        let outcome = mrha_hamming_join(&r, &s, &cfg);
+        let outcome = try_mrha_hamming_join(&r, &s, &cfg, &FaultInjector::none()).unwrap();
         assert_eq!(outcome.option_used, JoinOption::A);
         // Verify against a centralized join under the same learned hash:
         // re-run preprocessing with the same seed to get the same hasher.
@@ -383,13 +359,13 @@ mod tests {
             auto_option_b_threshold: 50,
             ..small_cfg()
         };
-        let outcome = mrha_hamming_join(&r, &s, &cfg);
+        let outcome = try_mrha_hamming_join(&r, &s, &cfg, &FaultInjector::none()).unwrap();
         assert_eq!(outcome.option_used, JoinOption::B, "|R|=60 > 50");
         let cfg2 = MrHaConfig {
             auto_option_b_threshold: 500,
             ..small_cfg()
         };
-        let outcome2 = mrha_hamming_join(&r, &s, &cfg2);
+        let outcome2 = try_mrha_hamming_join(&r, &s, &cfg2, &FaultInjector::none()).unwrap();
         assert_eq!(outcome2.option_used, JoinOption::A);
         assert_eq!(outcome.pairs, outcome2.pairs, "options agree");
     }
@@ -397,7 +373,7 @@ mod tests {
     #[test]
     fn self_join_is_ordered_and_irreflexive() {
         let d = dataset(100, 55, 0);
-        let outcome = mrha_self_join(&d, &small_cfg());
+        let outcome = try_mrha_self_join(&d, &small_cfg(), &FaultInjector::none()).unwrap();
         for (a, b) in &outcome.pairs {
             assert!(a < b);
         }
@@ -407,6 +383,7 @@ mod tests {
 
     #[test]
     fn dfs_pipeline_matches_in_memory_pipeline() {
+        use ha_mapreduce::dfs::DEFAULT_BLOCK_RECORDS;
         use ha_mapreduce::InMemoryDfs;
         // Same generator seed ⇒ overlapping distributions ⇒ non-empty join.
         let r = dataset(100, 58, 0);
@@ -423,10 +400,18 @@ mod tests {
                 ..small_cfg()
             };
             let dfs = InMemoryDfs::new();
-            dfs.put("in/r", r.clone());
-            dfs.put("in/s", s.clone());
-            let via_dfs = mrha_hamming_join_on_dfs(&dfs, "in/r", "in/s", "out/pairs", &cfg);
-            let in_memory = mrha_hamming_join(&r, &s, &cfg);
+            dfs.put_with_blocks("in/r", r.clone(), DEFAULT_BLOCK_RECORDS, 0);
+            dfs.put_with_blocks("in/s", s.clone(), DEFAULT_BLOCK_RECORDS, 0);
+            let via_dfs = try_mrha_hamming_join_on_dfs(
+                &dfs,
+                "in/r",
+                "in/s",
+                "out/pairs",
+                &cfg,
+                &FaultInjector::none(),
+            )
+            .unwrap();
+            let in_memory = try_mrha_hamming_join(&r, &s, &cfg, &FaultInjector::none()).unwrap();
             assert!(!in_memory.pairs.is_empty(), "workload must produce pairs");
             assert_eq!(via_dfs.pairs, in_memory.pairs, "keep_leaf_ids={keep_leaf_ids}");
             // The blob's length is the in-memory path's `to_bytes()` term.
@@ -446,7 +431,7 @@ mod tests {
     fn metrics_accumulate_across_phases() {
         let r = dataset(80, 56, 0);
         let s = dataset(80, 57, 1_000);
-        let outcome = mrha_hamming_join(&r, &s, &small_cfg());
+        let outcome = try_mrha_hamming_join(&r, &s, &small_cfg(), &FaultInjector::none()).unwrap();
         // At least two jobs contributed map tasks.
         assert!(outcome.metrics.map_tasks.len() >= 2);
         assert!(outcome.metrics.shuffle_bytes > 0);

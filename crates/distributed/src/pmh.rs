@@ -14,7 +14,7 @@
 
 use ha_core::select::hamming_join;
 use ha_core::{SegmentIndex, SegmentScheme, TupleId};
-use ha_mapreduce::{run_job_with_faults, DistributedCache, FaultInjector, JobError, ShuffleBytes};
+use ha_mapreduce::{try_run_job, DistributedCache, FaultInjector, JobError, ShuffleBytes};
 
 use crate::pipeline::{JoinOutcome, MrHaConfig, PhaseTimes};
 use crate::preprocess::preprocess;
@@ -22,20 +22,8 @@ use crate::JoinOption;
 use crate::VecTuple;
 
 /// Runs the PMH baseline join of R ⋈ S with `num_tables` hash tables
-/// (PMH-10 in the paper's figures), panicking on job failure (wrapper
-/// over [`try_pmh_hamming_join`]).
-pub fn pmh_hamming_join(
-    r: &[VecTuple],
-    s: &[VecTuple],
-    num_tables: usize,
-    cfg: &MrHaConfig,
-) -> JoinOutcome {
-    try_pmh_hamming_join(r, s, num_tables, cfg, &FaultInjector::none())
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// [`pmh_hamming_join`] under a fault injector, surfacing unrecoverable
-/// task or storage failures as a typed [`JobError`].
+/// (PMH-10 in the paper's figures) under a fault injector, surfacing
+/// unrecoverable task or storage failures as a typed [`JobError`].
 pub fn try_pmh_hamming_join(
     r: &[VecTuple],
     s: &[VecTuple],
@@ -64,7 +52,7 @@ pub fn try_pmh_hamming_join(
     let h = cfg.h;
     let code_len = cfg.code_len;
     let partitions = cfg.partitions as u64;
-    let result = run_job_with_faults(
+    let result = try_run_job(
         &config,
         s.to_vec(),
         // Map: route the raw S tuple to a server (no pivots — plain
@@ -115,7 +103,7 @@ pub fn try_pmh_hamming_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::mrha_hamming_join;
+    use crate::pipeline::try_mrha_hamming_join;
     use ha_datagen::{generate, DatasetProfile};
 
     fn dataset(n: usize, seed: u64, base: u64) -> Vec<VecTuple> {
@@ -159,8 +147,8 @@ mod tests {
         // is over a non-trivial result set.
         let (r, s) = overlapping(100, 120, 61);
         let c = cfg();
-        let pmh = pmh_hamming_join(&r, &s, 10, &c);
-        let mrha = mrha_hamming_join(&r, &s, &c);
+        let pmh = try_pmh_hamming_join(&r, &s, 10, &c, &FaultInjector::none()).unwrap();
+        let mrha = try_mrha_hamming_join(&r, &s, &c, &FaultInjector::none()).unwrap();
         assert!(
             pmh.pairs.len() >= 100,
             "workload must produce pairs (got {})",
@@ -178,8 +166,8 @@ mod tests {
         let r = dataset(300, 63, 0);
         let s = dataset(300, 64, 10_000);
         let c = cfg();
-        let pmh = pmh_hamming_join(&r, &s, 10, &c);
-        let mrha = mrha_hamming_join(&r, &s, &c);
+        let pmh = try_pmh_hamming_join(&r, &s, 10, &c, &FaultInjector::none()).unwrap();
+        let mrha = try_mrha_hamming_join(&r, &s, &c, &FaultInjector::none()).unwrap();
         // Even at this toy scale (300 tuples, 10-d) PMH moves a multiple
         // of MRHA's bytes; the gap widens with n and d (Figure 7).
         assert!(
@@ -194,7 +182,7 @@ mod tests {
     fn pmh_shuffles_raw_vectors() {
         let r = dataset(50, 65, 0);
         let s = dataset(80, 66, 1_000);
-        let pmh = pmh_hamming_join(&r, &s, 4, &cfg());
+        let pmh = try_pmh_hamming_join(&r, &s, 4, &cfg(), &FaultInjector::none()).unwrap();
         // Shuffle ≥ n·d·8 bytes (raw S vectors) — far beyond code bytes.
         assert!(pmh.metrics.shuffle_bytes >= 80 * 10 * 8);
     }

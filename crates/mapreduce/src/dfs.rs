@@ -18,9 +18,9 @@
 //!
 //! Failures are injected deterministically through a
 //! [`StorageFaultPlan`] (see [`crate::storage_fault`]) and unrecoverable
-//! ones surface as typed [`DfsError`]s through the `try_*` entry points;
-//! the panicking `get`/`splits` wrappers remain for callers that treat
-//! storage loss as fatal (the experiment harness).
+//! ones surface as typed [`DfsError`]s through the `try_*` entry points.
+//! The one panicking entry point is [`InMemoryDfs::put_with_blocks`],
+//! kept because the benchmark harness calls it.
 //!
 //! Replica choice is unobservable in results: replicas are byte-identical
 //! (same `Vec<T>` behind an `Arc`), so a degraded read returns exactly
@@ -40,7 +40,7 @@ use crate::checksum::{block_checksum, Checksum};
 use crate::metrics::DfsMetrics;
 use crate::storage_fault::{StorageFault, StorageFaultEvent, StorageFaultPlan};
 
-/// Default records per block.
+/// A block size, in records, for writers with no reason to pick another.
 pub const DEFAULT_BLOCK_RECORDS: usize = 4096;
 
 /// XOR mask applied to a replica's stored checksum when a corruption
@@ -307,26 +307,12 @@ impl InMemoryDfs {
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Writes with the default block size and no byte accounting.
-    pub fn put<T: Clone + Send + Sync + Checksum + 'static>(&self, path: &str, records: Vec<T>) {
-        self.put_with_blocks(path, records, DEFAULT_BLOCK_RECORDS, 0);
-    }
-
     /// Reads the whole file back as one vector.
     pub fn try_get<T: Clone + Send + Sync + Checksum + 'static>(
         &self,
         path: &str,
     ) -> Result<Vec<T>, DfsError> {
         Ok(self.try_splits::<T>(path)?.into_iter().flatten().collect())
-    }
-
-    /// Reads the whole file, panicking on any [`DfsError`].
-    ///
-    /// # Panics
-    /// If the file does not exist, was written with a different type, or
-    /// a block lost every healthy replica.
-    pub fn get<T: Clone + Send + Sync + Checksum + 'static>(&self, path: &str) -> Vec<T> {
-        self.try_get(path).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Reads the file as block splits — one `Vec<T>` per block, the unit
@@ -359,11 +345,6 @@ impl InMemoryDfs {
             out.push(self.read_block(&plan, path, b, block, &mut meta[b])?);
         }
         Ok(out)
-    }
-
-    /// Panicking wrapper over [`InMemoryDfs::try_splits`].
-    pub fn splits<T: Clone + Send + Sync + Checksum + 'static>(&self, path: &str) -> Vec<Vec<T>> {
-        self.try_splits(path).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// One block read: deliver scheduled faults, verify replicas in
@@ -557,8 +538,8 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let dfs = InMemoryDfs::new();
-        dfs.put("data/r", vec![1u32, 2, 3, 4, 5]);
-        assert_eq!(dfs.get::<u32>("data/r"), vec![1, 2, 3, 4, 5]);
+        dfs.put_with_blocks("data/r", vec![1u32, 2, 3, 4, 5], DEFAULT_BLOCK_RECORDS, 0);
+        assert_eq!(dfs.try_get::<u32>("data/r").unwrap(), vec![1, 2, 3, 4, 5]);
         assert_eq!(dfs.record_count("data/r"), 5);
         assert!(dfs.exists("data/r"));
         assert!(!dfs.exists("data/s"));
@@ -570,7 +551,7 @@ mod tests {
         let dfs = InMemoryDfs::new();
         dfs.put_with_blocks("f", (0..10u8).collect(), 4, 1);
         assert_eq!(dfs.block_count("f"), 3);
-        let splits = dfs.splits::<u8>("f");
+        let splits = dfs.try_splits::<u8>("f").unwrap();
         assert_eq!(splits[0], vec![0, 1, 2, 3]);
         assert_eq!(splits[2], vec![8, 9]);
         assert_eq!(dfs.bytes_written(), 10, "logical bytes, not x replication");
@@ -579,25 +560,17 @@ mod tests {
     #[test]
     fn empty_file_has_one_empty_block() {
         let dfs = InMemoryDfs::new();
-        dfs.put::<u64>("empty", vec![]);
+        dfs.put_with_blocks::<u64>("empty", vec![], DEFAULT_BLOCK_RECORDS, 0);
         assert_eq!(dfs.block_count("empty"), 1);
-        assert!(dfs.get::<u64>("empty").is_empty());
+        assert!(dfs.try_get::<u64>("empty").unwrap().is_empty());
     }
 
     #[test]
     fn overwrite_replaces() {
         let dfs = InMemoryDfs::new();
-        dfs.put("f", vec![1u8]);
-        dfs.put("f", vec![9u8, 9]);
-        assert_eq!(dfs.get::<u8>("f"), vec![9, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different record type")]
-    fn type_mismatch_panics() {
-        let dfs = InMemoryDfs::new();
-        dfs.put("f", vec![1u8]);
-        let _ = dfs.get::<u64>("f");
+        dfs.put_with_blocks("f", vec![1u8], DEFAULT_BLOCK_RECORDS, 0);
+        dfs.put_with_blocks("f", vec![9u8, 9], DEFAULT_BLOCK_RECORDS, 0);
+        assert_eq!(dfs.try_get::<u8>("f").unwrap(), vec![9, 9]);
     }
 
     #[test]
@@ -609,7 +582,7 @@ mod tests {
                 path: "nope".into()
             })
         );
-        dfs.put("f", vec![1u8]);
+        dfs.put_with_blocks("f", vec![1u8], DEFAULT_BLOCK_RECORDS, 0);
         assert_eq!(
             dfs.try_get::<u64>("f"),
             Err(DfsError::TypeMismatch { path: "f".into() })
@@ -651,7 +624,10 @@ mod tests {
         let victim = dfs.replica_nodes("f", 0)[0];
         dfs.install_fault_plan(StorageFaultPlan::new().corrupt(victim, "f", 0));
 
-        assert_eq!(dfs.get::<u32>("f"), (0..100).collect::<Vec<_>>());
+        assert_eq!(
+            dfs.try_get::<u32>("f").unwrap(),
+            (0..100).collect::<Vec<_>>()
+        );
         let m = dfs.metrics();
         assert_eq!(m.corrupt_blocks_detected, 1);
         assert_eq!(m.failovers, 1);
@@ -664,7 +640,10 @@ mod tests {
         );
 
         // The fault fired once; subsequent reads are clean.
-        assert_eq!(dfs.get::<u32>("f"), (0..100).collect::<Vec<_>>());
+        assert_eq!(
+            dfs.try_get::<u32>("f").unwrap(),
+            (0..100).collect::<Vec<_>>()
+        );
         assert_eq!(dfs.metrics().corrupt_blocks_detected, 1);
 
         let events = dfs.storage_faults_delivered();
@@ -676,10 +655,10 @@ mod tests {
     #[test]
     fn dead_node_triggers_failover_and_re_replication() {
         let dfs = InMemoryDfs::new();
-        dfs.put("f", vec![7u64; 10]);
+        dfs.put_with_blocks("f", vec![7u64; 10], DEFAULT_BLOCK_RECORDS, 0);
         let victim = dfs.replica_nodes("f", 0)[0];
         dfs.install_fault_plan(StorageFaultPlan::new().kill_node(victim));
-        assert_eq!(dfs.get::<u64>("f"), vec![7u64; 10]);
+        assert_eq!(dfs.try_get::<u64>("f").unwrap(), vec![7u64; 10]);
         let m = dfs.metrics();
         assert_eq!(m.failovers, 1);
         assert_eq!(m.re_replications, 1);
@@ -690,7 +669,7 @@ mod tests {
     #[test]
     fn all_replicas_on_dead_nodes_is_typed_loss() {
         let dfs = InMemoryDfs::new();
-        dfs.put("f", vec![1u8, 2, 3]);
+        dfs.put_with_blocks("f", vec![1u8, 2, 3], DEFAULT_BLOCK_RECORDS, 0);
         let mut plan = StorageFaultPlan::new();
         for node in 0..dfs.config().num_nodes {
             plan = plan.kill_node(node);
@@ -708,7 +687,7 @@ mod tests {
     #[test]
     fn all_replicas_corrupt_is_typed_checksum_mismatch() {
         let dfs = InMemoryDfs::new();
-        dfs.put("f", vec![1u8, 2, 3]);
+        dfs.put_with_blocks("f", vec![1u8, 2, 3], DEFAULT_BLOCK_RECORDS, 0);
         let mut plan = StorageFaultPlan::new();
         for node in dfs.replica_nodes("f", 0) {
             plan = plan.corrupt(node, "f", 0);
@@ -731,26 +710,26 @@ mod tests {
             StorageFaultPlan::new().corrupt_primaries_everywhere(),
         );
         dfs.put_with_blocks("f", (0..30u8).collect(), 10, 1);
-        dfs.put("g", vec![5u64; 4]);
-        assert_eq!(dfs.get::<u8>("f").len(), 30);
-        assert_eq!(dfs.get::<u64>("g"), vec![5u64; 4]);
+        dfs.put_with_blocks("g", vec![5u64; 4], DEFAULT_BLOCK_RECORDS, 0);
+        assert_eq!(dfs.try_get::<u8>("f").unwrap().len(), 30);
+        assert_eq!(dfs.try_get::<u64>("g").unwrap(), vec![5u64; 4]);
         let m = dfs.metrics();
         assert_eq!(m.corrupt_blocks_detected, 4, "3 blocks of f + 1 of g");
         assert_eq!(m.degraded_reads, 4);
         // Once per block: re-reading corrupts nothing new.
-        let _ = dfs.get::<u8>("f");
+        dfs.try_get::<u8>("f").unwrap();
         assert_eq!(dfs.metrics().corrupt_blocks_detected, 4);
     }
 
     #[test]
     fn delayed_read_is_logged_and_served() {
         let dfs = InMemoryDfs::new();
-        dfs.put("f", vec![1u32]);
+        dfs.put_with_blocks("f", vec![1u32], DEFAULT_BLOCK_RECORDS, 0);
         dfs.install_fault_plan(
             StorageFaultPlan::new().delay_read("f", 0, Duration::from_millis(5)),
         );
         let t0 = std::time::Instant::now();
-        assert_eq!(dfs.get::<u32>("f"), vec![1]);
+        assert_eq!(dfs.try_get::<u32>("f").unwrap(), vec![1]);
         assert!(t0.elapsed() >= Duration::from_millis(5));
         assert!(matches!(
             dfs.storage_faults_delivered()[0].fault,
@@ -765,16 +744,16 @@ mod tests {
             replication: 3,
             num_nodes: 1,
         });
-        dfs.put("f", vec![9u8]);
+        dfs.put_with_blocks("f", vec![9u8], DEFAULT_BLOCK_RECORDS, 0);
         assert_eq!(dfs.replica_nodes("f", 0), vec![0]);
-        assert_eq!(dfs.get::<u8>("f"), vec![9]);
+        assert_eq!(dfs.try_get::<u8>("f").unwrap(), vec![9]);
     }
 
     #[test]
     fn delete_and_list() {
         let dfs = InMemoryDfs::new();
-        dfs.put("b", vec![1u8]);
-        dfs.put("a", vec![2u8]);
+        dfs.put_with_blocks("b", vec![1u8], DEFAULT_BLOCK_RECORDS, 0);
+        dfs.put_with_blocks("a", vec![2u8], DEFAULT_BLOCK_RECORDS, 0);
         assert_eq!(dfs.list(), vec!["a".to_string(), "b".to_string()]);
         assert!(dfs.delete("a"));
         assert!(!dfs.delete("a"));
@@ -788,8 +767,13 @@ mod tests {
             for t in 0..8 {
                 let dfs = dfs.clone();
                 s.spawn(move || {
-                    dfs.put(&format!("f{t}"), vec![t as u32; 100]);
-                    assert_eq!(dfs.get::<u32>(&format!("f{t}")).len(), 100);
+                    dfs.put_with_blocks(
+                        &format!("f{t}"),
+                        vec![t as u32; 100],
+                        DEFAULT_BLOCK_RECORDS,
+                        0,
+                    );
+                    assert_eq!(dfs.try_get::<u32>(&format!("f{t}")).unwrap().len(), 100);
                 });
             }
         });

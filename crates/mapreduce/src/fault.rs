@@ -6,9 +6,9 @@
 //! failure reproducible: a [`FaultPlan`] maps `(task, attempt)` pairs to
 //! faults, and a [`FaultInjector`] hands those faults to the runner at the
 //! moment the chosen attempt starts. Because attempt numbers are assigned
-//! deterministically (0, 1, 2, … per task, speculative copies included),
+//! deterministically (0, 1, 2, … per task, one attempt after another),
 //! the same plan always hits the same execution points — every test of the
-//! retry/speculation machinery replays exactly.
+//! retry machinery replays exactly.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -63,8 +63,9 @@ pub enum Phase {
 pub enum Fault {
     /// The attempt panics (exercises the `catch_unwind` isolation path).
     Panic,
-    /// The attempt sleeps this long before doing its work (a straggler;
-    /// exercises the deadline/speculation path).
+    /// The attempt sleeps this long before doing its work: a straggler,
+    /// which must not change the job's output (it is not a failure and
+    /// consumes no attempt).
     Delay(Duration),
     /// The attempt reports a transient error without unwinding (a failed
     /// RPC, a lost intermediate file).

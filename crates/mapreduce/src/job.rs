@@ -1,11 +1,11 @@
-//! The job runner: typed map → shuffle → reduce over a thread pool, with
-//! Hadoop-style fault tolerance.
+//! The job runner: typed map → shuffle → reduce, one thread per task,
+//! with Hadoop-style fault tolerance.
 //!
 //! The execution mirrors Hadoop's architecture at the level the algorithms
 //! care about:
 //!
-//! * inputs are chunked into **splits**, one map task per split, executed
-//!   on a pool of worker threads;
+//! * inputs are chunked into [`JobConfig::num_workers`] **splits**, one
+//!   map task per split;
 //! * each map task **partitions its output locally** into one spill bucket
 //!   per reducer (Hadoop's map-side spill), measuring the serialized bytes
 //!   of every record via [`ShuffleBytes`] — that sum is the job's shuffle
@@ -16,26 +16,27 @@
 //!
 //! # Fault tolerance
 //!
-//! Every task runs under a per-task **supervisor**:
+//! Every task runs under a **supervisor** on a thread of its own:
 //!
-//! * a panicking attempt is **isolated** with `catch_unwind` — it fails
-//!   that attempt, never the whole job;
+//! * the supervisor runs the task's attempts one after another on that
+//!   thread, each under `catch_unwind` — a panicking attempt fails that
+//!   attempt, never the whole job;
 //! * failed attempts are **retried** up to [`JobConfig::max_attempts`]
 //!   times, with deterministic seeded exponential backoff between
 //!   attempts ([`JobConfig::with_backoff`]);
-//! * when an attempt exceeds the configured deadline
-//!   ([`JobConfig::with_speculation`]), a **speculative** duplicate is
-//!   launched and the first attempt to succeed wins — Hadoop's
-//!   speculative execution, for stragglers rather than failures;
 //! * a task whose attempts are exhausted fails the job with a typed
 //!   [`JobError`] instead of a panic.
+//!
+//! A task never has two attempts running at once: a straggling attempt
+//! (an injected [`Fault::Delay`], say) runs to completion, and nothing
+//! launches a duplicate beside it.
 //!
 //! # Determinism
 //!
 //! Mappers, partitioners, and reducers are required to be **pure**: their
 //! output must be a function of their input only. Under that contract
 //! every attempt of a task produces identical output, so which attempt
-//! wins (first, retried, or speculative) is unobservable in the results;
+//! succeeds (the first or a retry) is unobservable in the results;
 //! combined with sorted-key grouping and stable task ordering, a job's
 //! output is byte-identical for any worker count and any fault schedule
 //! that leaves every task at least one successful attempt. The test suite
@@ -46,17 +47,16 @@
 //!
 //! When [`ha_obs`] tracing is enabled the runner records a span tree per
 //! job — `mr.job` → `mr.map_phase`/`mr.shuffle`/`mr.reduce_phase`, with
-//! per-attempt `mr.map_task`/`mr.reduce_task` spans on the worker threads
-//! (parented across the thread boundary) wrapping the `mr.map`/`mr.spill`
-//! and `mr.sort`/`mr.reduce` sub-phases — plus typed events for every
-//! attempt launch, retry, speculative duplicate, and injected fault, and
+//! per-attempt `mr.map_task`/`mr.reduce_task` spans on the supervisor
+//! threads (parented across the thread boundary) wrapping the
+//! `mr.map`/`mr.spill` and `mr.sort`/`mr.reduce` sub-phases — plus typed
+//! events for every attempt launch, retry, and injected fault, and
 //! `mr.*` registry counters mirroring [`JobMetrics`]. With tracing off
 //! (the default) every hook is a single relaxed atomic load.
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -76,9 +76,6 @@ pub struct JobConfig {
     /// Failed attempts allowed per task before the job fails (Hadoop's
     /// `mapreduce.map.maxattempts`). `1` = fail fast, no retries.
     pub max_attempts: u32,
-    /// Deadline after which a straggling attempt gets a speculative
-    /// duplicate (Hadoop speculative execution). `None` disables it.
-    pub speculation_after: Option<Duration>,
     /// Base delay of the exponential retry backoff; `ZERO` retries
     /// immediately (the test-suite setting).
     pub backoff_base: Duration,
@@ -88,7 +85,7 @@ pub struct JobConfig {
 
 impl JobConfig {
     /// A config named `name` with parallelism matched to the host, one
-    /// retry per task, and no speculation.
+    /// retry per task, and no backoff.
     pub fn named(name: &str) -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -98,7 +95,6 @@ impl JobConfig {
             num_workers: workers,
             num_reducers: workers,
             max_attempts: 2,
-            speculation_after: None,
             backoff_base: Duration::ZERO,
             backoff_seed: 0xEDB7_2015,
         }
@@ -126,13 +122,6 @@ impl JobConfig {
         self
     }
 
-    /// Enables speculative execution: an attempt running longer than
-    /// `deadline` gets a duplicate launch, first success wins.
-    pub fn with_speculation(mut self, deadline: Duration) -> Self {
-        self.speculation_after = Some(deadline);
-        self
-    }
-
     /// Sets the retry backoff: exponential in `base` with deterministic
     /// jitter derived from `seed`, the task id, and the failure count.
     pub fn with_backoff(mut self, base: Duration, seed: u64) -> Self {
@@ -151,7 +140,7 @@ pub enum JobError {
     TaskFailed {
         /// The task that gave up.
         task: TaskId,
-        /// Attempts launched for it (failed + speculative).
+        /// Attempts launched for it (all of them failed).
         attempts: u32,
         /// Description of the final failure.
         message: String,
@@ -212,101 +201,12 @@ pub struct JobResult<O> {
     pub metrics: JobMetrics,
 }
 
-/// Runs a job with the default hash partitioner, panicking on failure.
-///
-/// Thin wrapper over [`try_run_job`] for callers that treat job failure
-/// as fatal (the experiment harness); services should prefer the `try_`
-/// form and handle [`JobError`].
-pub fn run_job<I, K, V, O, M, R>(
-    config: &JobConfig,
-    inputs: Vec<I>,
-    mapper: M,
-    reducer: R,
-) -> JobResult<O>
-where
-    I: Clone + Send + Sync,
-    K: Hash + Eq + Ord + Clone + Send + Sync + ShuffleBytes,
-    V: Clone + Send + Sync + ShuffleBytes,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-    R: Fn(&K, Vec<V>, &mut Vec<O>) + Sync,
-{
-    try_run_job(config, inputs, mapper, reducer).unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// Runs a job with the default hash partitioner.
-pub fn try_run_job<I, K, V, O, M, R>(
-    config: &JobConfig,
-    inputs: Vec<I>,
-    mapper: M,
-    reducer: R,
-) -> Result<JobResult<O>, JobError>
-where
-    I: Clone + Send + Sync,
-    K: Hash + Eq + Ord + Clone + Send + Sync + ShuffleBytes,
-    V: Clone + Send + Sync + ShuffleBytes,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-    R: Fn(&K, Vec<V>, &mut Vec<O>) + Sync,
-{
-    try_run_job_partitioned(config, inputs, mapper, hash_partition, reducer)
-}
-
 /// The default partitioner: deterministic hash of the key modulo the
 /// reducer count (Hadoop's `HashPartitioner`).
 pub fn hash_partition<K: Hash>(key: &K, reducers: usize) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() % reducers as u64) as usize
-}
-
-/// Runs a job with a custom partitioner, panicking on failure — the hook
-/// the Hamming-join uses for its pivot-based range partitioning (§5.1).
-pub fn run_job_partitioned<I, K, V, O, M, P, R>(
-    config: &JobConfig,
-    inputs: Vec<I>,
-    mapper: M,
-    partitioner: P,
-    reducer: R,
-) -> JobResult<O>
-where
-    I: Clone + Send + Sync,
-    K: Hash + Eq + Ord + Clone + Send + Sync + ShuffleBytes,
-    V: Clone + Send + Sync + ShuffleBytes,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-    P: Fn(&K, usize) -> usize + Sync,
-    R: Fn(&K, Vec<V>, &mut Vec<O>) + Sync,
-{
-    try_run_job_partitioned(config, inputs, mapper, partitioner, reducer)
-        .unwrap_or_else(|e| panic!("job failed: {e}"))
-}
-
-/// Runs a job with a custom partitioner.
-pub fn try_run_job_partitioned<I, K, V, O, M, P, R>(
-    config: &JobConfig,
-    inputs: Vec<I>,
-    mapper: M,
-    partitioner: P,
-    reducer: R,
-) -> Result<JobResult<O>, JobError>
-where
-    I: Clone + Send + Sync,
-    K: Hash + Eq + Ord + Clone + Send + Sync + ShuffleBytes,
-    V: Clone + Send + Sync + ShuffleBytes,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-    P: Fn(&K, usize) -> usize + Sync,
-    R: Fn(&K, Vec<V>, &mut Vec<O>) + Sync,
-{
-    run_job_with_faults(
-        config,
-        inputs,
-        mapper,
-        partitioner,
-        reducer,
-        &FaultInjector::none(),
-    )
 }
 
 /// One attempt's verdict, as seen by the supervisor.
@@ -317,45 +217,19 @@ enum AttemptError {
     Fatal(JobError),
 }
 
-/// Per-task recovery counters accumulated by the supervisor.
-struct AttemptStats {
-    attempts: u32,
-    failures: u32,
-    speculative: u32,
-}
-
-/// Retry/speculation knobs, extracted from [`JobConfig`].
-struct RetryPolicy {
-    max_attempts: u32,
-    speculation_after: Option<Duration>,
-    backoff_base: Duration,
-    backoff_seed: u64,
-}
-
-impl RetryPolicy {
-    fn of(config: &JobConfig) -> Self {
-        RetryPolicy {
-            max_attempts: config.max_attempts.max(1),
-            speculation_after: config.speculation_after,
-            backoff_base: config.backoff_base,
-            backoff_seed: config.backoff_seed,
-        }
+/// Deterministic backoff before retry number `failures`: exponential in
+/// the configured base, plus jitter that is a pure function of (seed,
+/// task, failure count) — reproducible, but decorrelated across tasks.
+fn backoff(config: &JobConfig, task: TaskId, failures: u32) -> Duration {
+    if config.backoff_base.is_zero() {
+        return Duration::ZERO;
     }
-
-    /// Deterministic backoff before retry number `failures`: exponential
-    /// in the base, plus jitter that is a pure function of (seed, task,
-    /// failure count) — reproducible, but decorrelated across tasks.
-    fn backoff(&self, task: TaskId, failures: u32) -> Duration {
-        if self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = (failures.saturating_sub(1)).min(6);
-        let base = self.backoff_base * 2u32.pow(exp);
-        let mut h = DefaultHasher::new();
-        (self.backoff_seed, task, failures).hash(&mut h);
-        let jitter = h.finish() % (self.backoff_base.as_nanos().max(1) as u64);
-        base + Duration::from_nanos(jitter)
-    }
+    let exp = (failures.saturating_sub(1)).min(6);
+    let base = config.backoff_base * 2u32.pow(exp);
+    let mut h = DefaultHasher::new();
+    (config.backoff_seed, task, failures).hash(&mut h);
+    let jitter = h.finish() % (config.backoff_base.as_nanos().max(1) as u64);
+    base + Duration::from_nanos(jitter)
 }
 
 /// Renders a panic payload into a failure message.
@@ -369,102 +243,73 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Supervises one task: launches attempts on `scope`, retries transient
-/// failures with backoff, launches one speculative duplicate past the
-/// deadline, and returns the first successful payload with its recovery
-/// counters — or the typed error that ends the job.
-///
-/// Attempts report through a channel; each spawned attempt is wrapped in
-/// `catch_unwind`, so a panicking attempt becomes a `Transient` failure
-/// and the supervisor (and the job) keep running. Losing attempts (the
-/// straggler a speculative copy beat, or duplicates of an already-failed
-/// task) finish on their own and their results are discarded — safe
-/// because attempts are pure.
-fn supervise<'scope, T, F>(
-    scope: &'scope thread::Scope<'scope, '_>,
-    policy: &RetryPolicy,
+/// Supervises one task on the calling thread: runs attempt 0, 1, … in
+/// turn, each under `catch_unwind` so a panicking attempt becomes a
+/// `Transient` failure, retries transient failures with backoff, and
+/// returns the first successful payload with the number of failed
+/// attempts before it — or the typed error that ends the job.
+fn supervise<T>(
+    config: &JobConfig,
     task: TaskId,
-    attempt_fn: &'scope F,
-) -> Result<(T, AttemptStats), JobError>
-where
-    T: Send + 'scope,
-    F: Fn(u32) -> Result<T, AttemptError> + Sync,
-{
-    let (tx, rx) = mpsc::channel::<Result<T, AttemptError>>();
-    let launch = |attempt: u32| {
+    attempt_fn: impl Fn(u32) -> Result<T, AttemptError>,
+) -> Result<(T, u32), JobError> {
+    let max_attempts = config.max_attempts.max(1);
+    let mut failures = 0;
+    loop {
+        let attempt = failures;
         ha_obs::emit(|| ha_obs::Event::TaskAttempt {
             task: task.to_string(),
             attempt,
         });
-        let tx = tx.clone();
-        scope.spawn(move || {
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| attempt_fn(attempt)))
-                .unwrap_or_else(|payload| Err(AttemptError::Transient(panic_message(payload))));
-            // The supervisor may have returned already (we lost a
-            // speculative race); a closed channel is fine.
-            let _ = tx.send(outcome);
-        });
-    };
-
-    let mut stats = AttemptStats {
-        attempts: 1,
-        failures: 0,
-        speculative: 0,
-    };
-    launch(0);
-    loop {
-        let outcome = match policy.speculation_after {
-            // One speculative duplicate per task: if nothing has reported
-            // by the deadline, assume a straggler and double up.
-            Some(deadline) if stats.speculative == 0 => match rx.recv_timeout(deadline) {
-                Ok(outcome) => outcome,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    ha_obs::emit(|| ha_obs::Event::TaskSpeculation {
-                        task: task.to_string(),
-                    });
-                    launch(stats.attempts);
-                    stats.attempts += 1;
-                    stats.speculative += 1;
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("supervisor holds a live sender")
-                }
-            },
-            _ => rx
-                .recv()
-                .expect("supervisor holds a live sender; attempts always report"),
-        };
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| attempt_fn(attempt)))
+            .unwrap_or_else(|payload| Err(AttemptError::Transient(panic_message(payload))));
         match outcome {
-            Ok(payload) => return Ok((payload, stats)),
+            Ok(payload) => return Ok((payload, failures)),
             Err(AttemptError::Fatal(err)) => return Err(err),
             Err(AttemptError::Transient(message)) => {
-                stats.failures += 1;
-                if stats.failures >= policy.max_attempts {
+                failures += 1;
+                if failures >= max_attempts {
                     return Err(JobError::TaskFailed {
                         task,
-                        attempts: stats.attempts,
+                        attempts: failures,
                         message,
                     });
                 }
                 ha_obs::emit(|| ha_obs::Event::TaskRetry {
                     task: task.to_string(),
-                    failures: stats.failures,
+                    failures,
                     message: message.clone(),
                 });
-                thread::sleep(policy.backoff(task, stats.failures));
-                launch(stats.attempts);
-                stats.attempts += 1;
+                thread::sleep(backoff(config, task, failures));
             }
         }
     }
 }
 
+/// Runs the `tasks` tasks of one phase, each supervised on a thread of
+/// its own, and returns their outcomes in task order.
+fn run_phase<T: Send>(
+    config: &JobConfig,
+    tasks: usize,
+    task_id: fn(usize) -> TaskId,
+    attempt_fn: &(impl Fn(usize, u32) -> Result<T, AttemptError> + Sync),
+) -> Vec<Result<(T, u32), JobError>> {
+    thread::scope(|scope| {
+        let supervisors: Vec<_> = (0..tasks)
+            .map(|i| scope.spawn(move || supervise(config, task_id(i), |a| attempt_fn(i, a))))
+            .collect();
+        supervisors
+            .into_iter()
+            .map(|h| h.join().expect("task supervisors never panic"))
+            .collect()
+    })
+}
+
 /// Applies any injected fault for `(task, attempt)`, then runs the
-/// attempt body. Injected panics unwind (the caller's `catch_unwind`
+/// attempt body. Injected panics unwind (the supervisor's `catch_unwind`
 /// turns them into transient failures, same as a user-code panic);
-/// injected delays stretch the attempt (to trip the speculation
-/// deadline); injected transient errors fail without unwinding.
+/// injected delays stretch the attempt (a straggler, which must not
+/// change the output); injected transient errors fail without unwinding.
 fn run_attempt<T>(
     faults: &FaultInjector,
     task: TaskId,
@@ -490,10 +335,12 @@ fn run_attempt<T>(
     body()
 }
 
-/// Runs a job with a custom partitioner and a fault injector — the full
-/// engine under all other entry points. With [`FaultInjector::none`]
-/// (what `try_run_job*` pass) the injector is a no-op lookup per attempt.
-pub fn run_job_with_faults<I, K, V, O, M, P, R>(
+/// Runs a job: `mapper` over `inputs`, records routed by `partitioner`
+/// (pass [`hash_partition`] for Hadoop's default; the Hamming-join passes
+/// its pivot-based range partitioner, §5.1), then `reducer` per key in
+/// sorted key order. `faults` injects deterministic task failures; pass
+/// [`FaultInjector::none`] for none (a no-op lookup per attempt).
+pub fn try_run_job<I, K, V, O, M, P, R>(
     config: &JobConfig,
     inputs: Vec<I>,
     mapper: M,
@@ -513,12 +360,11 @@ where
     let job_start = Instant::now();
     let reducers = config.num_reducers.max(1);
     let workers = config.num_workers.max(1);
-    let policy = RetryPolicy::of(config);
     let _job_span = ha_obs::span_labeled("mr.job", || config.name.clone());
 
     // ---- Map phase: one supervised task per split, spilled into
     // per-reducer buckets. Splits are owned outside the thread scope so
-    // retried and speculative attempts can re-read their input.
+    // retried attempts can re-read their input.
     struct MapPayload<K, V> {
         buckets: Vec<Vec<(K, V)>>,
         metrics: TaskMetrics,
@@ -583,25 +429,7 @@ where
             })
         })
     };
-    let map_tasks: Vec<_> = (0..splits.len())
-        .map(|i| move |attempt: u32| map_attempt(i, attempt))
-        .collect();
-
-    let map_outcomes: Vec<Result<(MapPayload<K, V>, AttemptStats), JobError>> =
-        thread::scope(|scope| {
-            let policy = &policy;
-            let supervisors: Vec<_> = map_tasks
-                .iter()
-                .enumerate()
-                .map(|(i, attempt_fn)| {
-                    scope.spawn(move || supervise(scope, policy, TaskId::map(i), attempt_fn))
-                })
-                .collect();
-            supervisors
-                .into_iter()
-                .map(|h| h.join().expect("task supervisors never panic"))
-                .collect()
-        });
+    let map_outcomes = run_phase(config, splits.len(), TaskId::map, &map_attempt);
 
     let mut metrics = JobMetrics {
         job_name: config.name.clone(),
@@ -612,13 +440,13 @@ where
     // Errors surface in task order, so the reported failure is
     // deterministic even when several tasks fail concurrently.
     for outcome in map_outcomes {
-        let (payload, stats) = outcome?;
+        let (payload, failures) = outcome?;
         shuffle_bytes += payload.bytes;
-        let mut task_metrics = payload.metrics;
-        task_metrics.attempts = stats.attempts;
-        task_metrics.failures = stats.failures;
-        task_metrics.speculative = stats.speculative;
-        metrics.map_tasks.push(task_metrics);
+        metrics.map_tasks.push(TaskMetrics {
+            attempts: failures + 1,
+            failures,
+            ..payload.metrics
+        });
         all_buckets.push(payload.buckets);
     }
     metrics.shuffle_bytes = shuffle_bytes;
@@ -639,7 +467,7 @@ where
     // ---- Reduce phase: each reducer merges its bucket column from every
     // map task, groups in sorted key order, and reduces. The columns are
     // owned outside the scope; attempts clone records while grouping so a
-    // retry (or a speculative twin) can always start from pristine input.
+    // retry can always start from pristine input.
 
     struct ReducePayload<O> {
         outputs: Vec<O>,
@@ -687,34 +515,16 @@ where
             })
         })
     };
-    let reduce_tasks: Vec<_> = (0..reducers)
-        .map(|i| move |attempt: u32| reduce_attempt(i, attempt))
-        .collect();
-
-    let reduce_outcomes: Vec<Result<(ReducePayload<O>, AttemptStats), JobError>> =
-        thread::scope(|scope| {
-            let policy = &policy;
-            let supervisors: Vec<_> = reduce_tasks
-                .iter()
-                .enumerate()
-                .map(|(i, attempt_fn)| {
-                    scope.spawn(move || supervise(scope, policy, TaskId::reduce(i), attempt_fn))
-                })
-                .collect();
-            supervisors
-                .into_iter()
-                .map(|h| h.join().expect("task supervisors never panic"))
-                .collect()
-        });
+    let reduce_outcomes = run_phase(config, reducers, TaskId::reduce, &reduce_attempt);
 
     let mut outputs = Vec::new();
     for outcome in reduce_outcomes {
-        let (payload, stats) = outcome?;
-        let mut task_metrics = payload.metrics;
-        task_metrics.attempts = stats.attempts;
-        task_metrics.failures = stats.failures;
-        task_metrics.speculative = stats.speculative;
-        metrics.reduce_tasks.push(task_metrics);
+        let (payload, failures) = outcome?;
+        metrics.reduce_tasks.push(TaskMetrics {
+            attempts: failures + 1,
+            failures,
+            ..payload.metrics
+        });
         outputs.extend(payload.outputs);
     }
     drop(reduce_phase_span);
@@ -733,10 +543,6 @@ where
         );
         ha_obs::add("mr.task_attempts", u64::from(metrics.total_attempts()));
         ha_obs::add("mr.task_failures", u64::from(metrics.total_failures()));
-        ha_obs::add(
-            "mr.task_speculative",
-            u64::from(metrics.speculative_launches()),
-        );
         for t in &metrics.map_tasks {
             ha_obs::observe("mr.map_task_ns", t.duration);
         }
@@ -780,7 +586,7 @@ mod tests {
             "the lazy dog".into(),
             "the quick dog".into(),
         ];
-        let result = run_job(
+        let result = try_run_job(
             &cfg(),
             docs,
             |doc, emit| {
@@ -788,8 +594,11 @@ mod tests {
                     emit(w.to_string(), 1u64);
                 }
             },
+            hash_partition,
             |w, counts, out| out.push((w.clone(), counts.len() as u64)),
-        );
+            &FaultInjector::none(),
+        )
+        .expect("job runs");
         let mut got = result.outputs;
         got.sort();
         assert_eq!(
@@ -809,12 +618,15 @@ mod tests {
     fn deterministic_across_runs_and_worker_counts() {
         let inputs: Vec<u64> = (0..1000).collect();
         let run = |workers: usize| {
-            run_job(
+            try_run_job(
                 &JobConfig::named("det").with_workers(workers).with_reducers(5),
                 inputs.clone(),
                 |x, emit| emit(x % 17, x),
+                hash_partition,
                 |k, vs, out| out.push((*k, vs.iter().sum::<u64>())),
+                &FaultInjector::none(),
             )
+            .expect("job runs")
             .outputs
         };
         let a = run(1);
@@ -831,12 +643,15 @@ mod tests {
     #[test]
     fn shuffle_bytes_accounted() {
         let inputs: Vec<u64> = (0..100).collect();
-        let result = run_job(
+        let result = try_run_job(
             &cfg(),
             inputs,
             |x, emit| emit(x, x * 2), // (u64, u64) = 16 bytes each
+            hash_partition,
             |_, vs, out: &mut Vec<u64>| out.extend(vs),
-        );
+            &FaultInjector::none(),
+        )
+        .expect("job runs");
         assert_eq!(result.metrics.shuffle_bytes, 100 * 16);
         assert_eq!(result.metrics.reduce_input_records(), 100);
     }
@@ -844,13 +659,15 @@ mod tests {
     #[test]
     fn custom_partitioner_controls_placement() {
         let inputs: Vec<u32> = (0..90).collect();
-        let result = run_job_partitioned(
+        let result = try_run_job(
             &cfg(),
             inputs,
             |x, emit| emit(x, ()),
             |&k, n| (k as usize / 30).min(n - 1), // range partitioning
             |k, _, out| out.push(*k),
-        );
+            &FaultInjector::none(),
+        )
+        .expect("job runs");
         // Reduce task record counts: 30 each — perfectly balanced.
         let counts: Vec<usize> = result
             .metrics
@@ -865,24 +682,29 @@ mod tests {
     #[test]
     fn skew_shows_up_in_metrics() {
         let inputs: Vec<u32> = (0..300).collect();
-        let result = run_job_partitioned(
+        let result = try_run_job(
             &cfg(),
             inputs,
             |x, emit| emit(x, ()),
             |&k, _| usize::from(k >= 280), // 280 vs 20: heavy skew
             |k, _, out| out.push(*k),
-        );
+            &FaultInjector::none(),
+        )
+        .expect("job runs");
         assert!(result.metrics.reduce_skew() > 1.5);
     }
 
     #[test]
     fn empty_input_produces_empty_result() {
-        let result = run_job(
+        let result = try_run_job(
             &cfg(),
             Vec::<u64>::new(),
             |x, emit| emit(x, x),
+            hash_partition,
             |_, vs, out: &mut Vec<u64>| out.extend(vs),
-        );
+            &FaultInjector::none(),
+        )
+        .expect("job runs");
         assert!(result.outputs.is_empty());
         assert_eq!(result.metrics.shuffle_bytes, 0);
     }
@@ -890,15 +712,18 @@ mod tests {
     #[test]
     fn reducer_sees_all_values_of_a_key_together() {
         let inputs: Vec<u64> = (0..50).collect();
-        let result = run_job(
+        let result = try_run_job(
             &cfg(),
             inputs,
             |x, emit| emit((), x),
+            hash_partition,
             |_, vs, out| {
                 assert_eq!(vs.len(), 50, "single key gathers everything");
                 out.push(vs.iter().sum::<u64>());
             },
-        );
+            &FaultInjector::none(),
+        )
+        .expect("job runs");
         assert_eq!(result.outputs, vec![(0..50).sum::<u64>()]);
     }
 
@@ -914,12 +739,13 @@ mod tests {
 
     #[test]
     fn partitioner_out_of_range_is_a_typed_error() {
-        let err = try_run_job_partitioned(
+        let err = try_run_job(
             &JobConfig::named("oob").with_workers(1).with_reducers(2),
             vec![1u64],
             |x, emit| emit(x, x),
             |_, n| n + 5, // out of range
             |_, vs, out: &mut Vec<u64>| out.extend(vs),
+            &FaultInjector::none(),
         )
         .unwrap_err();
         assert_eq!(
@@ -937,7 +763,7 @@ mod tests {
     fn out_of_range_partitioner_is_fatal_despite_retry_budget() {
         // Deterministic failure: retries must NOT be burned on it.
         let injector = FaultInjector::none();
-        let err = run_job_with_faults(
+        let err = try_run_job(
             &JobConfig::named("oob").with_workers(1).with_reducers(2).with_max_attempts(5),
             vec![1u64],
             |x, emit| emit(x, x),
@@ -963,7 +789,9 @@ mod tests {
                 }
                 emit(x, x);
             },
+            hash_partition,
             |_, vs, out: &mut Vec<u64>| out.extend(vs),
+            &FaultInjector::none(),
         )
         .unwrap_err();
         match err {
@@ -989,7 +817,9 @@ mod tests {
                 .with_max_attempts(1),
             vec![1u64, 2, 3],
             |x, emit| emit(x, x),
+            hash_partition,
             |_, _, _: &mut Vec<u64>| panic!("injected reducer failure"),
+            &FaultInjector::none(),
         )
         .unwrap_err();
         match err {
@@ -1002,26 +832,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_run_job_panics_with_job_error_message() {
-        let result = std::panic::catch_unwind(|| {
-            run_job(
-                &JobConfig::named("legacy")
-                    .with_workers(1)
-                    .with_reducers(1)
-                    .with_max_attempts(1),
-                vec![1u64],
-                |_, _: &mut dyn FnMut(u64, u64)| panic!("die"),
-                |_, vs, out: &mut Vec<u64>| out.extend(vs),
-            )
-        });
-        let message = panic_message(result.unwrap_err());
-        assert!(message.starts_with("job failed:"), "{message}");
-    }
-
-    #[test]
     fn panicking_task_recovers_with_one_retry() {
         let injector = FaultInjector::new(FaultPlan::new().panic_on(TaskId::map(0), 0));
-        let result = run_job_with_faults(
+        let result = try_run_job(
             &JobConfig::named("retry").with_workers(2).with_reducers(2),
             (0..100u64).collect(),
             |x, emit| emit(x % 7, x),
@@ -1050,7 +863,7 @@ mod tests {
             .transient(TaskId::map(0), 1)
             .panic_on(TaskId::map(0), 2);
         let injector = FaultInjector::new(plan);
-        let err = run_job_with_faults(
+        let err = try_run_job(
             &JobConfig::named("exhaust")
                 .with_workers(1)
                 .with_reducers(1)
@@ -1076,30 +889,53 @@ mod tests {
     }
 
     #[test]
+    fn a_task_runs_all_its_attempts_on_one_thread() {
+        let threads = std::sync::Mutex::new(Vec::new());
+        let result = try_run_job(
+            &JobConfig::named("inline")
+                .with_workers(1)
+                .with_reducers(1)
+                .with_max_attempts(3),
+            vec![1u64],
+            |x, emit| {
+                let mut seen = threads.lock().unwrap();
+                seen.push(thread::current().id());
+                if seen.len() < 3 {
+                    drop(seen);
+                    panic!("mapper attempt fails");
+                }
+                emit(x, x);
+            },
+            hash_partition,
+            |_, vs, out: &mut Vec<u64>| out.extend(vs),
+            &FaultInjector::none(),
+        )
+        .expect("the third attempt succeeds");
+        assert_eq!(result.outputs, vec![1]);
+        assert_eq!(result.metrics.map_tasks[0].attempts, 3);
+        let seen = threads.into_inner().unwrap();
+        assert_eq!(seen.len(), 3);
+        assert!(seen.iter().all(|&t| t == seen[0]), "{seen:?}");
+        assert_ne!(seen[0], thread::current().id(), "tasks run off the caller");
+    }
+
+    #[test]
     fn backoff_is_deterministic_and_grows() {
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            speculation_after: None,
-            backoff_base: Duration::from_millis(10),
-            backoff_seed: 7,
-        };
+        let config = JobConfig::named("backoff").with_backoff(Duration::from_millis(10), 7);
         let t = TaskId::map(3);
-        let d1 = policy.backoff(t, 1);
-        let d2 = policy.backoff(t, 2);
-        let d3 = policy.backoff(t, 3);
-        assert_eq!(d1, policy.backoff(t, 1), "same inputs, same delay");
+        let d1 = backoff(&config, t, 1);
+        let d2 = backoff(&config, t, 2);
+        let d3 = backoff(&config, t, 3);
+        assert_eq!(d1, backoff(&config, t, 1), "same inputs, same delay");
         assert!(d2 >= Duration::from_millis(20) && d2 < Duration::from_millis(30));
         assert!(d3 >= Duration::from_millis(40) && d3 < Duration::from_millis(50));
         assert!(d1 < d2 && d2 < d3);
         assert_ne!(
-            policy.backoff(TaskId::map(0), 1),
-            policy.backoff(TaskId::map(1), 1),
+            backoff(&config, TaskId::map(0), 1),
+            backoff(&config, TaskId::map(1), 1),
             "jitter decorrelates tasks"
         );
-        let zero = RetryPolicy {
-            backoff_base: Duration::ZERO,
-            ..policy
-        };
-        assert_eq!(zero.backoff(t, 3), Duration::ZERO);
+        let zero = config.with_backoff(Duration::ZERO, 7);
+        assert_eq!(backoff(&zero, t, 3), Duration::ZERO);
     }
 }

@@ -5,8 +5,8 @@
 //! faithful, deterministic, multi-threaded MapReduce execution engine with
 //! the three properties the algorithms actually rely on —
 //!
-//! 1. **map → shuffle → reduce semantics** with pluggable partitioners and
-//!    optional combiners ([`job`]);
+//! 1. **map → shuffle → reduce semantics** with pluggable partitioners
+//!    ([`job`]);
 //! 2. a **distributed cache** for broadcasting side data (pivots, hash
 //!    functions, the global HA-Index) to every worker, with the broadcast
 //!    volume charged to the job's shuffle accounting ([`cache`]);
@@ -31,27 +31,26 @@
 //! Hadoop's premise — and the paper's (§5: "the slowest mapper or reducer
 //! determines the job running time") — is that tasks fail and straggle.
 //! The runner therefore executes every task under a supervisor that
-//! isolates panics with `catch_unwind`, retries failed attempts up to
-//! [`JobConfig::max_attempts`] with deterministic seeded backoff, launches
-//! a speculative duplicate for attempts that outlive the
-//! [`JobConfig::with_speculation`] deadline (first success wins), and
-//! surfaces exhausted tasks as a typed [`JobError`] via the `try_run_*`
-//! entry points instead of panicking. Because mappers, partitioners, and
-//! reducers are required to be pure, every attempt of a task produces
-//! identical output and recovery is invisible in the results: outputs are
-//! byte-identical for any worker count and any fault schedule that leaves
-//! each task one successful attempt. The [`fault`] module provides the
-//! deterministic [`FaultPlan`]/[`FaultInjector`] machinery the chaos tests
-//! use to prove exactly that, and [`TaskMetrics`] reports what recovery
-//! cost (attempts, failures, speculative launches) next to the shuffle
-//! accounting.
+//! runs its attempts one after another, each under `catch_unwind`,
+//! retries failed attempts up to [`JobConfig::max_attempts`] with
+//! deterministic seeded backoff, and surfaces exhausted tasks as a typed
+//! [`JobError`] from [`try_run_job`], the one job runner, instead of
+//! panicking. Because mappers, partitioners, and reducers are required
+//! to be pure, every attempt of a task produces identical output and
+//! recovery is invisible in the results: outputs are byte-identical for
+//! any worker count and any fault schedule that leaves each task one
+//! successful attempt. The [`fault`] module provides the deterministic
+//! [`FaultPlan`]/[`FaultInjector`] machinery the chaos tests use to prove
+//! exactly that, and [`TaskMetrics`] reports what recovery cost (attempts
+//! and failures) next to the shuffle accounting. A straggling attempt runs
+//! to completion; nothing launches a duplicate beside it.
 //!
 //! ```
-//! use ha_mapreduce::{run_job, JobConfig};
+//! use ha_mapreduce::{hash_partition, try_run_job, FaultInjector, JobConfig};
 //!
 //! // Word count, the obligatory example.
 //! let docs = vec!["a b a".to_string(), "b b c".to_string()];
-//! let result = run_job(
+//! let result = try_run_job(
 //!     &JobConfig::named("wordcount"),
 //!     docs,
 //!     |doc, emit| {
@@ -59,12 +58,15 @@
 //!             emit(w.to_string(), 1u64);
 //!         }
 //!     },
+//!     hash_partition,
 //!     |word, counts, out| out.push((word.clone(), counts.iter().sum::<u64>())),
-//! );
+//!     &FaultInjector::none(),
+//! )?;
 //! let mut counts = result.outputs;
 //! counts.sort();
 //! assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 3), ("c".into(), 1)]);
 //! assert!(result.metrics.shuffle_bytes > 0);
+//! # Ok::<(), ha_mapreduce::JobError>(())
 //! ```
 
 pub mod cache;
@@ -81,10 +83,7 @@ pub use cache::DistributedCache;
 pub use checksum::{BlockHasher, Checksum};
 pub use dfs::{DfsConfig, DfsError, InMemoryDfs};
 pub use fault::{Fault, FaultInjector, FaultPlan, Phase, TaskId};
-pub use job::{
-    hash_partition, run_job, run_job_partitioned, run_job_with_faults, try_run_job,
-    try_run_job_partitioned, JobConfig, JobError, JobResult,
-};
+pub use job::{hash_partition, try_run_job, JobConfig, JobError, JobResult};
 pub use metrics::{DfsMetrics, JobMetrics, TaskMetrics};
 pub use shuffle::ShuffleBytes;
 pub use storage_fault::{StorageFault, StorageFaultEvent, StorageFaultPlan};

@@ -9,9 +9,8 @@ use std::time::Duration;
 
 /// Timing and volume of one map or reduce task.
 ///
-/// `duration`, `records_in`, and `records_out` describe the *winning*
-/// attempt; `attempts`, `failures`, and `speculative` describe what it
-/// cost to get there (the fault-tolerance counters of PR 1).
+/// `duration`, `records_in`, and `records_out` describe the successful
+/// attempt; `attempts` and `failures` describe what it cost to get there.
 #[derive(Clone, Debug, Default)]
 pub struct TaskMetrics {
     /// Wall-clock time the successful attempt ran for.
@@ -20,15 +19,12 @@ pub struct TaskMetrics {
     pub records_in: usize,
     /// Records produced.
     pub records_out: usize,
-    /// Attempts launched for this task (≥ 1; failed and speculative
-    /// attempts included).
+    /// Attempts launched for this task (≥ 1; failed attempts included).
     pub attempts: u32,
     /// Attempts that failed (panicked or hit a transient error). In a
     /// completed job every counted failure was retried, so this is also
     /// the task's retry count.
     pub failures: u32,
-    /// Speculative (deadline-triggered) duplicate launches.
-    pub speculative: u32,
 }
 
 /// Aggregated metrics of one MapReduce job.
@@ -73,7 +69,7 @@ impl JobMetrics {
     }
 
     /// Attempts launched across all tasks (≥ the task count; the excess
-    /// is recovery plus speculation cost).
+    /// is recovery cost).
     pub fn total_attempts(&self) -> u32 {
         self.all_tasks().map(|t| t.attempts).sum()
     }
@@ -99,13 +95,8 @@ impl JobMetrics {
         self.total_failures()
     }
 
-    /// Speculative duplicate launches across both phases.
-    pub fn speculative_launches(&self) -> u32 {
-        self.all_tasks().map(|t| t.speculative).sum()
-    }
-
     /// Recovery overhead factor: attempts per task (1.0 = no task ever
-    /// failed or straggled — the fault-tolerance analogue of
+    /// failed — the fault-tolerance analogue of
     /// [`JobMetrics::reduce_skew`]). Returns 1.0 with no tasks.
     pub fn attempt_overhead(&self) -> f64 {
         let tasks = self.map_tasks.len() + self.reduce_tasks.len();
@@ -133,7 +124,7 @@ impl JobMetrics {
 
 /// Snapshot of the DFS storage-recovery counters — what it cost the
 /// replicated store to keep serving reads (the storage analogue of the
-/// attempts/failures/speculative counters on [`TaskMetrics`]). Reported
+/// attempts/failures counters on [`TaskMetrics`]). Reported
 /// next to the shuffle accounting in the fig7/fig9 experiment output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DfsMetrics {
@@ -234,7 +225,6 @@ mod tests {
             reduce_tasks: vec![TaskMetrics {
                 attempts: 3,
                 failures: 1,
-                speculative: 1,
                 ..TaskMetrics::default()
             }],
             ..JobMetrics::default()
@@ -244,7 +234,6 @@ mod tests {
         assert_eq!(m.reduce_failures(), 1);
         assert_eq!(m.total_failures(), 2);
         assert_eq!(m.total_retries(), 2);
-        assert_eq!(m.speculative_launches(), 1);
         assert!((m.attempt_overhead() - 2.0).abs() < 1e-12);
     }
 
@@ -260,7 +249,6 @@ mod tests {
             ..JobMetrics::default()
         };
         assert_eq!(m.total_failures(), 0);
-        assert_eq!(m.speculative_launches(), 0);
         assert!((m.attempt_overhead() - 1.0).abs() < 1e-12);
         assert!((JobMetrics::default().attempt_overhead() - 1.0).abs() < 1e-12);
     }

@@ -25,7 +25,7 @@ pub enum StorageFault {
     /// matches the data, so read-time verification quarantines it.
     CorruptReplica,
     /// The block read stalls this long before returning (a slow disk /
-    /// hot spindle; pairs with task-level speculation).
+    /// hot spindle).
     DelayRead(Duration),
 }
 

@@ -10,7 +10,7 @@
 /// layers: MapReduce task recovery, DFS storage recovery, and serving.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// A task attempt was launched (first, retry, or speculative).
+    /// A task attempt was launched (the first, or a retry).
     TaskAttempt {
         /// Task id rendered as `map[i]` / `reduce[i]`.
         task: String,
@@ -25,11 +25,6 @@ pub enum Event {
         failures: u32,
         /// The failure description (panic payload or injected error).
         message: String,
-    },
-    /// A straggling attempt got a speculative duplicate.
-    TaskSpeculation {
-        /// The straggling task.
-        task: String,
     },
     /// A deterministic fault was injected into an attempt.
     TaskFault {
@@ -91,7 +86,6 @@ impl Event {
         match self {
             Event::TaskAttempt { .. } => "task.attempt",
             Event::TaskRetry { .. } => "task.retry",
-            Event::TaskSpeculation { .. } => "task.speculation",
             Event::TaskFault { .. } => "task.fault",
             Event::DfsCorruptReplica { .. } => "dfs.corrupt_replica",
             Event::DfsFailover { .. } => "dfs.failover",
@@ -118,7 +112,6 @@ impl Event {
                 ("failures", failures.to_string()),
                 ("message", message.clone()),
             ],
-            Event::TaskSpeculation { task } => vec![("task", task.clone())],
             Event::TaskFault {
                 task,
                 attempt,
@@ -194,9 +187,6 @@ mod tests {
                 task: "map[0]".into(),
                 failures: 1,
                 message: "boom".into(),
-            },
-            Event::TaskSpeculation {
-                task: "reduce[1]".into(),
             },
             Event::TaskFault {
                 task: "map[2]".into(),

@@ -8,11 +8,12 @@
 //! ```
 
 use hamming_suite::datagen::{generate, DatasetProfile};
-use hamming_suite::distributed::pipeline::{mrha_hamming_join, MrHaConfig};
-use hamming_suite::distributed::pmh::pmh_hamming_join;
+use hamming_suite::distributed::pipeline::{try_mrha_hamming_join, MrHaConfig};
+use hamming_suite::distributed::pmh::try_pmh_hamming_join;
 use hamming_suite::distributed::JoinOption;
+use hamming_suite::mapreduce::{FaultInjector, JobError};
 
-fn main() {
+fn main() -> Result<(), JobError> {
     // Two image collections to join (NUS-WIDE-shaped; spread over more
     // clusters so the join selectivity matches real collections).
     let profile = DatasetProfile {
@@ -61,27 +62,29 @@ fn main() {
         );
     };
 
-    let a = mrha_hamming_join(
+    let a = try_mrha_hamming_join(
         &r,
         &s,
         &MrHaConfig {
             option: JoinOption::A,
             ..base.clone()
         },
-    );
+        &FaultInjector::none(),
+    )?;
     report("MRHA-Index, Option A (broadcast leafy index)", &a);
 
-    let b = mrha_hamming_join(
+    let b = try_mrha_hamming_join(
         &r,
         &s,
         &MrHaConfig {
             option: JoinOption::B,
             ..base.clone()
         },
-    );
+        &FaultInjector::none(),
+    )?;
     report("MRHA-Index, Option B (leafless index + post hash-join)", &b);
 
-    let pmh = pmh_hamming_join(&r, &s, 10, &base);
+    let pmh = try_pmh_hamming_join(&r, &s, 10, &base, &FaultInjector::none())?;
     report("PMH-10 (broadcast all of R, multi-hash-table)", &pmh);
 
     assert_eq!(a.pairs, b.pairs, "both options compute the same join");
@@ -94,4 +97,5 @@ fn main() {
         "traffic ratio PMH / MRHA-A = {:.1}×",
         pmh.metrics.total_traffic_bytes() as f64 / a.metrics.total_traffic_bytes() as f64
     );
+    Ok(())
 }

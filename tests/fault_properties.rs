@@ -11,8 +11,8 @@
 use std::time::Duration;
 
 use hamming_suite::mapreduce::{
-    hash_partition, run_job_with_faults, Fault, FaultInjector, FaultPlan, JobConfig, JobError,
-    JobMetrics, TaskId,
+    hash_partition, try_run_job, Fault, FaultInjector, FaultPlan, JobConfig, JobError, JobMetrics,
+    TaskId,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -32,7 +32,7 @@ fn run(
         .with_workers(workers)
         .with_reducers(reducers)
         .with_max_attempts(max_attempts);
-    let result = run_job_with_faults(
+    let result = try_run_job(
         &config,
         (0..INPUTS).collect(),
         |x, emit| emit(x % 7, x),

@@ -8,9 +8,8 @@
 use std::time::Duration;
 
 use hamming_suite::mapreduce::{
-    hash_partition, run_job, run_job_with_faults, try_run_job, try_run_job_partitioned,
-    DistributedCache, Fault, FaultInjector, FaultPlan, InMemoryDfs, JobConfig, JobError, Phase,
-    ShuffleBytes, TaskId,
+    hash_partition, try_run_job, DistributedCache, Fault, FaultInjector, FaultPlan, InMemoryDfs,
+    JobConfig, JobError, Phase, ShuffleBytes, TaskId,
 };
 
 /// The reference workload used by the fault-matrix tests: sum of inputs
@@ -25,7 +24,7 @@ fn run_reference(
     config: &JobConfig,
     injector: &FaultInjector,
 ) -> Result<(Vec<(u64, u64)>, hamming_suite::mapreduce::JobMetrics), JobError> {
-    let result = run_job_with_faults(
+    let result = try_run_job(
         config,
         (0..2_000u64).collect(),
         |x, emit| emit(x % 13, x),
@@ -48,14 +47,17 @@ fn results_independent_of_worker_and_reducer_counts() {
     };
     for workers in [1usize, 2, 7] {
         for reducers in [1usize, 3, 13, 40] {
-            let mut got = run_job(
+            let mut got = try_run_job(
                 &JobConfig::named("det")
                     .with_workers(workers)
                     .with_reducers(reducers),
                 inputs.clone(),
                 |x, emit| emit(x % 13, x),
+                hash_partition,
                 |k, vs, out| out.push((*k, vs.iter().sum::<u64>())),
+                &FaultInjector::none(),
             )
+            .expect("job runs")
             .outputs;
             got.sort_unstable();
             assert_eq!(got, reference, "workers={workers} reducers={reducers}");
@@ -95,7 +97,6 @@ fn every_task_failing_once_leaves_outputs_byte_identical() {
     assert_eq!(metrics.reduce_failures(), 3);
     assert_eq!(metrics.total_retries(), 7);
     assert_eq!(metrics.total_attempts(), 14, "every task ran twice");
-    assert_eq!(metrics.speculative_launches(), 0);
     for t in metrics.map_tasks.iter().chain(metrics.reduce_tasks.iter()) {
         assert_eq!((t.attempts, t.failures), (2, 1));
     }
@@ -155,53 +156,6 @@ fn exhausting_max_attempts_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
-fn straggler_speculation_keeps_outputs_byte_identical() {
-    let config = reference_config(4, 3);
-    let (clean, _) = run_reference(&config, &FaultInjector::none()).expect("clean run");
-
-    // Map task 1's first attempt stalls for 400ms; with a 40ms
-    // speculation deadline a duplicate launches and wins. The straggler
-    // eventually finishes and its (identical) result is discarded.
-    let config = config.with_speculation(Duration::from_millis(40));
-    let plan = FaultPlan::new().delay(TaskId::map(1), 0, Duration::from_millis(400));
-    let injector = FaultInjector::new(plan);
-    let (speculated, metrics) = run_reference(&config, &injector).expect("speculation recovers");
-    assert_eq!(speculated, clean, "first-success-wins must be invisible");
-
-    assert_eq!(metrics.speculative_launches(), 1);
-    assert_eq!(metrics.map_tasks[1].speculative, 1);
-    assert_eq!(metrics.map_tasks[1].attempts, 2);
-    assert_eq!(
-        metrics.map_tasks[1].failures, 0,
-        "a straggler is not a failure"
-    );
-    assert_eq!(metrics.total_failures(), 0);
-}
-
-#[test]
-fn speculation_combined_with_retries_still_converges() {
-    // Attempt 0 stalls; the speculative attempt 1 panics; the retry
-    // (attempt 2) succeeds. Output still identical to fault-free.
-    let config = reference_config(2, 2)
-        .with_speculation(Duration::from_millis(40))
-        .with_max_attempts(3);
-    let (clean, _) = run_reference(
-        &reference_config(2, 2),
-        &FaultInjector::none(),
-    )
-    .expect("clean run");
-    let plan = FaultPlan::new()
-        .delay(TaskId::map(0), 0, Duration::from_millis(400))
-        .panic_on(TaskId::map(0), 1);
-    let (got, metrics) = run_reference(&config, &FaultInjector::new(plan)).expect("converges");
-    assert_eq!(got, clean);
-    let t = &metrics.map_tasks[0];
-    assert_eq!(t.speculative, 1);
-    assert_eq!(t.failures, 1);
-    assert!(t.attempts >= 3, "stall + speculative + retry, got {}", t.attempts);
-}
-
-#[test]
 fn retry_backoff_is_applied_between_attempts() {
     // Two forced failures with a 30ms backoff base: the job must take at
     // least base * (1 + 2) = 90ms longer than instant retry would.
@@ -235,7 +189,9 @@ fn mapper_panic_is_a_typed_error_when_retries_are_exhausted() {
             }
             emit(x, x);
         },
+        hash_partition,
         |_, vs, out: &mut Vec<u64>| out.extend(vs),
+        &FaultInjector::none(),
     )
     .unwrap_err();
     match err {
@@ -256,7 +212,9 @@ fn reducer_panic_is_a_typed_error_when_retries_are_exhausted() {
             .with_max_attempts(1),
         vec![1u64, 2, 3],
         |x, emit| emit(x, x),
+        hash_partition,
         |_, _, _: &mut Vec<u64>| panic!("injected reducer failure"),
+        &FaultInjector::none(),
     )
     .unwrap_err();
     match err {
@@ -295,12 +253,13 @@ fn deterministic_user_panics_survive_one_retry_of_nondeterministic_ones() {
 
 #[test]
 fn out_of_range_partitioner_is_rejected_with_typed_error() {
-    let err = try_run_job_partitioned(
+    let err = try_run_job(
         &JobConfig::named("oob").with_workers(1).with_reducers(2),
         vec![1u64],
         |x, emit| emit(x, x),
         |_, n| n + 5, // out of range
         |_, vs, out: &mut Vec<u64>| out.extend(vs),
+        &FaultInjector::none(),
     )
     .unwrap_err();
     assert_eq!(
@@ -335,12 +294,15 @@ fn delivered_faults_are_observable_per_attempt() {
 #[test]
 fn map_only_style_job_with_unit_values() {
     // A "map-only" pattern: reducer is the identity on keys.
-    let result = run_job(
+    let result = try_run_job(
         &JobConfig::named("ids").with_workers(3).with_reducers(3),
         (0..100u64).collect::<Vec<_>>(),
         |x, emit| emit(x * 2, ()),
+        hash_partition,
         |k, _, out| out.push(*k),
-    );
+        &FaultInjector::none(),
+    )
+    .expect("job runs");
     let mut got = result.outputs;
     got.sort_unstable();
     assert_eq!(got, (0..100u64).map(|x| x * 2).collect::<Vec<_>>());
@@ -349,7 +311,7 @@ fn map_only_style_job_with_unit_values() {
 #[test]
 fn metrics_reflect_real_volumes() {
     let n = 500usize;
-    let result = run_job(
+    let result = try_run_job(
         &JobConfig::named("vol").with_workers(4).with_reducers(4),
         (0..n as u64).collect::<Vec<_>>(),
         |x, emit| {
@@ -357,8 +319,11 @@ fn metrics_reflect_real_volumes() {
             emit(x % 10, x);
             emit((x + 1) % 10, x);
         },
+        hash_partition,
         |_, vs, out: &mut Vec<u64>| out.push(vs.len() as u64),
-    );
+        &FaultInjector::none(),
+    )
+    .expect("job runs");
     let m = &result.metrics;
     assert_eq!(m.shuffle_bytes, 2 * n * 16, "(u64,u64) = 16B each");
     assert_eq!(m.reduce_input_records(), 2 * n);
@@ -369,7 +334,6 @@ fn metrics_reflect_real_volumes() {
     assert!(m.elapsed.as_nanos() > 0);
     // A fault-free job reports clean recovery counters.
     assert_eq!(m.total_failures(), 0);
-    assert_eq!(m.speculative_launches(), 0);
     assert!((m.attempt_overhead() - 1.0).abs() < 1e-12);
 }
 
@@ -378,15 +342,18 @@ fn dfs_blocks_drive_map_splits() {
     // One map task per DFS block — the Hadoop input-split contract.
     let dfs = InMemoryDfs::new();
     dfs.put_with_blocks("f", (0..100u32).collect(), 25, 4);
-    let splits = dfs.splits::<u32>("f");
+    let splits = dfs.try_splits::<u32>("f").expect("the file exists");
     assert_eq!(splits.len(), 4);
     // Feed splits as inputs (one split = one logical task's records).
-    let result = run_job(
+    let result = try_run_job(
         &JobConfig::named("per-split").with_workers(4).with_reducers(2),
         splits,
         |split, emit| emit((), split.len() as u64),
+        hash_partition,
         |_, vs, out| out.push(vs.iter().sum::<u64>()),
-    );
+        &FaultInjector::none(),
+    )
+    .expect("job runs");
     assert_eq!(result.outputs, vec![100]);
 }
 
@@ -407,12 +374,15 @@ fn stress_many_keys_single_worker_vs_many() {
     // 50k records over 5k keys: grouping correctness at volume.
     let inputs: Vec<u64> = (0..50_000).collect();
     let run = |w: usize| {
-        let mut out = run_job(
+        let mut out = try_run_job(
             &JobConfig::named("stress").with_workers(w).with_reducers(8),
             inputs.clone(),
             |x, emit| emit(x % 5_000, 1u64),
+            hash_partition,
             |k, vs, out| out.push((*k, vs.len())),
+            &FaultInjector::none(),
         )
+        .expect("job runs")
         .outputs;
         out.sort_unstable();
         out
@@ -431,7 +401,7 @@ fn stress_chaos_under_volume() {
     let config = JobConfig::named("stress-chaos")
         .with_workers(8)
         .with_reducers(8);
-    let clean = run_job_with_faults(
+    let clean = try_run_job(
         &config,
         inputs.clone(),
         |x, emit| emit(x % 5_000, 1u64),
@@ -441,7 +411,7 @@ fn stress_chaos_under_volume() {
     )
     .expect("clean");
     let injector = FaultInjector::new(FaultPlan::panic_first_attempt_everywhere(8, 8));
-    let chaotic = run_job_with_faults(
+    let chaotic = try_run_job(
         &config,
         inputs,
         |x, emit| emit(x % 5_000, 1u64),

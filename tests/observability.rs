@@ -21,14 +21,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use hamming_suite::bitcode::segment::Segmentation;
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::datagen::{generate, DatasetProfile};
-use hamming_suite::distributed::pipeline::{mrha_hamming_join_on_dfs, MrHaConfig};
+use hamming_suite::distributed::pipeline::{try_mrha_hamming_join_on_dfs, MrHaConfig};
 use hamming_suite::hashing::{SimilarityHasher, SpectralHasher};
 use hamming_suite::index::planner::{PlanConfig, PlannedIndex};
 use hamming_suite::index::testkit::{clustered_dataset, random_dataset};
 use hamming_suite::index::{CostModel, HammingIndex, MihIndex};
+use hamming_suite::mapreduce::dfs::DEFAULT_BLOCK_RECORDS;
 use hamming_suite::mapreduce::{
-    hash_partition, run_job_with_faults, try_run_job, DfsConfig, FaultInjector, FaultPlan,
-    InMemoryDfs, JobConfig, StorageFaultPlan, TaskId,
+    hash_partition, try_run_job, DfsConfig, FaultInjector, FaultPlan, InMemoryDfs, JobConfig,
+    StorageFaultPlan, TaskId,
 };
 use hamming_suite::obs;
 use hamming_suite::service::{HaServe, ServeConfig};
@@ -54,7 +55,7 @@ fn word_count_job(
     config: &JobConfig,
     injector: &FaultInjector,
 ) -> hamming_suite::mapreduce::JobResult<(String, u64)> {
-    run_job_with_faults(
+    try_run_job(
         config,
         lines(),
         |line: String, emit: &mut dyn FnMut(String, u64)| {
@@ -112,10 +113,6 @@ fn registry_mirrors_job_metrics_under_faults() {
     assert_eq!(
         trace.counter("mr.task_failures"),
         u64::from(metrics.total_failures())
-    );
-    assert_eq!(
-        trace.counter("mr.task_speculative"),
-        u64::from(metrics.speculative_launches())
     );
     // The chaos actually fired: both injected transients were recorded.
     assert_eq!(metrics.total_failures(), 2);
@@ -431,12 +428,20 @@ fn join_route_counters_account_for_every_probe() {
     };
     let (r, s) = (tuples(61, 0), tuples(61, 10_000));
     let dfs = InMemoryDfs::new();
-    dfs.put("in/r", r);
-    dfs.put("in/s", s.clone());
+    dfs.put_with_blocks("in/r", r, DEFAULT_BLOCK_RECORDS, 0);
+    dfs.put_with_blocks("in/s", s.clone(), DEFAULT_BLOCK_RECORDS, 0);
     let cfg = MrHaConfig { partitions: 3, workers: 2, ..MrHaConfig::default() };
 
     obs::reset();
-    let outcome = mrha_hamming_join_on_dfs(&dfs, "in/r", "in/s", "out/pairs", &cfg);
+    let outcome = try_mrha_hamming_join_on_dfs(
+        &dfs,
+        "in/r",
+        "in/s",
+        "out/pairs",
+        &cfg,
+        &FaultInjector::none(),
+    )
+    .expect("job runs");
     let trace = obs::take_trace();
     obs::disable();
 
@@ -659,9 +664,11 @@ fn disabled_tracing_records_nothing() {
                 emit(word.to_string(), 1);
             }
         },
+        hash_partition,
         |word: &String, counts: Vec<u64>, out: &mut Vec<(String, u64)>| {
             out.push((word.clone(), counts.into_iter().sum::<u64>()));
         },
+        &FaultInjector::none(),
     )
     .expect("job runs");
     assert!(!result.outputs.is_empty());

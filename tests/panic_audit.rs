@@ -1,11 +1,12 @@
 //! Panic audit: the fault-tolerance layers (`ha-mapreduce`,
 //! `ha-distributed`) and the online serving layer (`ha-service`) promise
 //! typed errors, not panics. Every `try_*` entry point must be
-//! panic-free; the only panics allowed in library code are the documented
-//! legacy wrappers (`get`/`splits`/`run_job`/`mrha_*` and friends, which
-//! forward their typed error into a panic message), the fault injector's
-//! *deliberate* injected panic, and a handful of proven-unreachable
-//! invariants.
+//! panic-free, and it is the only entry point for its operation: no
+//! panicking twin `X` sits beside a `try_X` (the one exception is
+//! `InMemoryDfs::put_with_blocks`, which the benchmark harness calls).
+//! The only panics allowed in library code are that wrapper, the fault
+//! injector's *deliberate* injected panic, and a handful of
+//! proven-unreachable invariants.
 //!
 //! This test walks the crates' non-test library source and holds the
 //! count of panic-capable call sites to an explicit per-file budget. A
@@ -27,12 +28,12 @@ use std::path::Path;
 /// `(file, unwrap, expect, panic, unreachable)`.
 ///
 /// Every entry is a documented exception:
-/// - *wrappers*: `panic!("{e}")` / `panic!("job failed: {e}")` adapters
-///   over a `try_*` function — the typed path exists alongside;
-/// - `job.rs`: the injector's intentional `panic!("injected panic …")`,
-///   two wrapper panics, channel/join `expect`s on invariants the
-///   supervisor upholds (senders outlive attempts; supervisors catch
-///   task panics), and one `unreachable!` behind the same invariant;
+/// - `dfs.rs`: `put_with_blocks`'s `panic!("{e}")` over
+///   `try_put_with_blocks` — the one panicking twin (see
+///   `no_panicking_twin_beside_a_try_fn`);
+/// - `job.rs`: the injector's intentional `panic!("injected panic …")`
+///   and the supervisor-thread `join` `expect` (supervisors catch every
+///   task panic);
 /// - `metrics.rs` / `pgbj.rs`: `expect("non-empty")` guarded by an
 ///   explicit emptiness check in the caller;
 /// - `join.rs` / `pipeline.rs`: `unreachable!` on enum states resolved
@@ -48,23 +49,23 @@ use std::path::Path;
 const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     ("crates/mapreduce/src/cache.rs", 0, 0, 0, 0),
     ("crates/mapreduce/src/checksum.rs", 0, 0, 0, 0),
-    ("crates/mapreduce/src/dfs.rs", 0, 0, 3, 0),
+    ("crates/mapreduce/src/dfs.rs", 0, 0, 1, 0),
     ("crates/mapreduce/src/fault.rs", 0, 0, 0, 0),
-    ("crates/mapreduce/src/job.rs", 0, 3, 3, 1),
+    ("crates/mapreduce/src/job.rs", 0, 1, 1, 0),
     ("crates/mapreduce/src/lib.rs", 0, 0, 0, 0),
     ("crates/mapreduce/src/metrics.rs", 0, 1, 0, 0),
     ("crates/mapreduce/src/shuffle.rs", 0, 0, 0, 0),
     ("crates/mapreduce/src/storage_fault.rs", 0, 0, 0, 0),
     ("crates/mapreduce/src/wal.rs", 0, 0, 0, 0),
-    ("crates/distributed/src/batch_select.rs", 0, 0, 1, 0),
-    ("crates/distributed/src/global_index.rs", 0, 0, 1, 0),
-    ("crates/distributed/src/join.rs", 0, 0, 2, 1),
-    ("crates/distributed/src/knn_join.rs", 0, 0, 1, 0),
+    ("crates/distributed/src/batch_select.rs", 0, 0, 0, 0),
+    ("crates/distributed/src/global_index.rs", 0, 0, 0, 0),
+    ("crates/distributed/src/join.rs", 0, 0, 0, 1),
+    ("crates/distributed/src/knn_join.rs", 0, 0, 0, 0),
     ("crates/distributed/src/lib.rs", 0, 0, 0, 0),
-    ("crates/distributed/src/pgbj.rs", 0, 1, 1, 0),
-    ("crates/distributed/src/pipeline.rs", 0, 0, 3, 1),
+    ("crates/distributed/src/pgbj.rs", 0, 1, 0, 0),
+    ("crates/distributed/src/pipeline.rs", 0, 0, 0, 1),
     ("crates/distributed/src/pivot.rs", 0, 0, 0, 0),
-    ("crates/distributed/src/pmh.rs", 0, 0, 1, 0),
+    ("crates/distributed/src/pmh.rs", 0, 0, 0, 0),
     ("crates/distributed/src/preprocess.rs", 0, 0, 0, 0),
     ("crates/service/src/cache.rs", 0, 0, 0, 0),
     ("crates/service/src/error.rs", 0, 0, 0, 0),
@@ -209,6 +210,46 @@ fn lib_code_stays_within_its_panic_budget() {
              new sites to typed errors or update the audit"
         );
     }
+}
+
+/// One entry point per operation in the MapReduce stack: no source file
+/// of `ha-mapreduce` or `ha-distributed` declares a `pub fn X` beside a
+/// `pub fn try_X`. `put_with_blocks` is the one named exception.
+#[test]
+fn no_panicking_twin_beside_a_try_fn() {
+    const EXCEPTIONS: &[&str] = &["put_with_blocks"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut twins, mut try_fns) = (Vec::new(), 0);
+    for dir in ["crates/mapreduce/src", "crates/distributed/src"] {
+        for entry in fs::read_dir(root.join(dir)).expect("source dir exists") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_none_or(|x| x != "rs") {
+                continue;
+            }
+            let src = fs::read_to_string(&path).expect("read source");
+            let names: Vec<String> = src
+                .split("pub fn ")
+                .skip(1)
+                .map(|rest| {
+                    rest.chars()
+                        .take_while(|c| c.is_alphanumeric() || *c == '_')
+                        .collect()
+                })
+                .collect();
+            for plain in names.iter().filter_map(|n| n.strip_prefix("try_")) {
+                try_fns += 1;
+                if names.iter().any(|n| n == plain) && !EXCEPTIONS.contains(&plain) {
+                    twins.push(format!("{}: {plain}", path.display()));
+                }
+            }
+        }
+    }
+    assert!(try_fns > 0, "the scan found no try_* functions");
+    assert!(
+        twins.is_empty(),
+        "panicking twins of try_* functions: {twins:?} — callers use the try_* \
+         form with `?` or one `expect` at the call site"
+    );
 }
 
 /// `unsafe` in ha-hashing is one call: the projection kernel's jump into

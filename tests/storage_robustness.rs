@@ -13,9 +13,7 @@
 use std::time::Duration;
 
 use hamming_suite::datagen::{generate, DatasetProfile};
-use hamming_suite::distributed::{
-    mrha_hamming_join_on_dfs, try_mrha_hamming_join_on_dfs, MrHaConfig, VecTuple,
-};
+use hamming_suite::distributed::{try_mrha_hamming_join_on_dfs, MrHaConfig, VecTuple};
 use hamming_suite::mapreduce::{
     DfsConfig, DfsError, FaultInjector, FaultPlan, InMemoryDfs, JobError, StorageFaultPlan,
 };
@@ -60,7 +58,9 @@ fn pipeline_output_is_byte_identical_under_joint_storage_and_task_chaos() {
     // Reference: fault-free store, fault-free tasks.
     let clean_dfs = InMemoryDfs::new();
     load_inputs(&clean_dfs, &r, &s);
-    let clean = mrha_hamming_join_on_dfs(&clean_dfs, "r", "s", "out", &c);
+    let clean =
+        try_mrha_hamming_join_on_dfs(&clean_dfs, "r", "s", "out", &c, &FaultInjector::none())
+            .expect("job runs");
     assert!(
         clean.pairs.len() >= 100,
         "workload must produce pairs (got {})",
