@@ -30,6 +30,16 @@
 //!   single early-exiting streak, exactly like the arena's
 //!   `MaskedCode::distance_to`, but over contiguous memory. A 512-bit
 //!   AoS row is two cache lines, i.e. two whole vectors for AVX-512.
+//! * **Groups of leaves.** Along any root-to-leaf path the masks are
+//!   disjoint, cover every bit and spell the leaf's code, so a leaf's
+//!   accumulated masked distance is exactly the full Hamming distance
+//!   from the query to its code. A group whose children are all leaves
+//!   therefore needs no pattern at all: [`hamming_distance_rows`] sweeps
+//!   the leaves' stored code rows — one `words`-word row per leaf instead
+//!   of a `2 · words` `bits‖mask` pattern, i.e. one cache line instead of
+//!   two for 512-bit codes — and ignores the parent's accumulator. At 8
+//!   words AVX-512 loads each row as one vector; at 1 word it counts 8
+//!   rows per `VPOPCNTQ`.
 //!
 //! Both layouts occupy the **same** `2 · words · group` words per group,
 //! so a snapshot can choose per group (the adaptive freeze policy in
@@ -53,6 +63,10 @@
 //! whole group once everything in it is over budget. With
 //! `limit == u32::MAX` nothing can be pruned, so every kernel returns
 //! bit-exact distances (the property the trace renderer relies on).
+//!
+//! [`hamming_distance_rows`] keeps the same contract with no accumulator
+//! on entry: `out[s] <= limit` implies `out[s]` is the exact Hamming
+//! distance from the query to row `s`; `out[s] > limit` means pruned.
 
 /// Physical order of one sibling group's pattern words.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -123,7 +137,8 @@ pub enum Kernel {
     /// scalar `popcnt` instruction enabled (x86-64 CPUs since ~2013).
     Avx2,
     /// Hand-written AVX-512 `VPOPCNTQ` kernels: 8 siblings per vector
-    /// (SoA) / 8 words of one row per vector (AoS). Needs `avx512f`,
+    /// (SoA) / 8 words of one row per vector (AoS); leaf rows one per
+    /// vector at 8 words, 8 per vector at 1 word. Needs `avx512f`,
     /// `avx512vl` and `avx512vpopcntdq` (Ice Lake / Zen 4 and later).
     Avx512,
 }
@@ -268,6 +283,93 @@ pub fn masked_distance_group(
         // `Lanes` — and, off x86-64, the variants `or_lanes` never returns.
         (_, GroupLayout::Soa) => soa_lanes(query, planes, group, limit, acc),
         (_, GroupLayout::Aos) => aos_lanes(query, planes, limit, acc),
+    }
+}
+
+/// Full Hamming distances from `query` to `out.len()` consecutive
+/// `query.len()`-word code rows — the leaf row sweep (see module docs
+/// for why a group of leaves needs no pattern, and for the contract).
+/// `out` is written, never read: the parent's accumulator is not needed.
+///
+/// # Panics
+/// If `rows.len() != query.len() * out.len()`. Checked in every build:
+/// the vector kernels read `rows` and write `out` through raw pointers,
+/// and this check is what keeps every such access in bounds.
+pub fn hamming_distance_rows(
+    kernel: Kernel,
+    query: &[u64],
+    rows: &[u64],
+    limit: u32,
+    out: &mut [u32],
+) {
+    assert_eq!(
+        rows.len(),
+        query.len() * out.len(),
+        "rows must hold one code row per output"
+    );
+    if query.is_empty() {
+        out.fill(0);
+        return;
+    }
+    match kernel.or_lanes(kernel.is_available()) {
+        Kernel::Scalar => rows_scalar(query, rows, limit, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: CPU features and the length checked above.
+        Kernel::Avx512 => unsafe { x86::rows_avx512(query, rows, limit, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: CPU features checked above.
+        Kernel::Avx2 => unsafe { x86::rows_avx2(query, rows, limit, out) },
+        // `Lanes` — and, off x86-64, the variants `or_lanes` never returns.
+        _ => rows_lanes(query, rows, limit, out),
+    }
+}
+
+/// Scalar row sweep: one early-exiting xor + popcount streak per row.
+fn rows_scalar(query: &[u64], rows: &[u64], limit: u32, out: &mut [u32]) {
+    for (o, row) in out.iter_mut().zip(rows.chunks_exact(query.len())) {
+        let mut d = 0u32;
+        for (&q, &r) in query.iter().zip(row) {
+            d = d.saturating_add((q ^ r).count_ones());
+            if d > limit {
+                break;
+            }
+        }
+        *o = d;
+    }
+}
+
+/// Lane-chunked row sweep: one-word rows in a branch-free pass; wider
+/// rows as a streak of unrolled blocks of [`AOS_UNROLL`] words with the
+/// budget checked once per block, so the popcounts pipeline.
+#[inline(always)]
+fn rows_lanes(query: &[u64], rows: &[u64], limit: u32, out: &mut [u32]) {
+    if let [q] = query {
+        for (o, &r) in out.iter_mut().zip(rows) {
+            *o = (q ^ r).count_ones();
+        }
+        return;
+    }
+    let w = query.len();
+    let x = |q: u64, r: u64| (q ^ r).count_ones();
+    for (o, row) in out.iter_mut().zip(rows.chunks_exact(w)) {
+        let mut d = 0u32;
+        let mut i = 0;
+        while i + AOS_UNROLL <= w {
+            let block = x(query[i], row[i])
+                + x(query[i + 1], row[i + 1])
+                + x(query[i + 2], row[i + 2])
+                + x(query[i + 3], row[i + 3]);
+            d = d.saturating_add(block);
+            if d > limit {
+                break;
+            }
+            i += AOS_UNROLL;
+        }
+        while i < w && d <= limit {
+            d = d.saturating_add(x(query[i], row[i]));
+            i += 1;
+        }
+        *o = d;
     }
 }
 
@@ -422,6 +524,12 @@ mod x86 {
         super::aos_lanes(query, planes, limit, acc)
     }
 
+    /// [`rows_lanes`](super::rows_lanes), compiled like [`soa_avx2`].
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn rows_avx2(query: &[u64], rows: &[u64], limit: u32, out: &mut [u32]) {
+        super::rows_lanes(query, rows, limit, out)
+    }
+
     /// AVX-512 SoA sweep: siblings go by in blocks of 8, and one block's
     /// accumulators stay in a register (as `u64` lanes, so nothing can
     /// overflow before the final saturating narrow) across all its
@@ -566,6 +674,85 @@ mod x86 {
                 *a = a.saturating_add(_mm512_reduce_add_epi64(counts(s)) as u32);
             }
             s += 1;
+        }
+    }
+
+    /// AVX-512 row sweep, for the two widths where a row fills vectors
+    /// exactly. At 8 words (512-bit codes) each row is one vector, and
+    /// a block of 8 rows is summed by [`aos_avx512`]'s transposing add
+    /// tree straight into 8 outputs. At 1 word (64-bit codes) one
+    /// `VPOPCNTQ` counts 8 rows, the last partial block under a lane
+    /// mask. Neither reads `out` nor stops early: every distance is
+    /// exact. Every other width goes to [`rows_avx2`].
+    ///
+    /// # Safety
+    /// The CPU must have the enabled features and `rows.len()` must be
+    /// `query.len() * out.len()`.
+    #[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq,avx2,popcnt")]
+    pub(super) unsafe fn rows_avx512(query: &[u64], rows: &[u64], limit: u32, out: &mut [u32]) {
+        let g = out.len();
+        let o = out.as_mut_ptr();
+        match query.len() {
+            1 => {
+                let q = _mm512_set1_epi64(query[0] as i64);
+                // Counts rows `s ..` under lane mask `k` into `out[s ..]`.
+                let block = |s: usize, k: __mmask8| {
+                    // SAFETY: `k` selects lanes inside `s .. g`, and with
+                    // one word per row `rows.len() == out.len() == g`;
+                    // masked-off lanes are not accessed.
+                    unsafe {
+                        let r = _mm512_maskz_loadu_epi64(k, rows.as_ptr().add(s).cast());
+                        let c = _mm512_popcnt_epi64(_mm512_xor_si512(q, r));
+                        _mm256_mask_storeu_epi32(o.add(s).cast(), k, _mm512_cvtepi64_epi32(c));
+                    }
+                };
+                let full = g - g % LANES;
+                for s in (0..full).step_by(LANES) {
+                    block(s, 0xFF);
+                }
+                if full < g {
+                    block(full, (1 << (g - full)) - 1);
+                }
+            }
+            LANES => {
+                // SAFETY: `query` holds exactly 8 words.
+                let q = unsafe { _mm512_loadu_si512(query.as_ptr().cast()) };
+                // SAFETY: for `s < g`, row `s` is `rows[8 * s ..][.. 8]`,
+                // inside `rows` because `rows.len() == 8 * g`.
+                let counts = |s: usize| unsafe {
+                    let r = _mm512_loadu_si512(rows.as_ptr().add(LANES * s).cast());
+                    _mm512_popcnt_epi64(_mm512_xor_si512(q, r))
+                };
+                // The add tree of `aos_avx512`; called directly for the
+                // same inlining reason.
+                let pair =
+                    |x, y| _mm512_add_epi64(_mm512_unpacklo_epi64(x, y), _mm512_unpackhi_epi64(x, y));
+                let fold = |x, y| {
+                    _mm512_add_epi64(
+                        _mm512_shuffle_i64x2::<0x88>(x, y),
+                        _mm512_shuffle_i64x2::<0xDD>(x, y),
+                    )
+                };
+                let full = g - g % LANES;
+                for s in (0..full).step_by(LANES) {
+                    let sums = fold(
+                        fold(
+                            pair(counts(s), counts(s + 1)),
+                            pair(counts(s + 2), counts(s + 3)),
+                        ),
+                        fold(
+                            pair(counts(s + 4), counts(s + 5)),
+                            pair(counts(s + 6), counts(s + 7)),
+                        ),
+                    );
+                    // SAFETY: `out[s .. s + 8]` is inside `out` (`s + 8 <= full <= g`).
+                    unsafe { _mm256_storeu_si256(o.add(s).cast(), _mm512_cvtepi64_epi32(sums)) };
+                }
+                for (s, d) in out.iter_mut().enumerate().skip(full) {
+                    *d = _mm512_reduce_add_epi64(counts(s)) as u32;
+                }
+            }
+            _ => rows_avx2(query, rows, limit, out),
         }
     }
 }
@@ -858,6 +1045,91 @@ mod tests {
     #[should_panic(expected = "planes must hold")]
     fn short_planes_panics_aos() {
         short_planes(GroupLayout::Aos);
+    }
+
+    /// The row sweep against a naive xor + popcount sum: every kernel
+    /// (one the host lacks runs the lanes), every width either side of
+    /// the AVX-512 one- and eight-word bodies, every group through full
+    /// vectors plus tails, every limit; rows from exact matches to far
+    /// misses, at several alignments, with guard words around `out`.
+    #[test]
+    fn hamming_rows_match_naive_under_every_kernel() {
+        const CANARY: u32 = 0xDEAD_BEEF;
+        let mut next = rng(0x0BAD_5EED);
+        for words in [1usize, 2, 3, 4, 7, 8, 9, 16] {
+            for group in [0usize, 1, 7, 8, 9, 33] {
+                let query: Vec<u64> = (0..words).map(|_| next()).collect();
+                let rows: Vec<u64> = (0..group)
+                    .flat_map(|s| {
+                        let mut row = query.clone();
+                        for _ in 0..[0, 1, 3, 17, 200][s % 5] {
+                            let bit = next() as usize % (64 * words);
+                            row[bit / 64] ^= 1 << (bit % 64);
+                        }
+                        row
+                    })
+                    .collect();
+                let exact: Vec<u32> = rows
+                    .chunks_exact(words)
+                    .map(|r| query.iter().zip(r).map(|(q, r)| (q ^ r).count_ones()).sum())
+                    .collect();
+                for kernel in Kernel::ALL {
+                    for limit in [0u32, 3, 17, 64, u32::MAX] {
+                        for off in [0usize, 1, 3] {
+                            let mut rbuf = vec![0u64; off];
+                            rbuf.extend_from_slice(&rows);
+                            let mut out = vec![CANARY; off];
+                            out.extend(std::iter::repeat_n(7u32, group));
+                            out.extend_from_slice(&[CANARY; 8]);
+                            hamming_distance_rows(
+                                kernel,
+                                &query,
+                                &rbuf[off..],
+                                limit,
+                                &mut out[off..off + group],
+                            );
+                            let ctx = format!(
+                                "kernel={} words={words} group={group} limit={limit} offset={off}",
+                                kernel.name()
+                            );
+                            assert!(out[..off].iter().all(|&c| c == CANARY), "{ctx}");
+                            assert!(out[off + group..].iter().all(|&c| c == CANARY), "{ctx}");
+                            for (s, &want) in exact.iter().enumerate() {
+                                let got = out[off + s];
+                                if want <= limit {
+                                    assert_eq!(got, want, "{ctx} row={s}");
+                                } else {
+                                    assert!(got > limit, "{ctx} row={s}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hamming_rows_of_an_empty_query_are_zero() {
+        for kernel in Kernel::ALL {
+            let mut out = [9u32; 3];
+            hamming_distance_rows(kernel, &[], &[], 5, &mut out);
+            assert_eq!(out, [0; 3], "kernel={}", kernel.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must hold one code row per output")]
+    fn short_rows_panic() {
+        let mut out = [0u32; 9];
+        hamming_distance_rows(Kernel::detect(), &[0; 8], &[0; 71], 5, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must hold one code row per output")]
+    fn short_out_panics() {
+        let mut out = [0u32; 8];
+        hamming_distance_rows(Kernel::detect(), &[0; 8], &[0; 72], 5, &mut out);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   early-exit word-slice distance used for candidate verification.
 //! * [`kernels`] — HA-Kern: the sibling-group distance kernels behind
 //!   every frozen-snapshot search path ([`Kernel`] × [`GroupLayout`]
-//!   dispatched through [`masked_distance_group`]), with AVX-512
+//!   dispatched through [`masked_distance_group`], and the leaf row
+//!   sweep [`hamming_distance_rows`]), with AVX-512
 //!   `VPOPCNTQ` / AVX2 kernels selected once per process from the CPU's
 //!   feature flags ([`Kernel::detect`]) — the only code in a default
 //!   build that reaches the hardware popcount. See `docs/KERNELS.md` for
@@ -67,7 +68,7 @@ mod words;
 
 pub use code::BinaryCode;
 pub use error::BitCodeError;
-pub use kernels::{masked_distance_group, GroupLayout, Kernel};
+pub use kernels::{hamming_distance_rows, masked_distance_group, GroupLayout, Kernel};
 pub use masked::MaskedCode;
 
 /// Maximum supported code length in bits.

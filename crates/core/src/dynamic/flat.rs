@@ -18,7 +18,10 @@
 //!   stops work on a sibling as soon as its accumulated distance exceeds
 //!   `h` and on the group as soon as nobody is left within budget.
 //! * **Leaf SoA** — leaf codes and their tuple-id lists in two flat arrays
-//!   (ids in CSR form), so reporting a hit never touches the arena.
+//!   (ids in CSR form), so reporting a hit never touches the arena. BFS
+//!   numbering gives the leaves below the last internal node consecutive
+//!   slots, so a child group of only leaves is swept over these code rows
+//!   instead of its patterns (see `ha_store::view`).
 //!
 //! A snapshot is tagged with the arena's mutation epoch at compile time;
 //! [`DynamicHaIndex`](super::DynamicHaIndex) dispatches searches to the
@@ -165,6 +168,10 @@ pub struct FlatHaIndex {
     /// node `p`'s child group; leaves carry an unused `0`), length
     /// `node_count + 1`. Mirrors HA-Store v2's GROUP_LAYOUT section.
     group_layout: Vec<u8>,
+    /// First node id of the all-leaf BFS suffix (see
+    /// [`FlatParts::leaf_suffix`]): child groups from here on are swept
+    /// over their leaves' code rows.
+    leaf_suffix: usize,
     /// Sibling groups compiled, and how many of them the policy laid
     /// out row-major — the planner reads the ratio.
     groups: u32,
@@ -279,6 +286,7 @@ pub(super) fn compile(idx: &DynamicHaIndex, policy: FreezePolicy) -> FlatHaIndex
         ra.cmp(rb)
     });
 
+    let leaf_suffix = ha_store::view::leaf_suffix_start(&leaf_slot);
     FlatHaIndex {
         code_len,
         words,
@@ -295,6 +303,7 @@ pub(super) fn compile(idx: &DynamicHaIndex, policy: FreezePolicy) -> FlatHaIndex
         leaf_ids_start,
         leaf_ids,
         group_layout,
+        leaf_suffix,
         groups,
         aos_groups,
     }
@@ -372,6 +381,7 @@ impl FlatHaIndex {
             leaf_ids: &self.leaf_ids,
             leaf_sorted: &self.leaf_sorted,
             group_layout: &self.group_layout,
+            leaf_suffix: self.leaf_suffix,
         }
     }
 

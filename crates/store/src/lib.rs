@@ -42,7 +42,7 @@
 //!     code_len: 16, words: 1, root_count: 0, tuple_count: 0, epoch: 0,
 //!     child_start: &child_start, children: &[], planes: &[],
 //!     leaf_slot: &[], leaf_code_words: &[], leaf_ids_start: &leaf_ids_start,
-//!     leaf_ids: &[], leaf_sorted: &[], group_layout: &[],
+//!     leaf_ids: &[], leaf_sorted: &[], group_layout: &[], leaf_suffix: 0,
 //! };
 //! let store = HaStore::open_bytes(store_bytes(&parts)).unwrap();
 //! assert!(store.view().search(&BinaryCode::zero(16), 16).is_empty());

@@ -11,7 +11,8 @@
 //!    checked, but still verified, never assumed.
 //! 3. [`FlatStoreView::new`] — structural validation of the array
 //!    *contents* (CSR shape, termination invariant, bounds, sort
-//!    order).
+//!    order, and the path invariant the leaf row sweep trusts), over
+//!    parts carrying the all-leaf suffix bound derived here.
 //!
 //! After the three gates pass, every search is infallible: the store
 //! re-derives its borrowed [`FlatStoreView`] on demand straight over
@@ -23,26 +24,31 @@
 use crate::buf::{self, StoreBuf};
 use crate::error::StoreError;
 use crate::layout::{self, section, SectionRanges, StoreMeta};
-use crate::view::{FlatParts, FlatStoreView};
+use crate::view::{leaf_suffix_start, FlatParts, FlatStoreView};
 
 /// An open, validated HA-Store snapshot (see module docs).
 pub struct HaStore {
     buf: StoreBuf,
     meta: StoreMeta,
     sections: SectionRanges,
+    /// [`FlatParts::leaf_suffix`], derived at open: the file does not
+    /// store it.
+    leaf_suffix: usize,
 }
 
-/// Runs gates 1–3 over `bytes` and returns the parsed envelope.
-fn validate(bytes: &[u8]) -> Result<(StoreMeta, SectionRanges), StoreError> {
+/// Runs gates 1–3 over `bytes` and returns the parsed envelope and the
+/// all-leaf suffix bound.
+fn validate(bytes: &[u8]) -> Result<(StoreMeta, SectionRanges, usize), StoreError> {
     if !buf::native_is_little_endian() {
         return Err(StoreError::UnsupportedPlatform(
             "zero-copy open requires a little-endian host",
         ));
     }
     let (meta, sections) = layout::parse(bytes)?;
-    let parts = parts_of(bytes, &meta, &sections)?;
+    let mut parts = parts_of(bytes, &meta, &sections, 0)?;
+    parts.leaf_suffix = leaf_suffix_start(parts.leaf_slot);
     FlatStoreView::new(parts)?;
-    Ok((meta, sections))
+    Ok((meta, sections, parts.leaf_suffix))
 }
 
 /// Casts the table-addressed sections of `bytes` to typed slices.
@@ -50,6 +56,7 @@ fn parts_of<'a>(
     bytes: &'a [u8],
     meta: &StoreMeta,
     sections: &SectionRanges,
+    leaf_suffix: usize,
 ) -> Result<FlatParts<'a>, StoreError> {
     let u32s = |i: usize| {
         buf::cast_u32s(&bytes[sections[i].clone()])
@@ -75,6 +82,7 @@ fn parts_of<'a>(
         leaf_sorted: u32s(section::LEAF_SORTED)?,
         // Byte-addressed, so no cast: empty on v1 files (all-SoA).
         group_layout: &bytes[sections[section::GROUP_LAYOUT].clone()],
+        leaf_suffix,
     })
 }
 
@@ -84,8 +92,8 @@ impl HaStore {
     /// there.
     pub fn open_bytes(bytes: Vec<u8>) -> Result<HaStore, StoreError> {
         let buf = StoreBuf::Owned(buf::OwnedBytes::from_vec(bytes));
-        let (meta, sections) = validate(buf.as_bytes())?;
-        Ok(HaStore { buf, meta, sections })
+        let (meta, sections, leaf_suffix) = validate(buf.as_bytes())?;
+        Ok(HaStore { buf, meta, sections, leaf_suffix })
     }
 
     /// Opens a snapshot file, `mmap`-ing it read-only when the platform
@@ -98,8 +106,8 @@ impl HaStore {
             let file = std::fs::File::open(path)?;
             if let Some(map) = buf::Mapping::of_file(&file) {
                 let buf = StoreBuf::Mapped(map);
-                let (meta, sections) = validate(buf.as_bytes())?;
-                return Ok(HaStore { buf, meta, sections });
+                let (meta, sections, leaf_suffix) = validate(buf.as_bytes())?;
+                return Ok(HaStore { buf, meta, sections, leaf_suffix });
             }
         }
         Self::open_bytes(std::fs::read(path)?)
@@ -129,7 +137,7 @@ impl HaStore {
         // The casts were proven good in `validate` and the buffer is
         // immutable, so this cannot fail; the fallback view over empty
         // arrays exists only to keep the path panic-free by inspection.
-        match parts_of(bytes, &self.meta, &self.sections) {
+        match parts_of(bytes, &self.meta, &self.sections, self.leaf_suffix) {
             Ok(parts) => FlatStoreView::from_parts_unchecked(parts),
             Err(_) => FlatStoreView::from_parts_unchecked(EMPTY_PARTS),
         }
@@ -152,6 +160,7 @@ const EMPTY_PARTS: FlatParts<'static> = FlatParts {
     leaf_ids: &[],
     leaf_sorted: &[],
     group_layout: &[],
+    leaf_suffix: 0,
 };
 
 impl std::fmt::Debug for HaStore {
@@ -198,6 +207,7 @@ mod tests {
             leaf_ids: &leaf_ids,
             leaf_sorted: &leaf_sorted,
             group_layout: &[],
+            leaf_suffix: 1,
         })
     }
 
@@ -234,6 +244,7 @@ mod tests {
             leaf_ids: &[],
             leaf_sorted: &[],
             group_layout: &[],
+            leaf_suffix: 0,
         };
         write_store_file(&parts, &path).expect("writes");
         let store = HaStore::open_file(&path).expect("opens");
@@ -271,6 +282,7 @@ mod tests {
             leaf_ids: &leaf_ids,
             leaf_sorted: &leaf_sorted,
             group_layout: &[],
+            leaf_suffix: 1,
         };
         let v1 = crate::write::store_bytes_v1(&parts).expect("all-SoA");
         let v2 = store_bytes(&parts);

@@ -13,7 +13,8 @@
 //! * [`FlatStoreView::new`] — full structural validation of untrusted
 //!   arrays (everything a checksum can't express: CSR monotonicity, the
 //!   consecutive-children invariant that makes traversal termination
-//!   provable, index bounds, sorted-leaf strictness). This is what the
+//!   provable, index bounds, sorted-leaf strictness, and the H-Search
+//!   path invariant the leaf row sweep trusts). This is what the
 //!   file-open path uses; after it succeeds, no search can panic or
 //!   read out of bounds.
 //! * [`FlatStoreView::from_parts_unchecked`] — for arrays whose
@@ -34,10 +35,24 @@
 //! impossible with unique parents — so the reachable graph is a forest,
 //! every frontier node is visited at most once, and the traversal
 //! terminates after at most `node_count` pops.
+//!
+//! # Leaf groups read rows, not patterns
+//!
+//! The masks along a root-to-leaf path are disjoint, cover every bit and
+//! spell the leaf's code, so at a leaf the parent's accumulator plus the
+//! leaf's masked residual is exactly `popcount(query ⊕ leaf code)`. A
+//! child group made only of leaves is therefore swept over the leaves'
+//! stored code rows ([`hamming_distance_rows`]) — `words` words per leaf
+//! instead of the `2 · words` of a pattern. BFS numbering puts every
+//! leaf deeper than the last internal node in one suffix of the node
+//! ids, and leaf slots follow BFS order, so such a group's rows are
+//! consecutive and the group is recognised by one compare against
+//! [`FlatParts::leaf_suffix`], with no load. Groups before the suffix
+//! keep the masked sweep.
 
 use std::cell::RefCell;
 
-use ha_bitcode::{masked_distance_group, BinaryCode, GroupLayout, Kernel};
+use ha_bitcode::{hamming_distance_rows, masked_distance_group, BinaryCode, GroupLayout, Kernel};
 
 use crate::error::StoreError;
 
@@ -81,6 +96,19 @@ pub struct FlatParts<'a> {
     /// AoS rows. Either empty (legacy all-SoA snapshots, v1 files) or
     /// exactly `node_count + 1` long.
     pub group_layout: &'a [u8],
+    /// First node id of the all-leaf suffix: every node from here on is
+    /// a leaf (`node_count` when the last node is internal). Derived from
+    /// `leaf_slot` by [`leaf_suffix_start`] and never stored in a file.
+    pub leaf_suffix: usize,
+}
+
+/// Where the all-leaf suffix of `leaf_slot` starts: the id after the
+/// last internal node ([`FlatParts::leaf_suffix`]).
+pub fn leaf_suffix_start(leaf_slot: &[u32]) -> usize {
+    leaf_slot
+        .iter()
+        .rposition(|&s| s == NONE)
+        .map_or(0, |v| v + 1)
 }
 
 /// Reusable traversal buffers — two swapped level-synchronous frontiers
@@ -113,6 +141,95 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
         cell.replace(scratch);
         r
     })
+}
+
+/// Checks the H-Search path invariant on structurally valid `parts`:
+/// along every root-to-leaf path the pattern masks are disjoint, they
+/// cover exactly the code's `code_len` bits, and the masked pattern bits
+/// spell the leaf's stored row. The leaf row sweep answers from the rows
+/// where the masked sweep would answer from the patterns; this is what
+/// makes the two agree on an untrusted file.
+///
+/// One pass in node-id order, which reads `planes` and the leaf rows
+/// front to back: the groups go by in BFS order (the roots, then each
+/// internal node's children), and each internal node's accumulated
+/// `mask‖bits` is kept, in the same order, until its own group comes up.
+/// That order reaches every node only if no leaf owns a child group, so
+/// one that does is rejected too.
+fn check_paths(parts: &FlatParts<'_>) -> Result<(), StoreError> {
+    let w = parts.words;
+    let rc = parts.root_count;
+    let n = parts.leaf_slot.len();
+    let tail = parts.code_len % 64;
+    let full = |i: usize| {
+        if i + 1 == w && tail != 0 {
+            !(u64::MAX >> tail)
+        } else {
+            u64::MAX
+        }
+    };
+    // The k-th internal node's accumulated mask then bits, at
+    // `acc[2 * w * k ..][.. 2 * w]`.
+    let mut acc = vec![0u64; 2 * w * (n - parts.leaf_sorted.len())];
+    let (mut stored, mut expanded) = (0usize, 0usize);
+    let mut parent = vec![0u64; 2 * w];
+    let mut here = vec![0u64; 2 * w];
+    // Group 0 is the roots', group `1 + p` node `p`'s children.
+    for gi in 0..=n {
+        let (first, g) = if gi == 0 {
+            (0, rc)
+        } else {
+            let p = gi - 1;
+            let lo = parts.child_start[p] as usize;
+            let g = parts.child_start[p + 1] as usize - lo;
+            if parts.leaf_slot[p] != NONE {
+                if g != 0 {
+                    return Err(StoreError::Corrupt("leaf with children"));
+                }
+                continue;
+            }
+            parent.copy_from_slice(&acc[2 * w * expanded..2 * w * (expanded + 1)]);
+            expanded += 1;
+            (rc + lo, g)
+        };
+        let base = 2 * w * first;
+        let layout = GroupLayout::from_flag(parts.group_layout.get(gi).copied().unwrap_or(0));
+        for s in 0..g {
+            for i in 0..w {
+                let (bits, mask) = match layout {
+                    GroupLayout::Soa => (
+                        parts.planes[base + 2 * i * g + s],
+                        parts.planes[base + (2 * i + 1) * g + s],
+                    ),
+                    GroupLayout::Aos => (
+                        parts.planes[base + 2 * w * s + i],
+                        parts.planes[base + 2 * w * s + w + i],
+                    ),
+                };
+                if parent[i] & mask != 0 {
+                    return Err(StoreError::Corrupt("path masks overlap"));
+                }
+                here[i] = parent[i] | mask;
+                here[w + i] = parent[w + i] | (bits & mask);
+            }
+            let slot = parts.leaf_slot[first + s];
+            if slot == NONE {
+                acc[2 * w * stored..2 * w * (stored + 1)].copy_from_slice(&here);
+                stored += 1;
+                continue;
+            }
+            let row = &parts.leaf_code_words[slot as usize * w..(slot as usize + 1) * w];
+            for i in 0..w {
+                if here[i] != full(i) {
+                    return Err(StoreError::Corrupt("leaf path does not cover the code"));
+                }
+                if here[w + i] != row[i] {
+                    return Err(StoreError::Corrupt("leaf path does not spell its row"));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Zero-copy search view over [`FlatParts`] (see module docs).
@@ -259,6 +376,12 @@ impl<'a> FlatStoreView<'a> {
                 return Err(StoreError::Corrupt("undefined group layout flag"));
             }
         }
+        if parts.leaf_suffix != leaf_suffix_start(parts.leaf_slot) {
+            return Err(StoreError::Corrupt(
+                "leaf suffix bound disagrees with leaf slots",
+            ));
+        }
+        check_paths(&parts)?;
         Ok(FlatStoreView::from_parts_unchecked(parts))
     }
 
@@ -358,10 +481,11 @@ impl<'a> FlatStoreView<'a> {
         GroupLayout::from_flag(self.parts.group_layout.get(gi).copied().unwrap_or(0))
     }
 
-    /// Core level-synchronous traversal — ported verbatim from
-    /// `FlatHaIndex::run` so visit order (and thus result order) is
-    /// byte-for-byte identical to a freshly frozen in-memory index.
-    /// Calls `emit(flat_id, exact_distance)` for each qualifying leaf.
+    /// Core level-synchronous traversal: the arena's H-Search BFS over
+    /// the flat arrays, visiting siblings in the same order, so results
+    /// are byte-for-byte those of the arena (and of every other view of
+    /// the same snapshot). Calls `emit(leaf_slot, exact_distance)` for
+    /// each qualifying leaf.
     pub(crate) fn run(
         &self,
         query: &BinaryCode,
@@ -376,6 +500,9 @@ impl<'a> FlatStoreView<'a> {
         }
         let qw = query.words();
         let w = self.parts.words;
+        // Every internal node precedes the all-leaf suffix, so a suffix
+        // node's leaf slot is its id minus the internal-node count.
+        let internal = self.node_count() - self.leaf_count();
         let Scratch { frontier, next, dist } = scratch;
         frontier.clear();
 
@@ -394,21 +521,40 @@ impl<'a> FlatStoreView<'a> {
         for v in 0..rc {
             let d = dist[v];
             if d <= h {
-                if self.parts.leaf_slot[v] != NONE {
-                    emit(v as u32, d);
+                let slot = self.parts.leaf_slot[v];
+                if slot != NONE {
+                    emit(slot, d);
                 } else {
                     frontier.push((v as u32, d));
                 }
             }
         }
 
-        // Descend level by level; each internal survivor scans its
-        // child group with one kernel call seeded at the parent's
-        // accumulator.
+        // Descend level by level. An all-leaf child group is one row
+        // sweep over its leaves' codes; any other survivor scans its
+        // child group with one kernel call seeded at its accumulator.
         while !frontier.is_empty() {
             next.clear();
             for &(p, acc) in frontier.iter() {
                 let (planes, g, lo) = self.child_group(p);
+                if rc + lo >= self.parts.leaf_suffix {
+                    let first = rc + lo - internal;
+                    dist.clear();
+                    dist.resize(g, 0);
+                    hamming_distance_rows(
+                        self.kernel,
+                        qw,
+                        &self.parts.leaf_code_words[first * w..(first + g) * w],
+                        h,
+                        dist,
+                    );
+                    for (s, &d) in dist.iter().enumerate() {
+                        if d <= h {
+                            emit((first + s) as u32, d);
+                        }
+                    }
+                    continue;
+                }
                 dist.clear();
                 dist.resize(g, acc);
                 masked_distance_group(
@@ -424,8 +570,9 @@ impl<'a> FlatStoreView<'a> {
                     let d = dist[s];
                     if d <= h {
                         let v = self.parts.children[lo + s];
-                        if self.parts.leaf_slot[v as usize] != NONE {
-                            emit(v, d);
+                        let slot = self.parts.leaf_slot[v as usize];
+                        if slot != NONE {
+                            emit(slot, d);
                         } else {
                             next.push((v, d));
                         }
@@ -451,8 +598,8 @@ impl<'a> FlatStoreView<'a> {
         scratch: &mut Scratch,
         out: &mut Vec<u64>,
     ) {
-        self.run(query, h, scratch, &mut |v, _| {
-            out.extend_from_slice(self.ids_of(self.parts.leaf_slot[v as usize]));
+        self.run(query, h, scratch, &mut |slot, _| {
+            out.extend_from_slice(self.ids_of(slot));
         });
     }
 
@@ -460,12 +607,8 @@ impl<'a> FlatStoreView<'a> {
     pub fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
         with_scratch(|scratch| {
-            self.run(query, h, scratch, &mut |v, d| {
-                out.extend(
-                    self.ids_of(self.parts.leaf_slot[v as usize])
-                        .iter()
-                        .map(|&id| (id, d)),
-                );
+            self.run(query, h, scratch, &mut |slot, d| {
+                out.extend(self.ids_of(slot).iter().map(|&id| (id, d)));
             })
         });
         out
@@ -476,9 +619,11 @@ impl<'a> FlatStoreView<'a> {
     pub fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
         let mut out = Vec::new();
         with_scratch(|scratch| {
-            self.run(query, h, scratch, &mut |v, d| {
-                let slot = self.parts.leaf_slot[v as usize] as usize;
-                out.push((BinaryCode::from_words(self.row(slot), self.parts.code_len), d));
+            self.run(query, h, scratch, &mut |slot, d| {
+                out.push((
+                    BinaryCode::from_words(self.row(slot as usize), self.parts.code_len),
+                    d,
+                ));
             })
         });
         out
@@ -542,6 +687,7 @@ mod tests {
         leaf_ids: Vec<u64>,
         leaf_sorted: Vec<u32>,
         group_layout: Vec<u8>,
+        leaf_suffix: usize,
     }
 
     fn bc(bits: u64) -> BinaryCode {
@@ -573,6 +719,40 @@ mod tests {
                 leaf_ids: vec![10, 11, 20],
                 leaf_sorted: vec![0, 1],
                 group_layout: vec![0, 0, 0, 0],
+                leaf_suffix: 1,
+            }
+        }
+
+        /// Two levels below the root: the root's group holds the last
+        /// internal node (id 1, prefix `1010`) and leaf 2 (`0000_1111`);
+        /// node 1's group is leaves 3 (`1010_0000`) and 4 (`1010_0011`).
+        /// The all-leaf suffix starts at id 2, one past the start of the
+        /// root's group, so that group keeps the masked sweep and only
+        /// node 1's group reads rows.
+        fn deep() -> Tiny {
+            let w = |b: u64| bc(b).words()[0];
+            Tiny {
+                child_start: vec![0, 2, 4, 4, 4, 4],
+                children: vec![1, 2, 3, 4],
+                planes: vec![
+                    0,
+                    0, // root: empty mask
+                    w(0b1010_0000),
+                    w(0b0000_1111),
+                    w(0b1111_0000),
+                    w(0b1111_1111), // node 0's group: bits 1, bits 2, mask 1, mask 2
+                    w(0),
+                    w(0b0000_0011),
+                    w(0b0000_1111),
+                    w(0b0000_1111), // node 1's group: bits 3, bits 4, mask 3, mask 4
+                ],
+                leaf_slot: vec![NONE, NONE, 0, 1, 2],
+                leaf_code_words: vec![w(0b0000_1111), w(0b1010_0000), w(0b1010_0011)],
+                leaf_ids_start: vec![0, 1, 2, 3],
+                leaf_ids: vec![20, 30, 40],
+                leaf_sorted: vec![0, 1, 2],
+                group_layout: vec![0; 6],
+                leaf_suffix: 2,
             }
         }
 
@@ -605,6 +785,7 @@ mod tests {
                 leaf_ids: &self.leaf_ids,
                 leaf_sorted: &self.leaf_sorted,
                 group_layout: &self.group_layout,
+                leaf_suffix: self.leaf_suffix,
             }
         }
     }
@@ -636,6 +817,8 @@ mod tests {
                 t.group_layout.pop();
             })),
             ("undefined layout flag", Box::new(|t| t.group_layout[0] = 2)),
+            ("suffix bound too low", Box::new(|t| t.leaf_suffix = 0)),
+            ("suffix bound too high", Box::new(|t| t.leaf_suffix = 2)),
         ];
         for (what, mutate) in cases {
             let mut t = Tiny::build();
@@ -643,6 +826,77 @@ mod tests {
             assert!(
                 FlatStoreView::new(t.parts()).is_err(),
                 "{what} must be rejected"
+            );
+        }
+    }
+
+    /// The row sweep answers from a leaf's row and the masked sweep from
+    /// its path's patterns, so a snapshot whose two disagree is corrupt.
+    #[test]
+    fn validation_rejects_leaf_paths_that_disagree_with_rows() {
+        let top = 1u64 << 63; // bit 0 of the 8-bit codes
+        let cases: Vec<(&str, Box<dyn Fn(&mut Tiny)>)> = vec![
+            // The root's empty mask claims bit 0, which both leaves own.
+            ("path masks overlap", Box::new(move |t| t.planes[1] = top)),
+            // Leaf `a`'s mask drops bit 0: its path covers 7 of 8 bits.
+            (
+                "leaf path does not cover the code",
+                Box::new(move |t| t.planes[4] &= !top),
+            ),
+            // Leaf `a`'s pattern spells 0010_0000, its row 1010_0000.
+            (
+                "leaf path does not spell its row",
+                Box::new(move |t| t.planes[2] ^= top),
+            ),
+            // Leaf `b`'s pattern lies the same way in an AoS group, laid
+            // out bits a, mask a, bits b, mask b.
+            (
+                "leaf path does not spell its row",
+                Box::new(move |t| {
+                    t.to_aos_child_group();
+                    t.planes[4] ^= top;
+                }),
+            ),
+            // Leaf `a` owns leaf `b` as its child: a node no search
+            // reaches, and the path check's node order would skip it.
+            (
+                "leaf with children",
+                Box::new(|t| {
+                    t.child_start = vec![0, 1, 2, 2];
+                    t.planes = vec![0, 0, t.planes[2], t.planes[4], t.planes[3], t.planes[5]];
+                }),
+            ),
+            // A mask bit past the 8-bit code length.
+            (
+                "leaf path does not cover the code",
+                Box::new(|t| t.planes[5] |= 1),
+            ),
+        ];
+        for (what, mutate) in cases {
+            let mut t = Tiny::build();
+            mutate(&mut t);
+            assert_eq!(
+                FlatStoreView::new(t.parts()).err(),
+                Some(StoreError::Corrupt(what)),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_groups_past_the_suffix_bound_read_rows() {
+        let t = Tiny::deep();
+        let view = FlatStoreView::new(t.parts()).expect("valid parts");
+        let q = bc(0b1010_0000);
+        for k in Kernel::ALL {
+            let view = view.with_kernel(k);
+            assert_eq!(view.search(&q, 0), vec![30], "kernel {}", k.name());
+            assert_eq!(view.search(&q, 2), vec![30, 40], "kernel {}", k.name());
+            assert_eq!(
+                view.search_with_distances(&q, 8),
+                vec![(20, 6), (30, 0), (40, 2)],
+                "kernel {}",
+                k.name()
             );
         }
     }
@@ -677,6 +931,7 @@ mod tests {
             leaf_ids: &[],
             leaf_sorted: &[],
             group_layout: &[],
+            leaf_suffix: 0,
         };
         let view = FlatStoreView::new(parts).expect("empty is valid");
         assert!(view.is_empty());

@@ -168,6 +168,7 @@ mod tests {
             leaf_ids: &[],
             leaf_sorted: &[],
             group_layout: &[],
+            leaf_suffix: 0,
         }
     }
 

@@ -409,3 +409,102 @@ fn adaptive_layout_store_round_trips_via_mmap() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// Both sweeps of a flat H-Search run and agree: a child group whose
+/// children are all leaves — the all-leaf suffix of the BFS node ids —
+/// is swept over the leaves' stored code rows, every other group over
+/// its `bits‖mask` patterns. H-Insert and H-Delete after the build leave
+/// leaves at mixed depths, so the frozen snapshot has leaves on both
+/// sides of the suffix bound, and answers must still equal the linear
+/// oracle — ids and distances — under every kernel, at h and h + 1.
+#[test]
+fn leaf_row_sweep_and_masked_sweep_agree_at_mixed_depths() {
+    const NONE: u32 = u32::MAX;
+    for bits in [64usize, 128, 512] {
+        let mut rng = StdRng::seed_from_u64(4_400 + bits as u64);
+        let mut live = dataset(&mut rng, 1000, bits);
+        let mut idx = DynamicHaIndex::build_with(
+            live.clone(),
+            DhaConfig { insert_buffer_cap: 8, ..DhaConfig::default() },
+        );
+        let mut next_id: TupleId = 500_000;
+        churn(&mut idx, &mut live, 500, bits, &mut rng, &mut next_id);
+        idx.freeze();
+        idx.check_invariants();
+        let thawed = {
+            let mut t = idx.clone();
+            t.thaw();
+            t
+        };
+        let flat = idx.flat().expect("frozen");
+        let view = flat.view();
+        let parts = view.parts();
+        let (rc, n) = (parts.root_count, parts.leaf_slot.len());
+
+        // The suffix bound is exactly "after the last internal node".
+        let bound = parts.leaf_suffix;
+        assert!(bound < n, "bits={bits}: the all-leaf suffix is empty");
+        assert!(bound > 0 && parts.leaf_slot[bound - 1] == NONE, "bits={bits}: bound too high");
+        assert!(parts.leaf_slot[bound..].iter().all(|&s| s != NONE), "bits={bits}: bound too low");
+        // A child group that starts before the bound holds a leaf, so the
+        // masked sweep reports leaves too.
+        let mixed = (0..n).filter(|&p| parts.leaf_slot[p] == NONE).any(|p| {
+            let lo = rc + parts.child_start[p] as usize;
+            let hi = rc + parts.child_start[p + 1] as usize;
+            lo < bound && (lo..hi).any(|v| parts.leaf_slot[v] != NONE)
+        });
+        assert!(mixed, "bits={bits}: no leaf in a group before the suffix");
+
+        // Leaf slot → node id, to see which sweep reported each answer.
+        let mut node_of_slot = vec![0usize; view.leaf_count()];
+        for (v, &s) in parts.leaf_slot.iter().enumerate() {
+            if s != NONE {
+                node_of_slot[s as usize] = v;
+            }
+        }
+        let node_of_id = |id: TupleId| {
+            let at = parts.leaf_ids.iter().position(|&x| x == id).expect("reported id is indexed");
+            let slot = parts.leaf_ids_start.partition_point(|&x| x as usize <= at) - 1;
+            node_of_slot[slot]
+        };
+
+        let queries: Vec<BinaryCode> = (0..24)
+            .map(|i| {
+                let mut q = live[(i * 37) % live.len()].0.clone();
+                for _ in 0..i % 4 {
+                    q.flip(rng.gen_range(0..bits));
+                }
+                q
+            })
+            .collect();
+        let (mut from_rows, mut from_patterns) = (0, 0);
+        for q in &queries {
+            for h in [3u32, 4] {
+                let mut want: Vec<(TupleId, u32)> = live
+                    .iter()
+                    .map(|(c, id)| (*id, c.hamming(q)))
+                    .filter(|&(_, d)| d <= h)
+                    .collect();
+                want.sort_unstable();
+                let arena = thawed.search_with_distances(q, h);
+                for kernel in Kernel::ALL {
+                    let got = view.with_kernel(kernel).search_with_distances(q, h);
+                    assert_eq!(got, arena, "bits={bits} kernel={} h={h}: order", kernel.name());
+                    let mut sorted = got.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, want, "bits={bits} kernel={} h={h}: oracle", kernel.name());
+                }
+                for (id, _) in arena {
+                    let v = node_of_id(id);
+                    if v >= bound {
+                        from_rows += 1;
+                    } else if v >= rc {
+                        from_patterns += 1;
+                    }
+                }
+            }
+        }
+        assert!(from_rows > 0, "bits={bits}: the row sweep reported nothing");
+                assert!(from_patterns > 0, "bits={bits}: the masked sweep reported no leaf");
+    }
+}

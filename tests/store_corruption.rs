@@ -154,3 +154,94 @@ fn header_count_lies_are_typed_errors() {
         let _ = err.to_string();
     }
 }
+
+/// A re-checksummed file whose leaf patterns disagree with its leaf
+/// rows. Search reads a leaf's row where its whole group is leaves and
+/// its path's patterns elsewhere, so such a file would answer from two
+/// different codes for one leaf: the open must refuse it. Each forgery
+/// edits one pattern word of a leaf below an internal node: a bit under
+/// its mask that no longer spells the row, a mask bit dropped (a bit
+/// left uncovered), and a mask bit its parent already claims.
+#[test]
+fn forged_leaf_patterns_are_rejected_after_recomputing_the_checksum() {
+    use hamming_suite::store::layout::{self, section};
+    const NONE: u32 = u32::MAX;
+    let mut rng = StdRng::seed_from_u64(44);
+    let centres: Vec<BinaryCode> = (0..3).map(|_| BinaryCode::random(64, &mut rng)).collect();
+    let data: Vec<(BinaryCode, TupleId)> = (0..200)
+        .map(|i| {
+            let mut c = centres[i % 3].clone();
+            for _ in 0..rng.gen_range(0..4) {
+                c.flip(rng.gen_range(0..64));
+            }
+            (c, i as TupleId)
+        })
+        .collect();
+    let mut dha = DynamicHaIndex::build(data);
+    dha.freeze();
+    let good = dha.flat().expect("frozen").store_bytes();
+    let planes_at = layout::parse(&good).expect("parses").1[section::PLANES].start;
+
+    let store = HaStore::open_bytes(good.clone()).expect("the honest file opens");
+    let parts = *store.view().parts();
+    assert_eq!(parts.words, 1);
+    let rc = parts.root_count;
+    // Word index of node `v`'s bits and mask, and `v`'s parent.
+    let n = parts.leaf_slot.len();
+    let mut parent = vec![NONE; n];
+    for p in 0..n {
+        let (lo, hi) = (parts.child_start[p] as usize, parts.child_start[p + 1] as usize);
+        for v in rc + lo..rc + hi {
+            parent[v] = p as u32;
+        }
+    }
+    let pattern = |v: usize| {
+        let (base, g, s, gi) = match parent[v] {
+            NONE => (0, rc, v, 0),
+            p => {
+                let lo = parts.child_start[p as usize] as usize;
+                let g = parts.child_start[p as usize + 1] as usize - lo;
+                (2 * (rc + lo), g, v - rc - lo, p as usize + 1)
+            }
+        };
+        match parts.group_layout[gi] {
+            0 => (base + s, base + g + s),
+            _ => (base + 2 * s, base + 2 * s + 1),
+        }
+    };
+    let word = |bytes: &[u8], i: usize| {
+        let at = planes_at + 8 * i;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+    };
+    // A leaf whose parent is an internal node with a non-empty mask.
+    let leaf = (rc..n)
+        .find(|&v| {
+            parts.leaf_slot[v] != NONE
+                && parent[v] != NONE
+                && word(&good, pattern(parent[v] as usize).1) != 0
+                && word(&good, pattern(v).1) != 0
+        })
+        .expect("a leaf below a masked internal node");
+    let (bits_at, mask_at) = pattern(leaf);
+    let mask = word(&good, mask_at);
+    let own = 1u64 << mask.trailing_zeros();
+    let claimed = word(&good, pattern(parent[leaf] as usize).1);
+    let inherited = 1u64 << claimed.trailing_zeros();
+
+    let forgeries = [
+        (bits_at, own, "leaf path does not spell its row"),
+        (mask_at, own, "leaf path does not cover the code"),
+        (mask_at, inherited, "path masks overlap"),
+    ];
+    for (at, flip, what) in forgeries {
+        let mut bad = good.clone();
+        let v = word(&bad, at) ^ flip;
+        bad[planes_at + 8 * at..planes_at + 8 * at + 8].copy_from_slice(&v.to_le_bytes());
+        fix_checksum(&mut bad);
+        assert_eq!(
+            HaStore::open_bytes(bad).err(),
+            Some(StoreError::Corrupt(what)),
+            "{what}"
+        );
+    }
+}
