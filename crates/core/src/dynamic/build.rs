@@ -11,60 +11,100 @@
 //! 4. Repeat on the freshly created parents until the requested depth is
 //!    reached or no further sharing exists; whatever remains forms the top
 //!    level.
+//!
+//! Steps 2–4 run once, in [`extract_levels`], over either of two node
+//! stores ([`NodeStore`]): the arena of a [`DynamicHaIndex`], which
+//! H-Insert / H-Delete mutate later, or a [`BuildForest`] — every node's
+//! pattern words in one flat array, leaves read off the stored rows —
+//! which [`bulk_freeze`] compiles straight to a frozen snapshot for an
+//! index that is never mutated.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use ha_bitcode::gray::{gray_cmp_words, gray_rank_head};
 use ha_bitcode::{BinaryCode, MaskedCode};
 
-use super::{DhaConfig, DynamicHaIndex, Node, NodeId};
+use super::flat::{self, ForestSizes, ForestView, FreezePolicy};
+use super::{DhaConfig, DynamicHaIndex, FlatHaIndex, Node, NodeId};
 use crate::memory::seed_bulk;
 use crate::TupleId;
 
-/// H-Build (`build` / `build_with`).
-///
-/// Step 1 sorts instead of hashing: [`GrayOrder`] orders one
-/// `(key, input position)` pair per tuple, a run of equal keys is one
-/// distinct code, and [`append_leaves`] appends each run's leaf straight
-/// into the arena. The levels then run as the paper states them.
+/// H-Build (`build` / `build_with`): stores the codes' words once as flat
+/// rows, sorts them ([`GrayOrder`]) and builds over them
+/// ([`h_build_rows`]).
 pub(super) fn h_build(
     items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
     config: DhaConfig,
 ) -> DynamicHaIndex {
-    let items: Vec<(BinaryCode, TupleId)> = items.into_iter().collect();
-    let code_len = items.first().map_or(0, |(c, _)| c.len());
-    if items.is_empty() {
-        return DynamicHaIndex::empty(code_len, config);
+    let mut items = items.into_iter().peekable();
+    let Some(code_len) = items.peek().map(|(c, _)| c.len()) else {
+        return DynamicHaIndex::empty(0, config);
+    };
+    let stride = code_len.div_ceil(64);
+    let (rows, _) = items.size_hint();
+    let mut words = Vec::with_capacity(rows * stride);
+    let mut ids = Vec::with_capacity(rows);
+    for (code, id) in items {
+        assert_eq!(code.len(), code_len, "mixed code lengths");
+        words.extend_from_slice(code.words());
+        ids.push(id);
     }
-    let order = GrayOrder::sort(&items, code_len);
-    h_build_ordered(code_len, items, order, config)
+    let order = GrayOrder::sort_rows(&words, code_len, Vec::with_capacity(ids.len()));
+    h_build_rows(code_len, &words, &ids, &order, config)
 }
 
-/// H-Build's steps 2–4 over a sort already taken: the entry point for a
-/// caller that needed [`GrayOrder`] for its own reasons first (the
-/// planner samples its distinct codes), so the rank sort runs once.
-/// `order` must be `GrayOrder::sort(&items, code_len)` (or the same sort
-/// of the codes as rows). An empty `items` builds an empty `code_len`-bit
-/// index.
-pub(super) fn h_build_ordered(
+/// H-Build over `code_len`-bit codes stored as consecutive rows of `rows`
+/// (`code_len.div_ceil(64)` words each) with `ids[i]` the id of row `i`,
+/// and over their sort `order` (`GrayOrder::sort_rows` of those rows),
+/// which a caller that needed it first (the planner samples its distinct
+/// codes) passes on, so the rank sort runs once. No rows builds an empty
+/// `code_len`-bit index.
+pub(super) fn h_build_rows(
     code_len: usize,
-    items: Vec<(BinaryCode, TupleId)>,
-    order: GrayOrder,
+    rows: &[u64],
+    ids: &[TupleId],
+    order: &GrayOrder,
     config: DhaConfig,
 ) -> DynamicHaIndex {
     let mut idx = DynamicHaIndex::empty(code_len, config);
-    idx.len = items.len();
-    if items.is_empty() {
-        return idx;
-    }
+    idx.len = ids.len();
     let leaves = {
         let _span = ha_obs::span("core.hbuild.leaves");
-        append_leaves(&mut idx, items, order.0)
+        append_leaves(&mut idx, rows, ids, order)
     };
     // Extraction levels (lines 3–24).
     let _span = ha_obs::span("core.hbuild.levels");
-    extract_levels(&mut idx, leaves);
+    let (window, max_depth) = (idx.config.window, idx.config.max_depth);
+    extract_levels(&mut idx, window, max_depth, leaves);
     idx
+}
+
+/// The frozen snapshot `DynamicHaIndex::build_with(…).freeze()` makes of
+/// the rows [`h_build_rows`] takes, built without the arena: H-Build runs
+/// over a [`BuildForest`], which [`flat::compile`] reads like an arena
+/// and which is dropped once the snapshot is compiled. With tracing on,
+/// the phases are `core.hbuild.leaves`, `core.hbuild.levels` and
+/// `core.plan.freeze` (the compile).
+pub(crate) fn bulk_freeze(
+    code_len: usize,
+    rows: &[u64],
+    ids: &[TupleId],
+    order: &GrayOrder,
+    config: &DhaConfig,
+) -> FlatHaIndex {
+    let mut forest = {
+        let _span = ha_obs::span("core.hbuild.leaves");
+        BuildForest::leaves(code_len, rows, ids, order, config)
+    };
+    {
+        let _span = ha_obs::span("core.hbuild.levels");
+        let leaves = (0..forest.leaves as NodeId).collect();
+        extract_levels(&mut forest, config.window, config.max_depth, leaves);
+    }
+    let _span = ha_obs::span("core.plan.freeze");
+    flat::compile(&forest, 0, FreezePolicy::default())
 }
 
 /// Algorithm 1 line 1 as a sort: one `(key, input position)` pair per
@@ -84,22 +124,11 @@ pub(super) fn h_build_ordered(
 pub(crate) struct GrayOrder(Vec<(u64, u32)>);
 
 impl GrayOrder {
-    /// Sorts `items`, whose codes must all be `code_len` bits wide, from a
-    /// flat copy of their words. With tracing on, the sort after the copy
-    /// is the `core.hbuild.rank_sort` span.
-    pub(crate) fn sort(items: &[(BinaryCode, TupleId)], code_len: usize) -> Self {
-        let mut rows = Vec::with_capacity(items.len() * code_len.div_ceil(64));
-        for (code, _) in items {
-            assert_eq!(code.len(), code_len, "mixed code lengths");
-            rows.extend_from_slice(code.words());
-        }
-        Self::sort_rows(&rows, code_len, Vec::with_capacity(items.len()))
-    }
-
     /// Sorts the `code_len`-bit codes stored as consecutive rows of `rows`
     /// (`code_len.div_ceil(64)` words each) into `pairs`, an empty buffer
     /// with room for one pair per row. Allocates nothing, so it can run on
-    /// a thread that must not.
+    /// a thread that must not. With tracing on, it is the
+    /// `core.hbuild.rank_sort` span.
     pub(crate) fn sort_rows(rows: &[u64], code_len: usize, mut pairs: Vec<(u64, u32)>) -> Self {
         let _span = ha_obs::span("core.hbuild.rank_sort");
         let stride = code_len.div_ceil(64);
@@ -115,6 +144,11 @@ impl GrayOrder {
         GrayOrder(pairs)
     }
 
+    /// One run of pairs per distinct code, in Gray order: H-Build's leaves.
+    fn runs(&self) -> impl Iterator<Item = &[(u64, u32)]> + Clone + '_ {
+        self.0.chunk_by(|a, b| a.0 == b.0)
+    }
+
     /// The distinct codes of `rows` (the rows this order was sorted from,
     /// `stride` words each) in Gray order: one per leaf, in the order
     /// H-Build lays the leaves out, so the words of exactly what
@@ -124,9 +158,7 @@ impl GrayOrder {
         rows: &'a [u64],
         stride: usize,
     ) -> impl Iterator<Item = &'a [u64]> + Clone + 'a {
-        self.0
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(move |run| &rows[run[0].1 as usize * stride..][..stride])
+        self.runs().map(move |run| &rows[run[0].1 as usize * stride..][..stride])
     }
 }
 
@@ -152,30 +184,31 @@ fn settle_on_full_ranks(pairs: &mut [(u64, u32)], rows: &[u64], stride: usize) {
     }
 }
 
-/// The leaf level (Algorithm 1 line 2), appended to the still-empty arena
-/// in Gray order: per run of equal keys in `sorted`, one leaf holding the
-/// full pattern, the code, the run length as its frequency and — when the
-/// config keeps them — the run's ids, collected once at exact length. The
-/// leaf hash table is filled in its own pass once the arena is laid out:
-/// interleaving the two measured 2× slower at 10⁶ rows. Consumes the input
-/// so it is freed before the levels run; returns the leaf level.
+/// The arena's leaf level (Algorithm 1 line 2), appended to the
+/// still-empty arena in Gray order: per run of `order`, one leaf holding
+/// the full pattern, the code, the run length as its frequency and — when
+/// the config keeps them — the run's ids, collected once at exact length.
+/// The leaf hash table is filled in its own pass once the arena is laid
+/// out: interleaving the two measured 2× slower at 10⁶ rows. Returns the
+/// leaf level.
 fn append_leaves(
     idx: &mut DynamicHaIndex,
-    items: Vec<(BinaryCode, TupleId)>,
-    sorted: Vec<(u64, u32)>,
+    rows: &[u64],
+    ids: &[TupleId],
+    order: &GrayOrder,
 ) -> Vec<NodeId> {
-    let runs = || sorted.chunk_by(|a, b| a.0 == b.0);
-    let distinct = runs().count();
+    let stride = idx.code_len.div_ceil(64);
+    let distinct = order.runs().count();
     let keep_ids = idx.config.keep_leaf_ids;
     seed_bulk(&mut idx.nodes, distinct);
-    for run in runs() {
-        let code = &items[run[0].1 as usize].0;
+    for (run, row) in order.runs().zip(order.distinct_rows(rows, stride)) {
+        let code = BinaryCode::from_words(row, idx.code_len);
         let ids = if keep_ids {
-            run.iter().map(|&(_, i)| items[i as usize].1).collect()
+            run.iter().map(|&(_, i)| ids[i as usize]).collect()
         } else {
             Vec::new()
         };
-        let leaf = Node::leaf(MaskedCode::full(code.clone()), code.clone(), ids, run.len() as u32);
+        let leaf = Node::leaf(MaskedCode::full(code.clone()), code, ids, run.len() as u32);
         idx.nodes.push(leaf);
     }
     if keep_ids {
@@ -189,104 +222,87 @@ fn append_leaves(
     (0..distinct as NodeId).collect()
 }
 
-/// What one window of an extraction level resolved to. Planning a window
-/// only *reads* the arena; every order-sensitive effect lives in
-/// [`apply_level`].
-enum WindowPlan {
+/// Where H-Build keeps its nodes while [`extract_levels`] runs. A store
+/// does the pattern arithmetic of its own representation; the level
+/// algorithm — windows, residuals, consolidation, the top level — is the
+/// one body both stores share.
+pub(super) trait NodeStore {
+    /// A pattern as the store computes it: the consolidation key of lines
+    /// 6–11.
+    type Pattern: Eq + Hash;
+    /// The maximal FLSSeq the (at least two) `members` share, or `None`
+    /// when it is vacuous.
+    fn common(&self, members: &[NodeId]) -> Option<Self::Pattern>;
+    /// Line 5's child update: every member keeps only the positions of
+    /// its pattern that `common` leaves free.
+    fn keep_residuals(&mut self, members: &[NodeId], common: &Self::Pattern);
+    /// A new parent with pattern `common` over `children`; returns its id.
+    fn push_parent(&mut self, common: &Self::Pattern, children: &[NodeId]) -> NodeId;
+    /// Consolidation: `children` join the existing `parent`.
+    fn adopt(&mut self, parent: NodeId, children: &[NodeId]);
+    /// Links `nodes` to the top level of the index.
+    fn push_roots(&mut self, nodes: &[NodeId]);
+}
+
+/// What one window of an extraction level resolved to.
+enum WindowPlan<P> {
     /// A lone trailing node just rides up to the next level.
     Ride,
     /// No shared FLSSeq: members link to the top level (line 16).
     TopLevel,
-    /// The window shares `common`; members keep only their residual bits
-    /// (line 5's child update).
-    Extract {
-        common: MaskedCode,
-        residuals: Vec<MaskedCode>,
-        frequency: u32,
-    },
+    /// The window shares this pattern: it becomes (or joins) their parent.
+    Extract(P),
 }
 
-/// Analyses one window: the maximal shared FLSSeq and, when it is
-/// non-vacuous, the members' residual patterns and summed frequency.
-fn plan_window(nodes: &[Node], members: &[NodeId]) -> WindowPlan {
+/// Analyses one window: its maximal shared FLSSeq, when non-vacuous.
+fn plan_window<S: NodeStore>(store: &S, members: &[NodeId]) -> WindowPlan<S::Pattern> {
     if members.len() == 1 {
         return WindowPlan::Ride;
     }
-    let common = MaskedCode::common_of(members.iter().map(|&n| &nodes[n as usize].pattern))
-        .expect("non-empty window");
-    if common.is_vacuous() {
-        return WindowPlan::TopLevel;
-    }
-    let residuals = members
-        .iter()
-        .map(|&n| nodes[n as usize].pattern.subtract(common.mask()))
-        .collect();
-    let frequency = members.iter().map(|&n| nodes[n as usize].frequency).sum();
-    WindowPlan::Extract {
-        common,
-        residuals,
-        frequency,
+    match store.common(members) {
+        Some(common) => WindowPlan::Extract(common),
+        None => WindowPlan::TopLevel,
     }
 }
 
-/// Runs the extraction levels over the leaf level `current`: each level's
-/// windows are planned, then applied in window order.
-fn extract_levels(idx: &mut DynamicHaIndex, mut current: Vec<NodeId>) {
-    let max_depth = idx.config.max_depth.max(1);
-    for _depth in 0..max_depth {
+/// Runs the extraction levels over the leaf level `current`: each level
+/// applies its windows in order, then the survivors become the top level.
+fn extract_levels<S: NodeStore>(
+    store: &mut S,
+    window: usize,
+    max_depth: usize,
+    mut current: Vec<NodeId>,
+) {
+    let window = window.max(2);
+    for _depth in 0..max_depth.max(1) {
         if current.len() <= 1 {
             break;
         }
-        let plans: Vec<WindowPlan> = current
-            .chunks(idx.config.window.max(2))
-            .map(|members| plan_window(&idx.nodes, members))
-            .collect();
-        let next = apply_level(idx, &current, plans);
-        if next.is_empty() {
-            current = next;
-            break;
-        }
-        current = next;
+        current = apply_level(store, &current, window);
     }
-    idx.roots.extend(current);
+    store.push_roots(&current);
 }
 
-/// Applies one level's window plans: mutates member patterns to their
-/// residuals, consolidates pattern-equal parents (lines 6–11) and
-/// allocates new parents in window order.
-fn apply_level(
-    idx: &mut DynamicHaIndex,
-    current: &[NodeId],
-    plans: Vec<WindowPlan>,
-) -> Vec<NodeId> {
-    let window = idx.config.window.max(2);
+/// Applies one level's windows in window order: a window's plan reads only
+/// its own members, so planning each just before applying it equals
+/// planning the whole level first. Members keep their residuals,
+/// pattern-equal parents are consolidated (lines 6–11) and new parents are
+/// allocated in window order. Returns the next level.
+fn apply_level<S: NodeStore>(store: &mut S, current: &[NodeId], window: usize) -> Vec<NodeId> {
     let mut next: Vec<NodeId> = Vec::new();
     // Consolidation map for this level (lines 6–11).
-    let mut intern: HashMap<MaskedCode, NodeId> = HashMap::with_capacity(plans.len());
-    for (chunk, plan) in current.chunks(window).zip(plans) {
-        match plan {
+    let mut intern: HashMap<S::Pattern, NodeId> =
+        HashMap::with_capacity(current.len().div_ceil(window));
+    for chunk in current.chunks(window) {
+        match plan_window(store, chunk) {
             WindowPlan::Ride => next.push(chunk[0]),
-            WindowPlan::TopLevel => idx.roots.extend_from_slice(chunk),
-            WindowPlan::Extract {
-                common,
-                residuals,
-                frequency,
-            } => {
-                for (&member, residual) in chunk.iter().zip(residuals) {
-                    idx.nodes[member as usize].pattern = residual;
-                }
+            WindowPlan::TopLevel => store.push_roots(chunk),
+            WindowPlan::Extract(common) => {
+                store.keep_residuals(chunk, &common);
                 match intern.entry(common) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let pid = *e.get();
-                        let parent = &mut idx.nodes[pid as usize];
-                        parent.children.extend_from_slice(chunk);
-                        parent.frequency += frequency;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let mut parent = Node::internal(e.key().clone());
-                        parent.children.extend_from_slice(chunk);
-                        parent.frequency = frequency;
-                        let pid = alloc_raw(&mut idx.nodes, parent);
+                    Entry::Occupied(e) => store.adopt(*e.get(), chunk),
+                    Entry::Vacant(e) => {
+                        let pid = store.push_parent(e.key(), chunk);
                         e.insert(pid);
                         next.push(pid);
                     }
@@ -297,10 +313,247 @@ fn apply_level(
     next
 }
 
+/// The arena: patterns are [`MaskedCode`]s, and every node counts its
+/// subtree's tuples (the frequency H-Insert / H-Delete maintain).
+impl NodeStore for DynamicHaIndex {
+    type Pattern = MaskedCode;
+
+    fn common(&self, members: &[NodeId]) -> Option<MaskedCode> {
+        MaskedCode::common_of(members.iter().map(|&n| &self.nodes[n as usize].pattern))
+            .filter(|common| !common.is_vacuous())
+    }
+
+    fn keep_residuals(&mut self, members: &[NodeId], common: &MaskedCode) {
+        for &member in members {
+            let node = &mut self.nodes[member as usize];
+            node.pattern = node.pattern.subtract(common.mask());
+        }
+    }
+
+    fn push_parent(&mut self, common: &MaskedCode, children: &[NodeId]) -> NodeId {
+        let mut parent = Node::internal(common.clone());
+        parent.children.extend_from_slice(children);
+        parent.frequency = self.frequency_of(children);
+        alloc_raw(&mut self.nodes, parent)
+    }
+
+    fn adopt(&mut self, parent: NodeId, children: &[NodeId]) {
+        let frequency = self.frequency_of(children);
+        let parent = &mut self.nodes[parent as usize];
+        parent.children.extend_from_slice(children);
+        parent.frequency += frequency;
+    }
+
+    fn push_roots(&mut self, nodes: &[NodeId]) {
+        self.roots.extend_from_slice(nodes);
+    }
+}
+
+impl DynamicHaIndex {
+    fn frequency_of(&self, nodes: &[NodeId]) -> u32 {
+        nodes.iter().map(|&n| self.nodes[n as usize].frequency).sum()
+    }
+}
+
 pub(super) fn alloc_raw(nodes: &mut Vec<Node>, node: Node) -> NodeId {
     let id = nodes.len() as NodeId;
     nodes.push(node);
     id
+}
+
+/// "No node" in a [`BuildForest`]'s links.
+const NONE: NodeId = NodeId::MAX;
+
+/// H-Build's nodes for a build that goes straight to a frozen snapshot:
+/// what [`flat::compile`] reads of an arena, and nothing else — no node
+/// owns a heap allocation, no leaf copies its code, and no node keeps a
+/// frequency (the snapshot has none).
+///
+/// Leaves are nodes `0 .. leaves`, one per run of the [`GrayOrder`] of
+/// the borrowed rows, in Gray order; internal nodes follow in the order
+/// the levels allocate them, as in the arena. Children hang off their
+/// parent as a linked list (first and last child per internal node, the
+/// next sibling per node), which keeps consolidation's appends to an
+/// existing parent free of reallocation.
+pub(super) struct BuildForest<'a> {
+    code_len: usize,
+    /// `u64` words per code.
+    words: usize,
+    rows: &'a [u64],
+    ids: &'a [TupleId],
+    order: &'a [(u64, u32)],
+    keep_ids: bool,
+    /// Every node's pattern: `words` bits words, then `words` mask words.
+    patterns: Vec<u64>,
+    /// Leaves.
+    leaves: usize,
+    /// Leaf `l`'s run is `order[run_start[l] .. run_start[l + 1]]`.
+    run_start: Vec<u32>,
+    /// Internal node `leaves + i`'s first and last child, at `i`.
+    child_ends: Vec<(NodeId, NodeId)>,
+    /// Each node's next sibling under its parent, or [`NONE`].
+    next_sibling: Vec<NodeId>,
+    roots: Vec<NodeId>,
+}
+
+impl<'a> BuildForest<'a> {
+    /// The leaf level over `rows` (ids `ids`, sorted as `order`): each
+    /// leaf's pattern is its code under a full mask. Room for every node
+    /// the levels can make is taken here, so nothing grows later: a level
+    /// of `s` nodes makes at most one parent per window, `s.div_ceil(w)`.
+    fn leaves(
+        code_len: usize,
+        rows: &'a [u64],
+        ids: &'a [TupleId],
+        order: &'a GrayOrder,
+        config: &DhaConfig,
+    ) -> Self {
+        let words = code_len.div_ceil(64);
+        let leaves = order.runs().count();
+        let window = config.window.max(2);
+        let mut internal = 0usize;
+        let mut level = leaves;
+        for _ in 0..config.max_depth.max(1) {
+            if level <= 1 {
+                break;
+            }
+            level = level.div_ceil(window);
+            internal += level;
+        }
+        let nodes = leaves + internal;
+        let mut patterns = Vec::with_capacity(2 * words * nodes);
+        let mut run_start: Vec<u32> = Vec::with_capacity(leaves + 1);
+        let full = BinaryCode::ones(code_len);
+        let mut at = 0;
+        for (run, row) in order.runs().zip(order.distinct_rows(rows, words)) {
+            run_start.push(at);
+            at += run.len() as u32;
+            patterns.extend_from_slice(row);
+            patterns.extend_from_slice(full.words());
+        }
+        run_start.push(at);
+        let mut next_sibling = Vec::with_capacity(nodes);
+        next_sibling.resize(leaves, NONE);
+        BuildForest {
+            code_len,
+            words,
+            rows,
+            ids,
+            order: &order.0,
+            keep_ids: config.keep_leaf_ids,
+            patterns,
+            leaves,
+            run_start,
+            child_ends: Vec::with_capacity(internal),
+            next_sibling,
+            roots: Vec::new(),
+        }
+    }
+
+    fn pattern_words(&self, node: NodeId) -> &[u64] {
+        &self.patterns[node as usize * 2 * self.words..][..2 * self.words]
+    }
+
+    /// Chains `nodes` as consecutive siblings.
+    fn link(&mut self, nodes: &[NodeId]) {
+        for pair in nodes.windows(2) {
+            self.next_sibling[pair[0] as usize] = pair[1];
+        }
+    }
+}
+
+/// The forest: a pattern is its `2 · words` words, bits then mask.
+impl NodeStore for BuildForest<'_> {
+    type Pattern = Box<[u64]>;
+
+    fn common(&self, members: &[NodeId]) -> Option<Box<[u64]>> {
+        let w = self.words;
+        let mut common: Box<[u64]> = self.pattern_words(members[0]).into();
+        let (bits, mask) = common.split_at_mut(w);
+        for &member in &members[1..] {
+            let (b, m) = self.pattern_words(member).split_at(w);
+            for i in 0..w {
+                mask[i] &= m[i] & !(bits[i] ^ b[i]);
+                bits[i] &= mask[i];
+            }
+        }
+        mask.iter().any(|&m| m != 0).then_some(common)
+    }
+
+    fn keep_residuals(&mut self, members: &[NodeId], common: &Box<[u64]>) {
+        let w = self.words;
+        let parent_mask = &common[w..];
+        for &member in members {
+            let at = member as usize * 2 * w;
+            let (bits, mask) = self.patterns[at..at + 2 * w].split_at_mut(w);
+            for i in 0..w {
+                mask[i] &= !parent_mask[i];
+                bits[i] &= mask[i];
+            }
+        }
+    }
+
+    fn push_parent(&mut self, common: &Box<[u64]>, children: &[NodeId]) -> NodeId {
+        let id = self.next_sibling.len() as NodeId;
+        self.patterns.extend_from_slice(common);
+        self.next_sibling.push(NONE);
+        self.link(children);
+        self.child_ends.push((children[0], children[children.len() - 1]));
+        id
+    }
+
+    fn adopt(&mut self, parent: NodeId, children: &[NodeId]) {
+        let ends = &mut self.child_ends[parent as usize - self.leaves];
+        let last = std::mem::replace(&mut ends.1, children[children.len() - 1]);
+        self.next_sibling[last as usize] = children[0];
+        self.link(children);
+    }
+
+    fn push_roots(&mut self, nodes: &[NodeId]) {
+        self.roots.extend_from_slice(nodes);
+    }
+}
+
+impl ForestView for BuildForest<'_> {
+    fn code_len(&self) -> usize {
+        self.code_len
+    }
+
+    fn sizes(&self) -> ForestSizes {
+        ForestSizes {
+            nodes: self.next_sibling.len(),
+            leaves: self.leaves,
+            tuples: self.ids.len(),
+            leaf_ids: if self.keep_ids { self.ids.len() } else { 0 },
+        }
+    }
+
+    fn roots(&self) -> &[NodeId] {
+        &self.roots
+    }
+
+    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        let first = (node as usize)
+            .checked_sub(self.leaves)
+            .map(|i| self.child_ends[i].0);
+        std::iter::successors(first, |&c| Some(self.next_sibling[c as usize]).filter(|&n| n != NONE))
+    }
+
+    fn pattern(&self, node: NodeId) -> (&[u64], &[u64]) {
+        self.pattern_words(node).split_at(self.words)
+    }
+
+    fn leaf(&self, node: NodeId, ids: &mut Vec<TupleId>) -> Option<&[u64]> {
+        let leaf = node as usize;
+        if leaf >= self.leaves {
+            return None;
+        }
+        let run = &self.order[self.run_start[leaf] as usize..self.run_start[leaf + 1] as usize];
+        if self.keep_ids {
+            ids.extend(run.iter().map(|&(_, i)| self.ids[i as usize]));
+        }
+        Some(&self.rows[run[0].1 as usize * self.words..][..self.words])
+    }
 }
 
 #[cfg(test)]
@@ -487,6 +740,49 @@ mod tests {
         }
     }
 
+    /// A planned build compiles its snapshot from a build forest, never
+    /// from the arena; the snapshot must be the arena's, byte for byte:
+    /// at widths on both sides of one and two words, with duplicate codes
+    /// whose extra copies come first under larger ids, in both leaf modes,
+    /// with a window of 2 and with a single extraction level. Every golden
+    /// case also reaches its recorded store digest through the planned
+    /// path.
+    #[test]
+    fn a_planned_build_compiles_the_arena_snapshot_byte_for_byte() {
+        use crate::planner::{PlanConfig, PlannedIndex};
+        use ha_bitcode::fnv::fnv64;
+        let dup = |data: Vec<(BinaryCode, TupleId)>| {
+            let mut out: Vec<_> =
+                data.iter().step_by(3).map(|(c, id)| (c.clone(), id + 1_000_000)).collect();
+            out.extend(data);
+            out
+        };
+        let configs = [
+            DhaConfig::default(),
+            DhaConfig { keep_leaf_ids: false, ..DhaConfig::default() },
+            DhaConfig { window: 2, max_depth: 4, ..DhaConfig::default() },
+            DhaConfig { max_depth: 1, ..DhaConfig::default() },
+        ];
+        let planned = |bits: usize, data: Vec<(BinaryCode, TupleId)>, dha: DhaConfig| {
+            PlannedIndex::build_with(bits, data, PlanConfig { dha, ..PlanConfig::default() })
+                .store_bytes()
+        };
+        for bits in [16usize, 63, 64, 65, 128, 512] {
+            let data = dup(clustered_dataset(1500, bits, 5, 3, bits as u64));
+            for config in &configs {
+                let mut arena = DynamicHaIndex::build_with(data.clone(), config.clone());
+                let want = arena.freeze().store_bytes();
+                let got = planned(bits, data.clone(), config.clone());
+                assert!(got == Some(want), "bits={bits} {config:?}: the snapshots differ");
+            }
+        }
+        for ((name, data, config), &(_, _, store, _)) in golden_cases().into_iter().zip(&GOLDEN) {
+            let bits = data[0].0.len();
+            let got = planned(bits, data, config).map(|bytes| fnv64(&bytes));
+            assert_eq!(got, Some(store), "{name}: store digest through the planned path");
+        }
+    }
+
     #[test]
     fn leafless_runs_carry_their_length_as_frequency() {
         // Both rank paths (a `u64` key at 16 bits, a run ordinal settled
@@ -536,7 +832,8 @@ mod tests {
                 .collect();
             let mut want: Vec<u32> = (0..items.len() as u32).collect();
             want.sort_by_key(|&i| (gray_rank(&items[i as usize].0), i));
-            let order = GrayOrder::sort(&items, bits);
+            let rows: Vec<u64> = items.iter().flat_map(|(c, _)| c.words().to_vec()).collect();
+            let order = GrayOrder::sort_rows(&rows, bits, Vec::with_capacity(items.len()));
             let got: Vec<u32> = order.0.iter().map(|&(_, i)| i).collect();
             assert_eq!(got, want, "bits={bits}");
             assert_eq!(order.0[0].0, 0);

@@ -34,7 +34,7 @@ pub use flat::{FlatHaIndex, FreezePolicy};
 pub use search::{TraceEvent, TraceStep};
 pub use serialize::DecodeError;
 
-pub(crate) use build::GrayOrder;
+pub(crate) use build::{bulk_freeze, GrayOrder};
 
 use std::collections::HashMap;
 
@@ -132,19 +132,20 @@ impl DynamicHaIndex {
         build::h_build(items, config)
     }
 
-    /// H-Build over a rank sort the caller already took (the planner's
-    /// profile needs it first): `order` must be
-    /// `GrayOrder::sort(&items, code_len)`, or `GrayOrder::sort_rows` of
-    /// the same codes as flat rows. Builds exactly what
-    /// [`DynamicHaIndex::build_with`] builds from `items`, and an empty
-    /// `code_len`-bit index from none.
-    pub(crate) fn build_ordered(
+    /// H-Build over codes stored as flat rows (`code_len.div_ceil(64)`
+    /// words each, `ids[i]` the id of row `i`) and their rank sort, which
+    /// the caller already took (the planner's profile needs it first):
+    /// `order` must be `GrayOrder::sort_rows` of `rows`. Builds exactly
+    /// what [`DynamicHaIndex::build_with`] builds from the same pairs in
+    /// row order, and an empty `code_len`-bit index from none.
+    pub(crate) fn build_rows(
         code_len: usize,
-        items: Vec<(BinaryCode, TupleId)>,
-        order: GrayOrder,
+        rows: &[u64],
+        ids: &[TupleId],
+        order: &GrayOrder,
         config: DhaConfig,
     ) -> Self {
-        build::h_build_ordered(code_len, items, order, config)
+        build::h_build_rows(code_len, rows, ids, order, config)
     }
 
     /// Empty index for `code_len`-bit codes.
@@ -319,14 +320,8 @@ impl DynamicHaIndex {
     /// assert!(!index.flat_is_current()); // arena path until re-frozen
     /// ```
     pub fn freeze(&mut self) -> &FlatHaIndex {
-        maintain::flush_buffer(self);
-        let current = self.flat.as_ref().is_some_and(|f| f.epoch() == self.epoch);
-        if !current {
-            let dropped = self.compact();
-            ha_obs::add("core.flat.compacted_nodes", dropped as u64);
-            self.flat = Some(flat::compile(self, FreezePolicy::default()));
-        }
-        self.flat.as_ref().expect("snapshot just installed")
+        let flat = self.take_frozen();
+        self.flat.insert(flat)
     }
 
     /// Freezes under an explicit [`FreezePolicy`], always recompiling —
@@ -336,10 +331,32 @@ impl DynamicHaIndex {
     /// [`FreezePolicy::always_soa`]) without mutating the index first.
     pub fn freeze_with(&mut self, policy: FreezePolicy) -> &FlatHaIndex {
         maintain::flush_buffer(self);
+        let flat = self.compile(policy);
+        self.flat.insert(flat)
+    }
+
+    /// [`DynamicHaIndex::freeze`]'s snapshot, moved out of the index: the
+    /// current one if installed, else a fresh compile. The index keeps no
+    /// snapshot afterwards.
+    pub(crate) fn take_frozen(&mut self) -> FlatHaIndex {
+        maintain::flush_buffer(self);
+        match self.take_current_snapshot() {
+            Some(flat) => flat,
+            None => self.compile(FreezePolicy::default()),
+        }
+    }
+
+    /// The installed snapshot, moved out of the index, if it is current.
+    pub(crate) fn take_current_snapshot(&mut self) -> Option<FlatHaIndex> {
+        self.flat.take().filter(|f| f.epoch() == self.epoch)
+    }
+
+    /// Compacts dead slots away and compiles a snapshot of the flushed
+    /// arena.
+    fn compile(&mut self, policy: FreezePolicy) -> FlatHaIndex {
         let dropped = self.compact();
         ha_obs::add("core.flat.compacted_nodes", dropped as u64);
-        self.flat = Some(flat::compile(self, policy));
-        self.flat.as_ref().expect("snapshot just installed")
+        flat::compile(self, self.epoch, policy)
     }
 
     /// Freezes (if stale) and serializes the flat snapshot into the

@@ -458,6 +458,11 @@ impl MihIndex {
         &self.row_words
     }
 
+    /// The stored ids, one per row of [`MihIndex::row_words`].
+    pub(crate) fn ids(&self) -> &[TupleId] {
+        &self.ids
+    }
+
     /// Every stored `(code, id)` pair, in build input order.
     pub(crate) fn items(&self) -> impl Iterator<Item = (BinaryCode, TupleId)> + '_ {
         (0..self.ids.len())

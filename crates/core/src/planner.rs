@@ -12,13 +12,15 @@
 //! estimate — plus the query threshold, and [`choose`] picks the minimum.
 //!
 //! One integration surface sits on top: [`PlannedIndex`] routes every
-//! query over two structures indexing the same rows — a [`MihIndex`],
-//! always built, and a [`DynamicHaIndex`] with its frozen snapshot, which
-//! a build makes only when the cost model lets the flat layout win some
-//! threshold and otherwise defers to the first call that names it. The
-//! choice is costed *before* building, from the MIH's rows and H-Build's
-//! own rank sort, so routes are the same either way, and neither
-//! structure changes once built. HA-Serve shards build one per generation
+//! query over the structures indexing the same rows — a [`MihIndex`],
+//! always built, and the HA-Index's frozen snapshot ([`FlatHaIndex`]),
+//! which a build bulk-loads straight from the MIH's rows when the cost
+//! model lets the flat layout win some threshold and otherwise defers to
+//! the first call that names it. The choice is costed *before* building,
+//! from the MIH's rows and H-Build's own rank sort, so routes are the same
+//! either way, and no structure changes once built. The mutable arena
+//! ([`DynamicHaIndex`]) is built only for the arena backend. HA-Serve
+//! shards build one planned index per generation
 //! ([`PlannedIndex::build_with`]); the distributed join's reducers adopt
 //! the broadcast HA-Index as one ([`PlannedIndex::from_dha`]) — the MIH
 //! is a function of the shipped HA-Index's items, so each worker derives
@@ -35,10 +37,10 @@ use std::sync::OnceLock;
 use ha_bitcode::chunk::neighborhood_size;
 use ha_bitcode::BinaryCode;
 
-use crate::dynamic::{DhaConfig, DynamicHaIndex, GrayOrder};
+use crate::dynamic::{bulk_freeze, DhaConfig, DynamicHaIndex, GrayOrder};
 use crate::mih::{MihIndex, MihRows};
 use crate::overlap;
-use crate::{HammingIndex, TupleId};
+use crate::{FlatHaIndex, HammingIndex, TupleId};
 
 /// The exact search backends the planner can route to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -313,22 +315,26 @@ pub struct PlanConfig {
 /// An exact Hamming index that routes every query to the cheapest backend
 /// it can serve.
 ///
-/// Two structures index the same rows. The [`MihIndex`] is always built:
+/// The structures index the same rows. The [`MihIndex`] is always built:
 /// it serves chunked probing and the linear scan (its flat row store
 /// doubles as the scan target, so the "four backends" cost two
 /// structures, not four), and its rows answer every read that needs the
 /// stored pairs ([`PlannedIndex::items`] and the delta overlay's
-/// tombstone reads). The [`DynamicHaIndex`] serves the arena and flat
-/// paths. [`PlannedIndex::build_with`] builds and freezes it only when the
-/// flat layout can win some threshold; otherwise it is *deferred* and
-/// built and frozen, once, by the first call that names it
-/// ([`PlannedIndex::search_with_backend`] with [`Backend::HaFlat`] or
-/// [`Backend::ArenaBfs`], [`PlannedIndex::store_bytes`],
-/// [`PlannedIndex::dha`]). Routing never depends on whether that has
-/// happened. Neither structure changes after it is built (serving layers
-/// mutations over it with a [`crate::DeltaIndex`]) except through
-/// [`PlannedIndex::freeze`], which compiles a missing flat snapshot and
-/// refreshes the clusteredness estimate.
+/// tombstone reads). The HA-Index's frozen snapshot ([`FlatHaIndex`])
+/// serves the flat path. [`PlannedIndex::build_with`] bulk-loads it from
+/// the MIH's rows only when the flat layout can win some threshold;
+/// otherwise it is *deferred* and built, once, by the first call that
+/// names it ([`PlannedIndex::search_with_backend`] with
+/// [`Backend::HaFlat`], [`PlannedIndex::store_bytes`]). The mutable
+/// arena ([`DynamicHaIndex`]) is never built to make the snapshot: only
+/// the arena backend reads it, so the first call that needs it
+/// ([`Backend::ArenaBfs`], forced or routed, or [`PlannedIndex::dha`])
+/// builds it, once, from the MIH's rows — an index adopted by
+/// [`PlannedIndex::from_dha`] keeps the arena it was given. Routing never
+/// depends on what has been built. No structure changes after it is
+/// built (serving layers mutations over it with a [`crate::DeltaIndex`])
+/// except through [`PlannedIndex::freeze`], which compiles a missing flat
+/// snapshot.
 ///
 /// ```
 /// use ha_core::planner::PlannedIndex;
@@ -350,16 +356,20 @@ pub struct PlannedIndex {
     model: CostModel,
     clusteredness: f64,
     route: FlatRoute,
-    /// The HA-Index: filled at construction unless the build deferred it
-    /// ([`FlatRoute::Deferred`]), then on first demand.
-    dha: OnceLock<DynamicHaIndex>,
-    /// The configuration a deferred HA-Index is built with.
+    /// The frozen snapshot: filled at construction unless the build
+    /// deferred it ([`FlatRoute::Deferred`]), then on first demand; empty
+    /// while the flat backend is [`FlatRoute::Absent`].
+    flat: OnceLock<FlatHaIndex>,
+    /// The mutable arena: an adopted one, or built on first demand.
+    arena: OnceLock<DynamicHaIndex>,
+    /// The configuration the HA-Index is built with.
     dha_config: DhaConfig,
 }
 
 /// How the flat backend enters routing. Fixed at construction and changed
 /// only by [`PlannedIndex::freeze`] — never by building a deferred
-/// HA-Index, so a route cannot depend on which call came first.
+/// snapshot or the arena, so a route cannot depend on which call came
+/// first.
 #[derive(Clone, Copy, Debug)]
 enum FlatRoute {
     /// No current snapshot (an adopted index before its `freeze`): the
@@ -368,7 +378,7 @@ enum FlatRoute {
     /// A current snapshot with this AoS group fraction, which feeds the
     /// flat estimate ([`CostModel::flat_cost_adaptive`]).
     Frozen(f64),
-    /// The build skipped the HA-Index because the flat layout loses at
+    /// The build skipped the snapshot because the flat layout loses at
     /// every threshold even in its best case ([`flat_wins_somewhere`]).
     /// The flat backend stays available and is costed at that best case,
     /// so it is never picked.
@@ -399,11 +409,13 @@ fn flat_wins_somewhere(model: &CostModel, profile: &DataProfile) -> bool {
     false
 }
 
-/// H-Build over the MIH's rows, which hold the build input in its order,
-/// reusing their Gray `order` ([`GrayOrder::sort_rows`] of those rows):
-/// exactly the HA-Index H-Build makes of the input itself.
-fn ha_index(mih: &MihIndex, order: GrayOrder, config: DhaConfig) -> DynamicHaIndex {
-    DynamicHaIndex::build_ordered(mih.code_len(), mih.items().collect(), order, config)
+/// The frozen snapshot H-Build and freeze make of the MIH's rows, which
+/// hold the build input in its order, reusing their Gray `order`
+/// ([`GrayOrder::sort_rows`] of those rows): byte for byte the snapshot
+/// `DynamicHaIndex::build_with(input, config).freeze()` compiles, built
+/// without the arena.
+fn snapshot_of(mih: &MihIndex, order: &GrayOrder, config: &DhaConfig) -> FlatHaIndex {
+    bulk_freeze(mih.code_len(), mih.row_words(), mih.ids(), order, config)
 }
 
 impl PlannedIndex {
@@ -419,18 +431,21 @@ impl PlannedIndex {
     /// rows, whose distinct codes the clusteredness is sampled from. The
     /// helper allocates nothing: it sorts into a buffer sized here. A
     /// panic on it is re-raised on the caller. Only when the flat backend
-    /// can win some threshold does H-Build reuse that sort
-    /// and the snapshot get frozen under
-    /// [`FreezePolicy::adaptive`](crate::FreezePolicy::adaptive);
-    /// otherwise the HA-Index is deferred (see [`PlannedIndex`]).
+    /// can win some threshold does H-Build reuse that sort, over a compact
+    /// build forest read straight off the MIH's rows, and the forest get
+    /// compiled to the snapshot under
+    /// [`FreezePolicy::adaptive`](crate::FreezePolicy::adaptive) and
+    /// dropped: no arena is built. Otherwise the snapshot is deferred (see
+    /// [`PlannedIndex`]).
     ///
     /// With tracing on, the build is one `core.plan.build` span whose
     /// children are the phases: `core.plan.mih` and `core.plan.profile`
     /// (holding `core.hbuild.rank_sort`), which may overlap in time, then,
-    /// when the HA-Index is built, `core.hbuild.leaves`,
+    /// when the snapshot is built, `core.hbuild.leaves`,
     /// `core.hbuild.levels` and `core.plan.freeze`.
-    /// A deferred HA-Index is built inside one `core.plan.materialize`
-    /// span holding `core.hbuild.*` and `core.plan.freeze`.
+    /// A deferred snapshot is built inside one `core.plan.materialize`
+    /// span holding `core.hbuild.*` and `core.plan.freeze`; the arena,
+    /// whenever it is built, inside one holding `core.hbuild.*` only.
     pub fn build_with(code_len: usize, items: Vec<(BinaryCode, TupleId)>, cfg: PlanConfig) -> Self {
         let _build = ha_obs::span("core.plan.build");
         let n = items.len();
@@ -459,13 +474,9 @@ impl PlannedIndex {
         );
         let mih = rows.index(dirs);
         let profile = DataProfile { bits: code_len, n, clusteredness };
-        let (route, dha) = if flat_wins_somewhere(&cfg.model, &profile) {
-            let mut dha = ha_index(&mih, order, cfg.dha.clone());
-            let aos = {
-                let _span = ha_obs::span("core.plan.freeze");
-                dha.freeze().aos_fraction()
-            };
-            (FlatRoute::Frozen(aos), OnceLock::from(dha))
+        let (route, flat) = if flat_wins_somewhere(&cfg.model, &profile) {
+            let flat = snapshot_of(&mih, &order, &cfg.dha);
+            (FlatRoute::Frozen(flat.aos_fraction()), OnceLock::from(flat))
         } else {
             (FlatRoute::Deferred, OnceLock::new())
         };
@@ -475,7 +486,8 @@ impl PlannedIndex {
             model: cfg.model,
             clusteredness,
             route,
-            dha,
+            flat,
+            arena: OnceLock::new(),
             dha_config: cfg.dha,
         }
     }
@@ -484,8 +496,8 @@ impl PlannedIndex {
     /// broadcast — without re-running H-Build. The MIH is derived from
     /// [`DynamicHaIndex::items`] (leaf ids with multiplicity plus any
     /// buffered inserts), clusteredness is sampled from the leaf codes as
-    /// in [`PlannedIndex::build_with`], and a snapshot `dha` already
-    /// carries is kept; none is compiled here — call
+    /// in [`PlannedIndex::build_with`], and a current snapshot `dha`
+    /// carries moves to the planned index; none is compiled here — call
     /// [`PlannedIndex::freeze`] when [`PlannedIndex::flat_can_win`] says
     /// it is worth it. `dha` must keep its leaf ids
     /// ([`DhaConfig::keep_leaf_ids`]): a leafless index holds no ids for
@@ -503,12 +515,13 @@ impl PlannedIndex {
     /// let q = BinaryCode::from_u64(5, 16);
     /// assert_eq!(adopted.search(&q, 1), PlannedIndex::build(16, items).search(&q, 1));
     /// ```
-    pub fn from_dha(dha: DynamicHaIndex, model: CostModel) -> Self {
+    pub fn from_dha(mut dha: DynamicHaIndex, model: CostModel) -> Self {
         let code_len = dha.code_len();
         let n = dha.len();
         let mih = MihIndex::bulk(code_len, MihIndex::auto_chunks(code_len, n), n, dha.item_refs());
         let clusteredness = estimate_clusteredness(dha.leaf_codes());
-        let route = dha.flat().map_or(FlatRoute::Absent, |f| FlatRoute::Frozen(f.aos_fraction()));
+        let flat = dha.take_current_snapshot();
+        let route = flat.as_ref().map_or(FlatRoute::Absent, |f| FlatRoute::Frozen(f.aos_fraction()));
         let dha_config = dha.config().clone();
         PlannedIndex {
             code_len,
@@ -516,7 +529,8 @@ impl PlannedIndex {
             model,
             clusteredness,
             route,
-            dha: OnceLock::from(dha),
+            flat: flat.map(OnceLock::from).unwrap_or_default(),
+            arena: OnceLock::from(dha),
             dha_config,
         }
     }
@@ -535,7 +549,8 @@ impl PlannedIndex {
     /// Backends able to answer: all four, except that the flat path drops
     /// out while an index adopted by [`PlannedIndex::from_dha`] has no
     /// current snapshot (until its [`PlannedIndex::freeze`]). A deferred
-    /// HA-Index counts as available: naming it builds it.
+    /// snapshot and an unbuilt arena count as available: naming them
+    /// builds them.
     pub fn available(&self) -> Vec<Backend> {
         self.available_slice().to_vec()
     }
@@ -552,7 +567,7 @@ impl PlannedIndex {
     /// The backend [`HammingIndex::search`] would use at threshold `h`.
     /// When a current snapshot exists, its recorded layout mix feeds the
     /// flat estimate ([`CostModel::flat_cost_adaptive`]); a deferred
-    /// HA-Index is costed at its best case, which loses at every `h`.
+    /// snapshot is costed at its best case, which loses at every `h`.
     /// Runs on every routed query, so it allocates nothing.
     pub fn backend_for(&self, h: u32) -> Backend {
         let aos = match self.route {
@@ -569,7 +584,7 @@ impl PlannedIndex {
     /// [`CostModel::flat_cost_adaptive`] at `1.0`) against the backend
     /// [`PlannedIndex::backend_for`] picks without it. An index adopted
     /// by [`PlannedIndex::from_dha`] freezes only when this holds; for a
-    /// build that deferred its HA-Index it holds at no `h`.
+    /// build that deferred its snapshot it holds at no `h`.
     pub fn flat_can_win(&self, h: u32) -> bool {
         if let FlatRoute::Frozen(_) = self.route {
             return true;
@@ -589,7 +604,8 @@ impl PlannedIndex {
 
     /// Forces the query through one specific backend; `None` if that
     /// backend is unavailable (the flat path without a current snapshot).
-    /// Forcing the flat or arena path builds a deferred HA-Index first.
+    /// Forcing the flat path builds a deferred snapshot first, and forcing
+    /// the arena path an unbuilt arena.
     /// Answers are canonically sorted, so all `Some` results are equal —
     /// the equivalence `tests/planner_decisions.rs` asserts.
     pub fn search_with_backend(
@@ -599,7 +615,7 @@ impl PlannedIndex {
         h: u32,
     ) -> Option<Vec<TupleId>> {
         let mut hits = match backend {
-            Backend::HaFlat => self.dha().flat()?.search(query, h),
+            Backend::HaFlat => self.snapshot()?.search(query, h),
             Backend::ArenaBfs => self.dha().search_arena(query, h),
             Backend::Mih => return Some(self.mih.search(query, h)),
             Backend::Linear => return Some(self.mih.scan(query, h)),
@@ -608,17 +624,15 @@ impl PlannedIndex {
         Some(hits)
     }
 
-    /// Routed search with exact distances, sorted by `(id, distance)`.
+    /// Routed search with exact distances, sorted by `(id, distance)`. A
+    /// route to the flat or the arena backend reads the snapshot, and the
+    /// arena only while the flat backend is unavailable.
     pub fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         let mut hits = match self.backend_for(h) {
-            Backend::HaFlat | Backend::ArenaBfs => {
-                let dha = self.dha();
-                if let Some(f) = dha.flat() {
-                    f.search_with_distances(query, h)
-                } else {
-                    dha.search_with_distances_arena(query, h)
-                }
-            }
+            Backend::HaFlat | Backend::ArenaBfs => match self.snapshot() {
+                Some(f) => f.search_with_distances(query, h),
+                None => self.dha().search_with_distances_arena(query, h),
+            },
             Backend::Mih => return self.mih.search_with_distances(query, h),
             Backend::Linear => return self.mih.scan_with_distances(query, h),
         };
@@ -627,15 +641,15 @@ impl PlannedIndex {
     }
 
     /// Routed batch search: one routing decision for the whole batch
-    /// (same profile, same `h`), answers per query in canonical order.
+    /// (same profile, same `h`), answers per query in canonical order. A
+    /// route to the flat or the arena backend reads as in
+    /// [`PlannedIndex::search_with_distances`].
     pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
         match self.backend_for(h) {
             Backend::HaFlat | Backend::ArenaBfs => {
-                let dha = self.dha();
-                let mut answers = if let Some(f) = dha.flat() {
-                    f.batch_search(queries, h)
-                } else {
-                    dha.batch_search_arena(queries, h)
+                let mut answers = match self.snapshot() {
+                    Some(f) => f.batch_search(queries, h),
+                    None => self.dha().batch_search_arena(queries, h),
                 };
                 for a in &mut answers {
                     a.sort_unstable();
@@ -647,45 +661,71 @@ impl PlannedIndex {
         }
     }
 
-    /// Compiles a current flat snapshot — building a deferred HA-Index
-    /// first — and refreshes the clusteredness estimate. Idempotent, like
+    /// Compiles a current flat snapshot if there is none: a deferred one
+    /// from the MIH's rows, an adopted arena's by freezing the arena
+    /// (which flushes its insert buffer, so the clusteredness estimate is
+    /// refreshed from its leaves). Idempotent, like
     /// [`DynamicHaIndex::freeze`].
     pub fn freeze(&mut self) {
-        let mut dha = match self.dha.take() {
-            Some(dha) => dha,
-            None => self.build_deferred(),
-        };
-        self.route = FlatRoute::Frozen(dha.freeze().aos_fraction());
-        self.clusteredness = estimate_clusteredness(dha.leaf_codes());
-        self.dha = OnceLock::from(dha);
-    }
-
-    /// The inner HA-Index (read-only), built and frozen first if the
-    /// build deferred it. Concurrent first calls build it once.
-    pub fn dha(&self) -> &DynamicHaIndex {
-        self.dha.get_or_init(|| self.build_deferred())
-    }
-
-    /// H-Build and freeze over the MIH's rows, which hold the build input
-    /// in its order: the result is the HA-Index an eager build makes.
-    fn build_deferred(&self) -> DynamicHaIndex {
-        let _span = ha_obs::span("core.plan.materialize");
-        let pairs = Vec::with_capacity(self.mih.len());
-        let order = GrayOrder::sort_rows(self.mih.row_words(), self.code_len, pairs);
-        let mut dha = ha_index(&self.mih, order, self.dha_config.clone());
-        {
-            let _span = ha_obs::span("core.plan.freeze");
-            dha.freeze();
+        if self.flat.get().is_none() {
+            let flat = match self.arena.get_mut() {
+                Some(arena) => {
+                    let flat = arena.take_frozen();
+                    self.clusteredness = estimate_clusteredness(arena.leaf_codes());
+                    flat
+                }
+                None => self.materialize_snapshot(),
+            };
+            self.flat = OnceLock::from(flat);
         }
-        dha
+        self.route = FlatRoute::Frozen(self.flat.get().map_or(0.0, FlatHaIndex::aos_fraction));
+    }
+
+    /// The snapshot the flat backend reads, built first if the build
+    /// deferred it; `None` while the flat backend is unavailable.
+    /// Concurrent first calls build it once.
+    fn snapshot(&self) -> Option<&FlatHaIndex> {
+        match self.route {
+            FlatRoute::Absent => None,
+            FlatRoute::Frozen(_) | FlatRoute::Deferred => {
+                Some(self.flat.get_or_init(|| self.materialize_snapshot()))
+            }
+        }
+    }
+
+    /// The mutable arena (read-only), which only the arena backend reads:
+    /// the adopted one, or built on first demand from the MIH's rows,
+    /// without a snapshot — exactly what
+    /// `DynamicHaIndex::build_with(input, config)` builds. Concurrent first
+    /// calls build it once.
+    pub fn dha(&self) -> &DynamicHaIndex {
+        self.arena.get_or_init(|| {
+            let _span = ha_obs::span("core.plan.materialize");
+            let order = self.rank_sort();
+            let config = self.dha_config.clone();
+            DynamicHaIndex::build_rows(self.code_len, self.mih.row_words(), self.mih.ids(), &order, config)
+        })
+    }
+
+    /// A deferred snapshot, bulk-loaded from the MIH's rows: the one an
+    /// eager build makes.
+    fn materialize_snapshot(&self) -> FlatHaIndex {
+        let _span = ha_obs::span("core.plan.materialize");
+        snapshot_of(&self.mih, &self.rank_sort(), &self.dha_config)
+    }
+
+    /// H-Build's rank sort of the MIH's rows.
+    fn rank_sort(&self) -> GrayOrder {
+        let pairs = Vec::with_capacity(self.mih.len());
+        GrayOrder::sort_rows(self.mih.row_words(), self.code_len, pairs)
     }
 
     /// Serializes the frozen flat snapshot into the persistent HA-Store
     /// format, if one is current: `Some` for every build (a deferred
-    /// HA-Index is built here), `None` for an index adopted by
+    /// snapshot is built here), `None` for an index adopted by
     /// [`PlannedIndex::from_dha`] and not frozen since.
     pub fn store_bytes(&self) -> Option<Vec<u8>> {
-        self.dha().flat().map(crate::FlatHaIndex::store_bytes)
+        self.snapshot().map(FlatHaIndex::store_bytes)
     }
 
     /// The inner MIH index (read-only).
@@ -694,7 +734,7 @@ impl PlannedIndex {
     }
 
     /// Every stored `(code, id)` pair, from the MIH's rows in build input
-    /// order (it never builds a deferred HA-Index).
+    /// order (it builds nothing).
     pub fn items(&self) -> impl Iterator<Item = (BinaryCode, TupleId)> + '_ {
         self.mih.items()
     }
@@ -717,9 +757,12 @@ impl HammingIndex for PlannedIndex {
         self.search_routed(query, h).1
     }
 
-    /// The MIH plus the HA-Index once built: a deferred one holds nothing.
+    /// What the index holds: the MIH, the snapshot and the arena, each
+    /// once built (a deferred one holds nothing).
     fn memory_bytes(&self) -> usize {
-        self.mih.memory_bytes() + self.dha.get().map_or(0, HammingIndex::memory_bytes)
+        self.mih.memory_bytes()
+            + self.flat.get().map_or(0, FlatHaIndex::memory_bytes)
+            + self.arena.get().map_or(0, HammingIndex::memory_bytes)
     }
 }
 

@@ -1,4 +1,5 @@
-//! Allocation regression pins for MIH — no timing involved.
+//! Allocation regression pins for MIH and the planned build — no timing
+//! involved.
 //!
 //! An MIH select must cost O(probes + candidates): after one warm-up
 //! query has sized the thread's seen-set, a search allocates its answer
@@ -7,10 +8,13 @@
 //! nothing at all. An MIH build allocates per chunk, never per bucket,
 //! and a planned build whose flat layout cannot win allocates only that
 //! and the rank sort: the HA-Index waits until something asks for it. A
+//! planned build whose flat layout can win holds, at its peak, what it
+//! keeps plus H-Build's compact build forest, never the arena. A
 //! counting `#[global_allocator]` measures the bytes and the allocations
-//! requested on the calling thread; the per-thread tally keeps the
+//! requested on the calling thread, and the bytes live on it (freed
+//! bytes subtracted) with their peak; the per-thread tally keeps the
 //! parallel test harness out of the numbers. A planned build also runs on
-//! a helper thread it spawns, so its pin also counts the threads no test
+//! a helper thread it spawns, so its pins also count the threads no test
 //! runs on: every test marks its own thread first ([`test_thread`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,8 +23,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use hamming_suite::bitcode::BinaryCode;
 use hamming_suite::index::planner::PlannedIndex;
-use hamming_suite::index::testkit::{random_dataset, random_within};
-use hamming_suite::index::{Backend, HammingIndex, MihIndex, SegmentIndex, SegmentScheme};
+use hamming_suite::index::testkit::{clustered_dataset, random_dataset, random_within};
+use hamming_suite::index::{
+    Backend, DynamicHaIndex, HammingIndex, MihIndex, SegmentIndex, SegmentScheme,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,6 +35,11 @@ struct Counting;
 thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (negative once it
+    /// frees what another thread allocated).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest [`LIVE`] reached since [`peak_live_by`] reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
     static TEST_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -45,6 +56,15 @@ fn tally(bytes: usize) {
     }
 }
 
+/// Moves this thread's live byte count by `delta` and raises its peak.
+fn live(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 /// Marks the calling thread as one a test runs on, so that its
 /// allocations stay out of [`allocated_by_every_thread`]'s count of the
 /// threads a build spawns. Every test calls it first.
@@ -53,21 +73,24 @@ fn test_thread() {
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a thread-local byte and call tally and a global byte counter
-// (const-initialised, no destructor, so touching them never allocates or
-// re-enters the allocator).
+// is thread-local byte, call and live-byte tallies and a global byte
+// counter (const-initialised, no destructor, so touching them never
+// allocates or re-enters the allocator).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally(layout.size());
+        live(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         tally(new_size);
+        live(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -91,6 +114,15 @@ fn allocated_by_every_thread<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
     let (own, r) = allocated_by(f);
     COUNT_OTHERS.store(false, Ordering::Relaxed);
     (own, OTHER_THREADS.load(Ordering::Relaxed), r)
+}
+
+/// The most bytes live on this thread while `f` ran, above what was live
+/// when it started.
+fn peak_live_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let r = f();
+    (PEAK.with(Cell::get).abs_diff(start), r)
 }
 
 /// Allocation and reallocation calls this thread made while `f` ran.
@@ -200,6 +232,43 @@ fn a_build_the_flat_layout_cannot_win_allocates_no_ha_index() {
     );
     assert!(!planned.flat_can_win(0), "a deferred build");
     assert_eq!(planned.memory_bytes(), mih.memory_bytes());
+}
+
+/// Bytes a build forest spends per node beside its `2 · words` pattern
+/// words, with the compile's BFS queue: sibling links, child ends, leaf
+/// runs and the room taken ahead for parents the levels did not make.
+const FOREST_NODE_BYTES: usize = 24;
+
+/// On `select_dense`-shaped data (512-bit codes, a few centres, 4 flips)
+/// the flat layout wins, so a planned build makes its snapshot — from a
+/// build forest over the MIH's rows, not from the arena. Its peak live
+/// bytes stay within what the index keeps (the MIH and the snapshot —
+/// all `memory_bytes` counts), the forest, the rank sort (16 B a row) and
+/// a small constant. The arena the build used to hold costs ≈540 B a leaf on these
+/// codes, more than the forest and the rank sort together. The helper
+/// thread allocates nothing (pinned above), so the calling thread's count
+/// is the build's.
+#[test]
+fn a_flat_routed_build_never_holds_the_arena() {
+    test_thread();
+    const N: usize = 20_000;
+    const BITS: usize = 512;
+    let data = clustered_dataset(N, BITS, 12, 4, 31);
+    let mut arena = DynamicHaIndex::build(data.clone());
+    let snapshot = arena.freeze();
+    let (nodes, snapshot) = (snapshot.node_count(), snapshot.memory_bytes());
+    drop(arena);
+    let (peak, planned) = peak_live_by(|| PlannedIndex::build(BITS, data));
+    assert_eq!(planned.backend_for(6), Backend::HaFlat, "the pin is about a flat-routed build");
+    let kept = planned.mih().memory_bytes() + snapshot;
+    assert_eq!(planned.memory_bytes(), kept, "memory_bytes counts the MIH and the snapshot");
+    let forest = nodes * (2 * BITS / 64 * 8 + FOREST_NODE_BYTES);
+    let rank_sort = N * std::mem::size_of::<(u64, u32)>();
+    assert!(
+        peak <= kept + forest + rank_sort + 64 * 1024,
+        "a flat-routed PlannedIndex::build peaked at {peak} live bytes: kept {kept} + forest \
+         {forest} + rank sort {rank_sort}"
+    );
 }
 
 /// The three paper baselines share the same seen-set helper.

@@ -25,7 +25,7 @@ use hamming_suite::distributed::pipeline::{try_mrha_hamming_join_on_dfs, MrHaCon
 use hamming_suite::hashing::{SimilarityHasher, SpectralHasher};
 use hamming_suite::index::planner::{PlanConfig, PlannedIndex};
 use hamming_suite::index::testkit::{clustered_dataset, random_dataset};
-use hamming_suite::index::{CostModel, HammingIndex, MihIndex};
+use hamming_suite::index::{Backend, CostModel, HammingIndex, MihIndex};
 use hamming_suite::mapreduce::dfs::DEFAULT_BLOCK_RECORDS;
 use hamming_suite::mapreduce::{
     hash_partition, try_run_job, DfsConfig, FaultInjector, FaultPlan, InMemoryDfs, JobConfig,
@@ -465,12 +465,15 @@ fn join_route_counters_account_for_every_probe() {
 /// before anything after them starts. `core.plan.profile` holds H-Build's
 /// rank sort, which every build takes. Where the flat layout can win
 /// (clustered codes, default model), the rest of H-Build and the freeze
-/// follow in the build, one after another; where it cannot (a model
+/// follow in the build, one after another — H-Build over a build forest
+/// compiled straight to the snapshot, no arena; where it cannot (a model
 /// pricing flat out, as the default one does on 10⁵-row random sets), the
-/// build ends after the profile, and the HA-Index is built on first
+/// build ends after the profile, and the snapshot is built on first
 /// demand as one `core.plan.materialize` span holding `core.hbuild.*` and
-/// `core.plan.freeze` in order. Both rank paths of H-Build (64 and 128
-/// bits) are covered.
+/// `core.plan.freeze` in order. Either way the arena is built only when
+/// the arena backend asks for it: one more `core.plan.materialize`,
+/// holding `core.hbuild.*` and no freeze. Both rank paths of H-Build (64
+/// and 128 bits) are covered.
 #[test]
 fn planned_build_spans_split_the_build_into_phases() {
     const EAGER: [&[&str]; 4] = [
@@ -486,6 +489,8 @@ fn planned_build_spans_split_the_build_into_phases() {
         &["core.hbuild.levels"],
         &["core.plan.freeze"],
     ];
+    const ARENA: [&[&str]; 3] =
+        [&["core.hbuild.rank_sort"], &["core.hbuild.leaves"], &["core.hbuild.levels"]];
     let _guard = obs_lock();
     // `parent`'s children are exactly the phases of `stages`, each once
     // and inside `parent`; every phase of a stage ends before any phase
@@ -531,6 +536,7 @@ fn planned_build_spans_split_the_build_into_phases() {
                 };
                 (random_dataset(3_000, bits, 5), PlanConfig { model, ..PlanConfig::default() })
             };
+            let query = items[0].0.clone();
             obs::reset();
             let index = PlannedIndex::build_with(bits, items, cfg);
             let trace = obs::take_trace();
@@ -555,6 +561,16 @@ fn planned_build_spans_split_the_build_into_phases() {
                 assert_eq!(materialize.parent, None);
                 staged(&trace, materialize, &MATERIALIZE);
             }
+
+            // Forcing the arena backend builds the arena, once.
+            for _ in 0..2 {
+                assert!(index.search_with_backend(Backend::ArenaBfs, &query, 2).is_some());
+            }
+            let trace = obs::take_trace();
+            assert_eq!(trace.count_named("core.plan.materialize"), 1);
+            let materialize = trace.last_named("core.plan.materialize").expect("span");
+            assert_eq!(materialize.parent, None);
+            staged(&trace, materialize, &ARENA);
         }
     }
     obs::disable();

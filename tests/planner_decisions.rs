@@ -288,48 +288,55 @@ fn flat_priced_out() -> CostModel {
     CostModel { flat_row_h_ns: 100.0, arena_row_h_ns: 200.0, ..CostModel::default() }
 }
 
-/// Four threads force the flat path on one freshly built, deferred index
-/// at once: the HA-Index is built exactly once (one
-/// `core.plan.materialize` span under the test's root), and all four get
-/// the same answer.
+/// Four threads force one path on a freshly built index at once: the flat
+/// path on a build that deferred its snapshot, and the arena path on a
+/// flat-routed build, which made its snapshot without the arena. Each is
+/// built exactly once (one `core.plan.materialize` span under the test's
+/// root), and all four threads get the same answer.
 #[test]
 fn racing_first_demands_build_the_ha_index_once() {
     const THREADS: usize = 4;
     let mut rng = StdRng::seed_from_u64(31);
     let items = dataset(&mut rng, 2_000, 128, true);
     let cfg = PlanConfig { model: flat_priced_out(), ..PlanConfig::default() };
-    let planned = PlannedIndex::build_with(128, items.clone(), cfg);
+    let deferred = PlannedIndex::build_with(128, items.clone(), cfg);
+    let flat_routed = PlannedIndex::build(128, items.clone());
+    let snapshot = flat_routed.memory_bytes();
+    assert!(snapshot > flat_routed.mih().memory_bytes(), "the build made its snapshot");
     let q = random_within(&items[7].0, 5, &mut rng);
     let want = oracle_select(&items, &q, 5);
 
-    obs::reset();
-    let root = obs::span("test.race");
-    let ctx = obs::current_context();
-    let start = Barrier::new(THREADS);
-    let answers: Vec<Option<Vec<TupleId>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                s.spawn(|| {
-                    let _thread = obs::span_under("test.thread", &ctx);
-                    start.wait();
-                    planned.search_with_backend(Backend::HaFlat, &q, 5)
+    for (planned, backend) in [(&deferred, Backend::HaFlat), (&flat_routed, Backend::ArenaBfs)] {
+        obs::reset();
+        let root = obs::span("test.race");
+        let ctx = obs::current_context();
+        let start = Barrier::new(THREADS);
+        let answers: Vec<Option<Vec<TupleId>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _thread = obs::span_under("test.thread", &ctx);
+                        start.wait();
+                        planned.search_with_backend(backend, &q, 5)
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-    });
-    drop(root);
-    let trace = obs::take_trace();
-    obs::disable();
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        drop(root);
+        let trace = obs::take_trace();
+        obs::disable();
 
-    let race = trace.last_named("test.race").expect("root span");
-    let builds = trace
-        .subtree(race.id)
-        .into_iter()
-        .filter(|s| s.name == "core.plan.materialize")
-        .count();
-    assert_eq!(builds, 1, "one materialisation for {THREADS} racing threads");
-    for got in answers {
-        assert_eq!(got.as_ref(), Some(&want));
+        let race = trace.last_named("test.race").expect("root span");
+        let builds = trace
+            .subtree(race.id)
+            .into_iter()
+            .filter(|s| s.name == "core.plan.materialize")
+            .count();
+        assert_eq!(builds, 1, "{backend}: one materialisation for {THREADS} racing threads");
+        for got in answers {
+            assert_eq!(got.as_ref(), Some(&want), "{backend}");
+        }
     }
+    assert!(flat_routed.memory_bytes() > snapshot, "the arena counts once built");
 }
