@@ -34,6 +34,7 @@ mod linear;
 mod memory;
 mod mih;
 mod overlap;
+mod pages;
 pub mod planner;
 mod radix;
 mod seen;

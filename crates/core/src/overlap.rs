@@ -10,10 +10,11 @@
 //! may use except the one the caller was running on, when there is one.
 //! The affinity dies with the helper; the caller's is never touched.
 //!
-//! The placement is the crate's only `unsafe`: two glibc calls,
-//! `sched_getcpu` and `sched_{get,set}affinity`, declared directly (no
-//! `libc` crate is vendored; `std` already links the C library). Their
-//! failure only leaves the helper where the kernel put it.
+//! The placement is one of the crate's two `unsafe` sites (the other is
+//! `pages.rs`'s huge-page advice): two glibc calls, `sched_getcpu` and
+//! `sched_{get,set}affinity`, declared directly (no `libc` crate is
+//! vendored; `std` already links the C library). Their failure only
+//! leaves the helper where the kernel put it.
 
 /// Runs `here` on the calling thread and `beside` on one scoped helper
 /// thread at the same time, and returns both results once both are done.
