@@ -42,9 +42,9 @@
 //!   rows per `VPOPCNTQ`.
 //!
 //! Both layouts occupy the **same** `2 · words · group` words per group,
-//! so a snapshot can choose per group (the adaptive freeze policy in
-//! `ha-core`) without disturbing any base-offset arithmetic; the choice
-//! travels as one byte per group ([`GroupLayout`]).
+//! so a snapshot can choose per group (`ha-core`'s freeze lays narrow
+//! groups of multi-word codes out AoS) without disturbing any base-offset
+//! arithmetic; the choice travels as one byte per group ([`GroupLayout`]).
 //!
 //! [`masked_distance_group`] is the single, safe, length-checked dispatch
 //! point: a [`Kernel`] (runtime choice) × [`GroupLayout`] (per-group

@@ -6,8 +6,13 @@
 //!    either share a non-vacuous maximal FLSSeq — which becomes their
 //!    parent, the members keeping only residual bits — or they are linked
 //!    to the top level of the index directly (Algorithm 1 line 16).
-//! 3. Parents with identical patterns are consolidated into one node with
-//!    summed frequency (lines 6–11).
+//! 3. Algorithm 1 merges parents with identical patterns (lines 6–11).
+//!    Under these windows no two parents of one level can share a
+//!    pattern: a level's windows cover disjoint runs of one Gray order,
+//!    and an equal pattern would put both across the same split of one
+//!    prefix block (DESIGN.md "Bulk-load to frozen";
+//!    `tests::parents_of_one_height_never_share_a_pattern`). So every
+//!    window makes its own parent and nothing is merged.
 //! 4. Repeat on the freshly created parents until the requested depth is
 //!    reached or no further sharing exists; whatever remains forms the top
 //!    level.
@@ -19,14 +24,10 @@
 //! which [`bulk_freeze`] compiles straight to a frozen snapshot for an
 //! index that is never mutated.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::Hash;
-
 use ha_bitcode::gray::{gray_cmp_words, gray_rank_head};
 use ha_bitcode::{BinaryCode, MaskedCode};
 
-use super::flat::{self, ForestSizes, ForestView, FreezePolicy};
+use super::flat::{self, ForestSizes, ForestView};
 use super::{DhaConfig, DynamicHaIndex, FlatHaIndex, Node, NodeId};
 use crate::memory::seed_bulk;
 use crate::TupleId;
@@ -104,7 +105,7 @@ pub(crate) fn bulk_freeze(
         extract_levels(&mut forest, config.window, config.max_depth, leaves);
     }
     let _span = ha_obs::span("core.plan.freeze");
-    flat::compile(&forest, 0, FreezePolicy::default())
+    flat::compile(&forest, 0)
 }
 
 /// Algorithm 1 line 1 as a sort: one `(key, input position)` pair per
@@ -224,12 +225,11 @@ fn append_leaves(
 
 /// Where H-Build keeps its nodes while [`extract_levels`] runs. A store
 /// does the pattern arithmetic of its own representation; the level
-/// algorithm — windows, residuals, consolidation, the top level — is the
-/// one body both stores share.
+/// algorithm — windows, residuals, the top level — is the one body both
+/// stores share.
 pub(super) trait NodeStore {
-    /// A pattern as the store computes it: the consolidation key of lines
-    /// 6–11.
-    type Pattern: Eq + Hash;
+    /// A pattern as the store computes it.
+    type Pattern;
     /// The maximal FLSSeq the (at least two) `members` share, or `None`
     /// when it is vacuous.
     fn common(&self, members: &[NodeId]) -> Option<Self::Pattern>;
@@ -238,8 +238,6 @@ pub(super) trait NodeStore {
     fn keep_residuals(&mut self, members: &[NodeId], common: &Self::Pattern);
     /// A new parent with pattern `common` over `children`; returns its id.
     fn push_parent(&mut self, common: &Self::Pattern, children: &[NodeId]) -> NodeId;
-    /// Consolidation: `children` join the existing `parent`.
-    fn adopt(&mut self, parent: NodeId, children: &[NodeId]);
     /// Links `nodes` to the top level of the index.
     fn push_roots(&mut self, nodes: &[NodeId]);
 }
@@ -250,7 +248,7 @@ enum WindowPlan<P> {
     Ride,
     /// No shared FLSSeq: members link to the top level (line 16).
     TopLevel,
-    /// The window shares this pattern: it becomes (or joins) their parent.
+    /// The window shares this pattern: it becomes their parent.
     Extract(P),
 }
 
@@ -285,28 +283,18 @@ fn extract_levels<S: NodeStore>(
 
 /// Applies one level's windows in window order: a window's plan reads only
 /// its own members, so planning each just before applying it equals
-/// planning the whole level first. Members keep their residuals,
-/// pattern-equal parents are consolidated (lines 6–11) and new parents are
-/// allocated in window order. Returns the next level.
+/// planning the whole level first. Members keep their residuals and each
+/// extracting window gets its own parent, allocated in window order.
+/// Returns the next level.
 fn apply_level<S: NodeStore>(store: &mut S, current: &[NodeId], window: usize) -> Vec<NodeId> {
     let mut next: Vec<NodeId> = Vec::new();
-    // Consolidation map for this level (lines 6–11).
-    let mut intern: HashMap<S::Pattern, NodeId> =
-        HashMap::with_capacity(current.len().div_ceil(window));
     for chunk in current.chunks(window) {
         match plan_window(store, chunk) {
             WindowPlan::Ride => next.push(chunk[0]),
             WindowPlan::TopLevel => store.push_roots(chunk),
             WindowPlan::Extract(common) => {
                 store.keep_residuals(chunk, &common);
-                match intern.entry(common) {
-                    Entry::Occupied(e) => store.adopt(*e.get(), chunk),
-                    Entry::Vacant(e) => {
-                        let pid = store.push_parent(e.key(), chunk);
-                        e.insert(pid);
-                        next.push(pid);
-                    }
-                }
+                next.push(store.push_parent(&common, chunk));
             }
         }
     }
@@ -333,25 +321,12 @@ impl NodeStore for DynamicHaIndex {
     fn push_parent(&mut self, common: &MaskedCode, children: &[NodeId]) -> NodeId {
         let mut parent = Node::internal(common.clone());
         parent.children.extend_from_slice(children);
-        parent.frequency = self.frequency_of(children);
+        parent.frequency = children.iter().map(|&n| self.nodes[n as usize].frequency).sum();
         alloc_raw(&mut self.nodes, parent)
-    }
-
-    fn adopt(&mut self, parent: NodeId, children: &[NodeId]) {
-        let frequency = self.frequency_of(children);
-        let parent = &mut self.nodes[parent as usize];
-        parent.children.extend_from_slice(children);
-        parent.frequency += frequency;
     }
 
     fn push_roots(&mut self, nodes: &[NodeId]) {
         self.roots.extend_from_slice(nodes);
-    }
-}
-
-impl DynamicHaIndex {
-    fn frequency_of(&self, nodes: &[NodeId]) -> u32 {
-        nodes.iter().map(|&n| self.nodes[n as usize].frequency).sum()
     }
 }
 
@@ -361,9 +336,6 @@ pub(super) fn alloc_raw(nodes: &mut Vec<Node>, node: Node) -> NodeId {
     id
 }
 
-/// "No node" in a [`BuildForest`]'s links.
-const NONE: NodeId = NodeId::MAX;
-
 /// H-Build's nodes for a build that goes straight to a frozen snapshot:
 /// what [`flat::compile`] reads of an arena, and nothing else — no node
 /// owns a heap allocation, no leaf copies its code, and no node keeps a
@@ -371,10 +343,11 @@ const NONE: NodeId = NodeId::MAX;
 ///
 /// Leaves are nodes `0 .. leaves`, one per run of the [`GrayOrder`] of
 /// the borrowed rows, in Gray order; internal nodes follow in the order
-/// the levels allocate them, as in the arena. Children hang off their
-/// parent as a linked list (first and last child per internal node, the
-/// next sibling per node), which keeps consolidation's appends to an
-/// existing parent free of reallocation.
+/// the levels allocate them, as in the arena. Since no parent is ever
+/// merged into (Algorithm 1's lines 6–11 cannot fire, see the module
+/// doc), a parent's children are exactly its window's members, known
+/// when it is made: they are kept as a CSR, one window's ids appended
+/// per parent.
 pub(super) struct BuildForest<'a> {
     code_len: usize,
     /// `u64` words per code.
@@ -389,10 +362,10 @@ pub(super) struct BuildForest<'a> {
     leaves: usize,
     /// Leaf `l`'s run is `order[run_start[l] .. run_start[l + 1]]`.
     run_start: Vec<u32>,
-    /// Internal node `leaves + i`'s first and last child, at `i`.
-    child_ends: Vec<(NodeId, NodeId)>,
-    /// Each node's next sibling under its parent, or [`NONE`].
-    next_sibling: Vec<NodeId>,
+    /// Internal node `leaves + i`'s children are
+    /// `children[child_start[i] .. child_start[i + 1]]`.
+    child_start: Vec<u32>,
+    children: Vec<NodeId>,
     roots: Vec<NodeId>,
 }
 
@@ -432,8 +405,8 @@ impl<'a> BuildForest<'a> {
             patterns.extend_from_slice(full.words());
         }
         run_start.push(at);
-        let mut next_sibling = Vec::with_capacity(nodes);
-        next_sibling.resize(leaves, NONE);
+        let mut child_start = Vec::with_capacity(internal + 1);
+        child_start.push(0);
         BuildForest {
             code_len,
             words,
@@ -444,8 +417,8 @@ impl<'a> BuildForest<'a> {
             patterns,
             leaves,
             run_start,
-            child_ends: Vec::with_capacity(internal),
-            next_sibling,
+            child_start,
+            children: Vec::with_capacity(nodes),
             roots: Vec::new(),
         }
     }
@@ -454,11 +427,9 @@ impl<'a> BuildForest<'a> {
         &self.patterns[node as usize * 2 * self.words..][..2 * self.words]
     }
 
-    /// Chains `nodes` as consecutive siblings.
-    fn link(&mut self, nodes: &[NodeId]) {
-        for pair in nodes.windows(2) {
-            self.next_sibling[pair[0] as usize] = pair[1];
-        }
+    /// Nodes made so far, leaves included.
+    fn node_count(&self) -> usize {
+        self.leaves + self.child_start.len() - 1
     }
 }
 
@@ -494,19 +465,11 @@ impl NodeStore for BuildForest<'_> {
     }
 
     fn push_parent(&mut self, common: &Box<[u64]>, children: &[NodeId]) -> NodeId {
-        let id = self.next_sibling.len() as NodeId;
+        let id = self.node_count() as NodeId;
         self.patterns.extend_from_slice(common);
-        self.next_sibling.push(NONE);
-        self.link(children);
-        self.child_ends.push((children[0], children[children.len() - 1]));
+        self.children.extend_from_slice(children);
+        self.child_start.push(self.children.len() as u32);
         id
-    }
-
-    fn adopt(&mut self, parent: NodeId, children: &[NodeId]) {
-        let ends = &mut self.child_ends[parent as usize - self.leaves];
-        let last = std::mem::replace(&mut ends.1, children[children.len() - 1]);
-        self.next_sibling[last as usize] = children[0];
-        self.link(children);
     }
 
     fn push_roots(&mut self, nodes: &[NodeId]) {
@@ -521,7 +484,7 @@ impl ForestView for BuildForest<'_> {
 
     fn sizes(&self) -> ForestSizes {
         ForestSizes {
-            nodes: self.next_sibling.len(),
+            nodes: self.node_count(),
             leaves: self.leaves,
             tuples: self.ids.len(),
             leaf_ids: if self.keep_ids { self.ids.len() } else { 0 },
@@ -532,11 +495,13 @@ impl ForestView for BuildForest<'_> {
         &self.roots
     }
 
-    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_ {
-        let first = (node as usize)
-            .checked_sub(self.leaves)
-            .map(|i| self.child_ends[i].0);
-        std::iter::successors(first, |&c| Some(self.next_sibling[c as usize]).filter(|&n| n != NONE))
+    fn children(&self, node: NodeId) -> &[NodeId] {
+        match (node as usize).checked_sub(self.leaves) {
+            Some(i) => {
+                &self.children[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+            }
+            None => &[],
+        }
     }
 
     fn pattern(&self, node: NodeId) -> (&[u64], &[u64]) {
@@ -561,6 +526,8 @@ mod tests {
     use super::*;
     use crate::testkit::{clustered_dataset, paper_table_s, random_dataset};
     use crate::HammingIndex;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn build_paper_example_and_check_invariants() {
@@ -624,6 +591,89 @@ mod tests {
                 "max_depth {md} produced depth {}",
                 idx.depth()
             );
+        }
+    }
+
+    /// Every node's height — 0 for a leaf, one above its tallest child
+    /// otherwise, which for a parent is the level that extracted it — and
+    /// its root-to-node pattern: the residual patterns on its path from
+    /// the top level, OR-ed (a path's masks are disjoint), as bits words
+    /// then mask words.
+    fn heights_and_paths(idx: &DynamicHaIndex) -> (Vec<usize>, Vec<Vec<u64>>) {
+        // A parent is allocated after its children, so one pass in id
+        // order sees every child's height first.
+        let mut height = vec![0usize; idx.nodes.len()];
+        for (n, node) in idx.nodes.iter().enumerate() {
+            if let Some(tallest) = node.children.iter().map(|&c| height[c as usize]).max() {
+                height[n] = tallest + 1;
+            }
+        }
+        let mut path = vec![Vec::new(); idx.nodes.len()];
+        let mut stack: Vec<(NodeId, Vec<u64>)> = idx
+            .roots
+            .iter()
+            .map(|&r| (r, vec![0; 2 * idx.code_len.div_ceil(64)]))
+            .collect();
+        while let Some((n, mut words)) = stack.pop() {
+            let pattern = &idx.nodes[n as usize].pattern;
+            let (bits, mask) = words.split_at_mut(pattern.bits().words().len());
+            for (w, &b) in bits.iter_mut().zip(pattern.bits().words()) {
+                *w |= b;
+            }
+            for (w, &m) in mask.iter_mut().zip(pattern.mask().words()) {
+                *w |= m;
+            }
+            for &c in &idx.nodes[n as usize].children {
+                stack.push((c, words.clone()));
+            }
+            path[n as usize] = words;
+        }
+        (height, path)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Algorithm 1's lines 6–11 merge parents with equal patterns;
+        /// `apply_level` has no such merge because it cannot fire: a
+        /// level's windows cover disjoint runs of the Gray order, and two
+        /// parents of one level with an equal pattern would both have to
+        /// straddle the same split of one prefix block (DESIGN.md
+        /// "Bulk-load to frozen"). So internal nodes of one height — the
+        /// parents one level extracted — have pairwise-distinct
+        /// root-to-node patterns, over random and clustered data of 8–512
+        /// bits, windows of 2–64 and depths of 1–8.
+        #[test]
+        fn parents_of_one_height_never_share_a_pattern(
+            seed in any::<u64>(),
+            bits in 8usize..=512,
+            window in 2usize..=64,
+            max_depth in 1usize..=8,
+            clustered in any::<bool>(),
+            clusters in 1usize..=12,
+            flips in 0usize..=6,
+        ) {
+            let n = 100 + (seed % 400) as usize;
+            let data = if clustered {
+                clustered_dataset(n, bits, clusters, flips, seed)
+            } else {
+                random_dataset(n, bits, seed)
+            };
+            let config = DhaConfig { window, max_depth, ..DhaConfig::default() };
+            let idx = DynamicHaIndex::build_with(data, config);
+            let (height, path) = heights_and_paths(&idx);
+            let mut seen: HashMap<(usize, &[u64]), NodeId> = HashMap::new();
+            for (n, node) in idx.nodes.iter().enumerate() {
+                if node.leaf.is_some() {
+                    continue;
+                }
+                let first = seen.insert((height[n], path[n].as_slice()), n as NodeId);
+                prop_assert!(
+                    first.is_none(),
+                    "bits={} window={} depth={}: parents {:?} and {} of height {} share a pattern",
+                    bits, window, max_depth, first, n, height[n]
+                );
+            }
         }
     }
 

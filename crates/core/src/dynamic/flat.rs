@@ -50,81 +50,31 @@ use crate::TupleId;
 /// Sentinel for "no parent" / "not a leaf" in the flat arrays.
 const NONE: u32 = u32::MAX;
 
-/// Under [`FreezePolicy::adaptive`], sibling groups of multi-word codes
-/// strictly narrower than this are laid out AoS: the group width where
-/// the kernel sweep measured the SoA stride cost crossing the per-sibling
-/// early-exit gain.
+/// Sibling groups of multi-word codes strictly narrower than this are laid
+/// out AoS: the group width where the kernel sweep measured the SoA stride
+/// cost crossing the per-sibling early-exit gain.
 const AOS_MAX_GROUP: usize = 16;
 
-/// Per-subtree layout decision applied while compiling a snapshot.
+/// The layout [`compile`] gives a `group`-wide sibling group of
+/// `words`-word patterns: AoS rows (each sibling's full `bits‖mask` row
+/// contiguous) for a group of multi-word codes narrower than
+/// [`AOS_MAX_GROUP`], SoA word-planes (column-major: all siblings' word 0,
+/// then word 1, …) otherwise.
 ///
-/// The compiler measures every sibling group's width as it renumbers
-/// and asks the policy whether that group should be stored as SoA
-/// word-planes (column-major: scan all siblings' word 0, then word 1,
-/// …) or as AoS rows (each sibling's full `bits‖mask` row contiguous).
-/// Wide groups amortize the SoA stride across many siblings and let
-/// the lane kernels run branch-free; small groups of multi-word codes
-/// spend more on striding than they save, and a row-major sweep with
+/// Wide groups amortize the SoA stride across many siblings and let the
+/// lane kernels run branch-free; small groups of multi-word codes spend
+/// more on striding than they save, and a row-major sweep with
 /// per-sibling early exit wins — that crossover is exactly the 512-bit
-/// sparse regression once measured at 0.69×. Both layouts occupy
-/// the same `2 * words * group` words at the same base offset, so the
-/// choice is free at search time: one flag byte per group, recorded in
-/// the HA-Store v2 format.
-///
-/// The default ([`FreezePolicy::adaptive`]) decides per group;
-/// [`FreezePolicy::always_soa`] reproduces the pre-policy layout (and
-/// is what the documented ablation in DESIGN.md runs);
-/// [`FreezePolicy::always_aos`] exists for measurement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FreezePolicy {
-    mode: PolicyMode,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PolicyMode {
-    Adaptive,
-    AlwaysSoa,
-    AlwaysAos,
-}
-
-impl FreezePolicy {
-    /// Per-group choice: AoS for groups of multi-word codes narrower
-    /// than 16 siblings, SoA everywhere else.
-    pub fn adaptive() -> FreezePolicy {
-        FreezePolicy { mode: PolicyMode::Adaptive }
-    }
-
-    /// Every group SoA — the legacy layout, kept as the documented
-    /// ablation and for serializing v1-compatible files.
-    pub fn always_soa() -> FreezePolicy {
-        FreezePolicy { mode: PolicyMode::AlwaysSoa }
-    }
-
-    /// Every group AoS — a measurement aid, not a serving choice.
-    pub fn always_aos() -> FreezePolicy {
-        FreezePolicy { mode: PolicyMode::AlwaysAos }
-    }
-
-    /// The layout this policy assigns a `group`-wide sibling group of
-    /// `words`-word patterns.
-    pub fn layout_for(&self, group: usize, words: usize) -> GroupLayout {
-        match self.mode {
-            PolicyMode::AlwaysSoa => GroupLayout::Soa,
-            PolicyMode::AlwaysAos => GroupLayout::Aos,
-            PolicyMode::Adaptive => {
-                if words > 1 && group < AOS_MAX_GROUP {
-                    GroupLayout::Aos
-                } else {
-                    GroupLayout::Soa
-                }
-            }
-        }
-    }
-}
-
-impl Default for FreezePolicy {
-    fn default() -> FreezePolicy {
-        FreezePolicy::adaptive()
+/// sparse regression once measured at 0.69× under SoA everywhere. A
+/// single-word code has one plane, so SoA is already its row. Both
+/// layouts occupy the same `2 * words * group` words at the same base
+/// offset, so the choice is free at search time: one flag byte per group,
+/// recorded in HA-Store's `GROUP_LAYOUT` section.
+fn layout_for(group: usize, words: usize) -> GroupLayout {
+    if words > 1 && group < AOS_MAX_GROUP {
+        GroupLayout::Aos
+    } else {
+        GroupLayout::Soa
     }
 }
 
@@ -173,7 +123,7 @@ pub struct FlatHaIndex {
     /// [`FlatParts::leaf_suffix`]): child groups from here on are swept
     /// over their leaves' code rows.
     leaf_suffix: usize,
-    /// Sibling groups compiled, and how many of them the policy laid
+    /// Sibling groups compiled, and how many of them [`layout_for`] laid
     /// out row-major — the planner reads the ratio.
     groups: u32,
     aos_groups: u32,
@@ -191,7 +141,7 @@ pub(super) trait ForestView {
     /// The top level, in order.
     fn roots(&self) -> &[NodeId];
     /// `node`'s children, in order (none for a leaf).
-    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_;
+    fn children(&self, node: NodeId) -> &[NodeId];
     /// `node`'s residual pattern as its bits words and its mask words.
     fn pattern(&self, node: NodeId) -> (&[u64], &[u64]);
     /// For a leaf, its code's words, its ids appended to `ids` (none when
@@ -234,8 +184,8 @@ impl ForestView for DynamicHaIndex {
         &self.roots
     }
 
-    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_ {
-        self.nodes[node as usize].children.iter().copied()
+    fn children(&self, node: NodeId) -> &[NodeId] {
+        &self.nodes[node as usize].children
     }
 
     fn pattern(&self, node: NodeId) -> (&[u64], &[u64]) {
@@ -250,26 +200,26 @@ impl ForestView for DynamicHaIndex {
     }
 }
 
-/// Appends one sibling group's patterns to `planes` in the layout the
-/// policy chose: SoA word-planes (column-major) or AoS rows. Both
+/// Appends one sibling group's patterns to `planes` in the layout
+/// [`layout_for`] chose: SoA word-planes (column-major) or AoS rows. Both
 /// occupy exactly `2 * words * group.len()` words, so downstream
 /// base-offset arithmetic never depends on the choice.
 fn push_group<F: ForestView>(
     planes: &mut Vec<u64>,
     forest: &F,
-    group: impl Iterator<Item = NodeId> + Clone,
+    group: &[NodeId],
     words: usize,
     layout: GroupLayout,
 ) {
     match layout {
         GroupLayout::Soa => {
             for w in 0..words {
-                planes.extend(group.clone().map(|m| forest.pattern(m).0[w]));
-                planes.extend(group.clone().map(|m| forest.pattern(m).1[w]));
+                planes.extend(group.iter().map(|&m| forest.pattern(m).0[w]));
+                planes.extend(group.iter().map(|&m| forest.pattern(m).1[w]));
             }
         }
         GroupLayout::Aos => {
-            for m in group {
+            for &m in group {
                 let (bits, mask) = forest.pattern(m);
                 planes.extend_from_slice(&bits[..words]);
                 planes.extend_from_slice(&mask[..words]);
@@ -279,7 +229,7 @@ fn push_group<F: ForestView>(
 }
 
 /// Compiles a snapshot of `forest`, tagged with the arena `epoch` it
-/// reflects, laying each sibling group out as `policy` directs. Every
+/// reflects, laying each sibling group out as [`layout_for`] decides. Every
 /// array is allocated once, at its final size; the two the search reads at
 /// random, the planes and the leaf rows, ask for huge pages before they
 /// are written (`pages.rs`).
@@ -287,7 +237,7 @@ fn push_group<F: ForestView>(
 /// An arena must be flushed and compacted first
 /// ([`DynamicHaIndex::freeze`](super::DynamicHaIndex::freeze) does both):
 /// the BFS renumbering below assumes every reachable node is alive.
-pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64, policy: FreezePolicy) -> FlatHaIndex {
+pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64) -> FlatHaIndex {
     let code_len = forest.code_len();
     let words = code_len.div_ceil(64);
     let sizes = forest.sizes();
@@ -303,8 +253,8 @@ pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64, policy: FreezePolic
     advise_huge(&planes);
     let mut groups = 0u32;
     let mut aos_groups = 0u32;
-    let root_layout = policy.layout_for(root_count, words);
-    push_group(&mut planes, forest, roots.iter().copied(), words, root_layout);
+    let root_layout = layout_for(root_count, words);
+    push_group(&mut planes, forest, roots, words, root_layout);
     if root_count > 0 {
         groups += 1;
         aos_groups += u32::from(root_layout == GroupLayout::Aos);
@@ -338,12 +288,12 @@ pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64, policy: FreezePolic
             // The per-subtree measurement: this group's width decides
             // its layout, independently of every other group.
             let group = forest.children(node);
-            let layout = policy.layout_for(group.clone().count(), words);
-            push_group(&mut planes, forest, group.clone(), words, layout);
+            let layout = layout_for(group.len(), words);
+            push_group(&mut planes, forest, group, words, layout);
             groups += 1;
             aos_groups += u32::from(layout == GroupLayout::Aos);
             group_layout.push(layout.flag());
-            for c in group {
+            for &c in group {
                 children.push(order.len() as u32);
                 parent.push(at as u32);
                 order.push(c);
@@ -426,8 +376,8 @@ impl FlatHaIndex {
             + vec_bytes(&self.group_layout)
     }
 
-    /// Fraction of sibling groups the freeze policy laid out row-major
-    /// (AoS), in `0.0 ..= 1.0`. The planner folds this into the flat
+    /// Fraction of sibling groups the compile laid out row-major (AoS),
+    /// in `0.0 ..= 1.0`: narrow groups of multi-word codes. The planner folds this into the flat
     /// backend's sparse penalty: AoS groups early-exit per sibling like
     /// the arena does, so a mostly-AoS snapshot does not pay the SoA
     /// stride tax the penalty models.
@@ -826,46 +776,6 @@ mod tests {
         assert_eq!(one.search(&BinaryCode::from_u64(5, 16), 0), vec![7]);
         let (_, steps) = one.search_trace(&BinaryCode::from_u64(5, 16), 0);
         assert!(!steps.is_empty());
-    }
-
-    #[test]
-    fn freeze_policy_variants_answer_identically() {
-        use crate::FreezePolicy;
-        let data = clustered_dataset(220, 128, 5, 4, 77);
-        let mut idx = DynamicHaIndex::build(data.clone());
-        let adaptive = idx.freeze().clone();
-        let soa = idx.freeze_with(FreezePolicy::always_soa()).clone();
-        let aos = idx.freeze_with(FreezePolicy::always_aos()).clone();
-        // 128-bit codes are multi-word, and a Gray forest always has
-        // narrow groups near the leaves — adaptive must convert some.
-        assert!(adaptive.aos_fraction() > 0.0, "adaptive found no narrow groups");
-        assert_eq!(soa.aos_fraction(), 0.0);
-        assert_eq!(aos.aos_fraction(), 1.0);
-        let mut rng = StdRng::seed_from_u64(78);
-        for h in [0u32, 3, 9, 25] {
-            let q = BinaryCode::random(128, &mut rng);
-            let want = soa.search(&q, h);
-            assert_eq!(adaptive.search(&q, h), want, "adaptive h={h}");
-            assert_eq!(aos.search(&q, h), want, "always-aos h={h}");
-            let (ids_s, steps_s) = soa.search_trace(&q, h);
-            let (ids_a, steps_a) = adaptive.search_trace(&q, h);
-            assert_eq!(ids_s, ids_a, "trace ids h={h}");
-            assert_eq!(steps_s, steps_a, "trace steps render identically h={h}");
-        }
-    }
-
-    #[test]
-    fn freeze_keeps_a_current_snapshot_but_freeze_with_recompiles() {
-        let data = clustered_dataset(120, 512, 3, 4, 79);
-        let mut idx = DynamicHaIndex::build(data);
-        idx.freeze();
-        assert!(idx.flat().expect("frozen").aos_fraction() > 0.0);
-        idx.freeze_with(crate::FreezePolicy::always_soa());
-        assert_eq!(idx.flat().expect("refrozen").aos_fraction(), 0.0);
-        assert!(idx.flat_is_current());
-        // Idempotent freeze must not silently replace the chosen layout.
-        idx.freeze();
-        assert_eq!(idx.flat().expect("kept").aos_fraction(), 0.0);
     }
 
     #[test]

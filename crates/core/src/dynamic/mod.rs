@@ -30,7 +30,7 @@ mod node;
 mod search;
 mod serialize;
 
-pub use flat::{FlatHaIndex, FreezePolicy};
+pub use flat::FlatHaIndex;
 pub use search::{TraceEvent, TraceStep};
 pub use serialize::DecodeError;
 
@@ -324,17 +324,6 @@ impl DynamicHaIndex {
         self.flat.insert(flat)
     }
 
-    /// Freezes under an explicit [`FreezePolicy`], always recompiling —
-    /// unlike [`DynamicHaIndex::freeze`], which keeps a current snapshot
-    /// as-is, this replaces whatever is installed so the caller can
-    /// switch layouts (e.g. the DESIGN.md ablation's
-    /// [`FreezePolicy::always_soa`]) without mutating the index first.
-    pub fn freeze_with(&mut self, policy: FreezePolicy) -> &FlatHaIndex {
-        maintain::flush_buffer(self);
-        let flat = self.compile(policy);
-        self.flat.insert(flat)
-    }
-
     /// [`DynamicHaIndex::freeze`]'s snapshot, moved out of the index: the
     /// current one if installed, else a fresh compile. The index keeps no
     /// snapshot afterwards.
@@ -342,7 +331,7 @@ impl DynamicHaIndex {
         maintain::flush_buffer(self);
         match self.take_current_snapshot() {
             Some(flat) => flat,
-            None => self.compile(FreezePolicy::default()),
+            None => self.compile(),
         }
     }
 
@@ -353,10 +342,10 @@ impl DynamicHaIndex {
 
     /// Compacts dead slots away and compiles a snapshot of the flushed
     /// arena.
-    fn compile(&mut self, policy: FreezePolicy) -> FlatHaIndex {
+    fn compile(&mut self) -> FlatHaIndex {
         let dropped = self.compact();
         ha_obs::add("core.flat.compacted_nodes", dropped as u64);
-        flat::compile(self, self.epoch, policy)
+        flat::compile(self, self.epoch)
     }
 
     /// Freezes (if stale) and serializes the flat snapshot into the

@@ -44,7 +44,7 @@ mod static_ha;
 pub mod testkit;
 
 pub use delta::{DeltaIndex, DeltaOp};
-pub use dynamic::{DhaConfig, DynamicHaIndex, FlatHaIndex, FreezePolicy};
+pub use dynamic::{DhaConfig, DynamicHaIndex, FlatHaIndex};
 pub use linear::LinearScanIndex;
 pub use memory::MemoryReport;
 pub use mih::MihIndex;

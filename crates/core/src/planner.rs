@@ -204,10 +204,10 @@ impl CostModel {
         self.flat_row_h_ns * p.n as f64 * f64::from(h + 1) * sparsity
     }
 
-    /// [`CostModel::flat_cost`] for a snapshot whose freeze policy laid
+    /// [`CostModel::flat_cost`] for a snapshot whose compile laid
     /// `aos_fraction` of its sibling groups out row-major. The sparse
     /// penalty models the SoA stride tax on narrow groups — exactly the
-    /// groups the adaptive policy converts to AoS, whose per-sibling
+    /// groups of multi-word codes a freeze lays out AoS, whose per-sibling
     /// early exit behaves like the arena — so the penalty scales down
     /// with the fraction converted: at `aos_fraction = 1.0` no stride
     /// tax remains. [`PlannedIndex`], which has access to a live
@@ -433,9 +433,8 @@ impl PlannedIndex {
     /// panic on it is re-raised on the caller. Only when the flat backend
     /// can win some threshold does H-Build reuse that sort, over a compact
     /// build forest read straight off the MIH's rows, and the forest get
-    /// compiled to the snapshot under
-    /// [`FreezePolicy::adaptive`](crate::FreezePolicy::adaptive) and
-    /// dropped: no arena is built. Otherwise the snapshot is deferred (see
+    /// compiled to the snapshot (with the per-group layouts
+    /// [`DynamicHaIndex::freeze`] picks) and dropped: no arena is built. Otherwise the snapshot is deferred (see
     /// [`PlannedIndex`]).
     ///
     /// With tracing on, the build is one `core.plan.build` span whose

@@ -1,4 +1,4 @@
-//! Byte layout of the HA-Store snapshot format, versions 1 and 2.
+//! Byte layout of the HA-Store snapshot format, version 2.
 //!
 //! The file is a **section-table** container: a fixed 64-byte header, a
 //! table of `(offset, byte_len)` entries — one per section, offsets
@@ -9,9 +9,9 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic            b"HASTORE1"
-//! 8       2     version          u16 = 2 (v1 files remain readable)
+//! 8       2     version          u16 = 2
 //! 10      2     endian tag       u16 = 0x1A2B (detects byte-order swaps)
-//! 12      4     section count    u32 = 9 (8 in v1)
+//! 12      4     section count    u32 = 9
 //! 16      4     code_len         u32 (bits per code, 1..=1024)
 //! 20      4     words            u32 = ceil(code_len / 64)
 //! 24      4     root_count       u32
@@ -20,12 +20,12 @@
 //! 40      8     leaf_count       u64
 //! 48      8     tuple_count      u64 (ids with multiplicity)
 //! 56      8     epoch            u64 (arena epoch the snapshot froze at)
-//! 64      144   section table    9 × { offset u64, byte_len u64 } (8 × in v1)
+//! 64      144   section table    9 × { offset u64, byte_len u64 }
 //! …       …     sections         each offset 64-byte aligned
 //! EOF-8   8     checksum         FNV-1a 64 over bytes [0, EOF-8)
 //! ```
 //!
-//! Section order (fixed; v1 ends at section 7):
+//! Section order (fixed):
 //!
 //! | # | section        | element | count               |
 //! |---|----------------|---------|---------------------|
@@ -37,15 +37,15 @@
 //! | 5 | `LEAF_IDS_START` | u32   | leaf_count + 1      |
 //! | 6 | `LEAF_IDS`     | u64     | leaf_ids total      |
 //! | 7 | `LEAF_SORTED`  | u32     | leaf_count          |
-//! | 8 | `GROUP_LAYOUT` | u8      | node_count + 1 (v2 only) |
+//! | 8 | `GROUP_LAYOUT` | u8      | node_count + 1      |
 //!
-//! Version 2 adds `GROUP_LAYOUT`: one byte per sibling group recording
-//! the adaptive freeze policy's layout choice — entry 0 is the root
-//! group, entry `1 + p` is node `p`'s child group; `0` = SoA
-//! word-planes, `1` = row-major (AoS). Both layouts occupy the same
-//! `2 · words · g` words inside `PLANES`, so nothing else in the format
-//! moves. A v1 file (no `GROUP_LAYOUT` section) reads as all-SoA, which
-//! is exactly what every v1 writer produced — old files stay readable.
+//! `GROUP_LAYOUT` holds one byte per sibling group recording the layout
+//! the freeze chose for it — entry 0 is the root group, entry `1 + p` is
+//! node `p`'s child group; `0` = SoA word-planes, `1` = row-major (AoS).
+//! Both layouts occupy the same `2 · words · g` words inside `PLANES`,
+//! so nothing else in the format depends on the choice. Version 2 is the
+//! only version read or written; any other version byte is
+//! [`StoreError::BadVersion`].
 //!
 //! The format is *relocatable*: nothing in it depends on the address the
 //! file is mapped at (all references are array indices), which is what
@@ -55,32 +55,26 @@ use crate::error::StoreError;
 
 /// File magic, first 8 bytes.
 pub const MAGIC: [u8; 8] = *b"HASTORE1";
-/// Current format version (adds the `GROUP_LAYOUT` section).
+/// Format version, the only one read or written.
 pub const VERSION: u16 = 2;
-/// The original 8-section format; still accepted on read.
-pub const VERSION_V1: u16 = 1;
 /// Endianness canary: written as the little-endian encoding of this
 /// constant. A byte-order mismatch (or a swapped file) decodes to a
 /// different value and is rejected before any zero-copy reinterpretation.
 pub const ENDIAN_TAG: u16 = 0x1A2B;
-/// Number of sections in a current (v2) file.
+/// Number of sections in a file.
 pub const SECTION_COUNT: usize = 9;
-/// Number of sections in a v1 file.
-pub const SECTION_COUNT_V1: usize = 8;
 /// Fixed header bytes before the section table.
 pub const HEADER_BYTES: usize = 64;
-/// Section-table bytes of a current (v2) file.
+/// Section-table bytes.
 pub const TABLE_BYTES: usize = SECTION_COUNT * 16;
-/// Section-table bytes of a v1 file.
-pub const TABLE_BYTES_V1: usize = SECTION_COUNT_V1 * 16;
 /// Alignment of every section offset. 64 bytes keeps any element type
 /// (u32/u64) aligned and starts each section on its own cache line.
 pub const ALIGN: usize = 64;
 /// Trailing FNV-1a checksum bytes.
 pub const FOOTER_BYTES: usize = 8;
-/// Smallest possible well-formed file (a v1 envelope — the version is
-/// read before the table, so the size floor must admit both).
-pub const MIN_FILE_BYTES: usize = HEADER_BYTES + TABLE_BYTES_V1 + FOOTER_BYTES;
+/// Smallest possible well-formed file: the header, the section table and
+/// the footer.
+pub const MIN_FILE_BYTES: usize = HEADER_BYTES + TABLE_BYTES + FOOTER_BYTES;
 
 /// Section indices, in file order.
 pub mod section {
@@ -92,7 +86,7 @@ pub mod section {
     pub const LEAF_IDS_START: usize = 5;
     pub const LEAF_IDS: usize = 6;
     pub const LEAF_SORTED: usize = 7;
-    /// v2 only: per-group layout flags (empty range in a v1 file).
+    /// Per-group layout flags.
     pub const GROUP_LAYOUT: usize = 8;
 }
 
@@ -145,9 +139,7 @@ fn to_usize(v: u64, what: &'static str) -> Result<usize, StoreError> {
     usize::try_from(v).map_err(|_| StoreError::Corrupt(what))
 }
 
-/// Byte ranges of the nine sections, relative to the file start. For a
-/// v1 file the `GROUP_LAYOUT` entry is the empty range `0..0`, which
-/// reads back as an empty slice — the all-SoA interpretation.
+/// Byte ranges of the nine sections, relative to the file start.
 pub type SectionRanges = [std::ops::Range<usize>; SECTION_COUNT];
 
 /// Parses and validates the header + section table of `bytes` (a whole
@@ -165,7 +157,7 @@ pub fn parse(bytes: &[u8]) -> Result<(StoreMeta, SectionRanges), StoreError> {
         return Err(StoreError::BadMagic);
     }
     let version = read_u16(bytes, 8);
-    if version != VERSION && version != VERSION_V1 {
+    if version != VERSION {
         return Err(StoreError::BadVersion(version));
     }
     if read_u16(bytes, 10) != ENDIAN_TAG {
@@ -180,18 +172,8 @@ pub fn parse(bytes: &[u8]) -> Result<(StoreMeta, SectionRanges), StoreError> {
         return Err(StoreError::ChecksumMismatch);
     }
 
-    let sections_in_file = if version == VERSION_V1 {
-        SECTION_COUNT_V1
-    } else {
-        SECTION_COUNT
-    };
-    let table_bytes = sections_in_file * 16;
-    let section_count = read_u32(bytes, 12) as usize;
-    if section_count != sections_in_file {
+    if read_u32(bytes, 12) as usize != SECTION_COUNT {
         return Err(StoreError::BadSectionTable("wrong section count"));
-    }
-    if bytes.len() < HEADER_BYTES + table_bytes + FOOTER_BYTES {
-        return Err(StoreError::Truncated);
     }
     let code_len = read_u32(bytes, 16) as usize;
     let words = read_u32(bytes, 20) as usize;
@@ -235,13 +217,13 @@ pub fn parse(bytes: &[u8]) -> Result<(StoreMeta, SectionRanges), StoreError> {
         (leaf_count + 1, 4), // LEAF_IDS_START
         (usize::MAX, 8),     // LEAF_IDS (count taken from the table)
         (leaf_count, 4),     // LEAF_SORTED
-        (node_count + 1, 1), // GROUP_LAYOUT (v2 only)
+        (node_count + 1, 1), // GROUP_LAYOUT
     ];
 
     let body_len = body.len();
     let mut ranges: SectionRanges = std::array::from_fn(|_| 0..0);
-    let mut prev_end = HEADER_BYTES + table_bytes;
-    for (i, &(count, elem)) in expected.iter().take(sections_in_file).enumerate() {
+    let mut prev_end = HEADER_BYTES + TABLE_BYTES;
+    for (i, &(count, elem)) in expected.iter().enumerate() {
         let at = HEADER_BYTES + 16 * i;
         let offset = to_usize(read_u64(bytes, at), "section offset overflow")?;
         let byte_len = to_usize(read_u64(bytes, at + 8), "section length overflow")?;

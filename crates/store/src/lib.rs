@@ -9,10 +9,10 @@
 //!
 //! * **Write** ([`store_bytes`] / [`write_store_file`]): fixed 64-byte
 //!   header (magic, version, endianness tag, code geometry, counts), a
-//!   section table, nine 64-byte-aligned sections (v2 added the
-//!   per-group layout flags the adaptive freeze policy records; v1
-//!   files remain readable and mean all-SoA), FNV-1a footer. All
-//!   little-endian, atomically published via temp-file + rename.
+//!   section table, nine 64-byte-aligned sections (the last holds the
+//!   per-group layout flags the freeze chose), FNV-1a footer. All
+//!   little-endian, atomically published via temp-file + rename. Version
+//!   2 is the only version read or written.
 //! * **Open** ([`HaStore::open_file`] / [`HaStore::open_bytes`]):
 //!   `mmap` the file read-only (owned aligned buffer as the fallback),
 //!   verify the checksum in one sequential pass, validate the section

@@ -80,7 +80,7 @@ fn parts_of<'a>(
         leaf_ids_start: u32s(section::LEAF_IDS_START)?,
         leaf_ids: u64s(section::LEAF_IDS)?,
         leaf_sorted: u32s(section::LEAF_SORTED)?,
-        // Byte-addressed, so no cast: empty on v1 files (all-SoA).
+        // Byte-addressed, so no cast.
         group_layout: &bytes[sections[section::GROUP_LAYOUT].clone()],
         leaf_suffix,
     })
@@ -255,48 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_open_and_serve_identically() {
-        let a = BinaryCode::from_u64(0b1010_0000, 8);
-        let b = BinaryCode::from_u64(0b1111_0000, 8);
-        let full = BinaryCode::from_u64(0xFF, 8).words()[0];
-        let child_start = [0u32, 2, 2, 2];
-        let children = [1u32, 2];
-        let planes = [0, 0, a.words()[0], b.words()[0], full, full];
-        let leaf_slot = [u32::MAX, 0, 1];
-        let leaf_code_words = [a.words()[0], b.words()[0]];
-        let leaf_ids_start = [0u32, 2, 3];
-        let leaf_ids = [10u64, 11, 20];
-        let leaf_sorted = [0u32, 1];
-        let parts = FlatParts {
-            code_len: 8,
-            words: 1,
-            root_count: 1,
-            tuple_count: 3,
-            epoch: 7,
-            child_start: &child_start,
-            children: &children,
-            planes: &planes,
-            leaf_slot: &leaf_slot,
-            leaf_code_words: &leaf_code_words,
-            leaf_ids_start: &leaf_ids_start,
-            leaf_ids: &leaf_ids,
-            leaf_sorted: &leaf_sorted,
-            group_layout: &[],
-            leaf_suffix: 1,
-        };
-        let v1 = crate::write::store_bytes_v1(&parts).expect("all-SoA");
-        let v2 = store_bytes(&parts);
-        assert_ne!(v1.len(), v2.len(), "v2 carries one extra section");
-        let old = HaStore::open_bytes(v1).expect("v1 opens");
-        let new = HaStore::open_bytes(v2).expect("v2 opens");
-        assert!(old.view().parts().group_layout.is_empty());
-        let q = BinaryCode::from_u64(0b1010_0000, 8);
-        for h in 0..=8 {
-            assert_eq!(old.view().search(&q, h), new.view().search(&q, h));
-        }
-    }
-
-    #[test]
     fn damaged_bytes_yield_typed_errors() {
         let good = tiny_bytes();
 
@@ -307,14 +265,17 @@ mod tests {
             Some(StoreError::BadMagic)
         );
 
-        let mut wrong_version = good.clone();
-        wrong_version[8] = 9;
-        // Version is checked before the checksum: a future-format file
-        // should say "unsupported version", not "corrupt".
-        assert_eq!(
-            HaStore::open_bytes(wrong_version).err(),
-            Some(StoreError::BadVersion(9))
-        );
+        // Version is checked before the checksum: a file of any other
+        // format version — the retired version 1 or a future one — should
+        // say "unsupported version", not "corrupt".
+        for version in [1u8, 9] {
+            let mut wrong_version = good.clone();
+            wrong_version[8] = version;
+            assert_eq!(
+                HaStore::open_bytes(wrong_version).err(),
+                Some(StoreError::BadVersion(u16::from(version)))
+            );
+        }
 
         let mut flipped = good.clone();
         let mid = flipped.len() / 2;

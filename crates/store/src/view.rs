@@ -93,8 +93,8 @@ pub struct FlatParts<'a> {
     pub leaf_sorted: &'a [u32],
     /// Per-group storage layout flags: entry 0 is the root group, entry
     /// `1 + p` is node `p`'s child group; `0` = SoA word-planes, `1` =
-    /// AoS rows. Either empty (legacy all-SoA snapshots, v1 files) or
-    /// exactly `node_count + 1` long.
+    /// AoS rows. Either empty (hand-built parts, read as all-SoA) or
+    /// exactly `node_count + 1` long, as every file holds it.
     pub group_layout: &'a [u8],
     /// First node id of the all-leaf suffix: every node from here on is
     /// a leaf (`node_count` when the last node is internal). Derived from
@@ -365,7 +365,7 @@ impl<'a> FlatStoreView<'a> {
         if leaves == 1 && parts.leaf_sorted[0] != 0 {
             return Err(StoreError::Corrupt("sorted leaf index out of range"));
         }
-        // Layout flags: absent entirely (legacy all-SoA) or one byte
+        // Layout flags: absent entirely (all-SoA) or one byte
         // per group with only the two defined values — an undefined
         // flag would silently scramble every distance over its group.
         if !parts.group_layout.is_empty() {
@@ -474,8 +474,8 @@ impl<'a> FlatStoreView<'a> {
     }
 
     /// Storage layout of group `gi` (0 = root group, `1 + p` = node
-    /// `p`'s child group). An absent flag array means all-SoA — both
-    /// legacy snapshots and v1 files land here.
+    /// `p`'s child group). An absent flag array (hand-built parts) means
+    /// all-SoA.
     #[inline]
     fn layout_of(&self, gi: usize) -> GroupLayout {
         GroupLayout::from_flag(self.parts.group_layout.get(gi).copied().unwrap_or(0))

@@ -6,20 +6,13 @@
 //! little-endian regardless of host byte order, so files written here
 //! open zero-copy on any little-endian machine and are rejected with a
 //! typed error (never misread) elsewhere.
-//!
-//! [`store_bytes`] writes the current version 2 (with the per-group
-//! layout section the adaptive freeze policy fills in);
-//! [`store_bytes_v1`] still emits the legacy 8-section version 1
-//! envelope — it exists so the v1-compatibility tests exercise the real
-//! read path against real old bytes, and it refuses snapshots that
-//! contain any AoS group (v1 has nowhere to record the flag).
 
 use ha_bitcode::fnv::fnv64;
 
 use crate::error::StoreError;
 use crate::layout::{
-    align_up, section, ENDIAN_TAG, FOOTER_BYTES, HEADER_BYTES, MAGIC, SECTION_COUNT,
-    SECTION_COUNT_V1, VERSION, VERSION_V1,
+    align_up, section, ENDIAN_TAG, FOOTER_BYTES, HEADER_BYTES, MAGIC, SECTION_COUNT, TABLE_BYTES,
+    VERSION,
 };
 use crate::view::FlatParts;
 
@@ -39,11 +32,10 @@ fn put_u64s(out: &mut Vec<u8>, at: usize, vals: &[u64]) {
     }
 }
 
-/// Serializes one frozen snapshot into the current (v2) wire format.
+/// Serializes one frozen snapshot into the wire format.
 pub fn store_bytes(parts: &FlatParts<'_>) -> Vec<u8> {
-    // A snapshot compiled before the adaptive policy (or hand-built
-    // parts) may carry an empty layout slice; normalize to the explicit
-    // all-SoA byte-per-group form v2 requires.
+    // Hand-built parts may carry an empty layout slice (all-SoA);
+    // normalize to the explicit byte-per-group form the file holds.
     let node_count = parts.leaf_slot.len();
     let default_layout;
     let layout: &[u8] = if parts.group_layout.len() == node_count + 1 {
@@ -52,26 +44,6 @@ pub fn store_bytes(parts: &FlatParts<'_>) -> Vec<u8> {
         default_layout = vec![0u8; node_count + 1];
         &default_layout
     };
-    emit(parts, VERSION, Some(layout))
-}
-
-/// Serializes one frozen snapshot into the legacy v1 wire format, for
-/// compatibility tests against the current reader. Fails with a typed
-/// error if any group is AoS — v1 cannot represent the flag, and
-/// silently dropping it would corrupt every search over the file.
-pub fn store_bytes_v1(parts: &FlatParts<'_>) -> Result<Vec<u8>, StoreError> {
-    if parts.group_layout.iter().any(|&f| f != 0) {
-        return Err(StoreError::Corrupt(
-            "v1 cannot encode AoS groups; refreeze with the SoA-only policy",
-        ));
-    }
-    Ok(emit(parts, VERSION_V1, None))
-}
-
-/// Shared section-table emitter. `layout` is `Some` exactly for v2.
-fn emit(parts: &FlatParts<'_>, version: u16, layout: Option<&[u8]>) -> Vec<u8> {
-    let sections = if layout.is_some() { SECTION_COUNT } else { SECTION_COUNT_V1 };
-    let table_bytes = sections * 16;
 
     // Section byte lengths, in file order (see layout docs).
     let mut lens = [0usize; SECTION_COUNT];
@@ -83,11 +55,11 @@ fn emit(parts: &FlatParts<'_>, version: u16, layout: Option<&[u8]>) -> Vec<u8> {
     lens[section::LEAF_IDS_START] = parts.leaf_ids_start.len() * 4;
     lens[section::LEAF_IDS] = parts.leaf_ids.len() * 8;
     lens[section::LEAF_SORTED] = parts.leaf_sorted.len() * 4;
-    lens[section::GROUP_LAYOUT] = layout.map_or(0, <[u8]>::len);
+    lens[section::GROUP_LAYOUT] = layout.len();
 
     let mut offsets = [0usize; SECTION_COUNT];
-    let mut at = align_up(HEADER_BYTES + table_bytes);
-    for (o, &len) in offsets.iter_mut().zip(&lens).take(sections) {
+    let mut at = align_up(HEADER_BYTES + TABLE_BYTES);
+    for (o, &len) in offsets.iter_mut().zip(&lens) {
         *o = at;
         at = align_up(at + len);
     }
@@ -96,9 +68,9 @@ fn emit(parts: &FlatParts<'_>, version: u16, layout: Option<&[u8]>) -> Vec<u8> {
 
     // Fixed header.
     out[0..8].copy_from_slice(&MAGIC);
-    out[8..10].copy_from_slice(&version.to_le_bytes());
+    out[8..10].copy_from_slice(&VERSION.to_le_bytes());
     out[10..12].copy_from_slice(&ENDIAN_TAG.to_le_bytes());
-    out[12..16].copy_from_slice(&(sections as u32).to_le_bytes());
+    out[12..16].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
     out[16..20].copy_from_slice(&(parts.code_len as u32).to_le_bytes());
     out[20..24].copy_from_slice(&(parts.words as u32).to_le_bytes());
     out[24..28].copy_from_slice(&(parts.root_count as u32).to_le_bytes());
@@ -109,7 +81,7 @@ fn emit(parts: &FlatParts<'_>, version: u16, layout: Option<&[u8]>) -> Vec<u8> {
     out[56..64].copy_from_slice(&parts.epoch.to_le_bytes());
 
     // Section table.
-    for i in 0..sections {
+    for i in 0..SECTION_COUNT {
         let at = HEADER_BYTES + 16 * i;
         out[at..at + 8].copy_from_slice(&(offsets[i] as u64).to_le_bytes());
         out[at + 8..at + 16].copy_from_slice(&(lens[i] as u64).to_le_bytes());
@@ -124,10 +96,8 @@ fn emit(parts: &FlatParts<'_>, version: u16, layout: Option<&[u8]>) -> Vec<u8> {
     put_u32s(&mut out, offsets[section::LEAF_IDS_START], parts.leaf_ids_start);
     put_u64s(&mut out, offsets[section::LEAF_IDS], parts.leaf_ids);
     put_u32s(&mut out, offsets[section::LEAF_SORTED], parts.leaf_sorted);
-    if let Some(layout) = layout {
-        let o = offsets[section::GROUP_LAYOUT];
-        out[o..o + layout.len()].copy_from_slice(layout);
-    }
+    let o = offsets[section::GROUP_LAYOUT];
+    out[o..o + layout.len()].copy_from_slice(layout);
 
     // Seal: FNV-1a over everything before the footer.
     let sum = fnv64(&out[..body_len]);
@@ -186,34 +156,8 @@ mod tests {
         for r in &ranges {
             assert_eq!(r.start % layout::ALIGN, 0);
         }
-        // v2 always carries the explicit layout section: one byte (the
-        // root-group flag) even for an empty forest.
+        // The file always carries the explicit layout section: one byte
+        // (the root-group flag) even for an empty forest.
         assert_eq!(ranges[layout::section::GROUP_LAYOUT].len(), 1);
-    }
-
-    #[test]
-    fn legacy_v1_bytes_parse_with_empty_layout_range() {
-        let child_start = [0u32];
-        let leaf_ids_start = [0u32];
-        let parts = empty_parts(&child_start, &leaf_ids_start);
-        let bytes = store_bytes_v1(&parts).expect("all-SoA serializes as v1");
-        assert_eq!(bytes[8], 1, "version byte");
-        let (meta, ranges) = layout::parse(&bytes).expect("v1 stays readable");
-        assert_eq!(meta.code_len, 96);
-        assert_eq!(
-            ranges[layout::section::GROUP_LAYOUT],
-            0..0,
-            "v1 has no layout section; empty range reads as all-SoA"
-        );
-    }
-
-    #[test]
-    fn v1_writer_refuses_aos_groups() {
-        let child_start = [0u32];
-        let leaf_ids_start = [0u32];
-        let mut parts = empty_parts(&child_start, &leaf_ids_start);
-        let layout_flags = [1u8];
-        parts.group_layout = &layout_flags;
-        assert!(store_bytes_v1(&parts).is_err());
     }
 }

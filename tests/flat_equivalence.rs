@@ -10,9 +10,7 @@
 use hamming_suite::bitcode::{BinaryCode, Kernel};
 use hamming_suite::index::select::knn_by_radius;
 use hamming_suite::index::testkit::assert_matches_oracle;
-use hamming_suite::index::{
-    DhaConfig, DynamicHaIndex, FreezePolicy, HammingIndex, MutableIndex, TupleId,
-};
+use hamming_suite::index::{DhaConfig, DynamicHaIndex, HammingIndex, MutableIndex, TupleId};
 use hamming_suite::store::HaStore;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -249,15 +247,18 @@ proptest! {
 
 /// The HA-Kern matrix: every kernel (scalar, lane-chunked, AVX2, AVX-512
 /// — a kernel the host CPU lacks falls back to lanes, keeping the matrix
-/// uniform across hosts) × every freeze-policy layout
-/// (all-SoA, all-AoS, adaptive) must answer select, kNN and batch
-/// byte-identically to the scalar/all-SoA baseline, and the baseline
-/// must match the linear-scan oracle. This is the contract that makes
-/// kernel choice a pure performance knob.
-fn kernel_matrix_case(seed: u64, bits: usize, n: usize) {
+/// uniform across hosts) over the one frozen snapshot must answer select,
+/// kNN and batch byte-identically to the scalar kernel, and the scalar
+/// kernel must match the linear-scan oracle. This is the contract that
+/// makes kernel choice a pure performance knob. The index is built with
+/// H-Build windows of `window` slots; returns the snapshot's AoS group
+/// fraction, so a caller can check that both group layouts were under
+/// test.
+fn kernel_matrix_case(seed: u64, bits: usize, n: usize, window: usize) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let live = dataset(&mut rng, n, bits);
-    let mut idx = DynamicHaIndex::build(live.clone());
+    let config = DhaConfig { window, ..DhaConfig::default() };
+    let (idx, arena) = views(&DynamicHaIndex::build_with(live.clone(), config));
     let queries: Vec<BinaryCode> = (0..3)
         .map(|_| {
             if rng.gen_bool(0.5) {
@@ -271,121 +272,105 @@ fn kernel_matrix_case(seed: u64, bits: usize, n: usize) {
         .collect();
     let radii: Vec<u32> = vec![0, 2, (bits / 8) as u32, (bits / 3) as u32];
 
-    let policies = [
-        ("soa", FreezePolicy::always_soa()),
-        ("aos", FreezePolicy::always_aos()),
-        ("adaptive", FreezePolicy::adaptive()),
-    ];
-    // Baseline: scalar kernel over the all-SoA layout.
-    idx.freeze_with(FreezePolicy::always_soa());
-    let baseline = idx.flat().expect("frozen").clone();
-    let knn = |idx: &DynamicHaIndex, q: &BinaryCode, k: usize| {
-        knn_by_radius(k, bits as u32, |h| idx.search_with_distances(q, h))
-    };
-    let knn_base: Vec<Vec<Vec<(TupleId, u32)>>> = queries
-        .iter()
-        .map(|q| [1usize, 5].iter().map(|&k| knn(&idx, q, k)).collect())
-        .collect();
+    let flat = idx.flat().expect("frozen");
+    let scalar = flat.view().with_kernel(Kernel::Scalar);
     for q in &queries {
         for &h in &radii {
-            let want = baseline.view().with_kernel(Kernel::Scalar).search(q, h);
-            assert_matches_oracle(want, &live, q, h, "scalar/SoA baseline");
+            assert_matches_oracle(scalar.search(q, h), &live, q, h, "scalar kernel");
         }
     }
-
-    for (pname, policy) in policies {
-        idx.freeze_with(policy);
-        let flat = idx.flat().expect("frozen").clone();
-        for kernel in Kernel::ALL {
-            let view = flat.view().with_kernel(kernel);
-            for q in &queries {
-                for &h in &radii {
-                    assert_eq!(
-                        view.search(q, h),
-                        baseline.view().with_kernel(Kernel::Scalar).search(q, h),
-                        "select: bits={bits} layout={pname} kernel={} h={h}",
-                        kernel.name()
-                    );
-                    assert_eq!(
-                        view.search_with_distances(q, h),
-                        baseline
-                            .view()
-                            .with_kernel(Kernel::Scalar)
-                            .search_with_distances(q, h),
-                        "distances: bits={bits} layout={pname} kernel={}",
-                        kernel.name()
-                    );
-                }
-            }
-            assert_eq!(
-                view.batch_search(&queries, radii[2]),
-                baseline
-                    .view()
-                    .with_kernel(Kernel::Scalar)
-                    .batch_search(&queries, radii[2]),
-                "batch: bits={bits} layout={pname} kernel={}",
-                kernel.name()
-            );
-        }
-        // kNN rides on search_with_distances through the index surface;
-        // one pass per policy (the index dispatches Kernel::detect()).
-        for (i, q) in queries.iter().enumerate() {
-            for (ki, k) in [1usize, 5].into_iter().enumerate() {
+    for kernel in Kernel::ALL {
+        let view = flat.view().with_kernel(kernel);
+        for q in &queries {
+            for &h in &radii {
                 assert_eq!(
-                    knn(&idx, q, k),
-                    knn_base[i][ki],
-                    "kNN: bits={bits} layout={pname} q={i} k={k}"
+                    view.search(q, h),
+                    scalar.search(q, h),
+                    "select: bits={bits} kernel={} h={h}",
+                    kernel.name()
+                );
+                assert_eq!(
+                    view.search_with_distances(q, h),
+                    scalar.search_with_distances(q, h),
+                    "distances: bits={bits} kernel={}",
+                    kernel.name()
                 );
             }
         }
+        assert_eq!(
+            view.batch_search(&queries, radii[2]),
+            scalar.batch_search(&queries, radii[2]),
+            "batch: bits={bits} kernel={}",
+            kernel.name()
+        );
     }
+    // kNN rides on search_with_distances through the index surface (the
+    // index dispatches Kernel::detect()); the arena BFS visits in the same
+    // order, so ties break identically.
+    let knn = |idx: &DynamicHaIndex, q: &BinaryCode, k: usize| {
+        knn_by_radius(k, bits as u32, |h| idx.search_with_distances(q, h))
+    };
+    for (i, q) in queries.iter().enumerate() {
+        for k in [1usize, 5] {
+            assert_eq!(knn(&idx, q, k), knn(&arena, q, k), "kNN: bits={bits} q={i} k={k}");
+        }
+    }
+    flat.aos_fraction()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The kernel × layout matrix at every paper-relevant code width.
+    /// The kernel matrix at every paper-relevant code width.
     #[test]
     fn kernel_matrix_byte_equal_at_every_width(seed in any::<u64>()) {
         for bits in [32usize, 64, 128, 512] {
-            kernel_matrix_case(seed, bits, 60 + (seed as usize % 40));
+            kernel_matrix_case(seed, bits, 60 + (seed as usize % 40), 8);
         }
     }
 }
 
-/// The kernel × layout matrix on a wide frontier: 600 clustered 512-bit
-/// codes, where descent levels run to dozens of sibling groups and
-/// h = 170 keeps most of them alive.
+/// The kernel matrix on a wide frontier: 600 clustered 512-bit codes,
+/// where descent levels run to dozens of sibling groups and h = 170 keeps
+/// most of them alive. Windows of 24 make full groups of 24 siblings,
+/// laid out as SoA word-planes, and some groups narrower than 16 (a
+/// level's trailing window, the top of the tree), laid out as AoS rows,
+/// so every kernel is checked on both layouts (at the default window of
+/// 8 every 512-bit group here is AoS).
 #[test]
 fn kernel_matrix_byte_equal_on_a_wide_512_bit_frontier() {
-    kernel_matrix_case(99, 512, 600);
+    let aos = kernel_matrix_case(99, 512, 600, 24);
+    assert!(0.0 < aos && aos < 1.0, "both layouts must be present, AoS fraction {aos}");
 }
 
-/// An adaptively laid-out snapshot must survive the full persistence
-/// round trip: serialize (v2, with per-group layout flags), reopen via
-/// mmap, and answer byte-identically under every kernel.
+/// A snapshot holding both group layouts (windows of 24: full groups SoA,
+/// narrow trailing ones AoS) must survive the full persistence round trip:
+/// serialize (with per-group layout flags), reopen via mmap, and answer
+/// byte-identically under every kernel.
 #[test]
 fn adaptive_layout_store_round_trips_via_mmap() {
     let mut rng = StdRng::seed_from_u64(515);
     let live = dataset(&mut rng, 300, 512);
-    let mut idx = DynamicHaIndex::build(live.clone());
-    idx.freeze_with(FreezePolicy::adaptive());
-    let flat = idx.flat().expect("frozen");
+    let config = DhaConfig { window: 24, ..DhaConfig::default() };
+    let mut idx = DynamicHaIndex::build_with(live.clone(), config);
+    let flat = idx.freeze();
+    let aos = flat.aos_fraction();
     assert!(
-        flat.aos_fraction() > 0.0,
-        "512-bit clustered data must produce AoS groups"
+        0.0 < aos && aos < 1.0,
+        "512-bit windows of 24 must produce AoS and SoA groups, AoS fraction {aos}"
     );
     let bytes = flat.store_bytes();
 
     let dir = std::env::temp_dir();
     let path = dir.join(format!("ha-kern-roundtrip-{}.hst", std::process::id()));
     std::fs::write(&path, &bytes).expect("write snapshot");
-    let store = HaStore::open_file(&path).expect("adaptive v2 file opens");
+    let store = HaStore::open_file(&path).expect("snapshot file opens");
     #[cfg(unix)]
     assert!(store.is_mapped(), "unix open should mmap");
     let mapped = store.view();
-    assert!(
-        mapped.parts().group_layout.iter().any(|&f| f == 1),
+    assert_eq!(
+        mapped.parts().group_layout,
+        flat.view().parts().group_layout,
         "layout flags must survive serialization"
     );
     for trial in 0..4 {
@@ -396,7 +381,7 @@ fn adaptive_layout_store_round_trips_via_mmap() {
         };
         for h in [0u32, 8, 60, 170] {
             let want = flat.search(&q, h);
-            assert_matches_oracle(want.clone(), &live, &q, h, "frozen adaptive");
+            assert_matches_oracle(want.clone(), &live, &q, h, "frozen snapshot");
             for kernel in Kernel::ALL {
                 assert_eq!(
                     mapped.with_kernel(kernel).search(&q, h),
