@@ -107,7 +107,7 @@ mod tests {
     fn borrows_caller_state_without_static_bound() {
         // The whole point of scoped threads: capture a borrowed slice
         // and a non-'static closure environment.
-        let local = vec![vec![1u32, 2], vec![3], vec![]];
+        let local = [vec![1u32, 2], vec![3], vec![]];
         let lens = fan_out(4, local.len(), |i| local[i].len());
         assert_eq!(lens, vec![2, 1, 0]);
     }

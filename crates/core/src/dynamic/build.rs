@@ -19,10 +19,10 @@
 //!
 //! Steps 2–4 run once, in [`extract_levels`], over either of two node
 //! stores ([`NodeStore`]): the arena of a [`DynamicHaIndex`], which
-//! H-Insert / H-Delete mutate later, or a [`BuildForest`] — every node's
-//! pattern words in one flat array, leaves read off the stored rows —
-//! which [`bulk_freeze`] compiles straight to a frozen snapshot for an
-//! index that is never mutated.
+//! H-Insert / H-Delete mutate later, or a [`BuildForest`] — every internal
+//! node's pattern words in one flat array, leaves read off the stored rows
+//! and holding no pattern — which [`bulk_freeze`] compiles straight to a
+//! frozen snapshot for an index that is never mutated.
 
 use ha_bitcode::gray::{gray_cmp_words, gray_rank_head};
 use ha_bitcode::{BinaryCode, MaskedCode};
@@ -338,13 +338,17 @@ pub(super) fn alloc_raw(nodes: &mut Vec<Node>, node: Node) -> NodeId {
 
 /// H-Build's nodes for a build that goes straight to a frozen snapshot:
 /// what [`flat::compile`] reads of an arena, and nothing else — no node
-/// owns a heap allocation, no leaf copies its code, and no node keeps a
-/// frequency (the snapshot has none).
+/// owns a heap allocation, no leaf copies its code or stores a pattern,
+/// and no node keeps a frequency (the snapshot has none).
 ///
 /// Leaves are nodes `0 .. leaves`, one per run of the [`GrayOrder`] of
 /// the borrowed rows, in Gray order; internal nodes follow in the order
-/// the levels allocate them, as in the arena. Since no parent is ever
-/// merged into (Algorithm 1's lines 6–11 cannot fire, see the module
+/// the levels allocate them, as in the arena. A leaf's pattern is implicit:
+/// [`NodeStore::common`] reads a leaf only before it is extracted, when its
+/// pattern is its row under a full mask, and the compile derives the
+/// residual a leaf keeps afterwards from its path (the path invariant), so
+/// only internal nodes store `2 · words` pattern words. Since no parent is
+/// ever merged into (Algorithm 1's lines 6–11 cannot fire, see the module
 /// doc), a parent's children are exactly its window's members, known
 /// when it is made: they are kept as a CSR, one window's ids appended
 /// per parent.
@@ -356,8 +360,11 @@ pub(super) struct BuildForest<'a> {
     ids: &'a [TupleId],
     order: &'a [(u64, u32)],
     keep_ids: bool,
-    /// Every node's pattern: `words` bits words, then `words` mask words.
+    /// Internal node `leaves + i`'s pattern at `patterns[2 * words * i ..]`:
+    /// `words` bits words, then `words` mask words.
     patterns: Vec<u64>,
+    /// The mask of a leaf not yet extracted: every bit of the code.
+    full: Box<[u64]>,
     /// Leaves.
     leaves: usize,
     /// Leaf `l`'s run is `order[run_start[l] .. run_start[l + 1]]`.
@@ -370,10 +377,10 @@ pub(super) struct BuildForest<'a> {
 }
 
 impl<'a> BuildForest<'a> {
-    /// The leaf level over `rows` (ids `ids`, sorted as `order`): each
-    /// leaf's pattern is its code under a full mask. Room for every node
-    /// the levels can make is taken here, so nothing grows later: a level
-    /// of `s` nodes makes at most one parent per window, `s.div_ceil(w)`.
+    /// The leaf level over `rows` (ids `ids`, sorted as `order`). Room for
+    /// every node the levels can make is taken here, so nothing grows
+    /// later: a level of `s` nodes makes at most one parent per window,
+    /// `s.div_ceil(w)`.
     fn leaves(
         code_len: usize,
         rows: &'a [u64],
@@ -393,16 +400,11 @@ impl<'a> BuildForest<'a> {
             level = level.div_ceil(window);
             internal += level;
         }
-        let nodes = leaves + internal;
-        let mut patterns = Vec::with_capacity(2 * words * nodes);
         let mut run_start: Vec<u32> = Vec::with_capacity(leaves + 1);
-        let full = BinaryCode::ones(code_len);
         let mut at = 0;
-        for (run, row) in order.runs().zip(order.distinct_rows(rows, words)) {
+        for run in order.runs() {
             run_start.push(at);
             at += run.len() as u32;
-            patterns.extend_from_slice(row);
-            patterns.extend_from_slice(full.words());
         }
         run_start.push(at);
         let mut child_start = Vec::with_capacity(internal + 1);
@@ -414,17 +416,29 @@ impl<'a> BuildForest<'a> {
             ids,
             order: &order.0,
             keep_ids: config.keep_leaf_ids,
-            patterns,
+            patterns: Vec::with_capacity(2 * words * internal),
+            full: BinaryCode::ones(code_len).words().into(),
             leaves,
             run_start,
             child_start,
-            children: Vec::with_capacity(nodes),
+            children: Vec::with_capacity(leaves + internal),
             roots: Vec::new(),
         }
     }
 
-    fn pattern_words(&self, node: NodeId) -> &[u64] {
-        &self.patterns[node as usize * 2 * self.words..][..2 * self.words]
+    /// Leaf `leaf`'s code: the row of its run's first tuple.
+    fn row(&self, leaf: usize) -> &[u64] {
+        let first = self.order[self.run_start[leaf] as usize].1 as usize;
+        &self.rows[first * self.words..][..self.words]
+    }
+
+    /// `node`'s pattern as its bits words and its mask words: a leaf's is
+    /// its row under a full mask, which it is until it is extracted.
+    fn pattern_words(&self, node: NodeId) -> (&[u64], &[u64]) {
+        match (node as usize).checked_sub(self.leaves) {
+            Some(i) => self.patterns[2 * self.words * i..][..2 * self.words].split_at(self.words),
+            None => (self.row(node as usize), &self.full),
+        }
     }
 
     /// Nodes made so far, leaves included.
@@ -439,10 +453,11 @@ impl NodeStore for BuildForest<'_> {
 
     fn common(&self, members: &[NodeId]) -> Option<Box<[u64]>> {
         let w = self.words;
-        let mut common: Box<[u64]> = self.pattern_words(members[0]).into();
+        let (bits, mask) = self.pattern_words(members[0]);
+        let mut common: Box<[u64]> = bits.iter().chain(mask).copied().collect();
         let (bits, mask) = common.split_at_mut(w);
         for &member in &members[1..] {
-            let (b, m) = self.pattern_words(member).split_at(w);
+            let (b, m) = self.pattern_words(member);
             for i in 0..w {
                 mask[i] &= m[i] & !(bits[i] ^ b[i]);
                 bits[i] &= mask[i];
@@ -451,12 +466,16 @@ impl NodeStore for BuildForest<'_> {
         mask.iter().any(|&m| m != 0).then_some(common)
     }
 
+    /// Leaves keep no pattern to narrow: a leaf's residual is derived
+    /// from its path when the snapshot is compiled.
     fn keep_residuals(&mut self, members: &[NodeId], common: &Box<[u64]>) {
         let w = self.words;
         let parent_mask = &common[w..];
         for &member in members {
-            let at = member as usize * 2 * w;
-            let (bits, mask) = self.patterns[at..at + 2 * w].split_at_mut(w);
+            let Some(internal) = (member as usize).checked_sub(self.leaves) else {
+                continue;
+            };
+            let (bits, mask) = self.patterns[2 * w * internal..][..2 * w].split_at_mut(w);
             for i in 0..w {
                 mask[i] &= !parent_mask[i];
                 bits[i] &= mask[i];
@@ -505,7 +524,8 @@ impl ForestView for BuildForest<'_> {
     }
 
     fn pattern(&self, node: NodeId) -> (&[u64], &[u64]) {
-        self.pattern_words(node).split_at(self.words)
+        debug_assert!(node as usize >= self.leaves, "a leaf's pattern is implicit");
+        self.pattern_words(node)
     }
 
     fn leaf(&self, node: NodeId, ids: &mut Vec<TupleId>) -> Option<&[u64]> {
@@ -513,11 +533,11 @@ impl ForestView for BuildForest<'_> {
         if leaf >= self.leaves {
             return None;
         }
-        let run = &self.order[self.run_start[leaf] as usize..self.run_start[leaf + 1] as usize];
         if self.keep_ids {
+            let run = &self.order[self.run_start[leaf] as usize..self.run_start[leaf + 1] as usize];
             ids.extend(run.iter().map(|&(_, i)| self.ids[i as usize]));
         }
-        Some(&self.rows[run[0].1 as usize * self.words..][..self.words])
+        Some(self.row(leaf))
     }
 }
 

@@ -23,31 +23,40 @@
 //!   slots, so a child group of only leaves is swept over these code rows
 //!   instead of its patterns (see `ha_store::view`).
 //!
+//! Leaves carry no pattern of their own. A leaf's pattern is its code row
+//! under the bits its root-to-leaf path leaves free (the path invariant
+//! HA-Store's validator checks), so the planes end at the *pattern bound*
+//! — the end of the last group the masked sweep reads, never before the
+//! end of the root group — and the compile derives the pattern of each
+//! leaf before that bound from its parent's accumulated mask. The groups
+//! past the bound hold only leaves and are swept over their rows; the
+//! HA-Store writer regenerates their patterns, so a file still holds every
+//! node's and its bytes do not depend on where the planes end.
+//!
 //! A snapshot is tagged with the arena's mutation epoch at compile time;
 //! [`DynamicHaIndex`](super::DynamicHaIndex) dispatches searches to the
 //! snapshot only while the epochs still agree, falling back to the arena
 //! BFS (the oracle) after any mutation. Traversal order is identical to the
 //! arena BFS, so results are byte-for-byte the same, not merely set-equal.
+//! Traces (Table 3) always come from the arena.
 //!
 //! Since HA-Store, the traversal itself lives in `ha-store`'s
 //! [`FlatStoreView`] — the same arrays, borrowed — and this type is the
-//! *owner* of those arrays plus the arena-only extras (the `parent` array
-//! for trace rendering, the epoch gate). `search`/`batch_search`/… simply
-//! wrap the owned vectors in a view and delegate, which is what guarantees
-//! an `mmap`-ed snapshot answers byte-for-byte like a frozen one: both run
-//! the identical code. [`FlatHaIndex::store_bytes`] serializes the arrays
-//! into the persistent HA-Store format.
+//! *owner* of those arrays plus the epoch gate. `search`/`batch_search`/…
+//! simply wrap the owned vectors in a view and delegate, which is what
+//! guarantees an `mmap`-ed snapshot answers byte-for-byte like a frozen
+//! one: both run the identical code. [`FlatHaIndex::store_bytes`]
+//! serializes the arrays into the persistent HA-Store format.
 
-use ha_bitcode::{masked_distance_group, BinaryCode, GroupLayout, Kernel, MaskedCode};
+use ha_bitcode::{BinaryCode, GroupLayout};
 use ha_store::{FlatParts, FlatStoreView};
 
-use super::search::{TraceEvent, TraceStep};
 use super::{DynamicHaIndex, NodeId};
 use crate::memory::vec_bytes;
 use crate::pages::advise_huge;
 use crate::TupleId;
 
-/// Sentinel for "no parent" / "not a leaf" in the flat arrays.
+/// Sentinel for "not a leaf" in the flat arrays.
 const NONE: u32 = u32::MAX;
 
 /// Sibling groups of multi-word codes strictly narrower than this are laid
@@ -95,12 +104,10 @@ pub struct FlatHaIndex {
     child_start: Vec<u32>,
     /// Flat child ids; every sibling group is a consecutive id range.
     children: Vec<u32>,
-    /// Parent of each node (`NONE` for roots) — used to recover a node's
-    /// sibling-group coordinates when rendering patterns for traces.
-    parent: Vec<u32>,
-    /// Word-plane pattern storage: the root group first, then each internal
-    /// node's child group in BFS order. The group of node `p`'s children
-    /// starts at word `2 * words * (root_count + child_start[p])`.
+    /// Word-plane pattern storage up to the pattern bound (module docs):
+    /// the root group first, then each internal node's child group in BFS
+    /// order, as far as the masked sweep reads. The group of node `p`'s
+    /// children starts at word `2 * words * (root_count + child_start[p])`.
     planes: Vec<u64>,
     /// Per node: index into the leaf arrays, or `NONE` for internal nodes.
     leaf_slot: Vec<u32>,
@@ -142,7 +149,8 @@ pub(super) trait ForestView {
     fn roots(&self) -> &[NodeId];
     /// `node`'s children, in order (none for a leaf).
     fn children(&self, node: NodeId) -> &[NodeId];
-    /// `node`'s residual pattern as its bits words and its mask words.
+    /// Internal node `node`'s residual pattern as its bits words and its
+    /// mask words. [`compile`] never asks for a leaf's: it derives it.
     fn pattern(&self, node: NodeId) -> (&[u64], &[u64]);
     /// For a leaf, its code's words, its ids appended to `ids` (none when
     /// the forest keeps no leaf ids); `None` for an internal node.
@@ -200,31 +208,20 @@ impl ForestView for DynamicHaIndex {
     }
 }
 
-/// Appends one sibling group's patterns to `planes` in the layout
-/// [`layout_for`] chose: SoA word-planes (column-major) or AoS rows. Both
-/// occupy exactly `2 * words * group.len()` words, so downstream
-/// base-offset arithmetic never depends on the choice.
-fn push_group<F: ForestView>(
-    planes: &mut Vec<u64>,
-    forest: &F,
-    group: &[NodeId],
-    words: usize,
-    layout: GroupLayout,
-) {
+/// Appends one sibling group's patterns, given as `bits‖mask` rows, to
+/// `planes` in the layout [`layout_for`] chose: SoA word-planes
+/// (column-major) or the AoS rows as they are. Both occupy exactly
+/// `rows.len()` words, so downstream base-offset arithmetic never depends
+/// on the choice.
+fn push_group(planes: &mut Vec<u64>, rows: &[u64], words: usize, layout: GroupLayout) {
     match layout {
         GroupLayout::Soa => {
-            for w in 0..words {
-                planes.extend(group.iter().map(|&m| forest.pattern(m).0[w]));
-                planes.extend(group.iter().map(|&m| forest.pattern(m).1[w]));
+            for i in 0..words {
+                planes.extend(rows.chunks_exact(2 * words).map(|row| row[i]));
+                planes.extend(rows.chunks_exact(2 * words).map(|row| row[words + i]));
             }
         }
-        GroupLayout::Aos => {
-            for &m in group {
-                let (bits, mask) = forest.pattern(m);
-                planes.extend_from_slice(&bits[..words]);
-                planes.extend_from_slice(&mask[..words]);
-            }
-        }
+        GroupLayout::Aos => planes.extend_from_slice(rows),
     }
 }
 
@@ -249,23 +246,14 @@ pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64) -> FlatHaIndex {
     // property the planes rely on.
     let mut order: Vec<NodeId> = Vec::with_capacity(sizes.nodes);
     order.extend_from_slice(roots);
-    let mut planes: Vec<u64> = Vec::with_capacity(2 * words * sizes.nodes);
-    advise_huge(&planes);
-    let mut groups = 0u32;
-    let mut aos_groups = 0u32;
     let root_layout = layout_for(root_count, words);
-    push_group(&mut planes, forest, roots, words, root_layout);
-    if root_count > 0 {
-        groups += 1;
-        aos_groups += u32::from(root_layout == GroupLayout::Aos);
-    }
+    let mut groups = u32::from(root_count > 0);
+    let mut aos_groups = u32::from(root_count > 0 && root_layout == GroupLayout::Aos);
     let mut group_layout: Vec<u8> = Vec::with_capacity(sizes.nodes + 1);
     group_layout.push(root_layout.flag());
     let mut child_start: Vec<u32> = Vec::with_capacity(sizes.nodes + 1);
     child_start.push(0);
     let mut children: Vec<u32> = Vec::with_capacity(sizes.nodes.saturating_sub(root_count));
-    let mut parent: Vec<u32> = Vec::with_capacity(sizes.nodes);
-    parent.resize(root_count, NONE);
     let mut leaf_slot: Vec<u32> = Vec::with_capacity(sizes.nodes);
     let mut leaf_count = 0u32;
     let mut leaf_code_words: Vec<u64> = Vec::with_capacity(sizes.leaves * words);
@@ -289,13 +277,11 @@ pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64) -> FlatHaIndex {
             // its layout, independently of every other group.
             let group = forest.children(node);
             let layout = layout_for(group.len(), words);
-            push_group(&mut planes, forest, group, words, layout);
             groups += 1;
             aos_groups += u32::from(layout == GroupLayout::Aos);
             group_layout.push(layout.flag());
             for &c in group {
                 children.push(order.len() as u32);
-                parent.push(at as u32);
                 order.push(c);
             }
         }
@@ -314,7 +300,7 @@ pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64) -> FlatHaIndex {
     });
 
     let leaf_suffix = ha_store::view::leaf_suffix_start(&leaf_slot);
-    FlatHaIndex {
+    let mut flat = FlatHaIndex {
         code_len,
         words,
         epoch,
@@ -322,8 +308,7 @@ pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64) -> FlatHaIndex {
         root_count: root_count as u32,
         child_start,
         children,
-        parent,
-        planes,
+        planes: Vec::new(),
         leaf_slot,
         leaf_code_words,
         leaf_sorted,
@@ -333,7 +318,72 @@ pub(super) fn compile<F: ForestView>(forest: &F, epoch: u64) -> FlatHaIndex {
         leaf_suffix,
         groups,
         aos_groups,
+    };
+    flat.planes = pattern_planes(forest, &order, &flat);
+    flat
+}
+
+/// `flat`'s pattern planes, up to the pattern bound: the root group and
+/// every child group that starts before the all-leaf suffix, in BFS
+/// order, each in its recorded layout. `order[v]` is flat node `v`'s id
+/// in `forest`. An internal node's pattern is the forest's; a leaf's is
+/// its row under the bits its path leaves free, the complement of its
+/// parent's accumulated mask.
+fn pattern_planes<F: ForestView>(forest: &F, order: &[NodeId], flat: &FlatHaIndex) -> Vec<u64> {
+    let w = flat.words;
+    let rc = flat.root_count as usize;
+    let starts = &flat.child_start;
+    // The first group boundary at or past the suffix: the end of the
+    // group holding node `leaf_suffix - 1`, or of the root group.
+    let bound = rc + starts[starts.partition_point(|&s| rc + (s as usize) < flat.leaf_suffix)] as usize;
+    if bound == 0 {
+        // No node at all: an index built from no rows may have no code
+        // length either.
+        return Vec::new();
     }
+    let mut planes: Vec<u64> = Vec::with_capacity(2 * w * bound);
+    advise_huge(&planes);
+    let full = BinaryCode::ones(flat.code_len);
+    // Each internal node's accumulated mask, in node-id order: the order
+    // in which their groups come up.
+    let mut acc: Vec<u64> = Vec::with_capacity(w * (flat.node_count() - flat.leaf_sorted.len()));
+    let mut parent = vec![0u64; w];
+    let mut rows: Vec<u64> = Vec::new();
+    let mut expanded = 0usize;
+    for gi in 0..=flat.node_count() {
+        let (first, end) = if gi == 0 {
+            (0, rc)
+        } else {
+            let p = gi - 1;
+            if flat.leaf_slot[p] != NONE {
+                continue;
+            }
+            parent.copy_from_slice(&acc[w * expanded..w * (expanded + 1)]);
+            expanded += 1;
+            (rc + starts[p] as usize, rc + starts[p + 1] as usize)
+        };
+        if first >= bound {
+            break;
+        }
+        rows.clear();
+        for (&slot, &node) in flat.leaf_slot[first..end].iter().zip(&order[first..end]) {
+            match slot {
+                NONE => {
+                    let (bits, mask) = forest.pattern(node);
+                    rows.extend_from_slice(&bits[..w]);
+                    rows.extend_from_slice(&mask[..w]);
+                    acc.extend(parent.iter().zip(mask).map(|(a, m)| a | m));
+                }
+                slot => {
+                    let row = &flat.leaf_code_words[slot as usize * w..][..w];
+                    rows.extend(row.iter().zip(&parent).map(|(r, a)| r & !a));
+                    rows.extend(full.words().iter().zip(&parent).map(|(f, a)| f & !a));
+                }
+            }
+        }
+        push_group(&mut planes, &rows, w, GroupLayout::from_flag(flat.group_layout[gi]));
+    }
+    planes
 }
 
 impl FlatHaIndex {
@@ -366,7 +416,6 @@ impl FlatHaIndex {
     pub fn memory_bytes(&self) -> usize {
         vec_bytes(&self.child_start)
             + vec_bytes(&self.children)
-            + vec_bytes(&self.parent)
             + vec_bytes(&self.planes)
             + vec_bytes(&self.leaf_slot)
             + vec_bytes(&self.leaf_code_words)
@@ -420,46 +469,17 @@ impl FlatHaIndex {
 
     /// Serializes the snapshot into the persistent HA-Store format
     /// (v2, carrying the per-group layout flags; see
-    /// `ha_store::store_bytes`).
+    /// `ha_store::store_bytes`). The file holds every node's pattern: the
+    /// writer regenerates the leaf patterns past the pattern bound, so the
+    /// bytes are those of a snapshot whose planes cover every node.
     pub fn store_bytes(&self) -> Vec<u8> {
         ha_store::store_bytes(&self.parts())
-    }
-
-    /// Storage layout of group `gi` (0 = root group, `1 + p` = node
-    /// `p`'s child group).
-    #[inline]
-    fn layout_of(&self, gi: usize) -> GroupLayout {
-        GroupLayout::from_flag(self.group_layout.get(gi).copied().unwrap_or(0))
     }
 
     /// Exact point lookup over the sorted leaf directory: ids stored under
     /// `code`, or an empty slice.
     pub fn ids_for_code(&self, code: &BinaryCode) -> &[TupleId] {
         self.view().ids_for_code(code)
-    }
-
-    /// Tuple ids of leaf slot `slot`.
-    #[inline]
-    fn ids_of(&self, slot: u32) -> &[TupleId] {
-        let lo = self.leaf_ids_start[slot as usize] as usize;
-        let hi = self.leaf_ids_start[slot as usize + 1] as usize;
-        &self.leaf_ids[lo..hi]
-    }
-
-    /// Word-plane slice and group size of node `p`'s child group.
-    #[inline]
-    fn child_group(&self, p: u32) -> (&[u64], usize, usize) {
-        let lo = self.child_start[p as usize] as usize;
-        let hi = self.child_start[p as usize + 1] as usize;
-        let g = hi - lo;
-        let base = 2 * self.words * (self.root_count as usize + lo);
-        (&self.planes[base..base + 2 * self.words * g], g, lo)
-    }
-
-    /// Leaf slot `slot`'s code as a word row.
-    #[inline]
-    fn leaf_row(&self, slot: usize) -> &[u64] {
-        &self.leaf_code_words[slot * self.words..(slot + 1) * self.words]
     }
 
     /// H-Search over the frozen layout (requires `keep_leaf_ids`).
@@ -485,167 +505,137 @@ impl FlatHaIndex {
     pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
         self.view().batch_search(queries, h)
     }
-
-    /// Reconstructs node `v`'s residual pattern from its sibling group's
-    /// word-planes (trace rendering only — the hot path never needs it).
-    fn pattern_of(&self, v: u32) -> MaskedCode {
-        let rc = self.root_count as usize;
-        let w = self.words;
-        let (base, g, s, layout) = if (v as usize) < rc {
-            (0usize, rc, v as usize, self.layout_of(0))
-        } else {
-            let p = self.parent[v as usize];
-            let lo = self.child_start[p as usize] as usize;
-            let hi = self.child_start[p as usize + 1] as usize;
-            (
-                2 * w * (rc + lo),
-                hi - lo,
-                v as usize - rc - lo,
-                self.layout_of(p as usize + 1),
-            )
-        };
-        let mut bits = vec![0u64; w];
-        let mut mask = vec![0u64; w];
-        for wi in 0..w {
-            match layout {
-                GroupLayout::Soa => {
-                    bits[wi] = self.planes[base + 2 * wi * g + s];
-                    mask[wi] = self.planes[base + (2 * wi + 1) * g + s];
-                }
-                GroupLayout::Aos => {
-                    bits[wi] = self.planes[base + s * 2 * w + wi];
-                    mask[wi] = self.planes[base + s * 2 * w + w + wi];
-                }
-            }
-        }
-        let bits = BinaryCode::from_words(&bits, self.code_len);
-        let mask = BinaryCode::from_words(&mask, self.code_len);
-        // Same-length by construction; the fallback is unreachable but keeps
-        // this file within its zero panic budget.
-        MaskedCode::new(bits, mask).unwrap_or_else(|_| MaskedCode::empty(self.code_len))
-    }
-
-    /// Instrumented H-Search over the flat layout — same rounds, events and
-    /// snapshots as the arena's Table-3 trace. Distances here are computed
-    /// exactly (no early exit): the trace reports the violating accumulated
-    /// distance of pruned nodes, which the bailing kernel would truncate.
-    pub fn search_trace(&self, query: &BinaryCode, h: u32) -> (Vec<TupleId>, Vec<TraceStep>) {
-        assert_eq!(query.len(), self.code_len, "query length mismatch");
-        let rc = self.root_count as usize;
-        let w = self.words;
-        let qw = query.words();
-        let mut steps: Vec<TraceStep> = Vec::new();
-        let mut results: Vec<TupleId> = Vec::new();
-        // FIFO as a cursor over a grow-only Vec: identical visit order to
-        // the arena's queue.
-        let mut queue: Vec<(u32, u32)> = Vec::new();
-        let mut cursor = 0usize;
-        let mut dist: Vec<u32> = Vec::new();
-
-        let visit = |v: u32,
-                         d: u32,
-                         events: &mut Vec<TraceEvent>,
-                         results: &mut Vec<TupleId>,
-                         queue: &mut Vec<(u32, u32)>| {
-            if d > h {
-                events.push(TraceEvent::Pruned {
-                    pattern: self.pattern_of(v).to_string(),
-                    acc: d,
-                });
-            } else if self.leaf_slot[v as usize] != NONE {
-                let slot = self.leaf_slot[v as usize];
-                let ids = self.ids_of(slot).to_vec();
-                events.push(TraceEvent::Reported {
-                    code: BinaryCode::from_words(self.leaf_row(slot as usize), self.code_len)
-                        .to_string(),
-                    distance: d,
-                    ids: ids.clone(),
-                });
-                results.extend(ids);
-            } else {
-                events.push(TraceEvent::Enqueued {
-                    pattern: self.pattern_of(v).to_string(),
-                    acc: d,
-                });
-                queue.push((v, d));
-            }
-        };
-
-        // Round 0: the top level.
-        let mut events = Vec::new();
-        if rc > 0 {
-            dist.resize(rc, 0);
-            // Scalar kernel, unlimited budget: nothing prunes, so every
-            // accumulator is exact — the trace reports the violating
-            // distance of pruned nodes, which a bailing kernel truncates.
-            masked_distance_group(
-                Kernel::Scalar,
-                self.layout_of(0),
-                qw,
-                &self.planes[..2 * w * rc],
-                rc,
-                u32::MAX,
-                &mut dist,
-            );
-            for v in 0..rc {
-                visit(v as u32, dist[v], &mut events, &mut results, &mut queue);
-            }
-        }
-        steps.push(TraceStep {
-            events,
-            queue_after: self.queued_patterns(&queue, cursor),
-            results_so_far: results.clone(),
-        });
-
-        while cursor < queue.len() {
-            let (p, acc) = queue[cursor];
-            cursor += 1;
-            let mut events = Vec::new();
-            let (planes, g, lo) = self.child_group(p);
-            dist.clear();
-            dist.resize(g, acc);
-            masked_distance_group(
-                Kernel::Scalar,
-                self.layout_of(p as usize + 1),
-                qw,
-                planes,
-                g,
-                u32::MAX,
-                &mut dist,
-            );
-            for s in 0..g {
-                visit(
-                    self.children[lo + s],
-                    dist[s],
-                    &mut events,
-                    &mut results,
-                    &mut queue,
-                );
-            }
-            steps.push(TraceStep {
-                events,
-                queue_after: self.queued_patterns(&queue, cursor),
-                results_so_far: results.clone(),
-            });
-        }
-        (results, steps)
-    }
-
-    fn queued_patterns(&self, queue: &[(u32, u32)], cursor: usize) -> Vec<String> {
-        queue[cursor..]
-            .iter()
-            .map(|&(v, _)| self.pattern_of(v).to_string())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{FlatHaIndex, NONE};
+    use crate::dynamic::{bulk_freeze, GrayOrder};
     use crate::testkit::{clustered_dataset, paper_table_s, random_dataset};
     use crate::{DhaConfig, DynamicHaIndex, HammingIndex, MutableIndex};
-    use ha_bitcode::BinaryCode;
+    use ha_bitcode::{BinaryCode, GroupLayout};
+    use ha_store::HaStore;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Node `v`'s pattern words, bits then mask, read out of `planes` laid
+    /// out as the snapshot `flat`'s groups are.
+    fn pattern_in(flat: &FlatHaIndex, planes: &[u64], v: usize) -> Vec<u64> {
+        let (w, rc) = (flat.words, flat.root_count as usize);
+        let (gi, first, end) = if v < rc {
+            (0, 0, rc)
+        } else {
+            let p = flat.child_start.partition_point(|&s| s as usize <= v - rc) - 1;
+            (p + 1, rc + flat.child_start[p] as usize, rc + flat.child_start[p + 1] as usize)
+        };
+        let (g, s, base) = (end - first, v - first, 2 * w * first);
+        let word = |i: usize| match GroupLayout::from_flag(flat.group_layout[gi]) {
+            GroupLayout::Soa => planes[base + (2 * (i % w) + i / w) * g + s],
+            GroupLayout::Aos => planes[base + 2 * w * s + i],
+        };
+        (0..2 * w).map(word).collect()
+    }
+
+    /// Checks a snapshot's leaf patterns against the arena's (see
+    /// `leaf_patterns_are_derived_from_their_paths`); returns the
+    /// snapshot.
+    fn check_derived_patterns(
+        data: &[(BinaryCode, crate::TupleId)],
+        config: &DhaConfig,
+    ) -> FlatHaIndex {
+        let bits = data[0].0.len();
+        let mut idx = DynamicHaIndex::build_with(data.to_vec(), config.clone());
+        let flat = idx.freeze().clone();
+        let (w, rc, nodes) = (flat.words, flat.root_count as usize, flat.node_count());
+
+        // The arena in the compile's BFS order.
+        let mut order = idx.roots.clone();
+        let mut at = 0;
+        while at < order.len() {
+            order.extend_from_slice(&idx.nodes[order[at] as usize].children);
+            at += 1;
+        }
+        let stored = |v: usize| {
+            let pattern = &idx.nodes[order[v] as usize].pattern;
+            [pattern.bits().words(), pattern.mask().words()].concat()
+        };
+
+        let mut bound = rc;
+        for p in (0..nodes).filter(|&p| flat.leaf_slot[p] == NONE) {
+            if rc + (flat.child_start[p] as usize) < flat.leaf_suffix {
+                bound = bound.max(rc + flat.child_start[p + 1] as usize);
+            }
+        }
+        prop_assert_eq!(flat.planes.len(), 2 * w * bound);
+        for v in 0..bound {
+            prop_assert_eq!(pattern_in(&flat, &flat.planes, v), stored(v), "node {}", v);
+        }
+        let store = HaStore::open_bytes(flat.store_bytes());
+        prop_assert!(store.is_ok(), "the file must open: {:?}", store.err());
+        let store = store.expect("checked");
+        let file = store.view().parts().planes;
+        for v in 0..nodes {
+            prop_assert_eq!(pattern_in(&flat, file, v), stored(v), "file node {}", v);
+        }
+
+        let rows: Vec<u64> = data.iter().flat_map(|(c, _)| c.words().to_vec()).collect();
+        let ids: Vec<_> = data.iter().map(|&(_, id)| id).collect();
+        let sorted = GrayOrder::sort_rows(&rows, bits, Vec::with_capacity(ids.len()));
+        let planned = bulk_freeze(bits, &rows, &ids, &sorted, config);
+        prop_assert!(planned.planes == flat.planes, "the forest's planes differ");
+        flat
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Leaves carry no pattern: the compile derives each leaf's inside
+        /// the pattern bound from its path, and the HA-Store writer the
+        /// rest. Every derived pattern must be the one the arena stores,
+        /// from the arena and from a planned build's forest alike, and the
+        /// planes must end at the bound — the end of the group holding the
+        /// last internal node, never before the roots'. Random and
+        /// clustered data, 8–512 bits, windows of 2–64, depths of 1–8.
+        #[test]
+        fn leaf_patterns_are_derived_from_their_paths(
+            seed in any::<u64>(),
+            bits in 8usize..=512,
+            window in 2usize..=64,
+            max_depth in 1usize..=8,
+            clustered in any::<bool>(),
+            clusters in 1usize..=12,
+            flips in 0usize..=6,
+        ) {
+            let n = 100 + (seed % 400) as usize;
+            let data = if clustered {
+                clustered_dataset(n, bits, clusters, flips, seed)
+            } else {
+                random_dataset(n, bits, seed)
+            };
+            let config = DhaConfig { window, max_depth, ..DhaConfig::default() };
+            check_derived_patterns(&data, &config);
+        }
+    }
+
+    /// A 512-bit clustered build's planes end at the all-leaf suffix: they
+    /// hold no leaf the row sweep reads. At the default window and depth
+    /// they hold internal nodes only.
+    #[test]
+    fn wide_clustered_planes_hold_no_suffix_leaf() {
+        for (seed, window, max_depth) in [(1, 8, 8), (2, 2, 4), (3, 32, 2), (4, 64, 1), (5, 3, 8)] {
+            let data = clustered_dataset(3000, 512, 12, 4, seed);
+            let config = DhaConfig { window, max_depth, ..DhaConfig::default() };
+            let flat = check_derived_patterns(&data, &config);
+            let bound = flat.planes.len() / (2 * flat.words);
+            let suffix = flat.leaf_suffix.max(flat.root_count as usize);
+            assert_eq!(bound, suffix, "seed {seed}: a suffix leaf in the planes");
+            assert!(bound < flat.node_count(), "seed {seed}: every node in the planes");
+            if (window, max_depth) == (8, 8) {
+                assert!(flat.leaf_slot[..bound].iter().all(|&s| s == NONE), "a leaf in the planes");
+            }
+        }
+    }
 
     /// Freeze a clone and return (frozen, thawed-arena) views of the same
     /// contents.
@@ -770,6 +760,9 @@ mod tests {
         empty.freeze();
         assert!(empty.flat_is_current());
         assert!(empty.search(&BinaryCode::zero(16), 16).is_empty());
+
+        let mut nothing = DynamicHaIndex::build(std::iter::empty());
+        assert_eq!(nothing.freeze().node_count(), 0);
 
         let mut one = DynamicHaIndex::build([(BinaryCode::from_u64(5, 16), 7u64)]);
         one.freeze();

@@ -287,11 +287,9 @@ impl DynamicHaIndex {
 
     /// H-Search with a recorded execution trace (the Table 3
     /// reproduction). Returns the qualifying ids plus one [`TraceStep`] per
-    /// BFS round.
+    /// BFS round. Always runs over the arena, frozen or not: the snapshot
+    /// keeps no leaf patterns to render.
     pub fn search_trace(&self, query: &BinaryCode, h: u32) -> (Vec<TupleId>, Vec<TraceStep>) {
-        if let Some(f) = self.flat() {
-            return f.search_trace(query, h);
-        }
         search::h_search_trace(self, query, h)
     }
 

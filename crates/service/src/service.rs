@@ -356,6 +356,9 @@ struct Durable {
     base: String,
 }
 
+/// Where a select's answer (or its error) is sent.
+type SelectReply = mpsc::Sender<Result<Vec<TupleId>, ServiceError>>;
+
 /// A queued request. `queued` carries the admission timestamp when
 /// tracing is on (`None` otherwise); `deadline` is the instant after
 /// which the answer is worthless and the work is shed at dequeue.
@@ -365,7 +368,7 @@ enum Work {
         h: u32,
         queued: Option<Instant>,
         deadline: Option<Instant>,
-        tx: mpsc::Sender<Result<Vec<TupleId>, ServiceError>>,
+        tx: SelectReply,
     },
     Knn {
         code: BinaryCode,
@@ -416,7 +419,7 @@ enum Batch {
         h: u32,
         codes: Vec<BinaryCode>,
         queued: Vec<Option<Instant>>,
-        txs: Vec<mpsc::Sender<Result<Vec<TupleId>, ServiceError>>>,
+        txs: Vec<SelectReply>,
     },
     Knn {
         code: BinaryCode,
@@ -1559,16 +1562,15 @@ impl Inner {
         &self,
         h: u32,
         codes: Vec<BinaryCode>,
-        txs: Vec<mpsc::Sender<Result<Vec<TupleId>, ServiceError>>>,
+        txs: Vec<SelectReply>,
     ) {
         let _batch_span =
             ha_obs::span_labeled("serve.batch", || format!("h={h} size={}", codes.len()));
         // Cache pass: answers computed at the current epoch serve
         // directly; the rest form the executed batch.
-        let mut hit_replies: Vec<(mpsc::Sender<Result<Vec<TupleId>, ServiceError>>, Vec<TupleId>)> =
-            Vec::new();
+        let mut hit_replies: Vec<(SelectReply, Vec<TupleId>)> = Vec::new();
         let mut miss_codes: Vec<BinaryCode> = Vec::new();
-        let mut miss_txs: Vec<mpsc::Sender<Result<Vec<TupleId>, ServiceError>>> = Vec::new();
+        let mut miss_txs: Vec<SelectReply> = Vec::new();
         {
             let _cache_span = ha_obs::span("serve.cache_lookup");
             let epoch = self.epoch.load(Ordering::SeqCst);

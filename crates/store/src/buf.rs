@@ -43,7 +43,7 @@ pub(crate) const fn native_is_little_endian() -> bool {
 
 /// Reinterprets `bytes` as a `u32` slice, if aligned and exact.
 pub(crate) fn cast_u32s(bytes: &[u8]) -> Option<&[u32]> {
-    if bytes.as_ptr().align_offset(std::mem::align_of::<u32>()) != 0 || bytes.len() % 4 != 0 {
+    if bytes.as_ptr().align_offset(std::mem::align_of::<u32>()) != 0 || !bytes.len().is_multiple_of(4) {
         return None;
     }
     // SAFETY: pointer alignment and length divisibility checked above;
@@ -54,7 +54,7 @@ pub(crate) fn cast_u32s(bytes: &[u8]) -> Option<&[u32]> {
 
 /// Reinterprets `bytes` as a `u64` slice, if aligned and exact.
 pub(crate) fn cast_u64s(bytes: &[u8]) -> Option<&[u64]> {
-    if bytes.as_ptr().align_offset(std::mem::align_of::<u64>()) != 0 || bytes.len() % 8 != 0 {
+    if bytes.as_ptr().align_offset(std::mem::align_of::<u64>()) != 0 || !bytes.len().is_multiple_of(8) {
         return None;
     }
     // SAFETY: as in `cast_u32s` (module safety argument, item 3).

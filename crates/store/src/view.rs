@@ -49,6 +49,15 @@
 //! consecutive and the group is recognised by one compare against
 //! [`FlatParts::leaf_suffix`], with no load. Groups before the suffix
 //! keep the masked sweep.
+//!
+//! So no search reads a pattern past the *pattern bound*, the end of the
+//! last group the masked sweep reads, and the path invariant makes every
+//! leaf's pattern implicit: its row under the bits its path leaves free.
+//! `ha-core`'s in-memory snapshot keeps its planes only up to that bound
+//! and derives the leaf patterns inside it ([`FlatParts::planes`]). A
+//! file still holds every node's pattern, byte for byte as before: the
+//! writer ([`store_bytes`](crate::store_bytes)) regenerates the ones past
+//! the bound, and the open path checks all of them.
 
 use std::cell::RefCell;
 
@@ -78,7 +87,16 @@ pub struct FlatParts<'a> {
     pub child_start: &'a [u32],
     /// Flat child ids, length `node_count - root_count`.
     pub children: &'a [u32],
-    /// Word-plane pattern storage, length `2 * words * node_count`.
+    /// Word-plane pattern storage, `2 * words` words per node in node-id
+    /// order, covering at least every node before the *pattern bound*:
+    /// the end of the last group the masked sweep reads (the group holding
+    /// node `leaf_suffix - 1`), never before the end of the root group.
+    /// The groups past it hold only leaves, are swept over their rows,
+    /// and may be left out: `ha-core`'s `FlatHaIndex` keeps no leaf
+    /// pattern there. A file's planes cover every node
+    /// ([`FlatStoreView::new`] checks `2 * words * node_count`), and
+    /// [`store_bytes`](crate::store_bytes) regenerates the patterns left
+    /// out.
     pub planes: &'a [u64],
     /// Per node: leaf-array index or [`NONE`], length `node_count`.
     pub leaf_slot: &'a [u32],
@@ -100,6 +118,22 @@ pub struct FlatParts<'a> {
     /// a leaf (`node_count` when the last node is internal). Derived from
     /// `leaf_slot` by [`leaf_suffix_start`] and never stored in a file.
     pub leaf_suffix: usize,
+}
+
+/// Word offsets of the bits and the mask word `i` of sibling `s` in a
+/// `g`-wide group of `words`-word patterns laid out as `layout`, from the
+/// group's first word.
+pub(crate) fn pattern_word_at(
+    layout: GroupLayout,
+    words: usize,
+    g: usize,
+    s: usize,
+    i: usize,
+) -> (usize, usize) {
+    match layout {
+        GroupLayout::Soa => (2 * i * g + s, (2 * i + 1) * g + s),
+        GroupLayout::Aos => (2 * words * s + i, 2 * words * s + words + i),
+    }
 }
 
 /// Where the all-leaf suffix of `leaf_slot` starts: the id after the
@@ -160,14 +194,7 @@ fn check_paths(parts: &FlatParts<'_>) -> Result<(), StoreError> {
     let w = parts.words;
     let rc = parts.root_count;
     let n = parts.leaf_slot.len();
-    let tail = parts.code_len % 64;
-    let full = |i: usize| {
-        if i + 1 == w && tail != 0 {
-            !(u64::MAX >> tail)
-        } else {
-            u64::MAX
-        }
-    };
+    let full = BinaryCode::ones(parts.code_len);
     // The k-th internal node's accumulated mask then bits, at
     // `acc[2 * w * k ..][.. 2 * w]`.
     let mut acc = vec![0u64; 2 * w * (n - parts.leaf_sorted.len())];
@@ -196,16 +223,8 @@ fn check_paths(parts: &FlatParts<'_>) -> Result<(), StoreError> {
         let layout = GroupLayout::from_flag(parts.group_layout.get(gi).copied().unwrap_or(0));
         for s in 0..g {
             for i in 0..w {
-                let (bits, mask) = match layout {
-                    GroupLayout::Soa => (
-                        parts.planes[base + 2 * i * g + s],
-                        parts.planes[base + (2 * i + 1) * g + s],
-                    ),
-                    GroupLayout::Aos => (
-                        parts.planes[base + 2 * w * s + i],
-                        parts.planes[base + 2 * w * s + w + i],
-                    ),
-                };
+                let (bits_at, mask_at) = pattern_word_at(layout, w, g, s, i);
+                let (bits, mask) = (parts.planes[base + bits_at], parts.planes[base + mask_at]);
                 if parent[i] & mask != 0 {
                     return Err(StoreError::Corrupt("path masks overlap"));
                 }
@@ -220,7 +239,7 @@ fn check_paths(parts: &FlatParts<'_>) -> Result<(), StoreError> {
             }
             let row = &parts.leaf_code_words[slot as usize * w..(slot as usize + 1) * w];
             for i in 0..w {
-                if here[i] != full(i) {
+                if here[i] != full.words()[i] {
                     return Err(StoreError::Corrupt("leaf path does not cover the code"));
                 }
                 if here[w + i] != row[i] {
@@ -458,21 +477,6 @@ impl<'a> FlatStoreView<'a> {
         &self.parts.leaf_ids[lo..hi]
     }
 
-    /// Word-plane slice, group size and child-array offset of node
-    /// `p`'s child group.
-    #[inline]
-    fn child_group(&self, p: u32) -> (&'a [u64], usize, usize) {
-        let lo = self.parts.child_start[p as usize] as usize;
-        let hi = self.parts.child_start[p as usize + 1] as usize;
-        let g = hi - lo;
-        let base = 2 * self.parts.words * (self.parts.root_count + lo);
-        (
-            &self.parts.planes[base..base + 2 * self.parts.words * g],
-            g,
-            lo,
-        )
-    }
-
     /// Storage layout of group `gi` (0 = root group, `1 + p` = node
     /// `p`'s child group). An absent flag array (hand-built parts) means
     /// all-SoA.
@@ -518,8 +522,7 @@ impl<'a> FlatStoreView<'a> {
             h,
             dist,
         );
-        for v in 0..rc {
-            let d = dist[v];
+        for (v, &d) in dist.iter().enumerate() {
             if d <= h {
                 let slot = self.parts.leaf_slot[v];
                 if slot != NONE {
@@ -536,7 +539,8 @@ impl<'a> FlatStoreView<'a> {
         while !frontier.is_empty() {
             next.clear();
             for &(p, acc) in frontier.iter() {
-                let (planes, g, lo) = self.child_group(p);
+                let lo = self.parts.child_start[p as usize] as usize;
+                let g = self.parts.child_start[p as usize + 1] as usize - lo;
                 if rc + lo >= self.parts.leaf_suffix {
                     let first = rc + lo - internal;
                     dist.clear();
@@ -555,19 +559,20 @@ impl<'a> FlatStoreView<'a> {
                     }
                     continue;
                 }
+                // A group before the suffix lies inside the pattern bound.
+                let base = 2 * w * (rc + lo);
                 dist.clear();
                 dist.resize(g, acc);
                 masked_distance_group(
                     self.kernel,
                     self.layout_of(p as usize + 1),
                     qw,
-                    planes,
+                    &self.parts.planes[base..base + 2 * w * g],
                     g,
                     h,
                     dist,
                 );
-                for s in 0..g {
-                    let d = dist[s];
+                for (s, &d) in dist.iter().enumerate() {
                     if d <= h {
                         let v = self.parts.children[lo + s];
                         let slot = self.parts.leaf_slot[v as usize];
@@ -690,6 +695,9 @@ mod tests {
         leaf_suffix: usize,
     }
 
+    /// One way to damage a [`Tiny`] snapshot.
+    type Mutation = Box<dyn Fn(&mut Tiny)>;
+
     fn bc(bits: u64) -> BinaryCode {
         BinaryCode::from_u64(bits, 8)
     }
@@ -758,7 +766,7 @@ mod tests {
 
         /// Rewrites the root's child group (the only multi-word-free
         /// group here) into AoS row order and flips its flag.
-        fn to_aos_child_group(&mut self) {
+        fn make_child_group_aos(&mut self) {
             // SoA child group at planes[2..6]: [bits a, bits b, mask, mask].
             // AoS with words = 1: [bits a, mask a, bits b, mask b].
             let (a, b, ma, mb) = (self.planes[2], self.planes[3], self.planes[4], self.planes[5]);
@@ -806,7 +814,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_each_broken_invariant() {
-        let cases: Vec<(&str, Box<dyn Fn(&mut Tiny)>)> = vec![
+        let cases: Vec<(&str, Mutation)> = vec![
             ("child ids not consecutive", Box::new(|t| t.children[0] = 2)),
             ("offsets not monotone", Box::new(|t| t.child_start[1] = 9)),
             ("leaf slot out of range", Box::new(|t| t.leaf_slot[1] = 5)),
@@ -835,7 +843,7 @@ mod tests {
     #[test]
     fn validation_rejects_leaf_paths_that_disagree_with_rows() {
         let top = 1u64 << 63; // bit 0 of the 8-bit codes
-        let cases: Vec<(&str, Box<dyn Fn(&mut Tiny)>)> = vec![
+        let cases: Vec<(&str, Mutation)> = vec![
             // The root's empty mask claims bit 0, which both leaves own.
             ("path masks overlap", Box::new(move |t| t.planes[1] = top)),
             // Leaf `a`'s mask drops bit 0: its path covers 7 of 8 bits.
@@ -853,7 +861,7 @@ mod tests {
             (
                 "leaf path does not spell its row",
                 Box::new(move |t| {
-                    t.to_aos_child_group();
+                    t.make_child_group_aos();
                     t.planes[4] ^= top;
                 }),
             ),
@@ -905,7 +913,7 @@ mod tests {
     fn validation_rejects_trailing_code_bits() {
         let mut t = Tiny::build();
         t.leaf_code_words[0] |= 1; // bit 63 of word 0 is past an 8-bit code
-        let err = FlatStoreView::new(t.parts()).err().expect("must reject");
+        let err = FlatStoreView::new(t.parts()).expect_err("must reject");
         assert_eq!(
             err,
             StoreError::Corrupt("leaf code has bits past code length")
@@ -944,7 +952,7 @@ mod tests {
         let soa = Tiny::build();
         let soa_view = FlatStoreView::new(soa.parts()).expect("valid");
         let mut aos = Tiny::build();
-        aos.to_aos_child_group();
+        aos.make_child_group_aos();
         let aos_view = FlatStoreView::new(aos.parts()).expect("AoS flag is valid");
         for q in [bc(0b1010_0000), bc(0b1111_0000), bc(0b0000_0001)] {
             for h in 0..=8 {

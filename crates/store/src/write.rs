@@ -8,15 +8,16 @@
 //! typed error (never misread) elsewhere.
 
 use ha_bitcode::fnv::fnv64;
+use ha_bitcode::{BinaryCode, GroupLayout};
 
 use crate::error::StoreError;
 use crate::layout::{
     align_up, section, ENDIAN_TAG, FOOTER_BYTES, HEADER_BYTES, MAGIC, SECTION_COUNT, TABLE_BYTES,
     VERSION,
 };
-use crate::view::FlatParts;
+use crate::view::{pattern_word_at, FlatParts, NONE};
 
-fn put_u32s(out: &mut Vec<u8>, at: usize, vals: &[u32]) {
+fn put_u32s(out: &mut [u8], at: usize, vals: &[u32]) {
     let mut o = at;
     for &v in vals {
         out[o..o + 4].copy_from_slice(&v.to_le_bytes());
@@ -24,7 +25,7 @@ fn put_u32s(out: &mut Vec<u8>, at: usize, vals: &[u32]) {
     }
 }
 
-fn put_u64s(out: &mut Vec<u8>, at: usize, vals: &[u64]) {
+fn put_u64s(out: &mut [u8], at: usize, vals: &[u64]) {
     let mut o = at;
     for &v in vals {
         out[o..o + 8].copy_from_slice(&v.to_le_bytes());
@@ -32,7 +33,70 @@ fn put_u64s(out: &mut Vec<u8>, at: usize, vals: &[u64]) {
     }
 }
 
-/// Serializes one frozen snapshot into the wire format.
+/// Writes into `planes`, the file's plane section, the leaf patterns
+/// `parts.planes` leaves out: those of every group that starts at or past
+/// its end, the pattern bound ([`FlatParts::planes`]). Such a group holds
+/// only leaves, and a leaf's pattern is its row under the bits its path
+/// leaves free, the complement of its parent's accumulated mask. The
+/// groups come up in node-id order, as the internal nodes that own them
+/// do, so each internal node's accumulated mask is kept in that order.
+///
+/// # Panics
+///
+/// If a group past the end of `parts.planes` holds an internal node.
+fn put_implicit_patterns(planes: &mut [u8], parts: &FlatParts<'_>, layout: &[u8]) {
+    let w = parts.words;
+    let rc = parts.root_count;
+    let n = parts.leaf_slot.len();
+    if parts.planes.len() >= 2 * w * n {
+        return;
+    }
+    let covered = parts.planes.len() / (2 * w);
+    let full = BinaryCode::ones(parts.code_len);
+    let mut acc: Vec<u64> = Vec::new();
+    let mut parent = vec![0u64; w];
+    let mut expanded = 0usize;
+    for gi in 0..=n {
+        let (first, g) = if gi == 0 {
+            (0, rc)
+        } else {
+            let p = gi - 1;
+            if parts.leaf_slot[p] != NONE {
+                continue;
+            }
+            parent.copy_from_slice(&acc[w * expanded..w * (expanded + 1)]);
+            expanded += 1;
+            let lo = parts.child_start[p] as usize;
+            (rc + lo, parts.child_start[p + 1] as usize - lo)
+        };
+        let base = 2 * w * first;
+        let layout = GroupLayout::from_flag(layout[gi]);
+        for s in 0..g {
+            let slot = parts.leaf_slot[first + s];
+            if first < covered {
+                if slot == NONE {
+                    acc.extend((0..w).map(|i| {
+                        parent[i] | parts.planes[base + pattern_word_at(layout, w, g, s, i).1]
+                    }));
+                }
+                continue;
+            }
+            assert!(slot != NONE, "the planes end before the pattern bound");
+            let row = &parts.leaf_code_words[slot as usize * w..(slot as usize + 1) * w];
+            for i in 0..w {
+                let mask = full.words()[i] & !parent[i];
+                let (bits_at, mask_at) = pattern_word_at(layout, w, g, s, i);
+                for (at, word) in [(base + bits_at, row[i] & mask), (base + mask_at, mask)] {
+                    planes[8 * at..8 * at + 8].copy_from_slice(&word.to_le_bytes());
+                }
+            }
+        }
+    }
+}
+
+/// Serializes one frozen snapshot into the wire format. The file's plane
+/// section covers every node: patterns `parts.planes` leaves out past the
+/// pattern bound are regenerated from the leaf rows.
 pub fn store_bytes(parts: &FlatParts<'_>) -> Vec<u8> {
     // Hand-built parts may carry an empty layout slice (all-SoA);
     // normalize to the explicit byte-per-group form the file holds.
@@ -49,7 +113,7 @@ pub fn store_bytes(parts: &FlatParts<'_>) -> Vec<u8> {
     let mut lens = [0usize; SECTION_COUNT];
     lens[section::CHILD_START] = parts.child_start.len() * 4;
     lens[section::CHILDREN] = parts.children.len() * 4;
-    lens[section::PLANES] = parts.planes.len() * 8;
+    lens[section::PLANES] = parts.planes.len().max(2 * parts.words * node_count) * 8;
     lens[section::LEAF_SLOT] = parts.leaf_slot.len() * 4;
     lens[section::LEAF_CODES] = parts.leaf_code_words.len() * 8;
     lens[section::LEAF_IDS_START] = parts.leaf_ids_start.len() * 4;
@@ -90,7 +154,9 @@ pub fn store_bytes(parts: &FlatParts<'_>) -> Vec<u8> {
     // Section payloads (gaps stay zero).
     put_u32s(&mut out, offsets[section::CHILD_START], parts.child_start);
     put_u32s(&mut out, offsets[section::CHILDREN], parts.children);
-    put_u64s(&mut out, offsets[section::PLANES], parts.planes);
+    let o = offsets[section::PLANES];
+    put_u64s(&mut out, o, parts.planes);
+    put_implicit_patterns(&mut out[o..o + lens[section::PLANES]], parts, layout);
     put_u32s(&mut out, offsets[section::LEAF_SLOT], parts.leaf_slot);
     put_u64s(&mut out, offsets[section::LEAF_CODES], parts.leaf_code_words);
     put_u32s(&mut out, offsets[section::LEAF_IDS_START], parts.leaf_ids_start);

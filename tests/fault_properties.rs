@@ -19,6 +19,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const INPUTS: u64 = 120;
 
+/// One reduced group: `(key, sum, count)`.
+type Row = (u64, u64, usize);
+
 /// Reference workload: group `x` by `x % groups`, reduce to `(key, sum,
 /// count)`. 120 inputs split across `workers` map tasks (120 is divisible
 /// by 1..=4, so `workers` splits exist for every generated worker count).
@@ -27,7 +30,7 @@ fn run(
     reducers: usize,
     max_attempts: u32,
     injector: &FaultInjector,
-) -> Result<(Vec<(u64, u64, usize)>, JobMetrics), JobError> {
+) -> Result<(Vec<Row>, JobMetrics), JobError> {
     let config = JobConfig::named("prop-faults")
         .with_workers(workers)
         .with_reducers(reducers)
@@ -154,7 +157,7 @@ proptest! {
         seed in any::<u64>(),
         reducers in 1usize..=3,
     ) {
-        let runs: Vec<Vec<(u64, u64, usize)>> = [1usize, 2, 4]
+        let runs: Vec<Vec<Row>> = [1usize, 2, 4]
             .iter()
             .map(|&w| {
                 let (plan, _) = recoverable_plan(seed, w, reducers, 2);

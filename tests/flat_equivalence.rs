@@ -1,8 +1,9 @@
 //! The frozen CSR/SoA snapshot must be invisible: for ANY interleaving of
 //! H-Build, H-Insert and H-Delete, a frozen [`FlatHaIndex`] answers every
-//! select, batch, kNN and trace query **byte-identically** (same ids, same
+//! select, batch and kNN query **byte-identically** (same ids, same
 //! order) to the mutable arena's BFS, and both agree with the linear-scan
-//! oracle at every radius. These properties generate arbitrary mutation
+//! oracle at every radius; a frozen index's trace, always the arena's, is
+//! the thawed one's. These properties generate arbitrary mutation
 //! histories and hold the snapshot to that claim, including the
 //! epoch-invalidation path (mutate after freeze → stale snapshot must be
 //! bypassed, refreeze must revalidate).

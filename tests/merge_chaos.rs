@@ -207,7 +207,7 @@ fn delayed_publish_never_regresses_generations_under_concurrent_reads() {
         // delayed swaps.
         for r in 0..2 {
             scope.spawn(move || {
-                let mut last_gen = vec![0u64; SHARDS];
+                let mut last_gen = [0u64; SHARDS];
                 let mut i = r;
                 while !done_ref.load(Ordering::SeqCst) {
                     for (s, last) in last_gen.iter_mut().enumerate() {

@@ -83,7 +83,7 @@ fn truncations_and_extensions_are_rejected() {
     }
     for extra in [1usize, 8, 64] {
         let mut bad = good.clone();
-        bad.extend(std::iter::repeat(0xAB).take(extra));
+        bad.extend(std::iter::repeat_n(0xAB, extra));
         assert!(
             HaStore::open_bytes(bad).is_err(),
             "{extra} appended bytes were accepted"
@@ -191,9 +191,7 @@ fn forged_leaf_patterns_are_rejected_after_recomputing_the_checksum() {
     let mut parent = vec![NONE; n];
     for p in 0..n {
         let (lo, hi) = (parts.child_start[p] as usize, parts.child_start[p + 1] as usize);
-        for v in rc + lo..rc + hi {
-            parent[v] = p as u32;
-        }
+        parent[rc + lo..rc + hi].fill(p as u32);
     }
     let pattern = |v: usize| {
         let (base, g, s, gi) = match parent[v] {
