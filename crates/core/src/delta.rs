@@ -176,34 +176,6 @@ impl DeltaIndex {
         out
     }
 
-    /// Composed batched select: one shared-frontier base traversal for
-    /// the whole batch, with the tombstone-aware path taken only for the
-    /// queries that actually have a tombstone in range.
-    pub fn batch_search(
-        &self,
-        base: &PlannedIndex,
-        queries: &[BinaryCode],
-        h: u32,
-    ) -> Vec<Vec<TupleId>> {
-        let mut answers = base.batch_search(queries, h);
-        for (q, ids) in queries.iter().zip(answers.iter_mut()) {
-            if self.tombstone_near(q, h) {
-                ids.clear();
-                for (code, _) in base.mih().search_codes(q, h) {
-                    self.base_ids_surviving(base, &code, ids);
-                }
-            }
-            ids.extend(
-                self.adds
-                    .iter()
-                    .filter(|(c, _)| c.hamming(q) <= h)
-                    .map(|&(_, id)| id),
-            );
-            ids.sort_unstable();
-        }
-        answers
-    }
-
     /// Composed select with exact distances, sorted by `(id, distance)`
     /// (the canonical [`PlannedIndex::search_with_distances`] order).
     pub fn search_with_distances(
@@ -338,14 +310,6 @@ mod tests {
                 }
             }
             assert_eq!(delta.live_len(&base), live.len(), "step {step}");
-        }
-        // Batched reads agree with solo reads.
-        let queries: Vec<BinaryCode> = live.iter().take(6).map(|(c, _)| c.clone()).collect();
-        for h in [0u32, 2, 4] {
-            let batch = delta.batch_search(&base, &queries, h);
-            for (q, got) in queries.iter().zip(batch) {
-                assert_eq!(got, delta.search(&base, q, h), "batch ≡ solo h={h}");
-            }
         }
     }
 

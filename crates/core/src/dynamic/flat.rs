@@ -42,7 +42,7 @@
 //!
 //! Since HA-Store, the traversal itself lives in `ha-store`'s
 //! [`FlatStoreView`] — the same arrays, borrowed — and this type is the
-//! *owner* of those arrays plus the epoch gate. `search`/`batch_search`/…
+//! *owner* of those arrays plus the epoch gate. `search` and its siblings
 //! simply wrap the owned vectors in a view and delegate, which is what
 //! guarantees an `mmap`-ed snapshot answers byte-for-byte like a frozen
 //! one: both run the identical code. [`FlatHaIndex::store_bytes`]
@@ -496,15 +496,6 @@ impl FlatHaIndex {
     pub fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
         self.view().search_codes(query, h)
     }
-
-    /// Batched H-Search: one solo flat traversal per query, sharing the
-    /// thread's scratch buffers across the whole batch so the steady
-    /// state allocates nothing per query. (PR 3's serve bench showed raw
-    /// per-query CPU, not traversal sharing, bounds throughput once
-    /// locks are amortized.)
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        self.view().batch_search(queries, h)
-    }
 }
 
 #[cfg(test)]
@@ -668,40 +659,6 @@ mod tests {
                 arena.search_with_distances(&q, h)
             );
             assert_eq!(frozen.search_codes(&q, h), arena.search_codes(&q, h));
-        }
-    }
-
-    #[test]
-    fn trace_byte_identical_to_arena() {
-        let idx = DynamicHaIndex::build_with(
-            paper_table_s(),
-            DhaConfig {
-                window: 2,
-                max_depth: 4,
-                ..DhaConfig::default()
-            },
-        );
-        let (frozen, arena) = views(&idx);
-        let q: BinaryCode = "010001011".parse().unwrap();
-        let (ids_f, steps_f) = frozen.search_trace(&q, 3);
-        let (ids_a, steps_a) = arena.search_trace(&q, 3);
-        assert_eq!(ids_f, ids_a);
-        assert_eq!(steps_f, steps_a);
-        assert_eq!(ids_f, vec![0]);
-    }
-
-    #[test]
-    fn batch_matches_solo_on_flat() {
-        let data = clustered_dataset(400, 64, 6, 3, 17);
-        let mut idx = DynamicHaIndex::build(data);
-        idx.freeze();
-        let mut rng = StdRng::seed_from_u64(18);
-        let queries: Vec<BinaryCode> = (0..13).map(|_| BinaryCode::random(64, &mut rng)).collect();
-        for h in [0u32, 3, 6, 10] {
-            let batched = idx.batch_search(&queries, h);
-            for (qi, q) in queries.iter().enumerate() {
-                assert_eq!(batched[qi], idx.search(q, h), "h={h} query {qi}");
-            }
         }
     }
 

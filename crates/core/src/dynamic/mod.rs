@@ -196,40 +196,6 @@ impl DynamicHaIndex {
             .chain(self.buffer.iter().map(|(code, id)| (code, *id)))
     }
 
-    /// Shared-frontier batched H-Search: answers every query of the batch
-    /// in **one** traversal of the forest. Each BFS entry carries the set
-    /// of queries still alive at that node, so a node's pattern is fetched
-    /// and its children iterated once per *batch* instead of once per
-    /// query — the serving-layer analogue of the paper's "one masked
-    /// Hamming computation verifies many tuples" amortization. Returns,
-    /// per query (by position), the qualifying ids, in the same set as
-    /// [`HammingIndex::search`] would produce query by query.
-    ///
-    /// ```
-    /// use ha_core::{DynamicHaIndex, HammingIndex};
-    /// use ha_bitcode::BinaryCode;
-    ///
-    /// let index = DynamicHaIndex::build(
-    ///     (0..64u64).map(|i| (BinaryCode::from_u64(i, 16), i)));
-    /// let queries: Vec<BinaryCode> =
-    ///     (0..8u64).map(|i| BinaryCode::from_u64(i * 3, 16)).collect();
-    ///
-    /// // One traversal for the whole batch ≡ one search per query.
-    /// let batched = index.batch_search(&queries, 2);
-    /// for (q, mut got) in queries.iter().zip(batched) {
-    ///     let mut solo = index.search(q, 2);
-    ///     got.sort_unstable();
-    ///     solo.sort_unstable();
-    ///     assert_eq!(got, solo);
-    /// }
-    /// ```
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        if let Some(f) = self.flat() {
-            return f.batch_search(queries, h);
-        }
-        search::h_batch_search(self, queries, h)
-    }
-
     /// Number of live internal (non-leaf) nodes — |V| of the §4.7 analysis.
     pub fn internal_node_count(&self) -> usize {
         self.nodes
@@ -369,30 +335,6 @@ impl DynamicHaIndex {
     /// True if searches are currently served from the frozen layout.
     pub fn flat_is_current(&self) -> bool {
         self.flat().is_some()
-    }
-
-    /// H-Search forced onto the mutable arena's BFS, bypassing any frozen
-    /// snapshot. The query planner uses these `_arena` entry points to
-    /// route explicitly: the regular entry points auto-dispatch to the
-    /// flat layout whenever a current snapshot exists, which would make
-    /// an "Arena BFS" routing decision unobservable.
-    pub fn search_arena(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
-        search::h_search(self, query, h)
-    }
-
-    /// [`DynamicHaIndex::search_codes`] forced onto the arena BFS.
-    pub fn search_codes_arena(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
-        search::h_search_codes(self, query, h)
-    }
-
-    /// [`DynamicHaIndex::search_with_distances`] forced onto the arena BFS.
-    pub fn search_with_distances_arena(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
-        search::h_search_with_distances(self, query, h)
-    }
-
-    /// [`DynamicHaIndex::batch_search`] forced onto the arena BFS.
-    pub fn batch_search_arena(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        search::h_batch_search(self, queries, h)
     }
 
     /// Iterates every live stored code (leaf codes plus buffered inserts),

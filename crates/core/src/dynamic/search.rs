@@ -5,8 +5,7 @@
 //! The BFS frontier is two swapped `Vec`s (level-synchronous) rather than a
 //! `VecDeque`: a BFS visits nodes level by level either way, so the visit
 //! and emission order is identical, but the two-vector form reuses its
-//! buffers across levels (and, in the batched search, across the whole
-//! batch) instead of churning a ring buffer.
+//! buffers across levels instead of churning a ring buffer.
 
 use ha_bitcode::BinaryCode;
 
@@ -134,147 +133,6 @@ pub(super) fn h_search_codes(
         if let Some(d) = code.hamming_within(query, h) {
             if !out.iter().any(|(c, _)| c == code) {
                 out.push((code.clone(), d));
-            }
-        }
-    }
-    out
-}
-
-/// One queue entry of the batched search: a node plus, for every query
-/// that survived the path so far, `(query index, accumulated distance)`.
-///
-/// Deep in the forest most entries carry exactly one live query (the
-/// batch's frontiers diverge as pruning bites), so the single-survivor
-/// case is stored inline — an entry only owns heap storage while two or
-/// more queries genuinely share its path.
-struct BatchEntry {
-    node: NodeId,
-    active: Active,
-}
-
-enum Active {
-    One((u32, u32)),
-    Many(Vec<(u32, u32)>),
-}
-
-impl Active {
-    fn pairs(&self) -> &[(u32, u32)] {
-        match self {
-            Active::One(pair) => std::slice::from_ref(pair),
-            Active::Many(v) => v,
-        }
-    }
-}
-
-/// Shared-frontier batched H-Search (see [`DynamicHaIndex::batch_search`]).
-///
-/// Correctness: a query's `(qi, acc)` pair rides an entry iff the per-query
-/// BFS of [`bfs`] would have enqueued that node with that accumulated
-/// distance, so each query's emissions are exactly its solo emissions; the
-/// sharing only collapses the *traversal* (queue entries, child iteration,
-/// pattern fetches), not the per-query distance arithmetic.
-pub(super) fn h_batch_search(
-    idx: &DynamicHaIndex,
-    queries: &[BinaryCode],
-    h: u32,
-) -> Vec<Vec<TupleId>> {
-    let mut out: Vec<Vec<TupleId>> = vec![Vec::new(); queries.len()];
-    if queries.is_empty() {
-        return out;
-    }
-    for q in queries {
-        assert_eq!(q.len(), idx.code_len, "query length mismatch");
-    }
-    let emit = |out: &mut Vec<Vec<TupleId>>, leaf: NodeId, qi: u32| {
-        if let Some(data) = idx.nodes[leaf as usize].leaf.as_ref() {
-            out[qi as usize].extend_from_slice(&data.ids);
-        }
-    };
-    let mut frontier: Vec<BatchEntry> = Vec::new();
-    let mut next_level: Vec<BatchEntry> = Vec::new();
-    for &root in &idx.roots {
-        let node = &idx.nodes[root as usize];
-        if !node.alive {
-            continue;
-        }
-        let mut active = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let d = node.pattern.distance_to(q);
-            if d <= h {
-                if node.is_leaf() {
-                    emit(&mut out, root, qi as u32);
-                } else {
-                    active.push((qi as u32, d));
-                }
-            }
-        }
-        match active.len() {
-            0 => {}
-            1 => frontier.push(BatchEntry {
-                node: root,
-                active: Active::One(active[0]),
-            }),
-            _ => frontier.push(BatchEntry {
-                node: root,
-                active: Active::Many(std::mem::take(&mut active)),
-            }),
-        }
-    }
-    // Level-synchronous frontier (two swapped Vecs), with multi-survivor
-    // lists recycled through a scratch pool so the steady state allocates
-    // (almost) nothing: every drained `Many` frees one list, every child
-    // that keeps ≥2 queries claims one. All four buffers live for the
-    // whole batch — per-query allocation is the high-water mark only.
-    let mut pool: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut scratch: Vec<(u32, u32)> = Vec::new();
-    while !frontier.is_empty() {
-        for BatchEntry { node, active } in frontier.drain(..) {
-            for &child_id in &idx.nodes[node as usize].children {
-                let child = &idx.nodes[child_id as usize];
-                if !child.alive {
-                    continue;
-                }
-                let is_leaf = child.is_leaf();
-                scratch.clear();
-                for &(qi, acc) in active.pairs() {
-                    let d = child.pattern.distance_to(&queries[qi as usize]);
-                    let total = acc + d;
-                    if total > h {
-                        continue;
-                    }
-                    if is_leaf {
-                        emit(&mut out, child_id, qi);
-                    } else {
-                        scratch.push((qi, total));
-                    }
-                }
-                match scratch.len() {
-                    0 => {}
-                    1 => next_level.push(BatchEntry {
-                        node: child_id,
-                        active: Active::One(scratch[0]),
-                    }),
-                    _ => {
-                        let mut survivors = pool.pop().unwrap_or_default();
-                        survivors.clear();
-                        survivors.extend_from_slice(&scratch);
-                        next_level.push(BatchEntry {
-                            node: child_id,
-                            active: Active::Many(survivors),
-                        });
-                    }
-                }
-            }
-            if let Active::Many(freed) = active {
-                pool.push(freed);
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next_level);
-    }
-    for (code, id) in &idx.buffer {
-        for (qi, q) in queries.iter().enumerate() {
-            if code.hamming_within(q, h).is_some() {
-                out[qi].push(*id);
             }
         }
     }
@@ -611,35 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_search_equals_per_query_search() {
-        use crate::MutableIndex;
-        let data = clustered_dataset(400, 32, 6, 3, 91);
-        let mut idx = DynamicHaIndex::build(data.clone());
-        // Leave a few tuples in the insert buffer so the batch path covers
-        // the buffer scan too.
-        let mut rng = StdRng::seed_from_u64(92);
-        for extra in 0..5u64 {
-            idx.insert(BinaryCode::random(32, &mut rng), 10_000 + extra);
-        }
-        assert!(!idx.buffer.is_empty());
-        for h in [0u32, 2, 4, 7] {
-            let queries: Vec<BinaryCode> =
-                (0..17).map(|_| BinaryCode::random(32, &mut rng)).collect();
-            let batched = idx.batch_search(&queries, h);
-            assert_eq!(batched.len(), queries.len());
-            for (qi, q) in queries.iter().enumerate() {
-                let mut got = batched[qi].clone();
-                let mut want = idx.search(q, h);
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "h={h} query {qi}");
-            }
-        }
-        // Empty batch is a no-op.
-        assert!(idx.batch_search(&[], 3).is_empty());
-    }
-
-    #[test]
     fn epoch_tracks_mutations_only() {
         use crate::MutableIndex;
         let data = paper_table_s();
@@ -647,7 +476,6 @@ mod tests {
         assert_eq!(idx.epoch(), 0, "fresh build starts at epoch 0");
         let q: BinaryCode = "101100010".parse().unwrap();
         let _ = idx.search(&q, 3);
-        let _ = idx.batch_search(std::slice::from_ref(&q), 3);
         assert_eq!(idx.epoch(), 0, "searches do not advance the epoch");
         idx.insert("101100011".parse().unwrap(), 50);
         let e1 = idx.epoch();
@@ -670,26 +498,6 @@ mod tests {
         got.sort();
         want.sort();
         assert_eq!(got, want);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn prop_batch_search_equals_solo(seed in any::<u64>(), h in 0u32..10) {
-            let data = random_dataset(140, 28, seed);
-            let idx = DynamicHaIndex::build(data);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C4);
-            let queries: Vec<BinaryCode> =
-                (0..9).map(|_| BinaryCode::random(28, &mut rng)).collect();
-            let batched = idx.batch_search(&queries, h);
-            for (qi, q) in queries.iter().enumerate() {
-                let mut got = batched[qi].clone();
-                let mut want = idx.search(q, h);
-                got.sort_unstable();
-                want.sort_unstable();
-                prop_assert_eq!(got, want, "query {}", qi);
-            }
-        }
     }
 
     proptest! {

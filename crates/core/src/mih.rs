@@ -469,14 +469,6 @@ impl MihIndex {
             .map(|row| (BinaryCode::from_words(self.row(row), self.code_len), self.ids[row]))
     }
 
-    /// One [`HammingIndex::search`] per query. MIH probes are per-query
-    /// directory lookups with no shared traversal to amortize, so this is
-    /// a plain loop — provided for signature parity with
-    /// [`crate::DynamicHaIndex::batch_search`].
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        queries.iter().map(|q| self.search(q, h)).collect()
-    }
-
     /// Itemized memory usage (Table 4's space column).
     pub fn memory_report(&self) -> MemoryReport {
         let starts: usize = self.dirs.iter().map(|d| vec_bytes(&d.starts)).sum();
@@ -650,6 +642,5 @@ mod tests {
         assert!(idx.is_empty());
         let q = BinaryCode::from_u64(1, 64);
         assert!(idx.search(&q, 64).is_empty());
-        assert!(idx.batch_search(&[q], 3)[0].is_empty());
     }
 }

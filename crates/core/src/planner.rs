@@ -615,7 +615,7 @@ impl PlannedIndex {
     ) -> Option<Vec<TupleId>> {
         let mut hits = match backend {
             Backend::HaFlat => self.snapshot()?.search(query, h),
-            Backend::ArenaBfs => self.dha().search_arena(query, h),
+            Backend::ArenaBfs => self.dha().search(query, h),
             Backend::Mih => return Some(self.mih.search(query, h)),
             Backend::Linear => return Some(self.mih.scan(query, h)),
         };
@@ -630,34 +630,13 @@ impl PlannedIndex {
         let mut hits = match self.backend_for(h) {
             Backend::HaFlat | Backend::ArenaBfs => match self.snapshot() {
                 Some(f) => f.search_with_distances(query, h),
-                None => self.dha().search_with_distances_arena(query, h),
+                None => self.dha().search_with_distances(query, h),
             },
             Backend::Mih => return self.mih.search_with_distances(query, h),
             Backend::Linear => return self.mih.scan_with_distances(query, h),
         };
         hits.sort_unstable_by_key(|&(id, d)| (id, d));
         hits
-    }
-
-    /// Routed batch search: one routing decision for the whole batch
-    /// (same profile, same `h`), answers per query in canonical order. A
-    /// route to the flat or the arena backend reads as in
-    /// [`PlannedIndex::search_with_distances`].
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        match self.backend_for(h) {
-            Backend::HaFlat | Backend::ArenaBfs => {
-                let mut answers = match self.snapshot() {
-                    Some(f) => f.batch_search(queries, h),
-                    None => self.dha().batch_search_arena(queries, h),
-                };
-                for a in &mut answers {
-                    a.sort_unstable();
-                }
-                answers
-            }
-            Backend::Mih => self.mih.batch_search(queries, h),
-            Backend::Linear => queries.iter().map(|q| self.mih.scan(q, h)).collect(),
-        }
     }
 
     /// Compiles a current flat snapshot if there is none: a deferred one
@@ -696,7 +675,9 @@ impl PlannedIndex {
     /// the adopted one, or built on first demand from the MIH's rows,
     /// without a snapshot — exactly what
     /// `DynamicHaIndex::build_with(input, config)` builds. Concurrent first
-    /// calls build it once.
+    /// calls build it once. It never holds a current snapshot
+    /// ([`PlannedIndex::from_dha`] and [`PlannedIndex::freeze`] move it
+    /// out), so its search entry points run the arena BFS.
     pub fn dha(&self) -> &DynamicHaIndex {
         self.arena.get_or_init(|| {
             let _span = ha_obs::span("core.plan.materialize");
@@ -859,18 +840,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_distances_are_canonical() {
+    fn distances_are_canonical() {
         let data = clustered_dataset(150, 128, 2, 4, 21);
         let idx = PlannedIndex::build(128, data.clone());
         let queries: Vec<BinaryCode> = data.iter().take(4).map(|(c, _)| c.clone()).collect();
         for h in [1u32, 4, 9] {
-            let batch = idx.batch_search(&queries, h);
-            for (q, got) in queries.iter().zip(&batch) {
-                assert_eq!(got, &idx.search(q, h), "batch ≡ solo at h={h}");
+            for q in &queries {
                 let dists = idx.search_with_distances(q, h);
                 assert_eq!(
                     dists.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-                    *got,
+                    idx.search(q, h),
                     "distance ids ≡ select ids at h={h}"
                 );
                 assert!(dists.windows(2).all(|w| w[0] <= w[1]), "sorted by (id, d)");
@@ -892,6 +871,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("decode: {e:?}"));
         let mut adopted = PlannedIndex::from_dha(shipped, CostModel::default());
         assert!(!adopted.available().contains(&Backend::HaFlat), "from_dha compiles nothing");
+        assert!(!adopted.dha().flat_is_current(), "from_dha leaves no snapshot in the arena");
         assert_eq!(adopted.len(), data.len());
         assert_eq!(adopted.profile(), built.profile());
         let mut rng = StdRng::seed_from_u64(14);
@@ -916,7 +896,19 @@ mod tests {
             // Second round: every backend, the flat one included.
             adopted.freeze();
             assert_eq!(adopted.available().len(), Backend::ALL.len());
+            assert!(!adopted.dha().flat_is_current(), "freeze moves the snapshot out");
         }
+        // An adopted arena's current snapshot moves to the planned index.
+        let mut frozen = crate::DynamicHaIndex::build(data.clone());
+        frozen.freeze();
+        let adopted = PlannedIndex::from_dha(frozen, CostModel::default());
+        assert!(adopted.available().contains(&Backend::HaFlat), "the snapshot moved over");
+        assert!(!adopted.dha().flat_is_current(), "from_dha leaves no snapshot in the arena");
+        // A built index's arena, built by a forced arena search, has none.
+        let q = &data[0].0;
+        let forced = built.search_with_backend(Backend::ArenaBfs, q, 2);
+        assert_eq!(forced, Some(oracle_select(&data, q, 2)));
+        assert!(!built.dha().flat_is_current(), "a forced arena search builds no snapshot");
     }
 
     #[test]

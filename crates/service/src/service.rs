@@ -35,10 +35,9 @@
 //! Serving mechanisms on top of plain H-Search:
 //!
 //! * **Micro-batching** — queued selects with the same radius are grouped
-//!   into one batch: each shard's locks are taken and its route chosen
-//!   once per batch, then every generation answers the batch query by
-//!   query over its flat view or its MIH (no traversal is shared between
-//!   queries).
+//!   into one batch: one queue pop, one cache pass, and each shard's
+//!   locks taken once per batch. Each query then probes and is routed
+//!   alone: no traversal is shared between queries.
 //! * **Admission control** — the request queue is bounded; a full queue
 //!   rejects with [`ServiceError::Overloaded`]. Requests may also carry a
 //!   **deadline**: work whose deadline expired while queued is shed at
@@ -1557,7 +1556,6 @@ impl Inner {
         }
     }
 
-    #[allow(clippy::needless_range_loop)]
     fn process_select_batch(
         &self,
         h: u32,
@@ -1614,10 +1612,11 @@ impl Inner {
             let probes = fan_out(self.cfg.fan_out, nshards, |off| {
                 let s = (start + off) % nshards;
                 let t0 = Instant::now();
-                let per_query = {
+                let per_query: Vec<Vec<TupleId>> = {
                     let _probe_span =
                         ha_obs::span_labeled("serve.shard_probe", || format!("shard={s}"));
-                    guards[s].delta.batch_search(&guards[s].gen.index, &miss_codes, h)
+                    let shard = &guards[s];
+                    miss_codes.iter().map(|q| shard.delta.search(&shard.gen.index, q, h)).collect()
                 };
                 (s, t0.elapsed(), per_query)
             });

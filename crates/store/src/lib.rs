@@ -20,7 +20,7 @@
 //!   [`FlatStoreView`] whose slices point **into the mapping**. First
 //!   query runs straight off the page cache; nothing is parsed into
 //!   owned nodes, ever.
-//! * **Search** ([`FlatStoreView`]): the level-synchronous batched
+//! * **Search** ([`FlatStoreView`]): the level-synchronous, group-at-a-time
 //!   masked-distance traversal, shared — this crate hosts the single
 //!   implementation and `ha-core`'s `FlatHaIndex` delegates to it, so
 //!   mapped answers are byte-for-byte identical to in-memory ones.
@@ -58,5 +58,5 @@ pub mod write;
 pub use error::StoreError;
 pub use layout::{StoreMeta, MAGIC, VERSION};
 pub use store::HaStore;
-pub use view::{FlatParts, FlatStoreView, Scratch};
+pub use view::{FlatParts, FlatStoreView};
 pub use write::{store_bytes, write_store_file};

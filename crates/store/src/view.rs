@@ -145,36 +145,20 @@ pub fn leaf_suffix_start(leaf_slot: &[u32]) -> usize {
         .map_or(0, |v| v + 1)
 }
 
-/// Reusable traversal buffers — two swapped level-synchronous frontiers
-/// plus the per-group distance accumulators handed to the batch kernel.
-/// One `Scratch` can serve a whole batch of queries, so steady-state
-/// searches allocate nothing.
+/// Reusable traversal buffers: two swapped level-synchronous frontiers
+/// plus the per-group distance accumulators handed to the kernels.
 #[derive(Default)]
-pub struct Scratch {
+struct Scratch {
     frontier: Vec<(u32, u32)>,
     next: Vec<(u32, u32)>,
     dist: Vec<u32>,
 }
 
 thread_local! {
-    /// Each thread's long-lived [`Scratch`]: the convenience entry
-    /// points (`search`, `search_with_distances`, `search_codes`,
-    /// `batch_search`) borrow it for the duration of one call instead
-    /// of allocating fresh frontier `Vec`s every time, so steady-state
-    /// serving allocates nothing per query.
+    /// Each thread's long-lived [`Scratch`]: every search borrows it for
+    /// the duration of one call instead of allocating fresh frontier
+    /// `Vec`s, so steady-state serving allocates nothing per query.
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-/// Runs `f` on this thread's reusable scratch. Take/replace rather than
-/// `borrow_mut` so a re-entrant call (an `emit` closure that searches
-/// again) just sees a fresh default scratch instead of a borrow panic.
-fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let mut scratch = cell.take();
-        let r = f(&mut scratch);
-        cell.replace(scratch);
-        r
-    })
 }
 
 /// Checks the H-Search path invariant on structurally valid `parts`:
@@ -490,13 +474,7 @@ impl<'a> FlatStoreView<'a> {
     /// are byte-for-byte those of the arena (and of every other view of
     /// the same snapshot). Calls `emit(leaf_slot, exact_distance)` for
     /// each qualifying leaf.
-    pub(crate) fn run(
-        &self,
-        query: &BinaryCode,
-        h: u32,
-        scratch: &mut Scratch,
-        emit: &mut impl FnMut(u32, u32),
-    ) {
+    fn run(&self, query: &BinaryCode, h: u32, mut emit: impl FnMut(u32, u32)) {
         assert_eq!(query.len(), self.parts.code_len, "query length mismatch");
         let rc = self.parts.root_count;
         if rc == 0 {
@@ -507,7 +485,10 @@ impl<'a> FlatStoreView<'a> {
         // Every internal node precedes the all-leaf suffix, so a suffix
         // node's leaf slot is its id minus the internal-node count.
         let internal = self.node_count() - self.leaf_count();
-        let Scratch { frontier, next, dist } = scratch;
+        // Take/replace rather than `borrow_mut`, so a re-entrant call (an
+        // `emit` that searches again) sees a fresh scratch, not a panic.
+        let mut scratch = SCRATCH.with(RefCell::take);
+        let Scratch { frontier, next, dist } = &mut scratch;
         frontier.clear();
 
         // Top level: one kernel call over the root group.
@@ -586,35 +567,21 @@ impl<'a> FlatStoreView<'a> {
             }
             std::mem::swap(frontier, next);
         }
+        SCRATCH.with(|cell| cell.replace(scratch));
     }
 
     /// H-Search over the mapped layout.
     pub fn search(&self, query: &BinaryCode, h: u32) -> Vec<u64> {
         let mut out = Vec::new();
-        with_scratch(|scratch| self.search_into(query, h, scratch, &mut out));
+        self.run(query, h, |slot, _| out.extend_from_slice(self.ids_of(slot)));
         out
-    }
-
-    /// H-Search appending into caller-owned buffers (batch-friendly).
-    pub fn search_into(
-        &self,
-        query: &BinaryCode,
-        h: u32,
-        scratch: &mut Scratch,
-        out: &mut Vec<u64>,
-    ) {
-        self.run(query, h, scratch, &mut |slot, _| {
-            out.extend_from_slice(self.ids_of(slot));
-        });
     }
 
     /// H-Search returning `(id, exact distance)` pairs.
     pub fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
-        with_scratch(|scratch| {
-            self.run(query, h, scratch, &mut |slot, d| {
-                out.extend(self.ids_of(slot).iter().map(|&id| (id, d)));
-            })
+        self.run(query, h, |slot, d| {
+            out.extend(self.ids_of(slot).iter().map(|&id| (id, d)));
         });
         out
     }
@@ -623,24 +590,8 @@ impl<'a> FlatStoreView<'a> {
     /// distances (codes materialized from the mapped rows).
     pub fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
         let mut out = Vec::new();
-        with_scratch(|scratch| {
-            self.run(query, h, scratch, &mut |slot, d| {
-                out.push((
-                    BinaryCode::from_words(self.row(slot as usize), self.parts.code_len),
-                    d,
-                ));
-            })
-        });
-        out
-    }
-
-    /// Batched H-Search sharing this thread's scratch across the batch.
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<u64>> {
-        let mut out: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        with_scratch(|scratch| {
-            for (slot, query) in out.iter_mut().zip(queries) {
-                self.search_into(query, h, scratch, slot);
-            }
+        self.run(query, h, |slot, d| {
+            out.push((BinaryCode::from_words(self.row(slot as usize), self.parts.code_len), d));
         });
         out
     }

@@ -97,7 +97,7 @@ fn assert_serves_agree(
         }
     }
     // Batched path: submit the whole workload, then drain the queue in
-    // one pump so the requests coalesce into a shared-frontier batch.
+    // one pump so the requests coalesce into one batch.
     let h = *radii.last().expect("radii");
     let submit = |serve: &HaServe| -> Vec<Vec<TupleId>> {
         let tickets: Vec<_> = qs

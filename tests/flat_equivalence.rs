@@ -1,9 +1,8 @@
 //! The frozen CSR/SoA snapshot must be invisible: for ANY interleaving of
 //! H-Build, H-Insert and H-Delete, a frozen [`FlatHaIndex`] answers every
-//! select, batch and kNN query **byte-identically** (same ids, same
-//! order) to the mutable arena's BFS, and both agree with the linear-scan
-//! oracle at every radius; a frozen index's trace, always the arena's, is
-//! the thawed one's. These properties generate arbitrary mutation
+//! select, distance, code and kNN query **byte-identically** (same ids,
+//! same order) to the mutable arena's BFS, and both agree with the
+//! linear-scan oracle at every radius. These properties generate arbitrary mutation
 //! histories and hold the snapshot to that claim, including the
 //! epoch-invalidation path (mutate after freeze → stale snapshot must be
 //! bypassed, refreeze must revalidate).
@@ -61,8 +60,8 @@ fn churn(
     }
 }
 
-/// Every radius 0..=max_h: frozen ≡ thawed byte-for-byte across all four
-/// query surfaces, and both match the oracle.
+/// Every radius 0..=max_h: frozen ≡ thawed byte-for-byte across select,
+/// distances, codes and kNN, and both match the oracle.
 fn assert_views_agree(
     frozen: &DynamicHaIndex,
     thawed: &DynamicHaIndex,
@@ -87,19 +86,8 @@ fn assert_views_agree(
                 thawed.search_codes(q, h),
                 "{ctx}: codes h={h}"
             );
-            assert_eq!(
-                frozen.search_trace(q, h),
-                thawed.search_trace(q, h),
-                "{ctx}: trace h={h}"
-            );
         }
     }
-    let max_h = max_h.max(1);
-    assert_eq!(
-        frozen.batch_search(queries, max_h),
-        thawed.batch_search(queries, max_h),
-        "{ctx}: batch"
-    );
     for (i, q) in queries.iter().enumerate() {
         let bits = q.len() as u32;
         for k in [1usize, 3, 16] {
@@ -249,7 +237,7 @@ proptest! {
 /// The HA-Kern matrix: every kernel (scalar, lane-chunked, AVX2, AVX-512
 /// — a kernel the host CPU lacks falls back to lanes, keeping the matrix
 /// uniform across hosts) over the one frozen snapshot must answer select,
-/// kNN and batch byte-identically to the scalar kernel, and the scalar
+/// distances and kNN byte-identically to the scalar kernel, and the scalar
 /// kernel must match the linear-scan oracle. This is the contract that
 /// makes kernel choice a pure performance knob. The index is built with
 /// H-Build windows of `window` slots; returns the snapshot's AoS group
@@ -298,12 +286,6 @@ fn kernel_matrix_case(seed: u64, bits: usize, n: usize, window: usize) -> f64 {
                 );
             }
         }
-        assert_eq!(
-            view.batch_search(&queries, radii[2]),
-            scalar.batch_search(&queries, radii[2]),
-            "batch: bits={bits} kernel={}",
-            kernel.name()
-        );
     }
     // kNN rides on search_with_distances through the index surface (the
     // index dispatches Kernel::detect()); the arena BFS visits in the same

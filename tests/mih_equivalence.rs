@@ -2,7 +2,7 @@
 //! sparse, 32- to 512-bit codes), ANY threshold — including thresholds
 //! far past where pigeonhole schemes like Manku's go incomplete — ANY
 //! chunk count and every bucket-directory regime (direct or hashed
-//! slots), [`MihIndex`] answers every select, batch and kNN query with
+//! slots), [`MihIndex`] answers every select and kNN query with
 //! exactly the ids the linear-scan oracle produces, byte-identical (after
 //! canonical `(distance, id)` / id ordering) to the frozen HA-Flat
 //! snapshot maintained over the same insert/delete history. This is the
@@ -90,7 +90,7 @@ fn churn(
     }
 }
 
-/// Select + batch + kNN: MIH ≡ frozen HA-Flat (canonical order) ≡ oracle.
+/// Select + kNN: MIH ≡ frozen HA-Flat (canonical order) ≡ oracle.
 fn assert_backends_agree(
     mih: &MihIndex,
     frozen: &DynamicHaIndex,
@@ -106,12 +106,6 @@ fn assert_backends_agree(
             let f = sorted(frozen.search(q, h));
             assert_eq!(m, f, "{ctx}: select h={h} MIH vs HA-Flat");
             assert_matches_oracle(m, live, q, h, &format!("{ctx} mih h={h}"));
-        }
-    }
-    if let Some(&h) = radii.iter().max() {
-        let batch = mih.batch_search(queries, h);
-        for (q, got) in queries.iter().zip(&batch) {
-            assert_eq!(got, &mih.search(q, h), "{ctx}: batch ≡ solo");
         }
     }
     for (i, q) in queries.iter().enumerate() {

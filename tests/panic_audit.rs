@@ -253,6 +253,46 @@ fn no_panicking_twin_beside_a_try_fn() {
     );
 }
 
+/// One search per query, one search per backend: no `pub fn batch_…`
+/// (a batch is answered query by query) and no `pub fn …_arena` twin
+/// that forces the arena BFS (the planner's arena never holds a current
+/// snapshot) in `ha-core` or `ha-store`.
+#[test]
+fn no_batch_or_arena_twin_in_the_search_surface() {
+    fn rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in fs::read_dir(dir).expect("source dir exists") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rs_files(&path, out);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut files, mut found, mut pub_fns) = (Vec::new(), Vec::new(), 0);
+    for dir in ["crates/core/src", "crates/store/src"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    for path in &files {
+        let code = lib_code(path);
+        for rest in code.split("pub fn ").skip(1) {
+            pub_fns += 1;
+            let name: String =
+                rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            if name.starts_with("batch_") || name.ends_with("_arena") {
+                found.push(format!("{}: {name}", path.display()));
+            }
+        }
+    }
+    assert!(pub_fns > 0, "the scan found no pub fns");
+    assert!(
+        found.is_empty(),
+        "batch or arena-forcing search twins: {found:?} — answer a batch query by \
+         query, and reach the arena through `PlannedIndex::dha()`"
+    );
+}
+
 /// `unsafe` in ha-hashing is one call: the projection kernel's jump into
 /// its AVX2 instantiation, behind a `// SAFETY:` comment that names the
 /// cached feature probe it relies on (`Kernel::detect`).
