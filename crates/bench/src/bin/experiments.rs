@@ -13,6 +13,8 @@
 //! collected spans/events/metrics to `<path>` as JSON lines (see
 //! docs/OBSERVABILITY.md).
 
+#![forbid(unsafe_code)]
+
 use ha_bench::{exp, Scale};
 
 const USAGE: &str = "usage: experiments [--trace <path>] [table3|table4|table5|fig6|fig7|fig8|fig9|fig10|all]...

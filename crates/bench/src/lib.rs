@@ -7,6 +7,8 @@
 //! `HA_SCALE=10 cargo run --release -p ha-bench --bin experiments -- all`
 //! approaches the paper's full workloads.
 
+#![forbid(unsafe_code)]
+
 pub mod exp;
 
 use std::time::{Duration, Instant};
@@ -47,7 +49,7 @@ impl Scale {
 
 /// A dataset pushed through the real pipeline: vectors generated from the
 /// profile, a Spectral hasher learned on a sample, all vectors hashed.
-pub struct HashedDataset {
+pub(crate) struct HashedDataset {
     /// Profile name.
     pub name: &'static str,
     /// Original vectors with ids.
@@ -60,7 +62,7 @@ pub struct HashedDataset {
 
 /// Prepares a hashed dataset of `n` tuples from `profile` with `code_len`
 /// bit codes.
-pub fn hashed_dataset(
+pub(crate) fn hashed_dataset(
     profile: &DatasetProfile,
     n: usize,
     code_len: usize,
@@ -90,7 +92,7 @@ pub fn hashed_dataset(
 
 /// Query codes drawn near the data (perturbed data codes) — realistic
 /// range-query workloads hit the populated region of code space.
-pub fn query_workload(data: &[(BinaryCode, TupleId)], count: usize, seed: u64) -> Vec<BinaryCode> {
+pub(crate) fn query_workload(data: &[(BinaryCode, TupleId)], count: usize, seed: u64) -> Vec<BinaryCode> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
@@ -114,7 +116,7 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 }
 
 /// Mean wall-clock per call of `f` over `reps` calls (≥ 1).
-pub fn time_per_call(reps: usize, mut f: impl FnMut()) -> Duration {
+pub(crate) fn time_per_call(reps: usize, mut f: impl FnMut()) -> Duration {
     let reps = reps.max(1);
     let t = Instant::now();
     for _ in 0..reps {
@@ -124,7 +126,7 @@ pub fn time_per_call(reps: usize, mut f: impl FnMut()) -> Duration {
 }
 
 /// Formats a duration compactly (µs / ms / s).
-pub fn fmt_duration(d: Duration) -> String {
+pub(crate) fn fmt_duration(d: Duration) -> String {
     let us = d.as_secs_f64() * 1e6;
     if us < 1000.0 {
         format!("{us:.2}µs")
@@ -136,7 +138,7 @@ pub fn fmt_duration(d: Duration) -> String {
 }
 
 /// Formats a byte count compactly.
-pub fn fmt_bytes(b: usize) -> String {
+pub(crate) fn fmt_bytes(b: usize) -> String {
     const KB: f64 = 1024.0;
     let b = b as f64;
     if b < KB {
@@ -152,7 +154,7 @@ pub fn fmt_bytes(b: usize) -> String {
 
 /// Renders an aligned text table (the experiment outputs mirror the
 /// paper's tables).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

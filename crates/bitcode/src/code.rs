@@ -82,14 +82,6 @@ impl BinaryCode {
         c
     }
 
-    /// Interprets the first `min(len, 64)` bits as an unsigned integer,
-    /// most significant first — the inverse of [`BinaryCode::from_u64`]
-    /// for codes of at most 64 bits.
-    pub fn to_u64(&self) -> u64 {
-        let len = self.len().min(64);
-        self.words()[0] >> (64 - len)
-    }
-
     /// Builds a code from packed big-endian words (bit 0 = MSB of
     /// `words[0]`); bits beyond `len` are cleared.
     pub fn from_words(words: &[u64], len: usize) -> Self {
@@ -162,13 +154,6 @@ impl BinaryCode {
     pub fn flip(&mut self, i: usize) {
         assert!(i < self.len(), "bit index {i} out of range");
         self.words.as_mut_slice()[i / 64] ^= 1u64 << (63 - (i % 64));
-    }
-
-    /// A copy of `self` with bit `i` flipped.
-    pub fn with_flipped(&self, i: usize) -> Self {
-        let mut c = self.clone();
-        c.flip(i);
-        c
     }
 
     /// Number of one-bits.
@@ -250,25 +235,9 @@ impl BinaryCode {
         out
     }
 
-    /// In-place AND.
-    pub fn and_assign(&mut self, other: &BinaryCode) {
-        self.assert_same_len(other);
-        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
-            *a &= b;
-        }
-    }
-
-    /// In-place OR.
-    pub fn or_assign(&mut self, other: &BinaryCode) {
-        self.assert_same_len(other);
-        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
-            *a |= b;
-        }
-    }
-
     /// In-place AND-NOT (`self &= !other`), used to strip a parent pattern's
     /// positions from a child.
-    pub fn and_not_assign(&mut self, other: &BinaryCode) {
+    pub(crate) fn and_not_assign(&mut self, other: &BinaryCode) {
         self.assert_same_len(other);
         for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !b;
@@ -372,22 +341,6 @@ impl BinaryCode {
     /// memory accounting of the Table 4 experiment.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.heap_bytes()
-    }
-
-    /// Iterates over the positions of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words().iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rem = w;
-            std::iter::from_fn(move || {
-                if rem == 0 {
-                    None
-                } else {
-                    let lead = rem.leading_zeros() as usize;
-                    rem &= !(1u64 << (63 - lead));
-                    Some(wi * 64 + lead)
-                }
-            })
-        })
     }
 
     #[inline]
@@ -568,10 +521,8 @@ mod tests {
     fn from_u64_roundtrip() {
         let c = BinaryCode::from_u64(0b101, 3);
         assert_eq!(c.to_string(), "101");
-        assert_eq!(c.to_u64(), 0b101);
         let c = BinaryCode::from_u64(u64::MAX, 64);
         assert_eq!(c.count_ones(), 64);
-        assert_eq!(c.to_u64(), u64::MAX);
     }
 
     #[test]
@@ -624,17 +575,6 @@ mod tests {
         assert!(a.and(&b.not()).is_disjoint(&b));
         assert!("1000".parse::<BinaryCode>().unwrap().is_subset_of(&a));
         assert!(!a.is_subset_of(&b));
-    }
-
-    #[test]
-    fn iter_ones_positions() {
-        let c: BinaryCode = "0100100001".parse().unwrap();
-        assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![1, 4, 9]);
-        let mut long = BinaryCode::zero(200);
-        long.set(0, true);
-        long.set(64, true);
-        long.set(199, true);
-        assert_eq!(long.iter_ones().collect::<Vec<_>>(), vec![0, 64, 199]);
     }
 
     #[test]
@@ -732,7 +672,9 @@ mod tests {
             let b = BinaryCode::random(len, &mut rng);
             let i = (seed as usize) % len;
             let d = a.hamming(&b);
-            let d2 = a.with_flipped(i).hamming(&b);
+            let mut flipped = a.clone();
+            flipped.flip(i);
+            let d2 = flipped.hamming(&b);
             prop_assert_eq!(d.abs_diff(d2), 1);
         }
 

@@ -77,11 +77,6 @@ impl MaskedCode {
         &self.mask
     }
 
-    /// Number of cared positions.
-    pub fn cared_count(&self) -> u32 {
-        self.mask.count_ones()
-    }
-
     /// True if the pattern cares about no position at all.
     pub fn is_vacuous(&self) -> bool {
         self.mask.is_zero()
@@ -254,7 +249,7 @@ mod tests {
     fn parse_display_roundtrip() {
         let p: MaskedCode = "···0·010".replace('·', ".").parse().unwrap();
         assert_eq!(p.to_string(), "···0·010");
-        assert_eq!(p.cared_count(), 4);
+        assert_eq!(p.mask().count_ones(), 4);
     }
 
     #[test]

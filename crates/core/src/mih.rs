@@ -247,7 +247,7 @@ impl MihIndex {
     /// `m ≈ bits / log2(n)` (Norouzi et al. §3.3 — chunk width near
     /// `log2 n` keeps expected bucket occupancy at O(1)), clamped so every
     /// chunk fits a `u64` key and no chunk is empty.
-    pub fn auto_chunks(code_len: usize, expected_len: usize) -> usize {
+    pub(crate) fn auto_chunks(code_len: usize, expected_len: usize) -> usize {
         assert!(code_len >= 1, "code_len must be >= 1");
         let lg = (expected_len.max(2) as f64).log2();
         let m = (code_len as f64 / lg).round() as usize;
@@ -423,11 +423,11 @@ impl MihIndex {
     /// Linear scan over the flat row storage — the fallback path, also
     /// exposed as the planner's "linear scan" backend so that routing to
     /// `Linear` needs no second copy of the data.
-    pub fn scan_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
+    pub(crate) fn scan_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         self.collect_sorted(query, h, true, |id, d| (id, d))
     }
 
-    /// [`MihIndex::scan_with_distances`] without the distances.
+    /// Linear scan over the flat row storage, returning ids sorted by id.
     pub fn scan(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
         self.collect_sorted(query, h, true, |id, _| id)
     }

@@ -189,24 +189,24 @@ impl CostModel {
     }
 
     /// Estimated ns for a linear scan.
-    pub fn linear_cost(&self, p: &DataProfile) -> f64 {
+    fn linear_cost(&self, p: &DataProfile) -> f64 {
         self.linear_word_ns * p.n as f64 * Self::words(p.bits)
     }
 
     /// Estimated ns for the mutable arena's BFS.
-    pub fn arena_cost(&self, p: &DataProfile, h: u32) -> f64 {
+    fn arena_cost(&self, p: &DataProfile, h: u32) -> f64 {
         self.arena_row_h_ns * p.n as f64 * f64::from(h + 1)
     }
 
     /// Estimated ns for the frozen flat layout's BFS.
-    pub fn flat_cost(&self, p: &DataProfile, h: u32) -> f64 {
+    fn flat_cost(&self, p: &DataProfile, h: u32) -> f64 {
         let sparsity = 1.0 + self.flat_sparse_penalty * (1.0 - p.clusteredness);
         self.flat_row_h_ns * p.n as f64 * f64::from(h + 1) * sparsity
     }
 
-    /// [`CostModel::flat_cost`] for a snapshot whose compile laid
-    /// `aos_fraction` of its sibling groups out row-major. The sparse
-    /// penalty models the SoA stride tax on narrow groups — exactly the
+    /// Estimated ns for the frozen flat layout's BFS over a snapshot whose
+    /// compile laid `aos_fraction` of its sibling groups out row-major. The
+    /// sparse penalty models the SoA stride tax on narrow groups — exactly the
     /// groups of multi-word codes a freeze lays out AoS, whose per-sibling
     /// early exit behaves like the arena — so the penalty scales down
     /// with the fraction converted: at `aos_fraction = 1.0` no stride
@@ -226,7 +226,7 @@ impl CostModel {
     /// fewer chunk values, fattening buckets. When the probe enumeration
     /// alone reaches `n`, MIH would take its scan fallback, so the
     /// estimate becomes the linear cost plus 5%.
-    pub fn mih_cost(&self, p: &DataProfile, h: u32) -> f64 {
+    fn mih_cost(&self, p: &DataProfile, h: u32) -> f64 {
         if p.n == 0 {
             return 0.0;
         }
@@ -278,7 +278,7 @@ pub fn choose(model: &CostModel, profile: &DataProfile, h: u32, available: &[Bac
 /// fraction (`FlatHaIndex::aos_fraction`). At `aos_fraction = 0.0` this
 /// is exactly [`choose`] — all-SoA is the conservative baseline the
 /// pinned decision table is built on.
-pub fn choose_with_aos(
+fn choose_with_aos(
     model: &CostModel,
     profile: &DataProfile,
     h: u32,
@@ -425,9 +425,9 @@ impl PlannedIndex {
     }
 
     /// Builds with explicit configuration: the MIH's rows (each code's
-    /// words, stored once), then at the same time its
-    /// [`MihIndex::auto_chunks`] directories on the calling thread and, on
-    /// one scoped helper thread, the profile: H-Build's rank sort of those
+    /// words, stored once), then at the same time its auto-sized chunk
+    /// directories on the calling thread and, on one scoped helper
+    /// thread, the profile: H-Build's rank sort of those
     /// rows, whose distinct codes the clusteredness is sampled from. The
     /// helper allocates nothing: it sorts into a buffer sized here. A
     /// panic on it is re-raised on the caller. Only when the flat backend

@@ -91,7 +91,7 @@ fn default_width(code_len: usize) -> usize {
 
 impl StaticHaIndex {
     /// Empty index with an explicit segment width.
-    pub fn with_segment_width(code_len: usize, width: usize) -> Self {
+    fn with_segment_width(code_len: usize, width: usize) -> Self {
         let seg = Segmentation::with_width(code_len, width);
         StaticHaIndex {
             code_len,
@@ -131,34 +131,6 @@ impl StaticHaIndex {
             idx.insert(code, id);
         }
         idx
-    }
-
-    /// Builds with an explicit segment width (the ablation knob).
-    pub fn build_with_width(
-        items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
-        width: usize,
-    ) -> Self {
-        let mut iter = items.into_iter().peekable();
-        let code_len = iter
-            .peek()
-            .map(|(c, _)| c.len())
-            .expect("StaticHaIndex::build needs at least one item");
-        let mut idx = Self::with_segment_width(code_len, width);
-        for (code, id) in iter {
-            idx.insert(code, id);
-        }
-        idx
-    }
-
-    /// The segment width in use.
-    pub fn segment_width(&self) -> usize {
-        self.seg.bounds(0).1
-    }
-
-    /// Number of distinct vertices across all levels — the sharing the
-    /// structure achieves (|V| of §4.7).
-    pub fn vertex_count(&self) -> usize {
-        self.levels.iter().map(|l| l.values.len()).sum()
     }
 
     /// Itemized memory usage.
@@ -285,6 +257,32 @@ impl MutableIndex for StaticHaIndex {
         }
         self.len -= 1;
         true
+    }
+}
+
+#[cfg(test)]
+impl StaticHaIndex {
+    /// Builds with an explicit segment width (the ablation knob).
+    fn build_with_width(
+        items: impl IntoIterator<Item = (BinaryCode, TupleId)>,
+        width: usize,
+    ) -> Self {
+        let mut iter = items.into_iter().peekable();
+        let code_len = iter
+            .peek()
+            .map(|(c, _)| c.len())
+            .expect("StaticHaIndex::build needs at least one item");
+        let mut idx = Self::with_segment_width(code_len, width);
+        for (code, id) in iter {
+            idx.insert(code, id);
+        }
+        idx
+    }
+
+    /// Number of distinct vertices across all levels — the sharing the
+    /// structure achieves (|V| of §4.7).
+    fn vertex_count(&self) -> usize {
+        self.levels.iter().map(|l| l.values.len()).sum()
     }
 }
 

@@ -119,25 +119,6 @@ pub fn oracle_select(
     out
 }
 
-/// The ground-truth Hamming-join: all `(r_id, s_id)` pairs within distance
-/// `h`, sorted.
-pub fn oracle_join(
-    r: &[(BinaryCode, TupleId)],
-    s: &[(BinaryCode, TupleId)],
-    h: u32,
-) -> Vec<(TupleId, TupleId)> {
-    let mut out = Vec::new();
-    for (rc, rid) in r {
-        for (sc, sid) in s {
-            if rc.hamming(sc) <= h {
-                out.push((*rid, *sid));
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 /// Asserts that `got` (any order, possibly with duplicates removed by the
 /// caller) equals the oracle set; panics with a readable diff otherwise.
 pub fn assert_matches_oracle(
@@ -154,6 +135,26 @@ pub fn assert_matches_oracle(
         got, want,
         "{context}: select(q={query}, h={h}) mismatch"
     );
+}
+
+/// The ground-truth Hamming-join: all `(r_id, s_id)` pairs within distance
+/// `h`, sorted.
+#[cfg(test)]
+pub(crate) fn oracle_join(
+    r: &[(BinaryCode, TupleId)],
+    s: &[(BinaryCode, TupleId)],
+    h: u32,
+) -> Vec<(TupleId, TupleId)> {
+    let mut out = Vec::new();
+    for (rc, rid) in r {
+        for (sc, sid) in s {
+            if rc.hamming(sc) <= h {
+                out.push((*rid, *sid));
+            }
+        }
+    }
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]

@@ -17,6 +17,8 @@
 //! * **reservoir sampling** (Vitter's Algorithm R, the paper's reference
 //!   \[22\]) used by the preprocessing phase ([`sample`]).
 
+#![forbid(unsafe_code)]
+
 pub mod generate;
 pub mod profile;
 pub mod sample;
@@ -24,5 +26,5 @@ pub mod scaleup;
 
 pub use generate::{generate, generate_with_labels};
 pub use profile::DatasetProfile;
-pub use sample::{reservoir_sample, reservoir_sample_indices};
+pub use sample::reservoir_sample;
 pub use scaleup::scale_up;

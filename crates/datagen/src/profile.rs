@@ -84,7 +84,7 @@ impl DatasetProfile {
     }
 
     /// Normalized Zipf weights over the clusters.
-    pub fn cluster_weights(&self) -> Vec<f64> {
+    pub(crate) fn cluster_weights(&self) -> Vec<f64> {
         let raw: Vec<f64> = (1..=self.clusters)
             .map(|r| 1.0 / (r as f64).powf(self.skew))
             .collect();

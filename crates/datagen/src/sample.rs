@@ -30,12 +30,6 @@ pub fn reservoir_sample<T: Clone>(
     reservoir
 }
 
-/// Like [`reservoir_sample`] but returns selected *indices* of a stream of
-/// known length — handy when the items are expensive to clone.
-pub fn reservoir_sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
-    reservoir_sample(0..n, k, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,7 +43,6 @@ mod tests {
     #[test]
     fn sample_size_is_k() {
         assert_eq!(reservoir_sample(0..1000, 32, 2).len(), 32);
-        assert_eq!(reservoir_sample_indices(1000, 32, 2).len(), 32);
     }
 
     #[test]

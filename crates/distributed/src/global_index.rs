@@ -4,6 +4,7 @@
 //! locals into the global index.
 
 use ha_core::dynamic::{DhaConfig, DynamicHaIndex};
+use ha_hashing::SimilarityHasher;
 use ha_mapreduce::{try_run_job, FaultInjector, JobError, JobMetrics};
 
 use crate::preprocess::Preprocessed;
@@ -61,7 +62,7 @@ pub fn try_build_global_index(
 
     let locals = result.outputs;
     let mut index = if locals.is_empty() {
-        DynamicHaIndex::empty(pre.hasher_code_len(), dha)
+        DynamicHaIndex::empty(pre.hasher.code_len(), dha)
     } else {
         DynamicHaIndex::merge_all(locals)
     };
@@ -69,14 +70,6 @@ pub fn try_build_global_index(
     // compiled: each consumer freezes (or not) for the probes it runs.
     index.flush();
     Ok(GlobalIndexBuild { index, metrics })
-}
-
-impl Preprocessed {
-    /// Code length produced by the learned hasher.
-    pub fn hasher_code_len(&self) -> usize {
-        use ha_hashing::SimilarityHasher;
-        self.hasher.code_len()
-    }
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub struct JoinPhase {
 /// index's own leaf mode matches the requested one, this is the *actual*
 /// wire-format length (`DynamicHaIndex::to_bytes`); otherwise the
 /// analytical estimate.
-pub fn index_broadcast_bytes(index: &DynamicHaIndex, with_leaves: bool) -> usize {
+pub(crate) fn index_broadcast_bytes(index: &DynamicHaIndex, with_leaves: bool) -> usize {
     if index.config().keep_leaf_ids == with_leaves {
         index.to_bytes().len()
     } else {

@@ -28,6 +28,8 @@
 //! injected faults) and returns a typed [`ha_mapreduce::JobError`] when a
 //! task exhausts its attempts or storage loses data; none panics.
 
+#![forbid(unsafe_code)]
+
 pub mod batch_select;
 pub mod global_index;
 pub mod join;

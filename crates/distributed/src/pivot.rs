@@ -28,7 +28,7 @@ impl PivotPartitioner {
     ///
     /// # Panics
     /// If `partitions` is 0 or `sample` is empty while `partitions > 1`.
-    pub fn from_sample(sample: &[BinaryCode], partitions: usize) -> Self {
+    pub(crate) fn from_sample(sample: &[BinaryCode], partitions: usize) -> Self {
         assert!(partitions >= 1, "need at least one partition");
         if partitions == 1 {
             return PivotPartitioner {

@@ -2,7 +2,8 @@
 //!
 //! Deliberately minimal: the only consumer is PCA ([`crate::pca`]): the
 //! covariance and the Jacobi / subspace eigensolvers. Projection has its
-//! own kernel, bit-identical to [`dot`]. Pulling in a
+//! own kernel, bit-identical to the scalar dot product the tests keep
+//! as its reference. Pulling in a
 //! full linear-algebra crate for a d×d covariance (d ≤ 512 in every
 //! experiment) would be the heavier choice.
 
@@ -51,7 +52,7 @@ impl Matrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -65,27 +66,11 @@ impl Matrix {
         &self.data
     }
 
-    /// Copy column `c` out as a vector.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
     /// Matrix product `self * rhs`.
     ///
     /// # Panics
     /// If `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+    pub(crate) fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         // i-k-j loop order: streams over `rhs` rows for cache friendliness.
@@ -106,16 +91,8 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "dimension mismatch");
-        (0..self.rows)
-            .map(|r| dot(self.row(r), v))
-            .collect()
-    }
-
     /// Column means of a data matrix (rows = samples).
-    pub fn col_means(&self) -> Vec<f64> {
+    pub(crate) fn col_means(&self) -> Vec<f64> {
         let mut means = vec![0.0; self.cols];
         for r in 0..self.rows {
             for (m, &x) in means.iter_mut().zip(self.row(r)) {
@@ -160,7 +137,7 @@ impl Matrix {
     }
 
     /// Maximum absolute off-diagonal element (Jacobi convergence check).
-    pub fn max_off_diagonal(&self) -> f64 {
+    pub(crate) fn max_off_diagonal(&self) -> f64 {
         assert_eq!(self.rows, self.cols);
         let mut max = 0.0f64;
         for i in 0..self.rows {
@@ -172,12 +149,6 @@ impl Matrix {
         }
         max
     }
-}
-
-/// Dot product of equal-length slices.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -212,6 +183,41 @@ impl fmt::Debug for Matrix {
             writeln!(f, "  …")?;
         }
         write!(f, "]")
+    }
+}
+
+/// Dot product of equal-length slices: the scalar reference the
+/// projection kernel's tests compare against.
+#[cfg(test)]
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+#[cfg(test)]
+impl Matrix {
+    /// Copy column `c` out as a vector.
+    pub(crate) fn col(&self, c: usize) -> Vec<f64> {
+        (0..self.rows).map(|r| self[(r, c)]).collect()
+    }
+
+    /// Matrix transpose.
+    pub(crate) fn transpose(&self) -> Matrix {
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                t[(c, r)] = self[(r, c)];
+            }
+        }
+        t
+    }
+
+    /// Matrix–vector product.
+    pub(crate) fn matvec(&self, v: &[f64]) -> Vec<f64> {
+        assert_eq!(self.cols, v.len(), "dimension mismatch");
+        (0..self.rows)
+            .map(|r| dot(self.row(r), v))
+            .collect()
     }
 }
 

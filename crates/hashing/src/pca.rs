@@ -21,8 +21,6 @@ pub struct Pca {
     /// `k × d`: row `i` is the i-th principal direction (unit norm),
     /// ordered by descending eigenvalue.
     components: Matrix,
-    /// Eigenvalues (variances) matching `components` rows.
-    eigenvalues: Vec<f64>,
     /// The mean and `components`, transposed for the projection kernel.
     /// Derived at fit, so it adds nothing to what a fitted model ships.
     projector: Projector,
@@ -35,6 +33,14 @@ impl Pca {
     /// # Panics
     /// If `data` has no rows or `k` is zero or exceeds the dimensionality.
     pub fn fit(data: &Matrix, k: usize) -> Self {
+        Self::fit_with_eigenvalues(data, k).0
+    }
+
+    /// [`Pca::fit`], also returning the eigenvalues (variances,
+    /// descending) of the retained directions. The model keeps no
+    /// eigenvalues, since no encoder reads them; the tests pin the
+    /// eigensolvers through this.
+    pub(crate) fn fit_with_eigenvalues(data: &Matrix, k: usize) -> (Self, Vec<f64>) {
         assert!(data.rows() > 0, "PCA needs at least one sample");
         let d = data.cols();
         assert!(k >= 1 && k <= d, "k must be in 1..=d");
@@ -66,15 +72,14 @@ impl Pca {
                 components[(row, c)] = vectors[(c, idx)];
             }
         }
-        Pca::new(mean, components, top_values)
+        (Pca::new(mean, components), top_values)
     }
 
     /// Assembles a model from its parts, deriving the kernel's layout.
-    pub(crate) fn new(mean: Vec<f64>, components: Matrix, eigenvalues: Vec<f64>) -> Self {
+    pub(crate) fn new(mean: Vec<f64>, components: Matrix) -> Self {
         let projector = Projector::new(components.as_slice(), components.cols(), mean);
         Pca {
             components,
-            eigenvalues,
             projector,
         }
     }
@@ -87,11 +92,6 @@ impl Pca {
     /// Input dimensionality.
     pub fn dim(&self) -> usize {
         self.components.cols()
-    }
-
-    /// Eigenvalues (descending) of the retained components.
-    pub fn eigenvalues(&self) -> &[f64] {
-        &self.eigenvalues
     }
 
     /// The i-th principal direction (unit norm).
@@ -136,7 +136,7 @@ impl Pca {
 /// Full eigendecomposition of a symmetric matrix by the cyclic Jacobi
 /// method. Returns `(eigenvalues, eigenvectors)` with eigenvector `i`
 /// stored in *column* `i` (unsorted).
-pub fn jacobi_eigen(sym: &Matrix) -> (Vec<f64>, Matrix) {
+fn jacobi_eigen(sym: &Matrix) -> (Vec<f64>, Matrix) {
     assert_eq!(sym.rows(), sym.cols(), "matrix must be square");
     let n = sym.rows();
     let mut a = sym.clone();
@@ -191,7 +191,7 @@ pub fn jacobi_eigen(sym: &Matrix) -> (Vec<f64>, Matrix) {
 /// `d × k` block by the matrix and re-orthonormalize. Returns
 /// `(eigenvalues, eigenvectors)` with eigenvector `i` in column `i`
 /// (unsorted, like [`jacobi_eigen`]).
-pub fn subspace_eigen(sym: &Matrix, k: usize) -> (Vec<f64>, Matrix) {
+fn subspace_eigen(sym: &Matrix, k: usize) -> (Vec<f64>, Matrix) {
     assert_eq!(sym.rows(), sym.cols(), "matrix must be square");
     let d = sym.rows();
     assert!(k >= 1 && k <= d);
@@ -326,7 +326,7 @@ mod tests {
             data.push(t - noise);
         }
         let m = Matrix::from_rows(n, 2, data);
-        let pca = Pca::fit(&m, 2);
+        let (pca, eigenvalues) = Pca::fit_with_eigenvalues(&m, 2);
         let c0 = pca.component(0);
         let s = std::f64::consts::FRAC_1_SQRT_2;
         assert!(
@@ -334,7 +334,7 @@ mod tests {
             "first PC {c0:?} should be ±(1,1)/√2"
         );
         assert!(c0[0].signum() == c0[1].signum(), "components aligned");
-        assert!(pca.eigenvalues()[0] > 100.0 * pca.eigenvalues()[1]);
+        assert!(eigenvalues[0] > 100.0 * eigenvalues[1]);
     }
 
     #[test]
@@ -386,10 +386,10 @@ mod tests {
         let d = 40;
         let data: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let m = Matrix::from_rows(n, d, data);
-        let pca = Pca::fit(&m, 8);
+        let (pca, eigenvalues) = Pca::fit_with_eigenvalues(&m, 8);
         assert_eq!(pca.k(), 8);
         // Eigenvalues descend.
-        for w in pca.eigenvalues().windows(2) {
+        for w in eigenvalues.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
     }
@@ -466,8 +466,8 @@ mod subspace_tests {
         let d = 64;
         let data: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let m = Matrix::from_rows(n, d, data);
-        let pca = Pca::fit(&m, 8);
-        for w in pca.eigenvalues().windows(2) {
+        let (pca, eigenvalues) = Pca::fit_with_eigenvalues(&m, 8);
+        for w in eigenvalues.windows(2) {
             assert!(w[0] >= w[1] - 1e-9);
         }
         for j in 0..8 {

@@ -10,11 +10,12 @@
 //! registers, and the caller folds each block into its own state (code
 //! words on the stack, an output row) as it completes.
 //!
-//! # Bit identity with [`dot`](crate::matrix::dot)
+//! # Bit identity with the scalar dot product
 //!
-//! Every projection is bit-for-bit the `f64` that
-//! `dot(direction, &centred)` returns, which is what the hashes computed
-//! before this kernel existed, so no code bit can move:
+//! Every projection is bit-for-bit the `f64` that the scalar dot product
+//! `dot(direction, &centred)` returns (kept in the tests as the
+//! reference), which is what the hashes computed before this kernel
+//! existed, so no code bit can move:
 //!
 //! * **Same fold.** `Iterator::sum` over `f64` folds from `-0.0`, adding
 //!   the products in ascending coordinate order. Each accumulator here

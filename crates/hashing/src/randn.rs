@@ -22,11 +22,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     mean + std * standard_normal(rng)
 }
 
-/// Fills a vector with `n` standard-normal samples.
-pub fn standard_normal_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
-    (0..n).map(|_| standard_normal(rng)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,7 +32,7 @@ mod tests {
     fn box_muller_moments() {
         let mut rng = StdRng::seed_from_u64(99);
         let n = 50_000;
-        let samples = standard_normal_vec(&mut rng, n);
+        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");

@@ -17,6 +17,8 @@
 //! [`exact`] supplies ground truth and the precision/recall metrics used
 //! in Figure 10b.
 
+#![forbid(unsafe_code)]
+
 pub mod e2lsh;
 pub mod exact;
 pub mod knn_select;

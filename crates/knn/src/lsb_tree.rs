@@ -84,11 +84,6 @@ impl LsbTree {
         }
     }
 
-    /// Number of trees in the forest.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Approximate kNN: per tree, visit the `probe` B-tree entries nearest
     /// to the query's Z-value (both directions); rank the union by true
     /// distance.

@@ -37,16 +37,6 @@ impl<T> DistributedCache<T> {
         Arc::clone(&self.value)
     }
 
-    /// Number of receiving workers.
-    pub fn receivers(&self) -> usize {
-        self.receivers
-    }
-
-    /// Serialized size per receiver.
-    pub fn bytes_each(&self) -> usize {
-        self.bytes_each
-    }
-
     /// Total network traffic of the broadcast: `bytes_each × receivers`.
     pub fn traffic_bytes(&self) -> usize {
         self.bytes_each * self.receivers
@@ -69,7 +59,6 @@ mod tests {
     fn traffic_is_size_times_receivers() {
         let c = DistributedCache::broadcast_sized(vec![0u8; 100], 16, 100);
         assert_eq!(c.traffic_bytes(), 1600);
-        assert_eq!(c.receivers(), 16);
         assert_eq!(c.get().len(), 100);
     }
 
@@ -77,7 +66,6 @@ mod tests {
     fn self_sized_broadcast() {
         let v: Vec<u64> = vec![1, 2, 3];
         let c = DistributedCache::broadcast(v, 4);
-        assert_eq!(c.bytes_each(), 4 + 24);
         assert_eq!(c.traffic_bytes(), 4 * 28);
     }
 

@@ -230,7 +230,7 @@ impl<A: Checksum, B: Checksum, C: Checksum, D: Checksum> Checksum for (A, B, C, 
 
 /// Digest of one DFS block: the record count, then every record's
 /// canonical encoding in order.
-pub fn block_checksum<T: Checksum>(records: &[T]) -> u64 {
+pub(crate) fn block_checksum<T: Checksum>(records: &[T]) -> u64 {
     let mut h = BlockHasher::new();
     h.write_u64(records.len() as u64);
     for r in records {

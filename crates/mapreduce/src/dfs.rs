@@ -193,7 +193,7 @@ impl InMemoryDfs {
 
     /// Fresh empty store with an explicit cluster shape. `num_nodes` is
     /// clamped to at least 1 and `replication` to `1..=num_nodes`.
-    pub fn with_config(config: DfsConfig) -> Self {
+    fn with_config(config: DfsConfig) -> Self {
         let num_nodes = config.num_nodes.max(1);
         let config = DfsConfig {
             num_nodes,

@@ -78,15 +78,14 @@ pub enum Fault {
 /// them to tests, print them on failure:
 ///
 /// ```
-/// use ha_mapreduce::fault::{Fault, FaultPlan, TaskId};
+/// use ha_mapreduce::fault::{FaultPlan, TaskId};
 /// use std::time::Duration;
 ///
 /// let plan = FaultPlan::new()
 ///     .panic_on(TaskId::map(0), 0)
 ///     .delay(TaskId::reduce(1), 0, Duration::from_millis(40))
 ///     .transient(TaskId::map(2), 1);
-/// assert_eq!(plan.fault_for(TaskId::map(0), 0), Some(&Fault::Panic));
-/// assert_eq!(plan.fault_for(TaskId::map(0), 1), None);
+/// assert_eq!(plan.len(), 3);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
@@ -134,7 +133,7 @@ impl FaultPlan {
     }
 
     /// Fault scheduled for this `(task, attempt)`, if any.
-    pub fn fault_for(&self, task: TaskId, attempt: u32) -> Option<&Fault> {
+    fn fault_for(&self, task: TaskId, attempt: u32) -> Option<&Fault> {
         self.faults.get(&(task, attempt))
     }
 
@@ -205,7 +204,7 @@ impl FaultInjector {
 
     /// Called by the runner as attempt `attempt` of `task` starts; returns
     /// the fault to apply, recording the delivery.
-    pub fn deliver(&self, task: TaskId, attempt: u32) -> Option<Fault> {
+    pub(crate) fn deliver(&self, task: TaskId, attempt: u32) -> Option<Fault> {
         let fault = self.plan.fault_for(task, attempt).cloned()?;
         self.delivered
             .lock()

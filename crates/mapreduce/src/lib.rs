@@ -69,6 +69,8 @@
 //! # Ok::<(), ha_mapreduce::JobError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod checksum;
 pub mod dfs;

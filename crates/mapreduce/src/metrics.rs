@@ -52,11 +52,6 @@ impl JobMetrics {
         skew(self.reduce_tasks.iter().map(|t| t.records_in))
     }
 
-    /// Straggler factor of the map phase.
-    pub fn map_skew(&self) -> f64 {
-        skew(self.map_tasks.iter().map(|t| t.records_in))
-    }
-
     /// Total records entering the reduce phase.
     pub fn reduce_input_records(&self) -> usize {
         self.reduce_tasks.iter().map(|t| t.records_in).sum()
@@ -146,7 +141,7 @@ pub struct DfsMetrics {
 impl DfsMetrics {
     /// Recovery actions performed (corruption quarantines + failovers +
     /// re-replications) — 0 means storage never had to hide a fault.
-    pub fn recovery_actions(&self) -> u64 {
+    fn recovery_actions(&self) -> u64 {
         self.corrupt_blocks_detected + self.failovers + self.re_replications
     }
 
@@ -204,7 +199,6 @@ mod tests {
     fn empty_job_skew_defaults() {
         let m = JobMetrics::default();
         assert_eq!(m.reduce_skew(), 1.0);
-        assert_eq!(m.map_skew(), 1.0);
         assert_eq!(m.total_traffic_bytes(), 0);
     }
 

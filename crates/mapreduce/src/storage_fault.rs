@@ -57,9 +57,7 @@ pub struct StorageFaultEvent {
 ///     .kill_node(2)
 ///     .corrupt(0, "input/r", 3)
 ///     .delay_read("input/r", 0, Duration::from_millis(10));
-/// assert!(plan.is_dead(2));
-/// assert!(plan.corrupts(0, "input/r", 3));
-/// assert!(!plan.corrupts(1, "input/r", 3));
+/// assert_eq!(plan.len(), 3);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct StorageFaultPlan {
@@ -104,29 +102,24 @@ impl StorageFaultPlan {
     }
 
     /// Whether `node` is scheduled dead.
-    pub fn is_dead(&self, node: usize) -> bool {
+    pub(crate) fn is_dead(&self, node: usize) -> bool {
         self.dead_nodes.contains(&node)
-    }
-
-    /// Dead datanodes, ascending.
-    pub fn dead_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.dead_nodes.iter().copied()
     }
 
     /// Whether the replica of `path`:`block` on `node` is scheduled for
     /// corruption by a targeted [`StorageFaultPlan::corrupt`] entry.
-    pub fn corrupts(&self, node: usize, path: &str, block: usize) -> bool {
+    pub(crate) fn corrupts(&self, node: usize, path: &str, block: usize) -> bool {
         self.corrupt
             .contains(&(node, path.to_string(), block))
     }
 
     /// Whether [`StorageFaultPlan::corrupt_primaries_everywhere`] is on.
-    pub fn corrupt_primaries(&self) -> bool {
+    pub(crate) fn corrupt_primaries(&self) -> bool {
         self.corrupt_primaries
     }
 
     /// Scheduled read delay for `path`:`block`, if any.
-    pub fn delay_for(&self, path: &str, block: usize) -> Option<Duration> {
+    pub(crate) fn delay_for(&self, path: &str, block: usize) -> Option<Duration> {
         self.delays.get(&(path.to_string(), block)).copied()
     }
 
@@ -158,7 +151,6 @@ mod tests {
             .delay_read("g", 1, Duration::from_millis(3));
         assert_eq!(plan.len(), 4);
         assert!(plan.is_dead(1) && plan.is_dead(4) && !plan.is_dead(0));
-        assert_eq!(plan.dead_nodes().collect::<Vec<_>>(), vec![1, 4]);
         assert!(plan.corrupts(2, "f", 0));
         assert!(!plan.corrupts(2, "f", 1));
         assert!(!plan.corrupts(2, "g", 0));

@@ -7,7 +7,7 @@
 /// Escapes and quotes a string per RFC 8259: `"` and `\` are escaped,
 /// control characters become `\n`/`\r`/`\t` or `\u00XX`, everything else
 /// passes through as UTF-8.
-pub fn json_string(s: &str) -> String {
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -50,9 +50,10 @@
 //! assert_eq!(trace.metrics.histogram("latency").count(), 1);
 //! ```
 
-pub mod json;
+#![forbid(unsafe_code)]
 
 mod event;
+mod json;
 mod registry;
 mod sink;
 mod span;
@@ -62,7 +63,6 @@ pub use registry::{Histogram, MetricsSnapshot, Registry};
 pub use sink::{FlameSink, JsonLinesSink, MemorySink, Sink};
 pub use span::{SpanContext, SpanGuard, SpanId, SpanRecord};
 
-use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -229,13 +229,6 @@ pub fn snapshot() -> Trace {
     }
 }
 
-/// Drains the active collector into a sink (convenience over
-/// [`take_trace`] + [`Sink::consume`]).
-pub fn drain_to(sink: &mut dyn Sink) -> io::Result<()> {
-    let trace = take_trace();
-    sink.consume(&trace)
-}
-
 /// Internal state of one open span; moved into the collector's record
 /// vector when the guard drops.
 pub(crate) struct ActiveSpan {
@@ -339,7 +332,7 @@ pub fn span_labeled_under(
 /// tracing is off.
 pub fn current_context() -> SpanContext {
     if !is_enabled() {
-        return SpanContext::detached();
+        return SpanContext::default();
     }
     SpanContext {
         parent: SPAN_STACK.with(|s| s.borrow().last().copied()),
@@ -422,15 +415,6 @@ impl Trace {
     /// The last-starting span with this name, if any.
     pub fn last_named(&self, name: &str) -> Option<&SpanRecord> {
         self.spans.iter().rev().find(|s| s.name == name)
-    }
-
-    /// Summed duration of every span with this name.
-    pub fn total_named(&self, name: &str) -> Duration {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.duration())
-            .sum()
     }
 
     /// Number of spans with this name.
@@ -715,7 +699,6 @@ mod tests {
         assert_eq!(trace.children(root.id).len(), 1);
         assert_eq!(trace.count_named("phase"), 2);
         assert_eq!(trace.subtree(root.id).len(), 3);
-        assert!(trace.total_named("phase") <= trace.total_named("pipeline") * 2);
         let flame = trace.render_flame();
         assert!(flame.contains("pipeline"), "{flame}");
         let json = trace.to_json_lines();

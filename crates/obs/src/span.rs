@@ -16,18 +16,14 @@ pub type SpanId = u64;
 
 /// A captured parent link, safe to send across threads. Obtained from
 /// [`crate::current_context`] on the thread whose innermost open span
-/// should adopt the remote work.
+/// should adopt the remote work. The default context has no parent:
+/// spans opened under it become roots.
 #[derive(Clone, Debug, Default)]
 pub struct SpanContext {
     pub(crate) parent: Option<SpanId>,
 }
 
 impl SpanContext {
-    /// A context with no parent: spans opened under it become roots.
-    pub fn detached() -> Self {
-        SpanContext { parent: None }
-    }
-
     /// The span that will adopt children opened under this context.
     pub fn parent(&self) -> Option<SpanId> {
         self.parent

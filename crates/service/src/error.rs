@@ -4,7 +4,6 @@
 
 use std::fmt;
 
-use ha_core::dynamic::DecodeError;
 use ha_mapreduce::DfsError;
 
 /// Why a serving operation failed.
@@ -32,9 +31,6 @@ pub enum ServiceError {
     Leafless,
     /// The index blob could not be read back from the DFS.
     Storage(DfsError),
-    /// The index blob was read but failed wire-format decoding (bad
-    /// magic, truncation, checksum mismatch, or structural corruption).
-    Decode(DecodeError),
     /// A persisted generation (a shard's rows) was read back from the
     /// DFS but failed to decode; recovery refuses it rather than serve
     /// rows it cannot vouch for.
@@ -63,7 +59,6 @@ impl fmt::Display for ServiceError {
                 write!(f, "index is leafless (no tuple-id lists) — cannot serve ids")
             }
             ServiceError::Storage(e) => write!(f, "index load failed: {e}"),
-            ServiceError::Decode(e) => write!(f, "index blob rejected: {e}"),
             ServiceError::CorruptGeneration(e) => write!(f, "generation blob rejected: {e}"),
             ServiceError::DeadlineExceeded => {
                 write!(f, "deadline exceeded: request shed before execution")
@@ -79,7 +74,6 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Storage(e) => Some(e),
-            ServiceError::Decode(e) => Some(e),
             ServiceError::CorruptGeneration(e) => Some(e),
             _ => None,
         }
@@ -89,12 +83,6 @@ impl std::error::Error for ServiceError {
 impl From<DfsError> for ServiceError {
     fn from(e: DfsError) -> Self {
         ServiceError::Storage(e)
-    }
-}
-
-impl From<DecodeError> for ServiceError {
-    fn from(e: DecodeError) -> Self {
-        ServiceError::Decode(e)
     }
 }
 
@@ -152,9 +140,6 @@ mod tests {
         let e = ServiceError::WrongCodeLength { expected: 32, got: 64 };
         assert!(e.to_string().contains("32"));
         assert!(e.to_string().contains("64"));
-        let e: ServiceError = DecodeError::BadMagic.into();
-        assert!(matches!(e, ServiceError::Decode(DecodeError::BadMagic)));
-        assert!(e.to_string().contains("magic"));
         let e: ServiceError = RowsError::ChecksumMismatch.into();
         assert!(matches!(e, ServiceError::CorruptGeneration(RowsError::ChecksumMismatch)));
         assert!(e.to_string().contains("generation blob"));

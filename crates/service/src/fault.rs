@@ -103,7 +103,7 @@ impl MergeFaultPlan {
     /// Schedules `fault` for shard `shard`'s `attempt`-th merge attempt
     /// (0-based, counted over the shard's lifetime). Replaces any fault
     /// already scheduled there.
-    pub fn inject_merge(mut self, shard: usize, attempt: u32, fault: MergeFault) -> Self {
+    fn inject_merge(mut self, shard: usize, attempt: u32, fault: MergeFault) -> Self {
         self.merge.insert((shard, attempt), fault);
         self
     }
@@ -135,12 +135,12 @@ impl MergeFaultPlan {
     }
 
     /// The merge fault scheduled for `(shard, attempt)`, if any.
-    pub fn merge_fault_for(&self, shard: usize, attempt: u32) -> Option<MergeFault> {
+    fn merge_fault_for(&self, shard: usize, attempt: u32) -> Option<MergeFault> {
         self.merge.get(&(shard, attempt)).copied()
     }
 
     /// The crash scheduled for mutation `ordinal`, if any.
-    pub fn crash_for(&self, ordinal: u64) -> Option<CrashPoint> {
+    fn crash_for(&self, ordinal: u64) -> Option<CrashPoint> {
         self.crash.get(&ordinal).copied()
     }
 
@@ -175,7 +175,7 @@ impl MergeFaultInjector {
 
     /// Looks up (and logs) the merge fault for `(shard, attempt)`. The
     /// caller enacts it — this only decides and records.
-    pub fn deliver_merge(&self, shard: usize, attempt: u32) -> Option<MergeFault> {
+    pub(crate) fn deliver_merge(&self, shard: usize, attempt: u32) -> Option<MergeFault> {
         let fault = self.plan.merge_fault_for(shard, attempt)?;
         self.log(MergeFaultEvent::Merge {
             shard,
@@ -187,7 +187,7 @@ impl MergeFaultInjector {
 
     /// Looks up (and logs) a crash scheduled for mutation `ordinal` at
     /// polarity `point`.
-    pub fn deliver_crash(&self, ordinal: u64, point: CrashPoint) -> bool {
+    pub(crate) fn deliver_crash(&self, ordinal: u64, point: CrashPoint) -> bool {
         if self.plan.crash_for(ordinal) == Some(point) {
             self.log(MergeFaultEvent::Crash { ordinal, point });
             true

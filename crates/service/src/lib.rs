@@ -1,18 +1,17 @@
 //! # ha-service — HA-Serve, the online query-serving layer
 //!
-//! The MapReduce pipeline (ha-distributed) builds the **global HA-Index**
-//! offline and persists it through the replicated DFS; this crate is the
-//! other half of that lifecycle: a long-lived, multi-threaded service
-//! that loads the index into hash-partitioned shards and answers
-//! Hamming-selects and kNN-selects online.
+//! The MapReduce pipeline (ha-distributed) answers Hamming-joins offline;
+//! this crate answers queries online: a long-lived, multi-threaded
+//! service that hash-partitions `(code, id)` tuples into shards and
+//! answers Hamming-selects and kNN-selects.
 //!
 //! The serving tricks are the paper's batch-amortization ideas applied at
 //! query time instead of join time:
 //!
 //! * **Micro-batching** ([`ServeConfig::max_batch`]): queued selects with
-//!   the same radius are answered by one shared-frontier H-Search per
-//!   shard — the forest is walked once per batch, exactly as the
-//!   MapReduce join walks it once per partition of R.
+//!   the same radius share one cache pass and one shard fan-out; each
+//!   shard answers the batch's queries one after another under one read
+//!   guard.
 //! * **Admission control** ([`ServeConfig::queue_capacity`]): the request
 //!   queue is bounded and overflow is a typed
 //!   [`ServiceError::Overloaded`], never an unbounded backlog.
@@ -62,6 +61,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod error;
 mod fault;
@@ -72,4 +73,4 @@ pub use cache::ResultCache;
 pub use error::{RowsError, ServiceError};
 pub use fault::{CrashPoint, MergeFault, MergeFaultEvent, MergeFaultPlan};
 pub use metrics::{LatencyHistogram, ServeMetrics, ShardMetrics};
-pub use service::{HaServe, KnnTicket, SelectTicket, ServeConfig};
+pub use service::{HaServe, SelectTicket, ServeConfig};

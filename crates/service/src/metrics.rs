@@ -102,27 +102,6 @@ impl ServeMetrics {
         }
     }
 
-    /// Mean number of queries per executed micro-batch (1.0 with no
-    /// batching benefit; higher means the shared frontier amortized more).
-    pub fn mean_batch_size(&self) -> f64 {
-        let batches: u64 = self.batch_sizes.iter().map(|&(_, c)| c).sum();
-        if batches == 0 {
-            return 0.0;
-        }
-        let queries: u64 = self.batch_sizes.iter().map(|&(s, c)| s as u64 * c).sum();
-        queries as f64 / batches as f64
-    }
-
-    /// Fraction of selects served from cache (0.0 with no selects).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let looked = self.cache_hits + self.cache_misses;
-        if looked == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / looked as f64
-        }
-    }
-
     /// Latency histogram aggregated across all shards.
     pub fn total_latency(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
@@ -190,17 +169,12 @@ mod tests {
         };
         assert_eq!(m.answered(), 100);
         assert!((m.throughput() - 50.0).abs() < 1e-9);
-        // (1*20 + 4*10) / 30 batches = 2.0
-        assert!((m.mean_batch_size() - 2.0).abs() < 1e-9);
-        assert!((m.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_metrics_rates_are_zero() {
         let m = ServeMetrics::default();
         assert_eq!(m.throughput(), 0.0);
-        assert_eq!(m.mean_batch_size(), 0.0);
-        assert_eq!(m.cache_hit_rate(), 0.0);
         assert_eq!(m.total_latency().count(), 0);
     }
 }

@@ -70,7 +70,7 @@ use ha_bitcode::{BinaryCode, Kernel};
 use ha_core::delta::{DeltaIndex, DeltaOp};
 use ha_core::planner::{PlanConfig, PlannedIndex};
 use ha_core::select::knn_by_radius;
-use ha_core::{CostModel, DhaConfig, DynamicHaIndex, HammingIndex, TupleId};
+use ha_core::{CostModel, DhaConfig, HammingIndex, TupleId};
 use ha_mapreduce::wal::{DfsWal, WalError};
 use ha_mapreduce::{BlockHasher, DfsError, InMemoryDfs};
 use parking_lot::{Mutex, RwLock};
@@ -359,8 +359,8 @@ struct Durable {
 type SelectReply = mpsc::Sender<Result<Vec<TupleId>, ServiceError>>;
 
 /// A queued request. `queued` carries the admission timestamp when
-/// tracing is on (`None` otherwise); `deadline` is the instant after
-/// which the answer is worthless and the work is shed at dequeue.
+/// tracing is on (`None` otherwise); a select's `deadline` is the instant
+/// after which the answer is worthless and the work is shed at dequeue.
 enum Work {
     Select {
         code: BinaryCode,
@@ -373,29 +373,8 @@ enum Work {
         code: BinaryCode,
         k: usize,
         queued: Option<Instant>,
-        deadline: Option<Instant>,
         tx: mpsc::Sender<Result<Vec<(TupleId, u32)>, ServiceError>>,
     },
-}
-
-impl Work {
-    fn deadline(&self) -> Option<Instant> {
-        match self {
-            Work::Select { deadline, .. } | Work::Knn { deadline, .. } => *deadline,
-        }
-    }
-
-    /// Answers the request with [`ServiceError::DeadlineExceeded`].
-    fn reply_shed(self) {
-        match self {
-            Work::Select { tx, .. } => {
-                let _ = tx.send(Err(ServiceError::DeadlineExceeded));
-            }
-            Work::Knn { tx, .. } => {
-                let _ = tx.send(Err(ServiceError::DeadlineExceeded));
-            }
-        }
-    }
 }
 
 /// Timestamp for [`Work::Select::queued`]: taken only when tracing is on.
@@ -482,20 +461,21 @@ fn take_batch(queue: &mut VecDeque<Work>, max_batch: usize) -> Option<Batch> {
     }
 }
 
-/// Removes expired work from the queue (returned for out-of-lock
-/// replies), then forms the next batch from what survives. The
-/// expiry scan runs only when some queued request actually carries a
-/// deadline, so deadline-free workloads pay nothing.
-fn dequeue(queue: &mut VecDeque<Work>, max_batch: usize) -> (Vec<Work>, Option<Batch>) {
+/// Removes expired selects from the queue (their reply channels are
+/// returned for out-of-lock replies), then forms the next batch from
+/// what survives. The expiry scan runs only when some queued select
+/// actually carries a deadline, so deadline-free workloads pay nothing.
+fn dequeue(queue: &mut VecDeque<Work>, max_batch: usize) -> (Vec<SelectReply>, Option<Batch>) {
     let mut shed = Vec::new();
-    if queue.iter().any(|w| w.deadline().is_some()) {
+    if queue.iter().any(|w| matches!(w, Work::Select { deadline: Some(_), .. })) {
         let now = Instant::now();
         let mut i = 0;
         while i < queue.len() {
-            let expired = matches!(queue.get(i).and_then(Work::deadline), Some(d) if d <= now);
+            let expired =
+                matches!(queue.get(i), Some(Work::Select { deadline: Some(d), .. }) if *d <= now);
             if expired {
-                if let Some(w) = queue.remove(i) {
-                    shed.push(w);
+                if let Some(Work::Select { tx, .. }) = queue.remove(i) {
+                    shed.push(tx);
                 }
             } else {
                 i += 1;
@@ -591,20 +571,6 @@ impl SelectTicket {
     /// ([`ServiceError::DeadlineExceeded`] for shed work,
     /// [`ServiceError::Shutdown`] if the service died first).
     pub fn wait(self) -> Result<Vec<TupleId>, ServiceError> {
-        self.rx.recv().map_err(|_| ServiceError::Shutdown)?
-    }
-}
-
-/// A pending kNN-select.
-#[derive(Debug)]
-pub struct KnnTicket {
-    rx: mpsc::Receiver<Result<Vec<(TupleId, u32)>, ServiceError>>,
-}
-
-impl KnnTicket {
-    /// Blocks for the answer: the `k` nearest `(id, distance)` pairs,
-    /// ordered by `(distance, id)`.
-    pub fn wait(self) -> Result<Vec<(TupleId, u32)>, ServiceError> {
         self.rx.recv().map_err(|_| ServiceError::Shutdown)?
     }
 }
@@ -802,39 +768,6 @@ impl HaServe {
         }
     }
 
-    /// Loads the global HA-Index from its DFS blob(s) — the artifact the
-    /// MapReduce pipeline persists — verifying both the DFS block
-    /// checksums (read path) and the blob's own FNV-1a footer (decode
-    /// path), then re-shards the tuples across `cfg.shards` and starts
-    /// serving (in-memory; see [`HaServe::bootstrap_durable`] for the
-    /// crash-tolerant variant).
-    pub fn load_from_dfs(
-        dfs: &InMemoryDfs,
-        path: &str,
-        cfg: ServeConfig,
-    ) -> Result<HaServe, ServiceError> {
-        if !cfg.dha.keep_leaf_ids {
-            return Err(ServiceError::Leafless);
-        }
-        let blobs = dfs.try_get::<Vec<u8>>(path)?;
-        let mut parts = Vec::new();
-        for blob in &blobs {
-            parts.push(DynamicHaIndex::from_bytes(blob, cfg.dha.clone())?);
-        }
-        let Some(first) = parts.pop() else {
-            return Err(ServiceError::Storage(ha_mapreduce::DfsError::FileNotFound {
-                path: path.to_string(),
-            }));
-        };
-        let mut global = first;
-        for p in parts {
-            global.merge_from(p);
-        }
-        let code_len = global.code_len();
-        let items: Vec<(BinaryCode, TupleId)> = global.items().collect();
-        Self::build(code_len, items, cfg)
-    }
-
     /// Code length this service answers queries for.
     pub fn code_len(&self) -> usize {
         self.inner.code_len
@@ -960,39 +893,6 @@ impl HaServe {
         Ok(SelectTicket { rx })
     }
 
-    /// Enqueues a kNN-select without waiting.
-    pub fn submit_knn(&self, code: &BinaryCode, k: usize) -> Result<KnnTicket, ServiceError> {
-        self.submit_knn_inner(code, k, None)
-    }
-
-    /// Deadline-carrying variant of [`HaServe::submit_knn`].
-    pub fn submit_knn_with_deadline(
-        &self,
-        code: &BinaryCode,
-        k: usize,
-        budget: Duration,
-    ) -> Result<KnnTicket, ServiceError> {
-        self.submit_knn_inner(code, k, Some(Instant::now() + budget))
-    }
-
-    fn submit_knn_inner(
-        &self,
-        code: &BinaryCode,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<KnnTicket, ServiceError> {
-        self.check_len(code)?;
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(Work::Knn {
-            code: code.clone(),
-            k,
-            queued: queued_stamp(),
-            deadline,
-            tx,
-        })?;
-        Ok(KnnTicket { rx })
-    }
-
     /// Hamming-select, blocking: all ids within distance `h` of `code`,
     /// sorted ascending. In manual-drive mode (`workers == 0`) the queue
     /// is pumped on the calling thread.
@@ -1008,11 +908,18 @@ impl HaServe {
     /// ordered by `(distance, id)`, found by H-Search at growing radii
     /// ([`ha_core::select::knn_by_radius`]).
     pub fn knn(&self, code: &BinaryCode, k: usize) -> Result<Vec<(TupleId, u32)>, ServiceError> {
-        let ticket = self.submit_knn(code, k)?;
+        self.check_len(code)?;
+        let (tx, rx) = mpsc::channel();
+        self.enqueue(Work::Knn {
+            code: code.clone(),
+            k,
+            queued: queued_stamp(),
+            tx,
+        })?;
         if self.inner.cfg.workers == 0 {
             self.pump_all();
         }
-        ticket.wait()
+        rx.recv().map_err(|_| ServiceError::Shutdown)?
     }
 
     /// Applies one H-Insert: WAL-append first (durable mode), then into
@@ -1519,17 +1426,17 @@ impl Inner {
         }
     }
 
-    /// Answers shed work with the typed deadline error, outside any
+    /// Answers shed selects with the typed deadline error, outside any
     /// queue lock.
-    fn reply_shed(&self, shed: Vec<Work>) {
+    fn reply_shed(&self, shed: Vec<SelectReply>) {
         if shed.is_empty() {
             return;
         }
         let n = shed.len() as u64;
         self.state.lock().deadline_shed += n;
         ha_obs::add("serve.deadline_shed", n);
-        for w in shed {
-            w.reply_shed();
+        for tx in shed {
+            let _ = tx.send(Err(ServiceError::DeadlineExceeded));
         }
     }
 
@@ -1925,23 +1832,6 @@ mod tests {
         assert_eq!(m.rejected, 1);
         assert_eq!(m.batches_formed, 2);
         assert_eq!(m.batch_sizes, vec![(1, 1), (2, 1)]);
-        assert!((m.mean_batch_size() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dfs_roundtrip_serves_the_persisted_index() {
-        let data = dataset(150, 32, 61);
-        let idx = DynamicHaIndex::build(data.clone());
-        let dfs = InMemoryDfs::new();
-        dfs.try_put_with_blocks("/out/global.haix", vec![idx.to_bytes()], 1, 1)
-            .unwrap();
-        let serve =
-            HaServe::load_from_dfs(&dfs, "/out/global.haix", ServeConfig::default()).unwrap();
-        assert_eq!(serve.len(), 150);
-        assert_eq!(serve.code_len(), 32);
-        let mut rng = StdRng::seed_from_u64(62);
-        let q = BinaryCode::random(32, &mut rng);
-        assert_eq!(serve.select(&q, 6).unwrap(), oracle(&data, &q, 6));
     }
 
     #[test]
@@ -2119,26 +2009,6 @@ mod tests {
             .unwrap();
         let err = HaServe::recover(&dfs, "/srv", cfg).unwrap_err();
         assert_eq!(err, ServiceError::CorruptGeneration(RowsError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn corrupt_blob_is_rejected_with_decode_error() {
-        let data = dataset(40, 16, 71);
-        let mut blob = DynamicHaIndex::build(data).to_bytes();
-        let mid = blob.len() / 2;
-        blob[mid] ^= 0x40;
-        let dfs = InMemoryDfs::new();
-        dfs.try_put_with_blocks("/out/bad.haix", vec![blob], 1, 1)
-            .unwrap();
-        let err = HaServe::load_from_dfs(&dfs, "/out/bad.haix", ServeConfig::default()).unwrap_err();
-        assert!(matches!(err, ServiceError::Decode(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn missing_file_is_a_storage_error() {
-        let dfs = InMemoryDfs::new();
-        let err = HaServe::load_from_dfs(&dfs, "/nope", ServeConfig::default()).unwrap_err();
-        assert!(matches!(err, ServiceError::Storage(_)), "got {err:?}");
     }
 
     #[test]

@@ -108,7 +108,7 @@ mod sys {
     pub const MAP_PRIVATE: c_int = 2;
 
     extern "C" {
-        pub fn mmap(
+        pub(super) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -116,7 +116,7 @@ mod sys {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 }
 

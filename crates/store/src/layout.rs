@@ -91,7 +91,7 @@ pub mod section {
 }
 
 /// Rounds `x` up to the next [`ALIGN`] boundary.
-pub const fn align_up(x: usize) -> usize {
+pub(crate) const fn align_up(x: usize) -> usize {
     (x + ALIGN - 1) & !(ALIGN - 1)
 }
 

@@ -125,7 +125,7 @@ impl HaStore {
     }
 
     /// Total bytes of the backing file or buffer.
-    pub fn file_bytes(&self) -> usize {
+    fn file_bytes(&self) -> usize {
         self.buf.as_bytes().len()
     }
 

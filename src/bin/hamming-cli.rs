@@ -10,6 +10,8 @@
 //! hamming-cli stats <file>                       # index statistics
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use hamming_suite::bitcode::BinaryCode;

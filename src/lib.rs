@@ -41,6 +41,8 @@
 //! assert_eq!(hits, vec![0, 3, 4, 6]); // t0, t3, t4, t6
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ha_bitcode as bitcode;
 pub use ha_core as index;
 pub use ha_datagen as datagen;

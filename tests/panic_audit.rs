@@ -20,9 +20,9 @@
 //! a crash. Lock poisoning is absorbed with
 //! `unwrap_or_else(PoisonError::into_inner)` throughout.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Per-file budget of panic-capable call sites in non-test library code:
 /// `(file, unwrap, expect, panic, unreachable)`.
@@ -159,6 +159,22 @@ fn count(haystack: &str, needle: &str) -> usize {
     haystack.matches(needle).count()
 }
 
+/// Every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    files_with_ext(dir, "rs", out);
+}
+
+fn files_with_ext(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("source dir exists") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files_with_ext(&path, ext, out);
+        } else if path.extension().is_some_and(|x| x == ext) {
+            out.push(path);
+        }
+    }
+}
+
 #[test]
 fn lib_code_stays_within_its_panic_budget() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -259,16 +275,6 @@ fn no_panicking_twin_beside_a_try_fn() {
 /// snapshot) in `ha-core` or `ha-store`.
 #[test]
 fn no_batch_or_arena_twin_in_the_search_surface() {
-    fn rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-        for entry in fs::read_dir(dir).expect("source dir exists") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                rs_files(&path, out);
-            } else if path.extension().is_some_and(|x| x == "rs") {
-                out.push(path);
-            }
-        }
-    }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (mut files, mut found, mut pub_fns) = (Vec::new(), Vec::new(), 0);
     for dir in ["crates/core/src", "crates/store/src"] {
@@ -291,6 +297,110 @@ fn no_batch_or_arena_twin_in_the_search_surface() {
         "batch or arena-forcing search twins: {found:?} — answer a batch query by \
          query, and reach the arena through `PlannedIndex::dha()`"
     );
+}
+
+/// A public surface that callers use: every `pub fn` (also `const` /
+/// `unsafe`) in a first-party crate's library source, outside test
+/// modules, is named as a whole word somewhere outside that crate —
+/// another crate's `src/`, the root package's `src/`, an integration test
+/// (`tests/`, `crates/*/tests/`), a bin target (`crates/*/src/bin/`),
+/// `examples/`, HAB's `benchmark/src/`, README.md or `docs/`. A function
+/// only its own crate calls is `pub(crate)` or private; one only its own
+/// unit tests call lives under `#[cfg(test)]`. This file is not a caller.
+#[test]
+fn every_pub_fn_has_a_caller_outside_its_crate() {
+    /// `(crate directory, function, why it stays public)`.
+    const EXCEPTIONS: &[(&str, &str, &str)] = &[(
+        "service",
+        "submit_select_with_deadline",
+        "the deadline half of the serving contract (DESIGN.md) and the only \
+         producer of `ServeMetrics::deadline_shed`, which HAB reports",
+    )];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("crates dir exists")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+
+    // Every caller file with the crate that owns it (`None`: outside
+    // every crate), and every library file with its crate.
+    let mut callers: Vec<(PathBuf, Option<&str>)> = Vec::new();
+    let mut libs: Vec<(PathBuf, &str)> = Vec::new();
+    for name in &crates {
+        let mut files = Vec::new();
+        rs_files(&root.join("crates").join(name).join("src"), &mut files);
+        for f in files {
+            if f.components().any(|c| c.as_os_str() == "bin") {
+                callers.push((f, None));
+            } else {
+                libs.push((f.clone(), name));
+                callers.push((f, Some(name)));
+            }
+        }
+        let tests = root.join("crates").join(name).join("tests");
+        if tests.is_dir() {
+            let mut files = Vec::new();
+            rs_files(&tests, &mut files);
+            callers.extend(files.into_iter().map(|f| (f, None)));
+        }
+    }
+    let mut outside = vec![root.join("README.md")];
+    files_with_ext(&root.join("docs"), "md", &mut outside);
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
+        rs_files(&root.join(dir), &mut outside);
+    }
+    callers.extend(outside.into_iter().map(|f| (f, None)));
+    callers.retain(|(f, _)| !f.ends_with("tests/panic_audit.rs"));
+
+    // Each whole word of the caller files, with the crates that name it.
+    let mut owners: HashMap<String, BTreeSet<Option<&str>>> = HashMap::new();
+    for (file, owner) in &callers {
+        let text = fs::read_to_string(file).expect("read caller");
+        for word in text.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if !word.is_empty() {
+                owners.entry(word.to_string()).or_default().insert(*owner);
+            }
+        }
+    }
+
+    let (mut uncalled, mut excepted, mut pub_fns) = (Vec::new(), BTreeSet::new(), 0);
+    for (path, name) in &libs {
+        let code = lib_code(path);
+        let decls = ["pub fn ", "pub const fn ", "pub unsafe fn "]
+            .iter()
+            .flat_map(|d| code.split(d).skip(1));
+        for rest in decls {
+            pub_fns += 1;
+            let f: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            let called = owners
+                .get(&f)
+                .is_some_and(|o| o.iter().any(|owner| owner != &Some(*name)));
+            if called {
+                continue;
+            }
+            match EXCEPTIONS.iter().find(|&&(c, e, _)| c == *name && e == f) {
+                Some(&(c, e, _)) => {
+                    excepted.insert((c, e));
+                }
+                None => {
+                    let file = path.strip_prefix(root).unwrap_or(path);
+                    uncalled.push(format!("{}: {f}", file.display()));
+                }
+            }
+        }
+    }
+    assert!(pub_fns > 100, "the scan found only {pub_fns} pub fns");
+    assert!(
+        uncalled.is_empty(),
+        "pub fns no file outside their crate names: {uncalled:#?} — make each \
+         `pub(crate)` (or private), move a test-only one under `#[cfg(test)]`, \
+         delete an unused one, or add an exception with its reason"
+    );
+    let stale: Vec<_> = EXCEPTIONS
+        .iter()
+        .filter(|&&(c, e, _)| !excepted.contains(&(c, e)))
+        .collect();
+    assert!(stale.is_empty(), "exceptions no longer needed: {stale:?}");
 }
 
 /// `unsafe` in ha-hashing is one call: the projection kernel's jump into
