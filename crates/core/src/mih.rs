@@ -31,6 +31,14 @@
 //! twice in one query finds its rows already marked in the seen-set, so
 //! answers stay exact at every `h`.
 //!
+//! The directories are a cache of the rows, not part of their meaning. A
+//! [`crate::planner::PlannedIndex`] build whose flat layout can win some
+//! threshold keeps none: the first search that probes them (a routed or
+//! forced MIH query, or `search_codes`) builds them all, once, inside one
+//! `core.plan.directories` span parented by whatever span asked. Every
+//! other build holds them from construction on. The [`Segmentation`] is
+//! always eager, so the probe costing below never builds anything.
+//!
 //! The enumeration cost `Σ_k Σ_i C(w_k, i)` is known exactly before any
 //! directory is touched ([`MihIndex::probe_estimate`]); when it reaches the
 //! row count the index falls back to scanning its own flat row storage,
@@ -39,6 +47,9 @@
 //! wide chunks (large `n`) keep buckets selective, and the probe budget
 //! `⌊h/m⌋` stays small exactly when `h` is small relative to the code
 //! width — sparse, wide codes, where the HA-Flat traversal loses steam.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use ha_bitcode::chunk::{chunk_value, distance_within_words, for_each_neighbor, neighborhood_size};
 use ha_bitcode::mix::mix64;
@@ -55,7 +66,10 @@ use crate::{HammingIndex, TupleId};
 /// the exact [`BinaryCode::words`] layout); the `m` chunk directories hold
 /// row indexes, so codes are stored once no matter how many chunks there
 /// are — the replication the paper criticises Manku's method for is
-/// avoided by construction.
+/// avoided by construction. Every constructor here builds the directories;
+/// only a [`crate::planner::PlannedIndex`] whose flat layout can win may
+/// leave them to the first probe (see the module docs), and
+/// [`MihIndex::memory_report`] counts them once built.
 ///
 /// ```
 /// use ha_core::{HammingIndex, MihIndex};
@@ -73,7 +87,9 @@ pub struct MihIndex {
     code_len: usize,
     stride: usize,
     seg: Segmentation,
-    dirs: Vec<Directory>,
+    /// One directory per chunk of `seg`: set at construction, or by the
+    /// first probe of a planned build that deferred them.
+    dirs: OnceLock<Vec<Directory>>,
     /// Flat row storage, `stride` words per row.
     row_words: Vec<u64>,
     ids: Vec<TupleId>,
@@ -88,12 +104,6 @@ pub(crate) struct MihRows {
     stride: usize,
     row_words: Vec<u64>,
     ids: Vec<TupleId>,
-}
-
-/// The chunk directories [`MihRows::directories`] built.
-pub(crate) struct Directories {
-    seg: Segmentation,
-    dirs: Vec<Directory>,
 }
 
 impl MihRows {
@@ -124,11 +134,11 @@ impl MihRows {
         &self.row_words
     }
 
-    /// One counting-sorted directory per chunk over these rows.
+    /// The balanced split of these rows' codes into `chunks` chunks.
     ///
     /// # Panics
     /// If `chunks` is outside `[ceil(code_len / 64), code_len]`.
-    pub(crate) fn directories(&self, chunks: usize) -> Directories {
+    pub(crate) fn segmentation(&self, chunks: usize) -> Segmentation {
         let code_len = self.code_len;
         assert!(
             chunks >= code_len.div_ceil(64),
@@ -136,31 +146,41 @@ impl MihRows {
              chunk-key width; need at least {}",
             code_len.div_ceil(64)
         );
-        let seg = Segmentation::new(code_len, chunks);
-        let mut values = vec![0u64; self.ids.len()];
-        let dirs = (0..chunks)
-            .map(|k| {
-                let (start, width) = seg.bounds(k);
-                for (v, row) in values.iter_mut().zip(self.row_words.chunks_exact(self.stride)) {
-                    *v = chunk_value(row, start, width);
-                }
-                Directory::build(width as u32, &values)
-            })
-            .collect();
-        Directories { seg, dirs }
+        Segmentation::new(code_len, chunks)
     }
 
-    /// The index of these rows under `dirs`, which must be their
-    /// [`MihRows::directories`].
-    pub(crate) fn index(self, Directories { seg, dirs }: Directories) -> MihIndex {
+    /// One counting-sorted directory per chunk of `seg` over these rows,
+    /// built in chunk order; `None` once `stop` is set before a chunk.
+    pub(crate) fn directories(
+        &self,
+        seg: &Segmentation,
+        stop: &AtomicBool,
+    ) -> Option<Vec<Directory>> {
+        let mut values = vec![0u64; self.ids.len()];
+        let mut dirs = Vec::with_capacity(seg.count());
+        for k in 0..seg.count() {
+            // `stop` only cuts work short and publishes nothing: whoever
+            // set it decides what is kept after joining this thread.
+            if stop.load(Ordering::Relaxed) {
+                return None;
+            }
+            dirs.push(Directory::of_chunk(&self.row_words, self.stride, seg, k, &mut values));
+        }
+        Some(dirs)
+    }
+
+    /// The index of these rows under `seg` and, if given, their
+    /// [`MihRows::directories`]; without them its first probe builds them.
+    pub(crate) fn index(self, seg: Segmentation, dirs: Option<Vec<Directory>>) -> MihIndex {
         let MihRows { code_len, stride, row_words, ids } = self;
+        let dirs = dirs.map(OnceLock::from).unwrap_or_default();
         MihIndex { code_len, stride, seg, dirs, row_words, ids }
     }
 }
 
 /// One chunk's CSR bucket directory (see the module docs).
 #[derive(Clone, Debug)]
-struct Directory {
+pub(crate) struct Directory {
     /// Slot bits `b`.
     bits: u32,
     /// `b` is below the chunk width: slots come from [`mix64`].
@@ -170,6 +190,22 @@ struct Directory {
 }
 
 impl Directory {
+    /// Chunk `k` of `seg`'s directory over `row_words` (`stride` words a
+    /// row), with `values` (one per row) as scratch.
+    fn of_chunk(
+        row_words: &[u64],
+        stride: usize,
+        seg: &Segmentation,
+        k: usize,
+        values: &mut [u64],
+    ) -> Self {
+        let (start, width) = seg.bounds(k);
+        for (v, row) in values.iter_mut().zip(row_words.chunks_exact(stride)) {
+            *v = chunk_value(row, start, width);
+        }
+        Directory::build(width as u32, values)
+    }
+
     /// Counting-sorts rows by the slot of their `width`-bit chunk value
     /// `values[row]`.
     fn build(width: u32, values: &[u64]) -> Self {
@@ -289,8 +325,9 @@ impl MihIndex {
         items: impl IntoIterator<Item = (&'a BinaryCode, TupleId)>,
     ) -> Self {
         let rows = MihRows::copy(code_len, rows, items);
-        let dirs = rows.directories(chunks);
-        rows.index(dirs)
+        let seg = rows.segmentation(chunks);
+        let dirs = rows.directories(&seg, &AtomicBool::new(false));
+        rows.index(seg, dirs)
     }
 
     /// Number of chunks.
@@ -333,6 +370,24 @@ impl MihIndex {
     /// the probe enumeration alone costs as much as scanning every row.
     pub fn would_scan(&self, h: u32) -> bool {
         self.probe_estimate(h) >= self.ids.len() as u64
+    }
+
+    /// The chunk directories, built first if the build deferred them.
+    /// Concurrent first calls build them once.
+    fn directories(&self) -> &[Directory] {
+        self.dirs.get_or_init(|| {
+            let _span = ha_obs::span("core.plan.directories");
+            let mut values = vec![0u64; self.ids.len()];
+            (0..self.seg.count())
+                .map(|k| Directory::of_chunk(&self.row_words, self.stride, &self.seg, k, &mut values))
+                .collect()
+        })
+    }
+
+    /// Whether the chunk directories are built.
+    #[cfg(test)]
+    pub(crate) fn has_directories(&self) -> bool {
+        self.dirs.get().is_some()
     }
 
     fn row(&self, row: usize) -> &[u64] {
@@ -385,6 +440,7 @@ impl MihIndex {
     fn probe_rows(&self, query: &BinaryCode, h: u32, mut emit: impl FnMut(usize, u32)) {
         assert_eq!(query.len(), self.code_len, "query length mismatch");
         let qw = query.words();
+        let dirs = self.directories();
         // The Norouzi quantities, accumulated in locals and flushed once.
         let (mut probes, mut candidates, mut dedup_hits) = (0u64, 0u64, 0u64);
         with_seen(self.ids.len(), |seen| {
@@ -392,7 +448,7 @@ impl MihIndex {
                 let Some(radius) = radius else { continue };
                 let value = self.seg.extract(query, k);
                 let (_, width) = self.seg.bounds(k);
-                let dir = &self.dirs[k];
+                let dir = &dirs[k];
                 for_each_neighbor(value, width as u32, radius, &mut |v| {
                     probes += 1;
                     let bucket = dir.bucket(v);
@@ -469,12 +525,15 @@ impl MihIndex {
             .map(|row| (BinaryCode::from_words(self.row(row), self.code_len), self.ids[row]))
     }
 
-    /// Itemized memory usage (Table 4's space column).
+    /// Itemized memory usage (Table 4's space column): the rows, the ids
+    /// and the chunk directories once built.
     pub fn memory_report(&self) -> MemoryReport {
-        let starts: usize = self.dirs.iter().map(|d| vec_bytes(&d.starts)).sum();
-        let rows: usize = self.dirs.iter().map(|d| vec_bytes(&d.rows)).sum();
+        let dirs = self.dirs.get();
+        let built = dirs.map_or(&[][..], Vec::as_slice);
+        let starts: usize = built.iter().map(|d| vec_bytes(&d.starts)).sum();
+        let rows: usize = built.iter().map(|d| vec_bytes(&d.rows)).sum();
         MemoryReport {
-            structure_bytes: vec_bytes(&self.dirs) + starts,
+            structure_bytes: dirs.map_or(0, vec_bytes) + starts,
             code_bytes: vec_bytes(&self.row_words),
             payload_bytes: vec_bytes(&self.ids) + rows,
         }
@@ -596,14 +655,15 @@ mod tests {
             assert_eq!(directory_bits(16, d as usize), bits, "w = 16, D = {d}");
             let narrow = (0..2 * d).map(|i| (BinaryCode::from_u64((i % d) << 16, 32), i));
             let mih = MihIndex::with_chunks(32, 2, narrow);
-            assert_eq!(mih.dirs[0].bits, bits, "16-bit chunk, D = {d}");
-            assert_eq!(mih.dirs[0].hashed, bits < 16, "16-bit chunk, D = {d}");
-            assert_eq!(mih.dirs[1].bits, 3, "a chunk holding one value");
+            let dirs = mih.directories();
+            assert_eq!(dirs[0].bits, bits, "16-bit chunk, D = {d}");
+            assert_eq!(dirs[0].hashed, bits < 16, "16-bit chunk, D = {d}");
+            assert_eq!(dirs[1].bits, 3, "a chunk holding one value");
             let spread = |v: u64| v.wrapping_mul(0x9e37_79b9_7f4a_7c15); // a bijection
             let wide = (0..2 * d).map(|i| (BinaryCode::from_u64(spread(i % d), 64), i));
             let mih = MihIndex::with_chunks(64, 1, wide);
-            assert_eq!(mih.dirs[0].bits, bits, "64-bit chunk, D = {d}");
-            assert!(mih.dirs[0].hashed);
+            assert_eq!(mih.directories()[0].bits, bits, "64-bit chunk, D = {d}");
+            assert!(mih.directories()[0].hashed);
         }
     }
 

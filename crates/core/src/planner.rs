@@ -13,10 +13,12 @@
 //!
 //! One integration surface sits on top: [`PlannedIndex`] routes every
 //! query over the structures indexing the same rows — a [`MihIndex`],
-//! always built, and the HA-Index's frozen snapshot ([`FlatHaIndex`]),
-//! which a build bulk-loads straight from the MIH's rows when the cost
-//! model lets the flat layout win some threshold and otherwise defers to
-//! the first call that names it. The choice is costed *before* building,
+//! whose rows are always built, and the HA-Index's frozen snapshot
+//! ([`FlatHaIndex`]). When the cost model lets the flat layout win some
+//! threshold, a build bulk-loads the snapshot straight from the MIH's rows
+//! and leaves the MIH's chunk directories to the first probe; otherwise it
+//! builds the directories and defers the snapshot to the first call that
+//! names it. The choice is costed *before* building,
 //! from the MIH's rows and H-Build's own rank sort, so routes are the same
 //! either way, and no structure changes once built. The mutable arena
 //! ([`DynamicHaIndex`]) is built only for the arena backend. HA-Serve
@@ -32,6 +34,7 @@
 //! unobservable in results — the property `tests/planner_decisions.rs`
 //! pins down.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use ha_bitcode::chunk::neighborhood_size;
@@ -315,12 +318,14 @@ pub struct PlanConfig {
 /// An exact Hamming index that routes every query to the cheapest backend
 /// it can serve.
 ///
-/// The structures index the same rows. The [`MihIndex`] is always built:
-/// it serves chunked probing and the linear scan (its flat row store
-/// doubles as the scan target, so the "four backends" cost two
-/// structures, not four), and its rows answer every read that needs the
-/// stored pairs ([`PlannedIndex::items`] and the delta overlay's
-/// tombstone reads). The HA-Index's frozen snapshot ([`FlatHaIndex`])
+/// The structures index the same rows. The [`MihIndex`]'s rows are always
+/// built: they serve the linear scan (the flat row store doubles as the
+/// scan target, so the "four backends" cost two structures, not four) and
+/// answer every read that needs the stored pairs ([`PlannedIndex::items`]).
+/// Its chunk directories serve chunked probing. A build whose flat layout
+/// can win some threshold keeps none, and the first probe builds them,
+/// once: a routed or forced [`Backend::Mih`] search, or a delta overlay's
+/// delete or tombstone read. The HA-Index's frozen snapshot ([`FlatHaIndex`])
 /// serves the flat path. [`PlannedIndex::build_with`] bulk-loads it from
 /// the MIH's rows only when the flat layout can win some threshold;
 /// otherwise it is *deferred* and built, once, by the first call that
@@ -428,14 +433,17 @@ impl PlannedIndex {
     /// words, stored once), then at the same time its auto-sized chunk
     /// directories on the calling thread and, on one scoped helper
     /// thread, the profile: H-Build's rank sort of those
-    /// rows, whose distinct codes the clusteredness is sampled from. The
-    /// helper allocates nothing: it sorts into a buffer sized here. A
-    /// panic on it is re-raised on the caller. Only when the flat backend
-    /// can win some threshold does H-Build reuse that sort, over a compact
-    /// build forest read straight off the MIH's rows, and the forest get
-    /// compiled to the snapshot (with the per-group layouts
-    /// [`DynamicHaIndex::freeze`] picks) and dropped: no arena is built. Otherwise the snapshot is deferred (see
-    /// [`PlannedIndex`]).
+    /// rows, whose distinct codes the clusteredness is sampled from, and
+    /// whether the flat backend can win some threshold. The helper
+    /// allocates nothing: it sorts into a buffer sized here. A panic on it
+    /// is re-raised on the caller. When the flat backend can win, the
+    /// helper tells the caller to stop before its next chunk, the index
+    /// keeps no directories (however many were done), H-Build reuses that
+    /// sort over a compact build forest read straight off the MIH's rows,
+    /// and the forest is compiled to the snapshot (with the per-group
+    /// layouts [`DynamicHaIndex::freeze`] picks) and dropped: no arena is
+    /// built. Otherwise the index keeps every directory and the snapshot
+    /// is deferred (see [`PlannedIndex`]).
     ///
     /// With tracing on, the build is one `core.plan.build` span whose
     /// children are the phases: `core.plan.mih` and `core.plan.profile`
@@ -444,7 +452,9 @@ impl PlannedIndex {
     /// `core.hbuild.levels` and `core.plan.freeze`.
     /// A deferred snapshot is built inside one `core.plan.materialize`
     /// span holding `core.hbuild.*` and `core.plan.freeze`; the arena,
-    /// whenever it is built, inside one holding `core.hbuild.*` only.
+    /// whenever it is built, inside one holding `core.hbuild.*` only;
+    /// directories the build did not keep, inside one
+    /// `core.plan.directories`.
     pub fn build_with(code_len: usize, items: Vec<(BinaryCode, TupleId)>, cfg: PlanConfig) -> Self {
         let _build = ha_obs::span("core.plan.build");
         let n = items.len();
@@ -458,22 +468,34 @@ impl PlannedIndex {
         // its own malloc arena, and what the helper allocated could stay
         // resident there after it is freed.
         let pairs = Vec::with_capacity(n);
+        let seg = rows.segmentation(MihIndex::auto_chunks(code_len, n));
+        // Set once the profile shows the flat layout wins somewhere: the
+        // MIH then routes only past flat's thresholds, if ever, and its
+        // directories wait for the first probe. It publishes no other data
+        // (`Relaxed`); the read that decides what is kept follows the join.
+        let flat_wins = AtomicBool::new(false);
         let (dirs, (order, clusteredness)) = overlap::join(
             || {
                 let _span = mih_span;
-                rows.directories(MihIndex::auto_chunks(code_len, n))
+                rows.directories(&seg, &flat_wins)
             },
             || {
                 let _span = ha_obs::span_under("core.plan.profile", &ctx);
                 let order = GrayOrder::sort_rows(rows.words(), code_len, pairs);
                 let distinct = order.distinct_rows(rows.words(), code_len.div_ceil(64));
                 let clusteredness = clusteredness_of_rows(code_len, distinct);
+                let profile = DataProfile { bits: code_len, n, clusteredness };
+                if flat_wins_somewhere(&cfg.model, &profile) {
+                    flat_wins.store(true, Ordering::Relaxed);
+                }
                 (order, clusteredness)
             },
         );
-        let mih = rows.index(dirs);
-        let profile = DataProfile { bits: code_len, n, clusteredness };
-        let (route, flat) = if flat_wins_somewhere(&cfg.model, &profile) {
+        // Joined, the flag is final, and it alone decides what the index
+        // keeps, however far the directories got before it was set.
+        let flat_wins = flat_wins.into_inner();
+        let mih = rows.index(seg, dirs.filter(|_| !flat_wins));
+        let (route, flat) = if flat_wins {
             let flat = snapshot_of(&mih, &order, &cfg.dha);
             (FlatRoute::Frozen(flat.aos_fraction()), OnceLock::from(flat))
         } else {
@@ -749,7 +771,7 @@ impl HammingIndex for PlannedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{assert_matches_oracle, clustered_dataset, random_dataset};
+    use crate::testkit::{assert_matches_oracle, clustered_dataset, random_dataset, random_within};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -950,6 +972,100 @@ mod tests {
         };
         assert!([16, 32, 64, 65, 128, 512].into_iter().all(loses_past_l));
         assert!(!loses_past_l(8));
+    }
+
+    /// Bytes a planned index's MIH holds without its directories: the
+    /// rows (one word per 64 bits a code) and the ids.
+    fn rows_and_ids(index: &PlannedIndex) -> usize {
+        index.len() * (index.code_len().div_ceil(64) * 8 + std::mem::size_of::<TupleId>())
+    }
+
+    /// A flat-winning build keeps no chunk directories: it holds the rows,
+    /// the ids and the snapshot. The first forced MIH search builds them,
+    /// answers as the oracle at `h` and `h + 1`, and leaves the index
+    /// holding what an eager MIH holds.
+    #[test]
+    fn a_flat_winning_build_defers_its_directories_to_the_first_probe() {
+        let data = clustered_dataset(3_000, 128, 3, 2, 5);
+        let index = PlannedIndex::build(128, data.clone());
+        assert!(matches!(index.route, FlatRoute::Frozen(_)), "the pin is about a flat-winning build");
+        assert!(!index.mih().has_directories());
+        let snapshot = index.flat.get().map_or(0, FlatHaIndex::memory_bytes);
+        assert!(snapshot > 0);
+        assert_eq!(index.memory_bytes(), rows_and_ids(&index) + snapshot);
+
+        let mut rng = StdRng::seed_from_u64(12);
+        for (code, _) in data.iter().step_by(301) {
+            for h in [5u32, 6] {
+                assert!(!index.mih().would_scan(h), "the pin is about the probe path");
+                let q = random_within(code, h, &mut rng);
+                let got = index.search_with_backend(Backend::Mih, &q, h).unwrap_or_default();
+                assert_matches_oracle(got, &data, &q, h, &format!("forced MIH at h={h}"));
+            }
+        }
+        assert!(index.mih().has_directories());
+        let eager = MihIndex::with_chunks(128, index.mih().chunks(), data);
+        assert_eq!(index.mih().memory_bytes(), eager.memory_bytes());
+        assert_eq!(index.memory_bytes(), eager.memory_bytes() + snapshot);
+    }
+
+    /// Four threads force the first MIH search of a flat-winning build at
+    /// once: one `core.plan.directories` span under the test's root, and
+    /// four equal answers.
+    #[test]
+    fn racing_first_mih_searches_build_the_directories_once() {
+        const THREADS: usize = 4;
+        let data = clustered_dataset(3_000, 64, 3, 2, 7);
+        let index = PlannedIndex::build(64, data.clone());
+        assert!(!index.mih().has_directories());
+        let q = random_within(&data[11].0, 4, &mut StdRng::seed_from_u64(3));
+        let want = crate::testkit::oracle_select(&data, &q, 4);
+
+        ha_obs::reset();
+        let root = ha_obs::span("test.race");
+        let ctx = ha_obs::current_context();
+        let start = std::sync::Barrier::new(THREADS);
+        let answers: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _thread = ha_obs::span_under("test.thread", &ctx);
+                        start.wait();
+                        index.search_with_backend(Backend::Mih, &q, 4)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        drop(root);
+        let trace = ha_obs::take_trace();
+        ha_obs::disable();
+
+        let race = trace.last_named("test.race").expect("root span");
+        let builds = trace
+            .subtree(race.id)
+            .into_iter()
+            .filter(|s| s.name == "core.plan.directories")
+            .count();
+        assert_eq!(builds, 1, "one directory build for {THREADS} racing threads");
+        for got in answers {
+            assert_eq!(got.as_ref(), Some(&want));
+        }
+    }
+
+    /// Where no threshold routes flat, the MIH is the index: a 64-bit build
+    /// holds every directory from construction on, as an eager MIH does.
+    #[test]
+    fn an_mih_routed_build_holds_its_directories_from_construction() {
+        let data = random_dataset(3_000, 64, 9);
+        let model = CostModel { flat_row_h_ns: 100.0, arena_row_h_ns: 200.0, ..CostModel::default() };
+        let index = PlannedIndex::build_with(64, data.clone(), PlanConfig { model, ..PlanConfig::default() });
+        assert!(matches!(index.route, FlatRoute::Deferred));
+        assert_eq!(index.backend_for(3), Backend::Mih);
+        assert!(index.mih().has_directories());
+        let eager = MihIndex::with_chunks(64, index.mih().chunks(), data);
+        assert_eq!(index.memory_bytes(), eager.memory_bytes());
+        assert!(index.memory_bytes() > rows_and_ids(&index));
     }
 
     #[test]

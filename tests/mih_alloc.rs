@@ -9,7 +9,8 @@
 //! and a planned build whose flat layout cannot win allocates only that
 //! and the rank sort: the HA-Index waits until something asks for it. A
 //! planned build whose flat layout can win holds, at its peak, what it
-//! keeps plus H-Build's compact build forest, never the arena. A
+//! keeps plus H-Build's compact build forest, never the arena, and keeps
+//! no chunk directories: its first MIH search builds them, per chunk. A
 //! counting `#[global_allocator]` measures the bytes and the allocations
 //! requested on the calling thread, and the bytes live on it (freed
 //! bytes subtracted) with their peak; the per-thread tally keeps the
@@ -269,6 +270,41 @@ fn a_flat_routed_build_never_holds_the_arena() {
         "a flat-routed PlannedIndex::build peaked at {peak} live bytes: kept {kept} + forest \
          {forest} + rank sort {rank_sort}"
     );
+}
+
+/// A flat-routed planned build keeps no chunk directories, so its first
+/// MIH search builds them: a few allocations per chunk (36 chunks of
+/// ~14 bits here), where one heap bucket per distinct value would make
+/// thousands. The MIH searches after it allocate only their answers, which
+/// grow by doubling.
+#[test]
+fn an_on_demand_directory_build_allocates_per_chunk_not_per_bucket() {
+    test_thread();
+    const N: usize = 20_000;
+    const BITS: usize = 512;
+    const H: u32 = 6;
+    let data = clustered_dataset(N, BITS, 12, 4, 37);
+    let queries = queries(&data);
+    let planned = PlannedIndex::build(BITS, data);
+    assert_eq!(planned.backend_for(H), Backend::HaFlat, "the pin is about a flat-routed build");
+    assert!(!planned.mih().would_scan(H), "the pin is about the probe path");
+    let rows_and_ids = planned.mih().memory_bytes();
+    let chunks = planned.mih().chunks();
+    let (allocations, first) =
+        allocations_by(|| planned.search_with_backend(Backend::Mih, &queries[0], H));
+    assert!(first.is_some_and(|hits| !hits.is_empty()));
+    assert!(planned.mih().memory_bytes() > rows_and_ids, "the search built the directories");
+    assert!(
+        allocations <= 4 * chunks + 8,
+        "the on-demand build made {allocations} allocations for {chunks} chunks"
+    );
+    for q in &queries {
+        let (bytes, hits) = allocated_by(|| planned.search_with_backend(Backend::Mih, q, H));
+        let hits = hits.unwrap_or_default();
+        assert!(!hits.is_empty());
+        let answer = hits.capacity() * std::mem::size_of::<u64>();
+        assert!(bytes <= 2 * answer, "an MIH search allocated {bytes} bytes for a {answer}-byte answer");
+    }
 }
 
 /// The three paper baselines share the same seen-set helper.

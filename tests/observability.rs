@@ -576,6 +576,36 @@ fn planned_build_spans_split_the_build_into_phases() {
     obs::disable();
 }
 
+/// A flat-winning build leaves the MIH's chunk directories to the first
+/// probe: a routed flat select records no `core.plan.directories` span,
+/// and the first forced MIH search records exactly one, parented by the
+/// span that asked. Later MIH searches build nothing.
+#[test]
+fn a_flat_routed_index_builds_its_directories_on_the_first_probe() {
+    let _guard = obs_lock();
+    let items = clustered_dataset(3_000, 128, 3, 2, 5);
+    let query = items[0].0.clone();
+    obs::reset();
+    let index = PlannedIndex::build(128, items);
+    let (backend, _) = index.search_routed(&query, 6);
+    assert_eq!(backend, Backend::HaFlat, "the pin is about a flat-routed index");
+    let trace = obs::take_trace();
+    assert_eq!(trace.count_named("core.plan.build"), 1);
+    assert_eq!(trace.count_named("core.plan.directories"), 0, "a routed flat select");
+
+    let asked = obs::span("test.ask");
+    for _ in 0..2 {
+        assert!(index.search_with_backend(Backend::Mih, &query, 6).is_some());
+    }
+    drop(asked);
+    let trace = obs::take_trace();
+    obs::disable();
+    assert_eq!(trace.count_named("core.plan.directories"), 1, "two forced MIH searches");
+    let directories = trace.last_named("core.plan.directories").expect("a directory span");
+    let asked = trace.last_named("test.ask").expect("the asking span");
+    assert_eq!(directories.parent, Some(asked.id));
+}
+
 /// A durable service whose planner cannot route to the flat layout
 /// builds no HA-Index at any point of its life: bootstrap, a merge and
 /// recovery each run one `PlannedIndex::build_with` per shard they build,

@@ -139,14 +139,16 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     ("crates/obs/src/span.rs", 0, 0, 0, 0),
 ];
 
-/// Non-test library source: everything before the first `#[cfg(test)]`,
-/// with line comments stripped (doc examples stay — they are API surface
+/// Non-test library source: everything before the first `#[cfg(test)]`
+/// in column 0 (the test module; an indented one marks a single test-only
+/// item, and the library code after it is still audited), with line
+/// comments stripped (doc examples stay — they are API surface
 /// and must not teach panicking patterns either... but they live in `//!`
 /// and `///` comments, which we strip too).
 fn lib_code(path: &Path) -> String {
     let src = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     src.lines()
-        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
         .map(|l| match l.find("//") {
             Some(i) => &l[..i],
             None => l,
@@ -465,7 +467,7 @@ fn bitcode_unsafe_is_in_kernels_only() {
     let src = fs::read_to_string(root.join("kernels.rs")).expect("read kernels.rs");
     let lines: Vec<&str> = src
         .lines()
-        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
         .collect();
     let mut sites = 0;
     for (at, line) in lines.iter().enumerate() {
